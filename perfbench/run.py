@@ -1,6 +1,6 @@
 """The repository benchmark: one command, every metric by name and unit.
 
-    python3 perfbench/run.py --workload stepwise-serial --seed 1 --seconds 20 --trace 0
+    python3 perfbench/run.py --workload stepwise-serial --seed 1 --seconds 35 --trace 0
 
 Run from the root of a checkout.  ``--trace 0`` prints the end-to-end
 metrics of ``BENCHMARK.json`` measured with tracing off; ``--trace 1``
@@ -15,6 +15,7 @@ the run incorrect and counts as a failed operation.
 import argparse
 import json
 import os
+import signal
 import sys
 
 HERE = os.path.dirname(os.path.abspath(__file__))
@@ -53,6 +54,8 @@ def main(argv=None) -> int:
     os.environ["PYTHONPATH"] = os.pathsep.join(
         path for path in (source, os.environ.get("PYTHONPATH")) if path)
     sys.path.insert(0, source)
+    # Unwind on SIGTERM too, so every started daemon is stopped and reaped.
+    signal.signal(signal.SIGTERM, lambda signum, frame: sys.exit(128 + signum))
 
     from workloads import run_workload
 

@@ -156,9 +156,10 @@ def _run(workload, trace, timeout=240):
     return json.loads(lines[-2]), json.loads(lines[-1])
 
 
-@pytest.mark.parametrize("workload,trace", [("stepwise-serial", 1),
-                                            ("whole-parallel", 0),
-                                            ("service-edits", 0)])
+@pytest.mark.parametrize("workload,trace", [("stepwise-serial", 0),
+                                            ("stepwise-serial", 1),
+                                            ("service-edits", 0),
+                                            ("service-edits", 1)])
 def test_smoke_run(workload, trace):
     with open(os.path.join(ROOT, "BENCHMARK.json")) as handle:
         spec = json.load(handle)

@@ -1,4 +1,4 @@
-"""The benchmark's three workloads, their correctness checks and metrics.
+"""The benchmark's two workloads, their correctness checks and metrics.
 
 See ``NOTES.md`` in this directory for why each workload exists and which
 layers it stresses or bypasses.  Everything here drives the library only
@@ -21,7 +21,7 @@ import sys
 import tempfile
 import threading
 import time
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from http.client import HTTPConnection, HTTPException
 from typing import Dict, List, Optional, Sequence, Tuple
 
@@ -68,15 +68,16 @@ class Workload:
     corpora: Tuple[str, ...]
     strategy: str = "stepwise"
     config: ValidatorConfig = DEFAULT_CONFIG
+    #: One cold call per corpus rather than one for all of them (see
+    #: ``fastest_sweep``).
+    per_corpus: bool = False
 
 
 ALL_CORPORA = tuple(spec.name for spec in PAPER_BENCHMARKS)
 
 WORKLOADS: Dict[str, Workload] = {
     workload.name: workload for workload in (
-        Workload("stepwise-serial", "batch", 0.1, ALL_CORPORA),
-        Workload("whole-parallel", "batch", 0.2, ALL_CORPORA, strategy="whole",
-                 config=replace(DEFAULT_CONFIG, concurrency=2, executor="auto")),
+        Workload("stepwise-serial", "batch", 0.1, ALL_CORPORA, per_corpus=True),
         Workload("service-edits", "service", 0.05,
                  tuple(name for name in ALL_CORPORA if name != "gcc")),
     )
@@ -91,6 +92,12 @@ def edit_pipelines(passes: Sequence[str] = PAPER_PIPELINE) -> List[Tuple[str, ..
         swapped[i], swapped[i + 1] = swapped[i + 1], swapped[i]
         edits.append(tuple(swapped))
     return edits
+
+
+#: The edits a ``service-edits`` round sends for every corpus: every fourth
+#: one of the 13 (two drops, two swaps), so that one run holds several
+#: identical rounds, each on a fresh daemon.
+SERVICE_EDITS = tuple(edit_pipelines()[::4])
 
 
 def conditional_branches(function: Function) -> int:
@@ -197,13 +204,18 @@ def peak_rss_mb() -> float:
 class Sweep:
     """What one cold sweep leaves behind once its modules are dropped."""
 
-    wall: float
+    #: Seconds of each timed ``validate_module_batch`` call, by its first label.
+    times: Dict[str, float]
     rows: List[Tuple[str, Dict[str, object]]]
     engine: Dict[str, int]
     chain: Dict[str, int]
     cache: Dict[str, int]
-    shard: Dict[str, object]
+    shard: Dict[str, int]
     busy_s: float
+
+    @property
+    def wall(self) -> float:
+        return sum(self.times.values())
 
 
 def _add(totals: Dict[str, int], counters: Dict[str, int]) -> None:
@@ -211,17 +223,40 @@ def _add(totals: Dict[str, int], counters: Dict[str, int]) -> None:
         totals[key] = totals.get(key, 0) + value
 
 
+def fastest_sweep(sweeps: Sequence[Sweep]) -> float:
+    """The sum over a sweep's calls of each call's fastest time in ``sweeps``.
+
+    The host's cores switch between a fast and a ~1.7x slower state every
+    few seconds, independently of each other (see ``NOTES.md``), so the
+    shorter the timed call, the surer some repeat of it ran fast throughout.
+    """
+    return sum(min(sweep.times[key] for sweep in sweeps) for key in sweeps[0].times)
+
+
 def _sweep(workload: Workload, scale: float):
-    """One cold ``validate_module_batch`` call; inputs are built untimed."""
+    """Cold ``validate_module_batch`` calls; inputs are built untimed."""
     modules, selections = build_inputs(workload, scale)
-    start = time.perf_counter()
-    results = validate_module_batch(
-        modules, PAPER_PIPELINE, workload.config,
-        labels=[module.name for module in modules],
-        strategy=workload.strategy, function_names=selections)
-    sweep = Sweep(time.perf_counter() - start, [], {}, {},
-                  dict(results[0][1].cache_stats or {}),
-                  dict(results[0][1].shard_stats or {}), 0.0)
+    labels = [module.name for module in modules]
+    if workload.per_corpus:
+        calls = [([module], [label], [selection])
+                 for module, label, selection in zip(modules, labels, selections)]
+    else:
+        calls = [(modules, labels, selections)]
+    sweep = Sweep({}, [], {}, {}, {}, {}, 0.0)
+    results = []
+    for call_modules, call_labels, call_selections in calls:
+        start = time.perf_counter()
+        call_results = validate_module_batch(
+            call_modules, PAPER_PIPELINE, workload.config, labels=call_labels,
+            strategy=workload.strategy, function_names=call_selections)
+        sweep.times[call_labels[0]] = time.perf_counter() - start
+        results += call_results
+        # Every report of one call carries that call's cache and shard stats.
+        report = call_results[0][1]
+        _add(sweep.cache, report.cache_stats or {})
+        shard = report.shard_stats or {}
+        _add(sweep.shard, {"distinct_pairs": shard.get("distinct_pairs", 0)})
+        sweep.shard["workers"] = max(sweep.shard.get("workers", 0), shard.get("workers", 0))
     for _, report in results:
         sweep.rows += [(report.label, json.loads(json.dumps(record.signature())))
                        for record in report.records]
@@ -308,21 +343,19 @@ def run_batch(workload: Workload, seed: int, seconds: float, trace: bool,
 
     walls = [sweep.wall for sweep in untraced]
     info = {"sweeps": len(untraced), "traced_sweeps": len(traced),
-            "digest": sorted(digests), "digest_expected": expected,
-            "oracle_disagreements": disagreements}
+            "sweep_walls": walls, "digest": sorted(digests),
+            "digest_expected": expected, "oracle_disagreements": disagreements}
     if trace:
         metrics = _batch_layer_metrics(recorder.spans, traced)
-        traced_wall = statistics.median(sweep.wall for sweep in traced)
-        metrics["trace_overhead_pct"] = 100.0 * (traced_wall / statistics.median(walls) - 1.0)
+        metrics["trace_overhead_pct"] = 100.0 * (
+            fastest_sweep(traced) / fastest_sweep(untraced) - 1.0)
     else:
         metrics = {
             "setup_s": setup_s,
-            "wall_s": statistics.median(walls),
+            "wall_s": fastest_sweep(untraced),
             "validated_pct": validated_pct([signature for _, signature in untraced[0].rows]),
             "success_pct": 100.0 * (1.0 - failed / max(1, attempted)),
             "peak_rss_mb": peak_rss_mb(),
-            "req_p50_ms": 1000.0 * statistics.median(walls),
-            "req_p90_ms": 1000.0 * percentile(walls, 0.9),
         }
     return metrics, attempted, failed, info
 
@@ -483,18 +516,49 @@ def send(port: int, request: Request, text: str) -> Request:
 def schedule(corpora: Sequence[str], rng: random.Random) -> List[List[Tuple[str, Tuple[str, ...]]]]:
     """Per client: every (corpus, edit pipeline) it owns, in seeded order."""
     owned = list(corpora)
-    edits = edit_pipelines()
     plans = []
     for client in range(SERVICE_CLIENTS):
         combos = [(label, edit) for label in owned[client::SERVICE_CLIENTS]
-                  for edit in edits]
+                  for edit in SERVICE_EDITS]
         rng.shuffle(combos)
         plans.append(combos)
     return plans
 
 
-def _serve_schedule(texts: Dict[str, str], traced: bool, rng: random.Random,
-                    work_root: str):
+@dataclass
+class Round:
+    """One daemon's life: start and priming (set-up), then the schedule."""
+
+    setup_s: float
+    wall: float
+    priming: Dict[str, Request]
+    requests: List[Request]
+    spans: list
+    clean: bool
+    store: Dict[str, int]
+
+
+def fastest_schedule(rounds: Sequence[Round]) -> float:
+    """The slowest client's schedule with every request at its fastest.
+
+    Rounds send the same requests (same tags, same daemon state per corpus)
+    to fresh daemons, so, as in ``fastest_sweep``, each request's fastest
+    repeat is taken; a client's schedule is the sum of its requests.
+    """
+    fastest: Dict[str, float] = {}
+    for round_ in rounds:
+        for request in round_.requests:
+            fastest[request.tag] = min(fastest.get(request.tag, float("inf")),
+                                       request.end - request.start)
+    clients: Dict[str, float] = {}
+    for tag, seconds in fastest.items():
+        client = tag.split("-")[0]
+        clients[client] = clients.get(client, 0.0) + seconds
+    return max(clients.values())
+
+
+def serve_round(texts: Dict[str, str], traced: bool, rng: random.Random,
+                work_root: str) -> Round:
     """Start a daemon, prime it, run the client schedule, drain it."""
     work_dir = tempfile.mkdtemp(dir=work_root)
     start = time.perf_counter()
@@ -533,7 +597,7 @@ def _serve_schedule(texts: Dict[str, str], traced: bool, rng: random.Random,
     requests = [request for client_requests in done for request in client_requests]
     store = {key: store_after.get(key, 0) - store_before.get(key, 0)
              for key in ("store_errors", "store_bytes_written")}
-    return setup_s, wall, priming, requests, spans, clean, store
+    return Round(setup_s, wall, priming, requests, spans, clean, store)
 
 
 def _service_checks(priming: Dict[str, Request], requests: Sequence[Request]):
@@ -549,46 +613,57 @@ def _service_checks(priming: Dict[str, Request], requests: Sequence[Request]):
     return failed, signature_digest(rows)
 
 
-def _service_layer_metrics(spans, requests: Sequence[Request],
-                           store: Dict[str, int]) -> Dict[str, float]:
-    metrics = per_layer_times(layer_totals(spans), 1)
-    counts = analysis_counts(spans)
-    by_tag: Dict[str, Dict[str, object]] = {}
-    for span in spans:
-        if span.name in ("parse_module", "Revalidator.revalidate") and span.tag:
-            by_tag.setdefault(span.tag, {})[span.name] = span
+def _service_layer_metrics(rounds: Sequence[Round]) -> Dict[str, float]:
+    """Per-layer metrics of the traced rounds, per round.
+
+    Span ids restart in every daemon, so spans are summed round by round.
+    """
+    units = len(rounds)
+    totals: Dict[str, Dict[str, float]] = {}
+    counts = {"computed": 0, "reused": 0}
     overheads, queues = [], []
     skipped = reused = fallbacks = lookups = 0
     cache_hits = 0
     engine: Dict[str, int] = {}
-    for request in requests:
-        pair = by_tag.get(request.tag, {})
-        parse, revalidate = pair.get("parse_module"), pair.get("Revalidator.revalidate")
-        if parse is not None and revalidate is not None:
-            overheads.append(request.latency_ms - 1000.0 * revalidate.duration)
-            queues.append(1000.0 * (revalidate.start - parse.end))
-        shard = request.shard or {}
-        skipped += shard.get("pairs_skipped_unchanged", 0)
-        reused += shard.get("subgraph_nodes_reused", 0)
-        fallbacks += shard.get("chain_fallbacks", 0)
-        cache = request.cache or {}
-        cache_hits += cache.get("hits", 0)
-        lookups += cache.get("hits", 0) + cache.get("misses", 0)
-        _add(engine, request.engine or {})
+    store: Dict[str, int] = {}
+    for round_ in rounds:
+        for layer, entry in layer_totals(round_.spans).items():
+            _add(totals.setdefault(layer, {}), entry)
+        _add(counts, analysis_counts(round_.spans))
+        _add(store, round_.store)
+        by_tag: Dict[str, Dict[str, object]] = {}
+        for span in round_.spans:
+            if span.name in ("parse_module", "Revalidator.revalidate") and span.tag:
+                by_tag.setdefault(span.tag, {})[span.name] = span
+        for request in round_.requests:
+            pair = by_tag.get(request.tag, {})
+            parse, revalidate = pair.get("parse_module"), pair.get("Revalidator.revalidate")
+            if parse is not None and revalidate is not None:
+                overheads.append(request.latency_ms - 1000.0 * revalidate.duration)
+                queues.append(1000.0 * (revalidate.start - parse.end))
+            shard = request.shard or {}
+            skipped += shard.get("pairs_skipped_unchanged", 0)
+            reused += shard.get("subgraph_nodes_reused", 0)
+            fallbacks += shard.get("chain_fallbacks", 0)
+            cache = request.cache or {}
+            cache_hits += cache.get("hits", 0)
+            lookups += cache.get("hits", 0) + cache.get("misses", 0)
+            _add(engine, request.engine or {})
+    metrics = per_layer_times(totals, units)
     metrics.update({
-        "build.nodes_built": engine.get("nodes_built", 0),
-        "normalize.rule_invocations": engine.get("rule_invocations", 0),
-        "normalize.rewrites": engine.get("rewrites", 0),
-        "normalize.runs": engine.get("normalize_runs", 0),
-        "cache.store_errors": store["store_errors"],
-        "cache.bytes_written": store["store_bytes_written"],
-        "analysis.computed": counts["computed"],
-        "analysis.reused": counts["reused"],
+        "build.nodes_built": engine.get("nodes_built", 0) / units,
+        "normalize.rule_invocations": engine.get("rule_invocations", 0) / units,
+        "normalize.rewrites": engine.get("rewrites", 0) / units,
+        "normalize.runs": engine.get("normalize_runs", 0) / units,
+        "cache.store_errors": store.get("store_errors", 0) / units,
+        "cache.bytes_written": store.get("store_bytes_written", 0) / units,
+        "analysis.computed": counts["computed"] / units,
+        "analysis.reused": counts["reused"] / units,
         "watch.pairs_skipped_pct": (100.0 * skipped / lookups) if lookups else 0.0,
-        "watch.nodes_reused": reused,
-        "watch.chain_fallbacks": fallbacks,
+        "watch.nodes_reused": reused / units,
+        "watch.chain_fallbacks": fallbacks / units,
         "cache.hit_pct": (100.0 * cache_hits / lookups) if lookups else 0.0,
-        "cache.lookups": lookups,
+        "cache.lookups": lookups / units,
         "service.overhead_ms": statistics.median(overheads) if overheads else 0.0,
         "service.queue_ms": statistics.median(queues) if queues else 0.0,
     })
@@ -597,7 +672,6 @@ def _service_layer_metrics(spans, requests: Sequence[Request],
 
 def run_service(workload: Workload, seed: int, seconds: float, trace: bool,
                 scale: float) -> Tuple[Dict[str, float], int, int, Dict[str, object]]:
-    rng = random.Random(seed)
     corpus_s, (modules, selections) = timed_setup(workload, scale)
     # The daemon validates every function it is sent: none may be over the cap.
     texts = {module.name: print_module(module) for module in modules}
@@ -608,32 +682,40 @@ def run_service(workload: Workload, seed: int, seconds: float, trace: bool,
     work_root = os.path.join(os.path.dirname(HERE), ".bench_work")
     os.makedirs(work_root, exist_ok=True)
 
-    daemon_setup_s, wall, priming, requests, _, clean, _ = _serve_schedule(
-        texts, False, rng, work_root)
-    failed, digest = _service_checks(priming, requests)
-    failed += not clean
-    attempted = len(priming) + len(requests)
-    digests = {digest}
-    traced_requests: List[Request] = []
-    spans = []
-    if trace:
-        (_, traced_wall, traced_priming, traced_requests, spans, clean,
-         store) = _serve_schedule(texts, True, random.Random(seed), work_root)
-        traced_failed, traced_digest = _service_checks(traced_priming, traced_requests)
-        failed += traced_failed + (not clean)
-        attempted += len(traced_priming) + len(traced_requests)
-        digests.add(traced_digest)
+    # Identical rounds (same seeded order) until the run's seconds are up;
+    # with tracing, plain and traced rounds alternate so both see the same
+    # drift in machine speed.
+    plain: List[Round] = []
+    traced: List[Round] = []
+    began = time.perf_counter()
+    while not plain or time.perf_counter() - began < seconds:
+        plain.append(serve_round(texts, False, random.Random(seed), work_root))
+        if trace:
+            traced.append(serve_round(texts, True, random.Random(seed), work_root))
+
+    # Correctness, outside every timed region.
+    failed = attempted = 0
+    digests = set()
+    for round_ in plain + traced:
+        round_failed, digest = _service_checks(round_.priming, round_.requests)
+        failed += round_failed + (not round_.clean)
+        attempted += len(round_.priming) + len(round_.requests)
+        digests.add(digest)
     expected = expected_digest(workload.name, scale)
     digest_ok = len(digests) == 1 and (expected is None or expected in digests)
     failed += not digest_ok
 
+    walls = [round_.wall for round_ in plain]
+    requests = [request for round_ in plain for request in round_.requests]
     warm = [r.latency_ms for r in requests if r.kind == "warm"]
     edit = [r.latency_ms for r in requests if r.kind == "edit"]
-    info = {"requests": len(requests), "digest": sorted(digests),
+    info = {"rounds": len(plain), "traced_rounds": len(traced), "round_walls": walls,
+            "requests": len(requests), "digest": sorted(digests),
             "digest_expected": expected}
     if trace:
-        metrics = _service_layer_metrics(spans, traced_requests, store)
-        metrics["trace_overhead_pct"] = 100.0 * (traced_wall / wall - 1.0)
+        metrics = _service_layer_metrics(traced)
+        metrics["trace_overhead_pct"] = 100.0 * (
+            fastest_schedule(traced) / fastest_schedule(plain) - 1.0)
         metrics.update({
             "service.warm_p50_ms": statistics.median(warm),
             "service.warm_p90_ms": percentile(warm, 0.9),
@@ -641,15 +723,13 @@ def run_service(workload: Workload, seed: int, seconds: float, trace: bool,
             "service.edit_p90_ms": percentile(edit, 0.9),
         })
     else:
-        signatures = [s for r in requests for s in r.signatures]
+        signatures = [s for r in plain[0].requests for s in r.signatures]
         metrics = {
-            "setup_s": corpus_s + daemon_setup_s,
-            "wall_s": wall,
+            "setup_s": corpus_s + statistics.median(round_.setup_s for round_ in plain),
+            "wall_s": fastest_schedule(plain),
             "validated_pct": validated_pct(signatures),
             "success_pct": 100.0 * (1.0 - failed / attempted),
             "peak_rss_mb": peak_rss_mb(),
-            "req_p50_ms": statistics.median(warm + edit),
-            "req_p90_ms": percentile(warm + edit, 0.9),
         }
     return metrics, attempted, failed, info
 
