@@ -7,7 +7,8 @@ with ``chain_graphs=False`` (one fresh two-version graph per adjacent
 checkpoint pair) and once with ``chain_graphs=True`` (every checkpoint
 chain hash-consed into ONE graph, normalized once) — and the artifact
 records both modes' deterministic work counters (nodes built, nodes
-created, rule invocations, normalize runs), the record-signature parity
+created, rule invocations, normalize runs, gate translations and graph
+``make`` calls), the record-signature parity
 verdict, and the aggregate savings percentages.
 
 The experiment runs at **several corpus scales** (``--scales``, default
@@ -51,7 +52,7 @@ def _ensure_pinned_hash_seed() -> None:
 
 #: The counters the perf guard gates on (summed over all corpora).
 COUNTER_KEYS = ("nodes_built", "nodes_created", "rule_invocations",
-                "normalize_runs")
+                "normalize_runs", "gate_translations", "make_calls")
 
 
 def _sweep_scale(scale: float):

@@ -2,9 +2,10 @@
 """CI perf guard: gate deterministic work counters against a committed baseline.
 
 Validation work is deterministic for a fixed corpus, configuration and
-``PYTHONHASHSEED``: the number of graph nodes constructed, normalization
-rule invocations and equivalence (normalize) runs of a sweep never vary
-between runs — only wall-clock does.  That makes them gateable: this
+``PYTHONHASHSEED``: the number of graph nodes constructed, gate formulas
+translated and node requests made (hash-cons hits included) during
+construction, normalization rule invocations and equivalence (normalize)
+runs of a sweep never vary between runs — only wall-clock does.  That makes them gateable: this
 script compares the counters of a freshly produced
 ``benchmarks/artifacts/chain_graphs.json`` artifact (see
 ``bench_chain_graphs.py``, which pins ``PYTHONHASHSEED=0``) against the
@@ -55,7 +56,7 @@ import sys
 #: regression on the fallback/oracle path is caught too.
 GATED_MODES = ("chain", "per_pair")
 GATED_COUNTERS = ("nodes_built", "nodes_created", "rule_invocations",
-                  "normalize_runs")
+                  "normalize_runs", "gate_translations", "make_calls")
 
 
 def _scale_key(scale) -> str:

@@ -115,6 +115,9 @@ def compute_function_analyses(function: Function,
     Performs the same front-end checks as graph construction: declarations
     have nothing to analyse and irreducible control flow is rejected
     (§5.1), so a cached bundle always describes an analysable function.
+    Without a ``fingerprint``, the bundle's is read from
+    :data:`CHECKPOINT_FINGERPRINTS`, so a remembered checkpoint is not
+    printed and hashed again.
     """
     # Imported lazily: ``repro.gated`` itself imports ``repro.analysis``
     # submodules, so a module-level import here would turn a direct
@@ -133,7 +136,8 @@ def compute_function_analyses(function: Function,
     dom = DominatorTree.compute(function)
     return FunctionAnalyses(
         function,
-        fingerprint if fingerprint is not None else function_fingerprint(function),
+        fingerprint if fingerprint is not None
+        else CHECKPOINT_FINGERPRINTS.fingerprint(function),
         preds=predecessor_map(function),
         dom=dom,
         loops=LoopInfo.compute(function, dom),
@@ -185,7 +189,7 @@ class AnalysisManager:
 
     def analyses_for(self, function: Function) -> FunctionAnalyses:
         """The (memoized) analysis bundle for ``function``."""
-        fingerprint = function_fingerprint(function)
+        fingerprint = CHECKPOINT_FINGERPRINTS.fingerprint(function)
         key = (id(function), fingerprint)
         bundle = self._cache.get(key)
         if bundle is not None:

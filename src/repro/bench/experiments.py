@@ -660,8 +660,10 @@ def chain_comparison(scale: float = 1.0, benchmarks: Optional[Sequence[str]] = N
       guard ``stepwise_guard.py --chain-parity`` enforces this on all
       twelve corpora);
     * the deterministic work counters of both sweeps — nodes built during
-      graph construction, total nodes created, rule invocations and
-      normalize runs — plus wall time;
+      graph construction, total nodes created, rule invocations,
+      normalize runs, gate formulas translated and node requests
+      (``make`` calls, hash-cons hits included) during construction —
+      plus wall time;
     * the chain telemetry (chains built, versions hash-consed, the
       estimated per-pair construction baseline, fallbacks).
 
@@ -670,7 +672,7 @@ def chain_comparison(scale: float = 1.0, benchmarks: Optional[Sequence[str]] = N
     """
     base = config or DEFAULT_CONFIG
     counter_keys = ("nodes_built", "nodes_created", "rule_invocations",
-                    "normalize_runs")
+                    "normalize_runs", "gate_translations", "make_calls")
     rows: List[Dict[str, object]] = []
     for spec in _selected_specs(benchmarks):
         per_mode: Dict[str, Dict[str, object]] = {}

@@ -8,6 +8,7 @@ from .gates import (
     GateAnalysis,
     GateExpr,
     OrGate,
+    PathConditionMemo,
     ReachedGate,
     TRUE,
     TrueGate,
@@ -18,6 +19,7 @@ from .monadic import MemoryEffects, defines_memory, reads_memory
 
 __all__ = [
     "GateAnalysis",
+    "PathConditionMemo",
     "GateExpr",
     "TrueGate",
     "FalseGate",

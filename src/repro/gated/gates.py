@@ -19,6 +19,15 @@ If a path escapes the region (a predecessor that is not dominated by the
 region start), the analysis falls back to an opaque ``Reached(block)``
 condition.  This keeps construction total; such conditions only match if
 both functions produce literally the same structure.
+
+A formula is a DAG: ``pc(P)`` is shared by every successor of ``P``, so
+along a chain of diamonds the formula has linearly many distinct nodes
+but exponentially many paths.  A caller that asks for many path
+conditions (one graph build) passes a :class:`PathConditionMemo` so
+every query from the same region start extends one shared DAG instead of
+rebuilding it.  :class:`GateAnalysis` itself stays stateless: it is
+cached across builds, and a memo on it would keep every formula alive
+for as long as the cache holds the analysis.
 """
 
 from __future__ import annotations
@@ -142,6 +151,31 @@ def make_or(operands: List[GateExpr]) -> GateExpr:
     return OrGate(flat)
 
 
+class PathConditionMemo:
+    """Path conditions shared by every query of one graph build.
+
+    One table per region start, from block to its path condition.  Only
+    conditions that do not depend on where a query entered are stored:
+    a ``Reached`` fallback for a forward-edge cycle depends on which block
+    the query was computing when it met the cycle, so such results (and
+    everything built on them) stay local to their query.  ``computed``
+    counts the conditions actually computed, memo hits excluded.
+    """
+
+    __slots__ = ("_tables", "computed")
+
+    def __init__(self) -> None:
+        self._tables: Dict[BasicBlock, Dict[BasicBlock, GateExpr]] = {}
+        self.computed = 0
+
+    def table(self, start: BasicBlock) -> Dict[BasicBlock, GateExpr]:
+        """The shared conditions relative to ``start`` (``start`` maps to true)."""
+        table = self._tables.get(start)
+        if table is None:
+            table = self._tables[start] = {start: TRUE}
+        return table
+
+
 class GateAnalysis:
     """Computes edge conditions and region path conditions for a function."""
 
@@ -175,26 +209,44 @@ class GateAnalysis:
         return self.dom.dominates(target, source)
 
     # -- path conditions ------------------------------------------------------
-    def path_condition(self, start: BasicBlock, block: BasicBlock) -> GateExpr:
+    def path_condition(self, start: BasicBlock, block: BasicBlock,
+                       memo: Optional[PathConditionMemo] = None) -> GateExpr:
         """Condition for control to reach ``block`` from ``start``.
 
         Computed over forward edges only (back edges removed).  ``start``
-        itself gets the condition *true*.
+        itself gets the condition *true*.  With a ``memo``, conditions
+        computed by earlier queries from the same ``start`` are reused and
+        this query's are kept for later ones; without one, the query
+        memoizes only within itself.
         """
-        memo: Dict[int, GateExpr] = {id(start): TRUE}
+        if memo is None:
+            memo = PathConditionMemo()
+        shared = memo.table(start)
+        known = shared.get(block)
+        if known is not None:
+            return known
+        # Results that depend on this query's entry point (see
+        # PathConditionMemo); reused within the query only.
+        local: Dict[BasicBlock, GateExpr] = {}
         visiting: set = set()
 
-        def compute(current: BasicBlock) -> GateExpr:
-            key = id(current)
-            if key in memo:
-                return memo[key]
-            if key in visiting:
+        def compute(current: BasicBlock) -> Tuple[GateExpr, bool]:
+            """``current``'s condition and whether it depends on the entry."""
+            cached = shared.get(current)
+            if cached is not None:
+                return cached, False
+            cached = local.get(current)
+            if cached is not None:
+                return cached, True
+            if current in visiting:
                 # A forward-edge cycle should not exist in a reducible CFG;
                 # fall back to an opaque condition rather than diverging.
-                return ReachedGate(current.name)
-            visiting.add(key)
+                return ReachedGate(current.name), True
+            memo.computed += 1
+            visiting.add(current)
+            entry_dependent = False
             disjuncts: List[GateExpr] = []
-            for pred in self._preds.get(key, []):
+            for pred in self._preds.get(id(current), []):
                 if self.is_back_edge(pred, current):
                     continue
                 if not self.dom.dominates(start, pred):
@@ -203,41 +255,47 @@ class GateAnalysis:
                         make_and([ReachedGate(pred.name), self.edge_condition(pred, current)])
                     )
                     continue
-                disjuncts.append(make_and([compute(pred), self.edge_condition(pred, current)]))
-            visiting.discard(key)
+                condition, dependent = compute(pred)
+                entry_dependent = entry_dependent or dependent
+                disjuncts.append(make_and([condition, self.edge_condition(pred, current)]))
+            visiting.discard(current)
             result = make_or(disjuncts)
-            memo[key] = result
-            return result
+            (local if entry_dependent else shared)[current] = result
+            return result, entry_dependent
 
-        return compute(block)
+        return compute(block)[0]
 
     # -- gating for φ-nodes --------------------------------------------------
-    def phi_gates(self, block: BasicBlock) -> List[Tuple[BasicBlock, GateExpr]]:
+    def phi_gates(self, block: BasicBlock, memo: Optional[PathConditionMemo] = None
+                  ) -> List[Tuple[BasicBlock, GateExpr]]:
         """Gate of each incoming edge of a (non-loop-header) join block.
 
         Conditions are relative to the block's immediate dominator, which is
-        the closest "branch point" all incoming paths share.
+        the closest "branch point" all incoming paths share.  ``memo`` is
+        passed on to :meth:`path_condition`.
         """
         start = self.dom.idom(block) or self.function.entry
         gates: List[Tuple[BasicBlock, GateExpr]] = []
         for pred in self._preds.get(id(block), []):
             gate = make_and(
-                [self.path_condition(start, pred), self.edge_condition(pred, block)]
+                [self.path_condition(start, pred, memo), self.edge_condition(pred, block)]
             )
             gates.append((pred, gate))
         return gates
 
     # -- loop exit conditions -----------------------------------------------------
-    def loop_exit_condition(self, loop: Loop) -> GateExpr:
+    def loop_exit_condition(self, loop: Loop,
+                            memo: Optional[PathConditionMemo] = None) -> GateExpr:
         """Condition (relative to the loop header, per iteration) that the loop exits.
 
         The disjunction over every exit edge of "control reaches the exiting
         block this iteration and takes the exit edge".  For the canonical
-        ``while (b)`` loop this is simply ``¬b``.
+        ``while (b)`` loop this is simply ``¬b``.  ``memo`` is passed on
+        to :meth:`path_condition`.
         """
         disjuncts: List[GateExpr] = []
         for inside, outside in loop.exit_edges():
-            path = self.path_condition(loop.header, inside)
+            path = self.path_condition(loop.header, inside, memo)
             disjuncts.append(make_and([path, self.edge_condition(inside, outside)]))
         return make_or(disjuncts)
 
@@ -254,5 +312,6 @@ __all__ = [
     "FALSE",
     "make_and",
     "make_or",
+    "PathConditionMemo",
     "GateAnalysis",
 ]

@@ -227,6 +227,11 @@ class ValidationReport:
                                            + record.chain_stats.get("chain_nodes_created", 0))
                 totals["normalize_runs"] = (totals.get("normalize_runs", 0)
                                             + record.chain_stats.get("chains", 0))
+                totals["gate_translations"] = (
+                    totals.get("gate_translations", 0)
+                    + record.chain_stats.get("chain_gate_translations", 0))
+                totals["make_calls"] = (totals.get("make_calls", 0)
+                                        + record.chain_stats.get("chain_make_calls", 0))
                 # Incremental revalidation telemetry: chain nodes the
                 # delta build re-read instead of rebuilding, and pairs
                 # adopted from the previous run without any graph work.

@@ -87,9 +87,11 @@ class ValidationResult:
     #: of the engine counters, fresh per-pair validations record the
     #: deterministic work counters ``nodes_built`` (nodes created while
     #: constructing the graph), ``nodes_created`` (total nodes ever
-    #: created, including normalization-manufactured ones) and
-    #: ``normalize_runs`` — the counters the chain-graph benchmarks and
-    #: the CI perf guard compare.
+    #: created, including normalization-manufactured ones),
+    #: ``normalize_runs``, ``gate_translations`` (gate formulas translated
+    #: during construction) and ``make_calls`` (node requests during
+    #: construction, hash-cons hits included) — the counters the
+    #: chain-graph benchmarks and the CI perf guard compare.
     stats: Dict[str, int] = field(default_factory=dict)
     #: Human-readable detail for failures (best-effort diff rendering).
     detail: str = ""
@@ -132,6 +134,7 @@ def validate(before: Function, after: Function,
         sys.setrecursionlimit(old_limit)
 
     nodes_built = graph.next_id
+    gate_translations, make_calls = graph.gate_translations, graph.make_calls
     goal_pairs = [
         (summary_before.result, summary_after.result),
         (summary_before.memory, summary_after.memory),
@@ -156,7 +159,8 @@ def validate(before: Function, after: Function,
             graph_nodes=graph.live_node_count(), detail=str(error),
         )
 
-    counters = _work_counters(stats, nodes_built, graph.next_id)
+    counters = _work_counters(stats, nodes_built, graph.next_id,
+                              gate_translations, make_calls)
     elapsed = time.perf_counter() - start
     if matched:
         reason = "trivially-equal" if stats.trivially_equal else "equal"
@@ -222,12 +226,15 @@ def validate_bounded(before: Function, after: Function,
 
 
 def _work_counters(stats: NormalizationStats, nodes_built: int,
-                   nodes_created: int) -> Dict[str, int]:
+                   nodes_created: int, gate_translations: int,
+                   make_calls: int) -> Dict[str, int]:
     """Engine stats plus the deterministic work counters of one run."""
     counters = stats.as_dict()
     counters["nodes_built"] = nodes_built
     counters["nodes_created"] = nodes_created
     counters["normalize_runs"] = 1
+    counters["gate_translations"] = gate_translations
+    counters["make_calls"] = make_calls
     return counters
 
 
@@ -323,6 +330,7 @@ def validate_chain(versions: Sequence[Function],
         sys.setrecursionlimit(old_limit)
 
     nodes_built = graph.next_id
+    gate_translations, make_calls = graph.gate_translations, graph.make_calls
     # Totality: everything between construction and read-off — summary
     # read-off, the triviality and baseline reachability walks, and the
     # normalization itself — degrades to the per-pair oracle on *any*
@@ -425,7 +433,8 @@ def validate_chain(versions: Sequence[Function],
                 rejects_trusted = False
                 break
     chain_stats = _chain_stats(len(versions), nodes_built, graph.next_id,
-                               baseline_nodes, stats)
+                               baseline_nodes, stats, gate_translations,
+                               make_calls)
     return ChainOutcome(name, pair_results, chain_stats,
                         whole_result=whole_result,
                         rejects_trusted=rejects_trusted)
@@ -437,6 +446,8 @@ def validate_chain_delta(graph: ValueGraph,
                          config: Optional[ValidatorConfig] = None,
                          nodes_built: int = 0,
                          nodes_reused: int = 0,
+                         gate_translations: int = 0,
+                         make_calls: int = 0,
                          ) -> Optional[Tuple[Dict[int, ValidationResult],
                                              Dict[str, int]]]:
     """Read only the *dirty* pairs' verdicts off a retained chain graph.
@@ -464,8 +475,9 @@ def validate_chain_delta(graph: ValueGraph,
     Returns ``(verdicts, chain_stats)`` with one entry per dirty index,
     or ``None`` when anything fails — the caller then falls back to
     isolated per-pair validation and drops the retained state.
-    ``nodes_built``/``nodes_reused`` are the extension's construction
-    telemetry, threaded into the returned ``chain_stats``.
+    ``nodes_built``/``nodes_reused``/``gate_translations``/``make_calls``
+    are the extension's construction telemetry, threaded into the
+    returned ``chain_stats``.
     """
     config = config or DEFAULT_CONFIG
     if not dirty_indices:
@@ -521,7 +533,8 @@ def validate_chain_delta(graph: ValueGraph,
 
     chain_stats = _chain_stats(len(summaries), nodes_built,
                                nodes_built + (work.next_id - created_watermark),
-                               baseline_nodes, stats)
+                               baseline_nodes, stats, gate_translations,
+                               make_calls)
     chain_stats["chain_pairs"] = len(dirty_indices)
     chain_stats["chain_normalizations_saved"] = len(dirty_indices) - 1
     chain_stats["chain_nodes_reused"] = nodes_reused
@@ -552,7 +565,8 @@ def _pair_baseline_nodes(graph, summaries) -> int:
 
 
 def _chain_stats(versions: int, nodes_built: int, nodes_created: int,
-                 baseline_nodes: int, stats: NormalizationStats) -> Dict[str, int]:
+                 baseline_nodes: int, stats: NormalizationStats,
+                 gate_translations: int, make_calls: int) -> Dict[str, int]:
     return {
         "chains": 1,
         "chain_versions": versions,
@@ -564,6 +578,8 @@ def _chain_stats(versions: int, nodes_built: int, nodes_created: int,
         "chain_rule_invocations": stats.rule_invocations,
         "chain_normalizations_saved": versions - 2,
         "chain_fallbacks": 0,
+        "chain_gate_translations": gate_translations,
+        "chain_make_calls": make_calls,
     }
 
 
@@ -586,6 +602,8 @@ def _chain_fallback(versions: Sequence[Function], config: ValidatorConfig,
         "chain_rule_invocations": 0,
         "chain_normalizations_saved": 0,
         "chain_fallbacks": 1,
+        "chain_gate_translations": 0,
+        "chain_make_calls": 0,
     }
     return ChainOutcome(versions[0].name, pair_results, chain_stats,
                         fallback=True)

@@ -354,6 +354,7 @@ class Revalidator:
                          and previous.pristine is not None else ValueGraph())
                 old_summaries = (previous.summaries if previous is not None
                                  and previous.pristine is not None else {})
+                gates_before, makes_before = graph.gate_translations, graph.make_calls
                 old_limit = sys.getrecursionlimit()
                 sys.setrecursionlimit(max(old_limit, config.recursion_limit))
                 try:
@@ -366,7 +367,9 @@ class Revalidator:
                 if summaries is not None:
                     outcome = validate_chain_delta(
                         graph, summaries, needed, config,
-                        nodes_built=built, nodes_reused=reused)
+                        nodes_built=built, nodes_reused=reused,
+                        gate_translations=graph.gate_translations - gates_before,
+                        make_calls=graph.make_calls - makes_before)
                     if outcome is not None:
                         verdicts, chain_stats = outcome
                         counters["extended"] = 1

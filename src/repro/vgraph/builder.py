@@ -19,6 +19,16 @@ For each function we:
 Both functions of a validation query are built into the *same*
 :class:`~repro.vgraph.graph.ValueGraph`, so equal sub-terms are shared and
 the final equality check is a pointer comparison.
+
+Gate formulas are DAGs, not trees: along a chain of diamonds the path
+condition of each join is shared by both arms of the next one, so a
+formula with linearly many distinct sub-formulas has exponentially many
+paths.  Each :class:`GraphBuilder` therefore keeps two memos for the
+lifetime of one build: the path conditions it asked the (cached,
+stateless) gate analysis for, per region start, and the node each
+sub-formula translated to, per use block.  Every sub-formula is computed
+and translated once per build; hash-consing makes a memo hit the node a
+tree walk would have rebuilt.
 """
 
 from __future__ import annotations
@@ -38,6 +48,7 @@ from ..gated.gates import (
     FalseGate,
     GateExpr,
     OrGate,
+    PathConditionMemo,
     ReachedGate,
     TrueGate,
 )
@@ -117,8 +128,19 @@ class GraphBuilder:
         self._mem_after: Dict[int, int] = {}
         self._mem_exit: Dict[int, int] = {}
         self._loop_exit_cond: Dict[int, int] = {}
+        self._phi_gate_memo: Dict[int, Dict[int, GateExpr]] = {}
         self._alloca_names: Dict[int, str] = {}
         self._building_mem: set = set()
+        #: Path conditions of this build, shared by all of its queries.
+        self.path_conditions = PathConditionMemo()
+        #: ``(id(gate), id(context))`` -> ``(gate, context, node, epoch)``.
+        #: The value holds the gate and the block, so neither id can be
+        #: recycled while the entry lives; a hit still checks identity.
+        self._gate_nodes: Dict[Tuple[int, int],
+                               Tuple[GateExpr, BasicBlock, int, int]] = {}
+        #: Bumped whenever a memoized gate translation may have gone stale
+        #: (see :meth:`_settle`); entries of older epochs are not reused.
+        self._epoch = 0
         self._name_allocas()
 
     # -- public entry point -------------------------------------------------
@@ -141,7 +163,8 @@ class GraphBuilder:
         for block in ret_blocks:
             terminator = block.terminator
             condition = self._gate_to_node(
-                self.gates.path_condition(entry, block), context=block
+                self.gates.path_condition(entry, block, self.path_conditions),
+                context=block
             )
             condition = self._wrap_loop_exits_for_block(condition, block)
             memory = self._memory_before(terminator)
@@ -208,13 +231,42 @@ class GraphBuilder:
     def _exit_condition(self, loop: Loop) -> int:
         key = id(loop.header)
         if key not in self._loop_exit_cond:
-            expr = self.gates.loop_exit_condition(loop)
-            self._loop_exit_cond[key] = self._gate_to_node(expr, context=loop.header)
+            expr = self.gates.loop_exit_condition(loop, self.path_conditions)
+            self._settle(self._loop_exit_cond, key,
+                         self._gate_to_node(expr, context=loop.header))
         return self._loop_exit_cond[key]
 
     # -- gate translation -----------------------------------------------------------
+    def _settle(self, table: Dict[int, int], key: int, node: int) -> int:
+        """Store a value or loop-exit node; replacing one starts a new epoch.
+
+        Gate translation reads values and loop-exit conditions only
+        through these two tables, so its result changes only when an
+        entry is replaced: a request that re-entered a value (or exit
+        condition) still being built stored a provisional node, and the
+        outer request later stores the final one.  Gate translations made
+        before that must not be reused, or they would differ from a fresh
+        translation.
+        """
+        previous = table.get(key)
+        if previous is not None and previous != node:
+            self._epoch += 1
+        table[key] = node
+        return node
+
     def _gate_to_node(self, gate: GateExpr, context: BasicBlock) -> int:
-        """Translate a gate formula into a graph node."""
+        """Translate a gate formula into a graph node (memoized per build)."""
+        key = (id(gate), id(context))
+        entry = self._gate_nodes.get(key)
+        if (entry is not None and entry[0] is gate and entry[1] is context
+                and entry[3] == self._epoch):
+            return entry[2]
+        self.graph.gate_translations += 1
+        node = self._translate_gate(gate, context)
+        self._gate_nodes[key] = (gate, context, node, self._epoch)
+        return node
+
+    def _translate_gate(self, gate: GateExpr, context: BasicBlock) -> int:
         if isinstance(gate, TrueGate):
             return self.graph.true()
         if isinstance(gate, FalseGate):
@@ -249,9 +301,7 @@ class GraphBuilder:
         key = id(value)
         if key in self._value_nodes:
             return self._value_nodes[key]
-        node = self._translate(value)
-        self._value_nodes[key] = node
-        return node
+        return self._settle(self._value_nodes, key, self._translate(value))
 
     def _translate(self, value: Value) -> int:
         graph = self.graph
@@ -334,9 +384,7 @@ class GraphBuilder:
         if loop is not None and loop.header is block:
             return self._translate_mu(phi, loop)
 
-        gates = dict()
-        for pred, gate in self.gates.phi_gates(block):
-            gates[id(pred)] = gate
+        gates = self._phi_gates(block)
         branches: List[Tuple[int, int]] = []
         for value, pred in phi.incoming:
             gate = gates.get(id(pred))
@@ -347,6 +395,19 @@ class GraphBuilder:
             branches.append((condition, node))
         return self._combine_branches(branches) if branches else self.graph.make("undef", "phi")
 
+    def _phi_gates(self, block: BasicBlock) -> Dict[int, GateExpr]:
+        """Gate of each incoming edge of ``block`` by predecessor id.
+
+        Memoized per block: every φ of a join shares its gates, so they
+        are computed (and translated) once per build, not once per φ.
+        """
+        gates = self._phi_gate_memo.get(id(block))
+        if gates is None:
+            gates = {id(pred): gate for pred, gate
+                     in self.gates.phi_gates(block, self.path_conditions)}
+            self._phi_gate_memo[id(block)] = gates
+        return gates
+
     def _translate_mu(self, phi: Phi, loop: Loop) -> int:
         graph = self.graph
         block = phi.parent
@@ -355,12 +416,13 @@ class GraphBuilder:
 
         initial_branches: List[Tuple[int, int]] = []
         iteration_branches: List[Tuple[int, int]] = []
-        entry_gates = {id(pred): gate for pred, gate in self.gates.phi_gates(block)}
+        entry_gates = self._phi_gates(block)
         for value, pred in phi.incoming:
             node = self._node_for_use(value, block)
             if loop.contains(pred):
                 condition = self._gate_to_node(
-                    self.gates.path_condition(loop.header, pred), context=block
+                    self.gates.path_condition(loop.header, pred, self.path_conditions),
+                    context=block,
                 )
                 iteration_branches.append((condition, node))
             else:
@@ -373,8 +435,7 @@ class GraphBuilder:
             # plain gated φ so construction stays total.
             branches = initial_branches + iteration_branches
             node = self._combine_branches(branches) if branches else graph.make("undef", "phi")
-            self._value_nodes[id(phi)] = node
-            return node
+            return self._settle(self._value_nodes, id(phi), node)
 
         initial = self._combine_branches(initial_branches)
         iteration = self._combine_branches(iteration_branches)
@@ -516,7 +577,9 @@ class GraphBuilder:
                     )
                 chain_loop = chain_loop.parent
             condition = self.graph.and_(
-                self._gate_to_node(self.gates.path_condition(start, pred), context=block),
+                self._gate_to_node(
+                    self.gates.path_condition(start, pred, self.path_conditions),
+                    context=block),
                 self._gate_to_node(self.gates.edge_condition(pred, block), context=block),
             )
             branches.append((condition, memory))

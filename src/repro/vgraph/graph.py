@@ -54,6 +54,11 @@ class ValueGraph:
         self._next_id = 0
         self._parents: Dict[int, Set[int]] = {}
         self._listeners: List[MergeListener] = []
+        #: Work counters: every :meth:`make` call, hash-cons hits included,
+        #: and every gate formula the builder translated (memo hits
+        #: excluded).  Unlike ``next_id`` they see work that creates no node.
+        self.make_calls = 0
+        self.gate_translations = 0
 
     # -- identity --------------------------------------------------------
     def resolve(self, node_id: int) -> int:
@@ -135,6 +140,7 @@ class ValueGraph:
     # -- construction ------------------------------------------------------
     def make(self, kind: str, data=None, args: Sequence[int] = ()) -> int:
         """Create (or reuse) a node.  Returns its id."""
+        self.make_calls += 1
         resolved = tuple(self.resolve(a) for a in args)
         key = (kind, data, resolved)
         existing = self._table.get(key)

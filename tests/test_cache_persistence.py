@@ -24,6 +24,7 @@ from repro.validator import (
     validate,
     validate_module_batch,
 )
+from repro.validator.cache import _FILE_ENVELOPE, _entry_size
 
 SHARDED = replace(DEFAULT_CONFIG, concurrency=2)
 
@@ -265,6 +266,11 @@ class TestSizeBoundedBackend:
             keys.append(key)
         return cache, keys
 
+    @staticmethod
+    def _one_entry_budget(cache, key):
+        """A byte budget with room for ``key``'s entry and no other."""
+        return _FILE_ENVELOPE + _entry_size(key, cache.peek(key))
+
     def test_unbounded_cache_never_evicts(self, tmp_path):
         cache, _ = self._filled_cache(tmp_path)
         cache.save()
@@ -288,7 +294,7 @@ class TestSizeBoundedBackend:
         cache, keys = self._filled_cache(tmp_path)
         # Touch the first key last: it becomes the most recently hit.
         assert cache.get(keys[0], "f0") is not None
-        cache.max_bytes = 700
+        cache.max_bytes = self._one_entry_budget(cache, keys[0])
         cache.save()
         assert cache.peek(keys[0]) is not None, "hot entry must survive"
         assert cache.evicted > 0
@@ -304,7 +310,7 @@ class TestSizeBoundedBackend:
         after = clone_function(before)
         fresh_key = reloaded.key(before, after, DEFAULT_CONFIG)
         reloaded.put(fresh_key, validate(before, after, DEFAULT_CONFIG))
-        reloaded.max_bytes = 700
+        reloaded.max_bytes = self._one_entry_budget(reloaded, fresh_key)
         reloaded.save()
         assert reloaded.evicted > 0
         assert reloaded.peek(fresh_key) is not None

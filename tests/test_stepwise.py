@@ -151,6 +151,30 @@ class TestAnalysisManager:
         # Second query reuses both bundles instead of recomputing them.
         assert manager.computed == 2 and manager.reused == 2
 
+    def test_stepwise_chain_prints_each_changed_checkpoint_once(self, monkeypatch):
+        import repro.analysis.manager as manager_module
+
+        printed = {}
+        print_function = manager_module.print_function
+
+        def counting(function):
+            count, _ = printed.get(id(function), (0, None))
+            # Keep the function alive so its id() is not reused.
+            printed[id(function)] = (count + 1, function)
+            return print_function(function)
+
+        monkeypatch.setattr(manager_module, "print_function", counting)
+        module = small_test_corpus(functions=6, seed=11)
+        originals = {id(function) for function in module.defined_functions()}
+        [(_, report)] = validate_module_batch([module], strategy="stepwise")
+        assert report.chain_totals().get("chains", 0) > 0
+        checkpoints = {key: count for key, (count, _) in printed.items()
+                       if key not in originals}
+        assert checkpoints
+        # The planner remembers each changed checkpoint's hash; the
+        # analyses of the chain build must answer from it, not re-print.
+        assert set(checkpoints.values()) == {1}
+
 
 class TestStrategies:
     def test_unknown_strategy_rejected(self, mini_corpus):
