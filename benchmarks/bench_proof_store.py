@@ -1,20 +1,17 @@
 #!/usr/bin/env python3
-"""Proof-store I/O comparison: JSON vs SQLite backends, as a JSON artifact.
+"""Proof-store I/O benchmark: cold vs warm SQLite sweeps, as a JSON artifact.
 
-Runs the :func:`repro.bench.cache_persistence` experiment twice — once
-per proof-store backend (``json``, ``sqlite``), each against its own
-fresh cache directory — and records the cold and warm rows side by side:
+Runs the :func:`repro.bench.cache_persistence` experiment once against a
+fresh cache directory — a cold sweep that fills the SQLite proof store,
+then a warm sweep that answers from it — and records both rows:
 wall-clock, store bytes read and written, entries faulted lazily
 (``store_lazy_loads``), incremental flushes and the warm hit rate.
 
-The interesting column is the warm run's I/O: the JSON backend re-reads
-(and on save rewrites) the *whole* file no matter how few entries the
-sweep touches, while the SQLite backend faults only the payloads the
-planner actually peeks — so at any non-trivial corpus scale the warm
-``sqlite`` row's total store I/O bytes must come in below the warm
-``json`` row's.  ``benchmarks/perf_guard.py`` gates exactly that from
-this artifact (and skips the gate with a note when the artifact is
-absent).
+The interesting columns are the warm run's reads: the store faults in
+only the payloads the planner actually peeks, so the warm run must read
+fewer bytes than the cold run wrote and fault fewer entries than the
+store holds.  ``benchmarks/perf_guard.py`` gates both from this artifact
+(and skips the gate with a note when the artifact is absent).
 
 Run with::
 
@@ -28,18 +25,10 @@ import tempfile
 
 from repro.bench import cache_persistence, format_table
 
-#: Backends compared by the artifact, in presentation order.
-BACKENDS = ("json", "sqlite")
-
-#: Row fields carried into the per-backend tables.
+#: Row fields carried into the table.
 TABLE_COLUMNS = ("run", "backend", "hit_rate", "entries", "disk_loaded",
                  "store_lazy_loads", "store_flushes", "store_bytes_read",
                  "store_bytes_written", "time_s")
-
-
-def _io_bytes(row) -> int:
-    """Total store traffic of one run: payload bytes read plus written."""
-    return int(row["store_bytes_read"]) + int(row["store_bytes_written"])
 
 
 def main() -> int:
@@ -52,7 +41,7 @@ def main() -> int:
     parser.add_argument("--strategy", default="stepwise",
                         help="validation strategy for the sweeps")
     parser.add_argument("--cache-root", type=pathlib.Path, default=None,
-                        help="directory to hold one cache dir per backend "
+                        help="directory to hold the cache dir "
                              "(default: a fresh temp dir, discarded after)")
     parser.add_argument("--out", type=pathlib.Path,
                         default=pathlib.Path("benchmarks/artifacts/proof_store.json"),
@@ -65,40 +54,31 @@ def main() -> int:
 
     config = replace(DEFAULT_CONFIG, concurrency=args.concurrency)
     with tempfile.TemporaryDirectory(prefix="proof-store-") as scratch:
-        root = args.cache_root or pathlib.Path(scratch)
-        backends = {}
-        for backend in BACKENDS:
-            cache_dir = root / backend
-            cache_dir.mkdir(parents=True, exist_ok=True)
-            rows = cache_persistence(scale=args.scale, config=config,
-                                     cache_dir=str(cache_dir),
-                                     strategy=args.strategy,
-                                     runs=("cold", "warm"),
-                                     cache_backend=backend)
-            backends[backend] = {row["run"]: row for row in rows}
-            print(format_table([{k: row[k] for k in TABLE_COLUMNS}
-                                for row in rows],
-                               title=f"Proof store: {backend} backend "
-                                     f"(scale {args.scale})"))
-            print()
+        cache_dir = (args.cache_root or pathlib.Path(scratch)) / "sqlite"
+        cache_dir.mkdir(parents=True, exist_ok=True)
+        rows = cache_persistence(scale=args.scale, config=config,
+                                 cache_dir=str(cache_dir),
+                                 strategy=args.strategy,
+                                 runs=("cold", "warm"))
+    print(format_table([{k: row[k] for k in TABLE_COLUMNS} for row in rows],
+                       title=f"Proof store: sqlite (scale {args.scale})"))
+    print()
 
-    warm_json = backends["json"]["warm"]
-    warm_sqlite = backends["sqlite"]["warm"]
+    runs = {row["run"]: row for row in rows}
+    cold, warm = runs["cold"], runs["warm"]
     summary = {
-        "warm_json_io_bytes": _io_bytes(warm_json),
-        "warm_sqlite_io_bytes": _io_bytes(warm_sqlite),
-        "warm_sqlite_lazy_loads": int(warm_sqlite["store_lazy_loads"]),
-        "warm_sqlite_entries": int(warm_sqlite["disk_loaded"]),
-        "sqlite_io_smaller": _io_bytes(warm_sqlite) < _io_bytes(warm_json),
+        "cold_bytes_written": int(cold["store_bytes_written"]),
+        "warm_bytes_read": int(warm["store_bytes_read"]),
+        "warm_lazy_loads": int(warm["store_lazy_loads"]),
+        "warm_entries": int(warm["disk_loaded"]),
     }
-    print(f"warm store I/O: sqlite {summary['warm_sqlite_io_bytes']} bytes vs "
-          f"json {summary['warm_json_io_bytes']} bytes "
-          f"({'sqlite smaller' if summary['sqlite_io_smaller'] else 'NOT smaller'}); "
-          f"sqlite faulted {summary['warm_sqlite_lazy_loads']} of "
-          f"{summary['warm_sqlite_entries']} stored entries")
+    print(f"warm store read {summary['warm_bytes_read']} bytes of the "
+          f"{summary['cold_bytes_written']} the cold run wrote; faulted "
+          f"{summary['warm_lazy_loads']} of {summary['warm_entries']} "
+          f"stored entries")
 
-    payload = {"schema": 1, "scale": args.scale, "strategy": args.strategy,
-               "concurrency": args.concurrency, "backends": backends,
+    payload = {"schema": 2, "scale": args.scale, "strategy": args.strategy,
+               "concurrency": args.concurrency, "runs": runs,
                "summary": summary}
     args.out.parent.mkdir(parents=True, exist_ok=True)
     args.out.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")

@@ -12,9 +12,9 @@ exists to bound the *overhead* of going cross-host:
 * the TCP transport must not answer meaningfully more queries than the
   pipe transport (the schedule may differ, the work may not) — the perf
   guard gates ``tcp_queries <= 1.15 x pipe_queries``;
-* a warm driver consulting the served proof store over
-  ``config.steal_connect`` must amortize its round trips: planning
-  issues **at most one get RPC per work batch** (one
+* a warm driver consulting the served proof store through a
+  ``remote://HOST:PORT`` ``config.cache_dir`` must amortize its round
+  trips: planning issues **at most one get RPC per work batch** (one
   ``validate_module_batch`` call), answered by batched planning-time
   prefetch, never per-key chatter.
 
@@ -83,7 +83,7 @@ def main() -> int:
     store_dir = tempfile.TemporaryDirectory(prefix="repro-remote-bench-")
     store_pool = TcpStealPool(
         1, None, listen="127.0.0.1:0",
-        store=ServedStore(store_dir.name, backend="sqlite"))
+        store=ServedStore(store_dir.name))
     store_address = f"{store_pool.address[0]}:{store_pool.address[1]}"
 
     transports = {
@@ -93,7 +93,8 @@ def main() -> int:
                        concurrency=WORKERS, steal_transport="tcp",
                        steal_listen=steal_address),
     }
-    store_config = replace(DEFAULT_CONFIG, steal_connect=store_address)
+    store_config = replace(DEFAULT_CONFIG,
+                           cache_dir=f"{REMOTE_PREFIX}{store_address}")
 
     rows = []
     totals = {name: {"distinct_pairs": 0, "pooled_pairs": 0, "time_s": 0.0}

@@ -2,7 +2,7 @@
 """Persistent-cache guard: warm corpus sweeps must answer from disk.
 
 Runs the :func:`repro.bench.cache_persistence` experiment — a corpus
-sweep of all twelve benchmarks through one persistent
+sweep of all twelve benchmarks through one persistent (SQLite)
 :class:`~repro.validator.cache.ValidationCache` — and enforces the
 warm-run acceptance criteria:
 
@@ -11,14 +11,11 @@ warm-run acceptance criteria:
   as an artifact.
 * ``--mode warm`` re-runs the sweep against an existing cache directory
   (CI: the downloaded artifact) and **fails** if the cache-hit rate is
-  below ``--min-hit-rate`` (default 0.95).
+  below ``--min-hit-rate`` (default 0.95), or unless it faulted strictly
+  fewer entries than the store holds — the lazy-loading criterion.
 * ``--mode both`` runs cold then warm in one process and additionally
   fails unless the warm run performed at least 95% fewer equivalence
   checks than the cold run.
-* ``--cache-backend {auto,json,sqlite}`` selects the proof-store backend
-  (CI runs the cold/warm pair once per backend).  Warm ``sqlite`` runs
-  must additionally fault strictly fewer entries than the store holds —
-  the lazy-loading criterion.
 
 Every run appends its rows to the JSON artifact given by ``--out``.
 
@@ -47,10 +44,6 @@ def main() -> int:
                         help="process-pool width for the sharded sweep")
     parser.add_argument("--strategy", default="stepwise",
                         help="validation strategy for the sweep")
-    parser.add_argument("--cache-backend", choices=("auto", "json", "sqlite"),
-                        default="auto",
-                        help="proof-store backend (auto: sqlite if a .sqlite "
-                             "file already exists in --cache-dir, else json)")
     parser.add_argument("--min-hit-rate", type=float, default=0.95,
                         help="minimum warm-run cache-hit rate (default 0.95)")
     parser.add_argument("--out", type=pathlib.Path,
@@ -67,11 +60,11 @@ def main() -> int:
     runs = {"cold": ("cold",), "warm": ("warm",), "both": ("cold", "warm")}[args.mode]
     rows = cache_persistence(scale=args.scale, config=config,
                              cache_dir=args.cache_dir, strategy=args.strategy,
-                             runs=runs, cache_backend=args.cache_backend)
+                             runs=runs)
     args.out.parent.mkdir(parents=True, exist_ok=True)
     payload = {"schema": 2, "scale": args.scale, "strategy": args.strategy,
                "concurrency": args.concurrency, "mode": args.mode,
-               "cache_backend": args.cache_backend, "rows": rows}
+               "rows": rows}
     args.out.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
 
     print(format_table(rows, title=f"Persistent-cache sweep (scale {args.scale}, "
@@ -86,10 +79,10 @@ def main() -> int:
             failures.append(
                 f"warm cache-hit rate {warm['hit_rate']:.2%} is below the "
                 f"required {args.min_hit_rate:.2%}")
-        if warm["backend"] == "sqlite" and warm["disk_loaded"] and \
+        if warm["disk_loaded"] and \
                 warm["store_lazy_loads"] >= warm["disk_loaded"]:
             failures.append(
-                f"warm sqlite run faulted {warm['store_lazy_loads']} entries "
+                f"warm run faulted {warm['store_lazy_loads']} entries "
                 f"out of {warm['disk_loaded']} on disk — lazy faulting should "
                 f"touch strictly fewer entries than the store holds")
     if args.mode == "both":

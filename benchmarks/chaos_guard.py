@@ -303,8 +303,7 @@ def main() -> int:
                 faults.reset()
                 if schedule == "flush":
                     with tempfile.TemporaryDirectory() as tmp:
-                        cache = ValidationCache(tmp, backend="sqlite",
-                                                fault_plan=plan)
+                        cache = ValidationCache(tmp, fault_plan=plan)
                         report, elapsed = run_one(module, config, cache)
                         flushed = cache.save()
                         stats = cache.stats()

@@ -26,11 +26,10 @@ they simply have no trendline to gate.
 
 When a ``benchmarks/artifacts/proof_store.json`` artifact is present
 (produced by ``bench_proof_store.py``), the guard additionally checks
-the proof-store I/O comparison it carries: the warm ``sqlite`` run's
-total store I/O bytes must be below the warm ``json`` run's, and its
-lazily faulted entry count must be strictly below the store's entry
-count.  A missing artifact skips this gate with a note — the counter
-baseline gate runs either way.
+that the SQLite store loads lazily: the warm run must read fewer store
+bytes than the cold run wrote, and its lazily faulted entry count must
+be strictly below the store's entry count.  A missing artifact skips
+this gate with a note — the counter baseline gate runs either way.
 
 When a ``benchmarks/artifacts/remote_steal.json`` artifact is present
 (produced by ``bench_remote_steal.py``), the guard also bounds the
@@ -111,7 +110,7 @@ def _growth(per_scale: dict) -> dict:
 
 
 def _check_proof_store(path: pathlib.Path) -> list:
-    """Gate the proof-store artifact's warm-run I/O comparison, if present.
+    """Gate the proof-store artifact's warm-run laziness, if present.
 
     Returns failure strings; an absent artifact is a skip (with a note),
     not a failure — the proof-store benchmark is optional in local runs.
@@ -121,20 +120,20 @@ def _check_proof_store(path: pathlib.Path) -> list:
               f"(run bench_proof_store.py to produce one)")
         return []
     summary = json.loads(path.read_text()).get("summary", {})
-    sqlite_io = int(summary.get("warm_sqlite_io_bytes", 0))
-    json_io = int(summary.get("warm_json_io_bytes", 0))
-    lazy = int(summary.get("warm_sqlite_lazy_loads", 0))
-    entries = int(summary.get("warm_sqlite_entries", 0))
-    print(f"proof store: warm sqlite I/O {sqlite_io} bytes vs json {json_io} "
-          f"bytes; {lazy}/{entries} entries faulted")
+    read = int(summary.get("warm_bytes_read", 0))
+    written = int(summary.get("cold_bytes_written", 0))
+    lazy = int(summary.get("warm_lazy_loads", 0))
+    entries = int(summary.get("warm_entries", 0))
+    print(f"proof store: warm run read {read} bytes of {written} written "
+          f"cold; {lazy}/{entries} entries faulted")
     failures = []
-    if sqlite_io >= json_io:
+    if read >= written:
         failures.append(
-            f"proof store: warm sqlite store I/O ({sqlite_io} bytes) is not "
-            f"below warm json ({json_io} bytes) — lazy faulting regressed")
+            f"proof store: warm run read {read} store bytes, not below the "
+            f"{written} bytes the cold run wrote — lazy faulting regressed")
     if entries and lazy >= entries:
         failures.append(
-            f"proof store: warm sqlite run faulted {lazy} of {entries} stored "
+            f"proof store: warm run faulted {lazy} of {entries} stored "
             f"entries — the warm sweep should touch strictly fewer")
     return failures
 

@@ -10,7 +10,8 @@ legs over all twelve paper corpora:
   workers; per-function record signatures must be byte-identical to
   serial (cold: no cache anywhere).
 * **store cold / store warm** — the driver consulting the served proof
-  store over ``config.steal_connect`` (no local cache files).  The cold
+  store through a ``remote://HOST:PORT`` ``config.cache_dir`` (no local
+  cache files).  The cold
   run populates the store through write-behind flushes; the warm run
   must then answer **every** pair from it (``distinct_pairs == 0``)
   using batched planning-time gets (``store_batched_gets > 0``) — and
@@ -39,7 +40,7 @@ from dataclasses import replace
 from repro.bench.corpus import PAPER_BENCHMARKS, build_corpus
 from repro.transforms import PAPER_PIPELINE
 from repro.validator import faults
-from repro.validator.cache import ValidationCache
+from repro.validator.cache import REMOTE_PREFIX, ValidationCache
 from repro.validator.config import DEFAULT_CONFIG
 from repro.validator.driver import validate_module_batch
 from repro.validator.faults import FaultPlan, FaultSpec
@@ -91,9 +92,11 @@ def main() -> int:
     store_dir = tempfile.TemporaryDirectory(prefix="repro-remote-steal-")
     store_pool = TcpStealPool(
         1, None, listen="127.0.0.1:0",
-        store=ServedStore(store_dir.name, backend="sqlite"))
+        store=ServedStore(store_dir.name))
     store_address = f"{store_pool.address[0]}:{store_pool.address[1]}"
 
+    store_config = replace(DEFAULT_CONFIG,
+                           cache_dir=f"{REMOTE_PREFIX}{store_address}")
     tcp_config = replace(DEFAULT_CONFIG, executor="steal",
                          concurrency=WORKERS, steal_transport="tcp",
                          steal_listen=steal_address)
@@ -113,10 +116,8 @@ def main() -> int:
             legs = {}
             for leg, config in (
                     ("tcp", tcp_config),
-                    ("store_cold", replace(DEFAULT_CONFIG,
-                                           steal_connect=store_address)),
-                    ("store_warm", replace(DEFAULT_CONFIG,
-                                           steal_connect=store_address)),
+                    ("store_cold", store_config),
+                    ("store_warm", store_config),
                     ("kill", replace(tcp_config, fault_plan=kill_plan))):
                 faults.reset()
                 cache = ValidationCache() if leg in ("tcp", "kill") else None

@@ -34,14 +34,13 @@ much work re-validation does, never what it decides.
 With ``--executor-parity`` (the default; ``--no-executor-parity``
 disables) it additionally runs the
 :func:`repro.bench.executor_comparison` experiment over all twelve
-corpora and fails unless the ``serial``, ``pool``, ``wave`` and
-``steal`` scheduling backends produced identical per-function record
-signatures — a backend may change where and in what order queries run,
-never what they decide.  The table also reports the wave backend's
-speculative savings (validated pairs avoided by cancelling the doomed
-later waves of rejected functions) and the steal backend's deque
+corpora and fails unless the ``serial``, ``pool`` and ``steal``
+scheduling backends produced identical per-function record signatures
+— a backend may change where and in what order queries run, never what
+they decide.  The table also reports the steal backend's cancellation
+savings (doomed pairs of rejected functions it never ran) and deque
 traffic (``items_stolen`` / ``steal_attempts``).  With ``--tcp-workers
-N`` (N > 0) the parity sweep grows a fifth leg: the steal backend over
+N`` (N > 0) the parity sweep grows a fourth leg: the steal backend over
 its TCP transport with N loopback remote worker subprocesses, run cold
 and then warm through the coordinator's served proof store — both legs
 must also match serial byte for byte.
@@ -89,7 +88,7 @@ def main() -> int:
                         help="skip the incremental-parity check")
     parser.add_argument("--executor-parity", dest="executor_parity",
                         action="store_true", default=True,
-                        help="check serial/pool/wave/steal backend record "
+                        help="check serial/pool/steal backend record "
                              "parity (the default)")
     parser.add_argument("--no-executor-parity", dest="executor_parity",
                         action="store_false",
@@ -199,10 +198,10 @@ def main() -> int:
                 )
     if executor_rows:
         executor_columns = ("benchmark", "transformed", "identical",
-                            "serial_pairs", "wave_pairs", "wave_pairs_saved",
-                            "waves", "waves_cancelled", "steal_pairs",
-                            "items_stolen", "steal_attempts", "serial_time_s",
-                            "wave_time_s", "steal_time_s")
+                            "serial_pairs", "steal_pairs",
+                            "steal_pairs_skipped", "items_stolen",
+                            "steal_attempts", "serial_time_s",
+                            "steal_time_s")
         if args.tcp_workers > 0:
             executor_columns += ("tcp_pairs", "tcp_warm_pairs",
                                  "tcp_workers_joined", "tcp_time_s",
@@ -210,13 +209,11 @@ def main() -> int:
         print()
         print(format_table([{k: row[k] for k in executor_columns}
                             for row in executor_rows],
-                           title="Serial vs pool vs wave vs steal scheduling backends"))
-        saved = sum(row["wave_pairs_saved"] for row in executor_rows)
-        total = sum(row["serial_pairs"] for row in executor_rows)
+                           title="Serial vs pool vs steal scheduling backends"))
+        skipped = sum(row["steal_pairs_skipped"] for row in executor_rows)
         stolen = sum(row["items_stolen"] for row in executor_rows)
         attempts = sum(row["steal_attempts"] for row in executor_rows)
-        print(f"wave backend answered {saved} fewer queries than the eager "
-              f"schedule ({total} -> {total - saved}); steal backend moved "
+        print(f"steal backend cancelled {skipped} doomed pairs and moved "
               f"{stolen} items across deques in {attempts} steal attempts")
         for row in executor_rows:
             if not row["identical"]:
@@ -238,7 +235,7 @@ def main() -> int:
         message += ("; warm incremental revalidation matched cold records "
                     "on every corpus")
     if executor_rows:
-        message += ("; serial/pool/wave/steal backends produced identical "
+        message += ("; serial/pool/steal backends produced identical "
                     "records on every corpus")
         if args.tcp_workers > 0:
             message += (f"; steal+tcp with {args.tcp_workers} remote workers "

@@ -10,25 +10,23 @@ paper's per-function validator:
   (``config.concurrency``), then reassembles per-function verdicts, blame
   and kept prefixes identical to the serial path;
 * **persistence** — with ``config.cache_dir`` set, every proved pair is
-  saved to a content-addressed on-disk cache, so a second sweep (a CI
-  re-run, a nightly job) answers from disk instead of re-proving
+  saved to a content-addressed SQLite proof store, so a second sweep (a
+  CI re-run, a nightly job) answers from disk instead of re-proving
   anything;
 * **backend selection** — ``config.executor`` picks the scheduling
   backend: ``"serial"``, ``"pool"`` (the process-pool default when
-  ``concurrency > 1``), ``"wave"`` (speculative pipeline-position
-  waves) or ``"steal"`` (persistent work-stealing pool).  One section
-  sweeps a *high-rejection* pipeline (one pass deliberately
-  miscompiles) through the eager pool schedule and through waves: the
-  wave backend cancels the later pairs of every function whose pair
-  already rejected, so it answers measurably fewer queries for
-  byte-identical per-function records;
-* **work stealing + the sqlite proof store** — the final section runs
-  the same cold/warm cycle with ``executor="steal"`` and
-  ``cache_backend="sqlite"``: idle workers steal queued items from the
-  most-loaded peer (``items_stolen`` / ``steal_attempts``), the store
-  flushes proved pairs incrementally instead of rewriting one JSON
-  blob (``store_flushes``), and the warm run faults only the rows it
-  actually consults (``store_lazy_loads``).
+  ``concurrency > 1``) or ``"steal"`` (persistent work-stealing pool).
+  One section sweeps a *high-rejection* pipeline (one pass deliberately
+  miscompiles) through the eager pool schedule and through the steal
+  backend: a streamed rejection cancels the later pairs of its
+  function, so steal answers fewer queries for byte-identical
+  per-function records;
+* **work stealing + the proof store** — the final section runs the same
+  cold/warm cycle with ``executor="steal"``: idle workers steal queued
+  items from the most-loaded peer (``items_stolen`` /
+  ``steal_attempts``), the store flushes proved pairs incrementally
+  (``store_flushes``), and the warm run faults only the rows it actually
+  consults (``store_lazy_loads``).
 
 Run with::
 
@@ -49,7 +47,7 @@ from repro.validator import DEFAULT_CONFIG, validate_module_batch
 BENCHMARKS = ("sqlite", "bzip2", "hmmer", "mcf", "lbm")
 
 #: A pipeline with an injected miscompilation: plenty of rejections, so
-#: speculative wave scheduling has doomed pairs to cancel.
+#: the steal backend has doomed pairs to cancel.
 BUGGY_PIPELINE = ("adce", "bug-flip-operator", "gvn", "dse")
 
 
@@ -70,11 +68,6 @@ def sweep(modules, labels, config, title, passes=None):
     print(f"  distinct pairs     : {shard.get('distinct_pairs', 0)} "
           f"(pooled items {shard.get('pooled_pairs', 0)}, "
           f"chain items {shard.get('chain_items', 0)})")
-    if shard.get("executor") == "wave":
-        print(f"  waves              : {shard.get('waves', 0)} run, "
-              f"{shard.get('waves_cancelled', 0)} function-wave slots "
-              f"cancelled, {shard.get('speculative_pairs_skipped', 0)} "
-              f"planned pairs never validated")
     if shard.get("executor") == "steal":
         print(f"  stealing           : {shard.get('items_stolen', 0)} items "
               f"stolen in {shard.get('steal_attempts', 0)} attempts, "
@@ -120,10 +113,11 @@ def main() -> None:
               f"{(results[-1][1].shard_stats or {}).get('distinct_pairs', 0)} pairs\n")
 
     # Backend selection on a high-rejection pipeline: eager pool schedule
-    # vs speculative waves, each with its own cold in-memory cache so the
-    # query counts are comparable.  Chain packing is disabled for the
-    # eager run to make it the literal "round 1 validates every pair"
-    # baseline the wave backend improves on.
+    # vs work stealing, each with its own cold in-memory cache so the
+    # query counts are comparable.  Chain packing is disabled for both
+    # runs so every adjacent pair is its own work item: the eager run is
+    # the literal "round 1 validates every pair" baseline, and the steal
+    # run can cancel each doomed pair individually.
     modules = [build_corpus(BENCHMARKS_BY_NAME[name], scale) for name in labels]
     eager_config = replace(DEFAULT_CONFIG, concurrency=workers,
                            executor="pool", chain_graphs=False)
@@ -131,29 +125,27 @@ def main() -> None:
                   "High-rejection sweep, eager pool backend (buggy pipeline)",
                   passes=BUGGY_PIPELINE)
     modules = [build_corpus(BENCHMARKS_BY_NAME[name], scale) for name in labels]
-    wave_config = replace(DEFAULT_CONFIG, concurrency=workers, executor="wave")
-    wave = sweep(modules, labels, wave_config,
-                 "High-rejection sweep, speculative wave backend",
-                 passes=BUGGY_PIPELINE)
+    steal_config = replace(eager_config, executor="steal")
+    steal = sweep(modules, labels, steal_config,
+                  "High-rejection sweep, work-stealing backend",
+                  passes=BUGGY_PIPELINE)
 
     eager_pairs = (eager[-1][1].shard_stats or {}).get("distinct_pairs", 0)
-    wave_pairs = (wave[-1][1].shard_stats or {}).get("distinct_pairs", 0)
+    steal_pairs = (steal[-1][1].shard_stats or {}).get("distinct_pairs", 0)
     identical = (
         [r.signature() for _, rep in eager for r in rep.records] ==
-        [r.signature() for _, rep in wave for r in rep.records])
-    print(f"wave vs eager: {wave_pairs} vs {eager_pairs} queries answered "
-          f"({eager_pairs - wave_pairs} saved by cancelling doomed pairs); "
+        [r.signature() for _, rep in steal for r in rep.records])
+    print(f"steal vs eager: {steal_pairs} vs {eager_pairs} queries answered "
+          f"({eager_pairs - steal_pairs} saved by cancelling doomed pairs); "
           f"records identical: {identical}\n")
 
-    # Work stealing over the sqlite proof store: the same cold/warm cycle
-    # as the first section, but idle workers steal queued items from the
-    # most-loaded peer and the cache persists through incremental sqlite
-    # upserts instead of whole-file JSON rewrites — so the warm run
-    # faults in only the rows it actually consults.
+    # Work stealing over the proof store: the same cold/warm cycle as the
+    # first section, but idle workers steal queued items from the
+    # most-loaded peer — and the warm run faults in only the rows it
+    # actually consults.
     with tempfile.TemporaryDirectory(prefix="repro-sqlite-") as cache_dir:
         steal_config = replace(DEFAULT_CONFIG, concurrency=workers,
-                               executor="steal", cache_dir=cache_dir,
-                               cache_backend="sqlite")
+                               executor="steal", cache_dir=cache_dir)
         modules = [build_corpus(BENCHMARKS_BY_NAME[name], scale) for name in labels]
         sweep(modules, labels, steal_config,
               "Cold sweep, work-stealing backend + sqlite proof store")

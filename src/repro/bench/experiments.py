@@ -19,7 +19,7 @@ Figure 8     :func:`figure8` — SCCP rewrite-rule ablation
 (extension)  :func:`engine_comparison` — worklist vs full-scan normalization
 (extension)  :func:`stepwise_comparison` — whole vs stepwise vs bisect strategies
 (extension)  :func:`sharded_comparison` — serial vs process-pool sharded records
-(extension)  :func:`executor_comparison` — serial vs pool vs wave scheduling backends
+(extension)  :func:`executor_comparison` — serial vs pool vs steal scheduling backends
 (extension)  :func:`chain_comparison` — chain-shared graphs vs per-pair stepwise
 (extension)  :func:`cache_persistence` — cold vs warm persistent-cache sweeps
 ===========  ==================================================================
@@ -494,30 +494,24 @@ def executor_comparison(scale: float = 1.0, benchmarks: Optional[Sequence[str]] 
                         concurrency: int = 2,
                         strategy: str = "stepwise",
                         tcp_workers: int = 0) -> List[Dict[str, object]]:
-    """Serial vs pool vs wave vs steal scheduling backends on identical inputs.
+    """Serial vs pool vs steal scheduling backends on identical inputs.
 
     For every corpus, validates the module through
     ``validate_module_batch`` once per backend (``config.executor`` set
-    to ``"serial"``, ``"pool"``, ``"wave"`` and ``"steal"``) and
+    to ``"serial"``, ``"pool"`` and ``"steal"``) and
     compares the per-function *record signatures* — a backend may only
     change where and in what order queries run, never what they decide,
     so ``identical`` must be true on every row (the CI executor-parity
     guard enforces exactly that over all twelve corpora).
 
-    Each row also carries the scheduling telemetry that makes the wave
-    backend's speculation visible: ``distinct_pairs`` per backend (the
-    deduplicated queries each one actually validated), the wave count,
-    the function-wave slots cancelled after rejections and
-    ``wave_pairs_saved`` — how many fewer queries the wave backend
-    answered than the eager serial schedule.  On a high-rejection corpus
-    the saving is the point of the backend; on an all-accepting corpus
-    it is legitimately zero (no wave is ever cancelled).  The steal
-    backend reports its own discipline: ``items_stolen`` /
+    Each row also carries the scheduling telemetry: ``distinct_pairs``
+    per backend (the deduplicated queries each one actually validated)
+    and the steal backend's discipline — ``items_stolen`` /
     ``steal_attempts`` (how often idle workers raided a sibling's deque)
-    and ``steal_pairs_skipped`` (pairs its streaming cancellation never
-    ran).
+    and ``steal_pairs_skipped`` (doomed pairs its streaming cancellation
+    never ran; zero on an all-accepting corpus).
 
-    With ``tcp_workers > 0`` a fifth leg runs the steal backend over its
+    With ``tcp_workers > 0`` a fourth leg runs the steal backend over its
     TCP transport, twice per corpus: that many remote worker processes
     are spawned once (``--reconnect``, so they rejoin every per-batch
     coordinator on the same port), each corpus gets a coordinator-side
@@ -532,7 +526,6 @@ def executor_comparison(scale: float = 1.0, benchmarks: Optional[Sequence[str]] 
     backends = {
         "serial": _dc_replace(base, executor="serial", concurrency=0),
         "pool": _dc_replace(base, executor="pool", concurrency=workers),
-        "wave": _dc_replace(base, executor="wave", concurrency=workers),
         "steal": _dc_replace(base, executor="steal", concurrency=workers),
     }
     tcp_procs: List[object] = []
@@ -561,8 +554,7 @@ def executor_comparison(scale: float = 1.0, benchmarks: Optional[Sequence[str]] 
                 tcp_config = _dc_replace(
                     base, executor="steal", concurrency=max(2, tcp_workers),
                     steal_transport="tcp", steal_listen=tcp_listen,
-                    cache_dir=os.path.join(tcp_store_root, spec.name),
-                    cache_backend="sqlite")
+                    cache_dir=os.path.join(tcp_store_root, spec.name))
                 legs["tcp"] = tcp_config
                 legs["tcp_warm"] = tcp_config
             for name, backend_config in legs.items():
@@ -576,8 +568,6 @@ def executor_comparison(scale: float = 1.0, benchmarks: Optional[Sequence[str]] 
                 shard = report.shard_stats or {}
                 per_backend[name] = {
                     "distinct_pairs": shard.get("distinct_pairs", 0),
-                    "waves": shard.get("waves", 0),
-                    "waves_cancelled": shard.get("waves_cancelled", 0),
                     "pairs_skipped": shard.get("speculative_pairs_skipped", 0),
                     "items_stolen": shard.get("items_stolen", 0),
                     "steal_attempts": shard.get("steal_attempts", 0),
@@ -586,7 +576,7 @@ def executor_comparison(scale: float = 1.0, benchmarks: Optional[Sequence[str]] 
                     "time_s": round(elapsed, 3),
                 }
             mismatches = []
-            compared = ["pool", "wave", "steal"]
+            compared = ["pool", "steal"]
             if tcp_workers > 0:
                 compared += ["tcp", "tcp_warm"]
             for name in compared:
@@ -604,19 +594,12 @@ def executor_comparison(scale: float = 1.0, benchmarks: Optional[Sequence[str]] 
                 "mismatches": mismatches,
                 "serial_pairs": per_backend["serial"]["distinct_pairs"],
                 "pool_pairs": per_backend["pool"]["distinct_pairs"],
-                "wave_pairs": per_backend["wave"]["distinct_pairs"],
-                "wave_pairs_saved": (per_backend["serial"]["distinct_pairs"]
-                                     - per_backend["wave"]["distinct_pairs"]),
-                "waves": per_backend["wave"]["waves"],
-                "waves_cancelled": per_backend["wave"]["waves_cancelled"],
-                "pairs_skipped": per_backend["wave"]["pairs_skipped"],
                 "steal_pairs": per_backend["steal"]["distinct_pairs"],
                 "items_stolen": per_backend["steal"]["items_stolen"],
                 "steal_attempts": per_backend["steal"]["steal_attempts"],
                 "steal_pairs_skipped": per_backend["steal"]["pairs_skipped"],
                 "serial_time_s": per_backend["serial"]["time_s"],
                 "pool_time_s": per_backend["pool"]["time_s"],
-                "wave_time_s": per_backend["wave"]["time_s"],
                 "steal_time_s": per_backend["steal"]["time_s"],
             }
             if tcp_workers > 0:
@@ -822,7 +805,7 @@ def cache_persistence(scale: float = 1.0, benchmarks: Optional[Sequence[str]] = 
                       cache_dir: Optional[str] = None,
                       strategy: str = "stepwise",
                       runs: Sequence[str] = ("cold", "warm"),
-                      cache_backend: str = "auto") -> List[Dict[str, object]]:
+                      ) -> List[Dict[str, object]]:
     """Cold vs warm corpus sweeps through one persistent validation cache.
 
     Each requested run sweeps *all* selected corpora through a single
@@ -831,14 +814,13 @@ def cache_persistence(scale: float = 1.0, benchmarks: Optional[Sequence[str]] = 
     ``cache_dir``, then saves it.  ``checks`` counts the equivalence
     checks the run actually performed (deduplicated pool pairs plus
     inline assembly queries); on a warm run everything is answered from
-    the disk backend, so ``checks`` collapses toward zero — the
+    the proof store, so ``checks`` collapses toward zero — the
     acceptance criterion is a ≥95% reduction, reported per row as
     ``hit_rate``.  ``cache_dir`` is required (callers pass a temp dir or
-    CI's artifact directory).  ``cache_backend`` selects the proof-store
-    backend (``"json"`` eagerly loads the whole file; ``"sqlite"``
-    faults entries lazily, so a warm row additionally shows
-    ``store_lazy_loads`` strictly below the entry count and far fewer
-    ``store_bytes_read`` than the JSON file).
+    CI's artifact directory).  The SQLite store faults entries in
+    lazily, so a warm row shows ``store_lazy_loads`` below
+    ``disk_loaded`` and ``store_bytes_read`` below the cold row's
+    ``store_bytes_written``.
     """
     if cache_dir is None:
         raise ValueError("cache_persistence needs a cache_dir to persist into")
@@ -848,7 +830,7 @@ def cache_persistence(scale: float = 1.0, benchmarks: Optional[Sequence[str]] = 
     rows: List[Dict[str, object]] = []
     for run in runs:
         modules = [build_corpus(spec, scale) for spec in specs]
-        cache = ValidationCache(cache_dir, backend=cache_backend)
+        cache = ValidationCache(cache_dir)
         start = time.perf_counter()
         reports = validate_module_batch(
             modules, passes, run_config, labels=[spec.name for spec in specs],

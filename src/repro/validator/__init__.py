@@ -1,15 +1,10 @@
 """The LLVM-MD translation validator: per-function validation and the driver."""
 
 from .cache import (
-    CACHE_BACKENDS,
-    CACHE_FILE_NAME,
-    CACHE_SCHEMA,
     SQLITE_FILE_NAME,
     SQLITE_SCHEMA,
     CacheKey,
-    JsonStore,
     SqliteStore,
-    migrate_json_to_sqlite,
 )
 from .config import (
     DEFAULT_CONFIG,
@@ -35,7 +30,6 @@ from .scheduler import (
     RequestBudget,
     SerialExecutor,
     StealExecutor,
-    WaveExecutor,
     WorkPlan,
     build_plan,
     create_executor,
@@ -79,11 +73,9 @@ __all__ = [
     "LICM_ABLATION_STEPS",
     "STRATEGIES",
     "EXECUTORS",
-    "CACHE_BACKENDS",
     "Executor",
     "SerialExecutor",
     "PoolExecutor",
-    "WaveExecutor",
     "StealExecutor",
     "WorkPlan",
     "PipelineDiff",
@@ -105,13 +97,9 @@ __all__ = [
     "validate_module_batch",
     "ValidationCache",
     "CacheKey",
-    "CACHE_SCHEMA",
-    "CACHE_FILE_NAME",
     "SQLITE_SCHEMA",
     "SQLITE_FILE_NAME",
-    "JsonStore",
     "SqliteStore",
-    "migrate_json_to_sqlite",
     "function_fingerprint",
     "FunctionRecord",
     "ValidationReport",

@@ -1,4 +1,4 @@
-"""The content-addressed validation cache and its on-disk proof stores.
+"""The content-addressed validation cache and its SQLite proof store.
 
 :class:`ValidationCache` memoizes validation verdicts by function-pair
 *content*: the key is ``(original-hash, optimized-hash, rule-groups,
@@ -9,29 +9,24 @@ pays for the distinct pairs; stepwise validation feeds each adjacent
 checkpoint pair through the same keying, so repeated single-pass effects
 are also validated once.
 
-On top of the in-memory map this module adds *persistent* proof stores
-behind a pluggable backend seam:
+Behind the in-memory map sits at most one persistent proof store:
 
-``json`` (:class:`JsonStore`)
-    The historical whole-file format: every entry is loaded eagerly at
-    construction and :meth:`ValidationCache.save` rewrites the file
-    atomically (temp file + rename, under an exclusive ``flock`` so
-    concurrent savers merge instead of clobbering each other).
-
-``sqlite`` (:class:`SqliteStore`)
-    An incremental store for caches too large to (de)serialize per run:
-    WAL-mode SQLite, entries faulted in **lazily** as :meth:`get` /
-    :meth:`peek` ask for them, verdicts upserted in small batches as they
-    arrive, and the ``max_bytes`` budget enforced by a least-recently-hit
-    ``DELETE`` executed inside the database.  A one-shot migration from
-    the JSON format is provided by :func:`migrate_json_to_sqlite` (also
-    ``python -m repro.validator.cache migrate <dir>``).
+:class:`SqliteStore`
+    For a cache directory or a ``.sqlite`` / ``.db`` file: WAL-mode
+    SQLite, entries faulted in **lazily** as :meth:`~ValidationCache.get`
+    / :meth:`~ValidationCache.peek` ask for them, verdicts upserted in
+    small batches as they arrive, and the ``max_bytes`` budget enforced
+    by a least-recently-hit ``DELETE`` executed inside the database.
+:class:`RemoteStore`
+    For a ``remote://HOST:PORT`` path: the same operations proxied to the
+    served store of a running steal coordinator, with a plan's lookups
+    batched into one round trip.
 
 Because keys are content hashes, a store survives across processes,
 machines and repository checkouts: CI's warm run and repeated corpus
-sweeps skip every previously proved pair.  Both loaders are tolerant by
-design — a corrupted file, an unknown schema version or a malformed entry
-is *ignored* (the cache starts cold), and any store fault mid-run degrades
+sweeps skip every previously proved pair.  Loading is tolerant by design
+— a corrupted file, an unknown schema version or a malformed entry is
+*ignored* (the cache starts cold), and any store fault mid-run degrades
 to the in-memory tier: losing a cache can only cost time, trusting a
 broken one could cost correctness.
 """
@@ -42,45 +37,27 @@ import json
 import os
 import socket
 import sqlite3
-import tempfile
 from dataclasses import asdict, replace
 from pathlib import Path
-from typing import Dict, Iterable, List, Optional, Tuple, Union
-
-try:  # POSIX only; on platforms without flock JSON saves stay unlocked.
-    import fcntl
-except ImportError:  # pragma: no cover - exercised only off-POSIX
-    fcntl = None  # type: ignore[assignment]
+from typing import Dict, Iterable, Optional, Tuple, Union
 
 from ..analysis.manager import function_fingerprint
 from ..ir.module import Function
 from . import faults
-from .config import CACHE_BACKENDS, ValidatorConfig
+from .config import REMOTE_PREFIX, ValidatorConfig
 from .validate import UNCACHEABLE_REASONS, ValidationResult
 
 #: Cache key: content hashes of both functions plus everything about the
 #: configuration that can change a verdict.
 CacheKey = Tuple[str, str, Tuple[str, ...], str, str, int, int]
 
-#: On-disk schema version of the JSON format.  Bump whenever the key
-#: derivation or the stored result format changes meaning; files with any
-#: other version are ignored.
-CACHE_SCHEMA = 1
-
-#: SQLite schema version, kept in ``PRAGMA user_version``.  A mismatching
-#: store is dropped and recreated cold, mirroring the JSON loader.
+#: SQLite schema version, kept in ``PRAGMA user_version``.  Bump whenever
+#: the key derivation or the stored result format changes meaning; a
+#: store with any other version is dropped and recreated cold.
 SQLITE_SCHEMA = 1
 
-#: File name used when a JSON cache is given a directory instead of a file.
-CACHE_FILE_NAME = "validation_cache.json"
-
-#: File name used when a SQLite cache is given a directory.
+#: File name used when a cache is given a directory.
 SQLITE_FILE_NAME = "validation_cache.sqlite"
-
-#: Address prefix selecting the served proof store as a cache "path":
-#: ``remote://HOST:PORT`` points :class:`RemoteStore` at a running
-#: :class:`~repro.validator.scheduler.remote.StealCoordinator`.
-REMOTE_PREFIX = "remote://"
 
 _SQLITE_SUFFIXES = (".sqlite", ".db")
 
@@ -94,32 +71,23 @@ _RESULT_FIELDS = ("function_name", "is_success", "reason", "elapsed",
                   "graph_nodes", "stats", "detail")
 
 
-def _resolve_cache_path(path: Union[str, os.PathLike],
-                        backend: str = "auto") -> Tuple[Path, str]:
-    """Resolve a user-supplied cache location to ``(file path, backend)``.
+def _resolve_cache_path(path: Union[str, os.PathLike]) -> Path:
+    """Resolve a user-supplied cache location to the SQLite file it names.
 
-    Explicit file suffixes select their format — a ``.json`` path is a
-    JSON store, a ``.sqlite`` / ``.db`` path a SQLite one — regardless of
-    ``backend``.  Anything else is treated as a *cache directory* (created
-    on first write) holding the chosen backend's default file name; under
-    ``"auto"`` an existing SQLite store (e.g. one produced by
-    :func:`migrate_json_to_sqlite`) is preferred and the historical JSON
-    file is the fallback, so seeds and existing workflows keep their
-    behavior until a store is explicitly migrated.
+    A ``.sqlite`` / ``.db`` path is the store itself; anything else is a
+    *cache directory* (created when the store opens) holding
+    :data:`SQLITE_FILE_NAME`.  A ``.json`` path is refused: JSON proof
+    stores were removed, and silently treating the file name as a
+    directory would hide that.
     """
     resolved = Path(path)
     if resolved.suffix == ".json":
-        return resolved, "json"
+        raise ValueError(
+            f"{os.fspath(path)!r}: JSON proof stores were removed; pass a "
+            f"cache directory or a .sqlite/.db file instead")
     if resolved.suffix in _SQLITE_SUFFIXES:
-        return resolved, "sqlite"
-    if backend == "json":
-        return resolved / CACHE_FILE_NAME, "json"
-    if backend == "sqlite":
-        return resolved / SQLITE_FILE_NAME, "sqlite"
-    sqlite_path = resolved / SQLITE_FILE_NAME
-    if sqlite_path.exists():
-        return sqlite_path, "sqlite"
-    return resolved / CACHE_FILE_NAME, "json"
+        return resolved
+    return resolved / SQLITE_FILE_NAME
 
 
 def _encode_key(key: CacheKey) -> str:
@@ -163,145 +131,6 @@ def _decode_result(payload: Dict[str, object]) -> ValidationResult:
     return result
 
 
-class sidecar_flock:
-    """Exclusive ``flock`` on a store's sidecar ``<name>.lock`` file.
-
-    The one place the on-disk locking protocol lives: :class:`JsonStore`
-    holds it across its read-merge-rewrite save sequence, and the
-    coordinator-side :class:`~repro.validator.scheduler.remote.ServedStore`
-    holds it while snapshotting a JSON store it is about to serve, so a
-    concurrent saver and a coordinator never interleave a partial merge.
-    The lock file sits beside the store and is **never deleted**:
-    unlinking a lock file another process may be about to open would
-    reintroduce exactly the race the lock exists to close.  On platforms
-    without :mod:`fcntl` (or when the sidecar cannot be opened) the lock
-    degrades to a no-op — :attr:`held` says which happened.
-    """
-
-    def __init__(self, path: Union[str, os.PathLike]) -> None:
-        self.path = Path(path)
-        self._handle = None
-
-    @property
-    def held(self) -> bool:
-        """Did :meth:`__enter__` actually take the lock?"""
-        return self._handle is not None
-
-    def __enter__(self) -> "sidecar_flock":
-        if fcntl is None:
-            return self
-        try:
-            handle = open(self.path.with_name(self.path.name + ".lock"), "a+")
-        except OSError:
-            return self
-        try:
-            fcntl.flock(handle.fileno(), fcntl.LOCK_EX)
-        except OSError:
-            handle.close()
-            return self
-        self._handle = handle
-        return self
-
-    def __exit__(self, exc_type, exc, tb) -> bool:
-        handle, self._handle = self._handle, None
-        if handle is not None:
-            try:
-                fcntl.flock(handle.fileno(), fcntl.LOCK_UN)
-            finally:
-                handle.close()
-        return False
-
-
-class JsonStore:
-    """The whole-file JSON proof store (the historical backend).
-
-    Eager: every entry is parsed at :meth:`load` time and :meth:`save`
-    rewrites the complete file.  The save sequence — read the file back,
-    merge our entries over it, evict to budget, write a temp file, rename
-    it into place — runs under an exclusive ``flock`` on a sibling
-    ``.lock`` file, so two processes saving the same path serialize their
-    merges instead of silently dropping each other's entries.  (The
-    rename alone made a save atomic; the lock makes concurrent saves
-    *lossless*.)  On platforms without :mod:`fcntl` the lock degrades to
-    the historical unlocked behavior.
-    """
-
-    backend = "json"
-    #: Eager stores materialize everything at open; the cache never
-    #: faults entries from them lazily.
-    eager = True
-
-    def __init__(self, path: Path,
-                 fault_plan: Optional[faults.FaultPlan] = None) -> None:
-        self.path = path
-        self.fault_plan = fault_plan
-        #: Entries decoded on demand (always 0 for the eager backend).
-        self.lazy_loads = 0
-        #: Completed file writes.
-        self.flushes = 0
-        #: Store faults survived by degrading: whole-file saves that
-        #: failed (the entries stay dirty in memory for the next save).
-        self.errors = 0
-        #: Flush attempts repeated after a transient failure (always 0
-        #: here: the whole-file write has no retryable failure mode).
-        self.retries = 0
-        #: Serialized bytes read from / written to the file.
-        self.bytes_read = 0
-        self.bytes_written = 0
-
-    def load(self) -> Dict[CacheKey, ValidationResult]:
-        """Read every entry, tolerating all the ways the file can be bad."""
-        try:
-            text = self.path.read_text(encoding="utf-8")
-        except OSError:
-            return {}
-        self.bytes_read += len(text)
-        return _parse_cache_text(text)
-
-    def fetch(self, key: CacheKey) -> Optional[ValidationResult]:
-        """Eager backend: everything was loaded up front, nothing to fault."""
-        return None
-
-    def save(self, entries: Dict[CacheKey, ValidationResult],
-             hit_stamp: Dict[CacheKey, int], max_bytes: int,
-             ) -> Tuple[Dict[CacheKey, ValidationResult], int, int]:
-        """Locked merge-and-rewrite; returns ``(merged, stored, evicted)``."""
-        faults.maybe_fire(self.fault_plan, "cache-flush", detail=self.path.name)
-        self.path.parent.mkdir(parents=True, exist_ok=True)
-        with sidecar_flock(self.path):
-            merged = self.load()
-            merged.update(entries)
-            evicted = 0
-            if max_bytes:
-                evicted = _evict_to_budget(merged, hit_stamp, max_bytes)
-            payload = {
-                "schema": CACHE_SCHEMA,
-                "entries": {_encode_key(key): {name: value
-                                               for name, value in asdict(result).items()
-                                               if name in _RESULT_FIELDS}
-                            for key, result in merged.items()},
-            }
-            text = json.dumps(payload, sort_keys=True) + "\n"
-            fd, temp_name = tempfile.mkstemp(dir=str(self.path.parent),
-                                             prefix=self.path.name, suffix=".tmp")
-            try:
-                with os.fdopen(fd, "w", encoding="utf-8") as handle:
-                    handle.write(text)
-                os.replace(temp_name, self.path)
-            except BaseException:
-                try:
-                    os.unlink(temp_name)
-                except OSError:
-                    pass
-                raise
-            self.flushes += 1
-            self.bytes_written += len(text)
-            return merged, len(merged), evicted
-
-    def close(self) -> None:
-        pass
-
-
 def _is_locked(error: BaseException) -> bool:
     """Is this the transient writer-contention error sqlite raises?
 
@@ -325,19 +154,23 @@ class SqliteStore:
     busy timeout serializes concurrent writers, so several sweeps can
     share one store.  The ``max_bytes`` budget is enforced *inside* the
     database: a windowed ``DELETE`` keeps the most-recently-hit entries
-    whose cumulative logical size fits (the same per-entry footprint
-    measure as the JSON budget, without the file envelope).
+    whose cumulative logical size (:func:`_entry_size`) fits.
+
+    The connection is opened with ``check_same_thread=False``: a cache
+    may be built on one thread and used on another (the daemon builds
+    its cache on the main thread and validates on a worker thread).  It
+    is not safe for concurrent use; callers serialize every cache call
+    (the daemon holds its execution lock around each one).
 
     Every fault — corruption discovered mid-run, a locked database that
     outlives the busy timeout, a full disk — permanently degrades the
     store to a no-op (``errors`` counts them) and the cache continues on
     its in-memory tier with identical verdicts and an unchanged hit/miss
     ledger.  A store that is *already* corrupt at open is discarded and
-    recreated cold instead, mirroring the JSON loader's tolerance.
+    recreated cold instead.
     """
 
     backend = "sqlite"
-    eager = False
 
     def __init__(self, path: Path,
                  fault_plan: Optional[faults.FaultPlan] = None) -> None:
@@ -363,9 +196,9 @@ class SqliteStore:
             try:
                 self._conn = self._open()
             except (sqlite3.Error, OSError, ValueError):
-                # Pre-existing corruption: discard and start cold, like
-                # the JSON loader.  If even a fresh store cannot be
-                # opened, degrade to the in-memory tier.
+                # Pre-existing corruption: discard and start cold.  If
+                # even a fresh store cannot be opened, degrade to the
+                # in-memory tier.
                 try:
                     self._discard_files()
                     self._conn = self._open()
@@ -375,7 +208,8 @@ class SqliteStore:
 
     def _open(self) -> sqlite3.Connection:
         self.path.parent.mkdir(parents=True, exist_ok=True)
-        conn = sqlite3.connect(str(self.path), timeout=10.0)
+        conn = sqlite3.connect(str(self.path), timeout=10.0,
+                               check_same_thread=False)
         try:
             conn.execute("PRAGMA journal_mode=WAL")
             conn.execute("PRAGMA synchronous=NORMAL")
@@ -585,7 +419,6 @@ class RemoteStore:
     """
 
     backend = "remote"
-    eager = False
 
     def __init__(self, address: str,
                  fault_plan: Optional[faults.FaultPlan] = None) -> None:
@@ -805,14 +638,15 @@ class ValidationCache:
     Parameters
     ----------
     path:
-        Optional persistence location — a directory, a ``.json`` file or
-        a ``.sqlite`` / ``.db`` file.  When given, a proof store opens
-        behind the in-memory map: the JSON backend loads everything
-        immediately, the SQLite backend faults entries in lazily as
-        :meth:`get` / :meth:`peek` ask for them.  Loading is fully
-        tolerant: corruption, schema mismatches, malformed entries and
-        mid-run store faults are absorbed (the affected entries simply
-        cost a re-validation), never raised.
+        Optional persistence location — a cache directory, a ``.sqlite``
+        / ``.db`` file, or ``remote://HOST:PORT`` for a coordinator's
+        served store.  When given, a proof store opens behind the
+        in-memory map and entries are faulted in lazily as :meth:`get` /
+        :meth:`peek` ask for them.  Loading is fully tolerant:
+        corruption, schema mismatches, malformed entries and mid-run
+        store faults are absorbed (the affected entries simply cost a
+        re-validation), never raised.  A ``.json`` path raises
+        :class:`ValueError`: JSON proof stores were removed.
     max_bytes:
         Size budget for the serialized store (``0`` = unbounded, the
         historical behavior).  When exceeded at save time, entries are
@@ -820,21 +654,11 @@ class ValidationCache:
         :meth:`get` hits and :meth:`put` stores; entries never consumed
         rank oldest, tie-broken deterministically by serialized key.
         Eviction can only cost re-validation time, never correctness.
-    backend:
-        ``"auto"`` (default), ``"json"`` or ``"sqlite"``.  Explicit file
-        suffixes in ``path`` win; for a cache directory, ``"auto"``
-        prefers an existing SQLite store and falls back to JSON.  The
-        backend is a persistence knob like ``path`` itself: it is *not*
-        part of the cache key, and both backends store byte-identical
-        verdicts.
     """
 
     def __init__(self, path: Optional[Union[str, os.PathLike]] = None,
-                 max_bytes: int = 0, backend: str = "auto",
+                 max_bytes: int = 0,
                  fault_plan: Optional[faults.FaultPlan] = None) -> None:
-        if backend not in CACHE_BACKENDS:
-            raise ValueError(
-                f"unknown cache backend {backend!r}; expected one of {CACHE_BACKENDS}")
         self._results: Dict[CacheKey, ValidationResult] = {}
         #: Number of lookups answered from the cache.
         self.hits = 0
@@ -850,38 +674,29 @@ class ValidationCache:
         self.max_bytes = max_bytes
         #: Resolved persistence file, or ``None`` for an in-memory cache.
         self.path: Optional[Path] = None
-        #: Resolved backend name: ``"memory"``, ``"json"``, ``"sqlite"``
-        #: or ``"remote"`` (a ``remote://HOST:PORT`` path — the served
-        #: proof store of a running steal coordinator).
+        #: Resolved backend name: ``"memory"``, ``"sqlite"`` or
+        #: ``"remote"`` (a ``remote://HOST:PORT`` path — the served proof
+        #: store of a running steal coordinator).
         self.backend = "memory"
-        self._store: Optional[Union[JsonStore, SqliteStore, RemoteStore]] = None
+        self._store: Optional[Union[SqliteStore, RemoteStore]] = None
         self._dirty = False
-        #: Dirty keys awaiting an incremental flush (lazy backends only),
-        #: in insertion order.
+        #: Dirty keys awaiting an incremental flush, in insertion order.
         self._pending: Dict[CacheKey, None] = {}
         #: Monotonic recency stamps: key -> last hit/store tick.
         self._hit_stamp: Dict[CacheKey, int] = {}
         self._tick = 0
+        if path is None:
+            return
         if isinstance(path, str) and path.startswith(REMOTE_PREFIX):
-            self.backend = "remote"
             self._store = RemoteStore(path, fault_plan=fault_plan)
-            self.loaded = self._store.entry_count()
-            self._tick = self._store.max_stamp()
-        elif path is not None:
-            file_path, resolved = _resolve_cache_path(path, backend)
-            self.path = file_path
-            self.backend = resolved
-            self._store = (JsonStore(file_path, fault_plan=fault_plan)
-                           if resolved == "json"
-                           else SqliteStore(file_path, fault_plan=fault_plan))
-            if self._store.eager:
-                self._results.update(self._store.load())
-                self.loaded = len(self._results)
-            else:
-                self.loaded = self._store.entry_count()
-                # Continue recency above what is already on disk so this
-                # run's hits outrank every earlier run's at eviction time.
-                self._tick = self._store.max_stamp()
+        else:
+            self.path = _resolve_cache_path(path)
+            self._store = SqliteStore(self.path, fault_plan=fault_plan)
+        self.backend = self._store.backend
+        self.loaded = self._store.entry_count()
+        # Continue recency above what the store already holds so this
+        # run's hits outrank every earlier run's at eviction time.
+        self._tick = self._store.max_stamp()
 
     def __len__(self) -> int:
         return len(self._results)
@@ -889,7 +704,7 @@ class ValidationCache:
     @property
     def persistent(self) -> bool:
         """Does this cache have an on-disk (or served) backend?"""
-        return self.path is not None or self._store is not None
+        return self._store is not None
 
     def key(self, before: Function, after: Function,
             config: ValidatorConfig) -> CacheKey:
@@ -927,7 +742,7 @@ class ValidationCache:
         per-key :meth:`peek` path is untouched.  Returns the number of
         entries faulted in.
         """
-        if self._store is None or self._store.eager:
+        if self._store is None:
             return 0
         batched = getattr(self._store, "prefetch", None)
         if batched is None:
@@ -943,11 +758,11 @@ class ValidationCache:
     def peek(self, key: CacheKey) -> Optional[ValidationResult]:
         """The stored result for ``key`` (no hit/miss accounting).
 
-        Lazy backends fault the entry in from disk on first sight; once
-        faulted it lives in the in-memory tier like any other entry.
+        The store faults the entry in on first sight; once faulted it
+        lives in the in-memory tier like any other entry.
         """
         result = self._results.get(key)
-        if result is None and self._store is not None and not self._store.eager:
+        if result is None and self._store is not None:
             result = self._store.fetch(key)
             if result is not None:
                 self._results[key] = result
@@ -978,7 +793,7 @@ class ValidationCache:
         self._results[key] = result
         self._touch(key)
         self._dirty = True
-        if self._store is not None and not self._store.eager:
+        if self._store is not None:
             self._pending[key] = None
             if len(self._pending) >= _SQLITE_FLUSH_INTERVAL:
                 self._flush_pending()
@@ -1005,7 +820,7 @@ class ValidationCache:
         for key, result in other._results.items():
             if key not in self._results:
                 self._results[key] = result
-                if self._store is not None and not self._store.eager:
+                if self._store is not None:
                     self._pending[key] = None
                 added += 1
         if added:
@@ -1013,65 +828,22 @@ class ValidationCache:
         return added
 
     # -- persistence -------------------------------------------------------
-    def save(self, path: Optional[Union[str, os.PathLike]] = None) -> int:
+    def save(self) -> int:
         """Persist the cache; returns the store's entry count afterwards.
 
-        JSON saves are atomic (temp file + rename), *merging* (entries
-        another process stored since we loaded are re-read and kept) and
-        serialized against concurrent savers by an exclusive lock.
-        SQLite saves flush the remaining dirty entries incrementally,
-        refresh recency stamps and enforce the byte budget in SQL.  An
-        explicit ``path`` writes a one-shot copy to that location (its
-        suffix selects the format) without rebinding the cache.  With no
-        ``path`` and no construction-time store this is a no-op
-        returning ``0``.
+        Flushes the remaining dirty entries incrementally, refreshes the
+        store's recency stamps and enforces the byte budget inside the
+        store.  A cache without a store returns ``0``.
         """
-        if path is not None:
-            target, resolved = _resolve_cache_path(path, "auto")
-            if target != self.path:
-                return self._save_one_shot(target, resolved)
         if self._store is None:
             return 0
-        if self._store.eager:
-            try:
-                merged, stored, evicted = self._store.save(
-                    self._results, self._hit_stamp, self.max_bytes)
-            except OSError:
-                # A failed whole-file write (full disk, permissions)
-                # costs persistence, never correctness: the in-memory
-                # tier keeps serving, the entries stay dirty, and the
-                # next save retries the write.
-                self._store.errors += 1
-                return len(self._results)
-            self._results = merged
-            self.evicted += evicted
-            self.stored = stored
-        else:
-            self._flush_pending()
-            self._store.touch(self._hit_stamp)
-            if self.max_bytes:
-                self.evicted += self._store.evict_to_budget(self.max_bytes)
-            self.stored = self._store.entry_count()
+        self._flush_pending()
+        self._store.touch(self._hit_stamp)
+        if self.max_bytes:
+            self.evicted += self._store.evict_to_budget(self.max_bytes)
+        self.stored = self._store.entry_count()
         self._dirty = False
         return self.stored
-
-    def _save_one_shot(self, target: Path, backend: str) -> int:
-        store = JsonStore(target) if backend == "json" else SqliteStore(target)
-        try:
-            if isinstance(store, JsonStore):
-                merged, stored, evicted = store.save(
-                    dict(self._results), self._hit_stamp, self.max_bytes)
-            else:
-                store.upsert(self._results.items(), self._hit_stamp)
-                evicted = (store.evict_to_budget(self.max_bytes)
-                           if self.max_bytes else 0)
-                stored = store.entry_count()
-        finally:
-            store.close()
-        self.evicted += evicted
-        self.stored = stored
-        self._dirty = False
-        return stored
 
     def save_if_dirty(self) -> int:
         """Persist only when persistent and changed since load/last save."""
@@ -1092,7 +864,7 @@ class ValidationCache:
         last save (``disk_stored``), how many the ``max_bytes`` budget
         evicted across saves (``disk_evicted``), and the per-backend
         plumbing: entries faulted in lazily (``store_lazy_loads``),
-        completed incremental/whole-file writes (``store_flushes``),
+        completed incremental writes (``store_flushes``),
         faults absorbed by degrading to the in-memory tier
         (``store_errors``) and serialized payload traffic
         (``store_bytes_read`` / ``store_bytes_written``).
@@ -1117,161 +889,25 @@ class ValidationCache:
         return counters
 
 
-#: Fixed JSON envelope :meth:`JsonStore.save` writes around the entries
-#: map — ``{"entries": {`` … ``}, "schema": N}`` plus the trailing newline
-#: — charged against the byte budget so the *file* fits it.
-_FILE_ENVELOPE = 32
-
-
 def _entry_size(key: CacheKey, result: ValidationResult) -> int:
-    """Serialized footprint of one entry (key, payload, JSON punctuation).
+    """Logical footprint of one entry, charged against ``max_bytes``.
 
-    Measured in *file* bytes: the encoded key lands on disk as a JSON
-    string — its many embedded quotes escape to two bytes each — so it
-    is sized through ``json.dumps``, not ``len`` of the raw string; the
-    ``+ 4`` covers the ``": "`` joining key and payload and the ``", "``
-    chaining entries.  Both backends charge this same logical measure
-    against ``max_bytes``, so a budget means the same thing whichever
-    store enforces it.
+    The encoded key sized as a JSON string (its embedded quotes escape
+    to two bytes each), the encoded payload, and four bytes of
+    separators.  :meth:`SqliteStore.upsert` stores it in the ``size``
+    column so :meth:`SqliteStore.evict_to_budget` can enforce the budget
+    inside the database.
     """
     return (len(json.dumps(_encode_key(key)))
             + len(_encode_result(result)) + 4)
 
 
-def _evict_to_budget(entries: Dict[CacheKey, ValidationResult],
-                     hit_stamp: Dict[CacheKey, int], max_bytes: int) -> int:
-    """Drop least-recently-hit entries until the saved file fits ``max_bytes``.
-
-    Entries this process never touched (loaded from disk or merged from a
-    concurrent writer) have no stamp and rank oldest, tie-broken by their
-    serialized key so eviction is deterministic.  Returns the number of
-    entries dropped; ``entries`` is mutated in place.
-    """
-    budget = max(0, max_bytes - _FILE_ENVELOPE)
-    sizes = {key: _entry_size(key, result) for key, result in entries.items()}
-    total = sum(sizes.values())
-    if total <= budget:
-        return 0
-    victims = sorted(entries,
-                     key=lambda key: (hit_stamp.get(key, 0), _encode_key(key)))
-    dropped = 0
-    for key in victims:
-        if total <= budget:
-            break
-        total -= sizes[key]
-        del entries[key]
-        dropped += 1
-    return dropped
-
-
-def _parse_cache_text(text: str) -> Dict[CacheKey, ValidationResult]:
-    """Decode a JSON cache file body, tolerating every malformation.
-
-    Invalid JSON, wrong top-level shape or a schema-version mismatch all
-    yield an empty dict; individually malformed entries are skipped
-    without poisoning their neighbours.
-    """
-    try:
-        payload = json.loads(text)
-    except ValueError:
-        return {}
-    if not isinstance(payload, dict) or payload.get("schema") != CACHE_SCHEMA:
-        return {}
-    entries = payload.get("entries")
-    if not isinstance(entries, dict):
-        return {}
-    results: Dict[CacheKey, ValidationResult] = {}
-    for key_text, result_payload in entries.items():
-        try:
-            results[_decode_key(key_text)] = _decode_result(result_payload)
-        except (KeyError, TypeError, ValueError):
-            continue
-    return results
-
-
-def _read_cache_file(path: Path) -> Dict[CacheKey, ValidationResult]:
-    """Load entries from ``path``, tolerating every way the file can be bad."""
-    try:
-        text = path.read_text(encoding="utf-8")
-    except OSError:
-        return {}
-    return _parse_cache_text(text)
-
-
-def migrate_json_to_sqlite(path: Union[str, os.PathLike],
-                           *, dry_run: bool = False) -> Tuple[int, int, Path]:
-    """Idempotent JSON → SQLite proof-store migration.
-
-    Reads the JSON cache at ``path`` (a cache directory or a ``.json``
-    file) and upserts every entry the SQLite store beside it does not
-    already hold; the JSON file is left untouched, so the migration is
-    safely retryable and reversible by deletion.  Re-running against an
-    already-migrated path is a counted no-op: existing keys are skipped,
-    not rewritten, and nothing errors.  Once the SQLite file exists,
-    ``backend="auto"`` prefers it.  With ``dry_run=True`` nothing is
-    written (and an absent store is not created) — the counts report
-    what a real run would do.  Returns ``(migrated, skipped, sqlite
-    path)``; an empty or unreadable source migrates 0 entries but still
-    creates the (empty) store unless ``dry_run``.
-    """
-    source, _ = _resolve_cache_path(path, "json")
-    entries = _read_cache_file(source)
-    target = source.with_suffix(".sqlite")
-    if dry_run and not target.exists():
-        # Nothing to compare against: every source entry would migrate.
-        return len(entries), 0, target
-    store = SqliteStore(target)
-    try:
-        fresh = {key: result for key, result in entries.items()
-                 if store.fetch(key) is None}
-        skipped = len(entries) - len(fresh)
-        if dry_run:
-            return len(fresh), skipped, target
-        migrated = store.upsert(fresh.items(), {}) if fresh else 0
-        if not entries:
-            store.entry_count()  # force creation of the empty store
-    finally:
-        store.close()
-    return migrated, skipped, target
-
-
-def _main(argv: Optional[List[str]] = None) -> int:
-    import argparse
-
-    parser = argparse.ArgumentParser(
-        prog="python -m repro.validator.cache",
-        description="Proof-store maintenance for the validation cache.")
-    commands = parser.add_subparsers(dest="command", required=True)
-    migrate = commands.add_parser(
-        "migrate", help="idempotent JSON -> SQLite migration of a cache path")
-    migrate.add_argument("path", help="cache directory or .json cache file")
-    migrate.add_argument("--dry-run", action="store_true",
-                         help="report what would migrate without writing")
-    args = parser.parse_args(argv)
-    migrated, skipped, target = migrate_json_to_sqlite(
-        args.path, dry_run=args.dry_run)
-    verb = "would migrate" if args.dry_run else "migrated"
-    suffix = f" ({skipped} already present)" if skipped else ""
-    print(f"{verb} {migrated} entries to {target}{suffix}")
-    return 0
-
-
-if __name__ == "__main__":  # pragma: no cover - exercised via subprocess
-    raise SystemExit(_main())
-
-
 __all__ = [
     "CacheKey",
-    "CACHE_SCHEMA",
     "SQLITE_SCHEMA",
-    "CACHE_FILE_NAME",
     "SQLITE_FILE_NAME",
-    "CACHE_BACKENDS",
     "REMOTE_PREFIX",
-    "JsonStore",
     "SqliteStore",
     "RemoteStore",
-    "sidecar_flock",
     "ValidationCache",
-    "migrate_json_to_sqlite",
 ]

@@ -18,7 +18,7 @@ from .faults import FaultPlan
 #: Scheduling backends the batch driver can execute a work plan on
 #: (``"auto"`` resolves to ``"pool"`` when ``concurrency > 1``, else
 #: ``"serial"``).  See :mod:`repro.validator.scheduler.executors`.
-EXECUTORS = ("auto", "serial", "pool", "wave", "steal")
+EXECUTORS = ("auto", "serial", "pool", "steal")
 
 #: Transports the ``"steal"`` backend can move work items over:
 #: ``"pipe"`` (in-process ``multiprocessing`` pipes, the historical
@@ -27,10 +27,10 @@ EXECUTORS = ("auto", "serial", "pool", "wave", "steal")
 #: :mod:`repro.validator.scheduler.transport`.
 STEAL_TRANSPORTS = ("pipe", "tcp")
 
-#: Persistent proof-store backends the validation cache can open
-#: (``"auto"`` prefers an existing SQLite store, else the historical
-#: JSON file).  See :mod:`repro.validator.cache`.
-CACHE_BACKENDS = ("auto", "json", "sqlite")
+#: ``cache_dir`` prefix naming a coordinator's served proof store
+#: (``remote://HOST:PORT``) instead of a local SQLite store.  See
+#: :class:`repro.validator.cache.RemoteStore`.
+REMOTE_PREFIX = "remote://"
 
 #: Cumulative rule sets used for the GVN ablation (paper Figure 6).
 GVN_ABLATION_STEPS: Tuple[Tuple[str, Tuple[str, ...]], ...] = (
@@ -85,16 +85,12 @@ class ValidatorConfig:
     executor:
         Scheduling backend the batch driver executes its work plan on:
         ``"serial"`` (in-process), ``"pool"`` (process-pool sharding;
-        requires ``concurrency > 1``), ``"wave"`` (speculative
-        pipeline-position waves: validate wave *i* of every function's
-        adjacent pairs, cancel the later waves of functions whose pair
-        rejected and settle them from the whole-query fallback — pooled
-        when ``concurrency > 1``, in-process otherwise) or ``"steal"``
-        (a persistent pool of workers pulling content-keyed items from
-        per-worker deques with LIFO-local/FIFO-steal semantics, so long
-        chain items stop straggling behind an idle pool; the wave
-        backend's doomed-pair cancellation rides on the shared queue —
-        pooled when ``concurrency > 1``, in-process otherwise).  The default
+        requires ``concurrency > 1``) or ``"steal"`` (a persistent pool
+        of workers pulling content-keyed items from per-worker deques
+        with LIFO-local/FIFO-steal semantics, so long chain items stop
+        straggling behind an idle pool; a rejection streams back and
+        cancels the doomed later pairs of its function — pooled when
+        ``concurrency > 1``, in-process otherwise).  The default
         ``"auto"`` resolves to ``"pool"`` when ``concurrency > 1`` and
         ``"serial"`` otherwise (the historical behavior).  Contradictory
         combinations (``"pool"`` without workers, ``"serial"`` with
@@ -106,9 +102,12 @@ class ValidatorConfig:
         cache key.
     cache_dir:
         Optional persistence location for the
-        :class:`~repro.validator.cache.ValidationCache`.  When set and no
-        explicit cache is passed, the drivers open a persistent cache
-        there (loading previously proved pairs) and save it back after the
+        :class:`~repro.validator.cache.ValidationCache`: a directory
+        (holding a SQLite proof store), a ``.sqlite`` / ``.db`` file, or
+        ``remote://HOST:PORT`` to consult the served proof store of a
+        running steal coordinator.  When set and no explicit cache is
+        passed, the drivers open a persistent cache there (faulting
+        previously proved pairs in lazily) and save it back after the
         run, so repeated corpus sweeps and CI re-runs skip every pair
         proved before.  ``cache_dir`` never affects a verdict, so it is
         *not* part of the cache key.
@@ -133,20 +132,10 @@ class ValidatorConfig:
         :class:`~repro.validator.cache.ValidationCache` backend.  ``0``
         (the default) keeps the file unbounded; a positive value makes
         :meth:`~repro.validator.cache.ValidationCache.save` evict
-        least-recently-hit entries until the serialized file fits the
+        least-recently-hit entries until the stored entries fit the
         budget (the ``disk_evicted`` counter reports how many).  Like
         ``cache_dir`` it can never affect a verdict, so it is not part of
         the cache key.
-    cache_backend:
-        Persistent proof-store backend for ``cache_dir``: ``"json"``
-        (the historical whole-file format), ``"sqlite"`` (incremental
-        WAL-mode store that faults entries in lazily — the choice for
-        caches too large to (de)serialize per run) or ``"auto"`` (the
-        default: prefer an existing SQLite store in the directory, else
-        JSON).  Both backends store byte-identical content-addressed
-        verdicts — ``python -m repro.validator.cache migrate`` converts
-        JSON to SQLite one-shot — so like ``cache_dir`` the knob is a
-        persistence detail and *not* part of the cache key.
     incremental:
         Route ``llvm_md``/``validate_module_batch`` through the
         incremental revalidation layer (:mod:`repro.validator.watch`):
@@ -160,10 +149,6 @@ class ValidatorConfig:
         to cold records (``benchmarks/stepwise_guard.py
         --incremental-parity`` enforces it on every corpus), so like the
         execution knobs above the flag is *not* part of the cache key.
-        Contradicts ``executor="wave"`` — the speculative wave schedule
-        cancels later pairs of doomed functions, but those are exactly
-        the pairs the incremental diff already skipped or adopted, so
-        the combination is rejected at construction time.
     service_port:
         TCP port the validation daemon
         (:mod:`repro.validator.service`) listens on.  ``0`` asks the OS
@@ -222,16 +207,9 @@ class ValidatorConfig:
         ``HOST:PORT`` the TCP steal coordinator binds (only meaningful
         with ``steal_transport="tcp"``).  ``None`` binds a loopback
         ephemeral port; a fixed port lets ``--reconnect`` workers serve
-        every batch of a sweep.  Never part of the cache key.
-    steal_connect:
-        ``HOST:PORT`` of a *served proof store* to consult when this
-        process is not itself the coordinator (e.g. drivers that want
-        warm verdicts from a coordinator-owned sqlite store).  When set
-        and ``cache_dir`` is ``None``, the batch driver opens a
-        ``remote://`` :class:`~repro.validator.cache.ValidationCache`
-        against it.  Mutually exclusive with ``steal_listen`` — one
-        process either hosts the store or consults it.  Never part of
-        the cache key.
+        every batch of a sweep.  Contradicts a ``remote://`` ``cache_dir``
+        — one process either hosts the served proof store or consults
+        one.  Never part of the cache key.
     """
 
     rule_groups: Tuple[str, ...] = tuple(ALL_RULE_GROUPS)
@@ -245,7 +223,6 @@ class ValidatorConfig:
     analysis_cache_size: int = 0
     chain_graphs: bool = True
     cache_max_bytes: int = 0
-    cache_backend: str = "auto"
     incremental: bool = False
     service_port: int = 8037
     max_inflight: int = 4
@@ -255,32 +232,21 @@ class ValidatorConfig:
     fault_plan: Optional[FaultPlan] = None
     steal_transport: str = "pipe"
     steal_listen: Optional[str] = None
-    steal_connect: Optional[str] = None
 
     def __post_init__(self) -> None:
         if self.engine not in ENGINES:
             raise ValueError(f"unknown engine {self.engine!r} (known: {ENGINES})")
         if self.executor not in EXECUTORS:
             raise ValueError(f"unknown executor {self.executor!r} (known: {EXECUTORS})")
-        if self.cache_backend not in CACHE_BACKENDS:
-            raise ValueError(
-                f"unknown cache backend {self.cache_backend!r} "
-                f"(known: {CACHE_BACKENDS})")
         if self.executor == "pool" and self.concurrency <= 1:
             raise ValueError(
                 f"executor='pool' needs concurrency > 1 worker processes "
                 f"(got concurrency={self.concurrency}); raise concurrency or "
-                f"pick executor='serial'/'wave'")
+                f"pick executor='serial'/'steal'")
         if self.executor == "serial" and self.concurrency > 1:
             raise ValueError(
                 f"executor='serial' contradicts concurrency={self.concurrency} "
                 f"(workers would never be used); drop one of the two settings")
-        if self.incremental and self.executor == "wave":
-            raise ValueError(
-                f"incremental=True contradicts executor='wave' (speculative "
-                f"waves cancel the later pairs of doomed functions, but those "
-                f"are the pairs the incremental diff already skipped); pick "
-                f"executor='serial'/'pool'/'steal' or drop incremental")
         if self.analysis_cache_size < 0:
             raise ValueError("analysis_cache_size must be >= 0 (0 = unbounded)")
         if self.cache_max_bytes < 0:
@@ -313,16 +279,15 @@ class ValidatorConfig:
                 f"steal_listen={self.steal_listen!r} needs "
                 f"steal_transport='tcp' (the pipe transport never binds a "
                 f"socket)")
-        if self.steal_connect is not None and self.steal_listen is not None:
+        if self.steal_listen is not None and ":" not in self.steal_listen:
             raise ValueError(
-                f"steal_connect={self.steal_connect!r} contradicts "
+                f"steal_listen must be 'HOST:PORT' (got {self.steal_listen!r})")
+        if self.steal_listen is not None \
+                and str(self.cache_dir).startswith(REMOTE_PREFIX):
+            raise ValueError(
+                f"cache_dir={self.cache_dir!r} contradicts "
                 f"steal_listen={self.steal_listen!r}: a process either hosts "
                 f"the served proof store or consults one, not both")
-        for name in ("steal_listen", "steal_connect"):
-            value = getattr(self, name)
-            if value is not None and ":" not in value:
-                raise ValueError(
-                    f"{name} must be 'HOST:PORT' (got {value!r})")
 
     def with_rules(self, rule_groups) -> "ValidatorConfig":
         """A copy of this configuration with different rule groups."""
@@ -352,7 +317,7 @@ __all__ = [
     "DEFAULT_CONFIG",
     "EXECUTORS",
     "STEAL_TRANSPORTS",
-    "CACHE_BACKENDS",
+    "REMOTE_PREFIX",
     "GVN_ABLATION_STEPS",
     "SCCP_ABLATION_STEPS",
     "LICM_ABLATION_STEPS",

@@ -61,20 +61,21 @@ For corpus-scale traffic, batch validation is orchestrated by the
 * **execute** (:mod:`~repro.validator.scheduler.executors`): a pluggable
   :class:`~repro.validator.scheduler.executors.Executor` backend —
   ``config.executor`` selects ``"serial"``, ``"pool"``
-  (``ProcessPoolExecutor`` sharding) or ``"wave"`` (speculative
-  pipeline-position waves that cancel the doomed later pairs of
-  rejecting functions) — fills the cache with verdicts; pool failures
-  degrade to serial through the same interface;
+  (``ProcessPoolExecutor`` sharding) or ``"steal"`` (work stealing
+  that also cancels the doomed later pairs of rejecting functions) —
+  fills the cache with verdicts; pool failures degrade to serial
+  through the same interface;
 * **settle** (:func:`~repro.validator.scheduler.settle.settle_plan`):
   per-function records are reassembled from the cache through the same
   strategy runners the serial path uses, so every backend produces
   byte-identical :meth:`~repro.validator.report.FunctionRecord.signature`\\ s
   (``benchmarks/stepwise_guard.py --executor-parity`` enforces it).
 
-With ``config.cache_dir`` set the cache is *persistent*: previously
-proved pairs are loaded from disk up front and the merged results are
-saved back after the run, so repeated corpus sweeps and CI re-runs skip
-everything proved before.
+With ``config.cache_dir`` set the cache is *persistent*: a SQLite proof
+store (or, for ``remote://HOST:PORT``, a coordinator's served store)
+answers previously proved pairs lazily and new verdicts are written back
+as they arrive, so repeated corpus sweeps and CI re-runs skip everything
+proved before.
 """
 
 from __future__ import annotations
@@ -89,7 +90,7 @@ from ..transforms.pass_manager import (
     PassManager,
     checkpoint_chain,
 )
-from .cache import REMOTE_PREFIX, ValidationCache
+from .cache import ValidationCache
 from .config import DEFAULT_CONFIG, ValidatorConfig
 from .report import FunctionRecord, ValidationReport
 from .scheduler import (
@@ -250,7 +251,6 @@ def llvm_md(
 
     if cache is None and config.cache_dir is not None:
         cache = ValidationCache(config.cache_dir, max_bytes=config.cache_max_bytes,
-                                backend=config.cache_backend,
                                 fault_plan=config.fault_plan)
     if manager is None and strategy != "whole":
         manager = _driver_manager(config)
@@ -313,11 +313,10 @@ def validate_module_batch(
       distinct items: ``"serial"`` in-process, ``"pool"`` sharded over a
       ``ProcessPoolExecutor`` with ``config.concurrency`` workers
       (degrading to serial if the platform cannot spawn processes, a
-      payload cannot be pickled, or a worker raises/dies), ``"wave"``
-      in speculative pipeline-position waves that cancel the later pairs
-      of functions whose pair rejected, or ``"steal"`` over a persistent
-      pool of single-item workers stealing from each other's deques
-      (same degradation and cancellation guarantees, streaming); under
+      payload cannot be pickled, or a worker raises/dies), or
+      ``"steal"`` over a persistent pool of single-item workers stealing
+      from each other's deques (same degradation guarantee; a streamed
+      rejection cancels the later pairs of its function); under
       stepwise, a settle round fans out the whole-query fallbacks of
       rejected functions;
     * **settle** — worker results are merged into the shared cache and
@@ -358,17 +357,9 @@ def validate_module_batch(
                     cache=cache)
                 for index, module in enumerate(modules)]
     if cache is None:
-        if config.cache_dir is None and config.steal_connect is not None:
-            # No local persistence requested but a served proof store is
-            # reachable: consult it (batched gets at planning time,
-            # write-behind flushes on save).
-            cache = ValidationCache(f"{REMOTE_PREFIX}{config.steal_connect}",
-                                    fault_plan=config.fault_plan)
-        else:
-            cache = ValidationCache(config.cache_dir,
-                                    max_bytes=config.cache_max_bytes,
-                                    backend=config.cache_backend,
-                                    fault_plan=config.fault_plan)
+        cache = ValidationCache(config.cache_dir,
+                                max_bytes=config.cache_max_bytes,
+                                fault_plan=config.fault_plan)
 
     plan = build_plan(modules, passes, config, cache, labels=labels,
                       strategy=strategy, function_names=function_names)
@@ -390,8 +381,6 @@ def validate_module_batch(
         "chain_items": len(plan.pending_chains),
         "inline_validations": inline_validations,
         "workers": config.concurrency if pooled else 0,
-        "waves": executor_stats["waves"],
-        "waves_cancelled": executor_stats["waves_cancelled"],
         "speculative_pairs_skipped": executor_stats["pairs_skipped"],
         "pool_degraded": executor_stats["pool_degraded"],
         "items_stolen": executor_stats.get("items_stolen", 0),

@@ -131,21 +131,19 @@ class ValidationReport:
     analysis_stats: Optional[Dict[str, int]] = None
     #: Scheduling counters of the batch driver (``None`` for serial
     #: per-function runs): ``executor`` (the backend name — ``"serial"``,
-    #: ``"pool"`` or ``"wave"``), ``distinct_pairs`` (deduplicated queries
+    #: ``"pool"`` or ``"steal"``), ``distinct_pairs`` (deduplicated queries
     #: this batch validated), ``pooled_pairs`` (work items that ran on the
     #: process pool), ``chain_items`` (packed chain work items),
     #: ``inline_validations`` (assembly-time queries, e.g. bisect probes),
     #: ``workers`` (pool width, ``0`` when everything ran in-process),
-    #: ``waves`` / ``waves_cancelled`` / ``speculative_pairs_skipped``
-    #: (wave backend: wave batches run, function-wave slots cancelled
-    #: after a rejection, and planned pair queries never validated thanks
-    #: to cancellation) and ``pool_degraded`` (pool failures that degraded
-    #: execution to serial).  Incremental revalidation runs
-    #: (:mod:`repro.validator.watch`) add ``pairs_skipped_unchanged``
-    #: (adjacent pairs adopted from the previous run's plan/cache without
-    #: re-validation) and ``subgraph_nodes_reused`` (retained chain-graph
-    #: nodes the dirtied versions' rebuilds reached instead of
-    #: re-creating).
+    #: ``speculative_pairs_skipped`` (steal backend: planned pair queries
+    #: never validated thanks to cancellation) and ``pool_degraded``
+    #: (pool failures that degraded execution to serial).  Incremental
+    #: revalidation runs (:mod:`repro.validator.watch`) add
+    #: ``pairs_skipped_unchanged`` (adjacent pairs adopted from the
+    #: previous run's plan/cache without re-validation) and
+    #: ``subgraph_nodes_reused`` (retained chain-graph nodes the dirtied
+    #: versions' rebuilds reached instead of re-creating).
     shard_stats: Optional[Dict[str, int]] = None
 
     def add(self, record: FunctionRecord) -> None:

@@ -10,10 +10,10 @@ backend) independently:
     — producing a :class:`WorkPlan`.
 :mod:`~repro.validator.scheduler.executors`
     *How to run it.*  The :class:`Executor` backends — serial,
-    process-pool, speculative pipeline-wave, work-stealing (fed by the
-    process plumbing in :mod:`~repro.validator.scheduler.steal`) — plus
-    the lazy providers the per-function serial driver validates through.
-    Every backend produces byte-identical record signatures.
+    process-pool, work-stealing (fed by the process plumbing in
+    :mod:`~repro.validator.scheduler.steal`) — plus the lazy providers
+    the per-function serial driver validates through.  Every backend
+    produces byte-identical record signatures.
 :mod:`~repro.validator.scheduler.settle`
     *What it means.*  Strategy runners reassembling
     :class:`~repro.validator.report.FunctionRecord`\\ s (verdicts, blame,
@@ -32,7 +32,6 @@ from .executors import (
     PoolExecutor,
     SerialExecutor,
     StealExecutor,
-    WaveExecutor,
     chain_provider,
     create_executor,
     serial_provider,
@@ -82,7 +81,6 @@ __all__ = [
     "ExecutionOutcome",
     "SerialExecutor",
     "PoolExecutor",
-    "WaveExecutor",
     "StealExecutor",
     "create_executor",
     "serial_provider",

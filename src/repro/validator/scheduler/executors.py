@@ -24,16 +24,6 @@ Three backends ship today:
     validation is deterministic and side-effect free, and verdicts are
     only merged into the cache *after* a batch completes, so a retried
     batch can neither lose nor double-count a cache query.
-``WaveExecutor``
-    Speculative pipeline-position scheduling for the stepwise strategy:
-    wave *i* validates the *current* adjacent pair of every still-live
-    function, then rejected functions are cancelled out of later waves
-    and settled from the whole-query fallback.  The eager backends
-    validate every planned pair up front — including the pairs after a
-    rejection that the stepwise walk never consumes — so on
-    high-rejection corpora the wave backend validates measurably fewer
-    pairs for identical records.  Wraps an inner backend (serial or
-    pool) for the actual batch execution.
 ``StealExecutor``
     Work stealing over a persistent pool of single-item workers
     (:mod:`repro.validator.scheduler.steal`): the priority-ordered item
@@ -41,12 +31,13 @@ Three backends ship today:
     LIFO (its next planned item) and, when empty, steals FIFO from the
     most loaded sibling (that worker's farthest-future item), so a long
     chain item occupies one worker while the others drain the queue
-    instead of idling behind a fixed shard boundary.  The wave backend's
-    doomed-pair cancellation rides on the shared queue: a rejection
-    streams back, releases the rejecting functions' later pairs, and
-    undispatched items whose every demander is doomed are dropped from
-    the deques.  Any pool failure degrades the *unfinished remainder* to
-    serial — completed verdicts are content-addressed and kept.
+    instead of idling behind a fixed shard boundary.  The queue also
+    cancels doomed pairs: a rejection streams back, releases the
+    rejecting functions' later pairs, and undispatched items whose every
+    demander is doomed are dropped from the deques — the eager backends
+    validate those pairs although no stepwise walk ever reads them.  Any
+    pool failure degrades the *unfinished remainder* to serial —
+    completed verdicts are content-addressed and kept.
 
 The cross-host half of the ROADMAP's multi-host item ships behind the
 same seam: ``config.steal_transport="tcp"`` swaps the steal backend's
@@ -177,7 +168,7 @@ class Executor(ABC):
     parallelism), the settle round fans out the whole-query fallbacks of
     functions whose adjacent pair rejected.  Subclasses either implement
     :meth:`run_batch` (how a batch of items runs) or override
-    :meth:`execute` for a different schedule (see :class:`WaveExecutor`).
+    :meth:`execute` for a different schedule (see :class:`StealExecutor`).
     """
 
     name = "abstract"
@@ -187,15 +178,11 @@ class Executor(ABC):
         self.items_run = 0
         #: Work items that actually ran on a process pool.
         self.pooled_items = 0
-        #: Batches executed (an eager run has <= 2, a wave run one per wave).
+        #: Batches executed (an eager run has <= 2).
         self.batches = 0
-        #: Wave batches executed (wave backend only).
-        self.waves = 0
-        #: Function-wave slots cancelled after a rejection (wave only).
-        self.waves_cancelled = 0
         #: Pool failures that degraded execution to serial.
         self.degraded = 0
-        #: Planned pair queries never validated (wave cancellation).
+        #: Planned pair queries never validated (steal cancellation).
         self.pairs_skipped = 0
         #: Dead workers (or broken pools) replaced by the supervisor
         #: instead of degrading the backend.
@@ -220,8 +207,6 @@ class Executor(ABC):
             "items_run": self.items_run,
             "pooled_items": self.pooled_items,
             "batches": self.batches,
-            "waves": self.waves,
-            "waves_cancelled": self.waves_cancelled,
             "pool_degraded": self.degraded,
             "pairs_skipped": self.pairs_skipped,
             "workers_respawned": self.workers_respawned,
@@ -316,14 +301,15 @@ class PoolExecutor(Executor):
     """Fan batches out over a ``ProcessPoolExecutor``; degrade to serial.
 
     The pool is created lazily on the first multi-item batch and reused
-    across batches (wave schedules run many small batches; respawning
-    workers per wave would dominate).  *Any* failure — a platform that
-    cannot spawn processes, an unpicklable payload, a worker that raises
-    or dies mid-batch — marks the backend degraded and re-runs the whole
-    batch serially in-process: validation is deterministic and
-    side-effect free, results only merge into the cache after the batch
-    completes, so the retry can neither lose nor double-count a cache
-    query, and a genuine per-item error reproduces serially anyway.
+    across batches (a long-lived revalidator runs many small batches;
+    respawning workers per batch would dominate).  *Any* failure — a
+    platform that cannot spawn processes, an unpicklable payload, a
+    worker that raises or dies mid-batch — marks the backend degraded
+    and re-runs the whole batch serially in-process: validation is
+    deterministic and side-effect free, results only merge into the
+    cache after the batch completes, so the retry can neither lose nor
+    double-count a cache query, and a genuine per-item error reproduces
+    serially anyway.
     """
 
     name = "pool"
@@ -392,142 +378,6 @@ class PoolExecutor(Executor):
                 pass
 
 
-class WaveExecutor(Executor):
-    """Speculative pipeline-position scheduling over an inner backend.
-
-    For the stepwise strategy, a rejected adjacent pair makes every later
-    pair of that function unnecessary for its record: the settlement walk
-    stops at the first rejection and falls back to the whole query.  The
-    eager schedule still validates those doomed pairs (they were planned
-    before any verdict existed).  This backend instead keeps a cursor per
-    function and repeatedly validates one *wave*: the deduplicated batch
-    of every live function's current pair.  After each wave, functions
-    whose pair rejected are cancelled out of the remaining waves and
-    settled from the whole-query fallback, so a high-rejection corpus
-    stops paying for pairs no record will ever consume.  Pairs remain
-    deduplicated across functions and answered through the shared cache,
-    so records stay byte-identical to the eager backends'.
-
-    Non-stepwise strategies have one query per function — waves cannot
-    cancel anything — and fall through to the eager schedule.
-    """
-
-    name = "wave"
-
-    def __init__(self, inner: Executor) -> None:
-        super().__init__()
-        self.inner = inner
-
-    def run_batch(self, items: List[Tuple], config: ValidatorConfig) -> List:
-        return self.inner.run_batch(items, config)
-
-    def close(self) -> None:
-        self.inner.close()
-
-    def stats(self) -> Dict[str, int]:
-        counters = self.inner.stats()
-        counters["waves"] = self.waves
-        counters["waves_cancelled"] = self.waves_cancelled
-        counters["pairs_skipped"] = self.pairs_skipped
-        return counters
-
-    @property
-    def pooled_items(self) -> int:
-        return self.inner.pooled_items
-
-    @pooled_items.setter
-    def pooled_items(self, value: int) -> None:
-        # The base-class __init__ assigns 0; pooling is tracked by the
-        # inner backend, so the write is accepted and ignored.
-        pass
-
-    @property
-    def degraded(self) -> int:
-        return self.inner.degraded
-
-    @degraded.setter
-    def degraded(self, value: int) -> None:
-        pass
-
-    def execute(self, plan: WorkPlan, cache: ValidationCache,
-                budget: Optional[RequestBudget] = None) -> ExecutionOutcome:
-        if plan.strategy != "stepwise":
-            return super().execute(plan, cache, budget)
-        outcome = ExecutionOutcome()
-        # The planner does not pack chains for the wave backend, but an
-        # explicitly handed plan may hold some: run them up front so the
-        # cursor walk below consumes their verdicts from the cache.
-        if plan.pending_chains:
-            self._run_pairs_and_chains(plan, cache, outcome, {},
-                                       plan.pending_chains)
-
-        cursors: Dict[int, int] = {}
-        live = [function_plan for function_plan in plan.function_plans()
-                if function_plan.pair_keys]
-        while live:
-            if budget is not None and budget.exhausted:
-                break  # remaining waves are denied at settlement time
-            batch: Dict[CacheKey, Tuple[Function, Function]] = {}
-            next_live = []
-            for function_plan in live:
-                cursor = cursors.get(id(function_plan), 0)
-                demands = False
-                rejected = False
-                while cursor < len(function_plan.pair_keys):
-                    result = cache.peek(function_plan.pair_keys[cursor])
-                    if result is None:
-                        # A synthetic denial (timeout/quarantine) never
-                        # enters the cache but has decided this pair: the
-                        # walk treats it as the rejection it settles as.
-                        result = outcome.denied.get(
-                            function_plan.pair_keys[cursor])
-                    if result is None:
-                        demands = True
-                        break
-                    if not result.is_success:
-                        rejected = True
-                        break
-                    cursor += 1
-                cursors[id(function_plan)] = cursor
-                if rejected:
-                    # Cancel this function's remaining waves; its record
-                    # settles from the whole-query fallback below.
-                    self.waves_cancelled += (len(function_plan.pair_keys)
-                                             - cursor - 1)
-                    continue
-                if not demands:
-                    continue  # every pair accepted: the walk is complete
-                key = function_plan.pair_keys[cursor]
-                if key not in batch:
-                    batch[key] = (function_plan.versions[cursor],
-                                  function_plan.versions[cursor + 1])
-                next_live.append(function_plan)
-            live = next_live
-            if not batch:
-                break
-            if budget is not None:
-                remaining = budget.remaining_pairs()
-                if remaining is not None and remaining < len(batch):
-                    batch = dict(list(batch.items())[:remaining])
-                budget.charge(len(batch))
-                if not batch:
-                    break
-            self.waves += 1
-            results = self.run_batch(
-                [("pair", before, after, plan.config)
-                 for before, after in batch.values()], plan.config)
-            for key, result in zip(batch, results):
-                outcome.adopt(cache, key, result)
-
-        if budget is None or not budget.exhausted:
-            self._run_settle_round(plan, cache, outcome)
-        self.pairs_skipped = sum(1 for key in plan.pending
-                                 if key not in outcome.fresh
-                                 and key not in outcome.denied)
-        outcome.validated_queries = len(outcome.fresh)
-        return outcome
-
-
 class StealExecutor(Executor):
     """Work stealing over a persistent pool of single-item workers.
 
@@ -543,8 +393,8 @@ class StealExecutor(Executor):
     item therefore occupies exactly one worker while every other item
     migrates to idle workers, instead of stalling a fixed shard.
 
-    For the stepwise strategy the shared queue also carries the wave
-    trick: results stream back one at a time, a rejection releases the
+    For the stepwise strategy the shared queue also cancels doomed
+    pairs: results stream back one at a time, a rejection releases the
     demand its doomed functions placed on their later pairs, and an
     undispatched pair whose every demanding function is doomed is
     dropped from the deques (``pairs_skipped``).  Because pairs are
@@ -885,20 +735,15 @@ def create_executor(config: ValidatorConfig) -> Executor:
     """Build the backend ``config.executor`` / ``config.concurrency`` select.
 
     ``"auto"`` resolves to pool when ``concurrency > 1`` and serial
-    otherwise; ``"wave"`` wraps whichever of the two the concurrency
-    setting implies; ``"steal"`` spawns ``concurrency`` single-item
-    workers (or runs its scheduling loop in-process for 0/1).  Invalid
+    otherwise; ``"steal"`` spawns ``concurrency`` single-item workers
+    (or runs its scheduling loop in-process for 0/1).  Invalid
     combinations were rejected when the config was constructed.
     """
     name = resolved_executor(config)
-    pooled = bool(config.concurrency and config.concurrency > 1)
     if name == "serial":
         return SerialExecutor()
     if name == "pool":
         return PoolExecutor(config.concurrency)
-    if name == "wave":
-        inner = PoolExecutor(config.concurrency) if pooled else SerialExecutor()
-        return WaveExecutor(inner)
     if name == "steal":
         return StealExecutor(config.concurrency)
     raise ValueError(f"unknown executor {name!r}")  # pragma: no cover
@@ -1065,7 +910,6 @@ __all__ = [
     "Executor",
     "SerialExecutor",
     "PoolExecutor",
-    "WaveExecutor",
     "StealExecutor",
     "create_executor",
     "serial_provider",

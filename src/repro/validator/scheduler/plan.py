@@ -14,8 +14,8 @@ serial driver's lazy chain provider applies).
 Planning performs **no validation**: everything here is a deterministic
 function of the input modules, the configuration and the cache contents,
 so any :mod:`executor backend <repro.validator.scheduler.executors>` —
-serial, process-pool, speculative wave scheduling, or work stealing —
-can execute the same plan and the settlement layer (:mod:`repro.validator.scheduler.settle`)
+serial, process-pool or work stealing — can execute the same plan and
+the settlement layer (:mod:`repro.validator.scheduler.settle`)
 reassembles byte-identical :class:`~repro.validator.report.FunctionRecord`
 signatures from the outcomes.
 """
@@ -91,8 +91,9 @@ class FunctionPlan:
         #: time and reused by assembly-time key derivation.
         self.fingerprints = fingerprints
         #: Round-1 keys, in validation order (adjacent pairs under
-        #: stepwise; the single whole pair otherwise).  Wave scheduling
-        #: reads a function's pipeline-position demand off this list.
+        #: stepwise; the single whole pair otherwise).  The steal
+        #: backend reads a function's pipeline-position demand off this
+        #: list.
         self.pair_keys = pair_keys
         #: Key of the (original, final) pair — stepwise's whole-query
         #: fallback, executed as the settle round.
@@ -122,17 +123,14 @@ class WorkPlan:
 
     The plan is *pure data*: deduplicated content-keyed work items plus
     the per-function plans the settlement layer will replay them into.
-    Executors consume ``pending`` / ``pending_chains`` (and, for wave
-    scheduling, the per-function ``pair_keys`` order); they never touch
+    Executors consume ``pending`` / ``pending_chains`` (and, for steal
+    cancellation, the per-function ``pair_keys`` order); they never touch
     planning or settlement logic, which is what lets a future multi-host
     work-stealing backend drop in behind the same interface.
     """
 
     strategy: str
     config: ValidatorConfig
-    #: Resolved backend name
-    #: (``"serial"`` | ``"pool"`` | ``"wave"`` | ``"steal"``).
-    executor: str
     modules: List[ModulePlan]
     #: Deduplicated uncached pair queries: key -> (before, after).
     pending: Dict[CacheKey, Tuple[Function, Function]]
@@ -161,23 +159,18 @@ def build_plan(
     pairs are uncached to amortize it (:func:`chain_amortizes`), so a
     worker builds all of that function's checkpoints into one shared
     graph and normalizes it once instead of once per pair.  Under the
-    ``"wave"`` backend chain packing is skipped: waves exist to *cancel*
-    the doomed later pairs of rejecting functions, which a monolithic
-    chain item cannot do (the chain-vs-per-pair parity guard proves the
-    verdicts identical either way).  The ``"steal"`` backend keeps chain
-    packing — its shared queue carries chain and pair items side by side,
-    and its streaming cancellation applies to the pair items — which is
-    exactly the straggler scenario stealing exists for: one worker rides
-    the long chain item while the rest drain the pairs.  Fingerprints
+    ``"steal"`` backend the shared queue carries chain and pair items
+    side by side, and its streaming cancellation applies to the pair
+    items — which is exactly the straggler scenario stealing exists
+    for: one worker rides the long chain item while the rest drain the
+    pairs.  Fingerprints
     are computed once per version and shared by all keys derived from
     them.
     """
     config = config or DEFAULT_CONFIG
     if cache is None:
         cache = ValidationCache()
-    executor = resolved_executor(config)
-    chain_mode = (strategy == "stepwise" and config.chain_graphs
-                  and executor != "wave")
+    chain_mode = strategy == "stepwise" and config.chain_graphs
     module_plans: List[ModulePlan] = []
     pending: Dict[CacheKey, Tuple[Function, Function]] = {}
     pending_chains: Dict[ChainSignature, Tuple[List[Function], CacheKey]] = {}
@@ -271,9 +264,8 @@ def build_plan(
             for key, (before, after) in zip(pair_keys, pair_versions):
                 if cache.peek(key) is None and key not in pending:
                     pending[key] = (before, after)
-    return WorkPlan(strategy=strategy, config=config, executor=executor,
-                    modules=module_plans, pending=pending,
-                    pending_chains=pending_chains)
+    return WorkPlan(strategy=strategy, config=config, modules=module_plans,
+                    pending=pending, pending_chains=pending_chains)
 
 
 @dataclass
@@ -372,7 +364,7 @@ def pending_whole_queries(plan: WorkPlan, cache: ValidationCache
     fall back to the whole (original, final) query, the serial strategy's
     superset guarantee.  The demand only becomes known once the pair
     verdicts are in the cache, so executors call this after their pair
-    rounds/waves.  (A single-step function's whole pair *is* its only
+    rounds.  (A single-step function's whole pair *is* its only
     adjacent pair, already answered, so it never reappears here.)
     """
     pending_whole: Dict[CacheKey, Tuple[Function, Function]] = {}

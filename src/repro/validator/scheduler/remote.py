@@ -22,9 +22,8 @@ Three pieces carry the ``"steal"`` backend's protocol across hosts:
     role: remote workers' :class:`~repro.validator.cache.RemoteStore`
     clients send batched get/put/touch traffic here instead of shipping
     cache state inside work-item payloads.  Backed by the run's sqlite
-    store when ``config.cache_dir`` names one, by a snapshot of the
-    JSON store (loaded under the shared sidecar lock), or by a plain
-    in-memory map when the run has no persistent cache.
+    store when ``config.cache_dir`` names one, or by a plain in-memory
+    map when the run has no local persistent cache.
 
 :func:`run_worker`
     The remote worker loop (``python -m
@@ -78,24 +77,21 @@ class ServedStore:
     """One shared proof store, served to the fleet over the steal wire.
 
     Operates on *encoded* rows — ``(key text, payload text, stamp)`` —
-    the same canonical serializations both disk backends already store,
-    so the wire never depends on pickled validator classes.  Three
-    flavors behind one surface:
+    the same canonical serializations the SQLite store already holds, so
+    the wire never depends on pickled validator classes.  Two flavors
+    behind one surface:
 
     * ``sqlite``: delegates to the run's
       :class:`~repro.validator.cache.SqliteStore` (WAL mode lets the
       driver's own cache connection and this one share the file); its
       locked-flush retry machinery is reused as-is.
-    * ``json``: loads the file once under the shared sidecar ``flock``
-      helper (:func:`~repro.validator.cache.sidecar_flock`), serves
-      from memory, and merge-saves back at close through
-      :class:`~repro.validator.cache.JsonStore`.
-    * ``memory``: a plain dict, for runs with no persistent cache —
-      workers still share one cache instead of each re-proving pairs.
+    * ``memory``: a plain dict, for runs with no local persistent cache
+      (including a ``remote://`` one, which this process consults
+      rather than serves) — workers still share one cache instead of
+      each re-proving pairs.
     """
 
     def __init__(self, path: Optional[os.PathLike] = None,
-                 backend: str = "auto",
                  fault_plan: Optional[faults.FaultPlan] = None) -> None:
         from .. import cache as cache_mod
 
@@ -108,22 +104,11 @@ class ServedStore:
         #: text key -> (payload text, recency stamp).
         self._memory: Dict[str, Tuple[str, int]] = {}
         self._sqlite = None
-        self._json = None
-        if path is not None:
-            file_path, resolved = cache_mod._resolve_cache_path(path, backend)
-            if resolved == "sqlite":
-                self.kind = "sqlite"
-                self._sqlite = cache_mod.SqliteStore(
-                    file_path, fault_plan=fault_plan)
-            else:
-                self.kind = "json"
-                self._json = cache_mod.JsonStore(
-                    file_path, fault_plan=fault_plan)
-                with cache_mod.sidecar_flock(file_path):
-                    loaded = self._json.load()
-                for key, result in loaded.items():
-                    self._memory[cache_mod._encode_key(key)] = (
-                        cache_mod._encode_result(result), 0)
+        if path is not None \
+                and not str(path).startswith(cache_mod.REMOTE_PREFIX):
+            self.kind = "sqlite"
+            self._sqlite = cache_mod.SqliteStore(
+                cache_mod._resolve_cache_path(path), fault_plan=fault_plan)
 
     def get_many(self, key_texts: List[str]) -> Dict[str, str]:
         """Payload texts for every present key (misses are omitted)."""
@@ -147,7 +132,7 @@ class ServedStore:
 
         Sqlite delegation retries locked flushes internally
         (:data:`~repro.validator.scheduler.retry.LOCKED_FLUSH_RETRY`);
-        the memory/json flavors consult the ``"cache-flush"`` fault
+        the memory flavor consults the ``"cache-flush"`` fault
         site here so an injected locked error travels back over the
         wire and exercises the *client's* retry of the same policy.
         """
@@ -203,27 +188,11 @@ class ServedStore:
     def evict(self, max_bytes: int) -> int:
         if self._sqlite is not None:
             return self._sqlite.evict_to_budget(max_bytes)
-        return 0  # the memory/json flavors are bounded by their run
+        return 0  # the memory flavor is bounded by its run
 
     def close(self) -> None:
-        mod = self._cache_mod
         if self._sqlite is not None:
             self._sqlite.close()
-            return
-        if self._json is not None:
-            entries = {}
-            stamps = {}
-            for text, (payload, stamp) in self._memory.items():
-                try:
-                    key = mod._decode_key(text)
-                    entries[key] = mod._decode_result(json.loads(payload))
-                except (KeyError, TypeError, ValueError):
-                    continue
-                stamps[key] = stamp
-            try:
-                self._json.save(entries, stamps, 0)
-            except OSError:
-                self._json.errors += 1
 
 
 class _Conn:
@@ -294,7 +263,6 @@ class StealCoordinator:
         if self.store is None:
             self.store = ServedStore(
                 getattr(self.config, "cache_dir", None),
-                backend=getattr(self.config, "cache_backend", "auto"),
                 fault_plan=self.plan)
         self._server = await asyncio.start_server(
             self._handle, self.host, self.port)

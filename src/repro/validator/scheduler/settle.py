@@ -6,7 +6,7 @@ strategy runners the lazy serial driver uses (:func:`run_whole`,
 :func:`run_stepwise`, :func:`run_bisect`), reading verdicts back out of
 the shared :class:`~repro.validator.cache.ValidationCache` the executor
 filled, and rebuilds the result modules.  Because the runners are shared,
-every backend — serial, pool, wave — produces byte-identical
+every backend — serial, pool, steal — produces byte-identical
 :meth:`~repro.validator.report.FunctionRecord.signature`\\ s by
 construction; the executors only decide *which* queries were validated
 where (and the provider validates any stragglers the rounds could not
@@ -261,8 +261,8 @@ def settle_plan(plan: WorkPlan, cache: ValidationCache, execution,
     disk backend — is a cache hit, so totals count each query exactly
     once.  Queries the executor could not anticipate (bisect probes,
     chain verdicts censored beyond another function's consumed prefix,
-    pairs a wave backend cancelled but another strategy path still asks
-    for) validate inline through the bounded analysis ``manager``.
+    pairs the steal backend cancelled but another strategy path still
+    asks for) validate inline through the bounded analysis ``manager``.
 
     With a ``budget``, inline validation the budget no longer admits is
     answered with a synthetic :data:`~repro.validator.scheduler.budget.BUDGET_EXHAUSTED`

@@ -183,11 +183,10 @@ def config_fingerprint(config=None) -> str:
     """
     from ...vgraph.normalize import ENGINES
     from ...vgraph.rules import ALL_RULE_GROUPS
-    from ..cache import CACHE_SCHEMA, SQLITE_SCHEMA
+    from ..cache import SQLITE_SCHEMA
 
     basis = {
         "transport_schema": TRANSPORT_SCHEMA,
-        "cache_schema": CACHE_SCHEMA,
         "sqlite_schema": SQLITE_SCHEMA,
         "rule_groups": sorted(ALL_RULE_GROUPS),
         "engines": list(ENGINES),

@@ -432,9 +432,8 @@ def main(argv=None) -> int:
                         help="TCP port (default: config service_port; "
                              "0 = ephemeral)")
     parser.add_argument("--cache-dir", default=None,
-                        help="persistent proof-cache directory")
-    parser.add_argument("--cache-backend", default="auto",
-                        help="proof-store backend (auto/json/sqlite)")
+                        help="persistent proof-cache directory, .sqlite "
+                             "file or remote://HOST:PORT")
     parser.add_argument("--executor", default="auto",
                         help="scheduling backend (auto/serial/pool/steal)")
     parser.add_argument("--concurrency", type=int, default=0,
@@ -449,7 +448,6 @@ def main(argv=None) -> int:
     config = replace(
         DEFAULT_CONFIG,
         cache_dir=args.cache_dir,
-        cache_backend=args.cache_backend,
         executor=args.executor,
         concurrency=args.concurrency,
         **({} if args.max_inflight is None

@@ -102,9 +102,7 @@ class Revalidator:
     are shipped to the workers as isolated pair items first — retained
     graphs cannot cross process boundaries, but dirty-suffix skipping
     still applies — while the serial backend gets the full
-    subgraph-diff reuse.  (``executor="wave"`` is rejected at config
-    construction: waves cancel exactly the pairs the diff already
-    skipped.)
+    subgraph-diff reuse.
     """
 
     def __init__(self, config: Optional[ValidatorConfig] = None,
@@ -112,7 +110,6 @@ class Revalidator:
         self.config = config or DEFAULT_CONFIG
         self.cache = cache if cache is not None else ValidationCache(
             self.config.cache_dir, max_bytes=self.config.cache_max_bytes,
-            backend=self.config.cache_backend,
             fault_plan=self.config.fault_plan)
         self.manager = AnalysisManager(
             max_entries=self.config.analysis_cache_size or None)
@@ -633,9 +630,8 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     parser.add_argument("--interval", type=float, default=2.0,
                         help="polling interval in seconds (file sources)")
     parser.add_argument("--cache-dir", default=None,
-                        help="persistent proof-cache directory")
-    parser.add_argument("--cache-backend", default="auto",
-                        help="proof-store backend (auto/json/sqlite)")
+                        help="persistent proof-cache directory, .sqlite "
+                             "file or remote://HOST:PORT")
     parser.add_argument("--min-hit-rate", type=float, default=None,
                         help="exit 1 if the first run's cache hit rate is "
                              "below this fraction")
@@ -646,8 +642,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
 
     from dataclasses import replace
     config = replace(DEFAULT_CONFIG, incremental=True,
-                     cache_dir=args.cache_dir,
-                     cache_backend=args.cache_backend)
+                     cache_dir=args.cache_dir)
     revalidator = Revalidator(config)
     status = 0
     # try/finally so the executor backend and the persistent cache are

@@ -1,13 +1,15 @@
-"""Tests for the persistent on-disk ValidationCache backend.
+"""Tests for the persistent ValidationCache through its public API.
 
-Covers the roundtrip (save → load → all hits), content/config keyed
-invalidation, tolerance of corrupted or version-mismatched cache files,
-merge semantics (in-memory and save-time), and that the sharded batch
-driver reports worker-answered queries in the cache totals without double
-counting.
+Covers the roundtrip (save → load → all hits), the refusal of removed
+JSON store paths, content/config keyed invalidation, tolerance of
+missing or misshapen store files, merge semantics (in-memory and
+save-time), the byte budget, and that the sharded batch driver reports
+worker-answered queries in the cache totals without double counting.
+SQLite-specific behaviour (lazy faulting, WAL, corruption and schema
+recovery, mid-run faults) lives in ``test_proof_store.py``.
 """
 
-import json
+import sqlite3
 from dataclasses import replace
 
 import pytest
@@ -16,15 +18,15 @@ from repro.bench import small_test_corpus
 from repro.ir import clone_function, parse_function
 from repro.transforms import PAPER_PIPELINE
 from repro.validator import (
-    CACHE_FILE_NAME,
-    CACHE_SCHEMA,
     DEFAULT_CONFIG,
+    SQLITE_FILE_NAME,
+    SQLITE_SCHEMA,
     ValidationCache,
     llvm_md,
     validate,
     validate_module_batch,
 )
-from repro.validator.cache import _FILE_ENVELOPE, _entry_size
+from repro.validator.cache import _entry_size
 
 SHARDED = replace(DEFAULT_CONFIG, concurrency=2)
 
@@ -44,7 +46,7 @@ class TestRoundtrip:
         cache.put(key, result)
         written = cache.save()
         assert written == 1
-        assert (tmp_path / CACHE_FILE_NAME).exists()
+        assert (tmp_path / SQLITE_FILE_NAME).exists()
 
         reloaded = ValidationCache(tmp_path)
         assert reloaded.loaded == 1
@@ -55,15 +57,18 @@ class TestRoundtrip:
         assert stored.stats == result.stats
         assert stored.graph_nodes == result.graph_nodes
 
-    def test_explicit_json_path(self, tmp_path, pair):
-        before, after = pair
+    def test_explicit_json_path(self, tmp_path):
+        # JSON stores were removed; a .json path must fail loudly instead
+        # of silently becoming a cache directory of that name.
         target = tmp_path / "custom.json"
-        cache = ValidationCache(target)
-        cache.put(cache.key(before, after, DEFAULT_CONFIG),
-                  validate(before, after, DEFAULT_CONFIG))
-        cache.save()
-        assert target.exists()
-        assert ValidationCache(target).loaded == 1
+        with pytest.raises(ValueError, match="JSON proof stores were removed"):
+            ValidationCache(target)
+        assert not target.exists()
+        config = replace(DEFAULT_CONFIG, cache_dir=str(target))
+        with pytest.raises(ValueError, match="JSON proof stores were removed"):
+            llvm_md(small_test_corpus(functions=2, seed=3), PAPER_PIPELINE,
+                    config)
+        assert not target.exists()
 
     def test_save_if_dirty_skips_clean_cache(self, tmp_path, pair):
         before, after = pair
@@ -81,7 +86,7 @@ class TestRoundtrip:
         config = replace(DEFAULT_CONFIG, cache_dir=str(tmp_path))
         _, cold = llvm_md(module, PAPER_PIPELINE, config, strategy="stepwise")
         assert cold.cache_stats["misses"] > 0
-        assert (tmp_path / CACHE_FILE_NAME).exists()
+        assert (tmp_path / SQLITE_FILE_NAME).exists()
         _, warm = llvm_md(module, PAPER_PIPELINE, config, strategy="stepwise")
         assert warm.cache_stats["misses"] == 0
         assert warm.cache_stats["disk_loaded"] == cold.cache_stats["entries"]
@@ -117,54 +122,84 @@ class TestInvalidation:
         # change a verdict.
         for same in (replace(DEFAULT_CONFIG, concurrency=4),
                      replace(DEFAULT_CONFIG, cache_dir="/elsewhere"),
-                     replace(DEFAULT_CONFIG, cache_backend="sqlite"),
                      replace(DEFAULT_CONFIG, analysis_cache_size=2)):
             assert reloaded.peek(reloaded.key(before, after, same)) is not None
 
 
 class TestCorruptionTolerance:
-    def test_corrupted_file_starts_cold(self, tmp_path, pair):
-        before, after = pair
-        target = tmp_path / CACHE_FILE_NAME
-        target.write_text("{ not json at all", encoding="utf-8")
-        cache = ValidationCache(tmp_path)
-        assert cache.loaded == 0 and len(cache) == 0
-        # And the broken file is replaced by a clean save.
-        cache.put(cache.key(before, after, DEFAULT_CONFIG),
-                  validate(before, after, DEFAULT_CONFIG))
-        assert cache.save() == 1
-        assert ValidationCache(tmp_path).loaded == 1
+    """A damaged store costs a driver run time, never a verdict."""
 
-    def test_schema_mismatch_ignored(self, tmp_path, pair):
+    @staticmethod
+    def _sweep(tmp_path):
+        module = small_test_corpus(functions=4, seed=3)
+        config = replace(DEFAULT_CONFIG, cache_dir=str(tmp_path))
+        _, report = llvm_md(module, PAPER_PIPELINE, config, strategy="stepwise")
+        return report
+
+    @staticmethod
+    def _execute(tmp_path, *statements):
+        conn = sqlite3.connect(str(tmp_path / SQLITE_FILE_NAME))
+        try:
+            for statement in statements:
+                conn.execute(statement)
+            conn.commit()
+        finally:
+            conn.close()
+
+    def test_corrupted_file_starts_cold(self, tmp_path):
+        reference = self._sweep(tmp_path / "clean")
+        (tmp_path / SQLITE_FILE_NAME).write_bytes(b"{ not a database at all")
+        cold = self._sweep(tmp_path)
+        assert cold.cache_stats["disk_loaded"] == 0
+        assert cold.cache_stats["store_errors"] == 0
+        assert [r.signature() for r in cold.records] == \
+               [r.signature() for r in reference.records]
+        # The broken file was replaced by a working store.
+        warm = self._sweep(tmp_path)
+        assert warm.cache_stats["misses"] == 0
+
+    def test_schema_mismatch_ignored(self, tmp_path):
+        cold = self._sweep(tmp_path)
+        self._execute(tmp_path, "PRAGMA user_version = %d" % (SQLITE_SCHEMA + 999))
+        again = self._sweep(tmp_path)
+        assert again.cache_stats["disk_loaded"] == 0
+        assert again.cache_stats["misses"] == cold.cache_stats["misses"]
+        assert [r.signature() for r in again.records] == \
+               [r.signature() for r in cold.records]
+
+    def test_malformed_entry_skipped_without_poisoning_neighbours(self, tmp_path):
+        cold = self._sweep(tmp_path)
+        self._execute(tmp_path,
+                      "INSERT INTO entries (key, payload, size, last_hit)"
+                      " VALUES ('garbage-key', 'not json', 8, 0)",
+                      "UPDATE entries SET payload = '{}' WHERE rowid = ("
+                      " SELECT MIN(rowid) FROM entries)")
+        warm = self._sweep(tmp_path)
+        # Only the mangled entry is re-validated; its neighbours still hit.
+        assert warm.cache_stats["misses"] <= 1
+        assert warm.cache_stats["hits"] > 0
+        assert warm.cache_stats["store_errors"] == 0
+        assert [r.signature() for r in warm.records] == \
+               [r.signature() for r in cold.records]
+
+    def test_wrong_toplevel_shape_ignored(self, tmp_path, pair):
+        # A current-schema file whose table has the wrong shape: lookups
+        # miss and the store degrades to the in-memory tier, never raises.
         before, after = pair
+        conn = sqlite3.connect(str(tmp_path / SQLITE_FILE_NAME))
+        conn.execute("CREATE TABLE entries (nonsense TEXT)")
+        conn.execute("INSERT INTO entries VALUES ('x')")
+        conn.execute("PRAGMA user_version = %d" % SQLITE_SCHEMA)
+        conn.commit()
+        conn.close()
         cache = ValidationCache(tmp_path)
-        cache.put(cache.key(before, after, DEFAULT_CONFIG),
-                  validate(before, after, DEFAULT_CONFIG))
+        key = cache.key(before, after, DEFAULT_CONFIG)
+        assert cache.get(key, before.name) is None
+        cache.put(key, validate(before, after, DEFAULT_CONFIG))
+        assert cache.get(key, before.name) is not None
         cache.save()
-        target = tmp_path / CACHE_FILE_NAME
-        payload = json.loads(target.read_text())
-        payload["schema"] = CACHE_SCHEMA + 999
-        target.write_text(json.dumps(payload), encoding="utf-8")
-        assert ValidationCache(tmp_path).loaded == 0
-
-    def test_wrong_toplevel_shape_ignored(self, tmp_path):
-        (tmp_path / CACHE_FILE_NAME).write_text('["a", "list"]', encoding="utf-8")
-        assert ValidationCache(tmp_path).loaded == 0
-        (tmp_path / CACHE_FILE_NAME).write_text(
-            json.dumps({"schema": CACHE_SCHEMA, "entries": "nope"}), encoding="utf-8")
-        assert ValidationCache(tmp_path).loaded == 0
-
-    def test_malformed_entry_skipped_without_poisoning_neighbours(self, tmp_path, pair):
-        before, after = pair
-        cache = ValidationCache(tmp_path)
-        cache.put(cache.key(before, after, DEFAULT_CONFIG),
-                  validate(before, after, DEFAULT_CONFIG))
-        cache.save()
-        target = tmp_path / CACHE_FILE_NAME
-        payload = json.loads(target.read_text())
-        payload["entries"]["garbage-key"] = {"bad": "entry"}
-        target.write_text(json.dumps(payload), encoding="utf-8")
-        assert ValidationCache(tmp_path).loaded == 1
+        assert cache.stats()["store_errors"] == 1
+        cache.close()
 
     def test_missing_file_is_fine(self, tmp_path):
         cache = ValidationCache(tmp_path / "never" / "created")
@@ -269,7 +304,7 @@ class TestSizeBoundedBackend:
     @staticmethod
     def _one_entry_budget(cache, key):
         """A byte budget with room for ``key``'s entry and no other."""
-        return _FILE_ENVELOPE + _entry_size(key, cache.peek(key))
+        return _entry_size(key, cache.peek(key))
 
     def test_unbounded_cache_never_evicts(self, tmp_path):
         cache, _ = self._filled_cache(tmp_path)
@@ -284,11 +319,12 @@ class TestSizeBoundedBackend:
         assert cache.evicted > 0
         assert stored == len(keys) - cache.evicted
         assert cache.stats()["disk_evicted"] == cache.evicted
-        payload = json.loads((tmp_path / CACHE_FILE_NAME).read_text())
-        assert len(payload["entries"]) == stored
-        # The serialized file — envelope, escaping and all — respects
-        # the byte budget.
-        assert len((tmp_path / CACHE_FILE_NAME).read_text()) <= 2048
+        cache.close()
+        reloaded = ValidationCache(tmp_path)
+        assert reloaded.loaded == stored
+        # The stored entries' logical footprint respects the budget.
+        assert sum(_entry_size(key, reloaded.peek(key)) for key in keys
+                   if reloaded.peek(key) is not None) <= 2048
 
     def test_least_recently_hit_evicted_first(self, tmp_path):
         cache, keys = self._filled_cache(tmp_path)
@@ -296,13 +332,16 @@ class TestSizeBoundedBackend:
         assert cache.get(keys[0], "f0") is not None
         cache.max_bytes = self._one_entry_budget(cache, keys[0])
         cache.save()
-        assert cache.peek(keys[0]) is not None, "hot entry must survive"
         assert cache.evicted > 0
+        cache.close()
+        reopened = ValidationCache(tmp_path)
+        assert reopened.loaded == 1
+        assert reopened.peek(keys[0]) is not None, "hot entry must survive"
 
     def test_loaded_entries_rank_oldest(self, tmp_path):
         cache, keys = self._filled_cache(tmp_path)
         cache.save()
-        # A new process loads everything from disk (no recency), then
+        # A new process opens the store (older recency stamps), then
         # stores one fresh entry; under pressure the fresh entry wins.
         reloaded = ValidationCache(tmp_path)
         before = parse_function(
@@ -313,7 +352,8 @@ class TestSizeBoundedBackend:
         reloaded.max_bytes = self._one_entry_budget(reloaded, fresh_key)
         reloaded.save()
         assert reloaded.evicted > 0
-        assert reloaded.peek(fresh_key) is not None
+        reloaded.close()
+        assert ValidationCache(tmp_path).peek(fresh_key) is not None
 
     def test_config_budget_reaches_driver_cache(self, tmp_path):
         module = small_test_corpus(functions=4, seed=3)

@@ -295,30 +295,23 @@ class TestStoreFaults:
 
     def test_locked_sqlite_flush_retries_then_persists(self, tmp_path):
         plan = FaultPlan.flush_error("lock", at=1, count=1)
-        cache = ValidationCache(tmp_path, backend="sqlite", fault_plan=plan)
+        cache = ValidationCache(tmp_path, fault_plan=plan)
         key = self._one_entry(cache)
         assert cache.save() == 1
         stats = cache.stats()
         assert stats.get("store_errors", 0) == 0
         assert stats.get("store_retries", 0) >= 1
         faults.reset()
-        fresh = ValidationCache(tmp_path, backend="sqlite")
+        fresh = ValidationCache(tmp_path)
         assert fresh.peek(key) is not None  # the retry really flushed
 
     def test_enospc_gives_up_without_crashing(self, tmp_path):
         plan = FaultPlan.flush_error("enospc", at=1, count=0)
-        cache = ValidationCache(tmp_path, backend="sqlite", fault_plan=plan)
+        cache = ValidationCache(tmp_path, fault_plan=plan)
         self._one_entry(cache)
         cache.save()  # must not raise
         assert cache.stats().get("store_errors", 0) >= 1
         assert cache.stats().get("store_retries", 0) == 0  # not transient
-
-    def test_json_flush_fault_is_absorbed(self, tmp_path):
-        plan = FaultPlan.flush_error("enospc", at=1, count=0)
-        cache = ValidationCache(tmp_path, backend="json", fault_plan=plan)
-        self._one_entry(cache)
-        cache.save()  # must not raise
-        assert cache.stats().get("store_errors", 0) >= 1
 
 
 # -- daemon disconnect -------------------------------------------------------

@@ -129,11 +129,6 @@ def test_incremental_survives_analysis_manager_eviction():
     assert _signatures(second) == _signatures(cold)
 
 
-def test_incremental_rejects_wave_executor():
-    with pytest.raises(ValueError, match="wave"):
-        ValidatorConfig(incremental=True, executor="wave")
-
-
 def test_incremental_requires_stepwise():
     config = replace(DEFAULT_CONFIG, incremental=True)
     module = build_corpus(BENCHMARKS_BY_NAME["lbm"], 0.1)

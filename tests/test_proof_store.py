@@ -1,17 +1,15 @@
-"""Tests for the SQLite proof store and the JSON store's save locking.
+"""Tests for the SQLite proof store.
 
-Covers the lazy SQLite backend (roundtrip, faulting, auto-detection,
-migration from JSON, in-database eviction, WAL mode, schema and
-corruption tolerance), fault injection mid-run (corruption, a locked
-database, a full disk — all must degrade to the in-memory tier with
-identical verdicts and an exact hit/miss ledger), the warm-run laziness
-criterion, and the ``flock`` serialization of concurrent JSON savers.
+Covers the lazy store (roundtrip, faulting, path resolution,
+in-database eviction, WAL mode, schema and corruption tolerance, use
+from a thread other than the one that opened it), fault injection
+mid-run (corruption, a locked database, a full disk — all must degrade
+to the in-memory tier with identical verdicts and an exact hit/miss
+ledger), and the warm-run laziness criterion.
 """
 
-import json
 import sqlite3
 import threading
-import time
 from dataclasses import replace
 
 import pytest
@@ -20,22 +18,14 @@ from repro.bench import small_test_corpus
 from repro.ir import clone_function, parse_function
 from repro.transforms import PAPER_PIPELINE
 from repro.validator import (
-    CACHE_FILE_NAME,
     SQLITE_FILE_NAME,
     SQLITE_SCHEMA,
     DEFAULT_CONFIG,
     ValidationCache,
     llvm_md,
-    migrate_json_to_sqlite,
     validate,
     validate_module_batch,
 )
-from repro.validator.cache import _main as cache_cli
-
-try:
-    import fcntl
-except ImportError:  # pragma: no cover - POSIX-only test environment
-    fcntl = None
 
 
 @pytest.fixture
@@ -44,8 +34,8 @@ def pair(loop_source):
     return before, clone_function(before)
 
 
-def _filled_cache(tmp_path, entries=6, backend="sqlite"):
-    cache = ValidationCache(tmp_path, backend=backend)
+def _filled_cache(tmp_path, entries=6):
+    cache = ValidationCache(tmp_path)
     keys = []
     for index in range(entries):
         before = parse_function(
@@ -62,7 +52,7 @@ def _filled_cache(tmp_path, entries=6, backend="sqlite"):
 class TestSqliteRoundtrip:
     def test_save_and_lazy_reload(self, tmp_path, pair):
         before, after = pair
-        cache = ValidationCache(tmp_path, backend="sqlite")
+        cache = ValidationCache(tmp_path)
         assert cache.backend == "sqlite"
         key = cache.key(before, after, DEFAULT_CONFIG)
         result = validate(before, after, DEFAULT_CONFIG)
@@ -71,7 +61,7 @@ class TestSqliteRoundtrip:
         cache.close()
         assert (tmp_path / SQLITE_FILE_NAME).exists()
 
-        reloaded = ValidationCache(tmp_path, backend="sqlite")
+        reloaded = ValidationCache(tmp_path)
         # Lazy: the store advertises its entry count without decoding
         # anything — nothing is in memory until a peek faults it in.
         assert reloaded.loaded == 1
@@ -111,7 +101,7 @@ class TestSqliteRoundtrip:
         assert cache.stats()["store_bytes_written"] > 0
         # Entries flushed incrementally are durable even without save().
         cache.close()
-        assert ValidationCache(tmp_path, backend="sqlite").loaded == 6
+        assert ValidationCache(tmp_path).loaded == 6
 
     def test_explicit_sqlite_path(self, tmp_path, pair):
         before, after = pair
@@ -127,7 +117,7 @@ class TestSqliteRoundtrip:
 
     def test_wal_mode_active(self, tmp_path, pair):
         before, after = pair
-        cache = ValidationCache(tmp_path, backend="sqlite")
+        cache = ValidationCache(tmp_path)
         cache.put(cache.key(before, after, DEFAULT_CONFIG),
                   validate(before, after, DEFAULT_CONFIG))
         cache.save()
@@ -144,8 +134,8 @@ class TestSqliteRoundtrip:
         before, after = pair
         other_before = parse_function(diamond_source)
         other_after = clone_function(other_before)
-        writer_a = ValidationCache(tmp_path, backend="sqlite")
-        writer_b = ValidationCache(tmp_path, backend="sqlite")
+        writer_a = ValidationCache(tmp_path)
+        writer_b = ValidationCache(tmp_path)
         writer_a.put(writer_a.key(before, after, DEFAULT_CONFIG),
                      validate(before, after, DEFAULT_CONFIG))
         writer_b.put(writer_b.key(other_before, other_after, DEFAULT_CONFIG),
@@ -154,88 +144,66 @@ class TestSqliteRoundtrip:
         assert writer_b.save() == 2  # sees writer_a's entry in the count
         writer_a.close()
         writer_b.close()
-        assert ValidationCache(tmp_path, backend="sqlite").loaded == 2
+        assert ValidationCache(tmp_path).loaded == 2
 
 
 class TestBackendSelection:
+    def test_fresh_directory_opens_sqlite(self, tmp_path):
+        cache = ValidationCache(tmp_path)
+        assert cache.backend == "sqlite"
+        assert cache.path == tmp_path / SQLITE_FILE_NAME
+
     def test_auto_prefers_existing_sqlite(self, tmp_path, pair):
+        # A leftover validation_cache.json from an older checkout is
+        # ignored, never read or rewritten; the SQLite store answers.
         before, after = pair
-        seeded = ValidationCache(tmp_path, backend="sqlite")
+        leftover = tmp_path / "validation_cache.json"
+        leftover.write_text('{"schema": 1, "entries": {}}\n')
+        seeded = ValidationCache(tmp_path)
         seeded.put(seeded.key(before, after, DEFAULT_CONFIG),
                    validate(before, after, DEFAULT_CONFIG))
         seeded.save()
         seeded.close()
-        auto = ValidationCache(tmp_path)
-        assert auto.backend == "sqlite"
-        assert auto.loaded == 1
-
-    def test_auto_defaults_to_json_on_fresh_directory(self, tmp_path):
-        assert ValidationCache(tmp_path).backend == "json"
-
-    def test_unknown_backend_rejected(self, tmp_path):
-        with pytest.raises(ValueError, match="cache backend"):
-            ValidationCache(tmp_path, backend="bogus")
-        with pytest.raises(ValueError, match="cache backend"):
-            replace(DEFAULT_CONFIG, cache_backend="bogus")
+        reopened = ValidationCache(tmp_path)
+        assert reopened.backend == "sqlite"
+        assert reopened.loaded == 1
+        assert leftover.read_text() == '{"schema": 1, "entries": {}}\n'
 
     def test_config_backend_reaches_driver_cache(self, tmp_path):
         module = small_test_corpus(functions=4, seed=3)
-        config = replace(DEFAULT_CONFIG, cache_dir=str(tmp_path),
-                         cache_backend="sqlite")
+        config = replace(DEFAULT_CONFIG, cache_dir=str(tmp_path))
         llvm_md(module, PAPER_PIPELINE, config, strategy="stepwise")
-        assert (tmp_path / SQLITE_FILE_NAME).exists()
-        assert not (tmp_path / CACHE_FILE_NAME).exists()
+        assert [path.name for path in tmp_path.iterdir()
+                if not path.name.endswith(("-wal", "-shm"))] == [SQLITE_FILE_NAME]
 
 
-class TestMigration:
-    def _seed_json(self, tmp_path, pair):
+class TestCrossThreadUse:
+    def test_cache_opened_on_one_thread_saves_from_another(self, tmp_path,
+                                                           pair):
+        # The daemon builds its cache on the main thread and validates on
+        # a worker thread; the store must follow the cache across.
         before, after = pair
-        cache = ValidationCache(tmp_path, backend="json")
-        key = cache.key(before, after, DEFAULT_CONFIG)
-        cache.put(key, validate(before, after, DEFAULT_CONFIG))
-        cache.save()
-        return key
+        target = tmp_path / "store.sqlite"
+        cache = ValidationCache(target)
+        errors = []
 
-    def test_migrate_then_auto_resolves_sqlite(self, tmp_path, pair):
-        key = self._seed_json(tmp_path, pair)
-        migrated, skipped, target = migrate_json_to_sqlite(tmp_path)
-        assert (migrated, skipped) == (1, 0)
-        assert target == tmp_path / SQLITE_FILE_NAME
-        # The JSON source is untouched: the migration is retryable.
-        assert (tmp_path / CACHE_FILE_NAME).exists()
-        # Re-running is an idempotent, counted no-op.
-        assert migrate_json_to_sqlite(tmp_path)[:2] == (0, 1)
-        cache = ValidationCache(tmp_path)  # auto now prefers the sqlite file
-        assert cache.backend == "sqlite"
-        assert cache.peek(key) is not None
+        def work():
+            try:
+                cache.put(cache.key(before, after, DEFAULT_CONFIG),
+                          validate(before, after, DEFAULT_CONFIG))
+                cache.save()
+            except BaseException as error:  # pragma: no cover - reported below
+                errors.append(error)
 
-    def test_migrate_dry_run_writes_nothing(self, tmp_path, pair):
-        self._seed_json(tmp_path, pair)
-        migrated, skipped, target = migrate_json_to_sqlite(tmp_path,
-                                                           dry_run=True)
-        assert (migrated, skipped) == (1, 0)
-        assert not target.exists()
-        # A real run still migrates; a dry run after it reports the skip.
-        assert migrate_json_to_sqlite(tmp_path)[:2] == (1, 0)
-        assert migrate_json_to_sqlite(tmp_path, dry_run=True)[:2] == (0, 1)
-
-    def test_migrate_empty_source_creates_empty_store(self, tmp_path):
-        migrated, skipped, target = migrate_json_to_sqlite(tmp_path)
-        assert (migrated, skipped) == (0, 0)
-        assert target.exists()
-        assert ValidationCache(tmp_path).backend == "sqlite"
-
-    def test_cli_migrate(self, tmp_path, pair, capsys):
-        self._seed_json(tmp_path, pair)
-        assert cache_cli(["migrate", "--dry-run", str(tmp_path)]) == 0
-        assert "would migrate 1 entries" in capsys.readouterr().out
-        assert not (tmp_path / SQLITE_FILE_NAME).exists()
-        assert cache_cli(["migrate", str(tmp_path)]) == 0
-        out = capsys.readouterr().out
-        assert "migrated 1 entries" in out
-        assert (tmp_path / SQLITE_FILE_NAME).exists()
-        assert cache_cli(["migrate", str(tmp_path)]) == 0
-        assert "(1 already present)" in capsys.readouterr().out
+        worker = threading.Thread(target=work)
+        worker.start()
+        worker.join(timeout=60)
+        assert not errors
+        stats = cache.stats()
+        assert stats["store_errors"] == 0
+        assert stats["disk_stored"] > 0
+        cache.close()
+        assert ValidationCache(target).loaded == 1
 
 
 class TestSqliteEviction:
@@ -264,7 +232,7 @@ class TestSqliteEviction:
         cache.save()
         assert cache.evicted > 0
         cache.close()
-        survivor = ValidationCache(tmp_path, backend="sqlite")
+        survivor = ValidationCache(tmp_path)
         assert survivor.peek(keys[0]) is not None, "hot entry must survive"
 
     def test_recency_stamps_continue_across_processes(self, tmp_path):
@@ -273,7 +241,7 @@ class TestSqliteEviction:
         cache.close()
         # A later process stores one fresh entry; its recency outranks
         # every earlier run's, so under pressure the old entries lose.
-        reloaded = ValidationCache(tmp_path, backend="sqlite")
+        reloaded = ValidationCache(tmp_path)
         before = parse_function(
             "define i32 @fresh(i32 %a) {\nentry:\n  %t = mul i32 %a, 7\n  ret i32 %t\n}")
         after = clone_function(before)
@@ -283,7 +251,7 @@ class TestSqliteEviction:
         reloaded.save()
         assert reloaded.evicted > 0
         reloaded.close()
-        assert ValidationCache(tmp_path, backend="sqlite").peek(fresh_key) is not None
+        assert ValidationCache(tmp_path).peek(fresh_key) is not None
 
 
 class TestSqliteTolerance:
@@ -291,7 +259,7 @@ class TestSqliteTolerance:
         before, after = pair
         target = tmp_path / SQLITE_FILE_NAME
         target.write_bytes(b"this is not a sqlite database at all")
-        cache = ValidationCache(tmp_path, backend="sqlite")
+        cache = ValidationCache(tmp_path)
         assert cache.loaded == 0
         # The broken file was replaced by a working cold store.
         cache.put(cache.key(before, after, DEFAULT_CONFIG),
@@ -299,11 +267,11 @@ class TestSqliteTolerance:
         assert cache.save() == 1
         assert cache.stats()["store_errors"] == 0
         cache.close()
-        assert ValidationCache(tmp_path, backend="sqlite").loaded == 1
+        assert ValidationCache(tmp_path).loaded == 1
 
     def test_schema_mismatch_starts_cold(self, tmp_path, pair):
         before, after = pair
-        cache = ValidationCache(tmp_path, backend="sqlite")
+        cache = ValidationCache(tmp_path)
         cache.put(cache.key(before, after, DEFAULT_CONFIG),
                   validate(before, after, DEFAULT_CONFIG))
         cache.save()
@@ -312,14 +280,14 @@ class TestSqliteTolerance:
         conn.execute("PRAGMA user_version = %d" % (SQLITE_SCHEMA + 999))
         conn.commit()
         conn.close()
-        reopened = ValidationCache(tmp_path, backend="sqlite")
+        reopened = ValidationCache(tmp_path)
         assert reopened.loaded == 0  # table dropped, store recreated cold
         reopened.close()
 
     def test_malformed_entry_skipped_without_poisoning_neighbours(
             self, tmp_path, pair):
         before, after = pair
-        cache = ValidationCache(tmp_path, backend="sqlite")
+        cache = ValidationCache(tmp_path)
         key = cache.key(before, after, DEFAULT_CONFIG)
         cache.put(key, validate(before, after, DEFAULT_CONFIG))
         cache.save()
@@ -330,7 +298,7 @@ class TestSqliteTolerance:
             " VALUES ('garbage-key', 'not json', 8, 0)")
         conn.commit()
         conn.close()
-        reopened = ValidationCache(tmp_path, backend="sqlite")
+        reopened = ValidationCache(tmp_path)
         assert reopened.peek(key) is not None
         # The malformed row reads as a miss, not a store fault.
         assert reopened.stats()["store_errors"] == 0
@@ -377,7 +345,7 @@ class TestSqliteFaultInjection:
         (_, clean), = validate_module_batch(
             [module], PAPER_PIPELINE, config=DEFAULT_CONFIG,
             cache=clean_cache, strategy="stepwise")
-        broken_cache = ValidationCache(tmp_path, backend="sqlite")
+        broken_cache = ValidationCache(tmp_path)
         # Swap the live connection for one that fails every statement:
         # the first store operation of the run discovers the fault.
         broken_cache._store.close()
@@ -402,7 +370,7 @@ class TestSqliteFaultInjection:
     def test_faulted_store_still_answers_warm_queries_from_memory(
             self, tmp_path, error):
         module = small_test_corpus(functions=5, seed=11)
-        cache = ValidationCache(tmp_path, backend="sqlite")
+        cache = ValidationCache(tmp_path)
         cache._store.close()
         cache._store._conn = _FaultyConnection(error)
         (_, cold), = validate_module_batch(
@@ -426,8 +394,7 @@ class TestWarmRunLaziness:
         # pair keys (and the whole keys of *rejected* functions), so it
         # faults in strictly fewer entries than the store holds.
         module = small_test_corpus(functions=5, seed=11)
-        config = replace(DEFAULT_CONFIG, cache_dir=str(tmp_path),
-                         cache_backend="sqlite")
+        config = replace(DEFAULT_CONFIG, cache_dir=str(tmp_path))
         (_, cold), = validate_module_batch(
             [module], PAPER_PIPELINE, config, strategy="stepwise")
         assert cold.cache_stats["misses"] > 0
@@ -441,52 +408,3 @@ class TestWarmRunLaziness:
         assert warm.shard_stats["store_lazy_loads"] == stats["store_lazy_loads"]
         assert [r.signature() for r in cold.records] == \
                [r.signature() for r in warm.records]
-
-
-@pytest.mark.skipif(fcntl is None, reason="flock requires fcntl (POSIX)")
-class TestJsonSaveLocking:
-    def test_lock_holder_blocks_saver(self, tmp_path, pair):
-        before, after = pair
-        cache = ValidationCache(tmp_path, backend="json")
-        cache.put(cache.key(before, after, DEFAULT_CONFIG),
-                  validate(before, after, DEFAULT_CONFIG))
-        lock_path = tmp_path / (CACHE_FILE_NAME + ".lock")
-        holder = open(lock_path, "a+")
-        fcntl.flock(holder.fileno(), fcntl.LOCK_EX)
-        saver = threading.Thread(target=cache.save)
-        try:
-            saver.start()
-            time.sleep(0.3)
-            # The save is parked on the flock: no file has appeared.
-            assert saver.is_alive()
-            assert not (tmp_path / CACHE_FILE_NAME).exists()
-        finally:
-            fcntl.flock(holder.fileno(), fcntl.LOCK_UN)
-            holder.close()
-        saver.join(timeout=10)
-        assert not saver.is_alive()
-        assert (tmp_path / CACHE_FILE_NAME).exists()
-
-    def test_two_concurrent_savers_lose_nothing(self, tmp_path, pair,
-                                                diamond_source):
-        before, after = pair
-        other_before = parse_function(diamond_source)
-        other_after = clone_function(other_before)
-        writer_a = ValidationCache(tmp_path, backend="json")
-        writer_b = ValidationCache(tmp_path, backend="json")
-        writer_a.put(writer_a.key(before, after, DEFAULT_CONFIG),
-                     validate(before, after, DEFAULT_CONFIG))
-        writer_b.put(writer_b.key(other_before, other_after, DEFAULT_CONFIG),
-                     validate(other_before, other_after, DEFAULT_CONFIG))
-        threads = [threading.Thread(target=writer_a.save),
-                   threading.Thread(target=writer_b.save)]
-        for thread in threads:
-            thread.start()
-        for thread in threads:
-            thread.join(timeout=10)
-            assert not thread.is_alive()
-        # Whichever saver went second merged the first one's entry.
-        merged = ValidationCache(tmp_path, backend="json")
-        assert merged.loaded == 2
-        payload = json.loads((tmp_path / CACHE_FILE_NAME).read_text())
-        assert len(payload["entries"]) == 2

@@ -316,7 +316,7 @@ class TestRemoteStore:
     @pytest.fixture()
     def served(self, tmp_path):
         pool = TcpStealPool(1, None, listen="127.0.0.1:0",
-                            store=ServedStore(tmp_path, backend="sqlite"))
+                            store=ServedStore(tmp_path))
         yield f"{REMOTE_PREFIX}{pool.address[0]}:{pool.address[1]}"
         pool.close()
 
@@ -360,6 +360,37 @@ class TestRemoteStore:
         assert cache.get(key, "f") is not None
         assert cache.stats()["store_errors"] >= 1
 
+    def test_remote_cache_dir_reaches_every_driver(self, served):
+        # A remote:// cache_dir opens the served store in the serial
+        # driver and in the incremental revalidator, not just the batch
+        # driver.
+        from repro.bench import small_test_corpus
+        from repro.transforms import PAPER_PIPELINE
+        from repro.validator import Revalidator, llvm_md
+
+        config = ValidatorConfig(cache_dir=served)
+        module = small_test_corpus(functions=3, seed=5)
+        _, cold = llvm_md(module, PAPER_PIPELINE, config, strategy="stepwise")
+        assert cold.cache_stats["misses"] > 0
+        assert cold.cache_stats["store_rpcs"] > 0
+        _, warm = llvm_md(module, PAPER_PIPELINE, config, strategy="stepwise")
+        assert warm.cache_stats["misses"] == 0
+        assert warm.cache_stats["disk_loaded"] > 0
+        assert [r.signature() for r in cold.records] == \
+               [r.signature() for r in warm.records]
+        revalidator = Revalidator(config)
+        try:
+            assert revalidator.cache.backend == "remote"
+        finally:
+            revalidator.close()
+
+    def test_served_store_never_serves_a_remote_path(self):
+        # A coordinator whose own cache is remote:// serves an in-memory
+        # store instead of resolving the address as a directory.
+        store = ServedStore(f"{REMOTE_PREFIX}127.0.0.1:9")
+        assert store.kind == "memory"
+        store.close()
+
 
 # -- config validation of the transport knobs --------------------------------
 
@@ -367,7 +398,7 @@ class TestConfigValidation:
     def test_defaults_are_pipe_and_unset(self):
         assert DEFAULT_CONFIG.steal_transport == "pipe"
         assert DEFAULT_CONFIG.steal_listen is None
-        assert DEFAULT_CONFIG.steal_connect is None
+        assert DEFAULT_CONFIG.cache_dir is None
 
     def test_unknown_transport_rejected(self):
         with pytest.raises(ValueError, match="steal transport"):
@@ -383,14 +414,19 @@ class TestConfigValidation:
             ValidatorConfig(steal_listen="127.0.0.1:9")
 
     def test_connect_and_listen_are_exclusive(self):
+        # Consulting a served store (remote:// cache_dir) and hosting one
+        # (steal_listen) contradict each other.
         with pytest.raises(ValueError, match="not both"):
             ValidatorConfig(executor="steal", steal_transport="tcp",
                             steal_listen="127.0.0.1:9",
-                            steal_connect="127.0.0.1:10")
+                            cache_dir=f"{REMOTE_PREFIX}127.0.0.1:10")
+        ValidatorConfig(executor="steal", steal_transport="tcp",
+                        steal_listen="127.0.0.1:9", cache_dir="proofs")
 
     def test_addresses_must_be_host_port(self):
         with pytest.raises(ValueError, match="HOST:PORT"):
-            ValidatorConfig(steal_connect="localhost")
+            ValidatorConfig(executor="steal", steal_transport="tcp",
+                            steal_listen="localhost")
 
     def test_network_fault_sites_registered(self):
         for site in ("conn-drop", "conn-delay", "handshake"):

@@ -14,6 +14,7 @@ rewrites, executor cleanup on error).
 
 import json
 import os
+import sqlite3
 import threading
 import time
 
@@ -26,6 +27,7 @@ from repro.transforms.pass_manager import PAPER_PIPELINE
 from repro.validator import (
     BUDGET_EXHAUSTED,
     DEFAULT_CONFIG,
+    SQLITE_FILE_NAME,
     RequestBudget,
     Revalidator,
     ValidatorConfig,
@@ -470,15 +472,25 @@ class TestShutdown:
         cache_dir = tmp_path / "proofs"
         service = ValidationService(
             ValidatorConfig(service_port=0, max_inflight=2,
-                            cache_dir=str(cache_dir), cache_backend="json"))
+                            cache_dir=str(cache_dir)))
         thread = serve_in_thread(service)
         client = ValidationClient(port=service.port)
         client.validate(corpus="libquantum", scale=0.1)
         assert client.shutdown()["draining"] is True
         thread.join(timeout=10)
         assert not thread.is_alive()
+        # The cache was opened on the main thread and used from the
+        # request worker thread; the store must have followed it there.
+        stats = service.revalidator.cache.stats()
+        assert stats["store_errors"] == 0
         # The drain's save_if_dirty persisted the proofs.
-        assert (cache_dir / "validation_cache.json").exists()
+        conn = sqlite3.connect(str(cache_dir / SQLITE_FILE_NAME))
+        try:
+            rows = conn.execute("SELECT COUNT(*) FROM entries").fetchone()[0]
+        finally:
+            conn.close()
+        assert rows > 0
+        assert rows == stats["disk_stored"]
         # And a drained daemon no longer answers.
         with pytest.raises(ServiceError):
             client.stats()

@@ -529,8 +529,7 @@ class TestExecutorBackends:
 
     @pytest.mark.parametrize("strategy", STRATEGIES)
     @pytest.mark.parametrize("executor,concurrency", [
-        ("serial", 0), ("pool", 2), ("wave", 0), ("wave", 2),
-        ("steal", 0), ("steal", 2),
+        ("serial", 0), ("pool", 2), ("steal", 0), ("steal", 2),
     ])
     def test_backend_records_identical(self, mini_corpus, strategy, executor,
                                        concurrency):
@@ -542,45 +541,11 @@ class TestExecutorBackends:
                [r.signature() for r in report.records]
         assert report.shard_stats["executor"] == executor
 
-    def test_wave_cancels_doomed_pairs_on_high_rejection(self, mini_corpus):
-        # The point of the wave backend: with a rejecting pipeline, the
-        # pairs after a function's first rejection are never validated —
-        # the eager schedule pays for all of them.
-        _, serial = llvm_md(mini_corpus, BUGGY_PIPELINE, strategy="stepwise")
-        eager_config = replace(DEFAULT_CONFIG, executor="serial",
-                               chain_graphs=False)
-        (_, eager), = validate_module_batch(
-            [mini_corpus], BUGGY_PIPELINE, config=eager_config, strategy="stepwise")
-        wave_config = replace(DEFAULT_CONFIG, executor="wave")
-        (_, wave), = validate_module_batch(
-            [mini_corpus], BUGGY_PIPELINE, config=wave_config, strategy="stepwise")
-        assert [r.signature() for r in serial.records] == \
-               [r.signature() for r in wave.records] == \
-               [r.signature() for r in eager.records]
-        assert wave.shard_stats["waves"] > 0
-        assert wave.shard_stats["waves_cancelled"] > 0
-        assert wave.shard_stats["speculative_pairs_skipped"] > 0
-        # Fewer distinct queries answered than the eager per-pair schedule.
-        assert wave.shard_stats["distinct_pairs"] < eager.shard_stats["distinct_pairs"]
-
-    def test_wave_on_accepting_pipeline_cancels_nothing(self, mini_corpus):
-        config = replace(DEFAULT_CONFIG, executor="wave")
-        (_, report), = validate_module_batch(
-            [mini_corpus], PAPER_PIPELINE, config=config, strategy="stepwise")
-        rejected = [r for r in report.records if r.transformed and not r.validated]
-        if not rejected:
-            assert report.shard_stats["waves_cancelled"] == 0
-            assert report.shard_stats["speculative_pairs_skipped"] == 0
-        # Waves ran as deep as the longest accepting chain.
-        longest = max((r.changed_steps for r in report.records if r.transformed),
-                      default=0)
-        assert report.shard_stats["waves"] >= min(longest, 1)
-
-    def test_llvm_md_delegates_on_wave_executor(self, mini_corpus):
-        config = replace(DEFAULT_CONFIG, executor="wave")
+    def test_llvm_md_delegates_on_steal_executor(self, mini_corpus):
+        config = replace(DEFAULT_CONFIG, executor="steal")
         _, report = llvm_md(mini_corpus, PAPER_PIPELINE, config, strategy="stepwise")
         assert report.shard_stats is not None
-        assert report.shard_stats["executor"] == "wave"
+        assert report.shard_stats["executor"] == "steal"
         _, serial = llvm_md(mini_corpus, PAPER_PIPELINE, strategy="stepwise")
         assert [r.signature() for r in serial.records] == \
                [r.signature() for r in report.records]
@@ -594,9 +559,11 @@ class TestExecutorBackends:
             replace(DEFAULT_CONFIG, executor="serial", concurrency=4)
         with pytest.raises(ValueError, match="unknown executor"):
             replace(DEFAULT_CONFIG, executor="bogus")
+        with pytest.raises(ValueError, match="unknown executor"):
+            replace(DEFAULT_CONFIG, executor="wave")
         # Valid combinations construct fine.
-        replace(DEFAULT_CONFIG, executor="wave")
-        replace(DEFAULT_CONFIG, executor="wave", concurrency=4)
+        replace(DEFAULT_CONFIG, executor="steal")
+        replace(DEFAULT_CONFIG, executor="steal", concurrency=4)
         replace(DEFAULT_CONFIG, executor="pool", concurrency=2)
         replace(DEFAULT_CONFIG, executor="serial", concurrency=1)
 
@@ -607,8 +574,6 @@ class TestExecutorBackends:
         for row in rows:
             assert row["identical"], row["mismatches"]
             assert row["serial_pairs"] > 0
-            assert row["wave_pairs"] <= row["serial_pairs"]
-            assert row["wave_pairs_saved"] == row["serial_pairs"] - row["wave_pairs"]
             assert row["steal_pairs"] > 0
             assert row["steal_attempts"] >= row["items_stolen"]
 
@@ -667,15 +632,42 @@ class TestStealExecutor:
     def test_steal_cancellation_on_buggy_pipeline(self, mini_corpus):
         # With chain packing off, every adjacent pair rides the queue
         # individually and the stream of rejections cancels the doomed
-        # later pairs — deterministically so with concurrency 0.
+        # later pairs — deterministically so with concurrency 0.  The
+        # eager serial schedule pays for all of them.
         _, serial = llvm_md(mini_corpus, BUGGY_PIPELINE, strategy="stepwise")
+        eager_config = replace(DEFAULT_CONFIG, executor="serial",
+                               chain_graphs=False)
+        (_, eager), = validate_module_batch(
+            [mini_corpus], BUGGY_PIPELINE, config=eager_config, strategy="stepwise")
         config = replace(DEFAULT_CONFIG, executor="steal", concurrency=0,
                          chain_graphs=False)
         (_, report), = validate_module_batch(
             [mini_corpus], BUGGY_PIPELINE, config=config, strategy="stepwise")
         assert [r.signature() for r in serial.records] == \
-               [r.signature() for r in report.records]
+               [r.signature() for r in report.records] == \
+               [r.signature() for r in eager.records]
         assert report.shard_stats["speculative_pairs_skipped"] > 0
+        # Fewer distinct queries answered than the eager per-pair schedule.
+        assert report.shard_stats["distinct_pairs"] < \
+            eager.shard_stats["distinct_pairs"]
+
+    def test_steal_on_accepting_pipeline_cancels_nothing(self, mini_corpus):
+        # Without a rejection no pair is doomed: steal answers exactly
+        # the queries of the eager per-pair schedule.
+        passes = ("adce", "gvn", "sccp", "licm")
+        eager_config = replace(DEFAULT_CONFIG, executor="serial",
+                               chain_graphs=False)
+        (_, eager), = validate_module_batch(
+            [mini_corpus], passes, config=eager_config, strategy="stepwise")
+        config = replace(DEFAULT_CONFIG, executor="steal", chain_graphs=False)
+        (_, report), = validate_module_batch(
+            [mini_corpus], passes, config=config, strategy="stepwise")
+        assert all(r.validated for r in report.records if r.transformed)
+        assert [r.signature() for r in eager.records] == \
+               [r.signature() for r in report.records]
+        assert report.shard_stats["speculative_pairs_skipped"] == 0
+        assert report.shard_stats["distinct_pairs"] == \
+            eager.shard_stats["distinct_pairs"]
 
     def test_worker_death_mid_steal_degrades_losslessly(self, mini_corpus,
                                                         monkeypatch):
@@ -767,7 +759,7 @@ class TestFaultInjection:
 
         return FlakyPool
 
-    @pytest.mark.parametrize("executor", ["pool", "wave"])
+    @pytest.mark.parametrize("executor", ["pool"])
     def test_worker_death_mid_batch_degrades_losslessly(self, mini_corpus,
                                                         monkeypatch, executor):
         import concurrent.futures
@@ -775,7 +767,7 @@ class TestFaultInjection:
 
         monkeypatch.setattr(
             concurrent.futures, "ProcessPoolExecutor",
-            self._flaky_pool_class(BrokenProcessPool("worker died mid-wave")))
+            self._flaky_pool_class(BrokenProcessPool("worker died mid-batch")))
         clean_cache = ValidationCache()
         (_, clean), = validate_module_batch(
             [mini_corpus], BUGGY_PIPELINE,
@@ -792,8 +784,6 @@ class TestFaultInjection:
         assert report.shard_stats["workers"] == 0  # nothing ran pooled
         # No lost or double-counted cache queries: the degraded run's
         # consumed-query ledger is identical to the clean serial run's.
-        # (``entries`` may differ — the wave backend legitimately stores
-        # fewer verdicts than the eager schedule.)
         assert flaky_cache.hits == clean_cache.hits
         assert flaky_cache.misses == clean_cache.misses
         assert flaky_cache.misses <= len(flaky_cache)
@@ -833,7 +823,7 @@ class TestFaultInjection:
             concurrent.futures, "ProcessPoolExecutor",
             self._flaky_pool_class(BrokenProcessPool("boom"), 2))
         cache = ValidationCache()
-        config = replace(DEFAULT_CONFIG, executor="wave", concurrency=2)
+        config = replace(DEFAULT_CONFIG, executor="pool", concurrency=2)
         (_, report), = validate_module_batch(
             [mini_corpus], BUGGY_PIPELINE, config=config,
             cache=cache, strategy="stepwise")
