@@ -45,6 +45,12 @@ its TCP transport with N loopback remote worker subprocesses, run cold
 and then warm through the coordinator's served proof store — both legs
 must also match serial byte for byte.
 
+With ``--engine-parity`` (the default; ``--no-engine-parity`` disables)
+it also runs the :func:`repro.bench.engine_sweep_comparison` experiment
+over all twelve corpora and fails unless the default ``worklist``
+normalization engine produced record signatures identical to the
+``fullscan`` reference engine.  Both sweep times land in the artifact.
+
 Run with::
 
     PYTHONPATH=src python benchmarks/stepwise_guard.py [--scale 0.2] [--out FILE]
@@ -57,6 +63,7 @@ import sys
 
 from repro.bench import (
     chain_comparison,
+    engine_sweep_comparison,
     executor_comparison,
     format_table,
     incremental_comparison,
@@ -93,6 +100,13 @@ def main() -> int:
     parser.add_argument("--no-executor-parity", dest="executor_parity",
                         action="store_false",
                         help="skip the executor-parity check")
+    parser.add_argument("--engine-parity", dest="engine_parity",
+                        action="store_true", default=True,
+                        help="check worklist vs fullscan engine record "
+                             "parity (the default)")
+    parser.add_argument("--no-engine-parity", dest="engine_parity",
+                        action="store_false",
+                        help="skip the engine-parity check")
     parser.add_argument("--tcp-workers", type=int, default=0,
                         help="also run the steal backend over TCP with this "
                              "many loopback remote workers, cold and warm "
@@ -118,8 +132,11 @@ def main() -> int:
         executor_rows = executor_comparison(
             scale=args.scale, concurrency=max(2, args.shard_concurrency),
             tcp_workers=args.tcp_workers)
+    engine_rows = []
+    if args.engine_parity:
+        engine_rows = engine_sweep_comparison(scale=args.scale)
     args.out.parent.mkdir(parents=True, exist_ok=True)
-    payload = {"schema": 7, "scale": args.scale, "rows": rows,
+    payload = {"schema": 8, "scale": args.scale, "rows": rows,
                "tcp_workers": args.tcp_workers,
                "shard_concurrency": args.shard_concurrency,
                "shard_rows": shard_rows,
@@ -128,7 +145,9 @@ def main() -> int:
                "incremental_parity": args.incremental_parity,
                "incremental_rows": incremental_rows,
                "executor_parity": args.executor_parity,
-               "executor_rows": executor_rows}
+               "executor_rows": executor_rows,
+               "engine_parity": args.engine_parity,
+               "engine_rows": engine_rows}
     args.out.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
 
     table_columns = ("benchmark", "transformed", "whole_validated", "stepwise_validated",
@@ -221,6 +240,24 @@ def main() -> int:
                     f"{row['benchmark']}: backend records diverged from "
                     f"serial for: {', '.join(row['mismatches'])}"
                 )
+    if engine_rows:
+        engine_columns = ("benchmark", "records", "identical",
+                          "worklist_rule_invocations",
+                          "fullscan_rule_invocations", "worklist_time_s",
+                          "fullscan_time_s")
+        print()
+        print(format_table([{k: row[k] for k in engine_columns}
+                            for row in engine_rows],
+                           title="Worklist vs fullscan normalization engines"))
+        print(f"sweep time: worklist "
+              f"{sum(row['worklist_time_s'] for row in engine_rows):.2f} s, "
+              f"fullscan {sum(row['fullscan_time_s'] for row in engine_rows):.2f} s")
+        for row in engine_rows:
+            if not row["identical"]:
+                failures.append(
+                    f"{row['benchmark']}: worklist-engine records diverged "
+                    f"from fullscan for: {', '.join(row['mismatches'])}"
+                )
     if failures:
         print("\nSTRATEGY REGRESSION:", file=sys.stderr)
         for line in failures:
@@ -240,6 +277,9 @@ def main() -> int:
         if args.tcp_workers > 0:
             message += (f"; steal+tcp with {args.tcp_workers} remote workers "
                         f"matched serial cold and warm on every corpus")
+    if engine_rows:
+        message += ("; worklist and fullscan engines produced identical "
+                    "records on every corpus")
     print(f"\n{message}")
     return 0
 

@@ -17,6 +17,7 @@ Figure 8     :func:`figure8` — SCCP rewrite-rule ablation
 §5.1 timing  :func:`validation_timing` — validation wall-clock per benchmark
 §5.4         :func:`matching_ablation` — simple vs partition vs combined matcher
 (extension)  :func:`engine_comparison` — worklist vs full-scan normalization
+(extension)  :func:`engine_sweep_comparison` — worklist vs full-scan stepwise records
 (extension)  :func:`stepwise_comparison` — whole vs stepwise vs bisect strategies
 (extension)  :func:`sharded_comparison` — serial vs process-pool sharded records
 (extension)  :func:`executor_comparison` — serial vs pool vs steal scheduling backends
@@ -331,6 +332,52 @@ def engine_comparison(scale: float = 1.0, benchmarks: Optional[Sequence[str]] = 
             "invocation_ratio": round(worklist_inv / fullscan_inv, 3) if fullscan_inv else 1.0,
             "fullscan_time_s": round(fullscan_time, 2),
             "worklist_time_s": round(worklist_time, 2),
+        })
+    return rows
+
+
+def engine_sweep_comparison(scale: float = 1.0, benchmarks: Optional[Sequence[str]] = None,
+                            passes: Sequence[str] = PAPER_PIPELINE,
+                            config: Optional[ValidatorConfig] = None) -> List[Dict[str, object]]:
+    """Stepwise sweeps under both normalization engines, record for record.
+
+    Runs the default stepwise ``llvm_md`` sweep (chain graphs on) of every
+    corpus once per engine and compares the per-function
+    :meth:`~repro.validator.report.FunctionRecord.signature` lists: the
+    worklist engine is an execution strategy for the ``fullscan``
+    reference, so every verdict, blame and kept prefix must match (the
+    CI guard ``stepwise_guard.py --engine-parity`` enforces this).  Each
+    row also carries both sweep times and rule invocations.
+    """
+    base = config or DEFAULT_CONFIG
+    rows: List[Dict[str, object]] = []
+    for spec in _selected_specs(benchmarks):
+        per_engine: Dict[str, Dict[str, object]] = {}
+        for engine in ("worklist", "fullscan"):
+            module = build_corpus(spec, scale)
+            start = time.perf_counter()
+            _, report = llvm_md(module, passes, base.with_engine(engine),
+                                label=spec.name, strategy="stepwise")
+            per_engine[engine] = {
+                "time_s": round(time.perf_counter() - start, 3),
+                "rule_invocations": report.engine_totals().get("rule_invocations", 0),
+                "signatures": [record.signature() for record in report.records],
+            }
+        worklist, fullscan = per_engine["worklist"], per_engine["fullscan"]
+        mismatches = [ours["name"] for ours, reference
+                      in zip(worklist["signatures"], fullscan["signatures"])
+                      if ours != reference]
+        if len(worklist["signatures"]) != len(fullscan["signatures"]):  # pragma: no cover
+            mismatches.append("<record-count-mismatch>")
+        rows.append({
+            "benchmark": spec.name,
+            "records": len(worklist["signatures"]),
+            "identical": not mismatches,
+            "mismatches": mismatches,
+            "worklist_rule_invocations": worklist["rule_invocations"],
+            "fullscan_rule_invocations": fullscan["rule_invocations"],
+            "worklist_time_s": worklist["time_s"],
+            "fullscan_time_s": fullscan["time_s"],
         })
     return rows
 

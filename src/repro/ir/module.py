@@ -205,9 +205,11 @@ class Function(Value):
     def replace_all_uses(self, old: Value, new: Value) -> int:
         """Replace every operand reference to ``old`` with ``new``.
 
-        Returns the number of operand slots rewritten.  This scans the
-        whole function; at the scale of the benchmark corpora that is
-        cheap and avoids maintaining use lists.
+        Returns the number of operand slots rewritten.  There are no use
+        lists, so every call scans the whole function: calling it once
+        per replaced value is quadratic.  A pass that replaces many
+        values (``mem2reg`` promoting loads) should collect a replacement
+        map and rewrite operands in one pass instead.
         """
         count = 0
         for inst in self.instructions():

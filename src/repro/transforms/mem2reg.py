@@ -14,7 +14,7 @@ this pass promotes them).  The algorithm is the classical one:
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Set
+from typing import Dict, List, Optional, Set, Tuple
 
 from ..analysis.cfg import predecessor_map
 from ..analysis.dominators import DominatorTree
@@ -92,7 +92,19 @@ def mem2reg(function: Function) -> bool:
             undef_cache[id(alloca)] = UndefValue(alloca.allocated_type)
         return undef_cache[id(alloca)]
 
-    # Rename along the dominator tree.
+    # Rename along the dominator tree.  A promoted load's uses are not
+    # rewritten on the spot (a whole-function scan per load is quadratic):
+    # each load is mapped to its reaching value, keyed by ``id(load)`` with
+    # the load itself held in the entry so a recycled id can never match.
+    # Values entering ``state`` are resolved through the map first, so a
+    # mapped value is never itself a promoted load; one pass at the end
+    # rewrites every operand, φ incoming values included.
+    replaced: Dict[int, Tuple[Load, Value]] = {}
+
+    def reaching(value: Value) -> Value:
+        entry = replaced.get(id(value))
+        return entry[1] if entry is not None and entry[0] is value else value
+
     alloca_ids = {id(a) for a in allocas}
     entry_state = {id(a): initial_value(a) for a in allocas}
     stack = [(function.entry, entry_state)]
@@ -112,10 +124,10 @@ def mem2reg(function: Function) -> bool:
                         state[id(alloca)] = inst
                 continue
             if isinstance(inst, Load) and id(inst.pointer) in alloca_ids:
-                function.replace_all_uses(inst, state[id(inst.pointer)])
+                replaced[id(inst)] = (inst, state[id(inst.pointer)])
                 block.remove(inst)
             elif isinstance(inst, Store) and id(inst.pointer) in alloca_ids:
-                state[id(inst.pointer)] = inst.value
+                state[id(inst.pointer)] = reaching(inst.value)
                 block.remove(inst)
 
         # Fill φ operands of successors.
@@ -127,6 +139,10 @@ def mem2reg(function: Function) -> bool:
 
         for child in dom.children(block):
             stack.append((child, state))
+
+    if replaced:
+        for inst in function.instructions():
+            inst.operands[:] = [reaching(operand) for operand in inst.operands]
 
     # Remove the allocas themselves.
     for alloca in allocas:

@@ -217,8 +217,10 @@ class ValidationReport:
                 # one normalization is never counted once per pair);
                 # fold it into the same counters the per-pair path
                 # reports so the two modes stay comparable.
-                totals["rule_invocations"] = (totals.get("rule_invocations", 0)
-                                              + record.chain_stats.get("chain_rule_invocations", 0))
+                for key in ("rule_invocations", "rewrites", "sharing_merges",
+                            "cycle_merges"):
+                    totals[key] = (totals.get(key, 0)
+                                   + record.chain_stats.get(f"chain_{key}", 0))
                 totals["nodes_built"] = (totals.get("nodes_built", 0)
                                          + record.chain_stats.get("chain_nodes_built", 0))
                 totals["nodes_created"] = (totals.get("nodes_created", 0)
@@ -249,7 +251,9 @@ class ValidationReport:
         hash-consed into them), ``chain_nodes_built`` vs.
         ``chain_pair_baseline_nodes`` (construction work against the
         estimated per-pair baseline), ``chain_rounds`` /
-        ``chain_rule_invocations`` (the single normalize run's work),
+        ``chain_rule_invocations`` / ``chain_rewrites`` /
+        ``chain_sharing_merges`` / ``chain_cycle_merges`` (the single
+        normalize run's work),
         ``chain_normalizations_saved`` and ``chain_fallbacks``.
         """
         totals: Dict[str, int] = {}

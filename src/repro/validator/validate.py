@@ -576,6 +576,9 @@ def _chain_stats(versions: int, nodes_built: int, nodes_created: int,
         "chain_pair_baseline_nodes": baseline_nodes,
         "chain_rounds": stats.iterations,
         "chain_rule_invocations": stats.rule_invocations,
+        "chain_rewrites": stats.rewrites,
+        "chain_sharing_merges": stats.sharing_merges,
+        "chain_cycle_merges": stats.cycle_merges,
         "chain_normalizations_saved": versions - 2,
         "chain_fallbacks": 0,
         "chain_gate_translations": gate_translations,
@@ -600,6 +603,9 @@ def _chain_fallback(versions: Sequence[Function], config: ValidatorConfig,
         "chain_pair_baseline_nodes": 0,
         "chain_rounds": 0,
         "chain_rule_invocations": 0,
+        "chain_rewrites": 0,
+        "chain_sharing_merges": 0,
+        "chain_cycle_merges": 0,
         "chain_normalizations_saved": 0,
         "chain_fallbacks": 1,
         "chain_gate_translations": 0,

@@ -18,9 +18,10 @@ The graph supports:
 * **structural signatures** — an iterated (Weisfeiler–Lehman style) hash
   that is stable across graphs and tolerant of cycles, used to order φ
   branches canonically and to seed cycle matching;
-* **sharing maximization** — re-hash-consing to a fixpoint after rewrites
-  (:meth:`maximize_sharing`), used together with the μ-cycle unification
-  in :mod:`repro.vgraph.sharing`;
+* **sharing maximization** — re-hash-consing to a fixpoint after rewrites,
+  over the whole graph (:meth:`maximize_sharing`) or over the stale
+  parents of recent merges (:meth:`maximize_sharing_incremental`), used
+  together with the μ-cycle unification in :mod:`repro.vgraph.sharing`;
 * **reverse use-edges** — every node knows which nodes use it as an
   argument (:meth:`parents`), so a redirect can enumerate exactly the
   nodes whose hash-consing keys became stale;
@@ -59,10 +60,17 @@ class ValueGraph:
         #: excluded).  Unlike ``next_id`` they see work that creates no node.
         self.make_calls = 0
         self.gate_translations = 0
+        #: Canonical id -> "is this an i1-valued term?" for the boolean
+        #: rules.  Exact between merges (no canonical id, kind or argument
+        #: changes and :meth:`make` only adds nodes), so :meth:`_merge`
+        #: drops it and every other mutation leaves it valid.
+        self.boolean_memo: Dict[int, bool] = {}
 
     # -- identity --------------------------------------------------------
     def resolve(self, node_id: int) -> int:
         """Follow redirections to the canonical id (with path compression)."""
+        if node_id not in self._forward:
+            return node_id
         root = node_id
         while root in self._forward:
             root = self._forward[root]
@@ -129,6 +137,8 @@ class ValueGraph:
         nodes whose hash-consing keys the merge invalidated.
         """
         self._forward[old_root] = new_root
+        if self.boolean_memo:
+            self.boolean_memo.clear()
         stale = self._parents.pop(old_root, None)
         if stale:
             self._parents.setdefault(new_root, set()).update(stale)
@@ -253,6 +263,13 @@ class ValueGraph:
         Returns the number of merges performed.  Cyclic structures that
         are equivalent but not syntactically identical are *not* merged
         here; that is the job of :func:`repro.vgraph.sharing.merge_cycles`.
+
+        This re-keys every live node each round, so it costs the whole
+        graph.  It is the reference pass: the ``fullscan`` engine and
+        :func:`repro.vgraph.partition.merge_by_partition` call it.  The
+        worklist engine and :func:`~repro.vgraph.sharing.merge_cycles`
+        use :meth:`maximize_sharing_incremental`, seeded by the stale
+        parents of their own merges.
         """
         merges = 0
         for _ in range(max_rounds):
@@ -292,6 +309,12 @@ class ValueGraph:
         affected region — in time proportional to the change, not the
         graph.  μ-nodes are left to the cycle matchers, exactly as
         :meth:`_rebuild_table` excludes them from the cons table.
+
+        The result is exact only if the cons table held every non-μ node
+        once before the merges that produced ``seeds``.  A freshly built
+        graph satisfies that (the builder hash-conses and never
+        redirects), and it stays true as long as every merge's stale
+        parents are handed to this method.
         """
         merges = 0
         queue = deque(seeds)
@@ -342,8 +365,8 @@ class ValueGraph:
         — the incremental revalidator clones its *pristine* (constructed,
         never normalized) master chain graph down to the current
         checkpoint roots before normalizing, so retired versions' nodes
-        neither appear in the work graph nor skew the full
-        :meth:`maximize_sharing` scan of the first normalization round.
+        neither appear in the work graph nor cost the normalization
+        anything.
         Restriction therefore requires a merge-free graph: redirects
         forward arbitrary ids across subgraph boundaries, and slicing a
         forwarded graph could orphan forward targets.
@@ -437,17 +460,15 @@ class ValueGraph:
             node_ids = [n.id for n in self.live_nodes()]
         else:
             node_ids = list(self.reachable(roots))
+        nodes = [self._nodes[node_id] for node_id in node_ids]
+        resolved_args = [[self.resolve(a) for a in node.args] for node in nodes]
         signature: Dict[int, int] = {}
-        for node_id in node_ids:
-            node = self._nodes[node_id]
+        for node_id, node in zip(node_ids, nodes):
             signature[node_id] = hash((node.kind, node.data, len(node.args)))
         for _ in range(rounds):
             updated: Dict[int, int] = {}
-            for node_id in node_ids:
-                node = self._nodes[node_id]
-                arg_signatures = tuple(
-                    signature.get(self.resolve(a), 0) for a in node.args
-                )
+            for node_id, node, args in zip(node_ids, nodes, resolved_args):
+                arg_signatures = tuple(signature.get(a, 0) for a in args)
                 updated[node_id] = hash((node.kind, node.data, arg_signatures))
             signature = updated
         return signature

@@ -24,10 +24,20 @@ Two engines implement the fixpoint loop:
     realizes the paper's proportionality claim structurally: a validation
     that needed few rewrites touches few nodes after the first round.
 
+    No pass inside the loop rescans the whole graph after round one.
+    Sharing is incremental in *every* round, round one included: the
+    builder never redirects, so a fresh graph's cons table already holds
+    each non-μ node once, and the merge listener is registered before
+    round one.  :func:`~repro.vgraph.sharing.merge_cycles` re-keys only
+    the stale parents of its own redirects, φ-branch sorting renders
+    sub-graphs only to break signature ties, and the boolean rules share
+    one classification memo per graph between merges.
+
 ``fullscan``
     The original engine: every round re-scans every reachable node
-    against every enabled rule.  Kept both as a baseline for the
-    engine-parity tests/benchmarks and as a fallback.
+    against every enabled rule and re-hash-conses the whole graph with
+    :meth:`~repro.vgraph.graph.ValueGraph.maximize_sharing`.  Kept as the
+    reference for the engine-parity tests and guards.
 
 Both engines produce the same verdicts; the worklist engine just invokes
 far fewer rules to get there (see ``repro.bench.experiments.engine_comparison``).
@@ -35,7 +45,7 @@ far fewer rules to get there (see ``repro.bench.experiments.engine_comparison``)
 
 from __future__ import annotations
 
-from collections import deque
+from collections import Counter, deque
 from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
 
 from .graph import MergeListener, ValueGraph
@@ -182,10 +192,10 @@ class Normalizer:
 
         The ``worklist`` engine seeds round one from everything reachable
         and every later round from the dirty set the graph's merge
-        notifications collected, closed over reverse use-edges; sharing
-        maximization, μ-cycle matching and φ-branch sorting consume the
-        same dirty set.  The ``fullscan`` engine re-scans everything every
-        round.
+        notifications collected, closed over reverse use-edges; μ-cycle
+        matching and φ-branch sorting consume the same dirty set, and
+        sharing re-keys only the dirty nodes in every round.  The
+        ``fullscan`` engine re-scans everything every round.
         """
         incremental = self.engine == "worklist"
         dirty: Set[int] = set()
@@ -212,7 +222,7 @@ class Normalizer:
                 if goal_pairs is not None and "loadstore" in self.rule_groups:
                     rewrites += self._prune_unobservable_stores(roots)
                 stats.rewrites += rewrites
-                if candidates is not None:
+                if incremental:
                     merges = self.graph.maximize_sharing_incremental(set(dirty))
                 else:
                     merges = self.graph.maximize_sharing()
@@ -367,6 +377,12 @@ class Normalizer:
         restricts the φ-nodes considered (the incremental engine passes its
         dirty set); the signatures themselves are always computed from the
         roots so sort keys stay globally consistent.
+
+        Branches sort by ``(signature(cond), signature(value))``.  Only
+        branches that tie on that pair are rendered with
+        :meth:`~repro.vgraph.graph.ValueGraph.format_node` to break the
+        tie; untied branches never compare past the pair, so the order is
+        the one the four-part key ``(sig, sig, render, render)`` gives.
         """
         if candidates is not None:
             phi_ids = sorted({self.graph.resolve(node_id) for node_id in candidates})
@@ -389,22 +405,30 @@ class Normalizer:
             if node.kind != "phi" or len(node.args) <= 2:
                 continue
             branches = node.phi_branches()
-            def sort_key(branch: Tuple[int, int]) -> Tuple:
-                condition, value = branch
-                condition = self.graph.resolve(condition)
-                value = self.graph.resolve(value)
-                return (
-                    signatures.get(condition, 0),
-                    signatures.get(value, 0),
-                    self.graph.format_node(condition, max_depth=3),
-                    self.graph.format_node(value, max_depth=3),
-                )
-            ordered = sorted(branches, key=sort_key)
+            ordered = self._ordered_branches(branches, signatures)
             if ordered != branches:
                 replacement = self.graph.phi(ordered)
                 if self.graph.redirect(node_id, replacement):
                     changed += 1
         return changed
+
+    def _ordered_branches(self, branches: List[Tuple[int, int]],
+                          signatures: Dict[int, int]) -> List[Tuple[int, int]]:
+        """``branches`` in canonical order (see :meth:`_sort_phi_branches`)."""
+        resolve = self.graph.resolve
+        pairs = [(signatures.get(resolve(condition), 0),
+                  signatures.get(resolve(value), 0))
+                 for condition, value in branches]
+        counts = Counter(pairs)
+        keys = []
+        for pair, (condition, value) in zip(pairs, branches):
+            if counts[pair] > 1:
+                keys.append(pair + (self.graph.format_node(condition, max_depth=3),
+                                    self.graph.format_node(value, max_depth=3)))
+            else:
+                keys.append(pair)
+        order = sorted(range(len(branches)), key=keys.__getitem__)
+        return [branches[index] for index in order]
 
 
 def unobservable_stores(graph: ValueGraph, roots: Sequence[int]) -> List[int]:

@@ -120,12 +120,10 @@ def rule_cmp_with_bool_literal(graph: ValueGraph, node: VNode) -> Optional[int]:
     if node.kind != "icmp" or node.data not in ("eq", "ne"):
         return None
     lhs, rhs = graph.node(node.args[0]), graph.node(node.args[1])
-    memo: Dict[int, bool] = {}
     for value_id, literal in ((node.args[0], rhs), (node.args[1], lhs)):
         if literal.kind == "const" and literal.data[1] == "i1":
-            other = graph.node(value_id)
             # Only sound when the compared value itself is an i1.
-            if not _is_boolean_node(graph, value_id, memo):
+            if not _is_boolean_node(graph, value_id):
                 continue
             is_true_literal = literal.data[0] == 1
             keep = (node.data == "eq") == is_true_literal
@@ -133,18 +131,19 @@ def rule_cmp_with_bool_literal(graph: ValueGraph, node: VNode) -> Optional[int]:
     return None
 
 
-def _is_boolean_node(graph: ValueGraph, node_id: int,
-                     memo: Optional[Dict[int, bool]] = None) -> bool:
-    # The memo lives for one top-level query only: gate formulas are deep,
-    # heavily shared DAGs, and without it the walk revisits shared
-    # sub-terms exponentially often.  Only μ-nodes can be cyclic and they
-    # are classified as non-boolean without descending, so memoizing on
-    # the canonical id is exact.  The walk uses an explicit stack: rules
-    # run during *normalization*, which gets no recursion-limit headroom
-    # (only graph construction does), and and/or/xor operand chains can
-    # be as deep as the gate formulas they encode.
-    if memo is None:
-        memo = {}
+def _is_boolean_node(graph: ValueGraph, node_id: int) -> bool:
+    # Gate formulas are deep, heavily shared DAGs: without a memo the walk
+    # revisits shared sub-terms exponentially often, and with a per-call
+    # memo every rule call walks the whole and/or DAG below it again.  The
+    # memo is the graph's ``boolean_memo``, which ``ValueGraph._merge``
+    # drops: between merges no canonical id, kind or argument changes.
+    # Only μ-nodes can be cyclic and they are classified as non-boolean
+    # without descending, so memoizing on the canonical id is exact.  The
+    # walk uses an explicit stack: rules run during *normalization*, which
+    # gets no recursion-limit headroom (only graph construction does), and
+    # and/or/xor operand chains can be as deep as the gate formulas they
+    # encode.
+    memo = graph.boolean_memo
     root = graph.resolve(node_id)
     stack = [root]
     while stack:
@@ -196,8 +195,7 @@ def rule_bool_connectives(graph: ValueGraph, node: VNode) -> Optional[int]:
     """``and``/``or`` with literal or duplicate operands."""
     if node.kind != "binop" or node.data not in ("and", "or"):
         return None
-    memo: Dict[int, bool] = {}
-    if not all(_is_boolean_node(graph, a, memo) for a in node.args):
+    if not all(_is_boolean_node(graph, a) for a in node.args):
         return None
     lhs, rhs = graph.resolve(node.args[0]), graph.resolve(node.args[1])
     lhs_node, rhs_node = graph.node(lhs), graph.node(rhs)

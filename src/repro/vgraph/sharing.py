@@ -87,6 +87,13 @@ def merge_cycles(graph: ValueGraph, roots: Optional[List[int]] = None,
     changed.  As soon as a round merges anything the restriction is
     lifted, because merges reshape the graph around every μ.
 
+    After a round that merged, hash-consing is restored incrementally: a
+    temporary merge listener collects the stale parents of this call's own
+    redirects and :meth:`~repro.vgraph.graph.ValueGraph.maximize_sharing_incremental`
+    re-keys exactly those, so the call costs the μ sub-graphs and the
+    merged region rather than the whole graph.  μ-nodes that became
+    identical are left to the next unify round.
+
     Two hot spots the profile exposed are avoided: the μ population is
     collected from one reachability walk and carried across rounds
     (merging can only *shrink* it, so later rounds just re-resolve the
@@ -98,6 +105,11 @@ def merge_cycles(graph: ValueGraph, roots: Optional[List[int]] = None,
     """
     merged = 0
     mu_ids: Optional[List[int]] = None
+    stale: Set[int] = set()
+
+    def collect(old_root: int, new_root: int, stale_parents: Set[int]) -> None:
+        stale.update(stale_parents)
+
     for _ in range(8):
         if candidates is not None:
             # A pair is only attempted when one side is a candidate, so
@@ -149,14 +161,19 @@ def merge_cycles(graph: ValueGraph, roots: Optional[List[int]] = None,
                     mapping = unify(graph, a, b)
                     if mapping is None:
                         continue
-                    for source, target in mapping.items():
-                        if graph.redirect(source, target):
-                            round_merged += 1
+                    graph.add_listener(collect)
+                    try:
+                        for source, target in mapping.items():
+                            if graph.redirect(source, target):
+                                round_merged += 1
+                    finally:
+                        graph.remove_listener(collect)
         if round_merged == 0:
             return merged
         merged += round_merged
         candidates = None
-        graph.maximize_sharing()
+        graph.maximize_sharing_incremental(stale)
+        stale.clear()
     return merged
 
 

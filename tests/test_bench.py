@@ -154,6 +154,18 @@ class TestChainComparisonExperiment:
                 assert row["chain_normalize_runs"] < row["per_pair_normalize_runs"]
 
 
+class TestEngineSweepComparisonExperiment:
+    def test_engines_produce_identical_records(self):
+        from repro.bench import engine_sweep_comparison
+
+        rows = engine_sweep_comparison(scale=0.25, benchmarks=["mcf", "hmmer"])
+        assert [row["benchmark"] for row in rows] == ["mcf", "hmmer"]
+        for row in rows:
+            assert row["identical"], row["mismatches"]
+            assert row["records"] > 0
+            assert 0 < row["worklist_rule_invocations"] < row["fullscan_rule_invocations"]
+
+
 class TestPerfGuardAndTriageCLIs:
     @staticmethod
     def _guard_runner(artifact_path, baseline_path):

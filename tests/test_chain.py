@@ -147,6 +147,9 @@ class TestValidateChain:
             # baseline for any chain with an interior version.
             assert stats["chain_nodes_built"] < stats["chain_pair_baseline_nodes"]
             assert stats["chain_fallbacks"] == 0
+            for key in ("chain_rewrites", "chain_sharing_merges",
+                        "chain_cycle_merges"):
+                assert stats[key] >= 0
 
     def test_pruning_scoped_rejects_are_not_trusted(self):
         # Observability pruning is root-scoped: the chain graph's goal
@@ -255,6 +258,19 @@ class TestChainRecordParity:
         # normalization in, or savings would be overstated.
         assert chained.engine_totals()["rule_invocations"] > 0
 
+    def test_chain_rewrites_reach_engine_totals(self, mini_corpus):
+        # The chain's single normalization carries its rewrites and merges
+        # on the record, not on the per-pair results; the report totals
+        # must fold them in, or a stepwise sweep reports zero rewrites.
+        _, report = llvm_md(mini_corpus, PAPER_PIPELINE, strategy="stepwise")
+        chain = report.chain_totals()
+        assert chain["chains"] > 0 and chain["chain_fallbacks"] == 0
+        assert chain["chain_rewrites"] > 0
+        totals = report.engine_totals()
+        assert totals["rewrites"] >= chain["chain_rewrites"] > 0
+        for key in ("sharing_merges", "cycle_merges"):
+            assert totals[key] >= chain[f"chain_{key}"]
+
     @pytest.mark.parametrize("passes", [PAPER_PIPELINE, BUGGY_PIPELINE])
     def test_sharded_chain_records_identical(self, mini_corpus, passes):
         _, serial = llvm_md(mini_corpus, passes, strategy="stepwise")
@@ -286,6 +302,7 @@ class TestChainRecordParity:
             assert chained.signature() == per_pair.signature()
             if chained.chain_stats is not None:
                 assert chained.chain_stats["chain_fallbacks"] == 1
+                assert chained.chain_stats["chain_rewrites"] == 0
                 checked = True
         assert checked
 

@@ -174,6 +174,103 @@ class TestEngineParity:
             Normalizer(ValueGraph(), engine="bogus")
 
 
+class TestProportionalPasses:
+    """Invariants that let the worklist engine skip whole-graph rescans."""
+
+    def test_boolean_memo_dropped_on_merge(self):
+        from repro.vgraph.rules import rule_bool_connectives
+
+        graph = ValueGraph()
+        a, b = graph.make("param", 0), graph.make("param", 1)
+        cond = graph.make("icmp", "slt", [a, b])
+        phi = graph.phi([(cond, graph.const(1, "i1")),
+                         (graph.not_(cond), graph.make("param", 2))])
+        conjunction = graph.make("binop", "and", [phi, graph.true()])
+        # A φ is not known to be boolean, so the rule declines — and the
+        # graph's memo now records that classification.
+        assert rule_bool_connectives(graph, graph.node(conjunction)) is None
+        assert graph.boolean_memo.get(phi) is False
+        other = graph.make("icmp", "eq", [a, b])
+        assert graph.redirect(phi, other)
+        assert not graph.boolean_memo
+        assert rule_bool_connectives(graph, graph.node(conjunction)) == other
+
+    def test_full_sharing_finds_nothing_reachable_after_worklist(self):
+        # Incremental sharing in every round must leave the goal region at
+        # the hash-consing fixpoint the full scan would reach: on every
+        # chain graph of the twelve corpora, a full scan afterwards merges
+        # no node reachable from the goal roots.
+        import sys
+
+        from repro.bench.corpus import PAPER_BENCHMARKS, build_corpus
+        from repro.transforms import PassManager, checkpoint_chain
+        from repro.validator import DEFAULT_CONFIG
+        from repro.vgraph.builder import build_chain_graph
+
+        checked = 0
+        old_limit = sys.getrecursionlimit()
+        sys.setrecursionlimit(max(old_limit, DEFAULT_CONFIG.recursion_limit))
+        try:
+            for spec in PAPER_BENCHMARKS:
+                for function in build_corpus(spec, 0.05).defined_functions():
+                    snapshots = PassManager(PAPER_PIPELINE).run_with_snapshots(function)
+                    _, versions = checkpoint_chain(function, snapshots)
+                    if len(versions) < 2:
+                        continue
+                    graph, summaries = build_chain_graph(versions)
+                    ends = list(zip(summaries, summaries[1:]))
+                    if len(summaries) > 2:
+                        ends.append((summaries[0], summaries[-1]))
+                    goals = [goal for left, right in ends
+                             for goal in ((left.result, right.result),
+                                          (left.memory, right.memory))]
+                    Normalizer(graph).normalize_until_equal(goals)
+                    roots = [node for goal in goals for node in goal
+                             if node is not None]
+                    reachable = graph.reachable(roots)
+                    # The invariant that makes incremental sharing exact:
+                    # the cons table maps every reachable non-μ node's
+                    # current key to that node.
+                    for node_id in reachable:
+                        node = graph.node(node_id)
+                        if node.kind != "mu":
+                            key = node.key(tuple(graph.resolve_args(node)))
+                            assert graph.resolve(graph._table[key]) == node_id
+                    graph.maximize_sharing()
+                    assert all(graph.resolve(node) == node for node in reachable), \
+                        (spec.name, function.name)
+                    checked += 1
+        finally:
+            sys.setrecursionlimit(old_limit)
+        assert checked > 12
+
+    def test_tied_phi_branches_sort_as_full_key(self):
+        import random
+
+        graph = ValueGraph()
+        params = [graph.make("param", index) for index in range(4)]
+        leaves = params + [graph.make("binop", "add", [x, y])
+                           for x in params for y in params]
+        normalizer = Normalizer(graph)
+
+        def full_key(branch):
+            condition, value = branch
+            return (signatures.get(graph.resolve(condition), 0),
+                    signatures.get(graph.resolve(value), 0),
+                    graph.format_node(condition, max_depth=3),
+                    graph.format_node(value, max_depth=3))
+
+        rng = random.Random(5)
+        for _ in range(200):
+            # Few distinct signature values force ties between branches
+            # whose renderings differ.
+            signatures = {node: rng.randrange(3) for node in leaves}
+            branches = [(rng.choice(leaves), rng.choice(leaves))
+                        for _ in range(rng.randrange(2, 7))]
+            assert normalizer._ordered_branches(branches, signatures) == \
+                sorted(branches, key=full_key)
+
+
 class TestNormalizeStatsCrediting:
     """Regression: `normalize()` must credit cycle/partition merges."""
 

@@ -87,6 +87,25 @@ class TestCandidateRestriction:
         assert not graph.same(a1, b1)
 
 
+class TestSharingAfterCycleMerges:
+    def test_parents_of_merged_cycles_are_hash_consed(self):
+        # Terms over two equivalent loops become identical once the loops
+        # merge; merge_cycles re-keys the stale parents of its own
+        # redirects, so they merge too, without a full sharing scan.
+        graph = ValueGraph()
+        mu1 = _counting_loop(graph, 0, 1)
+        mu2 = _counting_loop(graph, 0, 1)
+        seven = graph.const(7)
+        use1 = graph.make("binop", "mul", [mu1, seven])
+        use2 = graph.make("binop", "mul", [mu2, seven])
+        top1 = graph.make("eta", None, [graph.true(), use1])
+        top2 = graph.make("eta", None, [graph.true(), use2])
+        assert merge_cycles(graph, [top1, top2]) > 0
+        assert graph.same(mu1, mu2)
+        assert graph.same(use1, use2)
+        assert graph.same(top1, top2)
+
+
 class TestSignatureStability:
     def test_signatures_stable_across_node_id_renumbering(self):
         # The same structure built in two different orders gets different

@@ -102,6 +102,86 @@ class TestMem2Reg:
         mem2reg(fn)
         assert not mem2reg(fn)
 
+    def test_promoted_load_feeding_store_and_phi(self):
+        # %t is a promoted load whose value is stored to another promoted
+        # alloca and flows into an existing φ; %u reloads what was just
+        # stored.  Every use must end up at the reaching value %a.
+        source = """
+            define i32 @f(i32 %a, i32 %b) {
+            entry:
+              %x = alloca i32
+              %y = alloca i32
+              store i32 %a, i32* %x
+              store i32 %b, i32* %y
+              %c = icmp slt i32 %a, %b
+              br i1 %c, label %then, label %join
+            then:
+              %t = load i32, i32* %x
+              store i32 %t, i32* %y
+              %u = load i32, i32* %y
+              %d = add i32 %u, 1
+              br label %join
+            join:
+              %p = phi i32 [ %t, %then ], [ 0, %entry ]
+              %e = phi i32 [ %d, %then ], [ 0, %entry ]
+              %v = load i32, i32* %y
+              %s = add i32 %v, %p
+              %r = add i32 %s, %e
+              ret i32 %r
+            }
+        """
+        module = parse_module(source)
+        expected = [run_function(module, "f", args).return_value
+                    for args in ([1, 2], [3, 2])]
+        fn = module.get_function("f")
+        assert mem2reg(fn)
+        verify_function(fn)
+        assert not any(i.opcode in ("alloca", "load", "store")
+                       for i in fn.instructions())
+        a = fn.args[0]
+        then = fn.block("then")
+        p = next(phi for phi in fn.block("join").phis() if phi.name == "p")
+        assert p.incoming_for(then) is a
+        add_d = next(i for i in fn.instructions() if i.name == "d")
+        assert add_d.operands[0] is a
+        # The φ mem2reg placed for %y receives %a from %then.
+        placed = [phi for phi in fn.block("join").phis()
+                  if phi.name not in ("p", "e")]
+        assert [phi.incoming_for(then) for phi in placed] == [a]
+        assert [run_function(module, "f", args).return_value
+                for args in ([1, 2], [3, 2])] == expected
+
+    def test_corpus_ir_is_unchanged(self):
+        # Printed IR of the twelve paper corpora after mem2reg, pinned from
+        # the implementation that rewrote each load's uses immediately.
+        import hashlib
+
+        from repro.bench.corpus import PAPER_BENCHMARKS, build_corpus
+        from repro.ir.printer import print_module
+
+        digests = {
+            spec.name: hashlib.sha256(
+                print_module(build_corpus(spec, 0.05)).encode()).hexdigest()
+            for spec in PAPER_BENCHMARKS
+        }
+        assert digests == CORPUS_IR_SHA256_AT_0_05
+
+
+CORPUS_IR_SHA256_AT_0_05 = {
+    "sqlite": "3b029eaa832ce51932cc7e0a4e671658429dbc27e5d4d9f5b0d92d2500f7ad97",
+    "bzip2": "140dbb6eb19ffecdd76603098429a1bff51f2a6bcb33de13a26b41b232556dd0",
+    "gcc": "40f13d1d1e34f4abf1079700759863ec41e4801b4430736b6e836b9cae3130b2",
+    "h264ref": "34dd7d16275fbf3b567ed7e89d307d00dbcedf4596a36b116d55ec3f9ac9d321",
+    "hmmer": "d00a6f54f6b7802f9abe45db174a7cc8933e83c3c49ea1601219250f38ebdd78",
+    "lbm": "3299ea513c3b658411f6fb1df0906c165cb5e36bbaf070dd4c580d46da3d5635",
+    "libquantum": "9c8449f9b9ef86e3d2d449b0a7a825c4fdd4e3ef8d66826d720b66f00518afc6",
+    "mcf": "30da88644e5e96f1ad59845f893c0a43137ba015db2152bae08027e644a5d4c0",
+    "milc": "f77a5522c7de966426b179aa40a0d5f704b252b7acebc5d4c82a4b5fe2071609",
+    "perlbench": "bc6a96f8b342e51082c9b5b418c4e0333e9f1a28f59d0b93390f792912307f3b",
+    "sjeng": "a95d3668f1d3a31cff3b21d5e3f152092423662e67b91c80f57e47231d357876",
+    "sphinx": "7df03271e8f7a46501dee94ecd84713b90e8a9a843dfc9d01250b206a48abd30",
+}
+
 
 class TestGVN:
     def test_removes_redundant_expression(self):
