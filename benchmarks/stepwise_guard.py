@@ -45,11 +45,11 @@ its TCP transport with N loopback remote worker subprocesses, run cold
 and then warm through the coordinator's served proof store — both legs
 must also match serial byte for byte.
 
-With ``--engine-parity`` (the default; ``--no-engine-parity`` disables)
-it also runs the :func:`repro.bench.engine_sweep_comparison` experiment
-over all twelve corpora and fails unless the default ``worklist``
-normalization engine produced record signatures identical to the
-``fullscan`` reference engine.  Both sweep times land in the artifact.
+With ``--engine-parity`` it also runs the
+:func:`repro.bench.engine_sweep_comparison` experiment over all twelve
+corpora and fails unless the default ``worklist`` normalization engine
+produced record signatures identical to the ``fullscan`` reference
+engine.  Both sweep times land in the artifact.
 
 Run with::
 
@@ -100,13 +100,9 @@ def main() -> int:
     parser.add_argument("--no-executor-parity", dest="executor_parity",
                         action="store_false",
                         help="skip the executor-parity check")
-    parser.add_argument("--engine-parity", dest="engine_parity",
-                        action="store_true", default=True,
-                        help="check worklist vs fullscan engine record "
-                             "parity (the default)")
-    parser.add_argument("--no-engine-parity", dest="engine_parity",
-                        action="store_false",
-                        help="skip the engine-parity check")
+    parser.add_argument("--engine-parity", action="store_true",
+                        help="also check worklist vs fullscan engine record "
+                             "parity")
     parser.add_argument("--tcp-workers", type=int, default=0,
                         help="also run the steal backend over TCP with this "
                              "many loopback remote workers, cold and warm "
