@@ -15,41 +15,31 @@ twelve corpora and fails unless the process-pool-sharded stepwise driver
 produced *identical* per-function record signatures (verdict, reason,
 blame, kept prefix, per-pass verdicts) to the serial driver.
 
-With ``--chain-parity`` (the default; ``--no-chain-parity`` disables) it
-also runs the :func:`repro.bench.chain_comparison` experiment over all
-twelve corpora and fails unless the chain-shared-graph stepwise path
-(``config.chain_graphs``, the default execution mode) produced record
-signatures identical to the per-pair oracle with ``chain_graphs=False``
-— chain graphs must change how fast validation runs, never what it
-decides.
+It also runs four more parity legs over all twelve corpora, and fails
+unless each produced identical record signatures:
 
-With ``--incremental-parity`` (the default; ``--no-incremental-parity``
-disables) it also runs the :func:`repro.bench.incremental_comparison`
-experiment over all twelve corpora and fails unless a warm
-:class:`~repro.validator.watch.Revalidator` re-run after the canonical
-pipeline suffix tweak produced record signatures identical to a cold
-sweep of the tweaked pipeline — incremental revalidation must change how
-much work re-validation does, never what it decides.
-
-With ``--executor-parity`` (the default; ``--no-executor-parity``
-disables) it additionally runs the
-:func:`repro.bench.executor_comparison` experiment over all twelve
-corpora and fails unless the ``serial``, ``pool`` and ``steal``
-scheduling backends produced identical per-function record signatures
-— a backend may change where and in what order queries run, never what
-they decide.  The table also reports the steal backend's cancellation
-savings (doomed pairs of rejected functions it never ran) and deque
-traffic (``items_stolen`` / ``steal_attempts``).  With ``--tcp-workers
-N`` (N > 0) the parity sweep grows a fourth leg: the steal backend over
-its TCP transport with N loopback remote worker subprocesses, run cold
-and then warm through the coordinator's served proof store — both legs
-must also match serial byte for byte.
-
-With ``--engine-parity`` it also runs the
-:func:`repro.bench.engine_sweep_comparison` experiment over all twelve
-corpora and fails unless the default ``worklist`` normalization engine
-produced record signatures identical to the ``fullscan`` reference
-engine.  Both sweep times land in the artifact.
+* **chain** — :func:`repro.bench.chain_comparison`: the chain-shared-graph
+  stepwise path (``config.chain_graphs``, the default execution mode)
+  against the per-pair oracle with ``chain_graphs=False``.  Chain graphs
+  must change how fast validation runs, never what it decides.
+* **incremental** — :func:`repro.bench.incremental_comparison`: a warm
+  :class:`~repro.validator.watch.Revalidator` re-run after the canonical
+  pipeline suffix tweak against a cold sweep of the tweaked pipeline.
+  Incremental revalidation must change how much work re-validation does,
+  never what it decides.
+* **executor** — :func:`repro.bench.executor_comparison`: the
+  ``serial``, ``pool`` and ``steal`` scheduling backends.  A backend may
+  change where and in what order queries run, never what they decide.
+  The table also reports the steal backend's cancellation savings
+  (doomed pairs of rejected functions it never ran) and deque traffic
+  (``items_stolen`` / ``steal_attempts``).  With ``--tcp-workers N``
+  (N > 0) the leg grows a fourth backend: steal over its TCP transport
+  with N loopback remote worker subprocesses, run cold and then warm
+  through the coordinator's served proof store — both must also match
+  serial byte for byte.
+* **engine** — :func:`repro.bench.engine_sweep_comparison`: the default
+  ``worklist`` normalization engine against the ``fullscan`` reference
+  engine.  Both sweep times land in the artifact.
 
 Run with::
 
@@ -79,30 +69,6 @@ def main() -> int:
     parser.add_argument("--shard-concurrency", type=int, default=2,
                         help="workers for the serial-vs-sharded parity check "
                              "(0 skips the check)")
-    parser.add_argument("--chain-parity", dest="chain_parity",
-                        action="store_true", default=True,
-                        help="check chain-graph vs per-pair record parity "
-                             "(the default)")
-    parser.add_argument("--no-chain-parity", dest="chain_parity",
-                        action="store_false",
-                        help="skip the chain-parity check")
-    parser.add_argument("--incremental-parity", dest="incremental_parity",
-                        action="store_true", default=True,
-                        help="check warm-revalidation vs cold record parity "
-                             "(the default)")
-    parser.add_argument("--no-incremental-parity", dest="incremental_parity",
-                        action="store_false",
-                        help="skip the incremental-parity check")
-    parser.add_argument("--executor-parity", dest="executor_parity",
-                        action="store_true", default=True,
-                        help="check serial/pool/steal backend record "
-                             "parity (the default)")
-    parser.add_argument("--no-executor-parity", dest="executor_parity",
-                        action="store_false",
-                        help="skip the executor-parity check")
-    parser.add_argument("--engine-parity", action="store_true",
-                        help="also check worklist vs fullscan engine record "
-                             "parity")
     parser.add_argument("--tcp-workers", type=int, default=0,
                         help="also run the steal backend over TCP with this "
                              "many loopback remote workers, cold and warm "
@@ -117,32 +83,20 @@ def main() -> int:
     if args.shard_concurrency > 0:
         shard_rows = sharded_comparison(scale=args.scale,
                                         concurrency=args.shard_concurrency)
-    chain_rows = []
-    if args.chain_parity:
-        chain_rows = chain_comparison(scale=args.scale)
-    incremental_rows = []
-    if args.incremental_parity:
-        incremental_rows = incremental_comparison(scale=args.scale)
-    executor_rows = []
-    if args.executor_parity:
-        executor_rows = executor_comparison(
-            scale=args.scale, concurrency=max(2, args.shard_concurrency),
-            tcp_workers=args.tcp_workers)
-    engine_rows = []
-    if args.engine_parity:
-        engine_rows = engine_sweep_comparison(scale=args.scale)
+    chain_rows = chain_comparison(scale=args.scale)
+    incremental_rows = incremental_comparison(scale=args.scale)
+    executor_rows = executor_comparison(
+        scale=args.scale, concurrency=max(2, args.shard_concurrency),
+        tcp_workers=args.tcp_workers)
+    engine_rows = engine_sweep_comparison(scale=args.scale)
     args.out.parent.mkdir(parents=True, exist_ok=True)
-    payload = {"schema": 8, "scale": args.scale, "rows": rows,
+    payload = {"schema": 9, "scale": args.scale, "rows": rows,
                "tcp_workers": args.tcp_workers,
                "shard_concurrency": args.shard_concurrency,
                "shard_rows": shard_rows,
-               "chain_parity": args.chain_parity,
                "chain_rows": chain_rows,
-               "incremental_parity": args.incremental_parity,
                "incremental_rows": incremental_rows,
-               "executor_parity": args.executor_parity,
                "executor_rows": executor_rows,
-               "engine_parity": args.engine_parity,
                "engine_rows": engine_rows}
     args.out.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
 
@@ -180,80 +134,76 @@ def main() -> int:
                     f"{row['benchmark']}: sharded records diverged from serial for: "
                     f"{', '.join(row['mismatches'])}"
                 )
-    if chain_rows:
-        chain_columns = ("benchmark", "transformed", "identical", "chains",
-                         "chain_fallbacks", "nodes_built_saved_pct",
-                         "rule_invocations_saved_pct", "per_pair_time_s",
-                         "chain_time_s")
-        print()
-        print(format_table([{k: row[k] for k in chain_columns} for row in chain_rows],
-                           title="Chain-shared graphs vs per-pair oracle"))
-        for row in chain_rows:
-            if not row["identical"]:
-                failures.append(
-                    f"{row['benchmark']}: chain-graph records diverged from "
-                    f"per-pair for: {', '.join(row['mismatches'])}"
-                )
-    if incremental_rows:
-        incremental_columns = ("benchmark", "transformed", "identical",
-                               "pairs_skipped_unchanged",
-                               "subgraph_nodes_reused", "chain_fallbacks",
-                               "rule_invocations_saved_pct",
-                               "nodes_built_saved_pct", "cold_time_s",
-                               "incremental_time_s")
-        print()
-        print(format_table([{k: row[k] for k in incremental_columns}
-                            for row in incremental_rows],
-                           title="Warm incremental revalidation vs cold re-run"))
-        for row in incremental_rows:
-            if not row["identical"]:
-                failures.append(
-                    f"{row['benchmark']}: incremental records diverged from "
-                    f"cold for: {', '.join(row['mismatches'])}"
-                )
-    if executor_rows:
-        executor_columns = ("benchmark", "transformed", "identical",
-                            "serial_pairs", "steal_pairs",
-                            "steal_pairs_skipped", "items_stolen",
-                            "steal_attempts", "serial_time_s",
-                            "steal_time_s")
-        if args.tcp_workers > 0:
-            executor_columns += ("tcp_pairs", "tcp_warm_pairs",
-                                 "tcp_workers_joined", "tcp_time_s",
-                                 "tcp_warm_time_s")
-        print()
-        print(format_table([{k: row[k] for k in executor_columns}
-                            for row in executor_rows],
-                           title="Serial vs pool vs steal scheduling backends"))
-        skipped = sum(row["steal_pairs_skipped"] for row in executor_rows)
-        stolen = sum(row["items_stolen"] for row in executor_rows)
-        attempts = sum(row["steal_attempts"] for row in executor_rows)
-        print(f"steal backend cancelled {skipped} doomed pairs and moved "
-              f"{stolen} items across deques in {attempts} steal attempts")
-        for row in executor_rows:
-            if not row["identical"]:
-                failures.append(
-                    f"{row['benchmark']}: backend records diverged from "
-                    f"serial for: {', '.join(row['mismatches'])}"
-                )
-    if engine_rows:
-        engine_columns = ("benchmark", "records", "identical",
-                          "worklist_rule_invocations",
-                          "fullscan_rule_invocations", "worklist_time_s",
-                          "fullscan_time_s")
-        print()
-        print(format_table([{k: row[k] for k in engine_columns}
-                            for row in engine_rows],
-                           title="Worklist vs fullscan normalization engines"))
-        print(f"sweep time: worklist "
-              f"{sum(row['worklist_time_s'] for row in engine_rows):.2f} s, "
-              f"fullscan {sum(row['fullscan_time_s'] for row in engine_rows):.2f} s")
-        for row in engine_rows:
-            if not row["identical"]:
-                failures.append(
-                    f"{row['benchmark']}: worklist-engine records diverged "
-                    f"from fullscan for: {', '.join(row['mismatches'])}"
-                )
+    chain_columns = ("benchmark", "transformed", "identical", "chains",
+                     "chain_fallbacks", "nodes_built_saved_pct",
+                     "rule_invocations_saved_pct", "per_pair_time_s",
+                     "chain_time_s")
+    print()
+    print(format_table([{k: row[k] for k in chain_columns} for row in chain_rows],
+                       title="Chain-shared graphs vs per-pair oracle"))
+    for row in chain_rows:
+        if not row["identical"]:
+            failures.append(
+                f"{row['benchmark']}: chain-graph records diverged from "
+                f"per-pair for: {', '.join(row['mismatches'])}"
+            )
+    incremental_columns = ("benchmark", "transformed", "identical",
+                           "pairs_skipped_unchanged",
+                           "subgraph_nodes_reused", "chain_fallbacks",
+                           "rule_invocations_saved_pct",
+                           "nodes_built_saved_pct", "cold_time_s",
+                           "incremental_time_s")
+    print()
+    print(format_table([{k: row[k] for k in incremental_columns}
+                        for row in incremental_rows],
+                       title="Warm incremental revalidation vs cold re-run"))
+    for row in incremental_rows:
+        if not row["identical"]:
+            failures.append(
+                f"{row['benchmark']}: incremental records diverged from "
+                f"cold for: {', '.join(row['mismatches'])}"
+            )
+    executor_columns = ("benchmark", "transformed", "identical",
+                        "serial_pairs", "steal_pairs",
+                        "steal_pairs_skipped", "items_stolen",
+                        "steal_attempts", "serial_time_s",
+                        "steal_time_s")
+    if args.tcp_workers > 0:
+        executor_columns += ("tcp_pairs", "tcp_warm_pairs",
+                             "tcp_workers_joined", "tcp_time_s",
+                             "tcp_warm_time_s")
+    print()
+    print(format_table([{k: row[k] for k in executor_columns}
+                        for row in executor_rows],
+                       title="Serial vs pool vs steal scheduling backends"))
+    skipped = sum(row["steal_pairs_skipped"] for row in executor_rows)
+    stolen = sum(row["items_stolen"] for row in executor_rows)
+    attempts = sum(row["steal_attempts"] for row in executor_rows)
+    print(f"steal backend cancelled {skipped} doomed pairs and moved "
+          f"{stolen} items across deques in {attempts} steal attempts")
+    for row in executor_rows:
+        if not row["identical"]:
+            failures.append(
+                f"{row['benchmark']}: backend records diverged from "
+                f"serial for: {', '.join(row['mismatches'])}"
+            )
+    engine_columns = ("benchmark", "records", "identical",
+                      "worklist_rule_invocations",
+                      "fullscan_rule_invocations", "worklist_time_s",
+                      "fullscan_time_s")
+    print()
+    print(format_table([{k: row[k] for k in engine_columns}
+                        for row in engine_rows],
+                       title="Worklist vs fullscan normalization engines"))
+    print(f"sweep time: worklist "
+          f"{sum(row['worklist_time_s'] for row in engine_rows):.2f} s, "
+          f"fullscan {sum(row['fullscan_time_s'] for row in engine_rows):.2f} s")
+    for row in engine_rows:
+        if not row["identical"]:
+            failures.append(
+                f"{row['benchmark']}: worklist-engine records diverged "
+                f"from fullscan for: {', '.join(row['mismatches'])}"
+            )
     if failures:
         print("\nSTRATEGY REGRESSION:", file=sys.stderr)
         for line in failures:
@@ -262,20 +212,13 @@ def main() -> int:
     message = "strategy guard OK: stepwise accepted a superset of whole on every corpus"
     if shard_rows:
         message += "; sharded records matched serial on every corpus"
-    if chain_rows:
-        message += "; chain-graph records matched the per-pair oracle on every corpus"
-    if incremental_rows:
-        message += ("; warm incremental revalidation matched cold records "
-                    "on every corpus")
-    if executor_rows:
-        message += ("; serial/pool/steal backends produced identical "
-                    "records on every corpus")
-        if args.tcp_workers > 0:
-            message += (f"; steal+tcp with {args.tcp_workers} remote workers "
-                        f"matched serial cold and warm on every corpus")
-    if engine_rows:
-        message += ("; worklist and fullscan engines produced identical "
-                    "records on every corpus")
+    message += ("; chain-graph records matched the per-pair oracle, warm "
+                "incremental revalidation matched cold records, serial/pool/"
+                "steal backends and worklist/fullscan engines produced "
+                "identical records on every corpus")
+    if args.tcp_workers > 0:
+        message += (f"; steal+tcp with {args.tcp_workers} remote workers "
+                    f"matched serial cold and warm on every corpus")
     print(f"\n{message}")
     return 0
 

@@ -18,11 +18,11 @@ value graph; the re-run then
   root-restricted clone against the dirty pairs' goals only.
 
 Records are signature-identical to a cold run either way — CI enforces
-it on all twelve corpora (``stepwise_guard.py --incremental-parity``) —
+it on all twelve corpora (``stepwise_guard.py``'s incremental leg) —
 so what changes is only the work, which this example prints side by
 side.  The same machinery sits behind ``config.incremental`` (routing
-``llvm_md`` through a process-shared revalidator) and behind the
-polling CLI::
+``validate_module_batch`` and ``llvm_md`` through a process-shared
+revalidator) and behind the polling CLI::
 
     python -m repro.validator.watch my_module.ll --passes adce gvn dse
 

@@ -346,7 +346,7 @@ def engine_sweep_comparison(scale: float = 1.0, benchmarks: Optional[Sequence[st
     :meth:`~repro.validator.report.FunctionRecord.signature` lists: the
     worklist engine is an execution strategy for the ``fullscan``
     reference, so every verdict, blame and kept prefix must match (the
-    CI guard ``stepwise_guard.py --engine-parity`` enforces this).  Each
+    CI guard ``stepwise_guard.py``'s engine leg enforces this).  Each
     row also carries both sweep times and rule invocations.
     """
     base = config or DEFAULT_CONFIG
@@ -687,7 +687,7 @@ def chain_comparison(scale: float = 1.0, benchmarks: Optional[Sequence[str]] = N
       :meth:`~repro.validator.report.FunctionRecord.signature` comparison:
       chain graphs are a pure execution strategy, so verdicts, blame,
       kept prefixes and per-pass verdicts must be byte-identical (the CI
-      guard ``stepwise_guard.py --chain-parity`` enforces this on all
+      guard ``stepwise_guard.py``'s chain leg enforces this on all
       twelve corpora);
     * the deterministic work counters of both sweeps — nodes built during
       graph construction, total nodes created, rule invocations,
@@ -784,8 +784,8 @@ def incremental_comparison(scale: float = 1.0,
     (``pairs_skipped_unchanged``, ``subgraph_nodes_reused``,
     ``chain_extensions``/``chain_fallbacks``) and the ``identical`` /
     ``mismatches`` record-signature comparison — incremental records
-    must be byte-identical to cold records (``stepwise_guard.py
-    --incremental-parity`` enforces this on all twelve corpora).
+    must be byte-identical to cold records (``stepwise_guard.py``'s
+    incremental leg enforces this on all twelve corpora).
     """
     base = config or DEFAULT_CONFIG
     counter_keys = ("nodes_built", "nodes_created", "rule_invocations",

@@ -97,7 +97,7 @@ class ValidatorConfig:
         workers) are rejected at construction time instead of silently
         running something else.  Every backend produces byte-identical
         :meth:`~repro.validator.report.FunctionRecord.signature`\\ s —
-        ``benchmarks/stepwise_guard.py --executor-parity`` enforces it —
+        ``benchmarks/stepwise_guard.py``'s executor leg enforces it —
         so the field can never affect a verdict and is *not* part of the
         cache key.
     cache_dir:
@@ -125,7 +125,7 @@ class ValidatorConfig:
         graph per pair.  On by default; verdicts, blame, kept prefixes
         and record signatures are identical either way (the per-pair path
         remains both the fallback and the parity oracle — see
-        ``benchmarks/stepwise_guard.py --chain-parity``), so the flag is
+        ``benchmarks/stepwise_guard.py``'s chain leg), so the flag is
         *not* part of the cache key.
     cache_max_bytes:
         Size budget for the *persistent*
@@ -146,8 +146,8 @@ class ValidatorConfig:
         rebuilt into the retained chain graph.  Off by default (every
         run is cold).  Incremental records are
         :meth:`~repro.validator.report.FunctionRecord.signature`-identical
-        to cold records (``benchmarks/stepwise_guard.py
-        --incremental-parity`` enforces it on every corpus), so like the
+        to cold records (``benchmarks/stepwise_guard.py``'s incremental
+        leg enforces it on every corpus), so like the
         execution knobs above the flag is *not* part of the cache key.
     service_port:
         TCP port the validation daemon

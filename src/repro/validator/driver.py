@@ -48,7 +48,7 @@ Under ``strategy="stepwise"`` with ``config.chain_graphs`` (the default),
 the adjacent-pair queries are answered from ONE *chain-shared* value
 graph per function (:func:`~repro.validator.validate.validate_chain`);
 the per-pair path remains both the fallback and the parity oracle —
-``benchmarks/stepwise_guard.py --chain-parity`` enforces identical record
+``benchmarks/stepwise_guard.py``'s chain leg enforces identical record
 signatures with the flag on vs off.
 
 For corpus-scale traffic, batch validation is orchestrated by the
@@ -69,7 +69,16 @@ For corpus-scale traffic, batch validation is orchestrated by the
   per-function records are reassembled from the cache through the same
   strategy runners the serial path uses, so every backend produces
   byte-identical :meth:`~repro.validator.report.FunctionRecord.signature`\\ s
-  (``benchmarks/stepwise_guard.py --executor-parity`` enforces it).
+  (``benchmarks/stepwise_guard.py``'s executor leg enforces it).
+
+Incremental mode (``config.incremental``) is not a separate driver but a
+planner input: the long-lived :class:`~repro.validator.watch.Revalidator`
+runs the same plan → execute → settle path, diffs each planned chain
+against the previous run's
+(:func:`~repro.validator.scheduler.plan.diff_plan`) and hands settlement
+a lazy retained-graph delta to ask before validating a dirty pair
+inline.  The lazy per-function path of :func:`llvm_md` (serial executor,
+no incremental state) stays as the serial oracle of every parity test.
 
 With ``config.cache_dir`` set the cache is *persistent*: a SQLite proof
 store (or, for ``remote://HOST:PORT``, a coordinator's served store)
@@ -106,6 +115,7 @@ from .scheduler import (
     run_whole,
     serial_provider,
     settle_plan,
+    shard_stats,
 )
 
 #: The validation strategies :func:`validate_function_pipeline` implements.
@@ -218,7 +228,8 @@ def llvm_md(
     ``config.cache_dir`` set and no explicit ``cache``, a persistent
     cache is opened there and saved back after the run.
 
-    With ``config.incremental`` (stepwise only) the call routes through
+    With ``config.incremental`` (stepwise only) the call is delegated
+    the same way, and :func:`validate_module_batch` routes it through
     the process-shared :class:`~repro.validator.watch.Revalidator` for
     its config: repeated calls retain each function's checkpoint
     fingerprints and chain graph, so a re-run after a pipeline tweak
@@ -228,20 +239,7 @@ def llvm_md(
     config = config or DEFAULT_CONFIG
     if strategy not in STRATEGIES:
         raise ValueError(f"unknown strategy {strategy!r} (known: {STRATEGIES})")
-    if config.incremental:
-        # Route through the process-shared incremental revalidator: the
-        # second llvm_md call with the same config pays only for what
-        # changed.  Records are signature-identical to this serial path's.
-        if strategy != "stepwise":
-            raise ValueError(
-                f"incremental revalidation requires strategy='stepwise' "
-                f"(got {strategy!r}: only the checkpoint chain has a "
-                f"dirty suffix to diff)")
-        from .watch import shared_revalidator
-        return shared_revalidator(config).revalidate(
-            module, passes, label=label or module.name,
-            function_names=function_names, cache=cache)
-    if (config.concurrency and config.concurrency > 1) \
+    if config.incremental or (config.concurrency and config.concurrency > 1) \
             or resolved_executor(config) != "serial":
         selections = [list(function_names)] if function_names is not None else None
         (result_module, report), = validate_module_batch(
@@ -332,6 +330,11 @@ def validate_module_batch(
     restricts validation per module (one entry per module; ``None``
     validates every defined function), mirroring ``llvm_md``.
 
+    With ``config.incremental`` (stepwise only) each module runs through
+    the process-shared :class:`~repro.validator.watch.Revalidator` for
+    the config — the same three layers with the previous run's chains
+    diffed in — under the same ``budget``.
+
     Returns ``[(result_module, report), ...]`` in input order.
     """
     config = config or DEFAULT_CONFIG
@@ -354,7 +357,7 @@ def validate_module_batch(
                     label=labels[index] if labels is not None else module.name,
                     function_names=(function_names[index]
                                     if function_names is not None else None),
-                    cache=cache)
+                    cache=cache, budget=budget)
                 for index, module in enumerate(modules)]
     if cache is None:
         cache = ValidationCache(config.cache_dir,
@@ -372,40 +375,12 @@ def validate_module_batch(
     results, inline_validations = settle_plan(plan, cache, execution, manager,
                                               budget=budget)
 
-    executor_stats = executor.stats()
-    pooled = executor_stats["pooled_items"] > 0
-    shard_stats = {
-        "executor": executor.name,
-        "distinct_pairs": execution.validated_queries,
-        "pooled_pairs": executor_stats["pooled_items"],
-        "chain_items": len(plan.pending_chains),
-        "inline_validations": inline_validations,
-        "workers": config.concurrency if pooled else 0,
-        "speculative_pairs_skipped": executor_stats["pairs_skipped"],
-        "pool_degraded": executor_stats["pool_degraded"],
-        "items_stolen": executor_stats.get("items_stolen", 0),
-        "steal_attempts": executor_stats.get("steal_attempts", 0),
-        "workers_respawned": executor_stats.get("workers_respawned", 0),
-        "pairs_quarantined": executor_stats.get("pairs_quarantined", 0),
-        "item_retries": executor_stats.get("item_retries", 0),
-        "pairs_denied": len(execution.denied),
-        "remote_workers_joined": executor_stats.get("remote_workers_joined", 0),
-        "remote_workers_left": executor_stats.get("remote_workers_left", 0),
-        "handshakes_rejected": executor_stats.get("handshakes_rejected", 0),
-    }
-    if budget is not None:
-        shard_stats.update(budget.stats())
     cache.save_if_dirty()
-    # Proof-store plumbing counters, read after the final save so the
-    # closing flush is included.
-    cache_counters = cache.stats()
-    shard_stats["store_flushes"] = cache_counters.get("store_flushes", 0)
-    shard_stats["store_lazy_loads"] = cache_counters.get("store_lazy_loads", 0)
-    shard_stats["store_rpcs"] = cache_counters.get("store_rpcs", 0)
-    shard_stats["store_batched_gets"] = cache_counters.get("store_batched_gets", 0)
+    stats = shard_stats(plan, execution, executor, inline_validations, cache,
+                        budget)
     analysis_stats = manager.stats()
     for _, report in results:
-        report.shard_stats = dict(shard_stats)
+        report.shard_stats = dict(stats)
         report.analysis_stats = dict(analysis_stats)
         report.cache_stats = cache.stats()
     return results

@@ -59,6 +59,7 @@ from .settle import (
     run_whole,
     settle_chain_results,
     settle_plan,
+    shard_stats,
 )
 
 __all__ = [
@@ -92,6 +93,7 @@ __all__ = [
     "run_bisect",
     "settle_chain_results",
     "settle_plan",
+    "shard_stats",
     "remap_globals",
     "remap_function_refs",
 ]

@@ -9,7 +9,7 @@ records.  Because verdicts are content-addressed and settlement replays
 the same strategy runners regardless of backend, **every executor
 produces byte-identical record signatures** — backends may only change
 where and in what order queries run, never what they decide
-(``benchmarks/stepwise_guard.py --executor-parity`` enforces this on all
+(``benchmarks/stepwise_guard.py``'s executor leg enforces this on all
 twelve corpora).
 
 Three backends ship today:

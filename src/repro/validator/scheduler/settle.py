@@ -22,7 +22,7 @@ workers and any future remote backend.
 from __future__ import annotations
 
 from dataclasses import replace
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from ...analysis.manager import AnalysisManager, CHECKPOINT_FINGERPRINTS
 from ...ir.cloning import clone_function
@@ -34,7 +34,13 @@ from ..report import FunctionRecord, ValidationReport
 from ..validate import (UNCACHEABLE_REASONS, ChainOutcome, ValidationResult,
                         validate, validate_bounded)
 from .budget import RequestBudget
-from .plan import PairProvider, WorkPlan
+from .plan import FunctionPlan, ModulePlan, PairProvider, WorkPlan
+
+#: A lazy verdict source :func:`settle_plan` consults on a miss before
+#: validating inline: ``(function_plan, before, after)`` -> an exact
+#: accept, or ``None`` to validate the pair inline.
+DeltaSource = Callable[[FunctionPlan, Function, Function],
+                       Optional[ValidationResult]]
 
 
 def merge_stats(results: Sequence[ValidationResult]) -> Dict[str, int]:
@@ -251,6 +257,8 @@ def remap_function_refs(result_module: Module) -> None:
 def settle_plan(plan: WorkPlan, cache: ValidationCache, execution,
                 manager: AnalysisManager,
                 budget: Optional[RequestBudget] = None,
+                delta: Optional[DeltaSource] = None,
+                on_record: Optional[Callable[[FunctionRecord], None]] = None,
                 ) -> Tuple[List[Tuple[Module, ValidationReport]], int]:
     """Assemble result modules and reports from the executed plan.
 
@@ -270,6 +278,13 @@ def settle_plan(plan: WorkPlan, cache: ValidationCache, execution,
     the record's stepwise walk stops there and salvages its validated
     ``kept_prefix``.  Cached verdicts keep answering for free.
 
+    ``delta`` (the incremental driver's retained chain graph) is asked
+    first on every miss the budget admits; an accept it returns is
+    charged, cached and ledgered exactly like an inline validation, and
+    ``None`` falls through to the inline validation.  ``on_record`` is
+    called with every record of a module in report order — untransformed
+    records included — as soon as it is settled.
+
     Returns ``(results, inline_validations)`` with ``results`` in input
     module order.
     """
@@ -277,6 +292,8 @@ def settle_plan(plan: WorkPlan, cache: ValidationCache, execution,
     fresh = execution.fresh
     consumed: set = set()
     inline_validations = 0
+    # The function plan being settled (what ``delta`` is asked about).
+    current: Optional[FunctionPlan] = None
     # Every version the runners can hand the provider was fingerprinted at
     # planning time; the memo keeps assembly from re-printing/re-hashing
     # per pair (ids stay unambiguous because the plans pin the versions
@@ -308,7 +325,11 @@ def settle_plan(plan: WorkPlan, cache: ValidationCache, execution,
                 # Synthetic denial: uncached, unledgered — the walk stops
                 # here and the record keeps its validated prefix.
                 return budget.result(before.name), False
-            result = validate_bounded(before, after, config, manager=manager)
+            result = (delta(current, before, after)
+                      if delta is not None else None)
+            if result is None:
+                result = validate_bounded(before, after, config,
+                                          manager=manager)
             if result.reason in UNCACHEABLE_REASONS:
                 # An inline validation can time out too; remember the
                 # denial so a second consumer of the same key neither
@@ -323,46 +344,97 @@ def settle_plan(plan: WorkPlan, cache: ValidationCache, execution,
             fresh.add(key)
             consumed.add(key)
             return result, False
-        if key in fresh and key not in consumed:
-            cache.misses += 1
-            hit = False
-        else:
-            cache.hits += 1
-            hit = True
+        first_use = key in fresh and key not in consumed
         consumed.add(key)
-        return replace(stored, function_name=before.name), hit
+        if first_use:
+            cache.misses += 1
+            return replace(stored, function_name=before.name), False
+        # ``get`` counts the hit and refreshes the entry's LRU recency.
+        return cache.get(key, before.name), True
+
+    def settle_function(module_plan: ModulePlan,
+                        function_plan: FunctionPlan) -> None:
+        nonlocal current
+        current = function_plan
+        chain_stats = execution.chain_stats_by_signature.pop(
+            function_plan.chain_signature, None)
+        if chain_stats is not None:
+            # Attached to the (first) function whose chain item actually
+            # ran — the same function whose lazy chain the serial path
+            # would have built.
+            function_plan.record.chain_stats = chain_stats
+        if plan.strategy == "whole":
+            kept = run_whole(function_plan.function, function_plan.versions[-1],
+                             provider, function_plan.record)
+        elif plan.strategy == "stepwise":
+            kept = run_stepwise(function_plan.function, function_plan.versions,
+                                function_plan.steps, provider,
+                                function_plan.record)
+        else:
+            kept = run_bisect(function_plan.function, function_plan.versions,
+                              function_plan.steps, provider,
+                              function_plan.record)
+        if kept is function_plan.function:
+            module_plan.result_module.add_function(
+                clone_function(function_plan.function,
+                               value_map=module_plan.global_map))
+        else:
+            remap_globals(kept, module_plan.global_map)
+            module_plan.result_module.add_function(kept)
 
     results: List[Tuple[Module, ValidationReport]] = []
     for module_plan in plan.modules:
-        for function_plan in module_plan.work:
-            chain_stats = execution.chain_stats_by_signature.pop(
-                function_plan.chain_signature, None)
-            if chain_stats is not None:
-                # Attached to the (first) function whose chain item
-                # actually ran — the same function whose lazy chain the
-                # serial path would have built.
-                function_plan.record.chain_stats = chain_stats
-            if plan.strategy == "whole":
-                kept = run_whole(function_plan.function, function_plan.versions[-1],
-                                 provider, function_plan.record)
-            elif plan.strategy == "stepwise":
-                kept = run_stepwise(function_plan.function, function_plan.versions,
-                                    function_plan.steps, provider,
-                                    function_plan.record)
-            else:
-                kept = run_bisect(function_plan.function, function_plan.versions,
-                                  function_plan.steps, provider,
-                                  function_plan.record)
-            if kept is function_plan.function:
-                module_plan.result_module.add_function(
-                    clone_function(function_plan.function,
-                                   value_map=module_plan.global_map))
-            else:
-                remap_globals(kept, module_plan.global_map)
-                module_plan.result_module.add_function(kept)
+        # The report holds every selected function's record in module
+        # order; the planned (transformed) ones are settled as reached.
+        work = iter(module_plan.work)
+        upcoming = next(work, None)
+        for record in module_plan.report.records:
+            if upcoming is not None and upcoming.record is record:
+                settle_function(module_plan, upcoming)
+                upcoming = next(work, None)
+            if on_record is not None:
+                on_record(record)
         remap_function_refs(module_plan.result_module)
         results.append((module_plan.result_module, module_plan.report))
     return results, inline_validations
+
+
+def shard_stats(plan: WorkPlan, execution, executor, inline_validations: int,
+                cache: ValidationCache,
+                budget: Optional[RequestBudget] = None) -> Dict[str, object]:
+    """The scheduling, budget and proof-store counters of one settled run.
+
+    What both drivers report as ``report.shard_stats``.  Read it after
+    the cache's closing save, so the final flush is counted.
+    """
+    executor_stats = executor.stats()
+    pooled = executor_stats["pooled_items"] > 0
+    stats: Dict[str, object] = {
+        "executor": executor.name,
+        "distinct_pairs": execution.validated_queries,
+        "pooled_pairs": executor_stats["pooled_items"],
+        "chain_items": len(plan.pending_chains),
+        "inline_validations": inline_validations,
+        "workers": plan.config.concurrency if pooled else 0,
+        "speculative_pairs_skipped": executor_stats["pairs_skipped"],
+        "pool_degraded": executor_stats["pool_degraded"],
+        "items_stolen": executor_stats.get("items_stolen", 0),
+        "steal_attempts": executor_stats.get("steal_attempts", 0),
+        "workers_respawned": executor_stats.get("workers_respawned", 0),
+        "pairs_quarantined": executor_stats.get("pairs_quarantined", 0),
+        "item_retries": executor_stats.get("item_retries", 0),
+        "pairs_denied": len(execution.denied),
+        "remote_workers_joined": executor_stats.get("remote_workers_joined", 0),
+        "remote_workers_left": executor_stats.get("remote_workers_left", 0),
+        "handshakes_rejected": executor_stats.get("handshakes_rejected", 0),
+    }
+    if budget is not None:
+        stats.update(budget.stats())
+    cache_counters = cache.stats()
+    for key in ("store_flushes", "store_lazy_loads", "store_rpcs",
+                "store_batched_gets"):
+        stats[key] = cache_counters.get(key, 0)
+    return stats
 
 
 __all__ = [
@@ -372,6 +444,8 @@ __all__ = [
     "run_bisect",
     "settle_chain_results",
     "settle_plan",
+    "shard_stats",
+    "DeltaSource",
     "remap_globals",
     "remap_function_refs",
 ]

@@ -9,35 +9,45 @@ holds one :class:`~repro.validator.scheduler.executors.Executor`, one
 :class:`~repro.analysis.manager.AnalysisManager` and, per function, the
 last run's checkpoint fingerprints, adjacent-pair cache keys and the
 *pristine* (constructed, never normalized) chain-shared value graph.  A
-:meth:`Revalidator.revalidate` call then costs only what changed:
+:meth:`Revalidator.revalidate` call is the batch driver's single path —
+:func:`~repro.validator.scheduler.plan.build_plan` →
+:meth:`Executor.execute <repro.validator.scheduler.executors.Executor.execute>`
+(pooled backends only) →
+:func:`~repro.validator.scheduler.settle.settle_plan` — with the previous
+run diffed in, so it costs only what changed:
 
 * **dirty-suffix planning** — the new checkpoint chain is fingerprinted
   through the shared
   :data:`~repro.analysis.manager.CHECKPOINT_FINGERPRINTS` table and
   diffed against the previous run
   (:func:`~repro.validator.scheduler.plan.diff_plan`); pairs with both
-  endpoints unchanged adopt the previous plan's cache keys verbatim and
-  settle straight from the cache (counted as
-  ``pairs_skipped_unchanged``), never re-keyed, never re-validated;
-* **subgraph-diff reuse** — only the dirtied versions are symbolically
-  evaluated, into the *retained* chain graph
+  endpoints unchanged are already in the cache, so the plan never
+  schedules them and settlement answers them as hits (counted as
+  ``pairs_skipped_unchanged``), never re-validated;
+* **subgraph-diff reuse** (serial backend) — on the first miss of a dirty
+  pair, settlement asks the function's lazy delta: only the dirtied
+  versions are symbolically evaluated, into the *retained* chain graph
   (:func:`~repro.vgraph.builder.extend_chain_graph`), where hash-consing
   re-reads every sub-term they share with the unchanged population
   (counted as ``subgraph_nodes_reused``); a root-restricted clone of the
   graph is then normalized against the dirty pairs' goals only
   (:func:`~repro.validator.validate.validate_chain_delta`) and their
-  verdicts read off;
-* **cold-identical records** — accepts read off the delta are exact,
-  every read-off *rejection* is re-checked with an isolated per-pair
+  verdicts read off.  Pooled backends run the full plan (chain and pair
+  items, then the settle round) exactly like
+  :func:`~repro.validator.driver.validate_module_batch`;
+* **cold-identical records** — accepts read off the delta are exact and
+  are charged, cached and ledgered like any inline validation; every
+  read-off *rejection* is re-checked with an isolated per-pair
   :func:`~repro.validator.validate.validate`, and the whole-query
   fallback is always answered per-pair/cache — so incremental records
   are :meth:`~repro.validator.report.FunctionRecord.signature`-identical
-  to cold records (``benchmarks/stepwise_guard.py --incremental-parity``
+  to cold records (``benchmarks/stepwise_guard.py``'s incremental leg
   enforces it on every corpus).
 
-``llvm_md``/``validate_module_batch`` route through a process-shared
-revalidator when ``config.incremental`` is set; ``python -m
-repro.validator.watch`` wraps one in a polling CLI loop.
+``validate_module_batch`` (and ``llvm_md``, which delegates to it)
+routes through a process-shared revalidator when ``config.incremental``
+is set; ``python -m repro.validator.watch`` wraps one in a polling CLI
+loop.
 """
 
 from __future__ import annotations
@@ -47,28 +57,28 @@ import time
 from typing import (Callable, Dict, Iterable, List, Optional, Sequence, Set,
                     Tuple)
 
-from ..analysis.manager import AnalysisManager, CHECKPOINT_FINGERPRINTS
+from ..analysis.manager import AnalysisManager
 from ..errors import ReproError
-from ..ir.cloning import clone_function, clone_globals_into
 from ..ir.module import Function, Module
-from ..transforms.pass_manager import PAPER_PIPELINE, PassManager, checkpoint_chain
+from ..transforms.pass_manager import PAPER_PIPELINE
 from ..vgraph.builder import FunctionSummary, extend_chain_graph
 from ..vgraph.graph import ValueGraph
 from .cache import CacheKey, ValidationCache
 from .config import DEFAULT_CONFIG, ValidatorConfig
 from .report import FunctionRecord, ValidationReport
 from .scheduler import (
+    ExecutionOutcome,
+    FunctionPlan,
+    PipelineDiff,
     RequestBudget,
+    build_plan,
     chain_amortizes,
     create_executor,
-    remap_function_refs,
-    remap_globals,
-    resolved_executor,
-    run_stepwise,
+    diff_plan,
+    settle_plan,
+    shard_stats,
 )
-from .scheduler.plan import PipelineDiff, diff_plan
-from .validate import (UNCACHEABLE_REASONS, ValidationResult, validate_bounded,
-                       validate_chain_delta)
+from .validate import ValidationResult, validate_chain_delta
 
 
 class _ChainState:
@@ -92,17 +102,157 @@ class _ChainState:
         self.summaries = summaries
 
 
+class _ChainDelta:
+    """One function's lazy retained-graph delta within one revalidation.
+
+    :func:`~repro.validator.scheduler.settle.settle_plan` asks
+    :meth:`verdict` on a cache miss; the first ask on a dirty pair
+    extends the retained graph with the new versions and reads every
+    still-uncached dirty pair's verdict off it at once.  :meth:`retained`
+    then gives the state to keep for the next revalidation.
+    """
+
+    def __init__(self, plan: FunctionPlan, diff: PipelineDiff,
+                 previous: Optional[_ChainState]) -> None:
+        self.plan = plan
+        self.diff = diff
+        self.previous = previous
+        self.positions = {(id(before), id(after)): index
+                          for index, (before, after)
+                          in enumerate(zip(plan.versions, plan.versions[1:]))}
+        self.dirty = set(diff.dirty_pairs)
+        self.attempted = False
+        #: Dirty-pair verdicts read off the extended graph (``None`` until
+        #: attempted, or when no delta was worth building / it failed).
+        self.verdicts: Optional[Dict[int, ValidationResult]] = None
+        self.graph: Optional[ValueGraph] = None
+        self.summaries: List[FunctionSummary] = []
+        #: Retained nodes the extension re-read instead of rebuilding.
+        self.reused = 0
+        #: The build or normalization failed: validate per pair and drop
+        #: the retained graph (the next run builds cold).
+        self.fallback = False
+
+    def verdict(self, before: Function, after: Function,
+                cache: ValidationCache, config: ValidatorConfig,
+                manager: AnalysisManager) -> Optional[ValidationResult]:
+        """An exact accept for a dirty adjacent pair, else ``None``."""
+        position = self.positions.get((id(before), id(after)))
+        if position not in self.dirty:
+            return None
+        if not self.attempted:
+            self.attempted = True
+            self._extend(cache, config, manager)
+        result = self.verdicts.get(position) if self.verdicts else None
+        # Delta rejections are never authoritative (the dirty goal union is
+        # neither the full-chain nor the isolated-pair scope): settlement
+        # re-checks them in isolation, always.
+        return result if result is not None and result.is_success else None
+
+    def _extend(self, cache: ValidationCache, config: ValidatorConfig,
+                manager: AnalysisManager) -> None:
+        plan, previous = self.plan, self.previous
+        needed = [index for index in self.diff.dirty_pairs
+                  if cache.peek(plan.pair_keys[index]) is None]
+        retained = previous is not None and previous.pristine is not None
+        if not needed or not (retained or chain_amortizes(
+                len(needed), len(plan.versions))):
+            return
+        graph = previous.pristine if retained else ValueGraph()
+        gates_before, makes_before = graph.gate_translations, graph.make_calls
+        old_limit = sys.getrecursionlimit()
+        sys.setrecursionlimit(max(old_limit, config.recursion_limit))
+        try:
+            summaries, reused, built = extend_chain_graph(
+                graph, previous.summaries if retained else {}, plan.versions,
+                manager, plan.fingerprints)
+        except Exception:
+            summaries = None
+        finally:
+            sys.setrecursionlimit(old_limit)
+        outcome = None
+        if summaries is not None:
+            outcome = validate_chain_delta(
+                graph, summaries, needed, config,
+                nodes_built=built, nodes_reused=reused,
+                gate_translations=graph.gate_translations - gates_before,
+                make_calls=graph.make_calls - makes_before)
+        if outcome is None:
+            self.fallback = True
+            return
+        self.verdicts, plan.record.chain_stats = outcome
+        self.graph, self.summaries, self.reused = graph, summaries, reused
+
+    def retained(self) -> _ChainState:
+        """The state to keep for this function's next revalidation."""
+        fingerprints, pair_keys = self.plan.fingerprints, self.diff.pair_keys
+        if self.fallback:
+            # Broken graph state: keep only the plan (fingerprints and keys
+            # still allow adoption), cold-build next time.
+            return _ChainState(fingerprints, pair_keys, None, {})
+        if self.graph is not None:
+            # Prune retired versions' nodes so the retained graph (and the
+            # next delta's restricted clone + sharing scan) stays
+            # proportional to the live chain.
+            roots = [node for summary in self.summaries
+                     for node in summary.roots()]
+            return _ChainState(fingerprints, pair_keys,
+                               self.graph.clone(roots=roots),
+                               dict(zip(fingerprints, self.summaries)))
+        # Fully cached (or answered per pair without amortizing a build):
+        # carry the previous pristine graph forward under the new plan —
+        # its summaries stay valid, keyed by fingerprint.
+        previous = self.previous
+        return _ChainState(fingerprints, pair_keys,
+                           previous.pristine if previous is not None else None,
+                           dict(previous.summaries) if previous is not None else {})
+
+    def ledger(self, cache: ValidationCache, fresh: Set[CacheKey],
+               consumed: Set[CacheKey]) -> Tuple[int, bool]:
+        """Replay settlement's hit/miss ledger over this function's walk.
+
+        The stepwise walk consumed the adjacent pairs up to the first
+        non-accept (a rejection, or a denial the cache never saw), then
+        the whole-query fallback of a multi-step chain.  A consumed query
+        was a hit unless it was denied or this call validated it for its
+        first consumer (``consumed`` carries the earlier functions' keys).
+        Returns ``(unchanged pairs adopted from the cache, every query a
+        hit)``.
+        """
+        plan = self.plan
+        queries: List[Tuple[Optional[int], CacheKey]] = []
+        for position, key in enumerate(plan.pair_keys):
+            queries.append((position, key))
+            verdict = cache.peek(key)
+            if verdict is None or not verdict.is_success:
+                if len(plan.pair_keys) > 1:
+                    queries.append((None, plan.whole_key))
+                break
+        adopted = (set(self.diff.unchanged_pairs)
+                   if self.previous is not None else set())
+        skipped, all_hits = 0, True
+        for position, key in queries:
+            hit = cache.peek(key) is not None and (
+                key not in fresh or key in consumed)
+            consumed.add(key)
+            all_hits = all_hits and hit
+            skipped += hit and position in adopted
+        return skipped, all_hits
+
+
 class Revalidator:
     """A long-lived incremental validation driver (one per config/service).
 
     Owns the warm state cold runs lack: the executor backend, the
     (optionally persistent) proof cache, the analysis manager and the
-    per-function :class:`_ChainState`.  Under a pooled executor
-    (``"pool"``/``"steal"``) the dirty uncached pairs of a revalidation
-    are shipped to the workers as isolated pair items first — retained
+    per-function :class:`_ChainState`.  A revalidation is the batch
+    driver's plan → execute → settle with the previous run's chain diffed
+    in: a pooled executor (``"pool"``/``"steal"``) runs the full plan
+    (chain and pair items, settle round) like
+    :func:`~repro.validator.driver.validate_module_batch` — retained
     graphs cannot cross process boundaries, but dirty-suffix skipping
-    still applies — while the serial backend gets the full
-    subgraph-diff reuse.
+    still applies — while the serial backend runs nothing ahead of
+    settlement and gets the full subgraph-diff reuse.
     """
 
     def __init__(self, config: Optional[ValidatorConfig] = None,
@@ -123,7 +273,6 @@ class Revalidator:
         self.executor.close()
         self.cache.save_if_dirty()
 
-    # -- the driver loop ---------------------------------------------------
     def revalidate(self, module: Module,
                    passes: Sequence[str] = PAPER_PIPELINE,
                    label: str = "",
@@ -154,339 +303,75 @@ class Revalidator:
         """
         label = label or module.name
         cache = cache if cache is not None else self.cache
-        report = ValidationReport(label=label)
-        result_module = Module(module.name)
-        global_map = clone_globals_into(module, result_module)
-        selected = set(function_names) if function_names is not None else None
+        config, manager = self.config, self.manager
+        plan = build_plan([module], passes, config, cache, labels=[label],
+                          strategy="stepwise",
+                          function_names=(None if function_names is None
+                                          else [list(function_names)]))
+        deltas: Dict[str, _ChainDelta] = {}
+        for function_plan in plan.function_plans():
+            previous = self._states.get((label, function_plan.function.name))
+            diff = diff_plan(previous.fingerprints if previous is not None else [],
+                             function_plan.fingerprints, config, cache=cache,
+                             old_pair_keys=(previous.pair_keys
+                                            if previous is not None else None))
+            deltas[function_plan.function.name] = _ChainDelta(
+                function_plan, diff, previous)
 
-        # Phase 1: optimize + diff every selected function, so pooled
-        # backends can see the whole revalidation's dirty demand at once.
-        contexts = []
-        for function in module.functions.values():
-            if function.is_declaration or (
-                    selected is not None and function.name not in selected):
-                result_module.add_function(
-                    clone_function(function, value_map=global_map))
-                continue
-            contexts.append(self._plan_function(function, passes, label, cache))
+        if self.executor.name == "serial":
+            # Nothing runs ahead of settlement, so the retained-graph delta
+            # stays lazy: built only when the walk first misses a dirty pair.
+            execution = ExecutionOutcome()
+        else:
+            execution = self.executor.execute(plan, cache, budget=budget)
 
-        # Phase 2 (pooled backends only): ship the dirty uncached pairs to
-        # the workers as isolated pair items and pre-fill the cache.
-        prefilled = self._prefill_pooled(contexts, cache, budget)
-        prefilled_count = len(prefilled)
+        def delta(function_plan: FunctionPlan, before: Function,
+                  after: Function) -> Optional[ValidationResult]:
+            return deltas[function_plan.function.name].verdict(
+                before, after, cache, config, manager)
 
-        # Phase 3: settle every record through the incremental provider.
-        run_totals = {"pairs_skipped_unchanged": 0, "subgraph_nodes_reused": 0,
-                      "chain_extensions": 0, "chain_fallbacks": 0,
-                      "functions_fully_cached": 0}
-        for context in contexts:
-            kept, record = self._settle_function(context, cache, prefilled,
-                                                 run_totals, budget)
-            report.add(record)
+        def settled(record: FunctionRecord) -> None:
+            if record.transformed:
+                record.analysis_stats = manager.stats()
             if on_record is not None:
                 on_record(record)
-            function = context["function"]
-            if kept is function:
-                result_module.add_function(
-                    clone_function(function, value_map=global_map))
-            else:
-                remap_globals(kept, global_map)
-                result_module.add_function(kept)
-        remap_function_refs(result_module)
+
+        [(result_module, report)], inline_validations = settle_plan(
+            plan, cache, execution, manager, budget=budget, delta=delta,
+            on_record=settled)
+
+        totals = dict.fromkeys(("pairs_skipped_unchanged",
+                                "subgraph_nodes_reused", "chain_extensions",
+                                "chain_fallbacks", "functions_fully_cached"), 0)
+        consumed: Set[CacheKey] = set()
+        for record in report.records:
+            chain = deltas.get(record.name)
+            if chain is None:
+                # Untransformed: nothing to validate, nothing worth retaining.
+                self._states.pop((label, record.name), None)
+                continue
+            self._states[(label, record.name)] = chain.retained()
+            skipped, all_hits = chain.ledger(cache, execution.fresh, consumed)
+            if chain.graph is not None:
+                record.chain_stats["chain_pairs_skipped"] = skipped
+            totals["pairs_skipped_unchanged"] += skipped
+            totals["subgraph_nodes_reused"] += chain.reused
+            totals["chain_extensions"] += chain.graph is not None
+            totals["chain_fallbacks"] += chain.fallback
+            totals["functions_fully_cached"] += all_hits
 
         cache.save_if_dirty()
         report.cache_stats = cache.stats()
-        report.analysis_stats = self.manager.stats()
+        report.analysis_stats = manager.stats()
         self.runs += 1
-        executor_stats = self.executor.stats()
         report.shard_stats = {
-            "executor": self.executor.name,
+            **shard_stats(plan, execution, self.executor, inline_validations,
+                          cache, budget),
             "incremental": 1,
             "revalidations": self.runs,
-            "pool_prefilled_pairs": prefilled_count,
-            "workers_respawned": executor_stats.get("workers_respawned", 0),
-            "pairs_quarantined": executor_stats.get("pairs_quarantined", 0),
-            "item_retries": executor_stats.get("item_retries", 0),
-            **run_totals,
+            **totals,
         }
-        if budget is not None:
-            report.shard_stats.update(budget.stats())
         return result_module, report
-
-    # -- planning ---------------------------------------------------------
-    def _plan_function(self, function: Function, passes: Sequence[str],
-                       label: str, cache: ValidationCache) -> Dict[str, object]:
-        record = FunctionRecord(name=function.name, strategy="stepwise")
-        snapshots = PassManager(passes).run_with_snapshots(function)
-        record.transformed_by = {snap.pass_name: snap.changed
-                                 for snap in snapshots}
-        context: Dict[str, object] = {"function": function, "record": record,
-                                      "state_key": (label, function.name)}
-        if not record.transformed:
-            return context
-        steps, versions = checkpoint_chain(function, snapshots)
-        fingerprints = [CHECKPOINT_FINGERPRINTS.fingerprint(function)]
-        fingerprints += [snap.fingerprint() for snap in steps]
-        previous = self._states.get((label, function.name))
-        diff = diff_plan(previous.fingerprints if previous is not None else [],
-                         fingerprints, self.config, cache=cache,
-                         old_pair_keys=(previous.pair_keys
-                                        if previous is not None else None))
-        context.update(steps=steps, versions=versions,
-                       fingerprints=fingerprints, previous=previous, diff=diff)
-        return context
-
-    def _prefill_pooled(self, contexts: List[Dict[str, object]],
-                        cache: ValidationCache,
-                        budget: Optional[RequestBudget] = None,
-                        ) -> Set[CacheKey]:
-        """Run dirty uncached pairs on a pooled backend, filling the cache.
-
-        Returns the keys filled this way; the provider counts their first
-        consumption as a miss (the verdict is fresh work of this run, it
-        merely ran on a worker).  Serial backends skip this entirely and
-        keep the retained-graph delta path.  A ``budget`` is charged here
-        at admission (one fresh pair per item); work beyond it is simply
-        not shipped, and the provider denies it at settlement.
-        """
-        if resolved_executor(self.config) not in ("pool", "steal"):
-            return set()
-        items = []
-        keys: List[CacheKey] = []
-        queued: Set[CacheKey] = set()
-        for context in contexts:
-            diff = context.get("diff")
-            if diff is None:
-                continue
-            versions = context["versions"]
-            for index in diff.dirty_pairs:
-                if budget is not None and budget.exhausted:
-                    break
-                key = diff.pair_keys[index]
-                if key in queued or cache.peek(key) is not None:
-                    continue
-                queued.add(key)
-                keys.append(key)
-                items.append(("pair", versions[index], versions[index + 1],
-                              self.config))
-                if budget is not None:
-                    budget.charge()
-        if not items:
-            return set()
-        results = self.executor.run_batch(items, self.config)
-        prefilled: Set[CacheKey] = set()
-        for key, result in zip(keys, results):
-            # Synthetic denials (timeouts, quarantines) must not enter the
-            # prefilled set: the provider treats prefilled keys as cached
-            # verdicts, and the cache refuses them anyway — the provider's
-            # own bounded validation re-answers (or re-denies) the pair.
-            if (isinstance(result, ValidationResult)
-                    and result.reason not in UNCACHEABLE_REASONS):
-                cache.put(key, result)
-                prefilled.add(key)
-        return prefilled
-
-    # -- settlement -------------------------------------------------------
-    def _settle_function(self, context: Dict[str, object],
-                         cache: ValidationCache, prefilled: Set[CacheKey],
-                         run_totals: Dict[str, int],
-                         budget: Optional[RequestBudget] = None,
-                         ) -> Tuple[Function, FunctionRecord]:
-        function: Function = context["function"]
-        record: FunctionRecord = context["record"]
-        if "diff" not in context:
-            # Untransformed: nothing to validate, nothing worth retaining.
-            self._states.pop(context["state_key"], None)
-            return function, record
-        versions: List[Function] = context["versions"]
-        steps = context["steps"]
-        fingerprints: List[str] = context["fingerprints"]
-        previous: Optional[_ChainState] = context["previous"]
-        diff: PipelineDiff = context["diff"]
-
-        provider, finish = self._incremental_provider(
-            versions, fingerprints, diff, previous, record, cache, prefilled,
-            budget)
-        kept = run_stepwise(function, versions, steps, provider, record)
-        record.analysis_stats = self.manager.stats()
-        self._states[context["state_key"]] = finish(run_totals)
-        return kept, record
-
-    def _incremental_provider(self, versions: List[Function],
-                              fingerprints: List[str], diff: PipelineDiff,
-                              previous: Optional[_ChainState],
-                              record: FunctionRecord, cache: ValidationCache,
-                              prefilled: Set[CacheKey],
-                              budget: Optional[RequestBudget] = None):
-        """The pair provider settling one function's record incrementally.
-
-        Returns ``(provider, finish)``; ``finish(run_totals)`` folds the
-        per-record telemetry into the run totals and returns the
-        :class:`_ChainState` to retain for the next revalidation.
-        """
-        config = self.config
-        manager = self.manager
-        positions = {(id(before), id(after)): index
-                     for index, (before, after)
-                     in enumerate(zip(versions, versions[1:]))}
-        whole_pair = (id(versions[0]), id(versions[-1]))
-        unchanged = set(diff.unchanged_pairs) if previous is not None else set()
-        # Mutable provider state: the lazily produced delta verdicts, the
-        # extended graph/summaries, and the telemetry counters.
-        state: Dict[str, object] = {}
-        counters = {"skipped": 0, "reused": 0, "extended": 0, "fallback": 0,
-                    "fresh": 0, "denied": 0}
-
-        def delta() -> Optional[Dict[int, ValidationResult]]:
-            """Extend the retained graph and read the dirty verdicts off it."""
-            if "delta" in state:
-                return state["delta"]  # type: ignore[return-value]
-            verdicts: Optional[Dict[int, ValidationResult]] = None
-            needed = [index for index in diff.dirty_pairs
-                      if cache.peek(diff.pair_keys[index]) is None]
-            worthwhile = ((previous is not None and previous.pristine is not None)
-                          or chain_amortizes(len(needed), len(versions)))
-            if needed and worthwhile:
-                graph = (previous.pristine if previous is not None
-                         and previous.pristine is not None else ValueGraph())
-                old_summaries = (previous.summaries if previous is not None
-                                 and previous.pristine is not None else {})
-                gates_before, makes_before = graph.gate_translations, graph.make_calls
-                old_limit = sys.getrecursionlimit()
-                sys.setrecursionlimit(max(old_limit, config.recursion_limit))
-                try:
-                    summaries, reused, built = extend_chain_graph(
-                        graph, old_summaries, versions, manager, fingerprints)
-                except Exception:
-                    summaries = None
-                finally:
-                    sys.setrecursionlimit(old_limit)
-                if summaries is not None:
-                    outcome = validate_chain_delta(
-                        graph, summaries, needed, config,
-                        nodes_built=built, nodes_reused=reused,
-                        gate_translations=graph.gate_translations - gates_before,
-                        make_calls=graph.make_calls - makes_before)
-                    if outcome is not None:
-                        verdicts, chain_stats = outcome
-                        counters["extended"] = 1
-                        counters["reused"] = reused
-                        record.chain_stats = chain_stats
-                        state["graph"] = graph
-                        state["summaries"] = summaries
-                if verdicts is None:
-                    # Build or normalization failed: validate per-pair
-                    # below and drop the retained state (next run is cold).
-                    counters["fallback"] = 1
-            state["delta"] = verdicts
-            return verdicts
-
-        def provider(before: Function, after: Function
-                     ) -> Tuple[ValidationResult, bool]:
-            position = positions.get((id(before), id(after)))
-            is_whole = position is None and (id(before), id(after)) == whole_pair
-            if position is None and not is_whole:
-                # Not a chain query (cannot happen under run_stepwise, but
-                # the provider contract is total): validate through the
-                # cache by content key.
-                key = cache.key(before, after, config)
-                cached = cache.get(key, before.name)
-                if cached is not None:
-                    return cached, True
-                if budget is not None and budget.exhausted:
-                    counters["denied"] += 1
-                    return budget.result(before.name), False
-                result = validate_bounded(before, after, config,
-                                          manager=manager)
-                if result.reason in UNCACHEABLE_REASONS:
-                    counters["denied"] += 1
-                    return result, False
-                cache.put(key, result)
-                counters["fresh"] += 1
-                if budget is not None:
-                    budget.charge()
-                return result, False
-            key = (diff.pair_keys[position] if position is not None
-                   else cache.key_for(fingerprints[0], fingerprints[-1], config))
-            if key in prefilled:
-                # Fresh work of this run that a pooled worker performed:
-                # consume it as a miss, exactly as the batch settle layer
-                # accounts pre-executed items.
-                prefilled.discard(key)
-                cache.misses += 1
-                counters["fresh"] += 1
-                return cache.peek(key), False
-            cached = cache.get(key, before.name)
-            if cached is not None:
-                if position in unchanged:
-                    counters["skipped"] += 1
-                return cached, True
-            if budget is not None and budget.exhausted:
-                # Everything past this point is fresh work (delta read-off
-                # or isolated validation): deny it uncached — the record
-                # salvages its validated prefix, the cache stays clean.
-                counters["denied"] += 1
-                return budget.result(before.name), False
-            result: Optional[ValidationResult] = None
-            if position is not None and position in set(diff.dirty_pairs):
-                verdicts = delta()
-                if verdicts is not None:
-                    result = verdicts.get(position)
-                if result is not None and not result.is_success:
-                    # Delta rejections are never authoritative (the dirty
-                    # goal union is neither the full-chain nor the
-                    # isolated-pair scope): re-check in isolation, always.
-                    result = None
-            # Unchanged pairs whose cached verdict was evicted, the whole
-            # fallback, and everything the delta could not answer are
-            # validated in isolation — the same oracle the cold paths use.
-            if result is None:
-                result = validate_bounded(before, after, config,
-                                          manager=manager)
-                if result.reason in UNCACHEABLE_REASONS:
-                    counters["denied"] += 1
-                    return result, False
-            cache.put(key, result)
-            counters["fresh"] += 1
-            if budget is not None:
-                budget.charge()
-            return result, False
-
-        def finish(run_totals: Dict[str, int]) -> _ChainState:
-            if record.chain_stats is not None and counters["extended"]:
-                record.chain_stats["chain_pairs_skipped"] = counters["skipped"]
-            run_totals["pairs_skipped_unchanged"] += counters["skipped"]
-            run_totals["subgraph_nodes_reused"] += counters["reused"]
-            run_totals["chain_extensions"] += counters["extended"]
-            run_totals["chain_fallbacks"] += counters["fallback"]
-            if ("delta" not in state and not counters["fresh"]
-                    and not counters["denied"]):
-                run_totals["functions_fully_cached"] += 1
-            if counters["fallback"]:
-                # Broken graph state: retain only the plan (fingerprints
-                # and keys still allow adoption), cold-build next time.
-                return _ChainState(fingerprints, diff.pair_keys, None, {})
-            if counters["extended"]:
-                graph: ValueGraph = state["graph"]  # type: ignore[assignment]
-                summaries: List[FunctionSummary] = state["summaries"]  # type: ignore[assignment]
-                # Prune retired versions' nodes so the retained graph (and
-                # the next delta's restricted clone + sharing scan) stays
-                # proportional to the live chain.
-                roots = [node for summary in summaries
-                         for node in summary.roots()]
-                pruned = graph.clone(roots=roots)
-                return _ChainState(fingerprints, diff.pair_keys, pruned,
-                                   dict(zip(fingerprints, summaries)))
-            # Fully cached (or answered per-pair without amortizing a
-            # build): carry the previous pristine graph forward — its
-            # summaries stay valid, keyed by fingerprint — under the new
-            # plan.
-            pristine = previous.pristine if previous is not None else None
-            summaries_map = dict(previous.summaries) if previous is not None else {}
-            return _ChainState(fingerprints, diff.pair_keys, pristine,
-                               summaries_map)
-
-        return provider, finish
 
 
 #: Process-shared revalidators, one per configuration — what gives

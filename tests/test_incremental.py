@@ -4,7 +4,7 @@ The hard correctness bar: every record an incremental revalidation
 produces must be ``FunctionRecord.signature()``-identical to the record a
 cold run over the same module/pipeline produces.  The tests here check
 that bar per mutation kind (suffix swap, pass append, mid-pipeline edit)
-on a corpus subset — ``benchmarks/stepwise_guard.py --incremental-parity``
+on a corpus subset — ``benchmarks/stepwise_guard.py``'s incremental leg
 extends the same check to every paper corpus — plus the unit behavior of
 the new pieces: the shared fingerprint table, pipeline diffing, pristine
 graph cloning/extension, and the delta validator.
@@ -22,11 +22,13 @@ from repro.analysis.manager import (
     function_fingerprint,
 )
 from repro.bench.corpus import BENCHMARKS_BY_NAME, build_corpus
-from repro.ir import parse_function
+from repro.ir import parse_function, parse_module
 from repro.transforms.pass_manager import PassManager, checkpoint_chain
 from repro.validator import (
+    BUDGET_EXHAUSTED,
     DEFAULT_CONFIG,
     PipelineDiff,
+    RequestBudget,
     Revalidator,
     ValidationCache,
     ValidatorConfig,
@@ -48,8 +50,8 @@ MUTATIONS = {
     "append": PIPE + ("gvn",),
     "mid-edit": PIPE[:3] + PIPE[4:],
 }
-#: Three cheap corpora keep the in-tree matrix fast; ``stepwise_guard.py
-#: --incremental-parity`` runs the same check over all twelve in CI.
+#: Three cheap corpora keep the in-tree matrix fast; ``stepwise_guard.py``'s
+#: incremental leg runs the same check over all twelve in CI.
 CORPORA = ("sqlite", "milc", "libquantum")
 
 #: A function several paper passes actually transform (gvn folds the
@@ -66,6 +68,23 @@ entry:
   ret i32 %r
 }
 """
+
+
+#: A second transformed function, distinct from ``REDUNDANT``.
+G_ONLY = """
+define i32 @g(i32 %a, i32* %p) {
+entry:
+  %x = mul i32 %a, 3
+  %y = mul i32 %a, 3
+  store i32 %x, i32* %p
+  store i32 %y, i32* %p
+  %r = add i32 %x, %y
+  ret i32 %r
+}
+"""
+#: Two distinct transformed functions, so a one-pair budget runs out
+#: before the second chain.
+TWO_FUNCS = REDUNDANT + G_ONLY
 
 
 def _signatures(report):
@@ -150,6 +169,77 @@ def test_validate_module_batch_incremental_routing():
         assert result_module is not module
     finally:
         reset_shared_revalidators()
+
+
+def test_validate_module_batch_incremental_passes_budget():
+    """The incremental route honors the batch call's request budget."""
+    config = replace(DEFAULT_CONFIG, incremental=True)
+    module = parse_module(TWO_FUNCS, name="two")
+    try:
+        (_, report), = validate_module_batch(
+            [module], PIPE, config, strategy="stepwise",
+            budget=RequestBudget(max_pairs=1))
+        assert report.shard_stats["budget_exhausted"] == 1
+        assert report.shard_stats["budget_denied_pairs"] > 0
+    finally:
+        reset_shared_revalidators()
+
+
+@pytest.mark.parametrize("executor,concurrency",
+                         [("steal", 0), ("steal", 2), ("pool", 2)])
+def test_revalidator_on_pooled_backends(executor, concurrency):
+    """Pooled revalidations run the full plan and still match cold runs."""
+    spec = BENCHMARKS_BY_NAME["sqlite"]
+    tweaked = MUTATIONS["swap"]
+    config = replace(DEFAULT_CONFIG, incremental=True, executor=executor,
+                     concurrency=concurrency)
+    revalidator = Revalidator(config)
+    try:
+        module = build_corpus(spec, 0.1)
+        _, first = revalidator.revalidate(module, PIPE)
+        # The cold run's work ran on the backend, not inline at settlement.
+        assert first.shard_stats["distinct_pairs"] > 0
+        _, second = revalidator.revalidate(module, tweaked)
+        (_, cold), = validate_module_batch([build_corpus(spec, 0.1)], tweaked,
+                                           DEFAULT_CONFIG, strategy="stepwise")
+        assert _signatures(second) == _signatures(cold)
+        assert second.shard_stats["executor"] == executor
+        assert second.shard_stats["pairs_skipped_unchanged"] > 0
+
+        # Budget salvage: a denied record keeps exactly its validated prefix.
+        _, denied = revalidator.revalidate(
+            parse_module(TWO_FUNCS, name="two"), PIPE, label="salvage",
+            budget=RequestBudget(max_pairs=1))
+        assert denied.shard_stats["budget_exhausted"] == 1
+        short = [record for record in denied.records
+                 if record.signature()["reason"] == BUDGET_EXHAUSTED]
+        assert short
+        for record in short:
+            verdicts = list(record.pass_verdicts.values())
+            prefix = next((index for index, verdict in enumerate(verdicts)
+                           if not verdict.is_success), len(verdicts))
+            assert record.kept_prefix == prefix
+    finally:
+        revalidator.close()
+
+
+def test_revalidation_hits_refresh_cache_recency():
+    """Cache hits at settlement refresh LRU recency, as ``get`` documents."""
+    revalidator = Revalidator(replace(DEFAULT_CONFIG, incremental=True))
+    try:
+        stamps = revalidator.cache._hit_stamp
+        revalidator.revalidate(parse_module(REDUNDANT, name="a"), PIPE)
+        first = set(stamps)
+        revalidator.revalidate(parse_module(G_ONLY, name="b"), PIPE)
+        second = set(stamps) - first
+        assert first and second
+        # Every verdict of "a" is answered from the cache again: each hit
+        # must outrank the entries "b" stored in between.
+        revalidator.revalidate(parse_module(REDUNDANT, name="a"), PIPE)
+        assert min(stamps[key] for key in first) > max(
+            stamps[key] for key in second)
+    finally:
+        revalidator.close()
 
 
 def test_shared_revalidator_is_per_config():
