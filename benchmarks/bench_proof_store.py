@@ -37,7 +37,7 @@ def main() -> int:
                         help="corpus scale (default 0.2: the largest guard "
                              "scale, matching cache_guard.py)")
     parser.add_argument("--concurrency", type=int, default=2,
-                        help="process-pool width for the sweeps")
+                        help="steal worker processes for the sweeps")
     parser.add_argument("--strategy", default="stepwise",
                         help="validation strategy for the sweeps")
     parser.add_argument("--cache-root", type=pathlib.Path, default=None,

@@ -16,7 +16,12 @@ exists to bound the *overhead* of going cross-host:
   ``remote://HOST:PORT`` ``config.cache_dir`` must amortize its round
   trips: planning issues **at most one get RPC per work batch** (one
   ``validate_module_batch`` call), answered by batched planning-time
-  prefetch, never per-key chatter.
+  prefetch, never per-key chatter;
+* work items must stay small: the encoded bytes both transports shipped
+  (``bytes_dispatched``) per pooled item are gated against the committed
+  ``benchmarks/perf_baseline.json`` ``dispatch`` entry, so an item that
+  drags whole modules again (callee bodies instead of declarations)
+  fails.
 
 ``benchmarks/perf_guard.py`` gates exactly those from this artifact
 (and skips the gate with a note when the artifact is absent).
@@ -47,7 +52,8 @@ from repro.validator.scheduler.transport import TcpStealPool
 WORKERS = 2
 
 TABLE_COLUMNS = ("benchmark", "transport", "distinct_pairs", "pooled_pairs",
-                 "items_stolen", "workers_joined", "time_s")
+                 "bytes_dispatched", "items_stolen", "workers_joined",
+                 "time_s")
 
 
 def probe_port() -> int:
@@ -97,7 +103,8 @@ def main() -> int:
                            cache_dir=f"{REMOTE_PREFIX}{store_address}")
 
     rows = []
-    totals = {name: {"distinct_pairs": 0, "pooled_pairs": 0, "time_s": 0.0}
+    totals = {name: {"distinct_pairs": 0, "pooled_pairs": 0,
+                     "bytes_dispatched": 0, "time_s": 0.0}
               for name in transports}
     warm_get_rpcs = warm_batched_gets = warm_batches = warm_revalidated = 0
     try:
@@ -108,12 +115,15 @@ def main() -> int:
                 totals[name]["distinct_pairs"] += shard.get(
                     "distinct_pairs", 0)
                 totals[name]["pooled_pairs"] += shard.get("pooled_pairs", 0)
+                totals[name]["bytes_dispatched"] += shard.get(
+                    "bytes_dispatched", 0)
                 totals[name]["time_s"] += elapsed
                 rows.append({
                     "benchmark": spec.name,
                     "transport": name,
                     "distinct_pairs": shard.get("distinct_pairs", 0),
                     "pooled_pairs": shard.get("pooled_pairs", 0),
+                    "bytes_dispatched": shard.get("bytes_dispatched", 0),
                     "items_stolen": shard.get("items_stolen", 0),
                     "workers_joined": shard.get("remote_workers_joined", 0),
                     "time_s": round(elapsed, 3),
@@ -145,6 +155,8 @@ def main() -> int:
 
     pipe_queries = totals["pipe"]["distinct_pairs"]
     tcp_queries = totals["tcp"]["distinct_pairs"]
+    shipped = sum(total["bytes_dispatched"] for total in totals.values())
+    pooled = sum(total["pooled_pairs"] for total in totals.values())
     summary = {
         "pipe_queries": pipe_queries,
         "tcp_queries": tcp_queries,
@@ -152,6 +164,9 @@ def main() -> int:
             if pipe_queries else 0.0,
         "pipe_time_s": round(totals["pipe"]["time_s"], 3),
         "tcp_time_s": round(totals["tcp"]["time_s"], 3),
+        "pipe_bytes_dispatched": totals["pipe"]["bytes_dispatched"],
+        "tcp_bytes_dispatched": totals["tcp"]["bytes_dispatched"],
+        "bytes_per_pooled_item": round(shipped / pooled) if pooled else 0,
         "warm_batches": warm_batches,
         "warm_get_rpcs": warm_get_rpcs,
         "warm_batched_gets": warm_batched_gets,
@@ -161,7 +176,8 @@ def main() -> int:
           f"(x{summary['tcp_overhead_ratio']}); warm served store answered "
           f"{warm_batches} work batches in {warm_get_rpcs} get RPCs "
           f"({warm_batched_gets} batched gets, "
-          f"{warm_revalidated} pairs re-validated)")
+          f"{warm_revalidated} pairs re-validated); "
+          f"{summary['bytes_per_pooled_item']} bytes shipped per pooled item")
 
     payload = {"schema": 1, "scale": args.scale, "workers": WORKERS,
                "rows": rows, "totals": totals, "summary": summary}

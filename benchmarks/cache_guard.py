@@ -41,7 +41,7 @@ def main() -> int:
     parser.add_argument("--scale", type=float, default=0.2,
                         help="corpus scale (default 0.2: tiny, CI-friendly)")
     parser.add_argument("--concurrency", type=int, default=2,
-                        help="process-pool width for the sharded sweep")
+                        help="steal worker processes for the sharded sweep")
     parser.add_argument("--strategy", default="stepwise",
                         help="validation strategy for the sweep")
     parser.add_argument("--min-hit-rate", type=float, default=0.95,

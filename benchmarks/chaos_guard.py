@@ -3,8 +3,8 @@
 
 Runs four deterministic fault schedules — a worker **crash**, a pair
 **hang**, a proof-store **flush** failure and a **corrupt** result
-payload — over three corpora on both pooled scheduling backends
-(``pool`` and ``steal``), and fails unless:
+payload — over three corpora on the pooled scheduling backend
+(``steal`` with worker processes), and fails unless:
 
 * every chaotic run *completes* and produces per-function record
   signatures identical to a fault-free serial baseline, except for the
@@ -60,13 +60,18 @@ from repro.validator.validate import UNCACHEABLE_REASONS
 
 CORPORA = ("sqlite", "milc", "libquantum")
 CONCURRENCY = 2
+BACKEND = "steal"
 
 #: schedule name -> (plan factory, config overrides, max denied records).
 #: Fault-site visit counters are per *process*, so a count=1 hang spec
 #: fires once in the parent and once in each worker — the denial
 #: allowance for the hang schedule is therefore CONCURRENCY + 1.
 SCHEDULES = {
-    "crash": (None, {}, 0),  # plan is backend-specific, built below
+    # Kill one worker, exactly once: the parent-side "steal-dispatch"
+    # site counts across respawns, so "once" means once (a worker-side
+    # crash counter would reset with the fresh process and fire again).
+    "crash": (lambda: FaultPlan.of(
+        FaultSpec("steal-dispatch", "crash", "", 2, 1), seed=7), {}, 0),
     "hang": (lambda: FaultPlan.hang_pair(match="", seconds=5.0, at=1, count=1),
              {"pair_timeout": 0.2, "chain_graphs": False}, CONCURRENCY + 1),
     "flush": (lambda: FaultPlan.flush_error("lock", at=1, count=1), {}, 0),
@@ -86,19 +91,6 @@ NETWORK_SCHEDULES = {
     "handshake": lambda: FaultPlan.of(
         FaultSpec("handshake", "raise", "worker", 1, 1), seed=7),
 }
-
-
-def crash_plan(backend: str) -> FaultPlan:
-    """Kill one worker, exactly once, on a parent-side schedule.
-
-    Parent-side sites ("steal-dispatch", "pool-batch") count across
-    respawns, so "once" means once; a worker-side crash counter would
-    reset with the fresh process and fire again.
-    """
-    if backend == "steal":
-        return FaultPlan.of(
-            FaultSpec("steal-dispatch", "crash", "", 2, 1), seed=7)
-    return FaultPlan.crash_pool_batch(seed=7)
 
 
 def run_one(module, config, cache):
@@ -275,128 +267,121 @@ def main() -> int:
     for corpus_name in CORPORA:
         module = build_corpus(BENCHMARKS_BY_NAME[corpus_name], args.scale)
         baselines = {}
-        for backend in ("pool", "steal"):
-            for schedule, (make_plan, overrides, max_denied) in \
-                    SCHEDULES.items():
-                if schedule == "corrupt" and backend != "steal":
-                    continue  # payloads only travel the steal channel
-                # Fault-free serial baseline under the same non-fault
-                # config knobs (one per override set, shared by backends).
-                baseline_key = tuple(sorted(overrides.items()
-                                            - {("pair_timeout", 0.2)}))
-                if baseline_key not in baselines:
-                    base_config = replace(DEFAULT_CONFIG, executor="serial",
-                                          **{k: v for k, v in overrides.items()
-                                             if k != "pair_timeout"})
-                    faults.reset()
-                    baseline, _ = run_one(module, base_config,
-                                          ValidationCache())
-                    baselines[baseline_key] = [r.signature()
-                                               for r in baseline.records]
-                clean_sigs = baselines[baseline_key]
-
-                plan = make_plan() if make_plan is not None \
-                    else crash_plan(backend)
-                config = replace(DEFAULT_CONFIG, executor=backend,
-                                 concurrency=CONCURRENCY, fault_plan=plan,
-                                 **overrides)
+        for schedule, (make_plan, overrides, max_denied) in SCHEDULES.items():
+            # Fault-free serial baseline under the same non-fault
+            # config knobs (one per override set).
+            baseline_key = tuple(sorted(overrides.items()
+                                        - {("pair_timeout", 0.2)}))
+            if baseline_key not in baselines:
+                base_config = replace(DEFAULT_CONFIG, executor="serial",
+                                      **{k: v for k, v in overrides.items()
+                                         if k != "pair_timeout"})
                 faults.reset()
-                if schedule == "flush":
-                    with tempfile.TemporaryDirectory() as tmp:
-                        cache = ValidationCache(tmp, fault_plan=plan)
-                        report, elapsed = run_one(module, config, cache)
-                        flushed = cache.save()
-                        stats = cache.stats()
-                        if stats.get("store_errors", 0):
-                            failures.append(
-                                f"{corpus_name}/{backend}/{schedule}: locked "
-                                f"flush degraded the store "
-                                f"(store_errors={stats['store_errors']})")
-                        if len(cache) and not flushed \
-                                and not stats.get("store_flushes", 0):
-                            failures.append(
-                                f"{corpus_name}/{backend}/{schedule}: "
-                                f"nothing reached the sqlite store")
-                else:
-                    cache = ValidationCache()
+                baseline, _ = run_one(module, base_config,
+                                      ValidationCache())
+                baselines[baseline_key] = [r.signature()
+                                           for r in baseline.records]
+            clean_sigs = baselines[baseline_key]
+
+            plan = make_plan()
+            config = replace(DEFAULT_CONFIG, executor=BACKEND,
+                             concurrency=CONCURRENCY, fault_plan=plan,
+                             **overrides)
+            faults.reset()
+            if schedule == "flush":
+                with tempfile.TemporaryDirectory() as tmp:
+                    cache = ValidationCache(tmp, fault_plan=plan)
                     report, elapsed = run_one(module, config, cache)
+                    flushed = cache.save()
                     stats = cache.stats()
-
-                sigs = [r.signature() for r in report.records]
-                shard = report.shard_stats or {}
-                clean_by_name = {sig["name"]: sig for sig in clean_sigs}
-                denied = [sig for sig in sigs
-                          if any(reason in json.dumps(sig)
-                                 for reason in ("timeout", "quarantined"))]
-                mismatched = [sig["name"] for sig in sigs
-                              if sig not in denied
-                              and sig != clean_by_name.get(sig["name"])]
-                if len(sigs) != len(clean_sigs):
-                    failures.append(
-                        f"{corpus_name}/{backend}/{schedule}: "
-                        f"{len(sigs)} records vs {len(clean_sigs)} clean")
-                if mismatched:
-                    failures.append(
-                        f"{corpus_name}/{backend}/{schedule}: records "
-                        f"diverged from the fault-free baseline for: "
-                        f"{', '.join(mismatched)}")
-                if len(denied) > max_denied:
-                    failures.append(
-                        f"{corpus_name}/{backend}/{schedule}: {len(denied)} "
-                        f"denied records (schedule allows {max_denied})")
-                poisoned = poisoned_entries(cache)
-                if poisoned:
-                    failures.append(
-                        f"{corpus_name}/{backend}/{schedule}: {len(poisoned)} "
-                        f"synthetic denials poisoned the proof cache")
-                if schedule == "crash":
-                    if shard.get("pool_degraded", 0):
+                    if stats.get("store_errors", 0):
                         failures.append(
-                            f"{corpus_name}/{backend}/{schedule}: crash "
-                            f"degraded the backend to serial instead of "
-                            f"respawning")
-                    # A corpus too small to engage the pooled path never
-                    # dispatches, so the kill site never fires there; the
-                    # sweep-level check below still requires every
-                    # backend to prove a respawn on some corpus.
-                    if shard.get("workers", 0) \
-                            and not shard.get("workers_respawned", 0):
+                            f"{corpus_name}/{BACKEND}/{schedule}: locked "
+                            f"flush degraded the store "
+                            f"(store_errors={stats['store_errors']})")
+                    if len(cache) and not flushed \
+                            and not stats.get("store_flushes", 0):
                         failures.append(
-                            f"{corpus_name}/{backend}/{schedule}: workers "
-                            f"ran but the crash schedule never exercised "
-                            f"a respawn")
-                rows.append({
-                    "corpus": corpus_name,
-                    "backend": backend,
-                    "schedule": schedule,
-                    "records": len(sigs),
-                    "denied": len(denied),
-                    "mismatched": len(mismatched),
-                    "workers_respawned": shard.get("workers_respawned", 0),
-                    "pairs_quarantined": shard.get("pairs_quarantined", 0),
-                    "item_retries": shard.get("item_retries", 0),
-                    "pool_degraded": shard.get("pool_degraded", 0),
-                    "store_retries": stats.get("store_retries", 0),
-                    "store_errors": stats.get("store_errors", 0),
-                    "time_s": round(elapsed, 3),
-                })
-                print(f"{corpus_name:>10}/{backend:<5} {schedule:<7} "
-                      f"records={len(sigs):<3} denied={len(denied)} "
-                      f"respawned={shard.get('workers_respawned', 0)} "
-                      f"retries={shard.get('item_retries', 0)} "
-                      f"degraded={shard.get('pool_degraded', 0)} "
-                      f"({elapsed:.2f}s)")
+                            f"{corpus_name}/{BACKEND}/{schedule}: "
+                            f"nothing reached the sqlite store")
+            else:
+                cache = ValidationCache()
+                report, elapsed = run_one(module, config, cache)
+                stats = cache.stats()
 
-    # Every backend must have proven supervised recovery somewhere in the
+            sigs = [r.signature() for r in report.records]
+            shard = report.shard_stats or {}
+            clean_by_name = {sig["name"]: sig for sig in clean_sigs}
+            denied = [sig for sig in sigs
+                      if any(reason in json.dumps(sig)
+                             for reason in ("timeout", "quarantined"))]
+            mismatched = [sig["name"] for sig in sigs
+                          if sig not in denied
+                          and sig != clean_by_name.get(sig["name"])]
+            if len(sigs) != len(clean_sigs):
+                failures.append(
+                    f"{corpus_name}/{BACKEND}/{schedule}: "
+                    f"{len(sigs)} records vs {len(clean_sigs)} clean")
+            if mismatched:
+                failures.append(
+                    f"{corpus_name}/{BACKEND}/{schedule}: records "
+                    f"diverged from the fault-free baseline for: "
+                    f"{', '.join(mismatched)}")
+            if len(denied) > max_denied:
+                failures.append(
+                    f"{corpus_name}/{BACKEND}/{schedule}: {len(denied)} "
+                    f"denied records (schedule allows {max_denied})")
+            poisoned = poisoned_entries(cache)
+            if poisoned:
+                failures.append(
+                    f"{corpus_name}/{BACKEND}/{schedule}: {len(poisoned)} "
+                    f"synthetic denials poisoned the proof cache")
+            if schedule == "crash":
+                if shard.get("pool_degraded", 0):
+                    failures.append(
+                        f"{corpus_name}/{BACKEND}/{schedule}: crash "
+                        f"degraded the backend to serial instead of "
+                        f"respawning")
+                # A corpus too small to engage the pooled path never
+                # dispatches, so the kill site never fires there; the
+                # sweep-level check below still requires a respawn
+                # on some corpus.
+                if shard.get("workers", 0) \
+                        and not shard.get("workers_respawned", 0):
+                    failures.append(
+                        f"{corpus_name}/{BACKEND}/{schedule}: workers "
+                        f"ran but the crash schedule never exercised "
+                        f"a respawn")
+            rows.append({
+                "corpus": corpus_name,
+                "backend": BACKEND,
+                "schedule": schedule,
+                "records": len(sigs),
+                "denied": len(denied),
+                "mismatched": len(mismatched),
+                "workers_respawned": shard.get("workers_respawned", 0),
+                "pairs_quarantined": shard.get("pairs_quarantined", 0),
+                "item_retries": shard.get("item_retries", 0),
+                "pool_degraded": shard.get("pool_degraded", 0),
+                "store_retries": stats.get("store_retries", 0),
+                "store_errors": stats.get("store_errors", 0),
+                "time_s": round(elapsed, 3),
+            })
+            print(f"{corpus_name:>10}/{BACKEND:<5} {schedule:<7} "
+                  f"records={len(sigs):<3} denied={len(denied)} "
+                  f"respawned={shard.get('workers_respawned', 0)} "
+                  f"retries={shard.get('item_retries', 0)} "
+                  f"degraded={shard.get('pool_degraded', 0)} "
+                  f"({elapsed:.2f}s)")
+
+    # The backend must have proven supervised recovery somewhere in the
     # sweep — a crash that only ever lands on too-small corpora would
     # otherwise pass without exercising the respawn path at all.
-    for backend in ("pool", "steal"):
-        if not any(row["workers_respawned"] for row in rows
-                   if row["backend"] == backend
-                   and row["schedule"] == "crash"):
-            failures.append(
-                f"{backend}: no corpus in the sweep exercised a worker "
-                f"respawn under the crash schedule")
+    if not any(row["workers_respawned"] for row in rows
+               if row["schedule"] == "crash"):
+        failures.append(
+            f"{BACKEND}: no corpus in the sweep exercised a worker "
+            f"respawn under the crash schedule")
 
     if args.out:
         out = pathlib.Path(args.out)

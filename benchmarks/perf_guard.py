@@ -36,8 +36,12 @@ When a ``benchmarks/artifacts/remote_steal.json`` artifact is present
 cross-host overhead it carries: the TCP steal transport must answer at
 most 1.15x the pipe transport's total validated queries, and the warm
 served-proof-store leg must have issued at most one get RPC per work
-batch with the batched-prefetch path exercised.  Absent artifact, same
-skip-with-a-note rule.
+batch with the batched-prefetch path exercised.  The same artifact's
+``bytes_per_pooled_item`` (encoded work-item bytes the steal transports
+shipped, per item a worker ran) is gated against the baseline's
+``dispatch`` entry with ``--tolerance``: items carry callee declarations,
+not whole modules, and a payload that drags module bodies again fails
+here.  Absent artifact, same skip-with-a-note rule.
 
 Run with::
 
@@ -226,6 +230,41 @@ def _check_remote_steal(path: pathlib.Path,
     return failures
 
 
+def _dispatch_entry(path: pathlib.Path) -> dict:
+    """The baseline ``dispatch`` entry a remote-steal artifact implies."""
+    artifact = json.loads(path.read_text())
+    return {"scale": _scale_key(artifact.get("scale")),
+            "bytes_per_pooled_item": int(artifact.get("summary", {}).get(
+                "bytes_per_pooled_item", 0))}
+
+
+def _check_dispatch_bytes(path: pathlib.Path, baseline_entry,
+                          tolerance: float) -> list:
+    """Gate the encoded bytes shipped per pooled steal item, if present.
+
+    Returns failure strings; an absent artifact or baseline entry is a
+    skip (with a note), not a failure.
+    """
+    if not path.exists() or not baseline_entry:
+        print(f"dispatch-bytes gate skipped: needs {path} and a baseline "
+              f"'dispatch' entry")
+        return []
+    actual = _dispatch_entry(path)
+    if actual["scale"] != _scale_key(baseline_entry.get("scale")):
+        return [f"dispatch bytes: artifact scale {actual['scale']} does not "
+                f"match baseline scale {baseline_entry.get('scale')}"]
+    expected = int(baseline_entry.get("bytes_per_pooled_item", 0))
+    shipped = actual["bytes_per_pooled_item"]
+    delta = (shipped - expected) / expected if expected else 0.0
+    print(f"dispatch bytes: {shipped} per pooled item vs baseline "
+          f"{expected} ({delta:+.1%})")
+    if delta > tolerance:
+        return [f"dispatch bytes: {shipped} per pooled item vs baseline "
+                f"{expected} ({delta:+.1%} > {tolerance:.0%} tolerance) — "
+                f"work items are dragging more than callee declarations"]
+    return []
+
+
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--artifact", type=pathlib.Path,
@@ -276,6 +315,12 @@ def main() -> int:
             "counters": per_scale,
             "growth": growth,
         }
+        if args.remote_steal_artifact.exists():
+            payload["dispatch"] = _dispatch_entry(args.remote_steal_artifact)
+        elif args.baseline.exists():
+            previous = json.loads(args.baseline.read_text()).get("dispatch")
+            if previous:
+                payload["dispatch"] = previous
         args.baseline.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
         print(f"baseline updated: {args.baseline}")
         return 0
@@ -353,6 +398,9 @@ def main() -> int:
     failures += _check_proof_store(args.proof_store_artifact)
     failures += _check_remote_steal(args.remote_steal_artifact,
                                     args.remote_steal_max_overhead)
+    failures += _check_dispatch_bytes(args.remote_steal_artifact,
+                                      baseline.get("dispatch"),
+                                      args.tolerance)
     failures += _check_incremental(args.incremental_artifact,
                                    baseline.get("hash_seed"),
                                    args.incremental_min_saved)

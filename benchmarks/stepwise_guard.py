@@ -11,7 +11,7 @@ strategy plumbing regressed.
 
 With ``--shard-concurrency N`` (default 2; 0 disables) it additionally
 runs the :func:`repro.bench.sharded_comparison` experiment over all
-twelve corpora and fails unless the process-pool-sharded stepwise driver
+twelve corpora and fails unless the worker-pool (steal) stepwise driver
 produced *identical* per-function record signatures (verdict, reason,
 blame, kept prefix, per-pass verdicts) to the serial driver.
 
@@ -28,12 +28,14 @@ unless each produced identical record signatures:
   Incremental revalidation must change how much work re-validation does,
   never what it decides.
 * **executor** — :func:`repro.bench.executor_comparison`: the
-  ``serial``, ``pool`` and ``steal`` scheduling backends.  A backend may
+  ``serial`` backend against ``steal`` in-process (concurrency 0,
+  ``steal0``) and over worker processes.  A backend may
   change where and in what order queries run, never what they decide.
   The table also reports the steal backend's cancellation savings
-  (doomed pairs of rejected functions it never ran) and deque traffic
-  (``items_stolen`` / ``steal_attempts``).  With ``--tcp-workers N``
-  (N > 0) the leg grows a fourth backend: steal over its TCP transport
+  (doomed pairs of rejected functions it never ran), deque traffic
+  (``items_stolen`` / ``steal_attempts``) and the encoded item bytes it
+  shipped (``steal_bytes_dispatched``).  With ``--tcp-workers N``
+  (N > 0) the leg grows a further backend: steal over its TCP transport
   with N loopback remote worker subprocesses, run cold and then warm
   through the coordinator's served proof store — both must also match
   serial byte for byte.
@@ -164,10 +166,10 @@ def main() -> int:
                 f"cold for: {', '.join(row['mismatches'])}"
             )
     executor_columns = ("benchmark", "transformed", "identical",
-                        "serial_pairs", "steal_pairs",
+                        "serial_pairs", "steal0_pairs", "steal_pairs",
                         "steal_pairs_skipped", "items_stolen",
-                        "steal_attempts", "serial_time_s",
-                        "steal_time_s")
+                        "steal_attempts", "steal_bytes_dispatched",
+                        "serial_time_s", "steal0_time_s", "steal_time_s")
     if args.tcp_workers > 0:
         executor_columns += ("tcp_pairs", "tcp_warm_pairs",
                              "tcp_workers_joined", "tcp_time_s",
@@ -175,7 +177,7 @@ def main() -> int:
     print()
     print(format_table([{k: row[k] for k in executor_columns}
                         for row in executor_rows],
-                       title="Serial vs pool vs steal scheduling backends"))
+                       title="Serial vs steal scheduling backends"))
     skipped = sum(row["steal_pairs_skipped"] for row in executor_rows)
     stolen = sum(row["items_stolen"] for row in executor_rows)
     attempts = sum(row["steal_attempts"] for row in executor_rows)
@@ -213,7 +215,7 @@ def main() -> int:
     if shard_rows:
         message += "; sharded records matched serial on every corpus"
     message += ("; chain-graph records matched the per-pair oracle, warm "
-                "incremental revalidation matched cold records, serial/pool/"
+                "incremental revalidation matched cold records, serial/"
                 "steal backends and worklist/fullscan engines produced "
                 "identical records on every corpus")
     if args.tcp_workers > 0:

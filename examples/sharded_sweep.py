@@ -6,27 +6,23 @@ paper's per-function validator:
 
 * **sharding** — ``validate_module_batch`` flattens the per-pass adjacent
   checkpoint pairs of *all* functions of *all* modules into one
-  deduplicated work queue and fans it out over a process pool
-  (``config.concurrency``), then reassembles per-function verdicts, blame
-  and kept prefixes identical to the serial path;
+  deduplicated work queue and fans it out over a work-stealing pool of
+  ``config.concurrency`` workers — idle workers steal queued items from
+  the most-loaded peer (``items_stolen`` / ``steal_attempts``) — then
+  reassembles per-function verdicts, blame and kept prefixes identical
+  to the serial path;
 * **persistence** — with ``config.cache_dir`` set, every proved pair is
-  saved to a content-addressed SQLite proof store, so a second sweep (a
-  CI re-run, a nightly job) answers from disk instead of re-proving
-  anything;
+  saved to a content-addressed SQLite proof store, flushed incrementally
+  (``store_flushes``), so a second sweep (a CI re-run, a nightly job)
+  answers from disk instead of re-proving anything, faulting in only
+  the rows it actually consults (``store_lazy_loads``);
 * **backend selection** — ``config.executor`` picks the scheduling
-  backend: ``"serial"``, ``"pool"`` (the process-pool default when
-  ``concurrency > 1``) or ``"steal"`` (persistent work-stealing pool).
-  One section sweeps a *high-rejection* pipeline (one pass deliberately
-  miscompiles) through the eager pool schedule and through the steal
-  backend: a streamed rejection cancels the later pairs of its
-  function, so steal answers fewer queries for byte-identical
-  per-function records;
-* **work stealing + the proof store** — the final section runs the same
-  cold/warm cycle with ``executor="steal"``: idle workers steal queued
-  items from the most-loaded peer (``items_stolen`` /
-  ``steal_attempts``), the store flushes proved pairs incrementally
-  (``store_flushes``), and the warm run faults only the rows it actually
-  consults (``store_lazy_loads``).
+  backend: ``"serial"`` or ``"steal"`` (the default ``"auto"`` picks
+  steal when ``concurrency > 1``).  The last section sweeps a
+  *high-rejection* pipeline (one pass deliberately miscompiles) through
+  the eager serial schedule and through the steal backend: a streamed
+  rejection cancels the later pairs of its function, so steal answers
+  fewer queries for byte-identical per-function records.
 
 Run with::
 
@@ -108,24 +104,28 @@ def main() -> None:
         cache = results[-1][1].cache_stats or {}
         lookups = cache.get("hits", 0) + cache.get("misses", 0)
         rate = cache.get("hits", 0) / lookups if lookups else 1.0
+        loaded = cache.get("disk_loaded", 0)
+        lazy = cache.get("store_lazy_loads", 0)
         print(f"warm-run cache-hit rate: {rate:.1%} — "
               f"the second sweep re-proved "
-              f"{(results[-1][1].shard_stats or {}).get('distinct_pairs', 0)} pairs\n")
+              f"{(results[-1][1].shard_stats or {}).get('distinct_pairs', 0)} pairs "
+              f"and faulted {lazy} of {loaded} stored entries lazily\n")
 
-    # Backend selection on a high-rejection pipeline: eager pool schedule
-    # vs work stealing, each with its own cold in-memory cache so the
-    # query counts are comparable.  Chain packing is disabled for both
-    # runs so every adjacent pair is its own work item: the eager run is
-    # the literal "round 1 validates every pair" baseline, and the steal
-    # run can cancel each doomed pair individually.
+    # Backend selection on a high-rejection pipeline: the eager serial
+    # schedule vs work stealing, each with its own cold in-memory cache
+    # so the query counts are comparable.  Chain packing is disabled for
+    # both runs so every adjacent pair is its own work item: the eager
+    # run is the literal "round 1 validates every pair" baseline, and the
+    # steal run can cancel each doomed pair individually.
     modules = [build_corpus(BENCHMARKS_BY_NAME[name], scale) for name in labels]
-    eager_config = replace(DEFAULT_CONFIG, concurrency=workers,
-                           executor="pool", chain_graphs=False)
+    eager_config = replace(DEFAULT_CONFIG, executor="serial",
+                           chain_graphs=False)
     eager = sweep(modules, labels, eager_config,
-                  "High-rejection sweep, eager pool backend (buggy pipeline)",
+                  "High-rejection sweep, eager serial backend (buggy pipeline)",
                   passes=BUGGY_PIPELINE)
     modules = [build_corpus(BENCHMARKS_BY_NAME[name], scale) for name in labels]
-    steal_config = replace(eager_config, executor="steal")
+    steal_config = replace(eager_config, executor="steal",
+                           concurrency=workers)
     steal = sweep(modules, labels, steal_config,
                   "High-rejection sweep, work-stealing backend",
                   passes=BUGGY_PIPELINE)
@@ -137,27 +137,7 @@ def main() -> None:
         [r.signature() for _, rep in steal for r in rep.records])
     print(f"steal vs eager: {steal_pairs} vs {eager_pairs} queries answered "
           f"({eager_pairs - steal_pairs} saved by cancelling doomed pairs); "
-          f"records identical: {identical}\n")
-
-    # Work stealing over the proof store: the same cold/warm cycle as the
-    # first section, but idle workers steal queued items from the
-    # most-loaded peer — and the warm run faults in only the rows it
-    # actually consults.
-    with tempfile.TemporaryDirectory(prefix="repro-sqlite-") as cache_dir:
-        steal_config = replace(DEFAULT_CONFIG, concurrency=workers,
-                               executor="steal", cache_dir=cache_dir)
-        modules = [build_corpus(BENCHMARKS_BY_NAME[name], scale) for name in labels]
-        sweep(modules, labels, steal_config,
-              "Cold sweep, work-stealing backend + sqlite proof store")
-        modules = [build_corpus(BENCHMARKS_BY_NAME[name], scale) for name in labels]
-        results = sweep(modules, labels, steal_config,
-                        "Warm sweep, work-stealing backend + sqlite proof store")
-
-        cache = results[-1][1].cache_stats or {}
-        loaded = cache.get("disk_loaded", 0)
-        lazy = cache.get("store_lazy_loads", 0)
-        print(f"warm sqlite run: faulted {lazy} of {loaded} stored entries "
-              f"lazily — {loaded - lazy} proofs never left the database")
+          f"records identical: {identical}")
 
 
 if __name__ == "__main__":

@@ -19,8 +19,8 @@ Figure 8     :func:`figure8` — SCCP rewrite-rule ablation
 (extension)  :func:`engine_comparison` — worklist vs full-scan normalization
 (extension)  :func:`engine_sweep_comparison` — worklist vs full-scan stepwise records
 (extension)  :func:`stepwise_comparison` — whole vs stepwise vs bisect strategies
-(extension)  :func:`sharded_comparison` — serial vs process-pool sharded records
-(extension)  :func:`executor_comparison` — serial vs pool vs steal scheduling backends
+(extension)  :func:`sharded_comparison` — serial vs worker-pool (steal) records
+(extension)  :func:`executor_comparison` — serial vs steal (in-process and pooled) backends
 (extension)  :func:`chain_comparison` — chain-shared graphs vs per-pair stepwise
 (extension)  :func:`cache_persistence` — cold vs warm persistent-cache sweeps
 ===========  ==================================================================
@@ -485,7 +485,7 @@ def sharded_comparison(scale: float = 1.0, benchmarks: Optional[Sequence[str]] =
                        config: Optional[ValidatorConfig] = None,
                        concurrency: int = 2,
                        strategy: str = "stepwise") -> List[Dict[str, object]]:
-    """Serial vs process-pool-sharded validation on identical inputs.
+    """Serial vs worker-pool validation on identical inputs.
 
     For every corpus, validates the module once through the serial
     ``llvm_md`` path and once through ``validate_module_batch`` with
@@ -541,11 +541,12 @@ def executor_comparison(scale: float = 1.0, benchmarks: Optional[Sequence[str]] 
                         concurrency: int = 2,
                         strategy: str = "stepwise",
                         tcp_workers: int = 0) -> List[Dict[str, object]]:
-    """Serial vs pool vs steal scheduling backends on identical inputs.
+    """Serial vs steal scheduling backends on identical inputs.
 
     For every corpus, validates the module through
-    ``validate_module_batch`` once per backend (``config.executor`` set
-    to ``"serial"``, ``"pool"`` and ``"steal"``) and
+    ``validate_module_batch`` once per leg — ``"serial"``, ``"steal0"``
+    (the steal backend's scheduling loop in-process, concurrency 0) and
+    ``"steal"`` (``concurrency`` worker processes) — and
     compares the per-function *record signatures* — a backend may only
     change where and in what order queries run, never what they decide,
     so ``identical`` must be true on every row (the CI executor-parity
@@ -554,11 +555,13 @@ def executor_comparison(scale: float = 1.0, benchmarks: Optional[Sequence[str]] 
     Each row also carries the scheduling telemetry: ``distinct_pairs``
     per backend (the deduplicated queries each one actually validated)
     and the steal backend's discipline — ``items_stolen`` /
-    ``steal_attempts`` (how often idle workers raided a sibling's deque)
-    and ``steal_pairs_skipped`` (doomed pairs its streaming cancellation
-    never ran; zero on an all-accepting corpus).
+    ``steal_attempts`` (how often idle workers raided a sibling's deque),
+    ``steal_pairs_skipped`` (doomed pairs its streaming cancellation
+    never ran; zero on an all-accepting corpus) and
+    ``steal_bytes_dispatched`` (encoded work-item bytes shipped to the
+    workers).
 
-    With ``tcp_workers > 0`` a fourth leg runs the steal backend over its
+    With ``tcp_workers > 0`` a further leg runs the steal backend over its
     TCP transport, twice per corpus: that many remote worker processes
     are spawned once (``--reconnect``, so they rejoin every per-batch
     coordinator on the same port), each corpus gets a coordinator-side
@@ -572,7 +575,7 @@ def executor_comparison(scale: float = 1.0, benchmarks: Optional[Sequence[str]] 
     workers = max(2, concurrency)
     backends = {
         "serial": _dc_replace(base, executor="serial", concurrency=0),
-        "pool": _dc_replace(base, executor="pool", concurrency=workers),
+        "steal0": _dc_replace(base, executor="steal", concurrency=0),
         "steal": _dc_replace(base, executor="steal", concurrency=workers),
     }
     tcp_procs: List[object] = []
@@ -618,12 +621,13 @@ def executor_comparison(scale: float = 1.0, benchmarks: Optional[Sequence[str]] 
                     "pairs_skipped": shard.get("speculative_pairs_skipped", 0),
                     "items_stolen": shard.get("items_stolen", 0),
                     "steal_attempts": shard.get("steal_attempts", 0),
+                    "bytes_dispatched": shard.get("bytes_dispatched", 0),
                     "workers_joined": shard.get("remote_workers_joined", 0),
                     "transformed": report.transformed_functions,
                     "time_s": round(elapsed, 3),
                 }
             mismatches = []
-            compared = ["pool", "steal"]
+            compared = ["steal0", "steal"]
             if tcp_workers > 0:
                 compared += ["tcp", "tcp_warm"]
             for name in compared:
@@ -640,13 +644,14 @@ def executor_comparison(scale: float = 1.0, benchmarks: Optional[Sequence[str]] 
                 "identical": not mismatches,
                 "mismatches": mismatches,
                 "serial_pairs": per_backend["serial"]["distinct_pairs"],
-                "pool_pairs": per_backend["pool"]["distinct_pairs"],
+                "steal0_pairs": per_backend["steal0"]["distinct_pairs"],
                 "steal_pairs": per_backend["steal"]["distinct_pairs"],
                 "items_stolen": per_backend["steal"]["items_stolen"],
                 "steal_attempts": per_backend["steal"]["steal_attempts"],
                 "steal_pairs_skipped": per_backend["steal"]["pairs_skipped"],
+                "steal_bytes_dispatched": per_backend["steal"]["bytes_dispatched"],
                 "serial_time_s": per_backend["serial"]["time_s"],
-                "pool_time_s": per_backend["pool"]["time_s"],
+                "steal0_time_s": per_backend["steal0"]["time_s"],
                 "steal_time_s": per_backend["steal"]["time_s"],
             }
             if tcp_workers > 0:
@@ -654,6 +659,7 @@ def executor_comparison(scale: float = 1.0, benchmarks: Optional[Sequence[str]] 
                     "tcp_pairs": per_backend["tcp"]["distinct_pairs"],
                     "tcp_warm_pairs": per_backend["tcp_warm"]["distinct_pairs"],
                     "tcp_workers_joined": per_backend["tcp"]["workers_joined"],
+                    "tcp_bytes_dispatched": per_backend["tcp"]["bytes_dispatched"],
                     "tcp_time_s": per_backend["tcp"]["time_s"],
                     "tcp_warm_time_s": per_backend["tcp_warm"]["time_s"],
                 })

@@ -69,7 +69,7 @@ class PassSnapshot:
     the identical version twice).
 
     Snapshots are the unit of work the sharded batch driver ships to its
-    process pool, so the whole payload — step name, changed flag and the
+    worker processes, so the whole payload — step name, changed flag and the
     checkpoint function — must stay pickle-safe (plain data and IR
     objects; no open handles, locks or pass callables).
     """
@@ -123,7 +123,7 @@ def checkpoint_chain(function: Function, snapshots: Sequence[PassSnapshot]
     is exactly the adjacent pair validating ``steps[i]``.  Both the serial
     and the sharded drivers build their work from this one helper, so they
     cannot disagree about which pairs a pipeline produces; every element
-    is a pickle-safe process-pool payload.
+    is a pickle-safe worker payload.
     """
     steps = [snapshot for snapshot in snapshots if snapshot.changed]
     versions = [function] + [snapshot.function for snapshot in steps]

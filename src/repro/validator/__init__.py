@@ -26,7 +26,6 @@ from .scheduler import (
     BUDGET_EXHAUSTED,
     Executor,
     PipelineDiff,
-    PoolExecutor,
     RequestBudget,
     SerialExecutor,
     StealExecutor,
@@ -75,7 +74,6 @@ __all__ = [
     "EXECUTORS",
     "Executor",
     "SerialExecutor",
-    "PoolExecutor",
     "StealExecutor",
     "WorkPlan",
     "PipelineDiff",

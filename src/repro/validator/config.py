@@ -16,9 +16,9 @@ from ..vgraph.rules import ALL_RULE_GROUPS
 from .faults import FaultPlan
 
 #: Scheduling backends the batch driver can execute a work plan on
-#: (``"auto"`` resolves to ``"pool"`` when ``concurrency > 1``, else
+#: (``"auto"`` resolves to ``"steal"`` when ``concurrency > 1``, else
 #: ``"serial"``).  See :mod:`repro.validator.scheduler.executors`.
-EXECUTORS = ("auto", "serial", "pool", "steal")
+EXECUTORS = ("auto", "serial", "steal")
 
 #: Transports the ``"steal"`` backend can move work items over:
 #: ``"pipe"`` (in-process ``multiprocessing`` pipes, the historical
@@ -84,18 +84,17 @@ class ValidatorConfig:
         in-process.
     executor:
         Scheduling backend the batch driver executes its work plan on:
-        ``"serial"`` (in-process), ``"pool"`` (process-pool sharding;
-        requires ``concurrency > 1``) or ``"steal"`` (a persistent pool
-        of workers pulling content-keyed items from per-worker deques
-        with LIFO-local/FIFO-steal semantics, so long chain items stop
+        ``"serial"`` (in-process) or ``"steal"`` (a persistent pool of
+        workers pulling content-keyed items from per-worker deques with
+        LIFO-local/FIFO-steal semantics, so long chain items stop
         straggling behind an idle pool; a rejection streams back and
         cancels the doomed later pairs of its function — pooled when
         ``concurrency > 1``, in-process otherwise).  The default
-        ``"auto"`` resolves to ``"pool"`` when ``concurrency > 1`` and
-        ``"serial"`` otherwise (the historical behavior).  Contradictory
-        combinations (``"pool"`` without workers, ``"serial"`` with
-        workers) are rejected at construction time instead of silently
-        running something else.  Every backend produces byte-identical
+        ``"auto"`` resolves to ``"steal"`` when ``concurrency > 1`` and
+        ``"serial"`` otherwise.  The contradictory combination
+        (``"serial"`` with workers) is rejected at construction time
+        instead of silently running something else.  Every backend
+        produces byte-identical
         :meth:`~repro.validator.report.FunctionRecord.signature`\\ s —
         ``benchmarks/stepwise_guard.py``'s executor leg enforces it —
         so the field can never affect a verdict and is *not* part of the
@@ -176,7 +175,7 @@ class ValidatorConfig:
         its validated ``kept_prefix``, other pairs are unaffected, and
         the verdict never enters the proof cache (a rerun with a larger
         bound must re-validate).  Enforced preemptively (``SIGALRM``)
-        in main threads, including pool/steal worker processes; post-hoc
+        in main threads, including steal worker processes; post-hoc
         elsewhere.  A resource limit like the budget knobs, so *not*
         part of the cache key.
     max_pair_retries:
@@ -238,11 +237,6 @@ class ValidatorConfig:
             raise ValueError(f"unknown engine {self.engine!r} (known: {ENGINES})")
         if self.executor not in EXECUTORS:
             raise ValueError(f"unknown executor {self.executor!r} (known: {EXECUTORS})")
-        if self.executor == "pool" and self.concurrency <= 1:
-            raise ValueError(
-                f"executor='pool' needs concurrency > 1 worker processes "
-                f"(got concurrency={self.concurrency}); raise concurrency or "
-                f"pick executor='serial'/'steal'")
         if self.executor == "serial" and self.concurrency > 1:
             raise ValueError(
                 f"executor='serial' contradicts concurrency={self.concurrency} "

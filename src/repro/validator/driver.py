@@ -60,11 +60,13 @@ For corpus-scale traffic, batch validation is orchestrated by the
   checked against the shared cache;
 * **execute** (:mod:`~repro.validator.scheduler.executors`): a pluggable
   :class:`~repro.validator.scheduler.executors.Executor` backend —
-  ``config.executor`` selects ``"serial"``, ``"pool"``
-  (``ProcessPoolExecutor`` sharding) or ``"steal"`` (work stealing
-  that also cancels the doomed later pairs of rejecting functions) —
-  fills the cache with verdicts; pool failures degrade to serial
-  through the same interface;
+  ``config.executor`` selects ``"serial"`` or ``"steal"`` (work
+  stealing over worker processes that also cancels the doomed later
+  pairs of rejecting functions; ``"auto"`` picks it when
+  ``config.concurrency > 1``) — fills the cache with verdicts; a dead
+  worker is respawned and its item requeued, and an unrecoverable pool
+  failure degrades the rest of the batch to serial through the same
+  interface;
 * **settle** (:func:`~repro.validator.scheduler.settle.settle_plan`):
   per-function records are reassembled from the cache through the same
   strategy runners the serial path uses, so every backend produces
@@ -308,13 +310,13 @@ def validate_module_batch(
       stepwise function ships as ONE packed chain work item when enough
       of its pairs are uncached to amortize it;
     * **execute** — the ``config.executor`` backend validates the
-      distinct items: ``"serial"`` in-process, ``"pool"`` sharded over a
-      ``ProcessPoolExecutor`` with ``config.concurrency`` workers
-      (degrading to serial if the platform cannot spawn processes, a
-      payload cannot be pickled, or a worker raises/dies), or
-      ``"steal"`` over a persistent pool of single-item workers stealing
-      from each other's deques (same degradation guarantee; a streamed
-      rejection cancels the later pairs of its function); under
+      distinct items: ``"serial"`` in-process, or ``"steal"`` over a
+      persistent pool of ``config.concurrency`` single-item workers
+      stealing from each other's deques (a dead worker is respawned and
+      its item requeued; the rest of the batch degrades to serial if the
+      platform cannot spawn processes, a payload cannot be pickled, or a
+      worker raises; a streamed rejection cancels the later pairs of its
+      function); under
       stepwise, a settle round fans out the whole-query fallbacks of
       rejected functions;
     * **settle** — worker results are merged into the shared cache and

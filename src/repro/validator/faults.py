@@ -27,9 +27,6 @@ Sites wired in today:
 ``"steal-dispatch"``
     In the parent, right after an item is dispatched to a steal worker
     (``crash`` kills that worker before it can answer).
-``"pool-batch"``
-    In the parent, at the top of each :class:`ProcessPoolExecutor`
-    batch attempt (``crash`` simulates a broken pool / spawn race).
 ``"payload"``
     In the parent, as a steal result arrives (``corrupt`` replaces it
     with a malformed payload, exercising the per-item retry path).
@@ -69,7 +66,7 @@ from dataclasses import dataclass
 from typing import Dict, Optional, Tuple
 
 #: Sites the validator consults a plan at (documented above).
-SITES = ("pair", "worker", "steal-dispatch", "pool-batch", "payload",
+SITES = ("pair", "worker", "steal-dispatch", "payload",
          "cache-flush", "conn-drop", "conn-delay", "handshake")
 
 #: What a firing spec does: ``"crash"`` (kill the worker process, or
@@ -88,7 +85,7 @@ class InjectedFault(RuntimeError):
 
 
 class InjectedCrash(InjectedFault):
-    """A parent-side stand-in for a worker/pool death."""
+    """A parent-side stand-in for a worker death."""
 
 
 class PairTimeout(BaseException):
@@ -158,13 +155,6 @@ class FaultPlan:
                      seed: int = 0) -> "FaultPlan":
         """Kill a steal worker when it receives the matching item."""
         return FaultPlan.of(FaultSpec("worker", "crash", match, at, count),
-                            seed=seed)
-
-    @staticmethod
-    def crash_pool_batch(at: int = 1, count: int = 1, seed: int = 0
-                         ) -> "FaultPlan":
-        """Break the process pool at the top of the matching batch."""
-        return FaultPlan.of(FaultSpec("pool-batch", "crash", "", at, count),
                             seed=seed)
 
     @staticmethod
@@ -288,7 +278,7 @@ class watchdog:
     """Context manager bounding a block of work to ``seconds`` wall-clock.
 
     In a main thread (including worker *processes'* main threads, where
-    pair validations actually run under the pooled backends) the bound
+    pair validations actually run under the steal backend) the bound
     is **preemptive**: ``SIGALRM``/``setitimer`` raises
     :class:`PairTimeout` inside the block, interrupting even an injected
     ``hang``'s sleep.  Off the main thread (the service daemon validates

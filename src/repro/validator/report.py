@@ -130,15 +130,18 @@ class ValidationReport:
     #: run did not use one).
     analysis_stats: Optional[Dict[str, int]] = None
     #: Scheduling counters of the batch driver (``None`` for serial
-    #: per-function runs): ``executor`` (the backend name — ``"serial"``,
-    #: ``"pool"`` or ``"steal"``), ``distinct_pairs`` (deduplicated queries
-    #: this batch validated), ``pooled_pairs`` (work items that ran on the
-    #: process pool), ``chain_items`` (packed chain work items),
+    #: per-function runs): ``executor`` (the resolved backend name —
+    #: ``"serial"`` or ``"steal"``), ``distinct_pairs`` (deduplicated
+    #: queries this batch validated), ``pooled_pairs`` (work items that ran
+    #: in a worker process), ``chain_items`` (packed chain work items),
     #: ``inline_validations`` (assembly-time queries, e.g. bisect probes),
     #: ``workers`` (pool width, ``0`` when everything ran in-process),
     #: ``speculative_pairs_skipped`` (steal backend: planned pair queries
-    #: never validated thanks to cancellation) and ``pool_degraded``
-    #: (pool failures that degraded execution to serial).  Incremental
+    #: never validated thanks to cancellation), ``bytes_dispatched``
+    #: (encoded work-item bytes the steal backend shipped to workers) and
+    #: ``pool_degraded`` (steal pool failures that degraded the rest of a
+    #: batch to serial; the name predates the steal-only backend and is
+    #: kept because guards read it).  Incremental
     #: revalidation runs (:mod:`repro.validator.watch`) add
     #: ``pairs_skipped_unchanged`` (adjacent pairs adopted from the
     #: previous run's plan/cache without re-validation) and

@@ -9,8 +9,8 @@ backend) independently:
     dedup by content key, chain-vs-pair amortization, cache consultation
     — producing a :class:`WorkPlan`.
 :mod:`~repro.validator.scheduler.executors`
-    *How to run it.*  The :class:`Executor` backends — serial,
-    process-pool, work-stealing (fed by the process plumbing in
+    *How to run it.*  The :class:`Executor` backends — serial and
+    work-stealing (fed by the process plumbing in
     :mod:`~repro.validator.scheduler.steal`) — plus the lazy providers
     the per-function serial driver validates through.  Every backend
     produces byte-identical record signatures.
@@ -29,7 +29,6 @@ from .budget import (
 from .executors import (
     ExecutionOutcome,
     Executor,
-    PoolExecutor,
     SerialExecutor,
     StealExecutor,
     chain_provider,
@@ -81,7 +80,6 @@ __all__ = [
     "Executor",
     "ExecutionOutcome",
     "SerialExecutor",
-    "PoolExecutor",
     "StealExecutor",
     "create_executor",
     "serial_provider",

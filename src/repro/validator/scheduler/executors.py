@@ -12,18 +12,11 @@ where and in what order queries run, never what they decide
 (``benchmarks/stepwise_guard.py``'s executor leg enforces this on all
 twelve corpora).
 
-Three backends ship today:
+Two backends ship today:
 
 ``SerialExecutor``
     Runs every work item in-process.  Also the degradation target: any
     pool-level failure lands here through the same interface.
-``PoolExecutor``
-    Fans batches out over a ``ProcessPoolExecutor``.  Worker crashes,
-    unpicklable payloads and platforms without process support degrade
-    to serial in-place — re-running items is always safe because
-    validation is deterministic and side-effect free, and verdicts are
-    only merged into the cache *after* a batch completes, so a retried
-    batch can neither lose nor double-count a cache query.
 ``StealExecutor``
     Work stealing over a persistent pool of single-item workers
     (:mod:`repro.validator.scheduler.steal`): the priority-ordered item
@@ -34,10 +27,14 @@ Three backends ship today:
     instead of idling behind a fixed shard boundary.  The queue also
     cancels doomed pairs: a rejection streams back, releases the
     rejecting functions' later pairs, and undispatched items whose every
-    demander is doomed are dropped from the deques — the eager backends
-    validate those pairs although no stepwise walk ever reads them.  Any
-    pool failure degrades the *unfinished remainder* to serial —
-    completed verdicts are content-addressed and kept.
+    demander is doomed are dropped from the deques — the eager serial
+    schedule validates those pairs although no stepwise walk ever reads
+    them.  A worker death costs one respawn and a requeue of its item;
+    only an unattributable pool failure degrades the *unfinished
+    remainder* to serial — completed verdicts are content-addressed and
+    kept.  Items travel as the function's own versions plus callee
+    declarations (:func:`~repro.validator.scheduler.steal.encode_item`),
+    never as whole modules.
 
 The cross-host half of the ROADMAP's multi-host item ships behind the
 same seam: ``config.steal_transport="tcp"`` swaps the steal backend's
@@ -53,7 +50,6 @@ from __future__ import annotations
 
 import collections
 import sys
-import time
 from abc import ABC, abstractmethod
 from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional, Set, Tuple
@@ -68,7 +64,6 @@ from ..validate import (UNCACHEABLE_REASONS, ChainOutcome, ValidationResult,
                         quarantined_result, validate, validate_bounded,
                         validate_chain)
 from .budget import RequestBudget, admit_work
-from .retry import POOL_RETRY
 from .plan import (
     ChainSignature,
     PairProvider,
@@ -90,13 +85,12 @@ ChainItemResult = Tuple[List[Optional[ValidationResult]],
 def _validate_item(item: Tuple):
     """Work-item entry point: validate one item (pair or whole chain).
 
-    Runs in pool worker processes (pickled by reference, so it must stay
-    a module-level function) and in-process for the serial backend.
-    Pair items run through :func:`validate_bounded`, so
+    Runs in steal worker processes and in-process for the serial
+    backend.  Pair items run through :func:`validate_bounded`, so
     ``config.pair_timeout`` and the ``"pair"`` fault site apply wherever
-    the item lands — serial, process pool or steal worker; chain items
-    share one normalization across all their pairs, so per-pair bounds
-    do not apply to them.
+    the item lands — serial, in-process steal loop or steal worker;
+    chain items share one normalization across all their pairs, so
+    per-pair bounds do not apply to them.
     """
     if item[0] == "chain":
         _, versions, config = item
@@ -176,7 +170,7 @@ class Executor(ABC):
     def __init__(self) -> None:
         #: Work items handed to this backend (including degraded ones).
         self.items_run = 0
-        #: Work items that actually ran on a process pool.
+        #: Work items that actually ran in a worker process.
         self.pooled_items = 0
         #: Batches executed (an eager run has <= 2).
         self.batches = 0
@@ -189,8 +183,7 @@ class Executor(ABC):
         self.workers_respawned = 0
         #: Poison items isolated after ``max_pair_retries`` casualties.
         self.pairs_quarantined = 0
-        #: Items re-executed after a transient failure (requeues and
-        #: retried pool batches).
+        #: Items re-executed after a transient failure (requeues).
         self.item_retries = 0
 
     # -- the backend-specific part ----------------------------------------
@@ -297,87 +290,6 @@ class SerialExecutor(Executor):
         return [_validate_item(item) for item in items]
 
 
-class PoolExecutor(Executor):
-    """Fan batches out over a ``ProcessPoolExecutor``; degrade to serial.
-
-    The pool is created lazily on the first multi-item batch and reused
-    across batches (a long-lived revalidator runs many small batches;
-    respawning workers per batch would dominate).  *Any* failure — a
-    platform that cannot spawn processes, an unpicklable payload, a
-    worker that raises or dies mid-batch — marks the backend degraded
-    and re-runs the whole batch serially in-process: validation is
-    deterministic and side-effect free, results only merge into the
-    cache after the batch completes, so the retry can neither lose nor
-    double-count a cache query, and a genuine per-item error reproduces
-    serially anyway.
-    """
-
-    name = "pool"
-
-    def __init__(self, workers: int) -> None:
-        super().__init__()
-        self.workers = workers
-        self._pool = None
-
-    def run_batch(self, items: List[Tuple], config: ValidatorConfig) -> List:
-        self.batches += 1
-        self.items_run += len(items)
-        if len(items) <= 1 or self.degraded:
-            return [_validate_item(item) for item in items]
-        try:
-            from concurrent.futures import ProcessPoolExecutor
-        except ImportError:  # pragma: no cover - stdlib always has it
-            return [_validate_item(item) for item in items]
-        # Deep operand chains make pickling recursive; give the parent the
-        # same recursion headroom validation itself gets.
-        old_limit = sys.getrecursionlimit()
-        sys.setrecursionlimit(max(old_limit, config.recursion_limit))
-        plan = config.fault_plan
-        delays = POOL_RETRY.backoff(getattr(plan, "seed", 0))
-        try:
-            # A broken pool is usually transient (a spawn race, one dead
-            # worker): retry the whole batch on a fresh pool before
-            # giving the backend up — safe because validation is
-            # deterministic and side-effect free, and verdicts only
-            # merge into the cache after the batch completes.
-            for attempt in range(1, POOL_RETRY.max_attempts + 1):
-                try:
-                    faults.maybe_fire(plan, "pool-batch")
-                    if self._pool is None:
-                        self._pool = ProcessPoolExecutor(max_workers=self.workers)
-                    chunksize = max(1, len(items) // (self.workers * 4))
-                    results = list(self._pool.map(_validate_item, items,
-                                                  chunksize=chunksize))
-                    self.pooled_items += len(items)
-                    return results
-                except Exception:
-                    self.close()
-                    if attempt >= POOL_RETRY.max_attempts:
-                        raise
-                    self.workers_respawned += 1
-                    self.item_retries += len(items)
-                    time.sleep(next(delays))
-            raise AssertionError("unreachable")  # pragma: no cover
-        except Exception:
-            # Persistently broken: platforms without working process
-            # spawning, unpicklable payloads, a poison item that kills
-            # every fresh pool.  Degrade to serial execution through the
-            # same interface (a genuine per-item error reproduces there).
-            self.degraded += 1
-            self.close()
-            return [_validate_item(item) for item in items]
-        finally:
-            sys.setrecursionlimit(old_limit)
-
-    def close(self) -> None:
-        if self._pool is not None:
-            pool, self._pool = self._pool, None
-            try:
-                pool.shutdown(wait=False, cancel_futures=True)
-            except Exception:  # pragma: no cover - broken pools may throw
-                pass
-
-
 class StealExecutor(Executor):
     """Work stealing over a persistent pool of single-item workers.
 
@@ -404,9 +316,11 @@ class StealExecutor(Executor):
     records byte-identical to serial — the skipped pairs are exactly the
     ones no record's walk ever reads.
 
-    *Any* pool failure — spawn failure, unpicklable payload, a worker
-    dying mid-item — degrades the backend and runs every **unfinished**
-    item serially in-process.  Completed verdicts are kept: validation
+    A worker dying mid-item costs one respawn and a requeue of its item
+    (see :meth:`_run_stealing`).  Any other pool failure — spawn
+    failure, unpicklable payload, a worker reporting an exception —
+    degrades the backend and runs every **unfinished** item serially
+    in-process.  Completed verdicts are kept: validation
     is deterministic and side-effect free and each verdict merged into
     the cache exactly once as it arrived, so the serial remainder can
     neither lose nor double-count a cache query.  With ``concurrency``
@@ -426,6 +340,8 @@ class StealExecutor(Executor):
         #: Times an idle worker looked for work beyond its own deque
         #: (successful or not).
         self.steal_attempts = 0
+        #: Encoded work-item bytes handed to worker transports.
+        self.bytes_dispatched = 0
         #: TCP-transport membership counters, snapshotted at close.
         self._remote_stats: Dict[str, int] = {}
 
@@ -433,6 +349,7 @@ class StealExecutor(Executor):
         counters = super().stats()
         counters["items_stolen"] = self.items_stolen
         counters["steal_attempts"] = self.steal_attempts
+        counters["bytes_dispatched"] = self.bytes_dispatched
         counters.update(self._remote_stats)
         return counters
 
@@ -543,7 +460,8 @@ class StealExecutor(Executor):
                 dispatch = next_item(worker_id)
                 if dispatch is None:
                     return
-                pool.send(worker_id, dispatch[0], dispatch[1])
+                self.bytes_dispatched += pool.send(
+                    worker_id, dispatch[0], dispatch[1])
                 outstanding[worker_id] = dispatch
                 if plan is not None:
                     # The "steal-dispatch" crash site kills the worker
@@ -734,7 +652,7 @@ class StealExecutor(Executor):
 def create_executor(config: ValidatorConfig) -> Executor:
     """Build the backend ``config.executor`` / ``config.concurrency`` select.
 
-    ``"auto"`` resolves to pool when ``concurrency > 1`` and serial
+    ``"auto"`` resolves to steal when ``concurrency > 1`` and serial
     otherwise; ``"steal"`` spawns ``concurrency`` single-item workers
     (or runs its scheduling loop in-process for 0/1).  Invalid
     combinations were rejected when the config was constructed.
@@ -742,8 +660,6 @@ def create_executor(config: ValidatorConfig) -> Executor:
     name = resolved_executor(config)
     if name == "serial":
         return SerialExecutor()
-    if name == "pool":
-        return PoolExecutor(config.concurrency)
     if name == "steal":
         return StealExecutor(config.concurrency)
     raise ValueError(f"unknown executor {name!r}")  # pragma: no cover
@@ -909,7 +825,6 @@ __all__ = [
     "ExecutionOutcome",
     "Executor",
     "SerialExecutor",
-    "PoolExecutor",
     "StealExecutor",
     "create_executor",
     "serial_provider",

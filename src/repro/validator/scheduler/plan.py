@@ -14,7 +14,7 @@ serial driver's lazy chain provider applies).
 Planning performs **no validation**: everything here is a deterministic
 function of the input modules, the configuration and the cache contents,
 so any :mod:`executor backend <repro.validator.scheduler.executors>` —
-serial, process-pool or work stealing — can execute the same plan and
+serial or work stealing — can execute the same plan and
 the settlement layer (:mod:`repro.validator.scheduler.settle`)
 reassembles byte-identical :class:`~repro.validator.report.FunctionRecord`
 signatures from the outcomes.
@@ -51,13 +51,13 @@ ChainSignature = Tuple[CacheKey, ...]
 def resolved_executor(config: ValidatorConfig) -> str:
     """The concrete backend ``config.executor`` selects.
 
-    ``"auto"`` preserves the historical behavior: a process pool whenever
-    ``concurrency > 1``, serial in-process execution otherwise.  Explicit
-    choices pass through (their concurrency combinations were already
-    validated at config construction time).
+    ``"auto"`` is the work-stealing pool whenever ``concurrency > 1``
+    and serial in-process execution otherwise.  Explicit choices pass
+    through (their concurrency combinations were already validated at
+    config construction time).
     """
     if config.executor == "auto":
-        return "pool" if config.concurrency and config.concurrency > 1 else "serial"
+        return "steal" if config.concurrency and config.concurrency > 1 else "serial"
     return config.executor
 
 

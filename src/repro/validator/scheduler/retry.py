@@ -1,9 +1,9 @@
 """Shared bounded-retry policy with deterministic exponential backoff.
 
-Transient failures — a worker death, a ``database is locked`` flush, a
-pool spawn race — should cost a short, bounded pause, not a wholesale
+Transient failures — a ``database is locked`` flush, a busy daemon's
+503 — should cost a short, bounded pause, not a wholesale
 degradation; but *persistent* failures must still hit the caller's
-fallback (serial rerun, memory-tier cache) after a known number of
+fallback (the memory-tier cache, an error to the client) after a known number of
 attempts.  Everything that retries in the validator routes through
 :func:`retry_call` with a frozen :class:`RetryPolicy`, so the retry
 budget and backoff shape live in one place and chaos runs stay
@@ -61,10 +61,6 @@ class RetryPolicy:
             delay *= self.multiplier
 
 
-#: Broken process pool / spawn race: retry the batch on a fresh pool
-#: twice before degrading to serial.
-POOL_RETRY = RetryPolicy(max_attempts=3, base_delay=0.02, max_delay=0.25)
-
 #: ``database is locked`` on a sqlite flush: writers back off briefly —
 #: the lock holder is another flush, gone within milliseconds.
 LOCKED_FLUSH_RETRY = RetryPolicy(max_attempts=4, base_delay=0.02,
@@ -108,4 +104,4 @@ def retry_call(
     raise AssertionError("unreachable")  # pragma: no cover
 
 
-__all__ = ["LOCKED_FLUSH_RETRY", "POOL_RETRY", "RetryPolicy", "retry_call"]
+__all__ = ["LOCKED_FLUSH_RETRY", "RetryPolicy", "retry_call"]

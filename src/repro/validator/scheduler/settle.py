@@ -6,7 +6,7 @@ strategy runners the lazy serial driver uses (:func:`run_whole`,
 :func:`run_stepwise`, :func:`run_bisect`), reading verdicts back out of
 the shared :class:`~repro.validator.cache.ValidationCache` the executor
 filled, and rebuilds the result modules.  Because the runners are shared,
-every backend — serial, pool, steal — produces byte-identical
+every backend — serial or steal — produces byte-identical
 :meth:`~repro.validator.report.FunctionRecord.signature`\\ s by
 construction; the executors only decide *which* queries were validated
 where (and the provider validates any stragglers the rounds could not
@@ -15,8 +15,8 @@ function's consumed prefix — inline).
 
 :func:`settle_chain_results` also lives here: turning a chain item's raw
 read-off verdicts into cache-safe ones (censoring unconfirmed rejects
-beyond the consumed prefix) is settlement policy, shared by the pool
-workers and any future remote backend.
+beyond the consumed prefix) is settlement policy, shared by the steal
+workers (local and remote) and the serial backend.
 """
 
 from __future__ import annotations
@@ -420,6 +420,7 @@ def shard_stats(plan: WorkPlan, execution, executor, inline_validations: int,
         "pool_degraded": executor_stats["pool_degraded"],
         "items_stolen": executor_stats.get("items_stolen", 0),
         "steal_attempts": executor_stats.get("steal_attempts", 0),
+        "bytes_dispatched": executor_stats.get("bytes_dispatched", 0),
         "workers_respawned": executor_stats.get("workers_respawned", 0),
         "pairs_quarantined": executor_stats.get("pairs_quarantined", 0),
         "item_retries": executor_stats.get("item_retries", 0),

@@ -10,7 +10,7 @@ behind a straggler sits idle.  Single-item dispatch is also what lets
 doomed items be *cancelled*: an undispached item is just a deque entry
 the parent can drop.
 
-Work items are pickled in the parent inside :meth:`StealPool.send`, so
+Work items are encoded in the parent inside :meth:`StealPool.send`, so
 an unpicklable payload raises synchronously where the executor can catch
 it and degrade to serial (a queue's background feeder thread would
 otherwise swallow the error and hang the run).  :meth:`StealPool.receive`
@@ -19,16 +19,30 @@ raises :class:`BrokenStealPool` instead of blocking forever.  When the
 death is *attributable* (the exception names which worker died holding
 which item), the executor's supervisor can :meth:`respawn` just that
 worker and requeue the item instead of degrading the whole backend to
-serial; an unattributable break still degrades wholesale, exactly like a
-broken process pool.
+serial; an unattributable break still degrades wholesale.
+
+Items carry callee *declarations*, not whole modules.  The validator
+reads only a callee's name and its ``readonly``/``readnone``
+attributes, yet a plain pickle of one version drags in every function
+of its module — through ``Call`` operands and ``Function.parent`` —
+bodies included.  :func:`encode_item`, shared by this pool and the TCP
+transport, pickles the item's own versions in full and every other
+:class:`~repro.ir.module.Function` it reaches as name, signature,
+argument names and attributes, rebuilt worker-side by
+:func:`_declaration`.  Verdicts cannot change: no callee body is ever
+translated, and a self-recursive call still resolves to the version
+object itself.
 """
 
 from __future__ import annotations
 
+import io
 import multiprocessing
 import pickle
 import queue
-from typing import Dict, Optional, Tuple
+from typing import Dict, Optional, Sequence, Tuple
+
+from ...ir.module import Function
 
 
 class BrokenStealPool(RuntimeError):
@@ -44,6 +58,39 @@ class BrokenStealPool(RuntimeError):
     def __init__(self, message: str, worker_id: Optional[int] = None) -> None:
         super().__init__(message)
         self.worker_id = worker_id
+
+
+def _declaration(name: str, function_type, arg_names: Sequence[str],
+                 attributes) -> Function:
+    """Rebuild a callee as a bodiless declaration (worker-side decoder)."""
+    return Function(name, function_type, arg_names, attributes)
+
+
+class _ItemPickler(pickle.Pickler):
+    """Pickle a work item, shipping non-version functions as declarations."""
+
+    def __init__(self, file, versions: Sequence[Function]) -> None:
+        super().__init__(file)
+        self._versions = versions
+
+    def reducer_override(self, obj):
+        if not isinstance(obj, Function) \
+                or any(obj is version for version in self._versions):
+            return NotImplemented
+        return _declaration, (obj.name, obj.function_type,
+                              [arg.name for arg in obj.args], obj.attributes)
+
+
+def encode_item(tag: int, item: Tuple) -> bytes:
+    """The wire bytes of one ``(tag, item)`` dispatch (see the module doc).
+
+    ``pickle.loads`` decodes them; both steal transports use this one
+    encoder, so a pipe worker and a remote worker see the same item.
+    """
+    versions = item[1] if item[0] == "chain" else item[1:3]
+    buffer = io.BytesIO()
+    _ItemPickler(buffer, versions).dump((tag, item))
+    return buffer.getvalue()
 
 
 def _steal_worker_main(worker_id: int, inbox, outbox) -> None:
@@ -124,9 +171,14 @@ class StealPool:
             self._inboxes.append(inbox)
             self._processes.append(process)
 
-    def send(self, worker_id: int, tag: int, item: Tuple) -> None:
-        """Dispatch one item to ``worker_id`` (pickles here, in the parent)."""
-        self._inboxes[worker_id].put(pickle.dumps((tag, item)))
+    def send(self, worker_id: int, tag: int, item: Tuple) -> int:
+        """Dispatch one item to ``worker_id``; returns the encoded size.
+
+        Encodes here, in the parent (see :func:`encode_item`).
+        """
+        payload = encode_item(tag, item)
+        self._inboxes[worker_id].put(payload)
+        return len(payload)
 
     def receive(self, outstanding: Dict[int, Tuple]) -> Tuple[int, int, bool, object]:
         """The next completed item: ``(worker id, tag, ok, payload)``.
@@ -192,4 +244,4 @@ class StealPool:
         self._processes = []
 
 
-__all__ = ["BrokenStealPool", "StealPool"]
+__all__ = ["BrokenStealPool", "StealPool", "encode_item"]

@@ -50,11 +50,12 @@ import threading
 import time
 from typing import Dict, Optional, Tuple
 
-from .steal import BrokenStealPool
+from .steal import BrokenStealPool, encode_item
 
 #: Wire-format version. Bump on any frame/message shape change; the
 #: handshake rejects mismatches so old workers can never misparse.
-TRANSPORT_SCHEMA = 1
+#: Version 2: work items carry callee declarations (``encode_item``).
+TRANSPORT_SCHEMA = 2
 
 #: Upper bound on one frame's payload. Far above any real work item or
 #: result (whole-module payloads are megabytes at most); mainly a guard
@@ -218,7 +219,7 @@ class TcpStealPool:
 
     Owns a background thread running a
     :class:`~repro.validator.scheduler.remote.StealCoordinator` event
-    loop.  ``send`` pickles the item in the caller's thread (an
+    loop.  ``send`` encodes the item in the caller's thread (an
     unpicklable payload raises synchronously where the executor can
     catch it, exactly like the pipe pool) and hands the bytes to the
     loop; ``receive`` blocks on the coordinator's thread-safe result
@@ -271,13 +272,18 @@ class TcpStealPool:
             raise BrokenStealPool("steal coordinator already closed")
         self._loop.call_soon_threadsafe(fn, *args)
 
-    def send(self, worker_id: int, tag: int, item: Tuple) -> None:
-        """Queue one item for ``worker_id`` (pickles here, in the parent)."""
+    def send(self, worker_id: int, tag: int, item: Tuple) -> int:
+        """Queue one item for ``worker_id``; returns the encoded size.
+
+        Encodes here, in the parent, with the pipe pool's
+        :func:`~repro.validator.scheduler.steal.encode_item`.
+        """
         from .executors import item_detail  # deferred: executors imports us
 
-        payload = pickle.dumps((tag, item))
+        payload = encode_item(tag, item)
         self._call(self._coordinator.enqueue, worker_id, tag, payload,
                    item_detail(item))
+        return len(payload)
 
     def receive(self, outstanding: Dict[int, Tuple]
                 ) -> Tuple[int, int, bool, object]:

@@ -48,7 +48,7 @@ from ...errors import ReproError
 from ...ir import parse_module
 from ...ir.module import Module
 from ...transforms.pass_manager import PAPER_PIPELINE
-from ..config import DEFAULT_CONFIG, ValidatorConfig
+from ..config import DEFAULT_CONFIG, EXECUTORS, ValidatorConfig
 from ..report import FunctionRecord
 from ..scheduler import RequestBudget
 from ..watch import Revalidator
@@ -434,10 +434,11 @@ def main(argv=None) -> int:
     parser.add_argument("--cache-dir", default=None,
                         help="persistent proof-cache directory, .sqlite "
                              "file or remote://HOST:PORT")
-    parser.add_argument("--executor", default="auto",
-                        help="scheduling backend (auto/serial/pool/steal)")
+    parser.add_argument("--executor", default="auto", choices=EXECUTORS,
+                        help="scheduling backend (auto: steal when "
+                             "--concurrency > 1, else serial)")
     parser.add_argument("--concurrency", type=int, default=0,
-                        help="worker processes for pooled executors")
+                        help="worker processes for the steal executor")
     parser.add_argument("--max-inflight", type=int, default=None,
                         help="admission bound (0 = reject everything)")
     parser.add_argument("--request-timeout", type=float, default=None,

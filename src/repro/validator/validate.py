@@ -200,7 +200,7 @@ def validate_bounded(before: Function, after: Function,
     With neither knob set it is exactly :func:`validate`.  With a
     timeout, the pair runs under a :class:`~repro.validator.faults.watchdog`
     — preemptive (``SIGALRM``) in main threads, which covers the serial
-    driver and the pool/steal worker processes; post-hoc (same verdict,
+    driver and the steal worker processes; post-hoc (same verdict,
     later) on non-main threads like the service daemon's ``to_thread``
     workers — and an over-budget pair settles as the uncached
     ``"timeout"`` denial instead of blocking everything behind it.

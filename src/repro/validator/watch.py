@@ -12,7 +12,7 @@ last run's checkpoint fingerprints, adjacent-pair cache keys and the
 :meth:`Revalidator.revalidate` call is the batch driver's single path —
 :func:`~repro.validator.scheduler.plan.build_plan` →
 :meth:`Executor.execute <repro.validator.scheduler.executors.Executor.execute>`
-(pooled backends only) →
+(steal backend only) →
 :func:`~repro.validator.scheduler.settle.settle_plan` — with the previous
 run diffed in, so it costs only what changed:
 
@@ -247,7 +247,7 @@ class Revalidator:
     (optionally persistent) proof cache, the analysis manager and the
     per-function :class:`_ChainState`.  A revalidation is the batch
     driver's plan → execute → settle with the previous run's chain diffed
-    in: a pooled executor (``"pool"``/``"steal"``) runs the full plan
+    in: the steal executor runs the full plan
     (chain and pair items, settle round) like
     :func:`~repro.validator.driver.validate_module_batch` — retained
     graphs cannot cross process boundaries, but dirty-suffix skipping

@@ -206,7 +206,7 @@ class TestValidateChain:
         assert settled[0].reason == isolated.reason
 
     def test_outcome_is_pickle_safe(self, mini_corpus):
-        # Chain outcomes cross the process-pool boundary in the sharded
+        # Chain outcomes cross the worker-process boundary in the sharded
         # driver (as settled lists, but the dataclass must survive too).
         for _, _, versions in _chains(mini_corpus):
             outcome = validate_chain(versions)

@@ -1,8 +1,8 @@
 """Fault injection and the recovery machinery it drives.
 
 Every test here runs a *seeded* :class:`~repro.validator.faults.FaultPlan`
-against real machinery — steal-pool worker supervision, pool-batch
-retry, pair watchdog timeouts, quarantine, sqlite flush retry, daemon
+against real machinery — steal-pool worker supervision, pair watchdog
+timeouts, quarantine, sqlite flush retry, daemon
 disconnect handling — and asserts the recovery contract: the run
 completes, records match the fault-free run (modulo explicitly denied
 pairs), and nothing synthetic ever enters the proof cache.
@@ -254,35 +254,31 @@ class TestStealSupervision:
         assert shard.get("pool_degraded", 0) == 0
 
 
-# -- pool-batch retry --------------------------------------------------------
+# -- retries under a request budget -----------------------------------------
 class TestPoolRetry:
-    def test_broken_batch_retries_on_a_fresh_pool(self, mini_corpus):
-        base = replace(DEFAULT_CONFIG, executor="pool", concurrency=2)
-        [(_, clean)] = validate_module_batch([mini_corpus], PAPER_PIPELINE,
-                                             config=base, strategy="stepwise")
-        faults.reset()
-        config = replace(base, fault_plan=FaultPlan.crash_pool_batch())
-        [(_, chaotic)] = validate_module_batch(
-            [mini_corpus], PAPER_PIPELINE, config=config, strategy="stepwise")
-        shard = chaotic.shard_stats or {}
-        assert signatures(chaotic) == signatures(clean)
-        assert shard.get("workers_respawned", 0) >= 1
-        assert shard.get("pool_degraded", 0) == 0
+    """The steal pool's retry machinery must respect a request budget."""
 
     def test_budget_denials_do_not_spin_retries(self, mini_corpus):
-        # A crash under an already-exhausted budget must settle fast as
-        # budget denials, not grind through respawn cycles per pair.
-        plan = FaultPlan.crash_pool_batch()
-        config = replace(DEFAULT_CONFIG, executor="pool", concurrency=2,
+        # Every fresh worker dies on its first item, so each admitted item
+        # kills workers until it is quarantined.  The budget admits only
+        # two chain items: the denied rest must settle fast as budget
+        # denials, not grind through respawn cycles of their own.
+        plan = FaultPlan.crash_worker()
+        config = replace(DEFAULT_CONFIG, executor="steal", concurrency=2,
                          fault_plan=plan)
-        budget = RequestBudget(max_pairs=1)
+        budget = RequestBudget(max_pairs=5)
         [(_, report)] = validate_module_batch(
             [mini_corpus], PAPER_PIPELINE, config=config,
             strategy="stepwise", budget=budget)
+        shard = report.shard_stats or {}
         assert len(report.records) > 0
         assert budget.denials >= 1
         reasons = {sig["reason"] for sig in signatures(report)}
         assert "budget-exhausted" in reasons
+        assert shard["workers_respawned"] >= 1  # the crash engaged
+        admitted = shard["pooled_pairs"] + shard["pairs_quarantined"]
+        assert shard["item_retries"] <= config.max_pair_retries * admitted
+        assert shard["pool_degraded"] == 0
 
 
 # -- proof-store flush faults ------------------------------------------------

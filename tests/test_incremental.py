@@ -186,7 +186,7 @@ def test_validate_module_batch_incremental_passes_budget():
 
 
 @pytest.mark.parametrize("executor,concurrency",
-                         [("steal", 0), ("steal", 2), ("pool", 2)])
+                         [("steal", 0), ("steal", 2), ("auto", 2)])
 def test_revalidator_on_pooled_backends(executor, concurrency):
     """Pooled revalidations run the full plan and still match cold runs."""
     spec = BENCHMARKS_BY_NAME["sqlite"]
@@ -203,7 +203,9 @@ def test_revalidator_on_pooled_backends(executor, concurrency):
         (_, cold), = validate_module_batch([build_corpus(spec, 0.1)], tweaked,
                                            DEFAULT_CONFIG, strategy="stepwise")
         assert _signatures(second) == _signatures(cold)
-        assert second.shard_stats["executor"] == executor
+        # "auto" with workers resolves to the steal pool.
+        assert second.shard_stats["executor"] == \
+            ("steal" if executor == "auto" else executor)
         assert second.shard_stats["pairs_skipped_unchanged"] > 0
 
         # Budget salvage: a denied record keeps exactly its validated prefix.

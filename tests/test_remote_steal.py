@@ -406,7 +406,7 @@ class TestConfigValidation:
 
     def test_tcp_requires_steal_executor(self):
         with pytest.raises(ValueError, match="executor"):
-            ValidatorConfig(steal_transport="tcp", executor="pool")
+            ValidatorConfig(steal_transport="tcp", executor="serial")
         ValidatorConfig(steal_transport="tcp", executor="steal")
 
     def test_listen_requires_tcp(self):

@@ -494,3 +494,13 @@ class TestShutdown:
         # And a drained daemon no longer answers.
         with pytest.raises(ServiceError):
             client.stats()
+
+
+class TestCommandLine:
+    def test_unknown_executor_fails_at_argument_parsing(self, capsys):
+        from repro.validator.service.daemon import main
+
+        with pytest.raises(SystemExit) as excinfo:
+            main(["--port", "0", "--executor", "pool"])
+        assert excinfo.value.code == 2  # argparse usage error
+        assert "invalid choice: 'pool'" in capsys.readouterr().err

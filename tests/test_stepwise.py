@@ -1,5 +1,5 @@
 """Tests for stepwise pipeline validation: snapshots, strategies, blame,
-the shared analysis cache, process-pool sharding parity and the
+the shared analysis cache, worker-pool sharding parity and the
 global-cloning guarantees of the driver."""
 
 import pickle
@@ -479,7 +479,7 @@ class TestShardedParity:
 
 
 class TestPoolPayloadPickleSafety:
-    """Everything shipped to the process pool must survive pickling."""
+    """Everything shipped to steal workers must survive pickling."""
 
     def test_checkpoints_and_configs_pickle(self, mini_corpus):
         function = mini_corpus.defined_functions()[0]
@@ -507,17 +507,19 @@ class TestPoolPayloadPickleSafety:
     def test_pool_failure_falls_back_to_serial(self, mini_corpus, monkeypatch):
         # Break process spawning entirely: the batch driver must degrade
         # to serial in-process validation with identical results.
-        import concurrent.futures
+        from repro.validator.scheduler import steal
 
         class ExplodingPool:
             def __init__(self, *args, **kwargs):
                 raise OSError("no processes for you")
 
-        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", ExplodingPool)
+        monkeypatch.setattr(steal, "StealPool", ExplodingPool)
         config = replace(DEFAULT_CONFIG, concurrency=2)
         (_, report), = validate_module_batch(
             [mini_corpus], config=config, strategy="stepwise")
+        assert report.shard_stats["executor"] == "steal"  # auto, 2 workers
         assert report.shard_stats["workers"] == 0  # pool never engaged
+        assert report.shard_stats["pool_degraded"] >= 1
         _, serial = llvm_md(mini_corpus, PAPER_PIPELINE, strategy="stepwise")
         assert [r.signature() for r in serial.records] == \
                [r.signature() for r in report.records]
@@ -529,7 +531,7 @@ class TestExecutorBackends:
 
     @pytest.mark.parametrize("strategy", STRATEGIES)
     @pytest.mark.parametrize("executor,concurrency", [
-        ("serial", 0), ("pool", 2), ("steal", 0), ("steal", 2),
+        ("serial", 0), ("auto", 2), ("steal", 0), ("steal", 2),
     ])
     def test_backend_records_identical(self, mini_corpus, strategy, executor,
                                        concurrency):
@@ -539,7 +541,9 @@ class TestExecutorBackends:
             [mini_corpus], config=config, strategy=strategy)
         assert [r.signature() for r in serial.records] == \
                [r.signature() for r in report.records]
-        assert report.shard_stats["executor"] == executor
+        # "auto" with workers resolves to the steal pool.
+        expected = "steal" if executor == "auto" else executor
+        assert report.shard_stats["executor"] == expected
 
     def test_llvm_md_delegates_on_steal_executor(self, mini_corpus):
         config = replace(DEFAULT_CONFIG, executor="steal")
@@ -551,9 +555,9 @@ class TestExecutorBackends:
                [r.signature() for r in report.records]
 
     def test_invalid_executor_combinations_rejected_at_config_time(self):
-        with pytest.raises(ValueError, match="pool"):
-            replace(DEFAULT_CONFIG, executor="pool", concurrency=1)
-        with pytest.raises(ValueError, match="pool"):
+        with pytest.raises(ValueError, match="unknown executor"):
+            replace(DEFAULT_CONFIG, executor="pool", concurrency=2)
+        with pytest.raises(ValueError, match="unknown executor"):
             replace(DEFAULT_CONFIG, executor="pool")
         with pytest.raises(ValueError, match="serial"):
             replace(DEFAULT_CONFIG, executor="serial", concurrency=4)
@@ -564,7 +568,7 @@ class TestExecutorBackends:
         # Valid combinations construct fine.
         replace(DEFAULT_CONFIG, executor="steal")
         replace(DEFAULT_CONFIG, executor="steal", concurrency=4)
-        replace(DEFAULT_CONFIG, executor="pool", concurrency=2)
+        replace(DEFAULT_CONFIG, executor="auto", concurrency=2)
         replace(DEFAULT_CONFIG, executor="serial", concurrency=1)
 
     def test_executor_comparison_experiment(self):
@@ -683,8 +687,9 @@ class TestStealExecutor:
                 self.completed = 0
 
             def send(self, worker_id, tag, item):
-                pickle.dumps((tag, item))  # the real pool's payload contract
                 self.pending[worker_id] = (tag, item)
+                # The real pool's contract: encode, return the size.
+                return len(steal.encode_item(tag, item))
 
             def receive(self, outstanding):
                 if self.completed >= 2:
@@ -736,38 +741,50 @@ class TestFaultInjection:
     records stay identical and no cache query is lost or double-counted."""
 
     @staticmethod
-    def _flaky_pool_class(error: BaseException, yield_before_failure: int = 1):
-        """A fake ProcessPoolExecutor whose map dies after a few results."""
+    def _flaky_steal_pool(failure, results_before_failure: int = 1):
+        """A fake StealPool: streams real verdicts, then fails.
 
-        class FlakyPool:
-            def __init__(self, *args, **kwargs):
-                pass
+        Items go through the real encoder and decoder.  ``failure`` is
+        the exception ``receive`` raises once ``results_before_failure``
+        verdicts have streamed back, or ``None`` for a live worker that
+        reports its item raised (``ok=False``).
+        """
+        from repro.validator.scheduler import steal
+        from repro.validator.scheduler.executors import _validate_item
 
-            def map(self, fn, items, chunksize=1):
-                items = list(items)
+        class FlakyStealPool:
+            def __init__(self, workers):
+                self.pending = {}
+                self.completed = 0
 
-                def generate():
-                    for index, item in enumerate(items):
-                        if index >= yield_before_failure:
-                            raise error
-                        yield fn(item)
+            def send(self, worker_id, tag, item):
+                payload = steal.encode_item(tag, item)
+                self.pending[worker_id] = pickle.loads(payload)
+                return len(payload)
 
-                return generate()
+            def receive(self, outstanding):
+                worker_id, (tag, item) = next(iter(self.pending.items()))
+                del self.pending[worker_id]
+                if self.completed >= results_before_failure:
+                    if failure is not None:
+                        raise failure
+                    return worker_id, tag, False, "RuntimeError: raised mid-batch"
+                self.completed += 1
+                return worker_id, tag, True, _validate_item(item)
 
-            def shutdown(self, *args, **kwargs):
-                pass
+            def close(self):
+                self.pending.clear()
 
-        return FlakyPool
+        return FlakyStealPool
 
-    @pytest.mark.parametrize("executor", ["pool"])
+    @pytest.mark.parametrize("executor", ["steal"])
     def test_worker_death_mid_batch_degrades_losslessly(self, mini_corpus,
                                                         monkeypatch, executor):
-        import concurrent.futures
-        from concurrent.futures.process import BrokenProcessPool
+        from repro.validator.scheduler import steal
 
         monkeypatch.setattr(
-            concurrent.futures, "ProcessPoolExecutor",
-            self._flaky_pool_class(BrokenProcessPool("worker died mid-batch")))
+            steal, "StealPool",
+            self._flaky_steal_pool(steal.BrokenStealPool("worker died mid-batch")))
         clean_cache = ValidationCache()
         (_, clean), = validate_module_batch(
             [mini_corpus], BUGGY_PIPELINE,
@@ -781,7 +798,8 @@ class TestFaultInjection:
         assert [r.signature() for r in clean.records] == \
                [r.signature() for r in report.records]
         assert report.shard_stats["pool_degraded"] >= 1
-        assert report.shard_stats["workers"] == 0  # nothing ran pooled
+        # Only the one verdict streamed back before the death ran pooled.
+        assert report.shard_stats["pooled_pairs"] == 1
         # No lost or double-counted cache queries: the degraded run's
         # consumed-query ledger is identical to the clean serial run's.
         assert flaky_cache.hits == clean_cache.hits
@@ -790,18 +808,16 @@ class TestFaultInjection:
 
     def test_worker_exception_mid_batch_degrades_losslessly(self, mini_corpus,
                                                             monkeypatch):
-        import concurrent.futures
+        from repro.validator.scheduler import steal
 
-        monkeypatch.setattr(
-            concurrent.futures, "ProcessPoolExecutor",
-            self._flaky_pool_class(RuntimeError("worker raised mid-batch")))
+        monkeypatch.setattr(steal, "StealPool", self._flaky_steal_pool(None))
         clean_cache = ValidationCache()
         (_, clean), = validate_module_batch(
             [mini_corpus], PAPER_PIPELINE,
             config=replace(DEFAULT_CONFIG, executor="serial"),
             cache=clean_cache, strategy="stepwise")
         flaky_cache = ValidationCache()
-        config = replace(DEFAULT_CONFIG, executor="pool", concurrency=2)
+        config = replace(DEFAULT_CONFIG, executor="steal", concurrency=2)
         (_, report), = validate_module_batch(
             [mini_corpus], PAPER_PIPELINE, config=config,
             cache=flaky_cache, strategy="stepwise")
@@ -816,14 +832,13 @@ class TestFaultInjection:
         # once as hit or miss even after a mid-batch degradation: misses
         # equal the distinct entries actually stored, and every consumed
         # key was counted.
-        import concurrent.futures
-        from concurrent.futures.process import BrokenProcessPool
+        from repro.validator.scheduler import steal
 
         monkeypatch.setattr(
-            concurrent.futures, "ProcessPoolExecutor",
-            self._flaky_pool_class(BrokenProcessPool("boom"), 2))
+            steal, "StealPool",
+            self._flaky_steal_pool(steal.BrokenStealPool("boom"), 2))
         cache = ValidationCache()
-        config = replace(DEFAULT_CONFIG, executor="pool", concurrency=2)
+        config = replace(DEFAULT_CONFIG, executor="steal", concurrency=2)
         (_, report), = validate_module_batch(
             [mini_corpus], BUGGY_PIPELINE, config=config,
             cache=cache, strategy="stepwise")
