@@ -11,7 +11,8 @@ acceptance criteria of the validation-as-a-service layer:
   in-process for the same module and pipeline.
 * **Warm reuse** — an identical second submission of every corpus must
   answer at least ``--min-hit-rate`` (default 0.95) of its queries from
-  the shared cache.
+  the shared cache, and run no pipeline step at all: every step comes
+  from the daemon's pass-step memo (``pass_steps_run == 0``).
 * **Admission control** — a daemon started with ``--max-inflight 0``
   must reject a request with 503 + ``Retry-After`` (the deterministic
   reject-everything configuration).
@@ -111,12 +112,18 @@ def main() -> int:
                     failures.append(
                         f"{name}: warm hit rate {hit_rate:.1%} < "
                         f"{args.min_hit_rate:.1%}")
+                warm_steps = warm["summary"]["pass_steps_run"]
+                if warm_steps != 0:
+                    failures.append(f"{name}: warm repeat ran {warm_steps} "
+                                    f"pass steps (expected 0)")
                 rows.append({"corpus": name, "functions": len(streamed),
                              "parity": parity, "warm_hit_rate": hit_rate,
+                             "warm_pass_steps_run": warm_steps,
                              "elapsed": time.monotonic() - started})
                 print(f"{name:14s} functions={len(streamed):3d} "
                       f"parity={'ok' if parity else 'FAIL'} "
-                      f"warm_hits={hit_rate:.1%}")
+                      f"warm_hits={hit_rate:.1%} "
+                      f"warm_pass_steps={warm_steps}")
             stats = client.stats()
             print(f"daemon: requests={stats['requests_total']} "
                   f"revalidations={stats['revalidations']} "

@@ -24,7 +24,10 @@ unless each produced identical record signatures:
   must change how fast validation runs, never what it decides.
 * **incremental** — :func:`repro.bench.incremental_comparison`: a warm
   :class:`~repro.validator.watch.Revalidator` re-run after the canonical
-  pipeline suffix tweak against a cold sweep of the tweaked pipeline.
+  pipeline suffix tweak against a cold sweep of the tweaked pipeline,
+  then a replay of original → tweaked on the same revalidator (fresh
+  corpus copies, pipeline steps from its pass-step memo).  Every run's
+  records and printed result module must equal a cold run's.
   Incremental revalidation must change how much work re-validation does,
   never what it decides.
 * **executor** — :func:`repro.bench.executor_comparison`: the
@@ -153,7 +156,8 @@ def main() -> int:
                            "pairs_skipped_unchanged",
                            "subgraph_nodes_reused", "chain_fallbacks",
                            "rule_invocations_saved_pct",
-                           "nodes_built_saved_pct", "cold_time_s",
+                           "nodes_built_saved_pct", "replay_pass_steps_run",
+                           "replay_pass_steps_reused", "cold_time_s",
                            "incremental_time_s")
     print()
     print(format_table([{k: row[k] for k in incremental_columns}

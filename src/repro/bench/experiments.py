@@ -785,46 +785,70 @@ def incremental_comparison(scale: float = 1.0,
       the previous plan's cache keys and only the dirty suffix is
       rebuilt into the retained chain graph.
 
+    The same revalidator then replays ``passes`` and ``tweaked`` once
+    more on fresh copies of the corpus, the way a daemon sees repeated
+    requests: those steps come from its pass-step memo, checkpoints
+    included, and every run's records *and* printed result module must
+    equal a cold run of its pipeline.
+
     Each row reports both runs' deterministic work counters with
     ``{key}_saved_pct`` reductions, the reuse telemetry
     (``pairs_skipped_unchanged``, ``subgraph_nodes_reused``,
-    ``chain_extensions``/``chain_fallbacks``) and the ``identical`` /
-    ``mismatches`` record-signature comparison — incremental records
-    must be byte-identical to cold records (``stepwise_guard.py``'s
-    incremental leg enforces this on all twelve corpora).
+    ``chain_extensions``/``chain_fallbacks``, and the replays'
+    ``replay_pass_steps_run``/``replay_pass_steps_reused``) and the
+    ``identical`` / ``mismatches`` comparison — a mismatch names the
+    function (or ``<result-module>``) and the run (``tweaked``,
+    ``replay-passes``, ``replay-tweaked``) that diverged.
+    ``stepwise_guard.py``'s incremental leg enforces identity on all
+    twelve corpora.
     """
     base = config or DEFAULT_CONFIG
     counter_keys = ("nodes_built", "nodes_created", "rule_invocations",
                     "normalize_runs")
     rows: List[Dict[str, object]] = []
     for spec in _selected_specs(benchmarks):
+        cold = {"passes": llvm_md(build_corpus(spec, scale), passes, base,
+                                  label=spec.name, strategy="stepwise")}
         cold_module = build_corpus(spec, scale)
         start = time.perf_counter()
-        _, cold_report = llvm_md(cold_module, tweaked, base, label=spec.name,
-                                 strategy="stepwise")
+        cold["tweaked"] = llvm_md(cold_module, tweaked, base, label=spec.name,
+                                  strategy="stepwise")
         cold_time = time.perf_counter() - start
+        cold_report = cold["tweaked"][1]
         cold_totals = cold_report.engine_totals()
-        cold_signatures = [record.signature()
-                           for record in cold_report.records]
 
         from ..validator.watch import Revalidator
         revalidator = Revalidator(_dc_replace(base, incremental=True))
         warm_module = build_corpus(spec, scale)
         revalidator.revalidate(warm_module, passes, label=spec.name)
         start = time.perf_counter()
-        _, warm_report = revalidator.revalidate(warm_module, tweaked,
-                                                label=spec.name)
+        warm_result, warm_report = revalidator.revalidate(
+            warm_module, tweaked, label=spec.name)
         warm_time = time.perf_counter() - start
+        # (run, cold run of the same pipeline, result module, report)
+        runs = [("tweaked", "tweaked", warm_result, warm_report)]
+        replay_steps = {"pass_steps_run": 0, "pass_steps_reused": 0}
+        for name, pipeline in (("passes", passes), ("tweaked", tweaked)):
+            result, report = revalidator.revalidate(
+                build_corpus(spec, scale), pipeline, label=spec.name)
+            runs.append((f"replay-{name}", name, result, report))
+            for key in replay_steps:
+                replay_steps[key] += (report.shard_stats or {}).get(key, 0)
         revalidator.close()
         warm_totals = warm_report.engine_totals()
-        warm_signatures = [record.signature()
-                           for record in warm_report.records]
 
-        mismatches = [cold["name"]
-                      for cold, warm in zip(cold_signatures, warm_signatures)
-                      if cold != warm]
-        if len(cold_signatures) != len(warm_signatures):  # pragma: no cover
-            mismatches.append("<record-count-mismatch>")
+        mismatches = []
+        for run, pipeline_name, result, report in runs:
+            cold_result, cold_run = cold[pipeline_name]
+            cold_signatures = [record.signature() for record in cold_run.records]
+            signatures = [record.signature() for record in report.records]
+            mismatches += [f"{expected['name']}@{run}" for expected, got
+                           in zip(cold_signatures, signatures)
+                           if expected != got]
+            if len(cold_signatures) != len(signatures):  # pragma: no cover
+                mismatches.append(f"<record-count>@{run}")
+            if print_module(result) != print_module(cold_result):
+                mismatches.append(f"<result-module>@{run}")
         shard = warm_report.shard_stats or {}
         row: Dict[str, object] = {
             "benchmark": spec.name,
@@ -837,6 +861,8 @@ def incremental_comparison(scale: float = 1.0,
             "chain_extensions": shard.get("chain_extensions", 0),
             "chain_fallbacks": shard.get("chain_fallbacks", 0),
             "functions_fully_cached": shard.get("functions_fully_cached", 0),
+            "replay_pass_steps_run": replay_steps["pass_steps_run"],
+            "replay_pass_steps_reused": replay_steps["pass_steps_reused"],
             "cold_time_s": round(cold_time, 3),
             "incremental_time_s": round(warm_time, 3),
         }

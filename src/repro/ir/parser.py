@@ -296,13 +296,20 @@ class Parser:
                     inst.name = result_name[1:]
                     define_value(result_name, inst)
 
-        # Resolve forward references.
+        # Resolve forward references in one pass over the body.  Keyed by
+        # identity: ``forwards`` keeps every placeholder alive, and
+        # constants compare by value.
+        resolved: Dict[int, Value] = {}
         for name, placeholder in forwards.items():
             if name not in values:
                 raise ParseError(f"use of undefined value {name}")
-            resolved = values[name]
+            resolved[id(placeholder)] = values[name]
+        if resolved:
             for inst in function.instructions():
-                inst.replace_operand(placeholder, resolved)
+                operands = inst.operands
+                for index, operand in enumerate(operands):
+                    if isinstance(operand, _ForwardRef):
+                        operands[index] = resolved[id(operand)]
 
     # -- operands -----------------------------------------------------------
     def _parse_operand(self, type_: Type) -> Value:

@@ -39,7 +39,7 @@ import socket
 import sqlite3
 from dataclasses import asdict, replace
 from pathlib import Path
-from typing import Dict, Iterable, Optional, Tuple, Union
+from typing import Dict, Iterable, Optional, Set, Tuple, Union
 
 from ..analysis.manager import function_fingerprint
 from ..ir.module import Function
@@ -684,6 +684,9 @@ class ValidationCache:
         self._pending: Dict[CacheKey, None] = {}
         #: Monotonic recency stamps: key -> last hit/store tick.
         self._hit_stamp: Dict[CacheKey, int] = {}
+        #: Keys stamped since the last save: the only stamps the next
+        #: save has to push to the store.
+        self._restamped: Set[CacheKey] = set()
         self._tick = 0
         if path is None:
             return
@@ -801,6 +804,7 @@ class ValidationCache:
     def _touch(self, key: CacheKey) -> None:
         self._tick += 1
         self._hit_stamp[key] = self._tick
+        self._restamped.add(key)
 
     def _flush_pending(self) -> None:
         if not self._pending or self._store is None:
@@ -831,14 +835,16 @@ class ValidationCache:
     def save(self) -> int:
         """Persist the cache; returns the store's entry count afterwards.
 
-        Flushes the remaining dirty entries incrementally, refreshes the
-        store's recency stamps and enforces the byte budget inside the
-        store.  A cache without a store returns ``0``.
+        Flushes the remaining dirty entries incrementally, pushes the
+        recency stamps set since the last save and enforces the byte
+        budget inside the store.  A cache without a store returns ``0``.
         """
         if self._store is None:
             return 0
         self._flush_pending()
-        self._store.touch(self._hit_stamp)
+        # Stamps set before the last save are on the store already.
+        self._store.touch({key: self._hit_stamp[key] for key in self._restamped})
+        self._restamped.clear()
         if self.max_bytes:
             self.evicted += self._store.evict_to_budget(self.max_bytes)
         self.stored = self._store.entry_count()

@@ -112,11 +112,15 @@ class ValidatorConfig:
         *not* part of the cache key.
     analysis_cache_size:
         LRU bound for driver-created
-        :class:`~repro.analysis.manager.AnalysisManager` instances.
-        ``0`` keeps them unbounded (the historical behavior); a positive
-        value caps how many analysed function versions stay pinned in
+        :class:`~repro.analysis.manager.AnalysisManager` instances and
+        for the incremental revalidator's
+        :class:`~repro.transforms.pass_manager.PassStepMemo` — both memos
+        a long-lived driver keeps.  ``0`` keeps them unbounded (the
+        historical behavior); a positive value caps how many analysed
+        function versions and memoized pipeline steps stay pinned in
         memory, which long-lived services need.  Eviction never changes a
-        verdict, only the ``analysis_stats`` counters.
+        verdict, only the ``analysis_stats`` and ``pass_steps_*``
+        counters.
     chain_graphs:
         Answer the stepwise strategy's adjacent-pair queries from one
         chain-shared value graph per function (build every pipeline

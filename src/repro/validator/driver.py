@@ -274,7 +274,7 @@ def llvm_md(
         if kept is function:
             result_module.add_function(clone_function(function, value_map=global_map))
         else:
-            remap_globals(kept, global_map)
+            remap_globals(kept, result_module)
             result_module.add_function(kept)
     remap_function_refs(result_module)
     if cache is not None:

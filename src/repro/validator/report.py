@@ -134,7 +134,10 @@ class ValidationReport:
     #: ``"serial"`` or ``"steal"``), ``distinct_pairs`` (deduplicated
     #: queries this batch validated), ``pooled_pairs`` (work items that ran
     #: in a worker process), ``chain_items`` (packed chain work items),
-    #: ``inline_validations`` (assembly-time queries, e.g. bisect probes),
+    #: ``pass_steps_run`` / ``pass_steps_reused`` (pipeline steps that ran
+    #: their pass / were answered from the pass-step memo; a cold run
+    #: reuses a step only when one function's pipeline revisits the same
+    #: content), ``inline_validations`` (assembly-time queries, e.g. bisect probes),
     #: ``workers`` (pool width, ``0`` when everything ran in-process),
     #: ``speculative_pairs_skipped`` (steal backend: planned pair queries
     #: never validated thanks to cancellation), ``bytes_dispatched``

@@ -29,7 +29,9 @@ from ...analysis.manager import CHECKPOINT_FINGERPRINTS
 from ...ir.cloning import clone_function, clone_globals_into
 from ...ir.module import Function, Module
 from ...ir.values import Value
-from ...transforms.pass_manager import PAPER_PIPELINE, PassManager, PassSnapshot, checkpoint_chain
+from ...transforms.pass_manager import (PAPER_PIPELINE, PassManager, PassSnapshot,
+                                       PassStepMemo, checkpoint_chain,
+                                       module_context_digest)
 from ..cache import CacheKey, ValidationCache
 from ..config import DEFAULT_CONFIG, ValidatorConfig
 from ..report import FunctionRecord, ValidationReport
@@ -111,8 +113,9 @@ class ModulePlan:
     module: Module
     result_module: Module
     report: ValidationReport
-    #: Input-module global -> result-module clone, used when re-homing
-    #: kept (or rolled-back) function bodies into the result module.
+    #: Input-module global -> result-module clone, used when cloning
+    #: rolled-back (or untransformed) function bodies into the result
+    #: module.
     global_map: Dict[Value, Value]
     work: List[FunctionPlan] = field(default_factory=list)
 
@@ -136,6 +139,14 @@ class WorkPlan:
     pending: Dict[CacheKey, Tuple[Function, Function]]
     #: Deduplicated chain work items: signature -> (versions, whole key).
     pending_chains: Dict[ChainSignature, Tuple[List[Function], CacheKey]]
+    #: Pipeline steps that ran their pass / were answered from the
+    #: pass-step memo while planning.
+    pass_steps_run: int = 0
+    pass_steps_reused: int = 0
+    #: Were the checkpoints planned through a caller's memo, which may
+    #: hand them to later runs?  Settlement then clones a kept
+    #: checkpoint into the result module instead of adopting it.
+    shared_checkpoints: bool = False
 
     def function_plans(self) -> Iterator[FunctionPlan]:
         for module_plan in self.modules:
@@ -150,6 +161,7 @@ def build_plan(
     labels: Optional[Sequence[str]] = None,
     strategy: str = "stepwise",
     function_names: Optional[Sequence[Optional[Iterable[str]]]] = None,
+    memo: Optional[PassStepMemo] = None,
 ) -> WorkPlan:
     """Optimize everything and plan the deduplicated validation queries.
 
@@ -180,6 +192,8 @@ def build_plan(
     #: store) answers the whole batch's peeks in ONE round trip.
     classify: List[Tuple[List[CacheKey], List[Tuple[Function, Function]],
                          List[Function]]] = []
+    pipeline = PassManager(passes)
+    steps_run = steps_reused = 0
     for index, module in enumerate(modules):
         label = labels[index] if labels is not None else module.name
         selected: Optional[set] = None
@@ -189,6 +203,7 @@ def build_plan(
         result_module = Module(module.name)
         global_map = clone_globals_into(module, result_module)
         work: List[FunctionPlan] = []
+        context = module_context_digest(module) if memo is not None else None
         for function in module.functions.values():
             if function.is_declaration or (selected is not None and function.name not in selected):
                 result_module.add_function(clone_function(function, value_map=global_map))
@@ -196,7 +211,8 @@ def build_plan(
             record = FunctionRecord(name=function.name, strategy=strategy)
             if strategy == "whole":
                 optimized = clone_function(function)
-                record.transformed_by = PassManager(passes).run_on_function(optimized)
+                record.transformed_by = pipeline.run_on_function(optimized)
+                steps_run += len(record.transformed_by)
                 report.add(record)
                 if not record.transformed:
                     result_module.add_function(clone_function(function, value_map=global_map))
@@ -206,7 +222,12 @@ def build_plan(
                 fingerprints = [CHECKPOINT_FINGERPRINTS.fingerprint(function),
                                 CHECKPOINT_FINGERPRINTS.remember(optimized)]
             else:
-                snapshots = PassManager(passes).run_with_snapshots(function)
+                source = CHECKPOINT_FINGERPRINTS.fingerprint(function)
+                snapshots = pipeline.run_with_snapshots(function, memo, context,
+                                                        source)
+                reused = sum(snap.reused for snap in snapshots)
+                steps_reused += reused
+                steps_run += len(snapshots) - reused
                 record.transformed_by = {snap.pass_name: snap.changed
                                          for snap in snapshots}
                 report.add(record)
@@ -214,8 +235,7 @@ def build_plan(
                     result_module.add_function(clone_function(function, value_map=global_map))
                     continue
                 steps, versions = checkpoint_chain(function, snapshots)
-                fingerprints = [CHECKPOINT_FINGERPRINTS.fingerprint(function)]
-                fingerprints += [snap.fingerprint() for snap in steps]
+                fingerprints = [source] + [snap.fingerprint() for snap in steps]
             whole_key = cache.key_for(fingerprints[0], fingerprints[-1], config)
             if strategy == "stepwise":
                 pair_keys = [cache.key_for(fingerprints[i], fingerprints[i + 1], config)
@@ -265,7 +285,9 @@ def build_plan(
                 if cache.peek(key) is None and key not in pending:
                     pending[key] = (before, after)
     return WorkPlan(strategy=strategy, config=config, modules=module_plans,
-                    pending=pending, pending_chains=pending_chains)
+                    pending=pending, pending_chains=pending_chains,
+                    pass_steps_run=steps_run, pass_steps_reused=steps_reused,
+                    shared_checkpoints=memo is not None)
 
 
 @dataclass

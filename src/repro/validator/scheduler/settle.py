@@ -27,6 +27,7 @@ from typing import Callable, Dict, List, Optional, Sequence, Tuple
 from ...analysis.manager import AnalysisManager, CHECKPOINT_FINGERPRINTS
 from ...ir.cloning import clone_function
 from ...ir.module import Function, Module
+from ...ir.values import GlobalVariable
 from ...transforms.pass_manager import PassSnapshot
 from ..cache import ValidationCache
 from ..config import ValidatorConfig
@@ -225,15 +226,20 @@ def settle_chain_results(outcome: ChainOutcome, versions: Sequence[Function],
     return settled, whole
 
 
-def remap_globals(function: Function, global_map: Dict) -> None:
-    """Re-point a kept optimized body at the result module's global clones."""
-    if not global_map:
-        return
+def remap_globals(function: Function, module: Module) -> None:
+    """Re-point a kept optimized body at ``module``'s globals, by name.
+
+    By name, not through the input module's global map: a checkpoint
+    taken from a long-lived pass-step memo may reference the globals of
+    the earlier run that produced it.
+    """
+    by_name = module.globals
     for inst in function.instructions():
         for index, operand in enumerate(inst.operands):
-            replacement = global_map.get(operand)
-            if replacement is not None:
-                inst.operands[index] = replacement
+            if isinstance(operand, GlobalVariable):
+                replacement = by_name.get(operand.name)
+                if replacement is not None and replacement is not operand:
+                    inst.operands[index] = replacement
 
 
 def remap_function_refs(result_module: Module) -> None:
@@ -375,12 +381,15 @@ def settle_plan(plan: WorkPlan, cache: ValidationCache, execution,
                               function_plan.steps, provider,
                               function_plan.record)
         if kept is function_plan.function:
-            module_plan.result_module.add_function(
-                clone_function(function_plan.function,
-                               value_map=module_plan.global_map))
+            kept = clone_function(function_plan.function,
+                                  value_map=module_plan.global_map)
         else:
-            remap_globals(kept, module_plan.global_map)
-            module_plan.result_module.add_function(kept)
+            if plan.shared_checkpoints:
+                # The memo hands this checkpoint to later runs: adopt a
+                # clone, never the checkpoint itself.
+                kept = clone_function(kept)
+            remap_globals(kept, module_plan.result_module)
+        module_plan.result_module.add_function(kept)
 
     results: List[Tuple[Module, ValidationReport]] = []
     for module_plan in plan.modules:
@@ -414,6 +423,8 @@ def shard_stats(plan: WorkPlan, execution, executor, inline_validations: int,
         "distinct_pairs": execution.validated_queries,
         "pooled_pairs": executor_stats["pooled_items"],
         "chain_items": len(plan.pending_chains),
+        "pass_steps_run": plan.pass_steps_run,
+        "pass_steps_reused": plan.pass_steps_reused,
         "inline_validations": inline_validations,
         "workers": plan.config.concurrency if pooled else 0,
         "speculative_pairs_skipped": executor_stats["pairs_skipped"],

@@ -18,12 +18,14 @@ Protocol
     line per function *as it settles* (``signature`` is the record's
     :meth:`~repro.validator.report.FunctionRecord.signature`), then one
     ``{"type": "summary", ...}`` line with the per-request cache delta,
-    shard/engine counters and budget telemetry.  Unparseable input is a
+    shard/engine counters, the request's ``pass_steps_run`` /
+    ``pass_steps_reused`` and budget telemetry.  Unparseable input is a
     400; admission rejection is a 503 with a ``Retry-After`` header.
 ``GET /stats``
     Daemon counters: requests/rejections/in-flight, the revalidator's
-    run count, cumulative cache counters, engine totals summed over
-    every request, and the last request's ``shard_stats``.
+    run count, cumulative cache counters, engine totals and
+    ``pass_steps_run``/``pass_steps_reused`` summed over every request,
+    and the last request's ``shard_stats``.
 ``POST /shutdown``
     Begin a graceful drain (stop admitting, finish in-flight requests,
     flush the cache) and exit — the remote equivalent of ``SIGTERM``.
@@ -99,6 +101,9 @@ class ValidationService:
         self.errors_total = 0
         self.client_disconnects = 0
         self.engine_totals: Dict[str, int] = {}
+        #: Pipeline steps run / answered from the pass-step memo, summed
+        #: over every request.
+        self.pass_steps = {"pass_steps_run": 0, "pass_steps_reused": 0}
         self.last_shard_stats: Optional[Dict[str, int]] = None
 
     # -- request plumbing --------------------------------------------------
@@ -323,6 +328,10 @@ class ValidationService:
         for key, value in report.engine_totals().items():
             self.engine_totals[key] = self.engine_totals.get(key, 0) + value
         self.last_shard_stats = dict(report.shard_stats or {})
+        pass_steps = {key: self.last_shard_stats.get(key, 0)
+                      for key in self.pass_steps}
+        for key, value in pass_steps.items():
+            self.pass_steps[key] += value
         return {
             "type": "summary",
             "label": report.label,
@@ -334,6 +343,7 @@ class ValidationService:
                       "hit_rate": (hits / total) if total else 0.0},
             "shard_stats": self.last_shard_stats,
             "engine_totals": report.engine_totals(),
+            **pass_steps,
             "budget": budget.stats() if budget is not None else None,
         }
 
@@ -351,6 +361,7 @@ class ValidationService:
             "revalidations": self.revalidator.runs,
             "cache": self.revalidator.cache.stats(),
             "engine_totals": dict(self.engine_totals),
+            **self.pass_steps,
             "shard_stats": self.last_shard_stats,
         }
 

@@ -6,7 +6,8 @@ suffix tweak, a source edit — where almost everything is unchanged.  The
 :class:`Revalidator` here is the long-lived driver for that workload: it
 holds one :class:`~repro.validator.scheduler.executors.Executor`, one
 :class:`~repro.validator.cache.ValidationCache`, one
-:class:`~repro.analysis.manager.AnalysisManager` and, per function, the
+:class:`~repro.analysis.manager.AnalysisManager`, one
+:class:`~repro.transforms.pass_manager.PassStepMemo` and, per function, the
 last run's checkpoint fingerprints, adjacent-pair cache keys and the
 *pristine* (constructed, never normalized) chain-shared value graph.  A
 :meth:`Revalidator.revalidate` call is the batch driver's single path —
@@ -16,6 +17,14 @@ last run's checkpoint fingerprints, adjacent-pair cache keys and the
 :func:`~repro.validator.scheduler.settle.settle_plan` — with the previous
 run diffed in, so it costs only what changed:
 
+* **incremental planning** — the optimizer itself runs through the
+  revalidator's pass-step memo, keyed by (module-context digest, input
+  fingerprint, pass): a warm repeat runs no pass at all, and an edited
+  pipeline reruns only the steps whose input content is new — the
+  shared prefix and any suffix that converges back are read from the
+  memo, checkpoints and fingerprints included.  Memo-held checkpoints
+  are shared across requests, so settlement clones a kept one into the
+  result module instead of adopting it;
 * **dirty-suffix planning** — the new checkpoint chain is fingerprinted
   through the shared
   :data:`~repro.analysis.manager.CHECKPOINT_FINGERPRINTS` table and
@@ -60,7 +69,7 @@ from typing import (Callable, Dict, Iterable, List, Optional, Sequence, Set,
 from ..analysis.manager import AnalysisManager
 from ..errors import ReproError
 from ..ir.module import Function, Module
-from ..transforms.pass_manager import PAPER_PIPELINE
+from ..transforms.pass_manager import PAPER_PIPELINE, PassStepMemo
 from ..vgraph.builder import FunctionSummary, extend_chain_graph
 from ..vgraph.graph import ValueGraph
 from .cache import CacheKey, ValidationCache
@@ -244,10 +253,10 @@ class Revalidator:
     """A long-lived incremental validation driver (one per config/service).
 
     Owns the warm state cold runs lack: the executor backend, the
-    (optionally persistent) proof cache, the analysis manager and the
-    per-function :class:`_ChainState`.  A revalidation is the batch
-    driver's plan → execute → settle with the previous run's chain diffed
-    in: the steal executor runs the full plan
+    (optionally persistent) proof cache, the analysis manager, the
+    pass-step memo and the per-function :class:`_ChainState`.  A
+    revalidation is the batch driver's plan → execute → settle with the
+    previous run's chain diffed in: the steal executor runs the full plan
     (chain and pair items, settle round) like
     :func:`~repro.validator.driver.validate_module_batch` — retained
     graphs cannot cross process boundaries, but dirty-suffix skipping
@@ -262,6 +271,10 @@ class Revalidator:
             self.config.cache_dir, max_bytes=self.config.cache_max_bytes,
             fault_plan=self.config.fault_plan)
         self.manager = AnalysisManager(
+            max_entries=self.config.analysis_cache_size or None)
+        #: Pipeline steps by input content, kept across revalidations
+        #: under the same LRU bound as the analysis manager.
+        self.pass_memo = PassStepMemo(
             max_entries=self.config.analysis_cache_size or None)
         self.executor = create_executor(self.config)
         self._states: Dict[Tuple[str, str], _ChainState] = {}
@@ -290,6 +303,8 @@ class Revalidator:
         telemetry in ``report.shard_stats``.  An explicit ``cache``
         overrides the revalidator's own for this call (keys are
         content-addressed, so mixing caches never changes verdicts).
+        ``module`` is read, never written, and must stay that way:
+        memoized checkpoints keep referencing its globals and callees.
 
         ``budget`` bounds this call's *fresh* work (see
         :mod:`~repro.validator.scheduler.budget`): cache hits and
@@ -307,7 +322,8 @@ class Revalidator:
         plan = build_plan([module], passes, config, cache, labels=[label],
                           strategy="stepwise",
                           function_names=(None if function_names is None
-                                          else [list(function_names)]))
+                                          else [list(function_names)]),
+                          memo=self.pass_memo)
         deltas: Dict[str, _ChainDelta] = {}
         for function_plan in plan.function_plans():
             previous = self._states.get((label, function_plan.function.name))

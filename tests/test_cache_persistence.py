@@ -338,6 +338,29 @@ class TestSizeBoundedBackend:
         assert reopened.loaded == 1
         assert reopened.peek(keys[0]) is not None, "hot entry must survive"
 
+    def test_save_touches_only_stamps_set_since_the_last_save(self, tmp_path):
+        cache, keys = self._filled_cache(tmp_path)
+        touched = []
+        store_touch = cache._store.touch
+
+        def recording_touch(stamps):
+            touched.append(dict(stamps))
+            store_touch(stamps)
+
+        cache._store.touch = recording_touch
+        cache.save()
+        assert set(touched[-1]) == set(keys)
+        assert cache.get(keys[2], "f2") is not None
+        cache.save()
+        assert list(touched[-1]) == [keys[2]]
+        cache.save()
+        assert touched[-1] == {}
+        # The one re-stamped entry is now the most recently hit on disk.
+        cache.max_bytes = self._one_entry_budget(cache, keys[2])
+        cache.save()
+        cache.close()
+        assert ValidationCache(tmp_path).peek(keys[2]) is not None
+
     def test_loaded_entries_rank_oldest(self, tmp_path):
         cache, keys = self._filled_cache(tmp_path)
         cache.save()

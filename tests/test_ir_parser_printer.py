@@ -142,6 +142,39 @@ class TestRoundTrip:
         assert len(reparsed.defined_functions()) == len(mini_corpus.defined_functions())
         assert reparsed.instruction_count() == mini_corpus.instruction_count()
 
+    def test_many_forward_references_round_trip(self):
+        # φ back edges from a latch defined last, plus a chain of forward
+        # branch targets: every one of them is a forward reference.
+        phis, chain, latch = 40, 60, []
+        lines = ["define i32 @f(i32 %n) {", "entry:", "  br label %head", "head:"]
+        for index in range(phis):
+            lines.append(f"  %p{index} = phi i32 [ 0, %entry ], [ %v{index}, %latch ]")
+        lines += ["  %c = icmp slt i32 %p0, %n", "  br i1 %c, label %s0, label %exit"]
+        for index in range(chain):
+            target = f"s{index + 1}" if index + 1 < chain else "latch"
+            lines += [f"s{index}:", f"  br label %{target}"]
+        for index in range(phis):
+            previous = f"%v{index - 1}" if index else "1"
+            latch.append(f"  %v{index} = add i32 %p{index}, {previous}")
+        lines += ["latch:"] + latch + ["  br label %head", "exit:",
+                                       f"  ret i32 %p{phis - 1}", "}"]
+        source = "\n".join(lines)
+        function = parse_function(source)
+        assert print_function(function) == source
+        latch_block = function.block("latch")
+        head = function.block("head")
+        for index, phi in enumerate(head.phis()):
+            value, block = phi.incoming[1]
+            assert value is latch_block.instructions[index]
+            assert block is latch_block
+        assert print_function(parse_function(print_function(function))) == source
+
+    def test_paper_corpora_round_trip_byte_identically(self):
+        from repro.bench.corpus import PAPER_BENCHMARKS, build_corpus
+        for spec in PAPER_BENCHMARKS:
+            text = print_module(build_corpus(spec, 0.1))
+            assert print_module(parse_module(text, name=spec.name)) == text, spec.name
+
     def test_printer_names_anonymous_values(self):
         fn = parse_function(
             "define i32 @f(i32 %a) {\nentry:\n  %x = add i32 %a, 1\n  ret i32 %x\n}"

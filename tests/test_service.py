@@ -370,6 +370,9 @@ class TestServiceParity:
         cache = out["summary"]["cache"]
         assert cache["hit_rate"] >= 0.95
         assert out["summary"]["shard_stats"]["pairs_skipped_unchanged"] > 0
+        # An identical repeat is answered from the pass-step memo.
+        assert out["summary"]["pass_steps_run"] == 0
+        assert out["summary"]["pass_steps_reused"] > 0
 
     def test_module_text_round_trip(self, client):
         out = client.validate(module=TINY, passes=["gvn", "dse"],
@@ -411,12 +414,16 @@ class TestServiceParity:
             client.validate(corpus="not-a-benchmark")
 
     def test_stats_endpoint(self, client, daemon):
+        for _ in range(2):
+            client.validate(module=TINY, passes=["gvn", "dse"], label="stats")
         stats = client.stats()
         assert stats["requests_total"] >= 1
         assert stats["max_inflight"] == 8
         assert stats["revalidations"] == daemon.revalidator.runs
         assert "hits" in stats["cache"]
         assert stats["engine_totals"]  # accumulated across requests
+        assert stats["pass_steps_run"] > 0
+        assert stats["pass_steps_reused"] > 0
 
 
 class TestAdmissionControl:
