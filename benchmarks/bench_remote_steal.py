@@ -93,11 +93,9 @@ def main() -> int:
     store_address = f"{store_pool.address[0]}:{store_pool.address[1]}"
 
     transports = {
-        "pipe": replace(DEFAULT_CONFIG, executor="steal",
-                        concurrency=WORKERS),
-        "tcp": replace(DEFAULT_CONFIG, executor="steal",
-                       concurrency=WORKERS, steal_transport="tcp",
-                       steal_listen=steal_address),
+        "pipe": replace(DEFAULT_CONFIG, concurrency=WORKERS),
+        "tcp": replace(DEFAULT_CONFIG, concurrency=WORKERS,
+                       steal_transport="tcp", steal_listen=steal_address),
     }
     store_config = replace(DEFAULT_CONFIG,
                            cache_dir=f"{REMOTE_PREFIX}{store_address}")

@@ -3,25 +3,25 @@
 
 Runs four deterministic fault schedules — a worker **crash**, a pair
 **hang**, a proof-store **flush** failure and a **corrupt** result
-payload — over three corpora on the pooled scheduling backend
-(``steal`` with worker processes), and fails unless:
+payload — over three corpora on the executor's worker pool
+(``concurrency`` 2), and fails unless:
 
 * every chaotic run *completes* and produces per-function record
-  signatures identical to a fault-free serial baseline, except for the
+  signatures identical to a fault-free in-process baseline (concurrency
+  0), except for the
   records explicitly denied by the schedule (a hung pair settles with
   reason ``"timeout"``; a poison pair settles as ``"quarantined"``) —
   and there is at most one such denial per schedule;
 * crash schedules recover by **supervision**, not degradation: the shard
   stats must show ``workers_respawned >= 1`` and ``pool_degraded == 0``
-  (a single worker death costs one respawn, never a serial rerun);
+  (a single worker death costs one respawn, never an in-process rerun);
 * the proof cache is never poisoned: after every chaotic run, no cache
   entry carries a synthetic denial reason (``timeout``, ``quarantined``,
   ``budget-exhausted``), and a locked sqlite flush retries to disk
   without counting a store error.
 
 With ``--sites network`` the sweep instead exercises the TCP steal
-transport's fault plane on the ``steal`` backend with loopback remote
-worker subprocesses: a **conn-drop** (the coordinator loses a worker's
+transport's fault plane with loopback remote worker subprocesses: a **conn-drop** (the coordinator loses a worker's
 connection right after handing it an item — must recover by respawn +
 requeue, never degradation), a **conn-delay** (a result frame is held
 back — ordering noise only, records must not change) and a rejected
@@ -113,7 +113,7 @@ def network_sweep(args) -> int:
     Spawns two reconnecting remote workers against a fixed loopback port,
     then runs every :data:`NETWORK_SCHEDULES` plan per corpus through the
     coordinator.  All schedules must settle every record identically to a
-    fault-free serial baseline with zero denials, zero degradations and
+    fault-free in-process baseline with zero denials, zero degradations and
     an unpoisoned cache; conn-drop must additionally prove supervised
     recovery (a respawn) somewhere in the sweep, and every handshake run
     must have actually rejected (and re-admitted) a worker.
@@ -132,15 +132,12 @@ def network_sweep(args) -> int:
         for corpus_name in CORPORA:
             module = build_corpus(BENCHMARKS_BY_NAME[corpus_name], args.scale)
             faults.reset()
-            baseline, _ = run_one(
-                module, replace(DEFAULT_CONFIG, executor="serial"),
-                ValidationCache())
+            baseline, _ = run_one(module, DEFAULT_CONFIG, ValidationCache())
             clean_sigs = [r.signature() for r in baseline.records]
             clean_by_name = {sig["name"]: sig for sig in clean_sigs}
             for schedule, make_plan in NETWORK_SCHEDULES.items():
                 plan = make_plan()
-                config = replace(DEFAULT_CONFIG, executor="steal",
-                                 concurrency=CONCURRENCY,
+                config = replace(DEFAULT_CONFIG, concurrency=CONCURRENCY,
                                  steal_transport="tcp",
                                  steal_listen=address, fault_plan=plan)
                 faults.reset()
@@ -169,7 +166,7 @@ def network_sweep(args) -> int:
                 if shard.get("pool_degraded", 0):
                     failures.append(
                         f"{corpus_name}/tcp/{schedule}: the transport fault "
-                        f"degraded the steal backend to serial")
+                        f"degraded the pool to in-process execution")
                 poisoned = poisoned_entries(cache)
                 if poisoned:
                     failures.append(
@@ -268,12 +265,12 @@ def main() -> int:
         module = build_corpus(BENCHMARKS_BY_NAME[corpus_name], args.scale)
         baselines = {}
         for schedule, (make_plan, overrides, max_denied) in SCHEDULES.items():
-            # Fault-free serial baseline under the same non-fault
+            # Fault-free in-process baseline under the same non-fault
             # config knobs (one per override set).
             baseline_key = tuple(sorted(overrides.items()
                                         - {("pair_timeout", 0.2)}))
             if baseline_key not in baselines:
-                base_config = replace(DEFAULT_CONFIG, executor="serial",
+                base_config = replace(DEFAULT_CONFIG,
                                       **{k: v for k, v in overrides.items()
                                          if k != "pair_timeout"})
                 faults.reset()
@@ -284,8 +281,8 @@ def main() -> int:
             clean_sigs = baselines[baseline_key]
 
             plan = make_plan()
-            config = replace(DEFAULT_CONFIG, executor=BACKEND,
-                             concurrency=CONCURRENCY, fault_plan=plan,
+            config = replace(DEFAULT_CONFIG, concurrency=CONCURRENCY,
+                             fault_plan=plan,
                              **overrides)
             faults.reset()
             if schedule == "flush":
@@ -340,7 +337,7 @@ def main() -> int:
                 if shard.get("pool_degraded", 0):
                     failures.append(
                         f"{corpus_name}/{BACKEND}/{schedule}: crash "
-                        f"degraded the backend to serial instead of "
+                        f"degraded the pool to in-process instead of "
                         f"respawning")
                 # A corpus too small to engage the pooled path never
                 # dispatches, so the kill site never fires there; the

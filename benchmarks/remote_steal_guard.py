@@ -5,8 +5,9 @@ Spawns two reconnecting remote worker subprocesses against a fixed
 loopback port plus a standalone served proof store, then drives four
 legs over all twelve paper corpora:
 
-* **serial** — the fault-free oracle every other leg must match.
-* **tcp** — the ``steal`` backend over its TCP transport with the remote
+* **serial** — the fault-free in-process oracle (concurrency 0) every
+  other leg must match.
+* **tcp** — the executor's pool over its TCP transport with the remote
   workers; per-function record signatures must be byte-identical to
   serial (cold: no cache anywhere).
 * **store cold / store warm** — the driver consulting the served proof
@@ -19,7 +20,7 @@ legs over all twelve paper corpora:
 * **kill** — the tcp leg under a seeded ``conn-drop`` fault (the
   coordinator severs a worker's connection right after handing it an
   item).  Records must still match serial with zero denials, the
-  backend must not degrade to serial, the proof cache must stay
+  pool must not degrade to in-process execution, the proof cache must stay
   unpoisoned, and somewhere in the sweep the drop must actually land:
   ``workers_respawned >= 1`` and ``item_retries >= 1``.
 
@@ -97,9 +98,8 @@ def main() -> int:
 
     store_config = replace(DEFAULT_CONFIG,
                            cache_dir=f"{REMOTE_PREFIX}{store_address}")
-    tcp_config = replace(DEFAULT_CONFIG, executor="steal",
-                         concurrency=WORKERS, steal_transport="tcp",
-                         steal_listen=steal_address)
+    tcp_config = replace(DEFAULT_CONFIG, concurrency=WORKERS,
+                         steal_transport="tcp", steal_listen=steal_address)
     kill_plan = FaultPlan.of(FaultSpec("conn-drop", "crash", "", 2, 1),
                              seed=7)
     failures = []
@@ -108,9 +108,7 @@ def main() -> int:
         for spec in PAPER_BENCHMARKS:
             module = build_corpus(spec, args.scale)
             faults.reset()
-            serial, _ = run_one(
-                module, replace(DEFAULT_CONFIG, executor="serial"),
-                ValidationCache())
+            serial, _ = run_one(module, DEFAULT_CONFIG, ValidationCache())
             serial_sigs = signatures(serial)
 
             legs = {}
@@ -131,8 +129,8 @@ def main() -> int:
                 if leg in ("tcp", "kill"):
                     if shard.get("pool_degraded", 0):
                         failures.append(
-                            f"{spec.name}/{leg}: steal backend degraded "
-                            f"to serial")
+                            f"{spec.name}/{leg}: the pool degraded "
+                            f"to in-process execution")
                     if poisoned_entries(cache):
                         failures.append(
                             f"{spec.name}/{leg}: synthetic denials "

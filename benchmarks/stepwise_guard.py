@@ -30,18 +30,18 @@ unless each produced identical record signatures:
   records and printed result module must equal a cold run's.
   Incremental revalidation must change how much work re-validation does,
   never what it decides.
-* **executor** — :func:`repro.bench.executor_comparison`: the
-  ``serial`` backend against ``steal`` in-process (concurrency 0,
-  ``steal0``) and over worker processes.  A backend may
-  change where and in what order queries run, never what they decide.
-  The table also reports the steal backend's cancellation savings
-  (doomed pairs of rejected functions it never ran), deque traffic
-  (``items_stolen`` / ``steal_attempts``) and the encoded item bytes it
-  shipped (``steal_bytes_dispatched``).  With ``--tcp-workers N``
-  (N > 0) the leg grows a further backend: steal over its TCP transport
-  with N loopback remote worker subprocesses, run cold and then warm
-  through the coordinator's served proof store — both must also match
-  serial byte for byte.
+* **backend** — :func:`repro.bench.executor_comparison`: the lazy
+  serial ``llvm_md`` path (the reference) against the batch executor
+  in-process (concurrency 0, ``batch``) and over worker processes
+  (``steal``).  Scheduling may change where and in what order queries
+  run, never what they decide.  The table also reports the pool's
+  cancellation savings (doomed pairs of rejected functions it never
+  ran), deque traffic (``items_stolen`` / ``steal_attempts``) and the
+  encoded item bytes it shipped (``steal_bytes_dispatched``).  With
+  ``--tcp-workers N`` (N > 0) the leg grows a further backend: the pool
+  over its TCP transport with N loopback remote worker subprocesses,
+  run cold and then warm through the coordinator's served proof store —
+  both must also match the reference byte for byte.
 * **engine** — :func:`repro.bench.engine_sweep_comparison`: the default
   ``worklist`` normalization engine against the ``fullscan`` reference
   engine.  Both sweep times land in the artifact.
@@ -95,7 +95,7 @@ def main() -> int:
         tcp_workers=args.tcp_workers)
     engine_rows = engine_sweep_comparison(scale=args.scale)
     args.out.parent.mkdir(parents=True, exist_ok=True)
-    payload = {"schema": 9, "scale": args.scale, "rows": rows,
+    payload = {"schema": 10, "scale": args.scale, "rows": rows,
                "tcp_workers": args.tcp_workers,
                "shard_concurrency": args.shard_concurrency,
                "shard_rows": shard_rows,
@@ -170,10 +170,10 @@ def main() -> int:
                 f"cold for: {', '.join(row['mismatches'])}"
             )
     executor_columns = ("benchmark", "transformed", "identical",
-                        "serial_pairs", "steal0_pairs", "steal_pairs",
+                        "batch_pairs", "steal_pairs",
                         "steal_pairs_skipped", "items_stolen",
                         "steal_attempts", "steal_bytes_dispatched",
-                        "serial_time_s", "steal0_time_s", "steal_time_s")
+                        "lazy_time_s", "batch_time_s", "steal_time_s")
     if args.tcp_workers > 0:
         executor_columns += ("tcp_pairs", "tcp_warm_pairs",
                              "tcp_workers_joined", "tcp_time_s",
@@ -181,17 +181,17 @@ def main() -> int:
     print()
     print(format_table([{k: row[k] for k in executor_columns}
                         for row in executor_rows],
-                       title="Serial vs steal scheduling backends"))
+                       title="Lazy driver vs executor (in-process and pooled)"))
     skipped = sum(row["steal_pairs_skipped"] for row in executor_rows)
     stolen = sum(row["items_stolen"] for row in executor_rows)
     attempts = sum(row["steal_attempts"] for row in executor_rows)
-    print(f"steal backend cancelled {skipped} doomed pairs and moved "
+    print(f"worker pool cancelled {skipped} doomed pairs and moved "
           f"{stolen} items across deques in {attempts} steal attempts")
     for row in executor_rows:
         if not row["identical"]:
             failures.append(
                 f"{row['benchmark']}: backend records diverged from "
-                f"serial for: {', '.join(row['mismatches'])}"
+                f"the lazy driver for: {', '.join(row['mismatches'])}"
             )
     engine_columns = ("benchmark", "records", "identical",
                       "worklist_rule_invocations",
@@ -219,12 +219,13 @@ def main() -> int:
     if shard_rows:
         message += "; sharded records matched serial on every corpus"
     message += ("; chain-graph records matched the per-pair oracle, warm "
-                "incremental revalidation matched cold records, serial/"
-                "steal backends and worklist/fullscan engines produced "
-                "identical records on every corpus")
+                "incremental revalidation matched cold records, the lazy "
+                "driver and the in-process/pooled executor and "
+                "worklist/fullscan engines produced identical records on "
+                "every corpus")
     if args.tcp_workers > 0:
-        message += (f"; steal+tcp with {args.tcp_workers} remote workers "
-                    f"matched serial cold and warm on every corpus")
+        message += (f"; the tcp pool with {args.tcp_workers} remote workers "
+                    f"matched the lazy driver cold and warm on every corpus")
     print(f"\n{message}")
     return 0
 

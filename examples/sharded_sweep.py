@@ -16,13 +16,13 @@ paper's per-function validator:
   (``store_flushes``), so a second sweep (a CI re-run, a nightly job)
   answers from disk instead of re-proving anything, faulting in only
   the rows it actually consults (``store_lazy_loads``);
-* **backend selection** — ``config.executor`` picks the scheduling
-  backend: ``"serial"`` or ``"steal"`` (the default ``"auto"`` picks
-  steal when ``concurrency > 1``).  The last section sweeps a
-  *high-rejection* pipeline (one pass deliberately miscompiles) through
-  the eager serial schedule and through the steal backend: a streamed
-  rejection cancels the later pairs of its function, so steal answers
-  fewer queries for byte-identical per-function records.
+* **cancellation** — ``config.concurrency`` alone decides whether the
+  executor's pool runs (0 or 1 keep its scheduling loop in-process).
+  The last section sweeps a *high-rejection* pipeline (one pass
+  deliberately miscompiles) in-process and on the pool: either way a
+  streamed rejection cancels the later pairs of its function
+  (``speculative_pairs_skipped``), and both produce byte-identical
+  per-function records.
 
 Run with::
 
@@ -43,7 +43,7 @@ from repro.validator import DEFAULT_CONFIG, validate_module_batch
 BENCHMARKS = ("sqlite", "bzip2", "hmmer", "mcf", "lbm")
 
 #: A pipeline with an injected miscompilation: plenty of rejections, so
-#: the steal backend has doomed pairs to cancel.
+#: the executor has doomed pairs to cancel.
 BUGGY_PIPELINE = ("adce", "bug-flip-operator", "gvn", "dse")
 
 
@@ -59,16 +59,15 @@ def sweep(modules, labels, config, title, passes=None):
     shard = report.shard_stats or {}
     cache = report.cache_stats or {}
     print(f"  wall time          : {elapsed:.2f}s")
-    print(f"  backend            : {shard.get('executor', '?')} "
-          f"({shard.get('workers', 0)} workers)")
+    print(f"  workers            : {shard.get('workers', 0)} "
+          f"(0 = in-process)")
     print(f"  distinct pairs     : {shard.get('distinct_pairs', 0)} "
           f"(pooled items {shard.get('pooled_pairs', 0)}, "
           f"chain items {shard.get('chain_items', 0)})")
-    if shard.get("executor") == "steal":
-        print(f"  stealing           : {shard.get('items_stolen', 0)} items "
-              f"stolen in {shard.get('steal_attempts', 0)} attempts, "
-              f"{shard.get('speculative_pairs_skipped', 0)} doomed pairs "
-              f"cancelled off the queue")
+    print(f"  stealing           : {shard.get('items_stolen', 0)} items "
+          f"stolen in {shard.get('steal_attempts', 0)} attempts, "
+          f"{shard.get('speculative_pairs_skipped', 0)} doomed pairs "
+          f"cancelled off the queue")
     print(f"  cache              : {cache.get('hits', 0)} hits / "
           f"{cache.get('misses', 0)} misses "
           f"({cache.get('disk_loaded', 0)} loaded from disk)")
@@ -111,33 +110,31 @@ def main() -> None:
               f"{(results[-1][1].shard_stats or {}).get('distinct_pairs', 0)} pairs "
               f"and faulted {lazy} of {loaded} stored entries lazily\n")
 
-    # Backend selection on a high-rejection pipeline: the eager serial
-    # schedule vs work stealing, each with its own cold in-memory cache
-    # so the query counts are comparable.  Chain packing is disabled for
-    # both runs so every adjacent pair is its own work item: the eager
-    # run is the literal "round 1 validates every pair" baseline, and the
-    # steal run can cancel each doomed pair individually.
+    # A high-rejection pipeline in-process and on the pool, each with its
+    # own cold in-memory cache so the query counts are comparable.  Chain
+    # packing is disabled for both runs so every adjacent pair is its own
+    # work item and each doomed pair can be cancelled individually.
     modules = [build_corpus(BENCHMARKS_BY_NAME[name], scale) for name in labels]
-    eager_config = replace(DEFAULT_CONFIG, executor="serial",
-                           chain_graphs=False)
-    eager = sweep(modules, labels, eager_config,
-                  "High-rejection sweep, eager serial backend (buggy pipeline)",
-                  passes=BUGGY_PIPELINE)
+    inline_config = replace(DEFAULT_CONFIG, chain_graphs=False)
+    inline = sweep(modules, labels, inline_config,
+                   "High-rejection sweep, in-process (buggy pipeline)",
+                   passes=BUGGY_PIPELINE)
     modules = [build_corpus(BENCHMARKS_BY_NAME[name], scale) for name in labels]
-    steal_config = replace(eager_config, executor="steal",
-                           concurrency=workers)
-    steal = sweep(modules, labels, steal_config,
-                  "High-rejection sweep, work-stealing backend",
-                  passes=BUGGY_PIPELINE)
+    pooled = sweep(modules, labels,
+                   replace(inline_config, concurrency=workers),
+                   "High-rejection sweep, work-stealing pool",
+                   passes=BUGGY_PIPELINE)
 
-    eager_pairs = (eager[-1][1].shard_stats or {}).get("distinct_pairs", 0)
-    steal_pairs = (steal[-1][1].shard_stats or {}).get("distinct_pairs", 0)
+    inline_shard = inline[-1][1].shard_stats or {}
+    pooled_shard = pooled[-1][1].shard_stats or {}
     identical = (
-        [r.signature() for _, rep in eager for r in rep.records] ==
-        [r.signature() for _, rep in steal for r in rep.records])
-    print(f"steal vs eager: {steal_pairs} vs {eager_pairs} queries answered "
-          f"({eager_pairs - steal_pairs} saved by cancelling doomed pairs); "
-          f"records identical: {identical}")
+        [r.signature() for _, rep in inline for r in rep.records] ==
+        [r.signature() for _, rep in pooled for r in rep.records])
+    print(f"pool vs in-process: {pooled_shard.get('distinct_pairs', 0)} vs "
+          f"{inline_shard.get('distinct_pairs', 0)} queries answered, "
+          f"{pooled_shard.get('speculative_pairs_skipped', 0)} vs "
+          f"{inline_shard.get('speculative_pairs_skipped', 0)} doomed pairs "
+          f"cancelled; records identical: {identical}")
 
 
 if __name__ == "__main__":

@@ -20,9 +20,8 @@ value graph; the re-run then
 Records are signature-identical to a cold run either way — CI enforces
 it on all twelve corpora (``stepwise_guard.py``'s incremental leg) —
 so what changes is only the work, which this example prints side by
-side.  The same machinery sits behind ``config.incremental`` (routing
-``validate_module_batch`` and ``llvm_md`` through a process-shared
-revalidator) and behind the polling CLI::
+side.  The same machinery sits behind the validation daemon and the
+polling CLI::
 
     python -m repro.validator.watch my_module.ll --passes adce gvn dse
 
@@ -32,7 +31,6 @@ Run with::
 """
 
 import sys
-from dataclasses import replace
 
 from repro.bench import BENCHMARKS_BY_NAME, build_corpus
 from repro.transforms import PAPER_PIPELINE
@@ -55,7 +53,7 @@ def main() -> None:
 
     # The incremental path: prime a revalidator with the original
     # pipeline, then revalidate the same module under the tweak.
-    revalidator = Revalidator(replace(DEFAULT_CONFIG, incremental=True))
+    revalidator = Revalidator(DEFAULT_CONFIG)
     module = build_corpus(BENCHMARKS_BY_NAME[BENCHMARK], scale=scale)
     revalidator.revalidate(module, PAPER_PIPELINE, label=BENCHMARK)
     _, warm = revalidator.revalidate(module, TWEAKED, label=BENCHMARK)

@@ -20,7 +20,7 @@ Figure 8     :func:`figure8` — SCCP rewrite-rule ablation
 (extension)  :func:`engine_sweep_comparison` — worklist vs full-scan stepwise records
 (extension)  :func:`stepwise_comparison` — whole vs stepwise vs bisect strategies
 (extension)  :func:`sharded_comparison` — serial vs worker-pool (steal) records
-(extension)  :func:`executor_comparison` — serial vs steal (in-process and pooled) backends
+(extension)  :func:`executor_comparison` — lazy driver vs executor (in-process and pooled)
 (extension)  :func:`chain_comparison` — chain-shared graphs vs per-pair stepwise
 (extension)  :func:`cache_persistence` — cold vs warm persistent-cache sweeps
 ===========  ==================================================================
@@ -541,42 +541,43 @@ def executor_comparison(scale: float = 1.0, benchmarks: Optional[Sequence[str]] 
                         concurrency: int = 2,
                         strategy: str = "stepwise",
                         tcp_workers: int = 0) -> List[Dict[str, object]]:
-    """Serial vs steal scheduling backends on identical inputs.
+    """The lazy driver vs the executor, in-process and pooled.
 
-    For every corpus, validates the module through
-    ``validate_module_batch`` once per leg — ``"serial"``, ``"steal0"``
-    (the steal backend's scheduling loop in-process, concurrency 0) and
-    ``"steal"`` (``concurrency`` worker processes) — and
-    compares the per-function *record signatures* — a backend may only
-    change where and in what order queries run, never what they decide,
-    so ``identical`` must be true on every row (the CI executor-parity
-    guard enforces exactly that over all twelve corpora).
+    For every corpus, validates the module once per leg — ``"lazy"``
+    (serial :func:`~repro.validator.driver.llvm_md` at concurrency 0,
+    the reference), ``"batch"`` (``validate_module_batch`` at
+    concurrency 0: the executor's scheduling loop in-process) and
+    ``"steal"`` (``validate_module_batch`` over ``concurrency`` worker
+    processes) — and compares the per-function *record signatures*
+    against the reference — scheduling may only change where and in
+    what order queries run, never what they decide, so ``identical``
+    must be true on every row (the CI backend-parity guard enforces
+    exactly that over all twelve corpora).
 
     Each row also carries the scheduling telemetry: ``distinct_pairs``
-    per backend (the deduplicated queries each one actually validated)
-    and the steal backend's discipline — ``items_stolen`` /
+    per executor leg (the deduplicated queries each one actually
+    validated) and the pool's discipline — ``items_stolen`` /
     ``steal_attempts`` (how often idle workers raided a sibling's deque),
     ``steal_pairs_skipped`` (doomed pairs its streaming cancellation
     never ran; zero on an all-accepting corpus) and
     ``steal_bytes_dispatched`` (encoded work-item bytes shipped to the
     workers).
 
-    With ``tcp_workers > 0`` a further leg runs the steal backend over its
-    TCP transport, twice per corpus: that many remote worker processes
+    With ``tcp_workers > 0`` a further leg runs the pool over its TCP
+    transport, twice per corpus: that many remote worker processes
     are spawned once (``--reconnect``, so they rejoin every per-batch
     coordinator on the same port), each corpus gets a coordinator-side
     sqlite proof store, and the corpus is validated cold then warm —
     the warm run answers every query through the served store's batched
-    gets.  Both legs must match serial exactly (``tcp``/``tcp_warm``
+    gets.  Both legs must match the reference exactly (``tcp``/``tcp_warm``
     entries join the mismatch scan), proving the distribution layer is
     a pure refinement of the single-node schedule.
     """
     base = config or DEFAULT_CONFIG
     workers = max(2, concurrency)
     backends = {
-        "serial": _dc_replace(base, executor="serial", concurrency=0),
-        "steal0": _dc_replace(base, executor="steal", concurrency=0),
-        "steal": _dc_replace(base, executor="steal", concurrency=workers),
+        "batch": _dc_replace(base, concurrency=0),
+        "steal": _dc_replace(base, concurrency=workers),
     }
     tcp_procs: List[object] = []
     tcp_listen = None
@@ -602,11 +603,16 @@ def executor_comparison(scale: float = 1.0, benchmarks: Optional[Sequence[str]] 
             legs = dict(backends)
             if tcp_workers > 0:
                 tcp_config = _dc_replace(
-                    base, executor="steal", concurrency=max(2, tcp_workers),
+                    base, concurrency=max(2, tcp_workers),
                     steal_transport="tcp", steal_listen=tcp_listen,
                     cache_dir=os.path.join(tcp_store_root, spec.name))
                 legs["tcp"] = tcp_config
                 legs["tcp_warm"] = tcp_config
+            start = time.perf_counter()
+            _, lazy = llvm_md(module, passes, _dc_replace(base, concurrency=0),
+                              label=spec.name, strategy=strategy)
+            lazy_time = round(time.perf_counter() - start, 3)
+            reference = [record.signature() for record in lazy.records]
             for name, backend_config in legs.items():
                 start = time.perf_counter()
                 (_, report), = validate_module_batch(
@@ -627,31 +633,27 @@ def executor_comparison(scale: float = 1.0, benchmarks: Optional[Sequence[str]] 
                     "time_s": round(elapsed, 3),
                 }
             mismatches = []
-            compared = ["steal0", "steal"]
-            if tcp_workers > 0:
-                compared += ["tcp", "tcp_warm"]
-            for name in compared:
+            for name in legs:
                 mismatches += [f"{signature['name']} ({name})"
-                               for signature, other in zip(signatures["serial"],
+                               for signature, other in zip(reference,
                                                            signatures[name])
                                if signature != other]
-                if len(signatures["serial"]) != len(signatures[name]):  # pragma: no cover
+                if len(reference) != len(signatures[name]):  # pragma: no cover
                     mismatches.append(f"<record-count-mismatch> ({name})")
             row = {
                 "benchmark": spec.name,
                 "strategy": strategy,
-                "transformed": per_backend["serial"]["transformed"],
+                "transformed": lazy.transformed_functions,
                 "identical": not mismatches,
                 "mismatches": mismatches,
-                "serial_pairs": per_backend["serial"]["distinct_pairs"],
-                "steal0_pairs": per_backend["steal0"]["distinct_pairs"],
+                "batch_pairs": per_backend["batch"]["distinct_pairs"],
                 "steal_pairs": per_backend["steal"]["distinct_pairs"],
                 "items_stolen": per_backend["steal"]["items_stolen"],
                 "steal_attempts": per_backend["steal"]["steal_attempts"],
                 "steal_pairs_skipped": per_backend["steal"]["pairs_skipped"],
                 "steal_bytes_dispatched": per_backend["steal"]["bytes_dispatched"],
-                "serial_time_s": per_backend["serial"]["time_s"],
-                "steal0_time_s": per_backend["steal0"]["time_s"],
+                "lazy_time_s": lazy_time,
+                "batch_time_s": per_backend["batch"]["time_s"],
                 "steal_time_s": per_backend["steal"]["time_s"],
             }
             if tcp_workers > 0:
@@ -818,7 +820,7 @@ def incremental_comparison(scale: float = 1.0,
         cold_totals = cold_report.engine_totals()
 
         from ..validator.watch import Revalidator
-        revalidator = Revalidator(_dc_replace(base, incremental=True))
+        revalidator = Revalidator(base)
         warm_module = build_corpus(spec, scale)
         revalidator.revalidate(warm_module, passes, label=spec.name)
         start = time.perf_counter()

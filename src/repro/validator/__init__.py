@@ -8,7 +8,6 @@ from .cache import (
 )
 from .config import (
     DEFAULT_CONFIG,
-    EXECUTORS,
     GVN_ABLATION_STEPS,
     LICM_ABLATION_STEPS,
     SCCP_ABLATION_STEPS,
@@ -27,14 +26,10 @@ from .scheduler import (
     Executor,
     PipelineDiff,
     RequestBudget,
-    SerialExecutor,
-    StealExecutor,
     WorkPlan,
     build_plan,
-    create_executor,
     diff_plan,
     is_budget_result,
-    resolved_executor,
     settle_plan,
 )
 from .report import FunctionRecord, ValidationReport
@@ -49,8 +44,7 @@ from .validate import (
 # The watch-mode driver is exported lazily (PEP 562): importing it here
 # eagerly would make ``python -m repro.validator.watch`` re-execute the
 # module runpy already found in sys.modules.
-_WATCH_EXPORTS = ("Revalidator", "shared_revalidator",
-                  "reset_shared_revalidators", "watch_source")
+_WATCH_EXPORTS = ("Revalidator", "watch_source")
 
 
 def __getattr__(name):
@@ -71,23 +65,16 @@ __all__ = [
     "SCCP_ABLATION_STEPS",
     "LICM_ABLATION_STEPS",
     "STRATEGIES",
-    "EXECUTORS",
     "Executor",
-    "SerialExecutor",
-    "StealExecutor",
     "WorkPlan",
     "PipelineDiff",
     "build_plan",
     "diff_plan",
-    "create_executor",
-    "resolved_executor",
     "settle_plan",
     "BUDGET_EXHAUSTED",
     "RequestBudget",
     "is_budget_result",
     "Revalidator",
-    "shared_revalidator",
-    "reset_shared_revalidators",
     "watch_source",
     "validate_chain_delta",
     "llvm_md",

@@ -15,12 +15,7 @@ from ..vgraph.normalize import ENGINES
 from ..vgraph.rules import ALL_RULE_GROUPS
 from .faults import FaultPlan
 
-#: Scheduling backends the batch driver can execute a work plan on
-#: (``"auto"`` resolves to ``"steal"`` when ``concurrency > 1``, else
-#: ``"serial"``).  See :mod:`repro.validator.scheduler.executors`.
-EXECUTORS = ("auto", "serial", "steal")
-
-#: Transports the ``"steal"`` backend can move work items over:
+#: Transports the executor's worker pool can move work items over:
 #: ``"pipe"`` (in-process ``multiprocessing`` pipes, the historical
 #: single-host protocol) or ``"tcp"`` (length-prefixed frames over
 #: sockets so workers on other hosts can join the shared queue).  See
@@ -78,26 +73,21 @@ class ValidatorConfig:
         or ``"fullscan"`` (the original re-scan-everything loop, kept as
         a baseline for parity tests and benchmarks).
     concurrency:
-        Number of worker processes the drivers (``llvm_md`` and
-        :func:`repro.validator.driver.validate_module_batch`) may use to
-        shard validation queries.  ``0`` or ``1`` validates serially
-        in-process.
-    executor:
-        Scheduling backend the batch driver executes its work plan on:
-        ``"serial"`` (in-process) or ``"steal"`` (a persistent pool of
-        workers pulling content-keyed items from per-worker deques with
-        LIFO-local/FIFO-steal semantics, so long chain items stop
-        straggling behind an idle pool; a rejection streams back and
-        cancels the doomed later pairs of its function — pooled when
-        ``concurrency > 1``, in-process otherwise).  The default
-        ``"auto"`` resolves to ``"steal"`` when ``concurrency > 1`` and
-        ``"serial"`` otherwise.  The contradictory combination
-        (``"serial"`` with workers) is rejected at construction time
-        instead of silently running something else.  Every backend
-        produces byte-identical
+        The backend selector: how many worker processes the
+        :class:`~repro.validator.scheduler.executors.Executor` pool
+        runs.  ``0`` or ``1`` (must be ``>= 0``) validates in-process:
+        ``llvm_md`` takes its lazy per-function path and the batch
+        driver runs the executor's scheduling loop in-process.  Above
+        ``1``, ``llvm_md`` delegates to
+        :func:`repro.validator.driver.validate_module_batch`, whose
+        executor spawns that many workers pulling content-keyed items
+        from per-worker deques (LIFO-local/FIFO-steal, so long chain
+        items stop straggling behind an idle pool; a rejection streams
+        back and cancels the doomed later pairs of its function).  Every
+        worker count produces byte-identical
         :meth:`~repro.validator.report.FunctionRecord.signature`\\ s —
-        ``benchmarks/stepwise_guard.py``'s executor leg enforces it —
-        so the field can never affect a verdict and is *not* part of the
+        ``benchmarks/stepwise_guard.py``'s backend leg enforces it — so
+        the field can never affect a verdict and is *not* part of the
         cache key.
     cache_dir:
         Optional persistence location for the
@@ -139,19 +129,6 @@ class ValidatorConfig:
         budget (the ``disk_evicted`` counter reports how many).  Like
         ``cache_dir`` it can never affect a verdict, so it is not part of
         the cache key.
-    incremental:
-        Route ``llvm_md``/``validate_module_batch`` through the
-        incremental revalidation layer (:mod:`repro.validator.watch`):
-        pipeline checkpoints are fingerprint-diffed against the previous
-        run of the same driver-held :class:`~repro.validator.watch.Revalidator`
-        state, unchanged-prefix pairs are adopted from the previous plan
-        and cache without re-keying, and only dirtied versions are
-        rebuilt into the retained chain graph.  Off by default (every
-        run is cold).  Incremental records are
-        :meth:`~repro.validator.report.FunctionRecord.signature`-identical
-        to cold records (``benchmarks/stepwise_guard.py``'s incremental
-        leg enforces it on every corpus), so like the
-        execution knobs above the flag is *not* part of the cache key.
     service_port:
         TCP port the validation daemon
         (:mod:`repro.validator.service`) listens on.  ``0`` asks the OS
@@ -197,15 +174,17 @@ class ValidatorConfig:
         Never part of the cache key: a faulted run's *cached* verdicts
         must be byte-identical to the fault-free run's.
     steal_transport:
-        Wire protocol for the ``"steal"`` executor's work queue:
-        ``"pipe"`` (the default in-process ``multiprocessing`` pipes)
-        or ``"tcp"`` (length-prefixed pickle frames over sockets — the
-        driver hosts a :class:`~repro.validator.scheduler.remote.StealCoordinator`
+        Wire protocol for the executor's worker pool: ``"pipe"`` (the
+        default local ``multiprocessing`` pipes) or ``"tcp"``
+        (length-prefixed pickle frames over sockets — the driver hosts
+        a :class:`~repro.validator.scheduler.remote.StealCoordinator`
         and remote ``python -m repro.validator.scheduler.worker``
-        processes join it dynamically).  Requires ``executor="steal"``.
-        Both transports produce byte-identical record signatures
-        (``benchmarks/remote_steal_guard.py`` enforces it), so like the
-        executor knob it is *not* part of the cache key.
+        processes join it dynamically).  ``"tcp"`` requires
+        ``concurrency > 1``: below that no pool runs, so no socket
+        would ever be bound.  Both transports produce byte-identical
+        record signatures (``benchmarks/remote_steal_guard.py``
+        enforces it), so like ``concurrency`` it is *not* part of the
+        cache key.
     steal_listen:
         ``HOST:PORT`` the TCP steal coordinator binds (only meaningful
         with ``steal_transport="tcp"``).  ``None`` binds a loopback
@@ -221,12 +200,10 @@ class ValidatorConfig:
     recursion_limit: int = 50_000
     engine: str = "worklist"
     concurrency: int = 0
-    executor: str = "auto"
     cache_dir: Optional[str] = None
     analysis_cache_size: int = 0
     chain_graphs: bool = True
     cache_max_bytes: int = 0
-    incremental: bool = False
     service_port: int = 8037
     max_inflight: int = 4
     request_timeout: float = 0.0
@@ -239,12 +216,10 @@ class ValidatorConfig:
     def __post_init__(self) -> None:
         if self.engine not in ENGINES:
             raise ValueError(f"unknown engine {self.engine!r} (known: {ENGINES})")
-        if self.executor not in EXECUTORS:
-            raise ValueError(f"unknown executor {self.executor!r} (known: {EXECUTORS})")
-        if self.executor == "serial" and self.concurrency > 1:
+        if self.concurrency < 0:
             raise ValueError(
-                f"executor='serial' contradicts concurrency={self.concurrency} "
-                f"(workers would never be used); drop one of the two settings")
+                f"concurrency must be >= 0 (got {self.concurrency}); "
+                f"0 and 1 validate in-process")
         if self.analysis_cache_size < 0:
             raise ValueError("analysis_cache_size must be >= 0 (0 = unbounded)")
         if self.cache_max_bytes < 0:
@@ -267,11 +242,11 @@ class ValidatorConfig:
             raise ValueError(
                 f"unknown steal transport {self.steal_transport!r} "
                 f"(known: {STEAL_TRANSPORTS})")
-        if self.steal_transport == "tcp" and self.executor != "steal":
+        if self.steal_transport == "tcp" and self.concurrency <= 1:
             raise ValueError(
-                f"steal_transport='tcp' needs executor='steal' "
-                f"(got executor={self.executor!r}); the other backends have "
-                f"no steal queue to put on the wire")
+                f"steal_transport='tcp' needs concurrency > 1 "
+                f"(got concurrency={self.concurrency}); below that the "
+                f"executor runs in-process and no worker pool would listen")
         if self.steal_listen is not None and self.steal_transport != "tcp":
             raise ValueError(
                 f"steal_listen={self.steal_listen!r} needs "
@@ -295,13 +270,6 @@ class ValidatorConfig:
         """A copy of this configuration with a different normalization engine."""
         return replace(self, engine=engine)
 
-    def with_executor(self, executor: str, concurrency: Optional[int] = None
-                      ) -> "ValidatorConfig":
-        """A copy with a different scheduling backend (and optionally workers)."""
-        if concurrency is None:
-            concurrency = self.concurrency
-        return replace(self, executor=executor, concurrency=concurrency)
-
     def with_cache_dir(self, cache_dir: Optional[str]) -> "ValidatorConfig":
         """A copy of this configuration with a different persistent cache dir."""
         return replace(self, cache_dir=cache_dir)
@@ -313,7 +281,6 @@ DEFAULT_CONFIG = ValidatorConfig()
 __all__ = [
     "ValidatorConfig",
     "DEFAULT_CONFIG",
-    "EXECUTORS",
     "STEAL_TRANSPORTS",
     "REMOTE_PREFIX",
     "GVN_ABLATION_STEPS",

@@ -58,29 +58,28 @@ For corpus-scale traffic, batch validation is orchestrated by the
   deterministic work-item generation — every selected function of every
   module is optimized, its queries derived, content-deduplicated and
   checked against the shared cache;
-* **execute** (:mod:`~repro.validator.scheduler.executors`): a pluggable
-  :class:`~repro.validator.scheduler.executors.Executor` backend —
-  ``config.executor`` selects ``"serial"`` or ``"steal"`` (work
-  stealing over worker processes that also cancels the doomed later
-  pairs of rejecting functions; ``"auto"`` picks it when
-  ``config.concurrency > 1``) — fills the cache with verdicts; a dead
-  worker is respawned and its item requeued, and an unrecoverable pool
-  failure degrades the rest of the batch to serial through the same
-  interface;
+* **execute** (:mod:`~repro.validator.scheduler.executors`): one
+  :class:`~repro.validator.scheduler.executors.Executor` — work stealing
+  that also cancels the doomed later pairs of rejecting functions, over
+  ``config.concurrency`` worker processes when that is above 1 and
+  in-process otherwise — fills the cache with verdicts; a dead worker
+  is respawned and its item requeued, and an unrecoverable pool failure
+  degrades the rest of the batch to the in-process loop;
 * **settle** (:func:`~repro.validator.scheduler.settle.settle_plan`):
   per-function records are reassembled from the cache through the same
-  strategy runners the serial path uses, so every backend produces
+  strategy runners the serial path uses, so every worker count produces
   byte-identical :meth:`~repro.validator.report.FunctionRecord.signature`\\ s
-  (``benchmarks/stepwise_guard.py``'s executor leg enforces it).
+  (``benchmarks/stepwise_guard.py``'s backend leg enforces it).
 
-Incremental mode (``config.incremental``) is not a separate driver but a
-planner input: the long-lived :class:`~repro.validator.watch.Revalidator`
-runs the same plan → execute → settle path, diffs each planned chain
-against the previous run's
-(:func:`~repro.validator.scheduler.plan.diff_plan`) and hands settlement
-a lazy retained-graph delta to ask before validating a dirty pair
-inline.  The lazy per-function path of :func:`llvm_md` (serial executor,
-no incremental state) stays as the serial oracle of every parity test.
+:func:`llvm_md` delegates to the batch driver iff
+``config.concurrency > 1``; its lazy per-function path (no pool, no
+incremental state) stays as the serial oracle of every parity test.
+Incremental revalidation is a long-lived object: a
+:class:`~repro.validator.watch.Revalidator` runs the same plan →
+execute → settle path, diffs each planned chain against the previous
+run's (:func:`~repro.validator.scheduler.plan.diff_plan`) and hands
+settlement a lazy retained-graph delta to ask before validating a dirty
+pair inline.
 
 With ``config.cache_dir`` set the cache is *persistent*: a SQLite proof
 store (or, for ``remote://HOST:PORT``, a coordinator's served store)
@@ -107,11 +106,10 @@ from .report import FunctionRecord, ValidationReport
 from .scheduler import (
     RequestBudget,
     build_plan,
+    Executor,
     chain_provider,
-    create_executor,
     remap_function_refs,
     remap_globals,
-    resolved_executor,
     run_bisect,
     run_stepwise,
     run_whole,
@@ -152,8 +150,8 @@ def validate_function_pipeline(
     ``manager`` is given (or a snapshot strategy creates its own, bounded
     by ``config.analysis_cache_size``), every distinct function version's
     analyses are computed only once.  This per-function entry point
-    always executes lazily in-process; ``config.executor`` selects
-    backends for the module/batch drivers.
+    always executes lazily in-process; ``config.concurrency`` sizes the
+    worker pool of the module/batch drivers.
     """
     config = config or DEFAULT_CONFIG
     if strategy not in STRATEGIES:
@@ -222,27 +220,19 @@ def llvm_md(
     and shares no mutable structure — functions *and* globals are cloned)
     and the per-function :class:`ValidationReport`.
 
-    With ``config.concurrency > 1`` (or an explicit non-serial
-    ``config.executor``) the module's validation is delegated to
-    :func:`validate_module_batch`'s scheduling subsystem — the
-    per-function records are identical to the serial path's by
+    With ``config.concurrency > 1`` the module's validation is
+    delegated to :func:`validate_module_batch`'s scheduling subsystem —
+    the per-function records are identical to the serial path's by
     construction; ``manager`` is only consulted on the serial path.  With
     ``config.cache_dir`` set and no explicit ``cache``, a persistent
-    cache is opened there and saved back after the run.
-
-    With ``config.incremental`` (stepwise only) the call is delegated
-    the same way, and :func:`validate_module_batch` routes it through
-    the process-shared :class:`~repro.validator.watch.Revalidator` for
-    its config: repeated calls retain each function's checkpoint
-    fingerprints and chain graph, so a re-run after a pipeline tweak
-    skips the unchanged-prefix pairs outright and rebuilds only the
-    dirtied suffix — with records signature-identical to a cold run.
+    cache is opened there and saved back after the run.  Callers that
+    revalidate the same modules repeatedly hold a
+    :class:`~repro.validator.watch.Revalidator` instead.
     """
     config = config or DEFAULT_CONFIG
     if strategy not in STRATEGIES:
         raise ValueError(f"unknown strategy {strategy!r} (known: {STRATEGIES})")
-    if config.incremental or (config.concurrency and config.concurrency > 1) \
-            or resolved_executor(config) != "serial":
+    if config.concurrency > 1:
         selections = [list(function_names)] if function_names is not None else None
         (result_module, report), = validate_module_batch(
             [module], passes, config, labels=[label or module.name],
@@ -309,14 +299,14 @@ def validate_module_batch(
       hash; with ``config.chain_graphs`` (the default) a multi-step
       stepwise function ships as ONE packed chain work item when enough
       of its pairs are uncached to amortize it;
-    * **execute** — the ``config.executor`` backend validates the
-      distinct items: ``"serial"`` in-process, or ``"steal"`` over a
-      persistent pool of ``config.concurrency`` single-item workers
-      stealing from each other's deques (a dead worker is respawned and
-      its item requeued; the rest of the batch degrades to serial if the
-      platform cannot spawn processes, a payload cannot be pickled, or a
-      worker raises; a streamed rejection cancels the later pairs of its
-      function); under
+    * **execute** — the :class:`~repro.validator.scheduler.executors.Executor`
+      validates the distinct items in priority order, over a persistent
+      pool of ``config.concurrency`` single-item workers stealing from
+      each other's deques when that is above 1 and in-process otherwise
+      (a dead worker is respawned and its item requeued; the rest of the
+      batch degrades to in-process if the platform cannot spawn
+      processes, a payload cannot be pickled, or a worker raises; a
+      streamed rejection cancels the later pairs of its function); under
       stepwise, a settle round fans out the whole-query fallbacks of
       rejected functions;
     * **settle** — worker results are merged into the shared cache and
@@ -332,11 +322,6 @@ def validate_module_batch(
     restricts validation per module (one entry per module; ``None``
     validates every defined function), mirroring ``llvm_md``.
 
-    With ``config.incremental`` (stepwise only) each module runs through
-    the process-shared :class:`~repro.validator.watch.Revalidator` for
-    the config — the same three layers with the previous run's chains
-    diffed in — under the same ``budget``.
-
     Returns ``[(result_module, report), ...]`` in input order.
     """
     config = config or DEFAULT_CONFIG
@@ -346,21 +331,6 @@ def validate_module_batch(
         raise ValueError("labels must match modules one to one")
     if function_names is not None and len(function_names) != len(modules):
         raise ValueError("function_names must match modules one to one")
-    if config.incremental:
-        if strategy != "stepwise":
-            raise ValueError(
-                f"incremental revalidation requires strategy='stepwise' "
-                f"(got {strategy!r}: only the checkpoint chain has a "
-                f"dirty suffix to diff)")
-        from .watch import shared_revalidator
-        revalidator = shared_revalidator(config)
-        return [revalidator.revalidate(
-                    module, passes,
-                    label=labels[index] if labels is not None else module.name,
-                    function_names=(function_names[index]
-                                    if function_names is not None else None),
-                    cache=cache, budget=budget)
-                for index, module in enumerate(modules)]
     if cache is None:
         cache = ValidationCache(config.cache_dir,
                                 max_bytes=config.cache_max_bytes,
@@ -368,7 +338,7 @@ def validate_module_batch(
 
     plan = build_plan(modules, passes, config, cache, labels=labels,
                       strategy=strategy, function_names=function_names)
-    executor = create_executor(config)
+    executor = Executor(config.concurrency)
     try:
         execution = executor.execute(plan, cache, budget=budget)
     finally:

@@ -130,8 +130,7 @@ class ValidationReport:
     #: run did not use one).
     analysis_stats: Optional[Dict[str, int]] = None
     #: Scheduling counters of the batch driver (``None`` for serial
-    #: per-function runs): ``executor`` (the resolved backend name —
-    #: ``"serial"`` or ``"steal"``), ``distinct_pairs`` (deduplicated
+    #: per-function runs): ``distinct_pairs`` (deduplicated
     #: queries this batch validated), ``pooled_pairs`` (work items that ran
     #: in a worker process), ``chain_items`` (packed chain work items),
     #: ``pass_steps_run`` / ``pass_steps_reused`` (pipeline steps that ran
@@ -139,12 +138,11 @@ class ValidationReport:
     #: reuses a step only when one function's pipeline revisits the same
     #: content), ``inline_validations`` (assembly-time queries, e.g. bisect probes),
     #: ``workers`` (pool width, ``0`` when everything ran in-process),
-    #: ``speculative_pairs_skipped`` (steal backend: planned pair queries
-    #: never validated thanks to cancellation), ``bytes_dispatched``
-    #: (encoded work-item bytes the steal backend shipped to workers) and
-    #: ``pool_degraded`` (steal pool failures that degraded the rest of a
-    #: batch to serial; the name predates the steal-only backend and is
-    #: kept because guards read it).  Incremental
+    #: ``speculative_pairs_skipped`` (planned pair queries never
+    #: validated thanks to streaming cancellation), ``bytes_dispatched``
+    #: (encoded work-item bytes shipped to pool workers) and
+    #: ``pool_degraded`` (pool failures that degraded the rest of a
+    #: batch to the in-process loop).  Incremental
     #: revalidation runs (:mod:`repro.validator.watch`) add
     #: ``pairs_skipped_unchanged`` (adjacent pairs adopted from the
     #: previous run's plan/cache without re-validation) and

@@ -9,11 +9,11 @@ backend) independently:
     dedup by content key, chain-vs-pair amortization, cache consultation
     — producing a :class:`WorkPlan`.
 :mod:`~repro.validator.scheduler.executors`
-    *How to run it.*  The :class:`Executor` backends — serial and
-    work-stealing (fed by the process plumbing in
-    :mod:`~repro.validator.scheduler.steal`) — plus the lazy providers
-    the per-function serial driver validates through.  Every backend
-    produces byte-identical record signatures.
+    *How to run it.*  The work-stealing :class:`Executor` — in-process
+    or over ``config.concurrency`` workers fed by the process plumbing
+    in :mod:`~repro.validator.scheduler.steal` — plus the lazy providers
+    the per-function serial driver validates through.  Every worker
+    count produces byte-identical record signatures.
 :mod:`~repro.validator.scheduler.settle`
     *What it means.*  Strategy runners reassembling
     :class:`~repro.validator.report.FunctionRecord`\\ s (verdicts, blame,
@@ -29,10 +29,7 @@ from .budget import (
 from .executors import (
     ExecutionOutcome,
     Executor,
-    SerialExecutor,
-    StealExecutor,
     chain_provider,
-    create_executor,
     serial_provider,
     validate_pair_cached,
 )
@@ -47,7 +44,6 @@ from .plan import (
     chain_amortizes,
     diff_plan,
     pending_whole_queries,
-    resolved_executor,
 )
 from .settle import (
     merge_stats,
@@ -76,12 +72,8 @@ __all__ = [
     "diff_plan",
     "pending_whole_queries",
     "chain_amortizes",
-    "resolved_executor",
     "Executor",
     "ExecutionOutcome",
-    "SerialExecutor",
-    "StealExecutor",
-    "create_executor",
     "serial_provider",
     "chain_provider",
     "validate_pair_cached",

@@ -1,4 +1,4 @@
-"""Execution backends: *how* a planned batch of validation work runs.
+"""The execute layer: *how* a planned batch of validation work runs.
 
 The planning layer (:mod:`repro.validator.scheduler.plan`) produces a
 deduplicated, content-keyed :class:`~repro.validator.scheduler.plan.WorkPlan`;
@@ -6,38 +6,34 @@ an :class:`Executor` turns it into verdicts in the shared
 :class:`~repro.validator.cache.ValidationCache`; the settlement layer
 (:mod:`repro.validator.scheduler.settle`) reassembles per-function
 records.  Because verdicts are content-addressed and settlement replays
-the same strategy runners regardless of backend, **every executor
-produces byte-identical record signatures** — backends may only change
-where and in what order queries run, never what they decide
-(``benchmarks/stepwise_guard.py``'s executor leg enforces this on all
-twelve corpora).
+the same strategy runners however the items ran, **every worker count
+produces byte-identical record signatures** — the pool may only
+change where and in what order queries run, never what they decide
+(``benchmarks/stepwise_guard.py``'s backend leg enforces this on all
+twelve corpora, in-process and pooled).
 
-Two backends ship today:
-
-``SerialExecutor``
-    Runs every work item in-process.  Also the degradation target: any
-    pool-level failure lands here through the same interface.
-``StealExecutor``
-    Work stealing over a persistent pool of single-item workers
-    (:mod:`repro.validator.scheduler.steal`): the priority-ordered item
-    list is dealt into per-worker deques; a worker pops its own deque
-    LIFO (its next planned item) and, when empty, steals FIFO from the
-    most loaded sibling (that worker's farthest-future item), so a long
-    chain item occupies one worker while the others drain the queue
-    instead of idling behind a fixed shard boundary.  The queue also
-    cancels doomed pairs: a rejection streams back, releases the
-    rejecting functions' later pairs, and undispatched items whose every
-    demander is doomed are dropped from the deques — the eager serial
-    schedule validates those pairs although no stepwise walk ever reads
-    them.  A worker death costs one respawn and a requeue of its item;
-    only an unattributable pool failure degrades the *unfinished
-    remainder* to serial — completed verdicts are content-addressed and
-    kept.  Items travel as the function's own versions plus callee
-    declarations (:func:`~repro.validator.scheduler.steal.encode_item`),
-    never as whole modules.
+One backend ships, :class:`Executor`: work stealing over a persistent
+pool of single-item workers (:mod:`repro.validator.scheduler.steal`),
+and ``config.concurrency`` alone decides whether that pool runs.  The
+priority-ordered item list is dealt into per-worker deques; a worker
+pops its own deque LIFO (its next planned item) and, when empty, steals
+FIFO from the most loaded sibling (that worker's farthest-future item),
+so a long chain item occupies one worker while the others drain the
+queue instead of idling behind a fixed shard boundary.  The queue also
+cancels doomed pairs: a rejection streams back, releases the rejecting
+functions' later pairs, and undispatched items whose every demander is
+doomed are dropped from the deques, because no stepwise walk ever reads
+them.  A worker death costs one respawn and a requeue of its item; only
+an unattributable pool failure degrades the *unfinished remainder* to
+in-process execution — completed verdicts are content-addressed and
+kept.  With ``concurrency`` of 0 or 1 the same scheduling loop runs
+in-process, with the same schedule.  Items travel as the function's own
+versions plus callee declarations
+(:func:`~repro.validator.scheduler.steal.encode_item`), never as whole
+modules.
 
 The cross-host half of the ROADMAP's multi-host item ships behind the
-same seam: ``config.steal_transport="tcp"`` swaps the steal backend's
+same seam: ``config.steal_transport="tcp"`` swaps the pool's
 in-process pipes for :class:`~repro.validator.scheduler.transport.TcpStealPool`
 — a coordinator socket remote ``python -m
 repro.validator.scheduler.worker`` processes join dynamically — without
@@ -50,7 +46,6 @@ from __future__ import annotations
 
 import collections
 import sys
-from abc import ABC, abstractmethod
 from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional, Set, Tuple
 
@@ -70,7 +65,6 @@ from .plan import (
     WorkPlan,
     chain_amortizes,
     pending_whole_queries,
-    resolved_executor,
 )
 from .settle import settle_chain_results
 from . import steal
@@ -85,10 +79,10 @@ ChainItemResult = Tuple[List[Optional[ValidationResult]],
 def _validate_item(item: Tuple):
     """Work-item entry point: validate one item (pair or whole chain).
 
-    Runs in steal worker processes and in-process for the serial
-    backend.  Pair items run through :func:`validate_bounded`, so
+    Runs in steal worker processes and in the in-process scheduling
+    loop.  Pair items run through :func:`validate_bounded`, so
     ``config.pair_timeout`` and the ``"pair"`` fault site apply wherever
-    the item lands — serial, in-process steal loop or steal worker;
+    the item lands — in-process or steal worker;
     chain items share one normalization across all their pairs, so
     per-pair bounds do not apply to them.
     """
@@ -154,149 +148,20 @@ class ExecutionOutcome:
             self.chain_fresh.add(key)
 
 
-class Executor(ABC):
-    """A backend that executes a :class:`WorkPlan` against a cache.
-
-    The default :meth:`execute` is the eager two-round schedule: round 1
-    validates every planned pair/chain item at once (maximal batch
-    parallelism), the settle round fans out the whole-query fallbacks of
-    functions whose adjacent pair rejected.  Subclasses either implement
-    :meth:`run_batch` (how a batch of items runs) or override
-    :meth:`execute` for a different schedule (see :class:`StealExecutor`).
-    """
-
-    name = "abstract"
-
-    def __init__(self) -> None:
-        #: Work items handed to this backend (including degraded ones).
-        self.items_run = 0
-        #: Work items that actually ran in a worker process.
-        self.pooled_items = 0
-        #: Batches executed (an eager run has <= 2).
-        self.batches = 0
-        #: Pool failures that degraded execution to serial.
-        self.degraded = 0
-        #: Planned pair queries never validated (steal cancellation).
-        self.pairs_skipped = 0
-        #: Dead workers (or broken pools) replaced by the supervisor
-        #: instead of degrading the backend.
-        self.workers_respawned = 0
-        #: Poison items isolated after ``max_pair_retries`` casualties.
-        self.pairs_quarantined = 0
-        #: Items re-executed after a transient failure (requeues).
-        self.item_retries = 0
-
-    # -- the backend-specific part ----------------------------------------
-    @abstractmethod
-    def run_batch(self, items: List[Tuple], config: ValidatorConfig) -> List:
-        """Run one batch of work items, returning outcomes in order."""
-
-    def close(self) -> None:
-        """Release backend resources (worker pools)."""
-
-    def stats(self) -> Dict[str, int]:
-        """Per-backend counters for ``report.shard_stats``."""
-        return {
-            "items_run": self.items_run,
-            "pooled_items": self.pooled_items,
-            "batches": self.batches,
-            "pool_degraded": self.degraded,
-            "pairs_skipped": self.pairs_skipped,
-            "workers_respawned": self.workers_respawned,
-            "pairs_quarantined": self.pairs_quarantined,
-            "item_retries": self.item_retries,
-        }
-
-    # -- the shared schedule ----------------------------------------------
-    def execute(self, plan: WorkPlan, cache: ValidationCache,
-                budget: Optional[RequestBudget] = None) -> ExecutionOutcome:
-        """Eagerly validate the whole plan, then run the settle round.
-
-        With a ``budget`` (the service daemon's per-request hook) only
-        the work the budget still admits is executed — pairs first, then
-        chain items, each charged before it runs — and the settle round
-        is skipped once the budget is exhausted: the denied queries are
-        answered with synthetic budget rejections at settlement time, so
-        the affected records salvage their validated ``kept_prefix``
-        instead of failing the whole request.
-        """
-        outcome = ExecutionOutcome()
-        pending, pending_chains = plan.pending, plan.pending_chains
-        if budget is not None:
-            pending, pending_chains = admit_work(pending, pending_chains,
-                                                 budget)
-        self._run_pairs_and_chains(plan, cache, outcome,
-                                   pending, pending_chains)
-        if budget is None or not budget.exhausted:
-            self._run_settle_round(plan, cache, outcome)
-        outcome.validated_queries = len(outcome.fresh)
-        return outcome
-
-    def _run_pairs_and_chains(self, plan: WorkPlan, cache: ValidationCache,
-                              outcome: ExecutionOutcome,
-                              pending: Dict[CacheKey, Tuple[Function, Function]],
-                              pending_chains: Dict[ChainSignature,
-                                                   Tuple[List[Function], CacheKey]],
-                              ) -> None:
-        """Round 1: validate pair + chain items, merge into the cache.
-
-        Chain items return one settled verdict per adjacent pair (raw
-        rejects beyond the consumed prefix are censored — see
-        :func:`~repro.validator.scheduler.settle.settle_chain_results`);
-        only verdicts for keys nobody stored yet are adopted, so
-        identical pairs keep a single entry.
-        """
-        if not pending and not pending_chains:
-            return
-        config = plan.config
-        items: List[Tuple] = [("pair", before, after, config)
-                              for before, after in pending.values()]
-        items += [("chain", versions, config)
-                  for versions, _ in pending_chains.values()]
-        results = self.run_batch(items, config)
-        for key, result in zip(pending, results[:len(pending)]):
-            outcome.adopt(cache, key, result)
-        for (signature, (_, whole_key)), item_result in zip(
-                pending_chains.items(), results[len(pending):]):
-            settled, whole_result, chain_stats = item_result
-            outcome.chain_stats_by_signature[signature] = chain_stats
-            for key, result in zip(signature + (whole_key,),
-                                   settled + [whole_result]):
-                if result is None or cache.peek(key) is not None:
-                    continue
-                outcome.adopt(cache, key, result, chain=True)
-
-    def _run_settle_round(self, plan: WorkPlan, cache: ValidationCache,
-                          outcome: ExecutionOutcome) -> None:
-        """Stepwise settle round: whole fallbacks of rejected functions."""
-        pending_whole = pending_whole_queries(plan, cache)
-        if not pending_whole:
-            return
-        items = [("pair", before, after, plan.config)
-                 for before, after in pending_whole.values()]
-        results = self.run_batch(items, plan.config)
-        for key, result in zip(pending_whole, results):
-            outcome.adopt(cache, key, result)
-
-
-class SerialExecutor(Executor):
-    """Run every work item in-process, in order."""
-
-    name = "serial"
-
-    def run_batch(self, items: List[Tuple], config: ValidatorConfig) -> List:
-        self.batches += 1
-        self.items_run += len(items)
-        return [_validate_item(item) for item in items]
-
-
-class StealExecutor(Executor):
+class Executor:
     """Work stealing over a persistent pool of single-item workers.
 
+    The one backend every strategy runs on.  :meth:`execute` puts the
+    plan's items on one shared queue in priority order — chain items
+    first (they cover whole functions and are the longest), then pairs
+    by earliest pipeline position (the verdicts most able to cancel
+    later work) — and finishes with the stepwise settle round.  Whole
+    and bisect plans carry no chain items and every function's only
+    planned pair sits at position 0, so for them the queue is the plan's
+    pair order and nothing is ever cancelled.
+
     Items are dealt into per-worker deques as contiguous runs of the
-    priority order (stepwise: chain items first, then pairs by earliest
-    pipeline position — the pairs whose verdicts can cancel the most
-    later work).  Each worker is fed one item at a time: on completion
+    priority order.  Each worker is fed one item at a time: on completion
     it pops the next item off its own deque's top (**LIFO-local** — the
     next item in its planned run), and an empty worker steals from the
     *bottom* of the most loaded sibling's deque (**FIFO-steal** — the
@@ -313,28 +178,42 @@ class StealExecutor(Executor):
     content-deduplicated across functions, an item is only cancelled
     when *no* live function can still consume it, and the settle round
     plus :func:`~repro.validator.scheduler.settle.settle_plan` reassemble
-    records byte-identical to serial — the skipped pairs are exactly the
-    ones no record's walk ever reads.
+    records byte-identical to the lazy per-function path — the skipped
+    pairs are exactly the ones no record's walk ever reads.
 
     A worker dying mid-item costs one respawn and a requeue of its item
     (see :meth:`_run_stealing`).  Any other pool failure — spawn
     failure, unpicklable payload, a worker reporting an exception —
-    degrades the backend and runs every **unfinished** item serially
-    in-process.  Completed verdicts are kept: validation
-    is deterministic and side-effect free and each verdict merged into
-    the cache exactly once as it arrived, so the serial remainder can
-    neither lose nor double-count a cache query.  With ``concurrency``
-    of 0 or 1 no processes are spawned at all: the scheduling loop runs
-    in-process in priority order (still cancelling doomed pairs), which
-    is also the deterministic single-worker parity baseline.
+    degrades the backend and runs every **unfinished** item in-process.
+    Completed verdicts are kept: validation is deterministic and side-effect
+    free and each verdict merged into the cache exactly once as it
+    arrived, so the in-process remainder can neither lose nor
+    double-count a cache query.  With ``workers`` of 0 or 1 no processes
+    are spawned at all: the scheduling loop runs in-process in priority
+    order (still cancelling doomed pairs), which is also the
+    deterministic single-worker parity baseline.
     """
 
-    name = "steal"
-
     def __init__(self, workers: int) -> None:
-        super().__init__()
-        self.workers = max(1, workers or 0)
+        self.workers = max(1, workers)
         self._pool = None
+        #: Work items handed to this backend (including degraded ones).
+        self.items_run = 0
+        #: Work items that actually ran in a worker process.
+        self.pooled_items = 0
+        #: Scheduling rounds run (the queue, then the settle round).
+        self.batches = 0
+        #: Pool failures that degraded execution to in-process.
+        self.degraded = 0
+        #: Planned pair queries never validated (streaming cancellation).
+        self.pairs_skipped = 0
+        #: Dead workers (or broken pools) replaced by the supervisor
+        #: instead of degrading the backend.
+        self.workers_respawned = 0
+        #: Poison items isolated after ``max_pair_retries`` casualties.
+        self.pairs_quarantined = 0
+        #: Items re-executed after a transient failure (requeues).
+        self.item_retries = 0
         #: Items a worker took from a sibling's deque.
         self.items_stolen = 0
         #: Times an idle worker looked for work beyond its own deque
@@ -346,14 +225,24 @@ class StealExecutor(Executor):
         self._remote_stats: Dict[str, int] = {}
 
     def stats(self) -> Dict[str, int]:
-        counters = super().stats()
-        counters["items_stolen"] = self.items_stolen
-        counters["steal_attempts"] = self.steal_attempts
-        counters["bytes_dispatched"] = self.bytes_dispatched
-        counters.update(self._remote_stats)
-        return counters
+        """Per-backend counters for ``report.shard_stats``."""
+        return {
+            "items_run": self.items_run,
+            "pooled_items": self.pooled_items,
+            "batches": self.batches,
+            "pool_degraded": self.degraded,
+            "pairs_skipped": self.pairs_skipped,
+            "workers_respawned": self.workers_respawned,
+            "pairs_quarantined": self.pairs_quarantined,
+            "item_retries": self.item_retries,
+            "items_stolen": self.items_stolen,
+            "steal_attempts": self.steal_attempts,
+            "bytes_dispatched": self.bytes_dispatched,
+            **self._remote_stats,
+        }
 
     def close(self) -> None:
+        """Release the worker pool (if one was ever spawned)."""
         if self._pool is not None:
             pool, self._pool = self._pool, None
             coordinator = getattr(pool, "coordinator", None)
@@ -372,12 +261,13 @@ class StealExecutor(Executor):
 
     def _make_pool(self, config: ValidatorConfig):
         """Build the transport `config.steal_transport` selects."""
-        if getattr(config, "steal_transport", "pipe") == "tcp":
+        if config.steal_transport == "tcp":
             from . import transport
             return transport.TcpStealPool(self.workers, config)
         return steal.StealPool(self.workers)
 
     def run_batch(self, items: List[Tuple], config: ValidatorConfig) -> List:
+        """Run one batch of work items, returning outcomes in order."""
         results: List = [None] * len(items)
 
         def collect(tag: int, result) -> None:
@@ -406,8 +296,7 @@ class StealExecutor(Executor):
         ``"quarantined"`` denial) instead of taking the backend down
         with it.  Only *unattributable* failures — queue plumbing, an
         item-level exception a live worker reported, spawn failure —
-        still degrade the whole backend to serial, the historical
-        behavior.
+        still degrade the whole backend to in-process execution.
         """
         self.batches += 1
         if self.workers <= 1 or self.degraded or len(tagged_items) <= 1:
@@ -550,15 +439,22 @@ class StealExecutor(Executor):
 
     def execute(self, plan: WorkPlan, cache: ValidationCache,
                 budget: Optional[RequestBudget] = None) -> ExecutionOutcome:
-        if plan.strategy != "stepwise":
-            return super().execute(plan, cache, budget)
+        """Validate the plan on the shared queue, then run the settle round.
+
+        With a ``budget`` (the service daemon's per-request hook) only
+        the work the budget still admits is queued — chain items first
+        (charged per covered pair), then pairs, each charged before it
+        runs — undispatched items are cancelled once the deadline
+        passes, and the settle round is skipped once the budget is
+        exhausted: the denied queries are answered with synthetic budget
+        rejections at settlement time, so the affected records salvage
+        their validated ``kept_prefix`` instead of failing the whole
+        request.
+        """
         outcome = ExecutionOutcome()
         config = plan.config
         pending, pending_chains = plan.pending, plan.pending_chains
         if budget is not None:
-            # Admission-time budgeting: chains are the longest items, so
-            # they are admitted first here (charged per covered pair) and
-            # the remaining pair allowance fills up with plain pairs.
             _, pending_chains = admit_work({}, pending_chains, budget)
             pending, _ = admit_work(pending, {}, budget)
 
@@ -593,18 +489,14 @@ class StealExecutor(Executor):
             return all(position >= released[function_index]
                        for function_index, position in demanders)
 
-        # One shared queue: chain items first (they cover whole
-        # functions and are the longest), then pairs ordered by the
-        # earliest pipeline position demanding them — the verdicts most
-        # able to cancel later work arrive first.
         tagged: List[Tuple[int, Tuple]] = []
         kinds: List[Tuple] = []
         for signature, (versions, whole_key) in pending_chains.items():
             kinds.append(("chain", signature, whole_key))
             tagged.append((len(tagged), ("chain", versions, config)))
-        pair_order = sorted(
-            pending,
-            key=lambda key: min(position for _, position in key_positions[key]))
+        pair_order = sorted(pending, key=lambda key: min(
+            (position for _, position in key_positions.get(key, ())),
+            default=0))
         for key in pair_order:
             before, after = pending[key]
             kinds.append(("pair", key))
@@ -613,6 +505,11 @@ class StealExecutor(Executor):
         def handle(tag: int, result) -> None:
             kind = kinds[tag]
             if kind[0] == "chain":
+                # Chain items return one settled verdict per adjacent pair
+                # (raw rejects beyond the consumed prefix are censored —
+                # see settle_chain_results); only verdicts for keys nobody
+                # stored yet are adopted, so identical pairs keep a single
+                # entry.
                 _, signature, whole_key = kind
                 settled, whole_result, chain_stats = result
                 outcome.chain_stats_by_signature[signature] = chain_stats
@@ -648,21 +545,17 @@ class StealExecutor(Executor):
         outcome.validated_queries = len(outcome.fresh)
         return outcome
 
-
-def create_executor(config: ValidatorConfig) -> Executor:
-    """Build the backend ``config.executor`` / ``config.concurrency`` select.
-
-    ``"auto"`` resolves to steal when ``concurrency > 1`` and serial
-    otherwise; ``"steal"`` spawns ``concurrency`` single-item workers
-    (or runs its scheduling loop in-process for 0/1).  Invalid
-    combinations were rejected when the config was constructed.
-    """
-    name = resolved_executor(config)
-    if name == "serial":
-        return SerialExecutor()
-    if name == "steal":
-        return StealExecutor(config.concurrency)
-    raise ValueError(f"unknown executor {name!r}")  # pragma: no cover
+    def _run_settle_round(self, plan: WorkPlan, cache: ValidationCache,
+                          outcome: ExecutionOutcome) -> None:
+        """Stepwise settle round: whole fallbacks of rejected functions."""
+        pending_whole = pending_whole_queries(plan, cache)
+        if not pending_whole:
+            return
+        items = [("pair", before, after, plan.config)
+                 for before, after in pending_whole.values()]
+        results = self.run_batch(items, plan.config)
+        for key, result in zip(pending_whole, results):
+            outcome.adopt(cache, key, result)
 
 
 # ---------------------------------------------------------------------------
@@ -824,9 +717,6 @@ __all__ = [
     "ChainItemResult",
     "ExecutionOutcome",
     "Executor",
-    "SerialExecutor",
-    "StealExecutor",
-    "create_executor",
     "serial_provider",
     "chain_provider",
     "validate_pair_cached",

@@ -13,9 +13,9 @@ serial driver's lazy chain provider applies).
 
 Planning performs **no validation**: everything here is a deterministic
 function of the input modules, the configuration and the cache contents,
-so any :mod:`executor backend <repro.validator.scheduler.executors>` —
-serial or work stealing — can execute the same plan and
-the settlement layer (:mod:`repro.validator.scheduler.settle`)
+so the :mod:`executor <repro.validator.scheduler.executors>` can run
+the same plan in-process or on any number of workers and the
+settlement layer (:mod:`repro.validator.scheduler.settle`)
 reassembles byte-identical :class:`~repro.validator.report.FunctionRecord`
 signatures from the outcomes.
 """
@@ -48,19 +48,6 @@ PairProvider = Callable[[Function, Function], Tuple[ValidationResult, bool]]
 #: keys.  Content-identical chains are planned (and validated) once,
 #: exactly like content-identical pairs.
 ChainSignature = Tuple[CacheKey, ...]
-
-
-def resolved_executor(config: ValidatorConfig) -> str:
-    """The concrete backend ``config.executor`` selects.
-
-    ``"auto"`` is the work-stealing pool whenever ``concurrency > 1``
-    and serial in-process execution otherwise.  Explicit choices pass
-    through (their concurrency combinations were already validated at
-    config construction time).
-    """
-    if config.executor == "auto":
-        return "steal" if config.concurrency and config.concurrency > 1 else "serial"
-    return config.executor
 
 
 def chain_amortizes(missing_pairs: int, versions: int) -> bool:
@@ -170,9 +157,8 @@ def build_plan(
     multi-step function when ``config.chain_graphs`` is on and enough
     pairs are uncached to amortize it (:func:`chain_amortizes`), so a
     worker builds all of that function's checkpoints into one shared
-    graph and normalizes it once instead of once per pair.  Under the
-    ``"steal"`` backend the shared queue carries chain and pair items
-    side by side, and its streaming cancellation applies to the pair
+    graph and normalizes it once instead of once per pair.  The
+    executor's shared queue carries chain and pair items side by side, and its streaming cancellation applies to the pair
     items — which is exactly the straggler scenario stealing exists
     for: one worker rides the long chain item while the rest drain the
     pairs.  Fingerprints
@@ -417,5 +403,4 @@ __all__ = [
     "diff_plan",
     "pending_whole_queries",
     "chain_amortizes",
-    "resolved_executor",
 ]

@@ -6,9 +6,10 @@ strategy runners the lazy serial driver uses (:func:`run_whole`,
 :func:`run_stepwise`, :func:`run_bisect`), reading verdicts back out of
 the shared :class:`~repro.validator.cache.ValidationCache` the executor
 filled, and rebuilds the result modules.  Because the runners are shared,
-every backend — serial or steal — produces byte-identical
+the lazy driver and the executor — in-process or pooled — produce
+byte-identical
 :meth:`~repro.validator.report.FunctionRecord.signature`\\ s by
-construction; the executors only decide *which* queries were validated
+construction; the executor only decides *which* queries were validated
 where (and the provider validates any stragglers the rounds could not
 anticipate — bisect probes, chain verdicts censored beyond another
 function's consumed prefix — inline).
@@ -16,7 +17,7 @@ function's consumed prefix — inline).
 :func:`settle_chain_results` also lives here: turning a chain item's raw
 read-off verdicts into cache-safe ones (censoring unconfirmed rejects
 beyond the consumed prefix) is settlement policy, shared by the steal
-workers (local and remote) and the serial backend.
+workers (local and remote) and the in-process scheduling loop.
 """
 
 from __future__ import annotations
@@ -419,7 +420,6 @@ def shard_stats(plan: WorkPlan, execution, executor, inline_validations: int,
     executor_stats = executor.stats()
     pooled = executor_stats["pooled_items"] > 0
     stats: Dict[str, object] = {
-        "executor": executor.name,
         "distinct_pairs": execution.validated_queries,
         "pooled_pairs": executor_stats["pooled_items"],
         "chain_items": len(plan.pending_chains),
@@ -429,12 +429,12 @@ def shard_stats(plan: WorkPlan, execution, executor, inline_validations: int,
         "workers": plan.config.concurrency if pooled else 0,
         "speculative_pairs_skipped": executor_stats["pairs_skipped"],
         "pool_degraded": executor_stats["pool_degraded"],
-        "items_stolen": executor_stats.get("items_stolen", 0),
-        "steal_attempts": executor_stats.get("steal_attempts", 0),
-        "bytes_dispatched": executor_stats.get("bytes_dispatched", 0),
-        "workers_respawned": executor_stats.get("workers_respawned", 0),
-        "pairs_quarantined": executor_stats.get("pairs_quarantined", 0),
-        "item_retries": executor_stats.get("item_retries", 0),
+        "items_stolen": executor_stats["items_stolen"],
+        "steal_attempts": executor_stats["steal_attempts"],
+        "bytes_dispatched": executor_stats["bytes_dispatched"],
+        "workers_respawned": executor_stats["workers_respawned"],
+        "pairs_quarantined": executor_stats["pairs_quarantined"],
+        "item_retries": executor_stats["item_retries"],
         "pairs_denied": len(execution.denied),
         "remote_workers_joined": executor_stats.get("remote_workers_joined", 0),
         "remote_workers_left": executor_stats.get("remote_workers_left", 0),

@@ -1,8 +1,8 @@
-"""Process plumbing for the work-stealing executor backend.
+"""Process plumbing for the work-stealing executor's pool.
 
 :class:`StealPool` owns a persistent set of worker processes, each fed
 **one item at a time**: the parent keeps per-worker deques of pending
-work (see :class:`~repro.validator.scheduler.executors.StealExecutor`)
+work (see :class:`~repro.validator.scheduler.executors.Executor`)
 and dispatches the next item the moment a worker reports a result, so a
 long chain item occupies exactly one worker while the others drain the
 rest of the queue — unlike fixed ``Pool.map`` sharding, where the chunk

@@ -19,7 +19,7 @@ plain subprocesses on this one) can join the queue:
 * **:class:`TcpStealPool`** — a drop-in for :class:`StealPool`: the
   same ``send(worker_id, tag, item)`` / ``receive(outstanding)`` /
   ``respawn`` / ``kill_worker`` / ``close`` contract, so
-  :class:`~repro.validator.scheduler.executors.StealExecutor`'s
+  :class:`~repro.validator.scheduler.executors.Executor`'s
   scheduling, cancellation, supervision and budget machinery is reused
   unchanged.  Internally it runs a
   :class:`~repro.validator.scheduler.remote.StealCoordinator` asyncio

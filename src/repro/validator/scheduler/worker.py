@@ -21,8 +21,8 @@ Two-terminal loopback example::
     from repro.validator import DEFAULT_CONFIG
     from repro.validator.driver import validate_module_batch
 
-    config = replace(DEFAULT_CONFIG, executor="steal", concurrency=2,
-                     steal_transport="tcp", steal_listen="127.0.0.1:8742")
+    config = replace(DEFAULT_CONFIG, concurrency=2, steal_transport="tcp",
+                     steal_listen="127.0.0.1:8742")
     module = build_corpus(BENCHMARKS_BY_NAME["gcc"], 0.2)
     [(_, report)] = validate_module_batch([module], PAPER_PIPELINE,
                                           config=config)

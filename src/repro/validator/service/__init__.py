@@ -1,7 +1,7 @@
 """Validation as a service: a long-lived daemon around one Revalidator.
 
 The batch drivers answer one corpus sweep and exit; the service keeps
-the expensive state — the executor backend, the proof cache, the
+the expensive state — the executor, the proof cache, the
 analysis manager and the per-``(label, function)`` incremental chain
 state — alive across requests.  A request posts a module (or a corpus
 name) plus a pipeline to ``POST /validate`` and streams back one NDJSON

@@ -1,8 +1,8 @@
 """The validation daemon: asyncio HTTP front-end over one Revalidator.
 
 One :class:`ValidationService` owns one
-:class:`~repro.validator.watch.Revalidator` — and with it one executor
-backend, one (optionally persistent) proof cache and the per-function
+:class:`~repro.validator.watch.Revalidator` — and with it one executor,
+one (optionally persistent) proof cache and the per-function
 incremental chain state — and serves it over a hand-rolled HTTP/1.1
 protocol on plain ``asyncio`` streams, so the daemon needs nothing the
 standard library does not ship.
@@ -50,7 +50,7 @@ from ...errors import ReproError
 from ...ir import parse_module
 from ...ir.module import Module
 from ...transforms.pass_manager import PAPER_PIPELINE
-from ..config import DEFAULT_CONFIG, EXECUTORS, ValidatorConfig
+from ..config import DEFAULT_CONFIG, ValidatorConfig
 from ..report import FunctionRecord
 from ..scheduler import RequestBudget
 from ..watch import Revalidator
@@ -445,11 +445,9 @@ def main(argv=None) -> int:
     parser.add_argument("--cache-dir", default=None,
                         help="persistent proof-cache directory, .sqlite "
                              "file or remote://HOST:PORT")
-    parser.add_argument("--executor", default="auto", choices=EXECUTORS,
-                        help="scheduling backend (auto: steal when "
-                             "--concurrency > 1, else serial)")
     parser.add_argument("--concurrency", type=int, default=0,
-                        help="worker processes for the steal executor")
+                        help="worker processes for the executor's pool "
+                             "(0 or 1: validate in-process)")
     parser.add_argument("--max-inflight", type=int, default=None,
                         help="admission bound (0 = reject everything)")
     parser.add_argument("--request-timeout", type=float, default=None,
@@ -457,17 +455,19 @@ def main(argv=None) -> int:
                              "(seconds; 0 = unbounded)")
     args = parser.parse_args(argv)
 
-    config = replace(
-        DEFAULT_CONFIG,
-        cache_dir=args.cache_dir,
-        executor=args.executor,
-        concurrency=args.concurrency,
-        **({} if args.max_inflight is None
-           else {"max_inflight": args.max_inflight}),
-        **({} if args.request_timeout is None
-           else {"request_timeout": args.request_timeout}),
-        **({} if args.port is None else {"service_port": args.port}),
-    )
+    try:
+        config = replace(
+            DEFAULT_CONFIG,
+            cache_dir=args.cache_dir,
+            concurrency=args.concurrency,
+            **({} if args.max_inflight is None
+               else {"max_inflight": args.max_inflight}),
+            **({} if args.request_timeout is None
+               else {"request_timeout": args.request_timeout}),
+            **({} if args.port is None else {"service_port": args.port}),
+        )
+    except ValueError as exc:
+        parser.error(str(exc))
     service = ValidationService(config, host=args.host, port=args.port)
     try:
         asyncio.run(service.serve())

@@ -13,7 +13,7 @@ last run's checkpoint fingerprints, adjacent-pair cache keys and the
 :meth:`Revalidator.revalidate` call is the batch driver's single path —
 :func:`~repro.validator.scheduler.plan.build_plan` →
 :meth:`Executor.execute <repro.validator.scheduler.executors.Executor.execute>`
-(steal backend only) →
+(only when ``config.concurrency > 1``) →
 :func:`~repro.validator.scheduler.settle.settle_plan` — with the previous
 run diffed in, so it costs only what changed:
 
@@ -33,16 +33,17 @@ run diffed in, so it costs only what changed:
   endpoints unchanged are already in the cache, so the plan never
   schedules them and settlement answers them as hits (counted as
   ``pairs_skipped_unchanged``), never re-validated;
-* **subgraph-diff reuse** (serial backend) — on the first miss of a dirty
-  pair, settlement asks the function's lazy delta: only the dirtied
-  versions are symbolically evaluated, into the *retained* chain graph
+* **subgraph-diff reuse** (in-process, ``concurrency <= 1``) — on the
+  first miss of a dirty pair, settlement asks the function's lazy
+  delta: only the dirtied versions are symbolically evaluated, into the
+  *retained* chain graph
   (:func:`~repro.vgraph.builder.extend_chain_graph`), where hash-consing
   re-reads every sub-term they share with the unchanged population
   (counted as ``subgraph_nodes_reused``); a root-restricted clone of the
   graph is then normalized against the dirty pairs' goals only
   (:func:`~repro.validator.validate.validate_chain_delta`) and their
-  verdicts read off.  Pooled backends run the full plan (chain and pair
-  items, then the settle round) exactly like
+  verdicts read off.  With a worker pool the executor runs the full
+  plan (chain and pair items, then the settle round) exactly like
   :func:`~repro.validator.driver.validate_module_batch`;
 * **cold-identical records** — accepts read off the delta are exact and
   are charged, cached and ledgered like any inline validation; every
@@ -53,10 +54,10 @@ run diffed in, so it costs only what changed:
   to cold records (``benchmarks/stepwise_guard.py``'s incremental leg
   enforces it on every corpus).
 
-``validate_module_batch`` (and ``llvm_md``, which delegates to it)
-routes through a process-shared revalidator when ``config.incremental``
-is set; ``python -m repro.validator.watch`` wraps one in a polling CLI
-loop.
+Long-lived callers (the validation daemon,
+:func:`~repro.bench.experiments.incremental_comparison`) build a
+:class:`Revalidator` directly; ``python -m repro.validator.watch`` wraps
+one in a polling CLI loop.
 """
 
 from __future__ import annotations
@@ -81,8 +82,8 @@ from .scheduler import (
     PipelineDiff,
     RequestBudget,
     build_plan,
+    Executor,
     chain_amortizes,
-    create_executor,
     diff_plan,
     settle_plan,
     shard_stats,
@@ -252,16 +253,16 @@ class _ChainDelta:
 class Revalidator:
     """A long-lived incremental validation driver (one per config/service).
 
-    Owns the warm state cold runs lack: the executor backend, the
-    (optionally persistent) proof cache, the analysis manager, the
-    pass-step memo and the per-function :class:`_ChainState`.  A
-    revalidation is the batch driver's plan → execute → settle with the
-    previous run's chain diffed in: the steal executor runs the full plan
-    (chain and pair items, settle round) like
+    Owns the warm state cold runs lack: the executor, the (optionally
+    persistent) proof cache, the analysis manager, the pass-step memo
+    and the per-function :class:`_ChainState`.  A revalidation is the
+    batch driver's plan → execute → settle with the previous run's chain
+    diffed in: with ``config.concurrency > 1`` the executor's pool runs
+    the full plan (chain and pair items, settle round) like
     :func:`~repro.validator.driver.validate_module_batch` — retained
     graphs cannot cross process boundaries, but dirty-suffix skipping
-    still applies — while the serial backend runs nothing ahead of
-    settlement and gets the full subgraph-diff reuse.
+    still applies — while at ``concurrency <= 1`` nothing runs ahead of
+    settlement and the walk gets the full subgraph-diff reuse.
     """
 
     def __init__(self, config: Optional[ValidatorConfig] = None,
@@ -276,13 +277,13 @@ class Revalidator:
         #: under the same LRU bound as the analysis manager.
         self.pass_memo = PassStepMemo(
             max_entries=self.config.analysis_cache_size or None)
-        self.executor = create_executor(self.config)
+        self.executor = Executor(self.config.concurrency)
         self._states: Dict[Tuple[str, str], _ChainState] = {}
         #: Completed :meth:`revalidate` calls.
         self.runs = 0
 
     def close(self) -> None:
-        """Release the executor backend and flush the persistent cache."""
+        """Release the executor's pool and flush the persistent cache."""
         self.executor.close()
         self.cache.save_if_dirty()
 
@@ -334,7 +335,7 @@ class Revalidator:
             deltas[function_plan.function.name] = _ChainDelta(
                 function_plan, diff, previous)
 
-        if self.executor.name == "serial":
+        if config.concurrency <= 1:
             # Nothing runs ahead of settlement, so the retained-graph delta
             # stays lazy: built only when the walk first misses a dirty pair.
             execution = ExecutionOutcome()
@@ -388,27 +389,6 @@ class Revalidator:
             **totals,
         }
         return result_module, report
-
-
-#: Process-shared revalidators, one per configuration — what gives
-#: repeated ``llvm_md(..., config.incremental)`` calls their memory.
-_SHARED: Dict[ValidatorConfig, Revalidator] = {}
-
-
-def shared_revalidator(config: Optional[ValidatorConfig] = None) -> Revalidator:
-    """The process-shared :class:`Revalidator` for ``config``."""
-    config = config or DEFAULT_CONFIG
-    revalidator = _SHARED.get(config)
-    if revalidator is None:
-        revalidator = _SHARED[config] = Revalidator(config)
-    return revalidator
-
-
-def reset_shared_revalidators() -> None:
-    """Drop every process-shared revalidator (tests and long-lived hosts)."""
-    for revalidator in _SHARED.values():
-        revalidator.close()
-    _SHARED.clear()
 
 
 def _load_module(source: str, scale: float) -> Module:
@@ -542,11 +522,10 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     args = parser.parse_args(argv)
 
     from dataclasses import replace
-    config = replace(DEFAULT_CONFIG, incremental=True,
-                     cache_dir=args.cache_dir)
+    config = replace(DEFAULT_CONFIG, cache_dir=args.cache_dir)
     revalidator = Revalidator(config)
     status = 0
-    # try/finally so the executor backend and the persistent cache are
+    # try/finally so the executor's pool and the persistent cache are
     # released even when a revalidation raises mid-run.
     try:
         module = _load_module(args.source, args.scale)
@@ -599,8 +578,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
 
 __all__ = [
     "Revalidator",
-    "shared_revalidator",
-    "reset_shared_revalidators",
     "watch_source",
     "main",
 ]

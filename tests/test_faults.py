@@ -205,7 +205,7 @@ class TestPairTimeout:
 # -- steal-pool supervision --------------------------------------------------
 class TestStealSupervision:
     def test_killed_worker_respawns_and_run_completes(self, mini_corpus):
-        base = replace(DEFAULT_CONFIG, executor="steal", concurrency=2)
+        base = replace(DEFAULT_CONFIG, concurrency=2)
         [(_, clean)] = validate_module_batch([mini_corpus], PAPER_PIPELINE,
                                              config=base, strategy="stepwise")
         faults.reset()
@@ -224,7 +224,7 @@ class TestStealSupervision:
         victim = next(f.name for f in mini_corpus.functions.values()
                       if not f.is_declaration)
         plan = FaultPlan.crash_worker(match=victim, at=1, count=0)
-        config = replace(DEFAULT_CONFIG, executor="steal", concurrency=2,
+        config = replace(DEFAULT_CONFIG, concurrency=2,
                          fault_plan=plan, chain_graphs=False,
                          max_pair_retries=1)
         [(_, report)] = validate_module_batch(
@@ -241,7 +241,7 @@ class TestStealSupervision:
                    for name, sig in by_name.items() if name != victim)
 
     def test_corrupted_payload_retries_the_item(self, mini_corpus):
-        base = replace(DEFAULT_CONFIG, executor="steal", concurrency=2)
+        base = replace(DEFAULT_CONFIG, concurrency=2)
         [(_, clean)] = validate_module_batch([mini_corpus], PAPER_PIPELINE,
                                              config=base, strategy="stepwise")
         faults.reset()
@@ -264,7 +264,7 @@ class TestPoolRetry:
         # two chain items: the denied rest must settle fast as budget
         # denials, not grind through respawn cycles of their own.
         plan = FaultPlan.crash_worker()
-        config = replace(DEFAULT_CONFIG, executor="steal", concurrency=2,
+        config = replace(DEFAULT_CONFIG, concurrency=2,
                          fault_plan=plan)
         budget = RequestBudget(max_pairs=5)
         [(_, report)] = validate_module_batch(

@@ -34,8 +34,6 @@ from repro.validator import (
     ValidatorConfig,
     diff_plan,
     llvm_md,
-    reset_shared_revalidators,
-    shared_revalidator,
     validate_chain_delta,
     validate_module_batch,
 )
@@ -110,7 +108,7 @@ def test_incremental_parity_per_mutation(corpus, mutation):
     """Warm revalidation records are signature-identical to cold records."""
     spec = BENCHMARKS_BY_NAME[corpus]
     tweaked = MUTATIONS[mutation]
-    revalidator = Revalidator(replace(DEFAULT_CONFIG, incremental=True))
+    revalidator = Revalidator(DEFAULT_CONFIG)
     module = build_corpus(spec, 0.1)
     _, first = revalidator.revalidate(module, PIPE)
     _, second = revalidator.revalidate(module, tweaked)
@@ -120,7 +118,7 @@ def test_incremental_parity_per_mutation(corpus, mutation):
 
 def test_pure_suffix_change_skips_unchanged_pairs():
     """A suffix tweak adopts every unchanged-prefix pair from the cache."""
-    revalidator = Revalidator(replace(DEFAULT_CONFIG, incremental=True))
+    revalidator = Revalidator(DEFAULT_CONFIG)
     module = build_corpus(BENCHMARKS_BY_NAME["sqlite"], 0.1)
     _, first = revalidator.revalidate(module, PIPE)
     assert first.shard_stats["pairs_skipped_unchanged"] == 0
@@ -134,7 +132,7 @@ def test_pure_suffix_change_skips_unchanged_pairs():
 
 def test_incremental_survives_analysis_manager_eviction():
     """Retained chain state outlives the AnalysisManager's LRU bound."""
-    config = replace(DEFAULT_CONFIG, incremental=True, analysis_cache_size=2)
+    config = replace(DEFAULT_CONFIG, analysis_cache_size=2)
     revalidator = Revalidator(config)
     spec = BENCHMARKS_BY_NAME["milc"]
     module = build_corpus(spec, 0.1)
@@ -148,52 +146,11 @@ def test_incremental_survives_analysis_manager_eviction():
     assert _signatures(second) == _signatures(cold)
 
 
-def test_incremental_requires_stepwise():
-    config = replace(DEFAULT_CONFIG, incremental=True)
-    module = build_corpus(BENCHMARKS_BY_NAME["lbm"], 0.1)
-    with pytest.raises(ValueError, match="stepwise"):
-        llvm_md(module, PIPE, config, strategy="whole")
-    with pytest.raises(ValueError, match="stepwise"):
-        validate_module_batch([module], PIPE, config, strategy="bisect")
-
-
-def test_validate_module_batch_incremental_routing():
-    config = replace(DEFAULT_CONFIG, incremental=True)
-    spec = BENCHMARKS_BY_NAME["libquantum"]
-    module = build_corpus(spec, 0.1)
-    try:
-        (result_module, report), = validate_module_batch(
-            [module], PIPE, config, strategy="stepwise")
-        assert report.shard_stats["incremental"] == 1
-        assert _signatures(report) == _cold(spec, PIPE)
-        assert result_module is not module
-    finally:
-        reset_shared_revalidators()
-
-
-def test_validate_module_batch_incremental_passes_budget():
-    """The incremental route honors the batch call's request budget."""
-    config = replace(DEFAULT_CONFIG, incremental=True)
-    module = parse_module(TWO_FUNCS, name="two")
-    try:
-        (_, report), = validate_module_batch(
-            [module], PIPE, config, strategy="stepwise",
-            budget=RequestBudget(max_pairs=1))
-        assert report.shard_stats["budget_exhausted"] == 1
-        assert report.shard_stats["budget_denied_pairs"] > 0
-    finally:
-        reset_shared_revalidators()
-
-
-@pytest.mark.parametrize("executor,concurrency",
-                         [("steal", 0), ("steal", 2), ("auto", 2)])
-def test_revalidator_on_pooled_backends(executor, concurrency):
+def test_revalidator_on_pooled_backends():
     """Pooled revalidations run the full plan and still match cold runs."""
     spec = BENCHMARKS_BY_NAME["sqlite"]
     tweaked = MUTATIONS["swap"]
-    config = replace(DEFAULT_CONFIG, incremental=True, executor=executor,
-                     concurrency=concurrency)
-    revalidator = Revalidator(config)
+    revalidator = Revalidator(replace(DEFAULT_CONFIG, concurrency=2))
     try:
         module = build_corpus(spec, 0.1)
         _, first = revalidator.revalidate(module, PIPE)
@@ -203,9 +160,6 @@ def test_revalidator_on_pooled_backends(executor, concurrency):
         (_, cold), = validate_module_batch([build_corpus(spec, 0.1)], tweaked,
                                            DEFAULT_CONFIG, strategy="stepwise")
         assert _signatures(second) == _signatures(cold)
-        # "auto" with workers resolves to the steal pool.
-        assert second.shard_stats["executor"] == \
-            ("steal" if executor == "auto" else executor)
         assert second.shard_stats["pairs_skipped_unchanged"] > 0
 
         # Budget salvage: a denied record keeps exactly its validated prefix.
@@ -227,7 +181,7 @@ def test_revalidator_on_pooled_backends(executor, concurrency):
 
 def test_revalidation_hits_refresh_cache_recency():
     """Cache hits at settlement refresh LRU recency, as ``get`` documents."""
-    revalidator = Revalidator(replace(DEFAULT_CONFIG, incremental=True))
+    revalidator = Revalidator(DEFAULT_CONFIG)
     try:
         stamps = revalidator.cache._hit_stamp
         revalidator.revalidate(parse_module(REDUNDANT, name="a"), PIPE)
@@ -242,17 +196,6 @@ def test_revalidation_hits_refresh_cache_recency():
             stamps[key] for key in second)
     finally:
         revalidator.close()
-
-
-def test_shared_revalidator_is_per_config():
-    try:
-        config = replace(DEFAULT_CONFIG, incremental=True)
-        other = replace(DEFAULT_CONFIG, incremental=True,
-                        analysis_cache_size=7)
-        assert shared_revalidator(config) is shared_revalidator(config)
-        assert shared_revalidator(config) is not shared_revalidator(other)
-    finally:
-        reset_shared_revalidators()
 
 
 # -- fingerprint table ----------------------------------------------------

@@ -59,7 +59,7 @@ done:
 }
 """
 
-CONFIG = replace(DEFAULT_CONFIG, executor="steal", concurrency=2)
+CONFIG = replace(DEFAULT_CONFIG, concurrency=2)
 
 
 @pytest.fixture(scope="module")

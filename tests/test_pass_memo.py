@@ -29,7 +29,6 @@ from repro.validator import (
     validate_module_batch,
 )
 
-INCREMENTAL = replace(DEFAULT_CONFIG, incremental=True)
 #: A dropped pass (the convergent-suffix case) and a suffix swap.
 EDITS = (PAPER_PIPELINE[:1] + PAPER_PIPELINE[2:],
          PAPER_PIPELINE[:-2] + (PAPER_PIPELINE[-1], PAPER_PIPELINE[-2]))
@@ -155,7 +154,7 @@ def test_cold_batch_reuses_nothing():
 
 
 def test_warm_repeat_runs_no_pass():
-    revalidator = Revalidator(INCREMENTAL)
+    revalidator = Revalidator(DEFAULT_CONFIG)
     spec = BENCHMARKS_BY_NAME["milc"]
     revalidator.revalidate(build_corpus(spec, 0.1), label="first")
     # A fresh module under another name: only content is keyed.
@@ -171,7 +170,7 @@ def test_warm_repeat_runs_no_pass():
 @pytest.mark.parametrize("name", [spec.name for spec in PAPER_BENCHMARKS])
 def test_revalidation_across_edits_matches_cold(name):
     spec = BENCHMARKS_BY_NAME[name]
-    revalidator = Revalidator(INCREMENTAL)
+    revalidator = Revalidator(DEFAULT_CONFIG)
     for passes in (PAPER_PIPELINE, EDITS[0], PAPER_PIPELINE, EDITS[1]):
         result, report = revalidator.revalidate(build_corpus(spec, 0.05),
                                                 passes, label=name)
@@ -183,7 +182,7 @@ def test_revalidation_across_edits_matches_cold(name):
 
 def test_callee_losing_readnone_misses_the_memo(parse):
     passes = ("gvn", "adce")
-    revalidator = Revalidator(INCREMENTAL)
+    revalidator = Revalidator(DEFAULT_CONFIG)
     pure = CALLS.format(attrs="readnone")
     _, first = revalidator.revalidate(parse(pure), passes, label="calls")
     assert first.records[0].transformed
@@ -196,7 +195,7 @@ def test_callee_losing_readnone_misses_the_memo(parse):
 
 
 def test_mutating_a_result_module_changes_nothing(parse):
-    revalidator = Revalidator(INCREMENTAL)
+    revalidator = Revalidator(DEFAULT_CONFIG)
     result, report = revalidator.revalidate(parse(WITH_GLOBAL), label="m")
     assert report.records[0].kept_prefix >= 2
     for function in result.defined_functions():
@@ -215,7 +214,7 @@ def test_mutating_a_result_module_changes_nothing(parse):
 
 def test_bounded_memos_evict_without_changing_records():
     spec = BENCHMARKS_BY_NAME["sqlite"]
-    revalidator = Revalidator(replace(INCREMENTAL, analysis_cache_size=2))
+    revalidator = Revalidator(replace(DEFAULT_CONFIG, analysis_cache_size=2))
     for passes in (PAPER_PIPELINE, EDITS[0], PAPER_PIPELINE):
         result, report = revalidator.revalidate(build_corpus(spec, 0.1),
                                                 passes, label="bounded")

@@ -404,10 +404,16 @@ class TestConfigValidation:
         with pytest.raises(ValueError, match="steal transport"):
             ValidatorConfig(steal_transport="carrier-pigeon")
 
-    def test_tcp_requires_steal_executor(self):
-        with pytest.raises(ValueError, match="executor"):
-            ValidatorConfig(steal_transport="tcp", executor="serial")
-        ValidatorConfig(steal_transport="tcp", executor="steal")
+    def test_tcp_requires_a_worker_pool(self):
+        # Below concurrency 2 the executor runs in-process and never
+        # binds a socket, so tcp there would be silently ignored.
+        for concurrency in (0, 1):
+            with pytest.raises(ValueError,
+                               match="steal_transport.*concurrency"):
+                ValidatorConfig(steal_transport="tcp",
+                                concurrency=concurrency,
+                                steal_listen="127.0.0.1:8799")
+        ValidatorConfig(steal_transport="tcp", concurrency=2)
 
     def test_listen_requires_tcp(self):
         with pytest.raises(ValueError, match="steal_listen"):
@@ -417,15 +423,15 @@ class TestConfigValidation:
         # Consulting a served store (remote:// cache_dir) and hosting one
         # (steal_listen) contradict each other.
         with pytest.raises(ValueError, match="not both"):
-            ValidatorConfig(executor="steal", steal_transport="tcp",
+            ValidatorConfig(concurrency=2, steal_transport="tcp",
                             steal_listen="127.0.0.1:9",
                             cache_dir=f"{REMOTE_PREFIX}127.0.0.1:10")
-        ValidatorConfig(executor="steal", steal_transport="tcp",
+        ValidatorConfig(concurrency=2, steal_transport="tcp",
                         steal_listen="127.0.0.1:9", cache_dir="proofs")
 
     def test_addresses_must_be_host_port(self):
         with pytest.raises(ValueError, match="HOST:PORT"):
-            ValidatorConfig(executor="steal", steal_transport="tcp",
+            ValidatorConfig(concurrency=2, steal_transport="tcp",
                             steal_listen="localhost")
 
     def test_network_fault_sites_registered(self):

@@ -169,7 +169,7 @@ class TestBudgetedValidation:
                 assert record.kept_prefix == prefix
 
     def test_budget_verdicts_never_poison_the_cache(self):
-        revalidator = Revalidator(ValidatorConfig(incremental=True))
+        revalidator = Revalidator(ValidatorConfig())
         try:
             module = parse_module(TWO_FUNCS, name="two")
             budget = RequestBudget(max_pairs=1)
@@ -193,7 +193,7 @@ class TestBudgetedValidation:
             revalidator.close()
 
     def test_revalidator_salvages_second_chain(self):
-        revalidator = Revalidator(ValidatorConfig(incremental=True))
+        revalidator = Revalidator(ValidatorConfig())
         try:
             module = parse_module(TWO_FUNCS, name="two")
             # Enough budget for all of @f plus one pair of @g.
@@ -214,7 +214,7 @@ class TestBudgetedValidation:
             revalidator.close()
 
     def test_on_record_streams_in_settlement_order(self):
-        revalidator = Revalidator(ValidatorConfig(incremental=True))
+        revalidator = Revalidator(ValidatorConfig())
         try:
             module = parse_module(TWO_FUNCS, name="two")
             seen = []
@@ -504,10 +504,14 @@ class TestShutdown:
 
 
 class TestCommandLine:
-    def test_unknown_executor_fails_at_argument_parsing(self, capsys):
+    def test_negative_concurrency_fails_at_argument_parsing(self, capsys,
+                                                           monkeypatch):
+        from repro.validator.service import daemon
         from repro.validator.service.daemon import main
 
+        monkeypatch.setattr(daemon, "ValidationService", lambda *a, **k:
+                            pytest.fail("daemon started with --concurrency -3"))
         with pytest.raises(SystemExit) as excinfo:
-            main(["--port", "0", "--executor", "pool"])
+            main(["--port", "0", "--concurrency", "-3"])
         assert excinfo.value.code == 2  # argparse usage error
-        assert "invalid choice: 'pool'" in capsys.readouterr().err
+        assert "concurrency must be >= 0" in capsys.readouterr().err

@@ -517,7 +517,6 @@ class TestPoolPayloadPickleSafety:
         config = replace(DEFAULT_CONFIG, concurrency=2)
         (_, report), = validate_module_batch(
             [mini_corpus], config=config, strategy="stepwise")
-        assert report.shard_stats["executor"] == "steal"  # auto, 2 workers
         assert report.shard_stats["workers"] == 0  # pool never engaged
         assert report.shard_stats["pool_degraded"] >= 1
         _, serial = llvm_md(mini_corpus, PAPER_PIPELINE, strategy="stepwise")
@@ -526,50 +525,83 @@ class TestPoolPayloadPickleSafety:
 
 
 class TestExecutorBackends:
-    """``config.executor`` picks a scheduling backend; backends may change
-    where and in what order queries run, never what they decide."""
+    """``config.concurrency`` alone decides whether the executor's pool
+    runs; the schedule may change where and in what order queries run,
+    never what they decide."""
+
+    #: Each leg is one route to the executor: the batch driver in-process
+    #: at concurrency 0 and 1, ``llvm_md`` delegating to it at 2, and the
+    #: batch driver's pool at 2.  The ids are the suite's stable names.
+    LEGS = [
+        pytest.param(validate_module_batch, 0, id="serial-0"),
+        pytest.param(validate_module_batch, 1, id="steal-0"),
+        pytest.param(llvm_md, 2, id="auto-2"),
+        pytest.param(validate_module_batch, 2, id="steal-2"),
+    ]
 
     @pytest.mark.parametrize("strategy", STRATEGIES)
-    @pytest.mark.parametrize("executor,concurrency", [
-        ("serial", 0), ("auto", 2), ("steal", 0), ("steal", 2),
-    ])
-    def test_backend_records_identical(self, mini_corpus, strategy, executor,
+    @pytest.mark.parametrize("driver,concurrency", LEGS)
+    def test_backend_records_identical(self, mini_corpus, strategy, driver,
                                        concurrency):
         _, serial = llvm_md(mini_corpus, PAPER_PIPELINE, strategy=strategy)
-        config = replace(DEFAULT_CONFIG, executor=executor, concurrency=concurrency)
-        (_, report), = validate_module_batch(
-            [mini_corpus], config=config, strategy=strategy)
+        config = replace(DEFAULT_CONFIG, concurrency=concurrency)
+        if driver is llvm_md:
+            _, report = llvm_md(mini_corpus, PAPER_PIPELINE, config,
+                                strategy=strategy)
+        else:
+            (_, report), = validate_module_batch(
+                [mini_corpus], config=config, strategy=strategy)
         assert [r.signature() for r in serial.records] == \
                [r.signature() for r in report.records]
-        # "auto" with workers resolves to the steal pool.
-        expected = "steal" if executor == "auto" else executor
-        assert report.shard_stats["executor"] == expected
+        assert "executor" not in report.shard_stats
+        if concurrency <= 1:
+            assert report.shard_stats["workers"] == 0
+            assert report.shard_stats["pooled_pairs"] == 0
 
     def test_llvm_md_delegates_on_steal_executor(self, mini_corpus):
-        config = replace(DEFAULT_CONFIG, executor="steal")
+        # Workers send llvm_md through the batch driver's executor; at
+        # concurrency 0 and 1 it stays on its lazy per-function path.
+        config = replace(DEFAULT_CONFIG, concurrency=2)
         _, report = llvm_md(mini_corpus, PAPER_PIPELINE, config, strategy="stepwise")
         assert report.shard_stats is not None
-        assert report.shard_stats["executor"] == "steal"
+        assert report.shard_stats["workers"] == 2
         _, serial = llvm_md(mini_corpus, PAPER_PIPELINE, strategy="stepwise")
+        assert serial.shard_stats is None
+        _, single = llvm_md(mini_corpus, PAPER_PIPELINE,
+                            replace(DEFAULT_CONFIG, concurrency=1),
+                            strategy="stepwise")
+        assert single.shard_stats is None
         assert [r.signature() for r in serial.records] == \
                [r.signature() for r in report.records]
 
-    def test_invalid_executor_combinations_rejected_at_config_time(self):
-        with pytest.raises(ValueError, match="unknown executor"):
-            replace(DEFAULT_CONFIG, executor="pool", concurrency=2)
-        with pytest.raises(ValueError, match="unknown executor"):
-            replace(DEFAULT_CONFIG, executor="pool")
-        with pytest.raises(ValueError, match="serial"):
-            replace(DEFAULT_CONFIG, executor="serial", concurrency=4)
-        with pytest.raises(ValueError, match="unknown executor"):
-            replace(DEFAULT_CONFIG, executor="bogus")
-        with pytest.raises(ValueError, match="unknown executor"):
-            replace(DEFAULT_CONFIG, executor="wave")
-        # Valid combinations construct fine.
-        replace(DEFAULT_CONFIG, executor="steal")
-        replace(DEFAULT_CONFIG, executor="steal", concurrency=4)
-        replace(DEFAULT_CONFIG, executor="auto", concurrency=2)
-        replace(DEFAULT_CONFIG, executor="serial", concurrency=1)
+    def test_negative_concurrency_rejected_at_config_time(self):
+        with pytest.raises(ValueError, match="concurrency must be >= 0"):
+            replace(DEFAULT_CONFIG, concurrency=-3)
+        replace(DEFAULT_CONFIG, concurrency=0)
+        replace(DEFAULT_CONFIG, concurrency=1)
+
+    @pytest.mark.parametrize("concurrency", [0, 2])
+    @pytest.mark.parametrize("strategy", STRATEGIES)
+    def test_every_schedule_enters_execute(self, mini_corpus, monkeypatch,
+                                           strategy, concurrency):
+        # Timing the execute layer wraps Executor.execute, so every batch
+        # run, whatever its strategy or pool width, must enter it exactly
+        # once.
+        from repro.validator.scheduler import executors
+
+        original = executors.Executor.execute
+        entries = []
+
+        def counted(self, plan, cache, budget=None):
+            entries.append(plan.strategy)
+            return original(self, plan, cache, budget=budget)
+
+        monkeypatch.setattr(executors.Executor, "execute", counted)
+        config = replace(DEFAULT_CONFIG, concurrency=concurrency)
+        for _ in range(2):
+            validate_module_batch([mini_corpus], config=config,
+                                  strategy=strategy)
+        assert entries == [strategy, strategy]
 
     def test_executor_comparison_experiment(self):
         rows = executor_comparison(scale=0.2, benchmarks=["sqlite", "mcf"],
@@ -577,13 +609,13 @@ class TestExecutorBackends:
         assert [row["benchmark"] for row in rows] == ["sqlite", "mcf"]
         for row in rows:
             assert row["identical"], row["mismatches"]
-            assert row["serial_pairs"] > 0
+            assert row["batch_pairs"] > 0
             assert row["steal_pairs"] > 0
             assert row["steal_attempts"] >= row["items_stolen"]
 
 
 class TestStealExecutor:
-    """The work-stealing backend: single-worker parity, the mixed
+    """The work-stealing executor: single-worker parity, the mixed
     chain+pair queue, streaming cancellation and counter plumbing."""
 
     def test_single_worker_matches_serial(self, mini_corpus):
@@ -591,12 +623,10 @@ class TestStealExecutor:
         # in-process in priority order — the deterministic parity
         # baseline for the stealing discipline.
         _, serial = llvm_md(mini_corpus, PAPER_PIPELINE, strategy="stepwise")
-        config = replace(DEFAULT_CONFIG, executor="steal", concurrency=0)
         (_, report), = validate_module_batch(
-            [mini_corpus], config=config, strategy="stepwise")
+            [mini_corpus], config=DEFAULT_CONFIG, strategy="stepwise")
         assert [r.signature() for r in serial.records] == \
                [r.signature() for r in report.records]
-        assert report.shard_stats["executor"] == "steal"
         assert report.shard_stats["workers"] == 0
         assert report.shard_stats["items_stolen"] == 0
 
@@ -608,7 +638,7 @@ class TestStealExecutor:
         from repro.validator import build_plan
 
         module = small_test_corpus(functions=6, seed=11)
-        config = replace(DEFAULT_CONFIG, executor="steal", concurrency=2)
+        config = replace(DEFAULT_CONFIG, concurrency=2)
         cache = ValidationCache()
         probe = build_plan([module], config=config, strategy="stepwise")
         for index, function_plan in enumerate(probe.function_plans()):
@@ -633,45 +663,50 @@ class TestStealExecutor:
         assert report.shard_stats["pooled_pairs"] > \
             report.shard_stats["chain_items"]
 
+    @staticmethod
+    def _eager_query_count(module, passes, config) -> int:
+        """Queries a schedule without cancellation would answer: every
+        planned pair, then the settle round those verdicts demand."""
+        from repro.validator import build_plan
+        from repro.validator.scheduler import pending_whole_queries
+
+        cache = ValidationCache()
+        plan = build_plan([module], passes, config, cache, strategy="stepwise")
+        for key, (before, after) in plan.pending.items():
+            cache.put(key, validate(before, after, config))
+        return len(plan.pending) + len(pending_whole_queries(plan, cache))
+
     def test_steal_cancellation_on_buggy_pipeline(self, mini_corpus):
         # With chain packing off, every adjacent pair rides the queue
         # individually and the stream of rejections cancels the doomed
-        # later pairs — deterministically so with concurrency 0.  The
-        # eager serial schedule pays for all of them.
+        # later pairs — deterministically so with concurrency 0.  A
+        # schedule without cancellation would pay for all of them.
         _, serial = llvm_md(mini_corpus, BUGGY_PIPELINE, strategy="stepwise")
-        eager_config = replace(DEFAULT_CONFIG, executor="serial",
-                               chain_graphs=False)
-        (_, eager), = validate_module_batch(
-            [mini_corpus], BUGGY_PIPELINE, config=eager_config, strategy="stepwise")
-        config = replace(DEFAULT_CONFIG, executor="steal", concurrency=0,
-                         chain_graphs=False)
+        config = replace(DEFAULT_CONFIG, concurrency=0, chain_graphs=False)
         (_, report), = validate_module_batch(
             [mini_corpus], BUGGY_PIPELINE, config=config, strategy="stepwise")
         assert [r.signature() for r in serial.records] == \
-               [r.signature() for r in report.records] == \
-               [r.signature() for r in eager.records]
+               [r.signature() for r in report.records]
         assert report.shard_stats["speculative_pairs_skipped"] > 0
-        # Fewer distinct queries answered than the eager per-pair schedule.
+        # Fewer distinct queries answered than the plan's pairs plus the
+        # settle round.
         assert report.shard_stats["distinct_pairs"] < \
-            eager.shard_stats["distinct_pairs"]
+            self._eager_query_count(mini_corpus, BUGGY_PIPELINE, config)
 
     def test_steal_on_accepting_pipeline_cancels_nothing(self, mini_corpus):
         # Without a rejection no pair is doomed: steal answers exactly
-        # the queries of the eager per-pair schedule.
+        # the plan's queries.
         passes = ("adce", "gvn", "sccp", "licm")
-        eager_config = replace(DEFAULT_CONFIG, executor="serial",
-                               chain_graphs=False)
-        (_, eager), = validate_module_batch(
-            [mini_corpus], passes, config=eager_config, strategy="stepwise")
-        config = replace(DEFAULT_CONFIG, executor="steal", chain_graphs=False)
+        _, serial = llvm_md(mini_corpus, passes, strategy="stepwise")
+        config = replace(DEFAULT_CONFIG, chain_graphs=False)
         (_, report), = validate_module_batch(
             [mini_corpus], passes, config=config, strategy="stepwise")
         assert all(r.validated for r in report.records if r.transformed)
-        assert [r.signature() for r in eager.records] == \
+        assert [r.signature() for r in serial.records] == \
                [r.signature() for r in report.records]
         assert report.shard_stats["speculative_pairs_skipped"] == 0
         assert report.shard_stats["distinct_pairs"] == \
-            eager.shard_stats["distinct_pairs"]
+            self._eager_query_count(mini_corpus, passes, config)
 
     def test_worker_death_mid_steal_degrades_losslessly(self, mini_corpus,
                                                         monkeypatch):
@@ -706,10 +741,10 @@ class TestStealExecutor:
         clean_cache = ValidationCache()
         (_, clean), = validate_module_batch(
             [mini_corpus], BUGGY_PIPELINE,
-            config=replace(DEFAULT_CONFIG, executor="serial"),
+            config=DEFAULT_CONFIG,
             cache=clean_cache, strategy="stepwise")
         flaky_cache = ValidationCache()
-        config = replace(DEFAULT_CONFIG, executor="steal", concurrency=2)
+        config = replace(DEFAULT_CONFIG, concurrency=2)
         (_, report), = validate_module_batch(
             [mini_corpus], BUGGY_PIPELINE, config=config,
             cache=flaky_cache, strategy="stepwise")
@@ -726,11 +761,10 @@ class TestStealExecutor:
         # Enough items across few-enough workers that at least the
         # steal path's bookkeeping is exercised and reported.
         module = small_test_corpus(functions=14, seed=11)
-        config = replace(DEFAULT_CONFIG, executor="steal", concurrency=2)
+        config = replace(DEFAULT_CONFIG, concurrency=2)
         (_, report), = validate_module_batch(
             [module], config=config, strategy="stepwise")
         stats = report.shard_stats
-        assert stats["executor"] == "steal"
         assert stats["items_stolen"] >= 0
         assert stats["steal_attempts"] >= stats["items_stolen"]
         assert "store_flushes" in stats and "store_lazy_loads" in stats
@@ -777,9 +811,8 @@ class TestFaultInjection:
 
         return FlakyStealPool
 
-    @pytest.mark.parametrize("executor", ["steal"])
     def test_worker_death_mid_batch_degrades_losslessly(self, mini_corpus,
-                                                        monkeypatch, executor):
+                                                        monkeypatch):
         from repro.validator.scheduler import steal
 
         monkeypatch.setattr(
@@ -788,10 +821,10 @@ class TestFaultInjection:
         clean_cache = ValidationCache()
         (_, clean), = validate_module_batch(
             [mini_corpus], BUGGY_PIPELINE,
-            config=replace(DEFAULT_CONFIG, executor="serial"),
+            config=DEFAULT_CONFIG,
             cache=clean_cache, strategy="stepwise")
         flaky_cache = ValidationCache()
-        config = replace(DEFAULT_CONFIG, executor=executor, concurrency=2)
+        config = replace(DEFAULT_CONFIG, concurrency=2)
         (_, report), = validate_module_batch(
             [mini_corpus], BUGGY_PIPELINE, config=config,
             cache=flaky_cache, strategy="stepwise")
@@ -814,10 +847,10 @@ class TestFaultInjection:
         clean_cache = ValidationCache()
         (_, clean), = validate_module_batch(
             [mini_corpus], PAPER_PIPELINE,
-            config=replace(DEFAULT_CONFIG, executor="serial"),
+            config=DEFAULT_CONFIG,
             cache=clean_cache, strategy="stepwise")
         flaky_cache = ValidationCache()
-        config = replace(DEFAULT_CONFIG, executor="steal", concurrency=2)
+        config = replace(DEFAULT_CONFIG, concurrency=2)
         (_, report), = validate_module_batch(
             [mini_corpus], PAPER_PIPELINE, config=config,
             cache=flaky_cache, strategy="stepwise")
@@ -838,7 +871,7 @@ class TestFaultInjection:
             steal, "StealPool",
             self._flaky_steal_pool(steal.BrokenStealPool("boom"), 2))
         cache = ValidationCache()
-        config = replace(DEFAULT_CONFIG, executor="steal", concurrency=2)
+        config = replace(DEFAULT_CONFIG, concurrency=2)
         (_, report), = validate_module_batch(
             [mini_corpus], BUGGY_PIPELINE, config=config,
             cache=cache, strategy="stepwise")
