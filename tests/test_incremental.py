@@ -146,11 +146,19 @@ def test_incremental_survives_analysis_manager_eviction():
     assert _signatures(second) == _signatures(cold)
 
 
-def test_revalidator_on_pooled_backends():
+# One leg per steal-pool transport at two workers.  The ids keep the
+# executor-concurrency names these legs have always been reported under:
+# "auto-2" is the default pipe pool, "steal-2" the pool over loopback tcp.
+@pytest.mark.parametrize("transport", [
+    pytest.param("pipe", id="auto-2"),
+    pytest.param("tcp", id="steal-2"),
+])
+def test_revalidator_on_pooled_backends(transport):
     """Pooled revalidations run the full plan and still match cold runs."""
     spec = BENCHMARKS_BY_NAME["sqlite"]
     tweaked = MUTATIONS["swap"]
-    revalidator = Revalidator(replace(DEFAULT_CONFIG, concurrency=2))
+    revalidator = Revalidator(replace(DEFAULT_CONFIG, concurrency=2,
+                                      steal_transport=transport))
     try:
         module = build_corpus(spec, 0.1)
         _, first = revalidator.revalidate(module, PIPE)
