@@ -34,14 +34,12 @@ this gate with a note — the counter baseline gate runs either way.
 When a ``benchmarks/artifacts/remote_steal.json`` artifact is present
 (produced by ``bench_remote_steal.py``), the guard also bounds the
 cross-host overhead it carries: the TCP steal transport must answer at
-most 1.15x the pipe transport's total validated queries, and the warm
-served-proof-store leg must have issued at most one get RPC per work
-batch with the batched-prefetch path exercised.  The same artifact's
-``bytes_per_pooled_item`` (encoded work-item bytes the steal transports
-shipped, per item a worker ran) is gated against the baseline's
-``dispatch`` entry with ``--tolerance``: items carry callee declarations,
-not whole modules, and a payload that drags module bodies again fails
-here.  Absent artifact, same skip-with-a-note rule.
+most 1.15x the pipe transport's total validated queries.  The same
+artifact's ``bytes_per_pooled_item`` (encoded work-item bytes the steal
+transports shipped, per item a worker ran) is gated against the
+baseline's ``dispatch`` entry with ``--tolerance``: items carry callee
+declarations, not whole modules, and a payload that drags module bodies
+again fails here.  Absent artifact, same skip-with-a-note rule.
 
 Run with::
 
@@ -193,11 +191,9 @@ def _check_remote_steal(path: pathlib.Path,
 
     The TCP transport may reorder the schedule but not the work: its
     total validated-query count must stay within ``max_overhead`` of the
-    pipe transport's.  And the warm served-store leg must have amortized
-    its round trips — at most one get RPC per work batch, with the
-    batched-prefetch path actually exercised.  Returns failure strings;
-    an absent artifact is a skip (with a note), not a failure — the
-    remote-steal benchmark is optional in local runs.
+    pipe transport's.  Returns failure strings; an absent artifact is a
+    skip (with a note), not a failure — the remote-steal benchmark is
+    optional in local runs.
     """
     if not path.exists():
         print(f"remote-steal gate skipped: no artifact at {path} "
@@ -206,27 +202,14 @@ def _check_remote_steal(path: pathlib.Path,
     summary = json.loads(path.read_text()).get("summary", {})
     pipe_queries = int(summary.get("pipe_queries", 0))
     tcp_queries = int(summary.get("tcp_queries", 0))
-    batches = int(summary.get("warm_batches", 0))
-    get_rpcs = int(summary.get("warm_get_rpcs", 0))
-    batched_gets = int(summary.get("warm_batched_gets", 0))
     print(f"remote steal: tcp {tcp_queries} queries vs pipe {pipe_queries} "
-          f"(cap x{max_overhead:g}); warm store {get_rpcs} get RPCs over "
-          f"{batches} work batches ({batched_gets} batched gets)")
+          f"(cap x{max_overhead:g})")
     failures = []
     if pipe_queries and tcp_queries > max_overhead * pipe_queries:
         failures.append(
             f"remote steal: tcp transport answered {tcp_queries} queries vs "
             f"pipe {pipe_queries} (> x{max_overhead:g}) — going cross-host "
             f"is repeating work")
-    if get_rpcs > batches:
-        failures.append(
-            f"remote steal: warm served-store runs issued {get_rpcs} get "
-            f"RPCs over {batches} work batches — planning-time prefetch "
-            f"must batch to at most one RPC per batch")
-    if batches and not batched_gets:
-        failures.append(
-            "remote steal: warm served-store runs never exercised a "
-            "batched get — the prefetch path regressed to per-key chatter")
     return failures
 
 

@@ -2,21 +2,19 @@
 """Remote-steal guard: cross-host scheduling must change nothing but speed.
 
 Spawns two reconnecting remote worker subprocesses against a fixed
-loopback port plus a standalone served proof store, then drives four
-legs over all twelve paper corpora:
+loopback port, then drives five legs over all twelve paper corpora:
 
 * **serial** — the fault-free in-process oracle (concurrency 0) every
   other leg must match.
 * **tcp** — the executor's pool over its TCP transport with the remote
   workers; per-function record signatures must be byte-identical to
   serial (cold: no cache anywhere).
-* **store cold / store warm** — the driver consulting the served proof
-  store through a ``remote://HOST:PORT`` ``config.cache_dir`` (no local
-  cache files).  The cold
-  run populates the store through write-behind flushes; the warm run
-  must then answer **every** pair from it (``distinct_pairs == 0``)
-  using batched planning-time gets (``store_batched_gets > 0``) — and
-  still match serial byte for byte.
+* **store cold / store warm** — the tcp pool over a local SQLite
+  ``config.cache_dir`` (one fresh directory per corpus).  The cold run
+  files the workers' verdicts in the coordinator's store as their result
+  frames arrive; the warm run's planner must then answer **every** pair
+  from that file (``distinct_pairs == 0``) — and still match serial
+  byte for byte.
 * **kill** — the tcp leg under a seeded ``conn-drop`` fault (the
   coordinator severs a worker's connection right after handing it an
   item).  Records must still match serial with zero denials, the
@@ -37,16 +35,16 @@ import sys
 import tempfile
 import time
 from dataclasses import replace
+from pathlib import Path
 
 from repro.bench.corpus import PAPER_BENCHMARKS, build_corpus
 from repro.transforms import PAPER_PIPELINE
 from repro.validator import faults
-from repro.validator.cache import REMOTE_PREFIX, ValidationCache
+from repro.validator.cache import ValidationCache
 from repro.validator.config import DEFAULT_CONFIG
 from repro.validator.driver import validate_module_batch
 from repro.validator.faults import FaultPlan, FaultSpec
-from repro.validator.scheduler.remote import ServedStore, spawn_workers
-from repro.validator.scheduler.transport import TcpStealPool
+from repro.validator.scheduler.remote import spawn_workers
 from repro.validator.validate import UNCACHEABLE_REASONS
 
 WORKERS = 2
@@ -91,13 +89,6 @@ def main() -> int:
     worker_procs = spawn_workers(steal_address, WORKERS, reconnect=True,
                                  patience=900.0)
     store_dir = tempfile.TemporaryDirectory(prefix="repro-remote-steal-")
-    store_pool = TcpStealPool(
-        1, None, listen="127.0.0.1:0",
-        store=ServedStore(store_dir.name))
-    store_address = f"{store_pool.address[0]}:{store_pool.address[1]}"
-
-    store_config = replace(DEFAULT_CONFIG,
-                           cache_dir=f"{REMOTE_PREFIX}{store_address}")
     tcp_config = replace(DEFAULT_CONFIG, concurrency=WORKERS,
                          steal_transport="tcp", steal_listen=steal_address)
     kill_plan = FaultPlan.of(FaultSpec("conn-drop", "crash", "", 2, 1),
@@ -111,6 +102,8 @@ def main() -> int:
             serial, _ = run_one(module, DEFAULT_CONFIG, ValidationCache())
             serial_sigs = signatures(serial)
 
+            store_config = replace(
+                tcp_config, cache_dir=str(Path(store_dir.name) / spec.name))
             legs = {}
             for leg, config in (
                     ("tcp", tcp_config),
@@ -126,25 +119,20 @@ def main() -> int:
                     failures.append(
                         f"{spec.name}/{leg}: record signatures diverged "
                         f"from serial")
-                if leg in ("tcp", "kill"):
-                    if shard.get("pool_degraded", 0):
-                        failures.append(
-                            f"{spec.name}/{leg}: the pool degraded "
-                            f"to in-process execution")
-                    if poisoned_entries(cache):
-                        failures.append(
-                            f"{spec.name}/{leg}: synthetic denials "
-                            f"poisoned the proof cache")
+                if shard.get("pool_degraded", 0):
+                    failures.append(
+                        f"{spec.name}/{leg}: the pool degraded "
+                        f"to in-process execution")
+                if cache is not None and poisoned_entries(cache):
+                    failures.append(
+                        f"{spec.name}/{leg}: synthetic denials "
+                        f"poisoned the proof cache")
 
             warm_shard = legs["store_warm"][1]
             if warm_shard.get("distinct_pairs", 0):
                 failures.append(
                     f"{spec.name}/store_warm: {warm_shard['distinct_pairs']} "
-                    f"pairs re-validated despite a populated served store")
-            if serial_sigs and not warm_shard.get("store_batched_gets", 0):
-                failures.append(
-                    f"{spec.name}/store_warm: planning never issued a "
-                    f"batched get against the served store")
+                    f"pairs re-validated despite a populated SQLite store")
 
             kill_shard = legs["kill"][1]
             rows.append({
@@ -155,9 +143,7 @@ def main() -> int:
                 "tcp_time_s": round(legs["tcp"][2], 3),
                 "store_cold_flushes":
                     legs["store_cold"][1].get("store_flushes", 0),
-                "store_warm_rpcs": warm_shard.get("store_rpcs", 0),
-                "store_warm_batched_gets":
-                    warm_shard.get("store_batched_gets", 0),
+                "store_warm_lazy_loads": warm_shard.get("store_lazy_loads", 0),
                 "store_warm_distinct_pairs":
                     warm_shard.get("distinct_pairs", 0),
                 "kill_respawned": kill_shard.get("workers_respawned", 0),
@@ -166,7 +152,7 @@ def main() -> int:
             })
             print(f"{spec.name:>12}: records={len(serial_sigs):<3} "
                   f"tcp_joined={rows[-1]['tcp_workers_joined']} "
-                  f"warm_gets={rows[-1]['store_warm_batched_gets']} "
+                  f"warm_loads={rows[-1]['store_warm_lazy_loads']} "
                   f"warm_pairs={rows[-1]['store_warm_distinct_pairs']} "
                   f"kill_respawned={rows[-1]['kill_respawned']} "
                   f"kill_retries={rows[-1]['kill_item_retries']}")
@@ -178,7 +164,6 @@ def main() -> int:
                 proc.wait(timeout=10)
             except Exception:
                 proc.kill()
-        store_pool.close()
         store_dir.cleanup()
 
     # Corpora too small to engage the pooled path never dispatch, so the
@@ -207,9 +192,9 @@ def main() -> int:
         for line in failures:
             print(f"  {line}", file=sys.stderr)
         return 1
-    print("\nremote steal guard OK: tcp, served-store and kill-mid-batch "
-          "legs matched serial records on every corpus; the warm leg "
-          "answered every pair from the served store over batched gets")
+    print("\nremote steal guard OK: tcp, store and kill-mid-batch legs "
+          "matched serial records on every corpus; the warm leg answered "
+          "every pair from the coordinator's SQLite store")
     return 0
 
 

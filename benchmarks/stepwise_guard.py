@@ -40,8 +40,9 @@ unless each produced identical record signatures:
   encoded item bytes it shipped (``steal_bytes_dispatched``).  With
   ``--tcp-workers N`` (N > 0) the leg grows a further backend: the pool
   over its TCP transport with N loopback remote worker subprocesses,
-  run cold and then warm through the coordinator's served proof store —
-  both must also match the reference byte for byte.
+  run cold and then warm over a per-corpus SQLite ``cache_dir`` that
+  only the coordinator opens — both must also match the reference byte
+  for byte.
 * **engine** — :func:`repro.bench.engine_sweep_comparison`: the default
   ``worklist`` normalization engine against the ``fullscan`` reference
   engine.  Both sweep times land in the artifact.

@@ -566,10 +566,10 @@ def executor_comparison(scale: float = 1.0, benchmarks: Optional[Sequence[str]] 
     With ``tcp_workers > 0`` a further leg runs the pool over its TCP
     transport, twice per corpus: that many remote worker processes
     are spawned once (``--reconnect``, so they rejoin every per-batch
-    coordinator on the same port), each corpus gets a coordinator-side
-    sqlite proof store, and the corpus is validated cold then warm —
-    the warm run answers every query through the served store's batched
-    gets.  Both legs must match the reference exactly (``tcp``/``tcp_warm``
+    coordinator on the same port), each corpus gets its own SQLite
+    ``cache_dir``, and the corpus is validated cold then warm — the warm
+    run's planner answers every query from the parent's SQLite file, so
+    no item reaches a worker.  Both legs must match the reference exactly (``tcp``/``tcp_warm``
     entries join the mismatch scan), proving the distribution layer is
     a pure refinement of the single-node schedule.
     """

@@ -9,22 +9,21 @@ pays for the distinct pairs; stepwise validation feeds each adjacent
 checkpoint pair through the same keying, so repeated single-pass effects
 are also validated once.
 
-Behind the in-memory map sits at most one persistent proof store:
-
-:class:`SqliteStore`
-    For a cache directory or a ``.sqlite`` / ``.db`` file: WAL-mode
-    SQLite, entries faulted in **lazily** as :meth:`~ValidationCache.get`
-    / :meth:`~ValidationCache.peek` ask for them, verdicts upserted in
-    small batches as they arrive, and the ``max_bytes`` budget enforced
-    by a least-recently-hit ``DELETE`` executed inside the database.
-:class:`RemoteStore`
-    For a ``remote://HOST:PORT`` path: the same operations proxied to the
-    served store of a running steal coordinator, with a plan's lookups
-    batched into one round trip.
+Behind the in-memory map sits at most one persistent proof store, a
+:class:`SqliteStore` for a cache directory or a ``.sqlite`` / ``.db``
+file: WAL-mode SQLite, entries faulted in **lazily** as
+:meth:`~ValidationCache.prefetch`, :meth:`~ValidationCache.get` and
+:meth:`~ValidationCache.peek` ask for them, verdicts upserted in small
+batches as they arrive, and the ``max_bytes`` budget enforced by a
+least-recently-hit ``DELETE`` executed inside the database.  There is
+no served or networked store: workers never touch one (their verdicts
+travel back in result frames and the coordinator files them in its own
+cache).
 
 Because keys are content hashes, a store survives across processes,
-machines and repository checkouts: CI's warm run and repeated corpus
-sweeps skip every previously proved pair.  Loading is tolerant by design
+machines and repository checkouts: copy the SQLite file to share
+verdicts (CI's warm run does exactly that), and repeated corpus sweeps
+skip every previously proved pair.  Loading is tolerant by design
 — a corrupted file, an unknown schema version or a malformed entry is
 *ignored* (the cache starts cold), and any store fault mid-run degrades
 to the in-memory tier: losing a cache can only cost time, trusting a
@@ -35,7 +34,6 @@ from __future__ import annotations
 
 import json
 import os
-import socket
 import sqlite3
 from dataclasses import asdict, replace
 from pathlib import Path
@@ -44,7 +42,7 @@ from typing import Dict, Iterable, Optional, Set, Tuple, Union
 from ..analysis.manager import function_fingerprint
 from ..ir.module import Function
 from . import faults
-from .config import REMOTE_PREFIX, ValidatorConfig
+from .config import ValidatorConfig
 from .validate import UNCACHEABLE_REASONS, ValidationResult
 
 #: Cache key: content hashes of both functions plus everything about the
@@ -76,15 +74,19 @@ def _resolve_cache_path(path: Union[str, os.PathLike]) -> Path:
 
     A ``.sqlite`` / ``.db`` path is the store itself; anything else is a
     *cache directory* (created when the store opens) holding
-    :data:`SQLITE_FILE_NAME`.  A ``.json`` path is refused: JSON proof
-    stores were removed, and silently treating the file name as a
-    directory would hide that.
+    :data:`SQLITE_FILE_NAME`.  A ``.json`` path and a ``remote://``
+    address are refused: JSON and served proof stores were removed, and
+    silently treating the name as a directory would hide that.
     """
     resolved = Path(path)
     if resolved.suffix == ".json":
         raise ValueError(
             f"{os.fspath(path)!r}: JSON proof stores were removed; pass a "
             f"cache directory or a .sqlite/.db file instead")
+    if resolved.parts[:1] == ("remote:",):  # Path("remote://h") is "remote:/h"
+        raise ValueError(
+            f"{os.fspath(path)!r}: served proof stores were removed; share "
+            f"verdicts by copying a .sqlite file and pass its path instead")
     if resolved.suffix in _SQLITE_SUFFIXES:
         return resolved
     return resolved / SQLITE_FILE_NAME
@@ -96,17 +98,6 @@ def _encode_key(key: CacheKey) -> str:
     return json.dumps(
         [fp_before, fp_after, list(groups), matcher, engine, max_iter, rec_limit],
         separators=(",", ":"))
-
-
-def _decode_key(text: str) -> CacheKey:
-    """Parse a serialized cache key; raises on any malformation."""
-    fp_before, fp_after, groups, matcher, engine, max_iter, rec_limit = json.loads(text)
-    if not (isinstance(fp_before, str) and isinstance(fp_after, str)
-            and isinstance(groups, list) and isinstance(matcher, str)
-            and isinstance(engine, str)):
-        raise ValueError(f"malformed cache key {text!r}")
-    return (fp_before, fp_after, tuple(str(g) for g in groups),
-            matcher, engine, int(max_iter), int(rec_limit))
 
 
 def _encode_result(result: ValidationResult) -> str:
@@ -395,258 +386,21 @@ class SqliteStore:
             return 0
 
 
-class RemoteStore:
-    """Proof-store client proxying to a coordinator's served store.
-
-    The distributed counterpart of :class:`SqliteStore`: remote workers
-    (and warm parent runs) point a cache at ``remote://HOST:PORT`` and
-    consult the coordinator's *one* shared store instead of shipping
-    cache state inside work payloads.  Traffic is batched — the planner
-    calls :meth:`prefetch` once per work plan, so a whole batch's keys
-    cost a single get round trip (counted in ``rpcs`` /
-    ``batched_gets``) — and writes stay write-behind: the cache buffers
-    dirty entries exactly as it does for sqlite and :meth:`upsert`
-    ships each flush batch as one ``put`` RPC, retrying transient
-    server-side ``database is locked`` replies under the shared
-    :data:`~repro.validator.scheduler.retry.LOCKED_FLUSH_RETRY` policy.
-
-    Degradation mirrors the disk stores: a rejected handshake or a
-    twice-failed round trip permanently drops to the in-memory tier
-    (``errors`` counts it) — losing the shared store can only cost
-    re-validation, never correctness.  A coordinator restart between
-    batches is *not* a degradation: every RPC retries one transparent
-    reconnect first.
-    """
-
-    backend = "remote"
-
-    def __init__(self, address: str,
-                 fault_plan: Optional[faults.FaultPlan] = None) -> None:
-        # Deferred: the scheduler package imports this module through
-        # its executors, so a top-level import would be circular.
-        from .scheduler import transport
-        self._transport = transport
-        if address.startswith(REMOTE_PREFIX):
-            address = address[len(REMOTE_PREFIX):]
-        self.address = address
-        self.host, self.port = transport.split_address(address)
-        self.fault_plan = fault_plan
-        self.lazy_loads = 0
-        self.flushes = 0
-        self.errors = 0
-        self.retries = 0
-        self.bytes_read = 0
-        self.bytes_written = 0
-        #: Round trips to the coordinator, all operations.
-        self.rpcs = 0
-        #: Round trips that were (batched) entry gets.
-        self.get_rpcs = 0
-        #: Keys requested through batched get round trips.
-        self.batched_gets = 0
-        self._sock: Optional[socket.socket] = None
-        self._broken = False
-        #: Keys the coordinator answered "absent" for: a later fetch of
-        #: one is a local miss, never another round trip (the batch
-        #: already asked).  A successful put clears its key.
-        self._absent: set = set()
-
-    # -- plumbing ----------------------------------------------------------
-    def _connect(self) -> socket.socket:
-        transport = self._transport
-        sock = socket.create_connection((self.host, self.port), timeout=10.0)
-        try:
-            transport.send_frame(
-                sock, ("hello", transport.TRANSPORT_SCHEMA,
-                       transport.config_fingerprint(), "store"))
-            reply = transport.recv_frame(sock)
-        except BaseException:
-            sock.close()
-            raise
-        if not (isinstance(reply, tuple) and reply and reply[0] == "welcome"):
-            sock.close()
-            raise transport.HandshakeError(
-                f"served store rejected this client: {reply!r}")
-        return sock
-
-    def _drop_socket(self) -> None:
-        if self._sock is not None:
-            try:
-                self._sock.close()
-            except OSError:
-                pass
-            self._sock = None
-
-    def _give_up(self) -> None:
-        """Degrade permanently to the in-memory tier (never an error)."""
-        self._broken = True
-        self.errors += 1
-        self._drop_socket()
-
-    def _rpc(self, message: Tuple) -> Optional[Tuple]:
-        """One round trip; ``None`` once degraded.
-
-        A server-side transient (``database is locked``) comes back as
-        an ``("err", ...)`` reply and is re-raised as the sqlite error
-        it describes, so :meth:`upsert`'s retry policy treats wire and
-        local contention identically.
-        """
-        if self._broken:
-            return None
-        transport = self._transport
-        for attempt in (1, 2):
-            try:
-                if self._sock is None:
-                    self._sock = self._connect()
-                transport.send_frame(self._sock, message)
-                reply = transport.recv_frame(self._sock)
-            except transport.HandshakeError:
-                self._give_up()
-                return None
-            except (transport.FrameError, OSError):
-                # One transparent reconnect — the coordinator may have
-                # restarted between batches.  A second failure degrades.
-                self._drop_socket()
-                if attempt == 2:
-                    self._give_up()
-                    return None
-                continue
-            self.rpcs += 1
-            if isinstance(reply, tuple) and reply and reply[0] == "err":
-                detail = str(reply[1])
-                if "locked" in detail.lower() or "busy" in detail.lower():
-                    raise sqlite3.OperationalError(detail)
-                self._give_up()
-                return None
-            return reply
-        return None
-
-    def _read_rpc(self, message: Tuple) -> Optional[Tuple]:
-        """An RPC whose locked replies are misses, not retry candidates."""
-        try:
-            return self._rpc(message)
-        except sqlite3.OperationalError:
-            return None
-
-    # -- store operations --------------------------------------------------
-    def entry_count(self) -> int:
-        reply = self._read_rpc(("count",))
-        return int(reply[1]) if reply else 0
-
-    def max_stamp(self) -> int:
-        reply = self._read_rpc(("maxstamp",))
-        return int(reply[1]) if reply else 0
-
-    def _get_batch(self, texts: Dict[str, CacheKey]
-                   ) -> Dict[CacheKey, ValidationResult]:
-        reply = self._read_rpc(("get", list(texts)))
-        if reply is None or reply[0] != "entries":
-            return {}
-        self.get_rpcs += 1
-        self.batched_gets += len(texts)
-        entries = reply[1]
-        found: Dict[CacheKey, ValidationResult] = {}
-        for text, key in texts.items():
-            payload = entries.get(text)
-            if payload is None:
-                self._absent.add(text)
-                continue
-            self.bytes_read += len(payload)
-            try:
-                result = _decode_result(json.loads(payload))
-            except (KeyError, TypeError, ValueError):
-                self._absent.add(text)
-                continue
-            self.lazy_loads += 1
-            found[key] = result
-        return found
-
-    def fetch(self, key: CacheKey) -> Optional[ValidationResult]:
-        """Fault one entry in over the wire, or ``None`` (miss / degraded)."""
-        text = _encode_key(key)
-        if text in self._absent:
-            return None
-        return self._get_batch({text: key}).get(key)
-
-    def prefetch(self, keys: Iterable[CacheKey]
-                 ) -> Dict[CacheKey, ValidationResult]:
-        """Fault a whole plan's keys in with one batched round trip."""
-        texts: Dict[str, CacheKey] = {}
-        for key in keys:
-            text = _encode_key(key)
-            if text not in self._absent and text not in texts:
-                texts[text] = key
-        if not texts:
-            return {}
-        return self._get_batch(texts)
-
-    def upsert(self, items: Iterable[Tuple[CacheKey, ValidationResult]],
-               hit_stamp: Dict[CacheKey, int]) -> int:
-        """Ship a flush batch as one ``put`` RPC; returns entries stored."""
-        rows = [(_encode_key(key), _encode_result(result),
-                 int(hit_stamp.get(key, 0)))
-                for key, result in items]
-        if not rows or self._broken:
-            return 0
-
-        def attempt() -> int:
-            reply = self._rpc(("put", rows))
-            return int(reply[1]) if reply else 0
-
-        def count_retry(attempt_number: int, error: BaseException) -> None:
-            self.retries += 1
-
-        from .scheduler.retry import LOCKED_FLUSH_RETRY, retry_call
-        try:
-            stored = retry_call(attempt, policy=LOCKED_FLUSH_RETRY,
-                                retry_if=_is_locked,
-                                seed=getattr(self.fault_plan, "seed", 0),
-                                on_retry=count_retry)
-        except (sqlite3.Error, OSError):
-            self._give_up()
-            return 0
-        if stored:
-            self.flushes += 1
-            self.bytes_written += sum(len(row[1]) for row in rows)
-            for row in rows:
-                self._absent.discard(row[0])
-        return stored
-
-    def touch(self, hit_stamp: Dict[CacheKey, int]) -> None:
-        """Refresh served-store recency for entries this process consumed."""
-        if not hit_stamp:
-            return
-        rows = [(_encode_key(key), int(stamp))
-                for key, stamp in hit_stamp.items()]
-        self._read_rpc(("touch", rows))  # recency is advisory
-
-    def evict_to_budget(self, max_bytes: int) -> int:
-        reply = self._read_rpc(("evict", int(max_bytes)))
-        return int(reply[1]) if reply else 0
-
-    def close(self) -> None:
-        if self._sock is not None:
-            try:
-                self._transport.send_frame(self._sock, ("bye",))
-            except (OSError, RuntimeError):
-                pass
-            self._drop_socket()
-
-
 class ValidationCache:
     """Memoizes validation results by function-pair content.
 
     Parameters
     ----------
     path:
-        Optional persistence location — a cache directory, a ``.sqlite``
-        / ``.db`` file, or ``remote://HOST:PORT`` for a coordinator's
-        served store.  When given, a proof store opens behind the
-        in-memory map and entries are faulted in lazily as :meth:`get` /
-        :meth:`peek` ask for them.  Loading is fully tolerant:
-        corruption, schema mismatches, malformed entries and mid-run
-        store faults are absorbed (the affected entries simply cost a
-        re-validation), never raised.  A ``.json`` path raises
-        :class:`ValueError`: JSON proof stores were removed.
+        Optional persistence location — a cache directory or a
+        ``.sqlite`` / ``.db`` file.  When given, a SQLite proof store
+        opens behind the in-memory map and entries are faulted in lazily
+        as :meth:`prefetch`, :meth:`get` and :meth:`peek` ask for them.
+        Loading is fully tolerant: corruption, schema mismatches,
+        malformed entries and mid-run store faults are absorbed (the
+        affected entries simply cost a re-validation), never raised.  A
+        ``.json`` path or a ``remote://`` address raises
+        :class:`ValueError`: JSON and served proof stores were removed.
     max_bytes:
         Size budget for the serialized store (``0`` = unbounded, the
         historical behavior).  When exceeded at save time, entries are
@@ -674,11 +428,9 @@ class ValidationCache:
         self.max_bytes = max_bytes
         #: Resolved persistence file, or ``None`` for an in-memory cache.
         self.path: Optional[Path] = None
-        #: Resolved backend name: ``"memory"``, ``"sqlite"`` or
-        #: ``"remote"`` (a ``remote://HOST:PORT`` path — the served proof
-        #: store of a running steal coordinator).
+        #: Resolved backend name: ``"memory"`` or ``"sqlite"``.
         self.backend = "memory"
-        self._store: Optional[Union[SqliteStore, RemoteStore]] = None
+        self._store: Optional[SqliteStore] = None
         self._dirty = False
         #: Dirty keys awaiting an incremental flush, in insertion order.
         self._pending: Dict[CacheKey, None] = {}
@@ -690,11 +442,8 @@ class ValidationCache:
         self._tick = 0
         if path is None:
             return
-        if isinstance(path, str) and path.startswith(REMOTE_PREFIX):
-            self._store = RemoteStore(path, fault_plan=fault_plan)
-        else:
-            self.path = _resolve_cache_path(path)
-            self._store = SqliteStore(self.path, fault_plan=fault_plan)
+        self.path = _resolve_cache_path(path)
+        self._store = SqliteStore(self.path, fault_plan=fault_plan)
         self.backend = self._store.backend
         self.loaded = self._store.entry_count()
         # Continue recency above what the store already holds so this
@@ -706,7 +455,7 @@ class ValidationCache:
 
     @property
     def persistent(self) -> bool:
-        """Does this cache have an on-disk (or served) backend?"""
+        """Does this cache have an on-disk backend?"""
         return self._store is not None
 
     def key(self, before: Function, after: Function,
@@ -735,28 +484,18 @@ class ValidationCache:
         )
 
     def prefetch(self, keys: Iterable[CacheKey]) -> int:
-        """Batch-fault ``keys`` from a lazy store in one round trip.
+        """Fault ``keys`` in from the SQLite store ahead of their lookups.
 
-        A no-op (returning 0) unless the store implements batched gets
-        — today only the ``remote`` backend does.  The planner calls
-        this once per work plan, so a remote proof store answers a
-        whole batch's :meth:`peek` traffic with a single get RPC
-        instead of one round trip per key; for every other backend the
-        per-key :meth:`peek` path is untouched.  Returns the number of
-        entries faulted in.
+        The planner calls this once per work plan with exactly the keys
+        its classification is about to :meth:`peek`, so the entries
+        faulted in are the same ones the peeks would fault.  Keys already
+        in memory are skipped; without a store this returns at once.
+        Returns the number of entries faulted in.
         """
         if self._store is None:
             return 0
-        batched = getattr(self._store, "prefetch", None)
-        if batched is None:
-            return 0
-        missing = [key for key in dict.fromkeys(keys)
-                   if key not in self._results]
-        if not missing:
-            return 0
-        found = batched(missing)
-        self._results.update(found)
-        return len(found)
+        return sum(1 for key in dict.fromkeys(keys)
+                   if key not in self._results and self.peek(key) is not None)
 
     def peek(self, key: CacheKey) -> Optional[ValidationResult]:
         """The stored result for ``key`` (no hit/miss accounting).
@@ -812,24 +551,6 @@ class ValidationCache:
         self._store.upsert(((key, self._results[key]) for key in self._pending),
                            self._hit_stamp)
         self._pending.clear()
-
-    def merge(self, other: "ValidationCache") -> int:
-        """Adopt every entry of ``other`` this cache does not hold yet.
-
-        Returns the number of entries adopted.  Existing entries win (both
-        sides describe the same content-addressed verdict, so which copy
-        survives is immaterial; keeping ours avoids churn).
-        """
-        added = 0
-        for key, result in other._results.items():
-            if key not in self._results:
-                self._results[key] = result
-                if self._store is not None:
-                    self._pending[key] = None
-                added += 1
-        if added:
-            self._dirty = True
-        return added
 
     # -- persistence -------------------------------------------------------
     def save(self) -> int:
@@ -887,11 +608,6 @@ class ValidationCache:
             counters["store_retries"] = self._store.retries
             counters["store_bytes_read"] = self._store.bytes_read
             counters["store_bytes_written"] = self._store.bytes_written
-            # Remote-backend round-trip accounting (absent elsewhere).
-            for extra in ("rpcs", "get_rpcs", "batched_gets"):
-                value = getattr(self._store, extra, None)
-                if value is not None:
-                    counters[f"store_{extra}"] = value
         return counters
 
 
@@ -912,8 +628,6 @@ __all__ = [
     "CacheKey",
     "SQLITE_SCHEMA",
     "SQLITE_FILE_NAME",
-    "REMOTE_PREFIX",
     "SqliteStore",
-    "RemoteStore",
     "ValidationCache",
 ]

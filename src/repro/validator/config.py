@@ -22,11 +22,6 @@ from .faults import FaultPlan
 #: :mod:`repro.validator.scheduler.transport`.
 STEAL_TRANSPORTS = ("pipe", "tcp")
 
-#: ``cache_dir`` prefix naming a coordinator's served proof store
-#: (``remote://HOST:PORT``) instead of a local SQLite store.  See
-#: :class:`repro.validator.cache.RemoteStore`.
-REMOTE_PREFIX = "remote://"
-
 #: Cumulative rule sets used for the GVN ablation (paper Figure 6).
 GVN_ABLATION_STEPS: Tuple[Tuple[str, Tuple[str, ...]], ...] = (
     ("no rules", ()),
@@ -92,14 +87,16 @@ class ValidatorConfig:
     cache_dir:
         Optional persistence location for the
         :class:`~repro.validator.cache.ValidationCache`: a directory
-        (holding a SQLite proof store), a ``.sqlite`` / ``.db`` file, or
-        ``remote://HOST:PORT`` to consult the served proof store of a
-        running steal coordinator.  When set and no explicit cache is
-        passed, the drivers open a persistent cache there (faulting
-        previously proved pairs in lazily) and save it back after the
-        run, so repeated corpus sweeps and CI re-runs skip every pair
-        proved before.  ``cache_dir`` never affects a verdict, so it is
-        *not* part of the cache key.
+        (holding a SQLite proof store) or a ``.sqlite`` / ``.db`` file.
+        When set and no explicit cache is passed, the drivers open a
+        persistent cache there (faulting previously proved pairs in
+        lazily) and save it back after the run, so repeated corpus
+        sweeps and CI re-runs skip every pair proved before.  To share
+        verdicts across hosts, copy the file.  With the tcp transport
+        only the coordinator opens it: remote workers never touch a
+        store, their verdicts travel back in result frames.
+        ``cache_dir`` never affects a verdict, so it is *not* part of
+        the cache key.
     analysis_cache_size:
         LRU bound for driver-created
         :class:`~repro.analysis.manager.AnalysisManager` instances and
@@ -187,11 +184,12 @@ class ValidatorConfig:
         cache key.
     steal_listen:
         ``HOST:PORT`` the TCP steal coordinator binds (only meaningful
-        with ``steal_transport="tcp"``).  ``None`` binds a loopback
-        ephemeral port; a fixed port lets ``--reconnect`` workers serve
-        every batch of a sweep.  Contradicts a ``remote://`` ``cache_dir``
-        — one process either hosts the served proof store or consults
-        one.  Never part of the cache key.
+        with ``steal_transport="tcp"``; the port must lie in
+        ``[0, 65535]``, checked at construction so a malformed address
+        fails here instead of silently degrading the pool).  ``None``
+        binds a loopback ephemeral port; a fixed port lets
+        ``--reconnect`` workers serve every batch of a sweep.  Never
+        part of the cache key.
     """
 
     rule_groups: Tuple[str, ...] = tuple(ALL_RULE_GROUPS)
@@ -252,15 +250,10 @@ class ValidatorConfig:
                 f"steal_listen={self.steal_listen!r} needs "
                 f"steal_transport='tcp' (the pipe transport never binds a "
                 f"socket)")
-        if self.steal_listen is not None and ":" not in self.steal_listen:
-            raise ValueError(
-                f"steal_listen must be 'HOST:PORT' (got {self.steal_listen!r})")
-        if self.steal_listen is not None \
-                and str(self.cache_dir).startswith(REMOTE_PREFIX):
-            raise ValueError(
-                f"cache_dir={self.cache_dir!r} contradicts "
-                f"steal_listen={self.steal_listen!r}: a process either hosts "
-                f"the served proof store or consults one, not both")
+        if self.steal_listen is not None:
+            # Deferred: the scheduler package imports this module.
+            from .scheduler.transport import split_address
+            split_address(self.steal_listen)
 
     def with_rules(self, rule_groups) -> "ValidatorConfig":
         """A copy of this configuration with different rule groups."""
@@ -282,7 +275,6 @@ __all__ = [
     "ValidatorConfig",
     "DEFAULT_CONFIG",
     "STEAL_TRANSPORTS",
-    "REMOTE_PREFIX",
     "GVN_ABLATION_STEPS",
     "SCCP_ABLATION_STEPS",
     "LICM_ABLATION_STEPS",

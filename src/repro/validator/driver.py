@@ -82,10 +82,9 @@ settlement a lazy retained-graph delta to ask before validating a dirty
 pair inline.
 
 With ``config.cache_dir`` set the cache is *persistent*: a SQLite proof
-store (or, for ``remote://HOST:PORT``, a coordinator's served store)
-answers previously proved pairs lazily and new verdicts are written back
-as they arrive, so repeated corpus sweeps and CI re-runs skip everything
-proved before.
+store answers previously proved pairs lazily and new verdicts are
+written back as they arrive, so repeated corpus sweeps and CI re-runs
+skip everything proved before.
 """
 
 from __future__ import annotations

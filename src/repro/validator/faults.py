@@ -31,7 +31,7 @@ Sites wired in today:
     In the parent, as a steal result arrives (``corrupt`` replaces it
     with a malformed payload, exercising the per-item retry path).
 ``"cache-flush"``
-    Inside the proof stores' write paths (``raise`` with
+    Inside the SQLite proof store's write path (``raise`` with
     ``error="database is locked"`` or ``"ENOSPC"`` exercises the
     locked-retry and degrade-to-memory paths).
 ``"conn-drop"``
@@ -43,8 +43,8 @@ Sites wired in today:
     delays its delivery by ``seconds``, simulating a congested link;
     ordering and verdicts are unaffected).
 ``"handshake"``
-    In the TCP steal coordinator, while accepting a new worker or
-    store connection (any action rejects the handshake, exercising the
+    In the TCP steal coordinator, while accepting a new worker
+    connection (any action rejects the handshake, exercising the
     joiner's retry/give-up path).
 
 The plan and its specs are frozen dataclasses of immutables:

@@ -174,8 +174,8 @@ def build_plan(
     pending_chains: Dict[ChainSignature, Tuple[List[Function], CacheKey]] = {}
     #: Phase-2 classification input: (pair_keys, pair_versions, versions)
     #: per planned function, in plan order.  Classification is deferred
-    #: until every key is known so a batched store (the remote proof
-    #: store) answers the whole batch's peeks in ONE round trip.
+    #: until every key is known so one ``prefetch`` faults in the whole
+    #: batch's entries before any peek.
     classify: List[Tuple[List[CacheKey], List[Tuple[Function, Function]],
                          List[Function]]] = []
     pipeline = PassManager(passes)
@@ -234,14 +234,10 @@ def build_plan(
             work.append(FunctionPlan(function, record, versions, steps,
                                      fingerprints, pair_keys, whole_key))
         module_plans.append(ModulePlan(module, result_module, report, global_map, work))
-    # Phase 2: one batched fault of every candidate key (pairs now, whole
-    # fallbacks for the settle round's peeks), then classify.  For the
-    # in-memory/json/sqlite backends prefetch is a no-op and the peeks
-    # below behave exactly as before.
-    cache.prefetch([key
-                    for function_plan in (fp for mp in module_plans
-                                          for fp in mp.work)
-                    for key in function_plan.pair_keys + [function_plan.whole_key]])
+    # Phase 2: fault in exactly the keys classification peeks (every
+    # adjacent pair; whole fallbacks stay lazy for the settle round), then
+    # classify.  Without a store prefetch returns at once.
+    cache.prefetch([key for pair_keys, _, _ in classify for key in pair_keys])
     for classify_index, function_plan in enumerate(
             fp for mp in module_plans for fp in mp.work):
         pair_keys, pair_versions, versions = classify[classify_index]
@@ -282,17 +278,15 @@ class PipelineDiff:
 
     Produced by :func:`diff_plan` and consumed by the incremental
     revalidator (:mod:`repro.validator.watch`): pairs whose endpoints
-    both carry fingerprints the previous run already validated keep their
-    previous cache keys (*adopted* — never re-derived) and are settled
-    straight from the cache; only :attr:`dirty_pairs` need any graph
-    work.
+    both carry fingerprints the previous run already validated are
+    *adopted* and settled straight from the cache (their keys are the
+    plan's :attr:`FunctionPlan.pair_keys` — a key is a value tuple, so
+    it equals the previous run's); only :attr:`dirty_pairs` need any
+    graph work.
     """
 
     #: Content fingerprint of every version of the *new* chain.
     fingerprints: List[str]
-    #: Cache key of every adjacent pair of the new chain, in validation
-    #: order.  Unchanged pairs carry the previous run's key object.
-    pair_keys: List[CacheKey]
     #: Number of leading versions shared (by content) with the old chain.
     common_prefix: int
     #: Pair indices whose both endpoints match the old chain positionally
@@ -308,11 +302,7 @@ class PipelineDiff:
 
 
 def diff_plan(old_fingerprints: Sequence[str],
-              new_fingerprints: Sequence[str],
-              config: Optional[ValidatorConfig] = None,
-              cache: Optional[ValidationCache] = None,
-              old_pair_keys: Optional[Sequence[CacheKey]] = None,
-              ) -> PipelineDiff:
+              new_fingerprints: Sequence[str]) -> PipelineDiff:
     """Diff two checkpoint chains into adopted and dirty pair work.
 
     ``old_fingerprints`` describe the previous run's version chain (the
@@ -324,16 +314,10 @@ def diff_plan(old_fingerprints: Sequence[str],
     *unchanged* when both its endpoints match the old chain at the same
     positions — which covers the longest-common-prefix case (a pure
     pipeline-suffix tweak) and re-convergent tails (a middle pass edit
-    whose downstream checkpoints hash identically).  Unchanged pairs
-    adopt the previous plan's cache keys verbatim when ``old_pair_keys``
-    is supplied (no re-keying); dirty pairs get fresh keys from
-    ``cache.key_for``.  Like :func:`build_plan` this performs no
-    validation — it is a pure function of fingerprints, configuration
-    and the previous plan.
+    whose downstream checkpoints hash identically).  Like
+    :func:`build_plan` this performs no validation — it is a pure
+    function of the two fingerprint chains.
     """
-    config = config or DEFAULT_CONFIG
-    key_for = (cache.key_for if cache is not None
-               else ValidationCache.key_for)
     new_fingerprints = list(new_fingerprints)
     old_fingerprints = list(old_fingerprints)
     common_prefix = 0
@@ -341,25 +325,15 @@ def diff_plan(old_fingerprints: Sequence[str],
         if old_fp != new_fp:
             break
         common_prefix += 1
-    pair_count = max(len(new_fingerprints) - 1, 0)
-    pair_keys: List[CacheKey] = []
     unchanged: List[int] = []
     dirty: List[int] = []
-    for index in range(pair_count):
+    for index in range(len(new_fingerprints) - 1):
         positionally_unchanged = (
             index + 1 < len(old_fingerprints)
             and old_fingerprints[index] == new_fingerprints[index]
             and old_fingerprints[index + 1] == new_fingerprints[index + 1])
-        if positionally_unchanged:
-            unchanged.append(index)
-            if old_pair_keys is not None and index < len(old_pair_keys):
-                pair_keys.append(old_pair_keys[index])
-                continue
-        else:
-            dirty.append(index)
-        pair_keys.append(key_for(new_fingerprints[index],
-                                 new_fingerprints[index + 1], config))
-    return PipelineDiff(fingerprints=new_fingerprints, pair_keys=pair_keys,
+        (unchanged if positionally_unchanged else dirty).append(index)
+    return PipelineDiff(fingerprints=new_fingerprints,
                         common_prefix=common_prefix, unchanged_pairs=unchanged,
                         dirty_pairs=dirty)
 

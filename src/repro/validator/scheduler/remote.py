@@ -1,6 +1,6 @@
-"""The steal coordinator server, its served proof store, and the remote worker.
+"""The steal coordinator server and the remote worker.
 
-Three pieces carry the ``"steal"`` backend's protocol across hosts:
+Two pieces carry the ``"steal"`` backend's protocol across hosts:
 
 :class:`StealCoordinator`
     An asyncio server owning the shared work deques.  The executor's
@@ -17,22 +17,16 @@ Three pieces carry the ``"steal"`` backend's protocol across hosts:
     respawn/requeue/quarantine supervision.  (A coordinator-side requeue
     would race that supervision into double-executing the item.)
 
-:class:`ServedStore`
-    The coordinator-side proof store behind the ``("store", ...)`` wire
-    role: remote workers' :class:`~repro.validator.cache.RemoteStore`
-    clients send batched get/put/touch traffic here instead of shipping
-    cache state inside work-item payloads.  Backed by the run's sqlite
-    store when ``config.cache_dir`` names one, or by a plain in-memory
-    map when the run has no local persistent cache.
-
 :func:`run_worker`
     The remote worker loop (``python -m
     repro.validator.scheduler.worker --connect HOST:PORT``): connect,
-    handshake, then validate one item at a time, consulting the served
-    proof store for pair items before validating.  ``--reconnect``
-    makes the worker outlive coordinator restarts (each corpus batch
-    binds a fresh server on the same port), which is how a two-process
-    loopback fleet serves a whole guard sweep.
+    handshake, then validate one item at a time and send each verdict
+    back in a result frame.  Workers hold no proof store: the parent's
+    plan only ships items its own cache found uncached and
+    deduplicated, and it files every returned verdict there.
+    ``--reconnect`` makes the worker outlive coordinator restarts (each
+    corpus batch binds a fresh server on the same port), which is how a
+    two-process loopback fleet serves a whole guard sweep.
 
 Fault sites (all consulted coordinator-side, so their schedules count
 deterministically in one process): ``"handshake"`` rejects a joining
@@ -46,7 +40,6 @@ from __future__ import annotations
 
 import asyncio
 import collections
-import json
 import os
 import pickle
 import queue
@@ -58,7 +51,6 @@ from pathlib import Path
 from typing import Deque, Dict, List, Optional, Tuple
 
 from .. import faults
-from . import transport
 from .transport import (
     TRANSPORT_SCHEMA,
     ConnectionClosed,
@@ -71,128 +63,6 @@ from .transport import (
     split_address,
     write_frame,
 )
-
-
-class ServedStore:
-    """One shared proof store, served to the fleet over the steal wire.
-
-    Operates on *encoded* rows — ``(key text, payload text, stamp)`` —
-    the same canonical serializations the SQLite store already holds, so
-    the wire never depends on pickled validator classes.  Two flavors
-    behind one surface:
-
-    * ``sqlite``: delegates to the run's
-      :class:`~repro.validator.cache.SqliteStore` (WAL mode lets the
-      driver's own cache connection and this one share the file); its
-      locked-flush retry machinery is reused as-is.
-    * ``memory``: a plain dict, for runs with no local persistent cache
-      (including a ``remote://`` one, which this process consults
-      rather than serves) — workers still share one cache instead of
-      each re-proving pairs.
-    """
-
-    def __init__(self, path: Optional[os.PathLike] = None,
-                 fault_plan: Optional[faults.FaultPlan] = None) -> None:
-        from .. import cache as cache_mod
-
-        self._cache_mod = cache_mod
-        self.fault_plan = fault_plan
-        self.kind = "memory"
-        #: Batched get / put round trips served (coordinator telemetry).
-        self.gets_served = 0
-        self.puts_served = 0
-        #: text key -> (payload text, recency stamp).
-        self._memory: Dict[str, Tuple[str, int]] = {}
-        self._sqlite = None
-        if path is not None \
-                and not str(path).startswith(cache_mod.REMOTE_PREFIX):
-            self.kind = "sqlite"
-            self._sqlite = cache_mod.SqliteStore(
-                cache_mod._resolve_cache_path(path), fault_plan=fault_plan)
-
-    def get_many(self, key_texts: List[str]) -> Dict[str, str]:
-        """Payload texts for every present key (misses are omitted)."""
-        self.gets_served += 1
-        mod = self._cache_mod
-        if self._sqlite is not None:
-            found = {}
-            for text in key_texts:
-                try:
-                    result = self._sqlite.fetch(mod._decode_key(text))
-                except (KeyError, TypeError, ValueError):
-                    continue
-                if result is not None:
-                    found[text] = mod._encode_result(result)
-            return found
-        return {text: self._memory[text][0]
-                for text in key_texts if text in self._memory}
-
-    def put_many(self, rows: List[Tuple[str, str, int]]) -> int:
-        """Store a batch of encoded entries; returns rows written.
-
-        Sqlite delegation retries locked flushes internally
-        (:data:`~repro.validator.scheduler.retry.LOCKED_FLUSH_RETRY`);
-        the memory flavor consults the ``"cache-flush"`` fault
-        site here so an injected locked error travels back over the
-        wire and exercises the *client's* retry of the same policy.
-        """
-        self.puts_served += 1
-        mod = self._cache_mod
-        if self._sqlite is not None:
-            items = []
-            stamps = {}
-            for text, payload, stamp in rows:
-                try:
-                    key = mod._decode_key(text)
-                    result = mod._decode_result(json.loads(payload))
-                except (KeyError, TypeError, ValueError):
-                    continue
-                items.append((key, result))
-                stamps[key] = int(stamp)
-            return self._sqlite.upsert(items, stamps)
-        faults.maybe_fire(self.fault_plan, "cache-flush", detail="served-store")
-        for text, payload, stamp in rows:
-            self._memory[text] = (payload, int(stamp))
-        return len(rows)
-
-    def touch_many(self, rows: List[Tuple[str, int]]) -> int:
-        """Refresh recency stamps for consumed entries."""
-        mod = self._cache_mod
-        if self._sqlite is not None:
-            stamps = {}
-            for text, stamp in rows:
-                try:
-                    stamps[mod._decode_key(text)] = int(stamp)
-                except (KeyError, TypeError, ValueError):
-                    continue
-            self._sqlite.touch(stamps)
-            return len(stamps)
-        touched = 0
-        for text, stamp in rows:
-            held = self._memory.get(text)
-            if held is not None and held[1] < stamp:
-                self._memory[text] = (held[0], int(stamp))
-                touched += 1
-        return touched
-
-    def count(self) -> int:
-        if self._sqlite is not None:
-            return self._sqlite.entry_count()
-        return len(self._memory)
-
-    def max_stamp(self) -> int:
-        if self._sqlite is not None:
-            return self._sqlite.max_stamp()
-        return max((stamp for _, stamp in self._memory.values()), default=0)
-
-    def evict(self, max_bytes: int) -> int:
-        if self._sqlite is not None:
-            return self._sqlite.evict_to_budget(max_bytes)
-        return 0  # the memory flavor is bounded by its run
-
-    def close(self) -> None:
-        if self._sqlite is not None:
-            self._sqlite.close()
 
 
 class _Conn:
@@ -223,14 +93,13 @@ class StealCoordinator:
     and ``("death", slot, message)`` events.
     """
 
-    def __init__(self, slots: int, config=None, *, store=None,
+    def __init__(self, slots: int, config=None, *,
                  plan: Optional[faults.FaultPlan] = None,
                  host: str = "127.0.0.1", port: int = 0) -> None:
         self.slots = slots
         self.config = config
         self.plan = plan if plan is not None \
             else getattr(config, "fault_plan", None)
-        self.store = store
         self.host = host
         self.port = port
         #: What joining peers must present: the code-level fingerprint
@@ -248,7 +117,6 @@ class StealCoordinator:
         self.live_workers = 0
         self.workers_joined = 0
         self.workers_left = 0
-        self.store_clients = 0
         self.rejected = 0
         self.address: Optional[Tuple[str, int]] = None
         self._conns = set()
@@ -259,18 +127,14 @@ class StealCoordinator:
 
     # -- lifecycle ---------------------------------------------------------
     async def start(self) -> Tuple[str, int]:
-        """Bind the server (and build the served store); returns (host, port)."""
-        if self.store is None:
-            self.store = ServedStore(
-                getattr(self.config, "cache_dir", None),
-                fault_plan=self.plan)
+        """Bind the server; returns (host, port)."""
         self._server = await asyncio.start_server(
             self._handle, self.host, self.port)
         self.address = self._server.sockets[0].getsockname()[:2]
         return self.address
 
     async def shutdown(self) -> None:
-        """Stop accepting, wave workers goodbye, persist the served store."""
+        """Stop accepting and wave workers goodbye."""
         self._closing = True
         if self._server is not None:
             self._server.close()
@@ -283,8 +147,6 @@ class StealCoordinator:
                 conn.writer.close()
             except Exception:
                 pass
-        if self.store is not None:
-            self.store.close()
         if self._server is not None:
             try:
                 await asyncio.wait_for(self._server.wait_closed(), timeout=2.0)
@@ -389,7 +251,6 @@ class StealCoordinator:
             writer.close()
             return
         reason = None
-        role = "worker"
         if (not isinstance(hello, tuple) or len(hello) != 4
                 or hello[0] != "hello"):
             reason = f"malformed hello {hello!r}"
@@ -404,8 +265,10 @@ class StealCoordinator:
                           f"coordinator schema {TRANSPORT_SCHEMA}")
             if reason is None and fingerprint != self.expected_fingerprint:
                 reason = ("config fingerprint mismatch: the worker's rule "
-                          "registry, engine set or store schema differs "
-                          "from the coordinator's")
+                          "registry or engine set differs from the "
+                          "coordinator's")
+            if reason is None and role != "worker":
+                reason = f"unknown role {role!r}: workers are the only peers"
         if reason is not None:
             self.rejected += 1
             try:
@@ -420,10 +283,7 @@ class StealCoordinator:
             writer.close()
             return
         try:
-            if role == "store":
-                await self._serve_store(reader, writer)
-            else:
-                await self._serve_worker(reader, writer)
+            await self._serve_worker(reader, writer)
         except asyncio.CancelledError:
             # Only shutdown cancels handler tasks; swallowing here keeps
             # the streams connection_made callback (which calls
@@ -497,75 +357,12 @@ class StealCoordinator:
         except Exception:
             pass
 
-    async def _serve_store(self, reader: asyncio.StreamReader,
-                           writer: asyncio.StreamWriter) -> None:
-        self.store_clients += 1
-        try:
-            while True:
-                try:
-                    msg = await read_frame(reader)
-                except (FrameError, OSError):
-                    break
-                if not isinstance(msg, tuple) or not msg or msg[0] == "bye":
-                    break
-                kind = msg[0]
-                try:
-                    if kind == "get":
-                        reply = ("entries", self.store.get_many(list(msg[1])))
-                    elif kind == "put":
-                        reply = ("ok", self.store.put_many(list(msg[1])))
-                    elif kind == "touch":
-                        reply = ("ok", self.store.touch_many(list(msg[1])))
-                    elif kind == "count":
-                        reply = ("ok", self.store.count())
-                    elif kind == "maxstamp":
-                        reply = ("ok", self.store.max_stamp())
-                    elif kind == "evict":
-                        reply = ("ok", self.store.evict(int(msg[1])))
-                    else:
-                        reply = ("err", f"unknown store op {kind!r}")
-                except Exception as error:
-                    reply = ("err", f"{type(error).__name__}: {error}")
-                try:
-                    await write_frame(writer, reply)
-                except (FrameError, OSError):
-                    break
-        finally:
-            try:
-                writer.close()
-            except Exception:
-                pass
-
 
 # -- the remote worker ------------------------------------------------------
 
-def _validate_worker_item(item: Tuple, cache) -> object:
-    """Validate one item, consulting the shared proof store for pairs.
-
-    Chain items share one normalization across their pairs and are
-    validated in full (their per-pair verdicts are settled parent-side);
-    pair items check the coordinator's store first — a hit is
-    content-identical on the signature surface, so parity with a
-    cache-less run is preserved by construction.
-    """
-    from .executors import _validate_item
-
-    if cache is not None and item[0] == "pair":
-        _, before, after, config = item
-        key = cache.key(before, after, config)
-        hit = cache.get(key, before.name)
-        if hit is not None:
-            return hit
-        result = _validate_item(item)
-        cache.put(key, result)
-        return result
-    return _validate_item(item)
-
-
 def run_worker(address, *, fingerprint: Optional[str] = None,
                schema: Optional[int] = None, reconnect: bool = False,
-               patience: float = 30.0, use_store: bool = True,
-               poll: float = 0.05) -> int:
+               patience: float = 30.0, poll: float = 0.05) -> int:
     """Join a coordinator and serve items until told (or left) to stop.
 
     Returns the number of items served.  With ``reconnect``, the worker
@@ -576,8 +373,7 @@ def run_worker(address, *, fingerprint: Optional[str] = None,
     same way (the coordinator may be mid-restart); a worker that is
     *never* accepted gives up when its patience runs out.
     """
-    from .executors import item_detail
-    from ..cache import ValidationCache
+    from .executors import _validate_item, item_detail
 
     faults.mark_worker_process()
     if isinstance(address, str):
@@ -595,7 +391,6 @@ def run_worker(address, *, fingerprint: Optional[str] = None,
             time.sleep(poll)
             continue
         accepted = False
-        cache = None
         try:
             send_frame(sock, ("hello",
                               TRANSPORT_SCHEMA if schema is None else schema,
@@ -605,8 +400,6 @@ def run_worker(address, *, fingerprint: Optional[str] = None,
                     and reply[0] == "welcome"):
                 raise HandshakeError(f"coordinator rejected us: {reply!r}")
             accepted = True
-            if use_store:
-                cache = ValidationCache(f"remote://{host}:{port}")
             send_frame(sock, ("ready",))
             while True:
                 msg = recv_frame(sock)
@@ -619,8 +412,7 @@ def run_worker(address, *, fingerprint: Optional[str] = None,
                 plan = getattr(item[-1], "fault_plan", None)
                 faults.maybe_fire(plan, "worker", detail=item_detail(item))
                 try:
-                    message = ("result", tag, True,
-                               _validate_worker_item(item, cache))
+                    message = ("result", tag, True, _validate_item(item))
                 except Exception as error:
                     message = ("result", tag, False,
                                f"{type(error).__name__}: {error}")
@@ -629,12 +421,6 @@ def run_worker(address, *, fingerprint: Optional[str] = None,
         except (FrameError, OSError):
             pass
         finally:
-            if cache is not None:
-                try:
-                    cache.save_if_dirty()
-                    cache.close()
-                except Exception:
-                    pass
             try:
                 sock.close()
             except OSError:
@@ -649,8 +435,7 @@ def run_worker(address, *, fingerprint: Optional[str] = None,
 
 
 def spawn_workers(address, count: int, *, reconnect: bool = True,
-                  patience: float = 60.0, use_store: bool = True
-                  ) -> List[subprocess.Popen]:
+                  patience: float = 60.0) -> List[subprocess.Popen]:
     """Launch ``count`` loopback worker subprocesses joined to ``address``.
 
     The benchmark/guard helper: resolves ``PYTHONPATH`` from the
@@ -672,13 +457,10 @@ def spawn_workers(address, count: int, *, reconnect: bool = True,
                "--connect", address, "--patience", str(patience)]
     if reconnect:
         command.append("--reconnect")
-    if not use_store:
-        command.append("--no-store")
     return [subprocess.Popen(command, env=env) for _ in range(count)]
 
 
 __all__ = [
-    "ServedStore",
     "StealCoordinator",
     "run_worker",
     "spawn_workers",

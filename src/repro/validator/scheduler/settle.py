@@ -443,8 +443,7 @@ def shard_stats(plan: WorkPlan, execution, executor, inline_validations: int,
     if budget is not None:
         stats.update(budget.stats())
     cache_counters = cache.stats()
-    for key in ("store_flushes", "store_lazy_loads", "store_rpcs",
-                "store_batched_gets"):
+    for key in ("store_flushes", "store_lazy_loads"):
         stats[key] = cache_counters.get(key, 0)
     return stats
 

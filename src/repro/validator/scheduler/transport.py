@@ -11,9 +11,11 @@ plain subprocesses on this one) can join the queue:
   wire format; truncated and oversized frames raise :class:`FrameError`
   instead of desynchronizing the stream.
 * **Handshake** — every connection opens with ``("hello", schema,
-  fingerprint, role)`` and is rejected unless both the transport
+  fingerprint, "worker")`` and is rejected unless both the transport
   schema version (:data:`TRANSPORT_SCHEMA`) and the config fingerprint
-  (:func:`config_fingerprint`) match the coordinator's.  A fleet mixing
+  (:func:`config_fingerprint`) match the coordinator's.  Workers are the
+  only peers: there is no served proof store, so a verdict reaches the
+  proof cache only through its result frame, filed by the parent.  A fleet mixing
   incompatible rule registries or wire formats must fail loudly at
   join time, never by producing divergent verdicts.
 * **:class:`TcpStealPool`** — a drop-in for :class:`StealPool`: the
@@ -55,7 +57,8 @@ from .steal import BrokenStealPool, encode_item
 #: Wire-format version. Bump on any frame/message shape change; the
 #: handshake rejects mismatches so old workers can never misparse.
 #: Version 2: work items carry callee declarations (``encode_item``).
-TRANSPORT_SCHEMA = 2
+#: Version 3: the ``"store"`` role is gone; workers are the only peers.
+TRANSPORT_SCHEMA = 3
 
 #: Upper bound on one frame's payload. Far above any real work item or
 #: result (whole-module payloads are megabytes at most); mainly a guard
@@ -84,7 +87,7 @@ class HandshakeError(FrameError):
     """The peer rejected (or botched) the hello/welcome handshake."""
 
 
-# -- framing (blocking sockets: workers and the RemoteStore client) ---------
+# -- framing (blocking sockets: the remote workers) -------------------------
 
 def pack_frame(message: object) -> bytes:
     """Serialize one message to a length-prefixed frame."""
@@ -175,20 +178,18 @@ def config_fingerprint(config=None) -> str:
     """Digest of everything that must match across a validation fleet.
 
     Covers the code-level registries a verdict depends on (rule groups,
-    normalization engines, matcher names) plus the wire and store schema
-    versions; with a ``config``, additionally pins that run's
-    verdict-relevant knobs.  Workers send the code-level fingerprint
+    normalization engines) plus the wire schema version — no store
+    schema, since no worker touches a store; with a ``config``,
+    additionally pins that run's verdict-relevant knobs.  Workers send the code-level fingerprint
     (they cannot know the run config before connecting — the config
     rides inside each work item exactly as it does on the pipe
     transport), and the coordinator rejects any mismatch at handshake.
     """
     from ...vgraph.normalize import ENGINES
     from ...vgraph.rules import ALL_RULE_GROUPS
-    from ..cache import SQLITE_SCHEMA
 
     basis = {
         "transport_schema": TRANSPORT_SCHEMA,
-        "sqlite_schema": SQLITE_SCHEMA,
         "rule_groups": sorted(ALL_RULE_GROUPS),
         "engines": list(ENGINES),
     }
@@ -205,10 +206,16 @@ def config_fingerprint(config=None) -> str:
 
 
 def split_address(address: str) -> Tuple[str, int]:
-    """Parse ``"host:port"`` (the only address syntax the CLI accepts)."""
+    """Parse ``"host:port"`` (the only address syntax the CLI accepts).
+
+    Raises :class:`ValueError` unless the host is non-empty and the port
+    is a decimal number in ``[0, 65535]``.
+    """
     host, sep, port = address.rpartition(":")
-    if not sep or not host:
-        raise ValueError(f"address must be HOST:PORT (got {address!r})")
+    if not (sep and host and port.isdigit() and int(port) <= 65535):
+        raise ValueError(
+            f"address must be HOST:PORT with a port in [0, 65535] "
+            f"(got {address!r})")
     return host, int(port)
 
 
@@ -233,8 +240,7 @@ class TcpStealPool:
 
     def __init__(self, workers: int, config=None, *,
                  listen: Optional[str] = None,
-                 connect_grace: Optional[float] = None,
-                 store=None) -> None:
+                 connect_grace: Optional[float] = None) -> None:
         from . import remote  # deferred: remote imports our framing
 
         self.workers = workers
@@ -245,7 +251,7 @@ class TcpStealPool:
             or "127.0.0.1:0"
         host, port = split_address(address)
         self._coordinator = remote.StealCoordinator(
-            workers, config=config, store=store, host=host, port=port)
+            workers, config=config, host=host, port=port)
         self._loop = asyncio.new_event_loop()
         self._thread = threading.Thread(
             target=self._serve, daemon=True, name="steal-coordinator")

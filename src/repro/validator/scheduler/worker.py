@@ -2,10 +2,12 @@
 
 The remote half of the TCP steal transport: point one or more of these
 at a coordinator (a batch run with ``steal_transport="tcp"``) and they
-pull work items off its shared queue, consulting the coordinator's
-served proof store for pair verdicts.  Workers join and leave
-dynamically; ``--reconnect`` keeps a worker serving across the
-per-batch coordinator restarts of a sweep.
+pull work items off its shared queue, validate them and send each
+verdict back in a result frame.  A worker opens no proof store: the
+coordinator ships only items its own cache found uncached and files
+the returned verdicts there.  Workers join and leave dynamically;
+``--reconnect`` keeps a worker serving across the per-batch coordinator
+restarts of a sweep.
 
 Two-terminal loopback example::
 
@@ -50,9 +52,6 @@ def main(argv: Optional[List[str]] = None) -> int:
     parser.add_argument("--patience", type=float, default=30.0,
                         help="seconds without a reachable coordinator before "
                              "giving up (default 30)")
-    parser.add_argument("--no-store", action="store_true",
-                        help="do not consult the coordinator's served proof "
-                             "store (validate every pair locally)")
     parser.add_argument("--fingerprint", default=None,
                         help="override the config fingerprint sent in the "
                              "handshake (testing only)")
@@ -61,8 +60,8 @@ def main(argv: Optional[List[str]] = None) -> int:
                              "the handshake (testing only)")
     args = parser.parse_args(argv)
     served = run_worker(args.connect, reconnect=args.reconnect,
-                        patience=args.patience, use_store=not args.no_store,
-                        fingerprint=args.fingerprint, schema=args.schema)
+                        patience=args.patience, fingerprint=args.fingerprint,
+                        schema=args.schema)
     print(f"worker done: served {served} items")
     return 0
 

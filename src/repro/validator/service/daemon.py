@@ -443,8 +443,8 @@ def main(argv=None) -> int:
                         help="TCP port (default: config service_port; "
                              "0 = ephemeral)")
     parser.add_argument("--cache-dir", default=None,
-                        help="persistent proof-cache directory, .sqlite "
-                             "file or remote://HOST:PORT")
+                        help="persistent proof-cache directory or .sqlite "
+                             "file")
     parser.add_argument("--concurrency", type=int, default=0,
                         help="worker processes for the executor's pool "
                              "(0 or 1: validate in-process)")

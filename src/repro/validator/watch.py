@@ -8,8 +8,8 @@ holds one :class:`~repro.validator.scheduler.executors.Executor`, one
 :class:`~repro.validator.cache.ValidationCache`, one
 :class:`~repro.analysis.manager.AnalysisManager`, one
 :class:`~repro.transforms.pass_manager.PassStepMemo` and, per function, the
-last run's checkpoint fingerprints, adjacent-pair cache keys and the
-*pristine* (constructed, never normalized) chain-shared value graph.  A
+last run's checkpoint fingerprints and the *pristine* (constructed, never
+normalized) chain-shared value graph.  A
 :meth:`Revalidator.revalidate` call is the batch driver's single path —
 :func:`~repro.validator.scheduler.plan.build_plan` →
 :meth:`Executor.execute <repro.validator.scheduler.executors.Executor.execute>`
@@ -94,15 +94,13 @@ from .validate import ValidationResult, validate_chain_delta
 class _ChainState:
     """One function's retained incremental state between revalidations."""
 
-    __slots__ = ("fingerprints", "pair_keys", "pristine", "summaries")
+    __slots__ = ("fingerprints", "pristine", "summaries")
 
-    def __init__(self, fingerprints: List[str], pair_keys: List[CacheKey],
+    def __init__(self, fingerprints: List[str],
                  pristine: Optional[ValueGraph],
                  summaries: Dict[str, FunctionSummary]) -> None:
         #: Content fingerprints of the previous run's version chain.
         self.fingerprints = fingerprints
-        #: The previous run's adjacent-pair cache keys (adoption source).
-        self.pair_keys = pair_keys
         #: The retained chain graph — constructed, *never* normalized
         #: (normalization always runs on a root-restricted clone), so it
         #: stays merge-free and extensible.  ``None`` when the previous
@@ -195,25 +193,24 @@ class _ChainDelta:
 
     def retained(self) -> _ChainState:
         """The state to keep for this function's next revalidation."""
-        fingerprints, pair_keys = self.plan.fingerprints, self.diff.pair_keys
+        fingerprints = self.plan.fingerprints
         if self.fallback:
-            # Broken graph state: keep only the plan (fingerprints and keys
-            # still allow adoption), cold-build next time.
-            return _ChainState(fingerprints, pair_keys, None, {})
+            # Broken graph state: keep only the fingerprints (they still
+            # allow adoption), cold-build next time.
+            return _ChainState(fingerprints, None, {})
         if self.graph is not None:
             # Prune retired versions' nodes so the retained graph (and the
             # next delta's restricted clone + sharing scan) stays
             # proportional to the live chain.
             roots = [node for summary in self.summaries
                      for node in summary.roots()]
-            return _ChainState(fingerprints, pair_keys,
-                               self.graph.clone(roots=roots),
+            return _ChainState(fingerprints, self.graph.clone(roots=roots),
                                dict(zip(fingerprints, self.summaries)))
         # Fully cached (or answered per pair without amortizing a build):
         # carry the previous pristine graph forward under the new plan —
         # its summaries stay valid, keyed by fingerprint.
         previous = self.previous
-        return _ChainState(fingerprints, pair_keys,
+        return _ChainState(fingerprints,
                            previous.pristine if previous is not None else None,
                            dict(previous.summaries) if previous is not None else {})
 
@@ -329,9 +326,7 @@ class Revalidator:
         for function_plan in plan.function_plans():
             previous = self._states.get((label, function_plan.function.name))
             diff = diff_plan(previous.fingerprints if previous is not None else [],
-                             function_plan.fingerprints, config, cache=cache,
-                             old_pair_keys=(previous.pair_keys
-                                            if previous is not None else None))
+                             function_plan.fingerprints)
             deltas[function_plan.function.name] = _ChainDelta(
                 function_plan, diff, previous)
 
@@ -511,8 +506,8 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     parser.add_argument("--interval", type=float, default=2.0,
                         help="polling interval in seconds (file sources)")
     parser.add_argument("--cache-dir", default=None,
-                        help="persistent proof-cache directory, .sqlite "
-                             "file or remote://HOST:PORT")
+                        help="persistent proof-cache directory or .sqlite "
+                             "file")
     parser.add_argument("--min-hit-rate", type=float, default=None,
                         help="exit 1 if the first run's cache hit rate is "
                              "below this fraction")

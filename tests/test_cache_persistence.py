@@ -1,9 +1,9 @@
 """Tests for the persistent ValidationCache through its public API.
 
 Covers the roundtrip (save → load → all hits), the refusal of removed
-JSON store paths, content/config keyed invalidation, tolerance of
-missing or misshapen store files, merge semantics (in-memory and
-save-time), the byte budget, and that the sharded batch driver reports
+JSON store paths and served-store addresses, content/config keyed
+invalidation, tolerance of missing or misshapen store files, save-time
+merging with a concurrent writer, the byte budget, and that the sharded batch driver reports
 worker-answered queries in the cache totals without double counting.
 SQLite-specific behaviour (lazy faulting, WAL, corruption and schema
 recovery, mid-run faults) lives in ``test_proof_store.py``.
@@ -11,6 +11,7 @@ recovery, mid-run faults) lives in ``test_proof_store.py``.
 
 import sqlite3
 from dataclasses import replace
+from pathlib import Path
 
 import pytest
 
@@ -21,6 +22,7 @@ from repro.validator import (
     DEFAULT_CONFIG,
     SQLITE_FILE_NAME,
     SQLITE_SCHEMA,
+    Revalidator,
     ValidationCache,
     llvm_md,
     validate,
@@ -69,6 +71,26 @@ class TestRoundtrip:
             llvm_md(small_test_corpus(functions=2, seed=3), PAPER_PIPELINE,
                     config)
         assert not target.exists()
+
+    def test_remote_path_refused(self, tmp_path, monkeypatch):
+        # A remote:// address must fail loudly in every driver instead of
+        # silently becoming a "remote:" cache directory holding a fresh
+        # SQLite file.
+        monkeypatch.chdir(tmp_path)
+        address = "remote://127.0.0.1:8742"
+        refused = "served proof stores were removed"
+        with pytest.raises(ValueError, match=refused):
+            ValidationCache(address)
+        # Path() folds "//" to "/", so the check must not rely on it.
+        with pytest.raises(ValueError, match=refused):
+            ValidationCache(Path(address))
+        config = replace(DEFAULT_CONFIG, cache_dir=address)
+        with pytest.raises(ValueError, match=refused):
+            llvm_md(small_test_corpus(functions=2, seed=3), PAPER_PIPELINE,
+                    config)
+        with pytest.raises(ValueError, match=refused):
+            Revalidator(config)
+        assert list(tmp_path.iterdir()) == []
 
     def test_save_if_dirty_skips_clean_cache(self, tmp_path, pair):
         before, after = pair
@@ -207,20 +229,6 @@ class TestCorruptionTolerance:
 
 
 class TestMerge:
-    def test_in_memory_merge(self, pair, diamond_source):
-        before, after = pair
-        other_before = parse_function(diamond_source)
-        other_after = clone_function(other_before)
-        first = ValidationCache()
-        second = ValidationCache()
-        key_a = first.key(before, after, DEFAULT_CONFIG)
-        first.put(key_a, validate(before, after, DEFAULT_CONFIG))
-        key_b = second.key(other_before, other_after, DEFAULT_CONFIG)
-        second.put(key_b, validate(other_before, other_after, DEFAULT_CONFIG))
-        second.put(key_a, validate(before, after, DEFAULT_CONFIG))
-        assert first.merge(second) == 1  # key_a already present, key_b adopted
-        assert first.peek(key_b) is not None
-
     def test_save_merges_with_concurrent_writer(self, tmp_path, pair, diamond_source):
         # Two caches share one directory; the second save must not clobber
         # what the first one stored.

@@ -265,20 +265,11 @@ def test_diff_plan_reconvergent_tail():
     assert diff.dirty_pairs == [0, 1]
 
 
-def test_diff_plan_adopts_old_keys_verbatim():
-    old_keys = ["k0", "k1", "k2"]
-    diff = diff_plan(["a", "b", "c", "d"], ["a", "b", "c", "d"],
-                     old_pair_keys=old_keys)
-    assert diff.fully_unchanged
-    assert [diff.pair_keys[i] for i in diff.unchanged_pairs] == old_keys
-
-
 def test_diff_plan_cold_everything_dirty():
     diff = diff_plan([], ["a", "b", "c"])
     assert diff.common_prefix == 0
     assert diff.unchanged_pairs == []
     assert diff.dirty_pairs == [0, 1]
-    assert len(diff.pair_keys) == 2
 
 
 # -- pristine graph clone + extension -------------------------------------

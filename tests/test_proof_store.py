@@ -1,6 +1,6 @@
 """Tests for the SQLite proof store.
 
-Covers the lazy store (roundtrip, faulting, path resolution,
+Covers the lazy store (roundtrip, faulting, prefetch, path resolution,
 in-database eviction, WAL mode, schema and corruption tolerance, use
 from a thread other than the one that opened it), fault injection
 mid-run (corruption, a locked database, a full disk — all must degrade
@@ -102,6 +102,20 @@ class TestSqliteRoundtrip:
         # Entries flushed incrementally are durable even without save().
         cache.close()
         assert ValidationCache(tmp_path).loaded == 6
+
+    def test_prefetch_faults_like_peek(self, tmp_path):
+        # prefetch faults in exactly the entries per-key peeks would, and
+        # skips keys already in memory.
+        cache, keys = _filled_cache(tmp_path, entries=5)
+        cache.save()
+        cache.close()
+        reader = ValidationCache(tmp_path)
+        absent = reader.key_for("nowhere", "nothing", DEFAULT_CONFIG)
+        assert reader.prefetch(keys[:4] + [absent, keys[0]]) == 4
+        assert reader.stats()["store_lazy_loads"] == 4
+        assert reader.prefetch(keys) == 1
+        assert reader.stats()["store_lazy_loads"] == 5
+        assert ValidationCache().prefetch(keys) == 0
 
     def test_explicit_sqlite_path(self, tmp_path, pair):
         before, after = pair

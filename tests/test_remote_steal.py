@@ -1,4 +1,4 @@
-"""The TCP steal transport: framing, handshake, requeue and the remote store.
+"""The TCP steal transport: framing, handshake, requeue and config checks.
 
 Everything here runs against the real machinery — blocking-socket frames
 against real sockets, handshakes against a live
@@ -7,8 +7,8 @@ hand-rolled worker connections that die mid-item — and asserts the
 transport contract: malformed wire data raises instead of
 desynchronizing, incompatible peers are rejected at join time, a
 disconnect costs exactly a respawn + requeue with the item delivered
-byte-identically to the replacement, and losing the served proof store
-degrades to re-validation, never an error.
+byte-identically to the replacement, and a malformed listen address
+fails at config time instead of silently degrading the pool.
 """
 
 import json
@@ -21,9 +21,7 @@ from types import SimpleNamespace
 import pytest
 
 from repro.validator import faults
-from repro.validator.cache import REMOTE_PREFIX, ValidationCache
 from repro.validator.config import DEFAULT_CONFIG, ValidatorConfig
-from repro.validator.scheduler.remote import ServedStore
 from repro.validator.scheduler.steal import BrokenStealPool
 from repro.validator.scheduler import transport
 from repro.validator.scheduler.transport import (
@@ -43,7 +41,6 @@ from repro.validator.service.client import (
     ServiceError,
     ValidationClient,
 )
-from repro.validator.validate import ValidationResult
 
 
 @pytest.fixture(autouse=True)
@@ -301,97 +298,6 @@ class TestDisconnectRequeue:
             pool.close()
 
 
-# -- the remote proof store --------------------------------------------------
-
-def make_result(name="f"):
-    return ValidationResult(function_name=name, is_success=True,
-                            reason="equal")
-
-
-def make_key(cache, fp_before, fp_after):
-    return cache.key_for(fp_before, fp_after, DEFAULT_CONFIG)
-
-
-class TestRemoteStore:
-    @pytest.fixture()
-    def served(self, tmp_path):
-        pool = TcpStealPool(1, None, listen="127.0.0.1:0",
-                            store=ServedStore(tmp_path))
-        yield f"{REMOTE_PREFIX}{pool.address[0]}:{pool.address[1]}"
-        pool.close()
-
-    def test_roundtrip_and_batched_prefetch(self, served):
-        writer = ValidationCache(served)
-        key = make_key(writer, "src", "tgt")
-        writer.put(key, make_result())
-        assert writer.save() == 1
-
-        reader = ValidationCache(served)
-        assert reader.prefetch([key]) == 1
-        found = reader.get(key, "f")
-        assert found is not None and found.is_success
-        assert found.reason == "equal"
-        stats = reader.stats()
-        assert stats["store_get_rpcs"] == 1
-        assert stats["store_batched_gets"] == 1
-        # The prefetch already answered this key: the get was local.
-        assert stats["hits"] == 1
-
-    def test_prefetch_remembers_absences(self, served):
-        cache = ValidationCache(served)
-        missing = make_key(cache, "a", "b")
-        assert cache.prefetch([missing]) == 0
-        rpcs_after_prefetch = cache.stats()["store_rpcs"]
-        assert cache.get(missing, "f") is None
-        # The batch already asked: a later miss costs no round trip.
-        assert cache.stats()["store_rpcs"] == rpcs_after_prefetch
-
-    def test_dead_address_degrades_to_memory(self):
-        probe = socket.socket()
-        probe.bind(("127.0.0.1", 0))
-        port = probe.getsockname()[1]
-        probe.close()
-        cache = ValidationCache(f"{REMOTE_PREFIX}127.0.0.1:{port}")
-        key = make_key(cache, "src", "tgt")
-        assert cache.get(key, "f") is None
-        cache.put(key, make_result())
-        # Flushing into the void degrades the store tier, silently.
-        cache.save_if_dirty()
-        assert cache.get(key, "f") is not None
-        assert cache.stats()["store_errors"] >= 1
-
-    def test_remote_cache_dir_reaches_every_driver(self, served):
-        # A remote:// cache_dir opens the served store in the serial
-        # driver and in the incremental revalidator, not just the batch
-        # driver.
-        from repro.bench import small_test_corpus
-        from repro.transforms import PAPER_PIPELINE
-        from repro.validator import Revalidator, llvm_md
-
-        config = ValidatorConfig(cache_dir=served)
-        module = small_test_corpus(functions=3, seed=5)
-        _, cold = llvm_md(module, PAPER_PIPELINE, config, strategy="stepwise")
-        assert cold.cache_stats["misses"] > 0
-        assert cold.cache_stats["store_rpcs"] > 0
-        _, warm = llvm_md(module, PAPER_PIPELINE, config, strategy="stepwise")
-        assert warm.cache_stats["misses"] == 0
-        assert warm.cache_stats["disk_loaded"] > 0
-        assert [r.signature() for r in cold.records] == \
-               [r.signature() for r in warm.records]
-        revalidator = Revalidator(config)
-        try:
-            assert revalidator.cache.backend == "remote"
-        finally:
-            revalidator.close()
-
-    def test_served_store_never_serves_a_remote_path(self):
-        # A coordinator whose own cache is remote:// serves an in-memory
-        # store instead of resolving the address as a directory.
-        store = ServedStore(f"{REMOTE_PREFIX}127.0.0.1:9")
-        assert store.kind == "memory"
-        store.close()
-
-
 # -- config validation of the transport knobs --------------------------------
 
 class TestConfigValidation:
@@ -419,20 +325,16 @@ class TestConfigValidation:
         with pytest.raises(ValueError, match="steal_listen"):
             ValidatorConfig(steal_listen="127.0.0.1:9")
 
-    def test_connect_and_listen_are_exclusive(self):
-        # Consulting a served store (remote:// cache_dir) and hosting one
-        # (steal_listen) contradict each other.
-        with pytest.raises(ValueError, match="not both"):
-            ValidatorConfig(concurrency=2, steal_transport="tcp",
-                            steal_listen="127.0.0.1:9",
-                            cache_dir=f"{REMOTE_PREFIX}127.0.0.1:10")
+    def test_addresses_must_be_host_port(self):
+        # A malformed address must fail here: a pool that cannot bind
+        # degrades the whole batch to in-process execution, silently.
+        for address in ("localhost", "127.0.0.1:abc", ":8080",
+                        "127.0.0.1:70000"):
+            with pytest.raises(ValueError, match="HOST:PORT"):
+                ValidatorConfig(concurrency=2, steal_transport="tcp",
+                                steal_listen=address)
         ValidatorConfig(concurrency=2, steal_transport="tcp",
                         steal_listen="127.0.0.1:9", cache_dir="proofs")
-
-    def test_addresses_must_be_host_port(self):
-        with pytest.raises(ValueError, match="HOST:PORT"):
-            ValidatorConfig(concurrency=2, steal_transport="tcp",
-                            steal_listen="localhost")
 
     def test_network_fault_sites_registered(self):
         for site in ("conn-drop", "conn-delay", "handshake"):
