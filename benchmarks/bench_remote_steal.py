@@ -1,18 +1,19 @@
 #!/usr/bin/env python3
-"""Steal-transport comparison: pipe vs TCP work counters and payload size.
+"""Worker-source comparison: local vs fleet work counters and payload size.
 
-Runs the ``steal`` scheduling backend over all twelve paper corpora
-twice — once per transport (``pipe``: the in-process fork/pipe pool,
-``tcp``: the loopback coordinator with remote worker subprocesses) —
-and records the deterministic work counters side by side: validated
-queries (``distinct_pairs``), pooled items and wall-clock.  Records are
+Runs the executor's worker pool over all twelve paper corpora twice —
+once per worker source (``local``: ``concurrency`` 2, the pool's own
+loopback worker processes; ``fleet``: ``config.steal_listen`` with two
+``spawn_workers`` subprocesses joining it) — and records the
+deterministic work counters side by side: validated queries
+(``distinct_pairs``), pooled items and wall-clock.  Records are
 parity-checked elsewhere (``remote_steal_guard.py``); this artifact
-exists to bound the *overhead* of going cross-host:
+exists to bound the *overhead* of serving an external fleet:
 
-* the TCP transport must not answer meaningfully more queries than the
-  pipe transport (the schedule may differ, the work may not) — the perf
-  guard gates ``tcp_queries <= 1.15 x pipe_queries``;
-* work items must stay small: the encoded bytes both transports shipped
+* the fleet must not answer meaningfully more queries than the local
+  workers (the schedule may differ, the work may not) — the perf guard
+  gates ``fleet_queries <= 1.15 x local_queries``;
+* work items must stay small: the encoded bytes both legs shipped
   (``bytes_dispatched``) per pooled item are gated against the committed
   ``benchmarks/perf_baseline.json`` ``dispatch`` entry, so an item that
   drags whole modules again (callee bodies instead of declarations)
@@ -43,7 +44,7 @@ from repro.validator.scheduler.remote import spawn_workers
 
 WORKERS = 2
 
-TABLE_COLUMNS = ("benchmark", "transport", "distinct_pairs", "pooled_pairs",
+TABLE_COLUMNS = ("benchmark", "workers_from", "distinct_pairs", "pooled_pairs",
                  "bytes_dispatched", "items_stolen", "workers_joined",
                  "time_s")
 
@@ -78,20 +79,20 @@ def main() -> int:
     worker_procs = spawn_workers(steal_address, WORKERS, reconnect=True,
                                  patience=900.0)
 
-    transports = {
-        "pipe": replace(DEFAULT_CONFIG, concurrency=WORKERS),
-        "tcp": replace(DEFAULT_CONFIG, concurrency=WORKERS,
-                       steal_transport="tcp", steal_listen=steal_address),
+    legs = {
+        "local": replace(DEFAULT_CONFIG, concurrency=WORKERS),
+        "fleet": replace(DEFAULT_CONFIG, concurrency=WORKERS,
+                         steal_listen=steal_address),
     }
 
     rows = []
     totals = {name: {"distinct_pairs": 0, "pooled_pairs": 0,
                      "bytes_dispatched": 0, "time_s": 0.0}
-              for name in transports}
+              for name in legs}
     try:
         for spec in PAPER_BENCHMARKS:
             module = build_corpus(spec, args.scale)
-            for name, config in transports.items():
+            for name, config in legs.items():
                 shard, elapsed = run_one(module, config)
                 totals[name]["distinct_pairs"] += shard.get(
                     "distinct_pairs", 0)
@@ -101,7 +102,7 @@ def main() -> int:
                 totals[name]["time_s"] += elapsed
                 rows.append({
                     "benchmark": spec.name,
-                    "transport": name,
+                    "workers_from": name,
                     "distinct_pairs": shard.get("distinct_pairs", 0),
                     "pooled_pairs": shard.get("pooled_pairs", 0),
                     "bytes_dispatched": shard.get("bytes_dispatched", 0),
@@ -119,29 +120,29 @@ def main() -> int:
                 proc.kill()
 
     print(format_table([{k: row[k] for k in TABLE_COLUMNS} for row in rows],
-                       title=f"Steal transports: pipe vs tcp "
+                       title=f"Worker pool: local vs fleet workers "
                              f"(scale {args.scale}, {WORKERS} workers)"))
 
-    pipe_queries = totals["pipe"]["distinct_pairs"]
-    tcp_queries = totals["tcp"]["distinct_pairs"]
+    local_queries = totals["local"]["distinct_pairs"]
+    fleet_queries = totals["fleet"]["distinct_pairs"]
     shipped = sum(total["bytes_dispatched"] for total in totals.values())
     pooled = sum(total["pooled_pairs"] for total in totals.values())
     summary = {
-        "pipe_queries": pipe_queries,
-        "tcp_queries": tcp_queries,
-        "tcp_overhead_ratio": round(tcp_queries / pipe_queries, 4)
-            if pipe_queries else 0.0,
-        "pipe_time_s": round(totals["pipe"]["time_s"], 3),
-        "tcp_time_s": round(totals["tcp"]["time_s"], 3),
-        "pipe_bytes_dispatched": totals["pipe"]["bytes_dispatched"],
-        "tcp_bytes_dispatched": totals["tcp"]["bytes_dispatched"],
+        "local_queries": local_queries,
+        "fleet_queries": fleet_queries,
+        "fleet_overhead_ratio": round(fleet_queries / local_queries, 4)
+            if local_queries else 0.0,
+        "local_time_s": round(totals["local"]["time_s"], 3),
+        "fleet_time_s": round(totals["fleet"]["time_s"], 3),
+        "local_bytes_dispatched": totals["local"]["bytes_dispatched"],
+        "fleet_bytes_dispatched": totals["fleet"]["bytes_dispatched"],
         "bytes_per_pooled_item": round(shipped / pooled) if pooled else 0,
     }
-    print(f"total queries: tcp {tcp_queries} vs pipe {pipe_queries} "
-          f"(x{summary['tcp_overhead_ratio']}); "
+    print(f"total queries: fleet {fleet_queries} vs local {local_queries} "
+          f"(x{summary['fleet_overhead_ratio']}); "
           f"{summary['bytes_per_pooled_item']} bytes shipped per pooled item")
 
-    payload = {"schema": 1, "scale": args.scale, "workers": WORKERS,
+    payload = {"schema": 2, "scale": args.scale, "workers": WORKERS,
                "rows": rows, "totals": totals, "summary": summary}
     args.out.parent.mkdir(parents=True, exist_ok=True)
     args.out.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")

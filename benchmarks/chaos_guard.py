@@ -4,7 +4,8 @@
 Runs four deterministic fault schedules — a worker **crash**, a pair
 **hang**, a proof-store **flush** failure and a **corrupt** result
 payload — over three corpora on the executor's worker pool
-(``concurrency`` 2), and fails unless:
+(``concurrency`` 2: two local loopback worker processes), and fails
+unless:
 
 * every chaotic run *completes* and produces per-function record
   signatures identical to a fault-free in-process baseline (concurrency
@@ -20,14 +21,15 @@ payload — over three corpora on the executor's worker pool
   ``budget-exhausted``), and a locked sqlite flush retries to disk
   without counting a store error.
 
-With ``--sites network`` the sweep instead exercises the TCP steal
-transport's fault plane with loopback remote worker subprocesses: a **conn-drop** (the coordinator loses a worker's
-connection right after handing it an item — must recover by respawn +
-requeue, never degradation), a **conn-delay** (a result frame is held
-back — ordering noise only, records must not change) and a rejected
-**handshake** (the worker's first join attempt is refused — its
-reconnect loop must get it accepted on the retry).  Every schedule must
-still produce baseline-identical records with zero denials.
+With ``--sites network`` the sweep instead exercises the pool's TCP
+fault plane on the same loopback workers: a **conn-drop** (the
+coordinator loses a worker's connection right after handing it an item
+— must recover by respawn + requeue, never degradation), a
+**conn-delay** (a result frame is held back — ordering noise only,
+records must not change) and a rejected **handshake** (the worker's
+first join attempt is refused — its reconnect loop must get it accepted
+on the retry).  Every schedule must still produce baseline-identical
+records with zero denials.
 
 The schedules are seeded (:class:`~repro.validator.faults.FaultPlan` is
 deterministic per process), so a failure here reproduces locally with
@@ -42,7 +44,6 @@ Run with::
 import argparse
 import json
 import pathlib
-import socket
 import sys
 import tempfile
 import time
@@ -55,7 +56,6 @@ from repro.validator.cache import ValidationCache
 from repro.validator.config import DEFAULT_CONFIG
 from repro.validator.driver import validate_module_batch
 from repro.validator.faults import FaultPlan, FaultSpec
-from repro.validator.scheduler.remote import spawn_workers
 from repro.validator.validate import UNCACHEABLE_REASONS
 
 CORPORA = ("sqlite", "milc", "libquantum")
@@ -108,109 +108,92 @@ def poisoned_entries(cache):
 
 
 def network_sweep(args) -> int:
-    """Seeded network faults on the TCP steal transport must change nothing.
+    """Seeded network faults on the pool's transport must change nothing.
 
-    Spawns two reconnecting remote workers against a fixed loopback port,
-    then runs every :data:`NETWORK_SCHEDULES` plan per corpus through the
-    coordinator.  All schedules must settle every record identically to a
-    fault-free in-process baseline with zero denials, zero degradations and
-    an unpoisoned cache; conn-drop must additionally prove supervised
+    Runs every :data:`NETWORK_SCHEDULES` plan per corpus through the
+    pool's coordinator and its two local loopback workers (each batch
+    starts its own).  All schedules must settle every record identically
+    to a fault-free in-process baseline with zero denials, zero
+    degradations and an unpoisoned cache; conn-drop must additionally
+    prove supervised
     recovery (a respawn) somewhere in the sweep, and every handshake run
     must have actually rejected (and re-admitted) a worker.
     """
-    probe = socket.socket()
-    probe.bind(("127.0.0.1", 0))
-    port = probe.getsockname()[1]
-    probe.close()
-    address = f"127.0.0.1:{port}"
-    workers = spawn_workers(address, CONCURRENCY, reconnect=True,
-                            patience=900.0)
-
     failures = []
     rows = []
-    try:
-        for corpus_name in CORPORA:
-            module = build_corpus(BENCHMARKS_BY_NAME[corpus_name], args.scale)
+    for corpus_name in CORPORA:
+        module = build_corpus(BENCHMARKS_BY_NAME[corpus_name], args.scale)
+        faults.reset()
+        baseline, _ = run_one(module, DEFAULT_CONFIG, ValidationCache())
+        clean_sigs = [r.signature() for r in baseline.records]
+        clean_by_name = {sig["name"]: sig for sig in clean_sigs}
+        for schedule, make_plan in NETWORK_SCHEDULES.items():
+            plan = make_plan()
+            config = replace(DEFAULT_CONFIG, concurrency=CONCURRENCY,
+                             fault_plan=plan)
             faults.reset()
-            baseline, _ = run_one(module, DEFAULT_CONFIG, ValidationCache())
-            clean_sigs = [r.signature() for r in baseline.records]
-            clean_by_name = {sig["name"]: sig for sig in clean_sigs}
-            for schedule, make_plan in NETWORK_SCHEDULES.items():
-                plan = make_plan()
-                config = replace(DEFAULT_CONFIG, concurrency=CONCURRENCY,
-                                 steal_transport="tcp",
-                                 steal_listen=address, fault_plan=plan)
-                faults.reset()
-                cache = ValidationCache()
-                report, elapsed = run_one(module, config, cache)
-                sigs = [r.signature() for r in report.records]
-                shard = report.shard_stats or {}
-                denied = [sig for sig in sigs
-                          if any(reason in json.dumps(sig)
-                                 for reason in ("timeout", "quarantined"))]
-                mismatched = [sig["name"] for sig in sigs
-                              if sig != clean_by_name.get(sig["name"])]
-                if len(sigs) != len(clean_sigs):
-                    failures.append(
-                        f"{corpus_name}/tcp/{schedule}: {len(sigs)} records "
-                        f"vs {len(clean_sigs)} clean")
-                if mismatched:
-                    failures.append(
-                        f"{corpus_name}/tcp/{schedule}: records diverged "
-                        f"from the fault-free baseline for: "
-                        f"{', '.join(mismatched)}")
-                if denied:
-                    failures.append(
-                        f"{corpus_name}/tcp/{schedule}: {len(denied)} denied "
-                        f"records (network schedules allow none)")
-                if shard.get("pool_degraded", 0):
-                    failures.append(
-                        f"{corpus_name}/tcp/{schedule}: the transport fault "
-                        f"degraded the pool to in-process execution")
-                poisoned = poisoned_entries(cache)
-                if poisoned:
-                    failures.append(
-                        f"{corpus_name}/tcp/{schedule}: {len(poisoned)} "
-                        f"synthetic denials poisoned the proof cache")
-                # A corpus too small to engage the pooled path never
-                # starts a coordinator, so nobody connects and nothing
-                # can be rejected; the sweep-level check below still
-                # requires a rejection on some corpus.
-                if schedule == "handshake" \
-                        and shard.get("remote_workers_joined", 0) \
-                        and not shard.get("handshakes_rejected", 0):
-                    failures.append(
-                        f"{corpus_name}/tcp/{schedule}: workers joined but "
-                        f"the schedule never rejected a handshake")
-                rows.append({
-                    "corpus": corpus_name,
-                    "backend": "tcp",
-                    "schedule": schedule,
-                    "records": len(sigs),
-                    "denied": len(denied),
-                    "mismatched": len(mismatched),
-                    "workers_respawned": shard.get("workers_respawned", 0),
-                    "item_retries": shard.get("item_retries", 0),
-                    "pool_degraded": shard.get("pool_degraded", 0),
-                    "workers_joined": shard.get("remote_workers_joined", 0),
-                    "workers_left": shard.get("remote_workers_left", 0),
-                    "handshakes_rejected": shard.get("handshakes_rejected", 0),
-                    "time_s": round(elapsed, 3),
-                })
-                print(f"{corpus_name:>10}/tcp   {schedule:<10} "
-                      f"records={len(sigs):<3} denied={len(denied)} "
-                      f"respawned={shard.get('workers_respawned', 0)} "
-                      f"joined={shard.get('remote_workers_joined', 0)} "
-                      f"rejected={shard.get('handshakes_rejected', 0)} "
-                      f"({elapsed:.2f}s)")
-    finally:
-        for proc in workers:
-            proc.terminate()
-        for proc in workers:
-            try:
-                proc.wait(timeout=10)
-            except Exception:
-                proc.kill()
+            cache = ValidationCache()
+            report, elapsed = run_one(module, config, cache)
+            sigs = [r.signature() for r in report.records]
+            shard = report.shard_stats or {}
+            denied = [sig for sig in sigs
+                      if any(reason in json.dumps(sig)
+                             for reason in ("timeout", "quarantined"))]
+            mismatched = [sig["name"] for sig in sigs
+                          if sig != clean_by_name.get(sig["name"])]
+            if len(sigs) != len(clean_sigs):
+                failures.append(
+                    f"{corpus_name}/tcp/{schedule}: {len(sigs)} records "
+                    f"vs {len(clean_sigs)} clean")
+            if mismatched:
+                failures.append(
+                    f"{corpus_name}/tcp/{schedule}: records diverged "
+                    f"from the fault-free baseline for: "
+                    f"{', '.join(mismatched)}")
+            if denied:
+                failures.append(
+                    f"{corpus_name}/tcp/{schedule}: {len(denied)} denied "
+                    f"records (network schedules allow none)")
+            if shard.get("pool_degraded", 0):
+                failures.append(
+                    f"{corpus_name}/tcp/{schedule}: the transport fault "
+                    f"degraded the pool to in-process execution")
+            poisoned = poisoned_entries(cache)
+            if poisoned:
+                failures.append(
+                    f"{corpus_name}/tcp/{schedule}: {len(poisoned)} "
+                    f"synthetic denials poisoned the proof cache")
+            # A corpus too small to engage the pooled path never
+            # starts a coordinator, so nobody connects and nothing
+            # can be rejected; the sweep-level check below still
+            # requires a rejection on some corpus.
+            if schedule == "handshake" \
+                    and shard.get("remote_workers_joined", 0) \
+                    and not shard.get("handshakes_rejected", 0):
+                failures.append(
+                    f"{corpus_name}/tcp/{schedule}: workers joined but "
+                    f"the schedule never rejected a handshake")
+            rows.append({
+                "corpus": corpus_name,
+                "backend": "tcp",
+                "schedule": schedule,
+                "records": len(sigs),
+                "denied": len(denied),
+                "mismatched": len(mismatched),
+                "workers_respawned": shard.get("workers_respawned", 0),
+                "item_retries": shard.get("item_retries", 0),
+                "pool_degraded": shard.get("pool_degraded", 0),
+                "workers_joined": shard.get("remote_workers_joined", 0),
+                "workers_left": shard.get("remote_workers_left", 0),
+                "handshakes_rejected": shard.get("handshakes_rejected", 0),
+                "time_s": round(elapsed, 3),
+            })
+            print(f"{corpus_name:>10}/tcp   {schedule:<10} "
+                  f"records={len(sigs):<3} denied={len(denied)} "
+                  f"respawned={shard.get('workers_respawned', 0)} "
+                  f"joined={shard.get('remote_workers_joined', 0)} "
+                  f"rejected={shard.get('handshakes_rejected', 0)} "
+                  f"({elapsed:.2f}s)")
 
     # Small corpora may settle before the second dispatch the conn-drop
     # spec waits for, so the respawn proof is sweep-level, like the
@@ -249,9 +232,9 @@ def main() -> int:
                         help="corpus scale (default 0.1: tiny, CI-friendly)")
     parser.add_argument("--sites", choices=("process", "network"),
                         default="process",
-                        help="fault plane to sweep: in-process scheduling "
-                             "sites (the default) or the TCP transport's "
-                             "network sites with remote worker subprocesses")
+                        help="fault plane to sweep: the pool's scheduling "
+                             "sites (the default) or its TCP transport's "
+                             "network sites")
     parser.add_argument("--out", default=None,
                         help="write the per-run table to this JSON file")
     args = parser.parse_args()

@@ -33,10 +33,11 @@ this gate with a note — the counter baseline gate runs either way.
 
 When a ``benchmarks/artifacts/remote_steal.json`` artifact is present
 (produced by ``bench_remote_steal.py``), the guard also bounds the
-cross-host overhead it carries: the TCP steal transport must answer at
-most 1.15x the pipe transport's total validated queries.  The same
-artifact's ``bytes_per_pooled_item`` (encoded work-item bytes the steal
-transports shipped, per item a worker ran) is gated against the
+overhead of serving an external fleet: the pool with ``steal_listen``
+and spawned workers must answer at most 1.15x the total validated
+queries of the pool with its own local workers.  The same artifact's
+``bytes_per_pooled_item`` (encoded work-item bytes both legs shipped,
+per item a worker ran) is gated against the
 baseline's ``dispatch`` entry with ``--tolerance``: items carry callee
 declarations, not whole modules, and a payload that drags module bodies
 again fails here.  Absent artifact, same skip-with-a-note rule.
@@ -187,11 +188,11 @@ def _check_incremental(path: pathlib.Path, expected_seed,
 
 def _check_remote_steal(path: pathlib.Path,
                         max_overhead: float = 1.15) -> list:
-    """Gate the steal-transport artifact's overhead summary, if present.
+    """Gate the worker-source artifact's overhead summary, if present.
 
-    The TCP transport may reorder the schedule but not the work: its
-    total validated-query count must stay within ``max_overhead`` of the
-    pipe transport's.  Returns failure strings; an absent artifact is a
+    A fleet may reorder the schedule but not the work: its total
+    validated-query count must stay within ``max_overhead`` of the local
+    workers'.  Returns failure strings; an absent artifact is a
     skip (with a note), not a failure — the remote-steal benchmark is
     optional in local runs.
     """
@@ -200,15 +201,15 @@ def _check_remote_steal(path: pathlib.Path,
               f"(run bench_remote_steal.py to produce one)")
         return []
     summary = json.loads(path.read_text()).get("summary", {})
-    pipe_queries = int(summary.get("pipe_queries", 0))
-    tcp_queries = int(summary.get("tcp_queries", 0))
-    print(f"remote steal: tcp {tcp_queries} queries vs pipe {pipe_queries} "
-          f"(cap x{max_overhead:g})")
+    local_queries = int(summary.get("local_queries", 0))
+    fleet_queries = int(summary.get("fleet_queries", 0))
+    print(f"remote steal: fleet {fleet_queries} queries vs local "
+          f"{local_queries} (cap x{max_overhead:g})")
     failures = []
-    if pipe_queries and tcp_queries > max_overhead * pipe_queries:
+    if local_queries and fleet_queries > max_overhead * local_queries:
         failures.append(
-            f"remote steal: tcp transport answered {tcp_queries} queries vs "
-            f"pipe {pipe_queries} (> x{max_overhead:g}) — going cross-host "
+            f"remote steal: the fleet answered {fleet_queries} queries vs "
+            f"local {local_queries} (> x{max_overhead:g}) — serving a fleet "
             f"is repeating work")
     return failures
 
@@ -263,11 +264,11 @@ def main() -> int:
                              "present (see bench_incremental.py)")
     parser.add_argument("--remote-steal-artifact", type=pathlib.Path,
                         default=pathlib.Path("benchmarks/artifacts/remote_steal.json"),
-                        help="steal-transport artifact to gate when present "
+                        help="local-vs-fleet artifact to gate when present "
                              "(see bench_remote_steal.py)")
     parser.add_argument("--remote-steal-max-overhead", type=float,
                         default=1.15,
-                        help="maximum ratio of tcp to pipe total validated "
+                        help="maximum ratio of fleet to local total validated "
                              "queries (default 1.15)")
     parser.add_argument("--incremental-min-saved", type=float, default=70.0,
                         help="minimum percent of rule invocations AND node "

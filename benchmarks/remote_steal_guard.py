@@ -6,9 +6,9 @@ loopback port, then drives five legs over all twelve paper corpora:
 
 * **serial** — the fault-free in-process oracle (concurrency 0) every
   other leg must match.
-* **tcp** — the executor's pool over its TCP transport with the remote
-  workers; per-function record signatures must be byte-identical to
-  serial (cold: no cache anywhere).
+* **tcp** — the executor's pool in fleet mode (``steal_listen``) served
+  by the spawned workers; per-function record signatures must be
+  byte-identical to serial (cold: no cache anywhere).
 * **store cold / store warm** — the tcp pool over a local SQLite
   ``config.cache_dir`` (one fresh directory per corpus).  The cold run
   files the workers' verdicts in the coordinator's store as their result
@@ -90,7 +90,7 @@ def main() -> int:
                                  patience=900.0)
     store_dir = tempfile.TemporaryDirectory(prefix="repro-remote-steal-")
     tcp_config = replace(DEFAULT_CONFIG, concurrency=WORKERS,
-                         steal_transport="tcp", steal_listen=steal_address)
+                         steal_listen=steal_address)
     kill_plan = FaultPlan.of(FaultSpec("conn-drop", "crash", "", 2, 1),
                              seed=7)
     failures = []

@@ -32,14 +32,14 @@ unless each produced identical record signatures:
   never what it decides.
 * **backend** — :func:`repro.bench.executor_comparison`: the lazy
   serial ``llvm_md`` path (the reference) against the batch executor
-  in-process (concurrency 0, ``batch``) and over worker processes
-  (``steal``).  Scheduling may change where and in what order queries
+  in-process (concurrency 0, ``batch``) and over the pool's own loopback
+  worker processes (``steal``).  Scheduling may change where and in what order queries
   run, never what they decide.  The table also reports the pool's
   cancellation savings (doomed pairs of rejected functions it never
   ran), deque traffic (``items_stolen`` / ``steal_attempts``) and the
   encoded item bytes it shipped (``steal_bytes_dispatched``).  With
   ``--tcp-workers N`` (N > 0) the leg grows a further backend: the pool
-  over its TCP transport with N loopback remote worker subprocesses,
+  serving a fleet (``steal_listen``) of N spawned worker subprocesses,
   run cold and then warm over a per-corpus SQLite ``cache_dir`` that
   only the coordinator opens — both must also match the reference byte
   for byte.
@@ -76,9 +76,9 @@ def main() -> int:
                         help="workers for the serial-vs-sharded parity check "
                              "(0 skips the check)")
     parser.add_argument("--tcp-workers", type=int, default=0,
-                        help="also run the steal backend over TCP with this "
-                             "many loopback remote workers, cold and warm "
-                             "(0, the default, skips the TCP legs)")
+                        help="also run the pool against a fleet of this many "
+                             "spawned workers (steal_listen), cold and warm "
+                             "(0, the default, skips the fleet legs)")
     parser.add_argument("--out", type=pathlib.Path,
                         default=pathlib.Path("benchmarks/artifacts/stepwise_comparison.json"),
                         help="where to write the JSON artifact")
@@ -225,7 +225,7 @@ def main() -> int:
                 "worklist/fullscan engines produced identical records on "
                 "every corpus")
     if args.tcp_workers > 0:
-        message += (f"; the tcp pool with {args.tcp_workers} remote workers "
+        message += (f"; the pool serving {args.tcp_workers} fleet workers "
                     f"matched the lazy driver cold and warm on every corpus")
     print(f"\n{message}")
     return 0

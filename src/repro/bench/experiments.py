@@ -547,8 +547,8 @@ def executor_comparison(scale: float = 1.0, benchmarks: Optional[Sequence[str]] 
     (serial :func:`~repro.validator.driver.llvm_md` at concurrency 0,
     the reference), ``"batch"`` (``validate_module_batch`` at
     concurrency 0: the executor's scheduling loop in-process) and
-    ``"steal"`` (``validate_module_batch`` over ``concurrency`` worker
-    processes) — and compares the per-function *record signatures*
+    ``"steal"`` (``validate_module_batch`` over ``concurrency`` local
+    loopback worker processes) — and compares the per-function *record signatures*
     against the reference — scheduling may only change where and in
     what order queries run, never what they decide, so ``identical``
     must be true on every row (the CI backend-parity guard enforces
@@ -563,15 +563,16 @@ def executor_comparison(scale: float = 1.0, benchmarks: Optional[Sequence[str]] 
     ``steal_bytes_dispatched`` (encoded work-item bytes shipped to the
     workers).
 
-    With ``tcp_workers > 0`` a further leg runs the pool over its TCP
-    transport, twice per corpus: that many remote worker processes
-    are spawned once (``--reconnect``, so they rejoin every per-batch
-    coordinator on the same port), each corpus gets its own SQLite
-    ``cache_dir``, and the corpus is validated cold then warm — the warm
-    run's planner answers every query from the parent's SQLite file, so
-    no item reaches a worker.  Both legs must match the reference exactly (``tcp``/``tcp_warm``
-    entries join the mismatch scan), proving the distribution layer is
-    a pure refinement of the single-node schedule.
+    With ``tcp_workers > 0`` a further leg serves the pool's work to an
+    external fleet (``config.steal_listen``), twice per corpus: that many
+    worker processes are spawned once (``--reconnect``, so they rejoin
+    every per-batch coordinator on the same port), each corpus gets its
+    own SQLite ``cache_dir``, and the corpus is validated cold then warm
+    — the warm run's planner answers every query from the parent's
+    SQLite file, so no item reaches a worker.  Both legs must match the
+    reference exactly (``tcp``/``tcp_warm`` entries join the mismatch
+    scan), proving the distribution layer is a pure refinement of the
+    single-node schedule.
     """
     base = config or DEFAULT_CONFIG
     workers = max(2, concurrency)
@@ -604,7 +605,7 @@ def executor_comparison(scale: float = 1.0, benchmarks: Optional[Sequence[str]] 
             if tcp_workers > 0:
                 tcp_config = _dc_replace(
                     base, concurrency=max(2, tcp_workers),
-                    steal_transport="tcp", steal_listen=tcp_listen,
+                    steal_listen=tcp_listen,
                     cache_dir=os.path.join(tcp_store_root, spec.name))
                 legs["tcp"] = tcp_config
                 legs["tcp_warm"] = tcp_config

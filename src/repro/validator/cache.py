@@ -1,9 +1,10 @@
 """The content-addressed validation cache and its SQLite proof store.
 
 :class:`ValidationCache` memoizes validation verdicts by function-pair
-*content*: the key is ``(original-hash, optimized-hash, rule-groups,
-matcher, engine, max-iterations, recursion-limit)`` — everything a verdict
-can depend on.  Two different functions with identical bodies share an
+*content*: the key is ``(original-hash, optimized-hash, module-context,
+rule-groups, matcher, engine, max-iterations, recursion-limit)`` —
+everything a verdict can depend on, including the callee attributes and
+globals the printed pair does not show.  Two different functions with identical bodies share an
 entry, so batch validation of a corpus full of near-duplicate traffic only
 pays for the distinct pairs; stepwise validation feeds each adjacent
 checkpoint pair through the same keying, so repeated single-pass effects
@@ -41,18 +42,23 @@ from typing import Dict, Iterable, Optional, Set, Tuple, Union
 
 from ..analysis.manager import function_fingerprint
 from ..ir.module import Function
+from ..transforms.pass_manager import module_context_digest
 from . import faults
 from .config import ValidatorConfig
 from .validate import UNCACHEABLE_REASONS, ValidationResult
 
-#: Cache key: content hashes of both functions plus everything about the
-#: configuration that can change a verdict.
-CacheKey = Tuple[str, str, Tuple[str, ...], str, str, int, int]
+#: Cache key: content hashes of both functions, the digest of their
+#: module's context (callee attributes and globals, which the printed
+#: text does not show but the value graph reads through ``Call`` and
+#: memory operands), plus everything about the configuration that can
+#: change a verdict.
+CacheKey = Tuple[str, str, str, Tuple[str, ...], str, str, int, int]
 
 #: SQLite schema version, kept in ``PRAGMA user_version``.  Bump whenever
 #: the key derivation or the stored result format changes meaning; a
 #: store with any other version is dropped and recreated cold.
-SQLITE_SCHEMA = 1
+#: Version 2: keys carry the module-context digest.
+SQLITE_SCHEMA = 2
 
 #: File name used when a cache is given a directory.
 SQLITE_FILE_NAME = "validation_cache.sqlite"
@@ -94,9 +100,11 @@ def _resolve_cache_path(path: Union[str, os.PathLike]) -> Path:
 
 def _encode_key(key: CacheKey) -> str:
     """Serialize a cache key to a canonical JSON string."""
-    fp_before, fp_after, groups, matcher, engine, max_iter, rec_limit = key
+    (fp_before, fp_after, context, groups, matcher, engine, max_iter,
+     rec_limit) = key
     return json.dumps(
-        [fp_before, fp_after, list(groups), matcher, engine, max_iter, rec_limit],
+        [fp_before, fp_after, context, list(groups), matcher, engine,
+         max_iter, rec_limit],
         separators=(",", ":"))
 
 
@@ -459,23 +467,34 @@ class ValidationCache:
         return self._store is not None
 
     def key(self, before: Function, after: Function,
-            config: ValidatorConfig) -> CacheKey:
-        """The cache key for one validation query."""
+            config: ValidatorConfig,
+            context: Optional[str] = None) -> CacheKey:
+        """The cache key for one validation query.
+
+        ``context`` is the :func:`~repro.transforms.pass_manager.module_context_digest`
+        of the functions' module; omitted, it is computed from
+        ``before.parent`` (pipeline checkpoints are detached clones, so
+        callers keying them pass their original's context).
+        """
+        if context is None:
+            context = module_context_digest(before.parent)
         return self.key_for(function_fingerprint(before),
-                            function_fingerprint(after), config)
+                            function_fingerprint(after), config, context)
 
     @staticmethod
     def key_for(fingerprint_before: str, fingerprint_after: str,
-                config: ValidatorConfig) -> CacheKey:
+                config: ValidatorConfig, context: str) -> CacheKey:
         """The cache key for a pair of precomputed content fingerprints.
 
         The batch driver fingerprints every pipeline checkpoint exactly
         once and derives all of its pair keys from those, instead of
-        re-printing each function per adjacent pair.
+        re-printing each function per adjacent pair; ``context`` (the
+        module-context digest) is likewise computed once per module.
         """
         return (
             fingerprint_before,
             fingerprint_after,
+            context,
             tuple(config.rule_groups),
             config.matcher,
             config.engine,

@@ -15,13 +15,6 @@ from ..vgraph.normalize import ENGINES
 from ..vgraph.rules import ALL_RULE_GROUPS
 from .faults import FaultPlan
 
-#: Transports the executor's worker pool can move work items over:
-#: ``"pipe"`` (in-process ``multiprocessing`` pipes, the historical
-#: single-host protocol) or ``"tcp"`` (length-prefixed frames over
-#: sockets so workers on other hosts can join the shared queue).  See
-#: :mod:`repro.validator.scheduler.transport`.
-STEAL_TRANSPORTS = ("pipe", "tcp")
-
 #: Cumulative rule sets used for the GVN ablation (paper Figure 6).
 GVN_ABLATION_STEPS: Tuple[Tuple[str, Tuple[str, ...]], ...] = (
     ("no rules", ()),
@@ -92,9 +85,9 @@ class ValidatorConfig:
         persistent cache there (faulting previously proved pairs in
         lazily) and save it back after the run, so repeated corpus
         sweeps and CI re-runs skip every pair proved before.  To share
-        verdicts across hosts, copy the file.  With the tcp transport
-        only the coordinator opens it: remote workers never touch a
-        store, their verdicts travel back in result frames.
+        verdicts across hosts, copy the file.  Only the coordinating
+        process opens it: pool workers, local or remote, never touch a
+        store; their verdicts travel back in result frames.
         ``cache_dir`` never affects a verdict, so it is *not* part of
         the cache key.
     analysis_cache_size:
@@ -170,26 +163,22 @@ class ValidatorConfig:
         ``None`` (the default) injects nothing and costs nothing.
         Never part of the cache key: a faulted run's *cached* verdicts
         must be byte-identical to the fault-free run's.
-    steal_transport:
-        Wire protocol for the executor's worker pool: ``"pipe"`` (the
-        default local ``multiprocessing`` pipes) or ``"tcp"``
-        (length-prefixed pickle frames over sockets — the driver hosts
-        a :class:`~repro.validator.scheduler.remote.StealCoordinator`
-        and remote ``python -m repro.validator.scheduler.worker``
-        processes join it dynamically).  ``"tcp"`` requires
-        ``concurrency > 1``: below that no pool runs, so no socket
-        would ever be bound.  Both transports produce byte-identical
-        record signatures (``benchmarks/remote_steal_guard.py``
-        enforces it), so like ``concurrency`` it is *not* part of the
-        cache key.
     steal_listen:
-        ``HOST:PORT`` the TCP steal coordinator binds (only meaningful
-        with ``steal_transport="tcp"``; the port must lie in
-        ``[0, 65535]``, checked at construction so a malformed address
-        fails here instead of silently degrading the pool).  ``None``
-        binds a loopback ephemeral port; a fixed port lets
-        ``--reconnect`` workers serve every batch of a sweep.  Never
-        part of the cache key.
+        Where the worker pool's workers come from.  ``None`` (the
+        default): the pool binds a loopback ephemeral port and starts
+        ``concurrency`` local worker processes that join it over TCP.
+        ``HOST:PORT``: the pool's
+        :class:`~repro.validator.scheduler.remote.StealCoordinator`
+        binds that address, starts no local worker, and serves the
+        fleet of ``python -m repro.validator.scheduler.worker`` processes
+        that join it (a fixed port lets ``--reconnect`` workers serve
+        every batch of a sweep).  Requires ``concurrency > 1`` — below
+        that no pool runs and nothing would listen — and a port in
+        ``[0, 65535]``; both are checked at construction, so a bad
+        setting fails here instead of silently degrading the pool.
+        Either way the records are byte-identical
+        (``benchmarks/remote_steal_guard.py`` enforces it), so it is
+        never part of the cache key.
     """
 
     rule_groups: Tuple[str, ...] = tuple(ALL_RULE_GROUPS)
@@ -208,7 +197,6 @@ class ValidatorConfig:
     pair_timeout: float = 0.0
     max_pair_retries: int = 2
     fault_plan: Optional[FaultPlan] = None
-    steal_transport: str = "pipe"
     steal_listen: Optional[str] = None
 
     def __post_init__(self) -> None:
@@ -236,20 +224,11 @@ class ValidatorConfig:
         if self.max_pair_retries < 0:
             raise ValueError(
                 "max_pair_retries must be >= 0 (0 = quarantine on first kill)")
-        if self.steal_transport not in STEAL_TRANSPORTS:
+        if self.steal_listen is not None and self.concurrency <= 1:
             raise ValueError(
-                f"unknown steal transport {self.steal_transport!r} "
-                f"(known: {STEAL_TRANSPORTS})")
-        if self.steal_transport == "tcp" and self.concurrency <= 1:
-            raise ValueError(
-                f"steal_transport='tcp' needs concurrency > 1 "
+                f"steal_listen={self.steal_listen!r} needs concurrency > 1 "
                 f"(got concurrency={self.concurrency}); below that the "
                 f"executor runs in-process and no worker pool would listen")
-        if self.steal_listen is not None and self.steal_transport != "tcp":
-            raise ValueError(
-                f"steal_listen={self.steal_listen!r} needs "
-                f"steal_transport='tcp' (the pipe transport never binds a "
-                f"socket)")
         if self.steal_listen is not None:
             # Deferred: the scheduler package imports this module.
             from .scheduler.transport import split_address
@@ -274,7 +253,6 @@ DEFAULT_CONFIG = ValidatorConfig()
 __all__ = [
     "ValidatorConfig",
     "DEFAULT_CONFIG",
-    "STEAL_TRANSPORTS",
     "GVN_ABLATION_STEPS",
     "SCCP_ABLATION_STEPS",
     "LICM_ABLATION_STEPS",

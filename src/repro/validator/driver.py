@@ -98,6 +98,7 @@ from ..transforms.pass_manager import (
     PAPER_PIPELINE,
     PassManager,
     checkpoint_chain,
+    module_context_digest,
 )
 from .cache import ValidationCache
 from .config import DEFAULT_CONFIG, ValidatorConfig
@@ -134,6 +135,7 @@ def validate_function_pipeline(
     cache: Optional[ValidationCache] = None,
     strategy: str = "whole",
     manager: Optional[AnalysisManager] = None,
+    context: Optional[str] = None,
 ) -> Tuple[Function, FunctionRecord]:
     """Optimize one function and validate the result under ``strategy``.
 
@@ -150,7 +152,10 @@ def validate_function_pipeline(
     by ``config.analysis_cache_size``), every distinct function version's
     analyses are computed only once.  This per-function entry point
     always executes lazily in-process; ``config.concurrency`` sizes the
-    worker pool of the module/batch drivers.
+    worker pool of the module/batch drivers.  ``context`` is the
+    :func:`~repro.transforms.pass_manager.module_context_digest` of
+    ``function``'s module, part of every cache key (computed here when
+    omitted; :func:`llvm_md` computes it once per module).
     """
     config = config or DEFAULT_CONFIG
     if strategy not in STRATEGIES:
@@ -158,13 +163,15 @@ def validate_function_pipeline(
     record = FunctionRecord(name=function.name, strategy=strategy)
     if function.is_declaration:
         return function, record
+    if context is None:
+        context = module_context_digest(function.parent)
 
     if strategy == "whole":
         optimized = clone_function(function)
         record.transformed_by = PassManager(passes).run_on_function(optimized)
         if skip_unchanged and not record.transformed:
             return function, record
-        provider = serial_provider(config, cache, manager)
+        provider = serial_provider(config, cache, manager, context)
         kept = run_whole(function, optimized, provider, record)
         if manager is not None:
             record.analysis_stats = manager.stats()
@@ -184,9 +191,10 @@ def validate_function_pipeline(
         # graph and all adjacent pairs are answered from its single
         # normalization (the per-pair provider remains the fallback for
         # the whole-query and for chain construction failures).
-        provider = chain_provider(versions, config, cache, manager, record)
+        provider = chain_provider(versions, config, cache, manager, record,
+                                  context)
     else:
-        provider = serial_provider(config, cache, manager)
+        provider = serial_provider(config, cache, manager, context)
     if not steps:
         # skip_unchanged=False and no pass changed anything: validate the
         # identity pair, for parity with the whole strategy.
@@ -248,6 +256,7 @@ def llvm_md(
     global_map = clone_globals_into(module, result_module)
 
     selected = set(function_names) if function_names is not None else None
+    context = module_context_digest(module)
     for function in module.functions.values():
         # Every function inserted into the result module is cloned (or a
         # freshly cloned checkpoint) with its global references remapped —
@@ -258,7 +267,8 @@ def llvm_md(
             result_module.add_function(clone_function(function, value_map=global_map))
             continue
         kept, record = validate_function_pipeline(
-            function, passes, config, cache=cache, strategy=strategy, manager=manager)
+            function, passes, config, cache=cache, strategy=strategy,
+            manager=manager, context=context)
         report.add(record)
         if kept is function:
             result_module.add_function(clone_function(function, value_map=global_map))

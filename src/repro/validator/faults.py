@@ -20,13 +20,13 @@ Sites wired in today:
     how a diverging normalization is simulated — it runs *inside* the
     pair watchdog, so ``config.pair_timeout`` preempts it.
 ``"worker"``
-    Inside a steal-pool worker's main loop, before validating a
+    Inside a pool worker's main loop, before validating a
     received item; detail is the item's function name.  ``crash`` here
     hard-exits the worker process (``os._exit``), exercising the
     supervisor's respawn/requeue/quarantine path.
 ``"steal-dispatch"``
-    In the parent, right after an item is dispatched to a steal worker
-    (``crash`` kills that worker before it can answer).
+    In the parent, right after an item is dispatched to a pool worker
+    (``crash`` severs that worker's connection before it can answer).
 ``"payload"``
     In the parent, as a steal result arrives (``corrupt`` replaces it
     with a malformed payload, exercising the per-item retry path).
@@ -35,9 +35,9 @@ Sites wired in today:
     ``error="database is locked"`` or ``"ENOSPC"`` exercises the
     locked-retry and degrade-to-memory paths).
 ``"conn-drop"``
-    In the TCP steal coordinator, right after an item is written to a
-    remote worker's connection (any action severs that connection, so
-    the leased item surfaces as a worker death → respawn/requeue).
+    In the pool's steal coordinator, right after an item is written to
+    a worker's connection (any action severs that connection, so the
+    leased item surfaces as a worker death → respawn/requeue).
 ``"conn-delay"``
     In the TCP steal coordinator, as a result frame arrives (``hang``
     delays its delivery by ``seconds``, simulating a congested link;

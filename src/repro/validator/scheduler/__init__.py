@@ -10,8 +10,8 @@ backend) independently:
     — producing a :class:`WorkPlan`.
 :mod:`~repro.validator.scheduler.executors`
     *How to run it.*  The work-stealing :class:`Executor` — in-process
-    or over ``config.concurrency`` workers fed by the process plumbing
-    in :mod:`~repro.validator.scheduler.steal` — plus the lazy providers
+    or over ``config.concurrency`` workers fed through the TCP pool in
+    :mod:`~repro.validator.scheduler.transport` — plus the lazy providers
     the per-function serial driver validates through.  Every worker
     count produces byte-identical record signatures.
 :mod:`~repro.validator.scheduler.settle`

@@ -13,8 +13,9 @@ change where and in what order queries run, never what they decide
 twelve corpora, in-process and pooled).
 
 One backend ships, :class:`Executor`: work stealing over a persistent
-pool of single-item workers (:mod:`repro.validator.scheduler.steal`),
-and ``config.concurrency`` alone decides whether that pool runs.  The
+pool of single-item workers
+(:class:`~repro.validator.scheduler.transport.TcpStealPool`), and
+``config.concurrency`` alone decides whether that pool runs.  The
 priority-ordered item list is dealt into per-worker deques; a worker
 pops its own deque LIFO (its next planned item) and, when empty, steals
 FIFO from the most loaded sibling (that worker's farthest-future item),
@@ -29,17 +30,16 @@ in-process execution — completed verdicts are content-addressed and
 kept.  With ``concurrency`` of 0 or 1 the same scheduling loop runs
 in-process, with the same schedule.  Items travel as the function's own
 versions plus callee declarations
-(:func:`~repro.validator.scheduler.steal.encode_item`), never as whole
-modules.
+(:func:`~repro.validator.scheduler.transport.encode_item`), never as
+whole modules.
 
-The cross-host half of the ROADMAP's multi-host item ships behind the
-same seam: ``config.steal_transport="tcp"`` swaps the pool's
-in-process pipes for :class:`~repro.validator.scheduler.transport.TcpStealPool`
-— a coordinator socket remote ``python -m
-repro.validator.scheduler.worker`` processes join dynamically — without
-touching planning, settlement, cancellation or the supervision logic
-below (the pool contract is identical, so a remote worker death walks
-the same respawn/requeue/quarantine path a local one does).
+The pool has one transport, TCP.  By default it starts ``concurrency``
+local worker processes joined over loopback; with ``config.steal_listen``
+set it starts none and serves the fleet of ``python -m
+repro.validator.scheduler.worker`` processes that join it.  Planning,
+settlement, cancellation and the supervision logic below cannot tell
+the two apart: a worker death, local or remote, walks the same
+respawn/requeue/quarantine path.
 """
 
 from __future__ import annotations
@@ -67,7 +67,6 @@ from .plan import (
     pending_whole_queries,
 )
 from .settle import settle_chain_results
-from . import steal
 
 #: A sharded-chain worker's return value: one (possibly censored) verdict
 #: per adjacent pair, the (possibly censored) whole-pair verdict, and the
@@ -221,7 +220,8 @@ class Executor:
         self.steal_attempts = 0
         #: Encoded work-item bytes handed to worker transports.
         self.bytes_dispatched = 0
-        #: TCP-transport membership counters, snapshotted at close.
+        #: The closed pool's membership counters (a live pool's are read
+        #: from its coordinator).
         self._remote_stats: Dict[str, int] = {}
 
     def stats(self) -> Dict[str, int]:
@@ -238,33 +238,30 @@ class Executor:
             "items_stolen": self.items_stolen,
             "steal_attempts": self.steal_attempts,
             "bytes_dispatched": self.bytes_dispatched,
-            **self._remote_stats,
+            **self._membership(),
+        }
+
+    def _membership(self) -> Dict[str, int]:
+        """Worker join/leave counters: live while the pool runs, then the
+        snapshot :meth:`close` took (shard_stats outlives the pool)."""
+        if self._pool is None:
+            return self._remote_stats
+        coordinator = self._pool.coordinator
+        return {
+            "remote_workers_joined": coordinator.workers_joined,
+            "remote_workers_left": coordinator.workers_left,
+            "handshakes_rejected": coordinator.rejected,
         }
 
     def close(self) -> None:
         """Release the worker pool (if one was ever spawned)."""
         if self._pool is not None:
+            self._remote_stats = self._membership()
             pool, self._pool = self._pool, None
-            coordinator = getattr(pool, "coordinator", None)
-            if coordinator is not None:
-                # Snapshot the membership counters before the server dies
-                # — shard_stats outlives the per-batch coordinator.
-                self._remote_stats = {
-                    "remote_workers_joined": coordinator.workers_joined,
-                    "remote_workers_left": coordinator.workers_left,
-                    "handshakes_rejected": coordinator.rejected,
-                }
             try:
                 pool.close()
             except Exception:  # pragma: no cover - broken pools may throw
                 pass
-
-    def _make_pool(self, config: ValidatorConfig):
-        """Build the transport `config.steal_transport` selects."""
-        if config.steal_transport == "tcp":
-            from . import transport
-            return transport.TcpStealPool(self.workers, config)
-        return steal.StealPool(self.workers)
 
     def run_batch(self, items: List[Tuple], config: ValidatorConfig) -> List:
         """Run one batch of work items, returning outcomes in order."""
@@ -288,7 +285,7 @@ class Executor:
         by earlier results are dropped without running.
 
         Supervision: a worker death *attributable* to one in-flight item
-        (the :class:`~repro.validator.scheduler.steal.BrokenStealPool`
+        (the :class:`~repro.validator.scheduler.transport.BrokenStealPool`
         names the worker) costs one worker respawn and a requeue of that
         item — the batch keeps running on the surviving workers.  An
         item that keeps killing its workers past
@@ -306,6 +303,9 @@ class Executor:
                 self.items_run += 1
                 on_result(tag, _validate_item(item))
             return
+        # Deferred: sockets and asyncio load only when a pool runs.
+        from . import transport
+
         done: Set[int] = set()
         plan = config.fault_plan
         #: tag -> workers this item has killed (crash or corrupt retry).
@@ -316,7 +316,7 @@ class Executor:
         sys.setrecursionlimit(max(old_limit, config.recursion_limit))
         try:
             if self._pool is None:
-                self._pool = self._make_pool(config)
+                self._pool = transport.TcpStealPool(self.workers, config)
             pool = self._pool
             # Contiguous runs of the priority order, reversed so the
             # deque's right end (the owner's LIFO "top") holds the run's
@@ -361,9 +361,7 @@ class Executor:
                     spec = faults.should_fire(plan, "steal-dispatch",
                                               detail=item_detail(dispatch[1]))
                     if spec is not None and spec.action == "crash":
-                        kill = getattr(pool, "kill_worker", None)
-                        if kill is not None:
-                            kill(worker_id)
+                        pool.kill_worker(worker_id)
 
             def absorb_casualty(worker_id: int, tag: int, item: Tuple,
                                 why: str) -> None:
@@ -386,14 +384,12 @@ class Executor:
             while outstanding:
                 try:
                     worker_id, tag, ok, payload = pool.receive(outstanding)
-                except steal.BrokenStealPool as death:
-                    hurt = getattr(death, "worker_id", None)
-                    respawn = getattr(pool, "respawn", None)
-                    if hurt is None or respawn is None \
-                            or hurt not in outstanding:
+                except transport.BrokenStealPool as death:
+                    hurt = death.worker_id
+                    if hurt is None or hurt not in outstanding:
                         raise  # unattributable: degrade wholesale below
                     lost_tag, lost_item = outstanding.pop(hurt)
-                    respawn(hurt)
+                    pool.respawn(hurt)
                     self.workers_respawned += 1
                     absorb_casualty(hurt, lost_tag, lost_item,
                                     f"steal worker {hurt} died mid-item")
@@ -414,7 +410,7 @@ class Executor:
                         dispatch_to(worker_id)
                         continue
                 if not ok:
-                    raise steal.BrokenStealPool(
+                    raise transport.BrokenStealPool(
                         f"steal worker {worker_id} failed: {payload}")
                 done.add(tag)
                 self.items_run += 1
@@ -568,11 +564,16 @@ def validate_pair_cached(
     config: ValidatorConfig,
     cache: Optional[ValidationCache],
     manager: Optional[AnalysisManager],
+    context: str,
 ) -> Tuple[ValidationResult, bool]:
-    """Validate one pair through the optional cache; returns (result, hit)."""
+    """Validate one pair through the optional cache; returns (result, hit).
+
+    ``context`` is the module-context digest of the pair's module, part
+    of its cache key.
+    """
     if cache is None:
         return validate_bounded(before, after, config, manager=manager), False
-    key = cache.key(before, after, config)
+    key = cache.key(before, after, config, context)
     cached = cache.get(key, before.name)
     if cached is not None:
         return cached, True
@@ -582,11 +583,13 @@ def validate_pair_cached(
 
 
 def serial_provider(config: ValidatorConfig, cache: Optional[ValidationCache],
-                    manager: Optional[AnalysisManager]) -> PairProvider:
+                    manager: Optional[AnalysisManager],
+                    context: str) -> PairProvider:
     """The lazy provider: validate on demand through the optional cache."""
 
     def provider(before: Function, after: Function) -> Tuple[ValidationResult, bool]:
-        return validate_pair_cached(before, after, config, cache, manager)
+        return validate_pair_cached(before, after, config, cache, manager,
+                                    context)
 
     return provider
 
@@ -594,7 +597,7 @@ def serial_provider(config: ValidatorConfig, cache: Optional[ValidationCache],
 def chain_provider(versions: List[Function], config: ValidatorConfig,
                    cache: Optional[ValidationCache],
                    manager: Optional[AnalysisManager],
-                   record: FunctionRecord) -> PairProvider:
+                   record: FunctionRecord, context: str) -> PairProvider:
     """Answer adjacent-pair queries from ONE chain-shared value graph.
 
     The chain graph is built (and normalized, once) lazily — on the first
@@ -621,7 +624,7 @@ def chain_provider(versions: List[Function], config: ValidatorConfig,
     positions = {(id(before), id(after)): index
                  for index, (before, after) in enumerate(zip(versions, versions[1:]))}
     whole_pair = (id(versions[0]), id(versions[-1]))
-    fallthrough = serial_provider(config, cache, manager)
+    fallthrough = serial_provider(config, cache, manager, context)
 
     def fingerprint(function: Function) -> str:
         # Interior versions serve two pairs (and the worthwhile check
@@ -637,7 +640,8 @@ def chain_provider(versions: List[Function], config: ValidatorConfig,
         return memoized
 
     def pair_key(before: Function, after: Function) -> CacheKey:
-        return cache.key_for(fingerprint(before), fingerprint(after), config)
+        return cache.key_for(fingerprint(before), fingerprint(after), config,
+                             context)
 
     def outcome() -> ChainOutcome:
         if "outcome" not in state:

@@ -104,6 +104,9 @@ class ModulePlan:
     #: rolled-back (or untransformed) function bodies into the result
     #: module.
     global_map: Dict[Value, Value]
+    #: :func:`~repro.transforms.pass_manager.module_context_digest` of
+    #: ``module``, computed once and folded into every cache key.
+    context: str = ""
     work: List[FunctionPlan] = field(default_factory=list)
 
 
@@ -189,7 +192,7 @@ def build_plan(
         result_module = Module(module.name)
         global_map = clone_globals_into(module, result_module)
         work: List[FunctionPlan] = []
-        context = module_context_digest(module) if memo is not None else None
+        context = module_context_digest(module)
         for function in module.functions.values():
             if function.is_declaration or (selected is not None and function.name not in selected):
                 result_module.add_function(clone_function(function, value_map=global_map))
@@ -222,9 +225,11 @@ def build_plan(
                     continue
                 steps, versions = checkpoint_chain(function, snapshots)
                 fingerprints = [source] + [snap.fingerprint() for snap in steps]
-            whole_key = cache.key_for(fingerprints[0], fingerprints[-1], config)
+            whole_key = cache.key_for(fingerprints[0], fingerprints[-1],
+                                      config, context)
             if strategy == "stepwise":
-                pair_keys = [cache.key_for(fingerprints[i], fingerprints[i + 1], config)
+                pair_keys = [cache.key_for(fingerprints[i], fingerprints[i + 1],
+                                           config, context)
                              for i in range(len(versions) - 1)]
                 pair_versions = list(zip(versions, versions[1:]))
             else:
@@ -233,7 +238,8 @@ def build_plan(
             classify.append((pair_keys, pair_versions, versions))
             work.append(FunctionPlan(function, record, versions, steps,
                                      fingerprints, pair_keys, whole_key))
-        module_plans.append(ModulePlan(module, result_module, report, global_map, work))
+        module_plans.append(ModulePlan(module, result_module, report,
+                                       global_map, context, work))
     # Phase 2: fault in exactly the keys classification peeks (every
     # adjacent pair; whole fallbacks stay lazy for the settle round), then
     # classify.  Without a store prefetch returns at once.

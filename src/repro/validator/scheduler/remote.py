@@ -1,28 +1,30 @@
-"""The steal coordinator server and the remote worker.
+"""The steal coordinator server and the worker loop.
 
-Two pieces carry the ``"steal"`` backend's protocol across hosts:
+Two pieces carry the executor's pool protocol over TCP, whether the
+workers are the pool's own loopback processes or a fleet on other hosts:
 
 :class:`StealCoordinator`
-    An asyncio server owning the shared work deques.  The executor's
-    ``send(worker_id, tag, item)`` calls land here as per-slot entries;
-    a connected worker that reports ready is served its *own* slot's
-    newest entry first (LIFO-local) and otherwise steals the oldest
-    entry of the most-loaded other slot (FIFO-steal) — the same policy
-    the executor applies to its parent-side deques, now applied to the
-    fleet.  Results and slot deaths flow back to the parent through a
-    thread-safe queue.  The coordinator never requeues a lost item
-    itself: a disconnect while holding slot *s*'s item surfaces as a
-    death event for *s*, and the executor's ``outstanding`` bookkeeping
-    — the single source of truth — requeues it through the existing
-    respawn/requeue/quarantine supervision.  (A coordinator-side requeue
-    would race that supervision into double-executing the item.)
+    An asyncio server holding a lease table.  The executor's
+    ``send(worker_id, tag, item)`` calls land here as entries of one
+    FIFO of pending work; an idle connection takes its head and holds
+    that entry's *lease* until it returns a result.  The executor
+    already steals between its own per-slot deques and never has more
+    than one item outstanding per slot, so the coordinator schedules
+    nothing itself.  Results and slot deaths flow back to the parent
+    through a thread-safe queue.  The coordinator never requeues a lost
+    item itself: a disconnect while holding slot *s*'s lease surfaces
+    as a death event for *s*, and the executor's ``outstanding``
+    bookkeeping — the single source of truth — requeues it through the
+    respawn/requeue/quarantine supervision.  (A coordinator-side
+    requeue would race that supervision into double-executing the
+    item.)
 
 :func:`run_worker`
-    The remote worker loop (``python -m
-    repro.validator.scheduler.worker --connect HOST:PORT``): connect,
-    handshake, then validate one item at a time and send each verdict
-    back in a result frame.  Workers hold no proof store: the parent's
-    plan only ships items its own cache found uncached and
+    The worker loop (the body of every local pool process, and of
+    ``python -m repro.validator.scheduler.worker --connect HOST:PORT``):
+    connect, handshake, then validate one item at a time and send each
+    verdict back in a result frame.  Workers hold no proof store: the
+    parent's plan only ships items its own cache found uncached and
     deduplicated, and it files every returned verdict there.
     ``--reconnect`` makes the worker outlive coordinator restarts (each
     corpus batch binds a fresh server on the same port), which is how a
@@ -48,7 +50,7 @@ import subprocess
 import sys
 import time
 from pathlib import Path
-from typing import Deque, Dict, List, Optional, Tuple
+from typing import Deque, List, Optional, Set, Tuple
 
 from .. import faults
 from .transport import (
@@ -65,38 +67,54 @@ from .transport import (
 )
 
 
+def _sever(writer: asyncio.StreamWriter) -> None:
+    """End a worker connection so the worker sees EOF.
+
+    ``shutdown`` acts on the socket itself: local workers forked after
+    this connection was accepted hold duplicates of its descriptor, and
+    a plain close would leave its worker waiting on a connection that
+    never reports the end.
+    """
+    sock = writer.get_extra_info("socket")
+    try:
+        if sock is not None:
+            sock.shutdown(socket.SHUT_RDWR)
+    except OSError:
+        pass
+    try:
+        writer.close()
+    except Exception:
+        pass
+
+
 class _Conn:
     """Coordinator-side state of one connected worker."""
 
-    __slots__ = ("reader", "writer", "slot", "lease", "parked")
+    __slots__ = ("reader", "writer", "lease", "parked")
 
     def __init__(self, reader, writer) -> None:
         self.reader = reader
         self.writer = writer
-        #: Bound slot id, or ``None`` for a steal-only connection (the
-        #: fleet outnumbers the executor's slots).
-        self.slot: Optional[int] = None
         #: ``(slot, tag, detail)`` of the item this connection holds.
         self.lease: Optional[Tuple[int, int, str]] = None
         self.parked = False
 
 
 class StealCoordinator:
-    """Asyncio server owning the shared deques of a steal fleet.
+    """Asyncio server leasing queued work items to connected workers.
 
     Thread contract: every method except :attr:`results` reads is meant
     to run on the server's event loop —
     :class:`~repro.validator.scheduler.transport.TcpStealPool` calls
-    :meth:`enqueue` / :meth:`clear_slot` / :meth:`kill_slot` via
-    ``call_soon_threadsafe`` and blocks on the thread-safe
-    :attr:`results` queue for ``("result", slot, tag, ok, payload)``
-    and ``("death", slot, message)`` events.
+    :meth:`enqueue` / :meth:`kill_slot` via ``call_soon_threadsafe``
+    and blocks on the thread-safe :attr:`results` queue for
+    ``("result", slot, tag, ok, payload)`` and ``("death", slot,
+    message)`` events.
     """
 
-    def __init__(self, slots: int, config=None, *,
+    def __init__(self, config=None, *,
                  plan: Optional[faults.FaultPlan] = None,
                  host: str = "127.0.0.1", port: int = 0) -> None:
-        self.slots = slots
         self.config = config
         self.plan = plan if plan is not None \
             else getattr(config, "fault_plan", None)
@@ -112,16 +130,18 @@ class StealCoordinator:
                                 else self.expected_fingerprint)
         #: Events for the parent thread (see class docstring).
         self.results: "queue.Queue" = queue.Queue()
-        self.deques: List[Deque[Tuple[int, int, bytes, str]]] = [
-            collections.deque() for _ in range(slots)]
+        #: Queued ``(slot, tag, payload, detail)`` entries, oldest first.
+        self.pending: Deque[Tuple[int, int, bytes, str]] = collections.deque()
         self.live_workers = 0
         self.workers_joined = 0
         self.workers_left = 0
         self.rejected = 0
         self.address: Optional[Tuple[str, int]] = None
         self._conns = set()
-        self._slot_conns: Dict[int, _Conn] = {}
         self._idle: List[_Conn] = []
+        #: Slots :meth:`kill_slot` named while their item was still
+        #: queued: the connection that leases it is severed on dispatch.
+        self._doomed: Set[int] = set()
         self._server: Optional[asyncio.AbstractServer] = None
         self._closing = False
 
@@ -143,10 +163,7 @@ class StealCoordinator:
                 await write_frame(conn.writer, ("close",))
             except Exception:
                 pass
-            try:
-                conn.writer.close()
-            except Exception:
-                pass
+            _sever(conn.writer)
         if self._server is not None:
             try:
                 await asyncio.wait_for(self._server.wait_closed(), timeout=2.0)
@@ -165,82 +182,61 @@ class StealCoordinator:
 
     # -- parent-thread entry points (via call_soon_threadsafe) -------------
     def enqueue(self, slot: int, tag: int, payload: bytes, detail: str) -> None:
-        """Queue one pickled item for ``slot`` and wake an idle worker."""
-        self.deques[slot].append((slot, tag, payload, detail))
-        self._pump()
-
-    def clear_slot(self, slot: int) -> None:
-        """Respawn bookkeeping: forget a dead slot's queue and binding."""
-        self.deques[slot].clear()
-        self._slot_conns.pop(slot, None)
+        """Queue one pickled item for ``slot`` and wake idle workers."""
+        self.pending.append((slot, tag, payload, detail))
+        while self._idle and self.pending:
+            conn = self._idle.pop(0)
+            conn.parked = False
+            asyncio.ensure_future(self._assign(conn, self._take(conn)))
 
     def kill_slot(self, slot: int) -> None:
-        """Sever the connection serving ``slot`` (fault injection)."""
-        target = None
+        """Sever the connection leasing ``slot``'s item (fault injection).
+
+        An item still queued is marked instead, and its connection is
+        severed as soon as the item is written to it.
+        """
         for conn in self._conns:
             if conn.lease is not None and conn.lease[0] == slot:
-                target = conn
-                break
-        if target is None:
-            target = self._slot_conns.get(slot)
-        if target is not None:
-            try:
-                target.writer.close()
-            except Exception:
-                pass
+                _sever(conn.writer)
+                return
+        self._doomed.add(slot)
 
-    # -- scheduling --------------------------------------------------------
-    def _pick(self, conn: _Conn) -> Optional[Tuple[int, int, bytes, str]]:
-        """LIFO from the connection's own slot, else FIFO-steal the most loaded."""
-        if conn.slot is not None and self.deques[conn.slot]:
-            return self.deques[conn.slot].pop()
-        victims = [slot for slot in range(self.slots)
-                   if slot != conn.slot and self.deques[slot]]
-        if not victims:
-            return None
-        victim = max(victims, key=lambda slot: len(self.deques[slot]))
-        return self.deques[victim].popleft()
+    # -- leasing -----------------------------------------------------------
+    def _take(self, conn: _Conn) -> Tuple[int, int, bytes, str]:
+        """Lease the oldest queued entry to ``conn``."""
+        entry = self.pending.popleft()
+        conn.lease = (entry[0], entry[1], entry[3])
+        return entry
 
-    def _park(self, conn: _Conn) -> None:
-        if not conn.parked:
+    async def _next(self, conn: _Conn) -> None:
+        """Hand ``conn`` the queue's head, or park it until work arrives."""
+        if self.pending:
+            await self._assign(conn, self._take(conn))
+        elif not conn.parked:
             conn.parked = True
             self._idle.append(conn)
-
-    def _pump(self) -> None:
-        """Match queued work to parked connections."""
-        while self._idle:
-            conn = self._idle[0]
-            entry = self._pick(conn)
-            if entry is None:
-                return
-            self._idle.pop(0)
-            conn.parked = False
-            asyncio.ensure_future(self._assign(conn, entry))
 
     async def _assign(self, conn: _Conn,
                       entry: Tuple[int, int, bytes, str]) -> None:
         slot, tag, payload, detail = entry
-        conn.lease = (slot, tag, detail)
         try:
             await write_frame(conn.writer, ("item", tag, payload))
         except Exception:
             # The connection is dying mid-dispatch; keep the lease so
             # the disconnect path emits the death that requeues the item.
-            try:
-                conn.writer.close()
-            except Exception:
-                pass
+            _sever(conn.writer)
             return
         # "conn-drop": the network loses this worker right after the
         # item reaches it.  Any firing action severs the connection —
         # the disconnect path below turns that into a slot death, which
         # the executor answers with respawn + requeue (and quarantine
-        # past max_pair_retries), exactly like a dead pipe worker.
-        if faults.should_fire(self.plan, "conn-drop", detail=detail) is not None:
-            try:
-                conn.writer.close()
-            except Exception:
-                pass
+        # past max_pair_retries).  A kill_slot mark on a queued item
+        # lands here the same way.
+        dropped = faults.should_fire(self.plan, "conn-drop",
+                                     detail=detail) is not None
+        if dropped or slot in self._doomed:
+            self._doomed.discard(slot)
+            _sever(conn.writer)
 
     # -- connection handling -----------------------------------------------
     async def _handle(self, reader: asyncio.StreamReader,
@@ -295,11 +291,6 @@ class StealCoordinator:
                             writer: asyncio.StreamWriter) -> None:
         conn = _Conn(reader, writer)
         self._conns.add(conn)
-        for slot in range(self.slots):
-            if slot not in self._slot_conns:
-                conn.slot = slot
-                self._slot_conns[slot] = conn
-                break
         self.live_workers += 1
         self.workers_joined += 1
         try:
@@ -312,16 +303,12 @@ class StealCoordinator:
                     break
                 kind = msg[0]
                 if kind == "ready":
-                    entry = self._pick(conn)
-                    if entry is not None:
-                        await self._assign(conn, entry)
-                    else:
-                        self._park(conn)
+                    await self._next(conn)
                 elif kind == "result":
                     _, tag, ok, payload = msg
                     lease, conn.lease = conn.lease, None
                     if lease is None:
-                        continue  # stale: the slot was already recycled
+                        continue  # no lease: nothing to settle
                     slot, _tag, detail = lease
                     # "conn-delay": the network holds a finished result.
                     spec = faults.should_fire(self.plan, "conn-delay",
@@ -329,11 +316,7 @@ class StealCoordinator:
                     if spec is not None and spec.seconds > 0:
                         await asyncio.sleep(spec.seconds)
                     self.results.put(("result", slot, tag, ok, payload))
-                    entry = self._pick(conn)
-                    if entry is not None:
-                        await self._assign(conn, entry)
-                    else:
-                        self._park(conn)
+                    await self._next(conn)
         finally:
             self._drop(conn)
 
@@ -342,23 +325,18 @@ class StealCoordinator:
         if conn.parked:
             self._idle.remove(conn)
             conn.parked = False
-        if conn.slot is not None and self._slot_conns.get(conn.slot) is conn:
-            del self._slot_conns[conn.slot]
         lease, conn.lease = conn.lease, None
         self.live_workers -= 1
         self.workers_left += 1
         if lease is not None and not self._closing:
             self.results.put((
                 "death", lease[0],
-                f"remote worker disconnected holding {lease[2]!r} "
+                f"worker disconnected holding {lease[2]!r} "
                 f"(slot {lease[0]})"))
-        try:
-            conn.writer.close()
-        except Exception:
-            pass
+        _sever(conn.writer)
 
 
-# -- the remote worker ------------------------------------------------------
+# -- the worker ----------------------------------------------------------
 
 def run_worker(address, *, fingerprint: Optional[str] = None,
                schema: Optional[int] = None, reconnect: bool = False,

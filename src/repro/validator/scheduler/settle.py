@@ -299,8 +299,10 @@ def settle_plan(plan: WorkPlan, cache: ValidationCache, execution,
     fresh = execution.fresh
     consumed: set = set()
     inline_validations = 0
-    # The function plan being settled (what ``delta`` is asked about).
+    # The function plan being settled (what ``delta`` is asked about) and
+    # its module's context digest (part of every key).
     current: Optional[FunctionPlan] = None
+    context = ""
     # Every version the runners can hand the provider was fingerprinted at
     # planning time; the memo keeps assembly from re-printing/re-hashing
     # per pair (ids stay unambiguous because the plans pin the versions
@@ -319,7 +321,8 @@ def settle_plan(plan: WorkPlan, cache: ValidationCache, execution,
 
     def provider(before: Function, after: Function) -> Tuple[ValidationResult, bool]:
         nonlocal inline_validations
-        key = cache.key_for(_fingerprint(before), _fingerprint(after), config)
+        key = cache.key_for(_fingerprint(before), _fingerprint(after), config,
+                            context)
         stored = cache.peek(key)
         if stored is None:
             denied = getattr(execution, "denied", {}).get(key)
@@ -394,6 +397,7 @@ def settle_plan(plan: WorkPlan, cache: ValidationCache, execution,
 
     results: List[Tuple[Module, ValidationReport]] = []
     for module_plan in plan.modules:
+        context = module_plan.context
         # The report holds every selected function's record in module
         # order; the planned (transformed) ones are settled as reached.
         work = iter(module_plan.work)

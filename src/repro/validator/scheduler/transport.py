@@ -1,11 +1,18 @@
-"""TCP transport for the work-stealing executor: framing + the pool shim.
+"""The worker pool's wire: item encoding, TCP framing and the pool itself.
 
-The ``"steal"`` backend's :class:`~repro.validator.scheduler.steal.StealPool`
-speaks an in-process ``multiprocessing`` pipe protocol, which caps a
-batch's throughput at one host's cores.  This module carries the same
-single-item dispatch protocol over TCP so workers on *other* hosts (or
-plain subprocesses on this one) can join the queue:
+The executor's work-stealing pool runs over one transport, TCP, whether
+its workers are local processes or a fleet on other hosts:
 
+* **Item encoding** — :func:`encode_item` pickles a work item's own
+  function versions in full and every other
+  :class:`~repro.ir.module.Function` it reaches as a bodiless
+  declaration (name, signature, argument names and attributes, rebuilt
+  worker-side by :func:`_declaration`).  The validator reads only a
+  callee's name and its ``readonly``/``readnone`` attributes, yet a
+  plain pickle of one version drags in every function of its module
+  through ``Call`` operands and ``Function.parent``.  Verdicts cannot
+  change: no callee body is ever translated, and a self-recursive call
+  still resolves to the version object itself.
 * **Framing** — length-prefixed stdlib frames: a 4-byte big-endian
   length (``struct``) followed by a pickled message.  No third-party
   wire format; truncated and oversized frames raise :class:`FrameError`
@@ -15,44 +22,98 @@ plain subprocesses on this one) can join the queue:
   schema version (:data:`TRANSPORT_SCHEMA`) and the config fingerprint
   (:func:`config_fingerprint`) match the coordinator's.  Workers are the
   only peers: there is no served proof store, so a verdict reaches the
-  proof cache only through its result frame, filed by the parent.  A fleet mixing
-  incompatible rule registries or wire formats must fail loudly at
-  join time, never by producing divergent verdicts.
-* **:class:`TcpStealPool`** — a drop-in for :class:`StealPool`: the
-  same ``send(worker_id, tag, item)`` / ``receive(outstanding)`` /
-  ``respawn`` / ``kill_worker`` / ``close`` contract, so
-  :class:`~repro.validator.scheduler.executors.Executor`'s
-  scheduling, cancellation, supervision and budget machinery is reused
-  unchanged.  Internally it runs a
+  proof cache only through its result frame, filed by the parent.  A
+  fleet mixing incompatible rule registries or wire formats must fail
+  loudly at join time, never by producing divergent verdicts.
+* **:class:`TcpStealPool`** — the ``send(worker_id, tag, item)`` /
+  ``receive(outstanding)`` / ``respawn`` / ``kill_worker`` / ``close``
+  contract that :class:`~repro.validator.scheduler.executors.Executor`'s
+  scheduling, cancellation, supervision and budget machinery drive.
+  Internally it runs a
   :class:`~repro.validator.scheduler.remote.StealCoordinator` asyncio
-  server on a background thread; remote workers join via ``python -m
-  repro.validator.scheduler.worker --connect HOST:PORT``.
+  server on a background thread.  With ``config.steal_listen`` unset it
+  binds a loopback ephemeral port and forks ``workers`` local worker
+  processes (each :func:`~repro.validator.scheduler.remote.run_worker`)
+  that join it; with ``steal_listen`` set it starts none and waits for
+  an external fleet (``python -m repro.validator.scheduler.worker
+  --connect HOST:PORT``).
 
-Worker slots are *virtual* here: the executor still addresses workers
-``0..N-1`` and keeps at most one item in flight per slot, but which
-remote connection serves a slot's item is the coordinator's business
-(an idle connection steals from the most-loaded slot).  A slot whose
-item was lost to a disconnect surfaces as an attributable
-:class:`~repro.validator.scheduler.steal.BrokenStealPool` from
-:meth:`TcpStealPool.receive`, so the executor's existing
-respawn/requeue/quarantine supervision recovers exactly as it does for
-a dead pipe worker.
+Worker slots are *virtual*: the executor addresses workers ``0..N-1``
+and keeps at most one item in flight per slot, but which connection
+serves a slot's item is the coordinator's business (the next idle one).
+A slot whose item was lost to a disconnect surfaces as an attributable
+:class:`BrokenStealPool` from :meth:`TcpStealPool.receive`, so the
+executor's respawn/requeue/quarantine supervision recovers; a local
+worker process found dead is replaced by a fresh one.
 """
 
 from __future__ import annotations
 
 import asyncio
 import hashlib
+import io
 import json
+import multiprocessing
 import pickle
 import queue
 import socket
 import struct
 import threading
 import time
-from typing import Dict, Optional, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
-from .steal import BrokenStealPool, encode_item
+from ...ir.module import Function
+
+class BrokenStealPool(RuntimeError):
+    """A pool worker died or misbehaved.
+
+    ``worker_id`` names the casualty when the failure is attributable to
+    one worker slot holding one in-flight item — the supervisor then
+    respawns that slot and requeues the item.  ``None`` means the pool's
+    state is unknown (the coordinator thread died, no worker ever
+    joined): the executor degrades to in-process execution.
+    """
+
+    def __init__(self, message: str, worker_id: Optional[int] = None) -> None:
+        super().__init__(message)
+        self.worker_id = worker_id
+
+
+# -- item encoding ------------------------------------------------------------
+
+def _declaration(name: str, function_type, arg_names: Sequence[str],
+                 attributes) -> Function:
+    """Rebuild a callee as a bodiless declaration (worker-side decoder)."""
+    return Function(name, function_type, arg_names, attributes)
+
+
+class _ItemPickler(pickle.Pickler):
+    """Pickle a work item, shipping non-version functions as declarations."""
+
+    def __init__(self, file, versions: Sequence[Function]) -> None:
+        super().__init__(file)
+        self._versions = versions
+
+    def reducer_override(self, obj):
+        if not isinstance(obj, Function) \
+                or any(obj is version for version in self._versions):
+            return NotImplemented
+        return _declaration, (obj.name, obj.function_type,
+                              [arg.name for arg in obj.args], obj.attributes)
+
+
+def encode_item(tag: int, item: Tuple) -> bytes:
+    """The wire bytes of one ``(tag, item)`` dispatch (see the module doc).
+
+    ``pickle.loads`` decodes them.
+    """
+    versions = item[1] if item[0] == "chain" else item[1:3]
+    buffer = io.BytesIO()
+    _ItemPickler(buffer, versions).dump((tag, item))
+    return buffer.getvalue()
+
+
+# -- framing ------------------------------------------------------------------
 
 #: Wire-format version. Bump on any frame/message shape change; the
 #: handshake rejects mismatches so old workers can never misparse.
@@ -68,7 +129,7 @@ MAX_FRAME_BYTES = 64 * 1024 * 1024
 #: struct format of the length prefix: unsigned 32-bit big-endian.
 _LENGTH = struct.Struct(">I")
 
-#: How long the parent waits for at least one remote worker before
+#: How long the parent waits for at least one worker to join before
 #: declaring the pool broken (unattributable -> the executor degrades
 #: to serial, so a missing fleet costs a delay, never a hang). Tests
 #: monkeypatch this down.
@@ -87,7 +148,7 @@ class HandshakeError(FrameError):
     """The peer rejected (or botched) the hello/welcome handshake."""
 
 
-# -- framing (blocking sockets: the remote workers) -------------------------
+# -- framing (blocking sockets: the workers) --------------------------------
 
 def pack_frame(message: object) -> bytes:
     """Serialize one message to a length-prefixed frame."""
@@ -180,10 +241,10 @@ def config_fingerprint(config=None) -> str:
     Covers the code-level registries a verdict depends on (rule groups,
     normalization engines) plus the wire schema version — no store
     schema, since no worker touches a store; with a ``config``,
-    additionally pins that run's verdict-relevant knobs.  Workers send the code-level fingerprint
-    (they cannot know the run config before connecting — the config
-    rides inside each work item exactly as it does on the pipe
-    transport), and the coordinator rejects any mismatch at handshake.
+    additionally pins that run's verdict-relevant knobs.  Workers send
+    the code-level fingerprint (they cannot know the run config before
+    connecting — the config rides inside each work item), and the
+    coordinator rejects any mismatch at handshake.
     """
     from ...vgraph.normalize import ENGINES
     from ...vgraph.rules import ALL_RULE_GROUPS
@@ -219,23 +280,39 @@ def split_address(address: str) -> Tuple[str, int]:
     return host, int(port)
 
 
-# -- the pool shim ----------------------------------------------------------
+# -- the pool -----------------------------------------------------------------
+
+def _local_worker_main(address: Tuple[str, int]) -> None:
+    """A local worker process: serve the parent's coordinator until killed.
+
+    ``reconnect`` lets a worker whose connection was severed (the
+    ``"conn-drop"`` site) or whose handshake was refused rejoin on its
+    own; only a dead process needs replacing.
+    """
+    from .remote import run_worker  # deferred: remote imports our framing
+
+    run_worker(address, reconnect=True)
+
 
 class TcpStealPool:
-    """The :class:`StealPool` contract served over TCP.
+    """The executor's worker pool: a steal coordinator and its workers.
 
     Owns a background thread running a
     :class:`~repro.validator.scheduler.remote.StealCoordinator` event
     loop.  ``send`` encodes the item in the caller's thread (an
     unpicklable payload raises synchronously where the executor can
-    catch it, exactly like the pipe pool) and hands the bytes to the
-    loop; ``receive`` blocks on the coordinator's thread-safe result
-    queue, converting a slot-death event into an attributable
-    :class:`BrokenStealPool` so the executor's supervisor requeues the
-    lost item.  ``respawn`` is bookkeeping only — the replacement
-    "worker" is whichever remote connection next steals the slot's
-    requeued item — and ``kill_worker`` severs the connection currently
-    serving the slot (fault injection's network sites ride on this).
+    catch it) and hands the bytes to the loop; ``receive`` blocks on the
+    coordinator's thread-safe result queue, converting a slot-death
+    event into an attributable :class:`BrokenStealPool` so the
+    executor's supervisor requeues the lost item.  ``kill_worker``
+    severs the connection serving the slot (fault injection's
+    ``"steal-dispatch"`` site rides on this).
+
+    Without a ``listen`` address (argument or ``config.steal_listen``)
+    the pool binds a loopback ephemeral port and forks ``workers`` local
+    worker processes; ``respawn`` and every ``receive`` replace any of
+    them found dead, and ``close`` terminates them.  With one, it starts
+    no process and serves whichever fleet joins.
     """
 
     def __init__(self, workers: int, config=None, *,
@@ -247,11 +324,12 @@ class TcpStealPool:
         self.respawns = 0
         self.connect_grace = (CONNECT_GRACE if connect_grace is None
                               else connect_grace)
-        address = listen or getattr(config, "steal_listen", None) \
-            or "127.0.0.1:0"
-        host, port = split_address(address)
+        listen = listen or getattr(config, "steal_listen", None)
+        host, port = split_address(listen or "127.0.0.1:0")
+        #: Local worker processes (none when serving an external fleet).
+        self._processes: List[multiprocessing.Process] = []
         self._coordinator = remote.StealCoordinator(
-            workers, config=config, host=host, port=port)
+            config=config, host=host, port=port)
         self._loop = asyncio.new_event_loop()
         self._thread = threading.Thread(
             target=self._serve, daemon=True, name="steal-coordinator")
@@ -261,6 +339,12 @@ class TcpStealPool:
                 self._coordinator.start(), self._loop)
             #: ``(host, port)`` actually bound (port 0 resolves here).
             self.address = future.result(timeout=10.0)
+            if listen is None:
+                # Resolve once here: forked workers inherit the loaded
+                # resolver instead of each paying for it on connect.
+                socket.getaddrinfo(*self.address)
+                for _ in range(workers):
+                    self._spawn()
         except BaseException:
             self.close()
             raise
@@ -268,6 +352,26 @@ class TcpStealPool:
     def _serve(self) -> None:
         asyncio.set_event_loop(self._loop)
         self._loop.run_forever()
+
+    def _spawn(self) -> None:
+        # The platform's default start method (fork on Linux): a spawned
+        # worker re-imports the validator, ~300 ms against ~5 ms, which a
+        # small batch never amortizes.  The child runs only run_worker,
+        # which takes no lock the coordinator thread could be holding.
+        process = multiprocessing.Process(
+            target=_local_worker_main, args=(self.address,), daemon=True,
+            name=f"steal-worker-{len(self._processes)}")
+        process.start()
+        self._processes.append(process)
+
+    def _replace_dead(self) -> None:
+        """Reap local workers that died and start one fresh process each."""
+        dead = [process for process in self._processes
+                if not process.is_alive()]
+        for process in dead:
+            process.join()
+            self._processes.remove(process)
+            self._spawn()
 
     @property
     def coordinator(self):
@@ -281,8 +385,7 @@ class TcpStealPool:
     def send(self, worker_id: int, tag: int, item: Tuple) -> int:
         """Queue one item for ``worker_id``; returns the encoded size.
 
-        Encodes here, in the parent, with the pipe pool's
-        :func:`~repro.validator.scheduler.steal.encode_item`.
+        Encodes here, in the parent (see :func:`encode_item`).
         """
         from .executors import item_detail  # deferred: executors imports us
 
@@ -297,10 +400,11 @@ class TcpStealPool:
 
         A slot-death event (its connection dropped while holding the
         slot's item) raises an attributable :class:`BrokenStealPool`;
-        a fleet that never connects within :data:`CONNECT_GRACE` raises
-        an unattributable one, so the executor degrades to serial
-        instead of hanging on an empty network.
+        no live worker for :data:`CONNECT_GRACE` seconds raises an
+        unattributable one, so the executor degrades to in-process
+        execution instead of hanging on an empty network.
         """
+        self._replace_dead()
         waited_since = time.monotonic()
         while True:
             if self._coordinator.live_workers > 0:
@@ -310,12 +414,13 @@ class TcpStealPool:
             except queue.Empty:
                 if not self._thread.is_alive():
                     raise BrokenStealPool("steal coordinator thread died")
+                self._replace_dead()
                 if (self._coordinator.live_workers == 0
                         and time.monotonic() - waited_since
                         > self.connect_grace):
                     raise BrokenStealPool(
-                        f"no remote workers joined within "
-                        f"{self.connect_grace:g}s (start one with: python -m "
+                        f"no worker joined within {self.connect_grace:g}s "
+                        f"(start one with: python -m "
                         f"repro.validator.scheduler.worker --connect "
                         f"{self.address[0]}:{self.address[1]})")
                 continue
@@ -328,8 +433,12 @@ class TcpStealPool:
             return slot, tag, ok, payload
 
     def respawn(self, worker_id: int) -> None:
-        """Reset a slot after a death (the next connection inherits it)."""
-        self._call(self._coordinator.clear_slot, worker_id)
+        """Recover a slot after a death: replace dead local processes.
+
+        The slot itself needs no reset — its requeued item goes to the
+        next idle connection.
+        """
+        self._replace_dead()
         self.respawns += 1
 
     def kill_worker(self, worker_id: int) -> None:
@@ -337,30 +446,37 @@ class TcpStealPool:
         self._call(self._coordinator.kill_slot, worker_id)
 
     def close(self) -> None:
-        """Tell workers the batch is over, stop the server, join the thread."""
-        if self._loop.is_closed():
-            return
-        try:
-            future = asyncio.run_coroutine_threadsafe(
-                self._coordinator.shutdown(), self._loop)
-            future.result(timeout=5.0)
-        except Exception:
-            pass
-        self._loop.call_soon_threadsafe(self._loop.stop)
-        self._thread.join(timeout=5.0)
+        """Tell workers the batch is over, stop the server, end the workers."""
         if not self._loop.is_closed():
-            self._loop.close()
+            try:
+                future = asyncio.run_coroutine_threadsafe(
+                    self._coordinator.shutdown(), self._loop)
+                future.result(timeout=5.0)
+            except Exception:
+                pass
+            self._loop.call_soon_threadsafe(self._loop.stop)
+            self._thread.join(timeout=5.0)
+            if not self._loop.is_closed():
+                self._loop.close()
+        for process in self._processes:
+            if process.is_alive():
+                process.terminate()
+        for process in self._processes:
+            process.join(timeout=1.0)
+        self._processes = []
 
 
 __all__ = [
     "CONNECT_GRACE",
     "MAX_FRAME_BYTES",
     "TRANSPORT_SCHEMA",
+    "BrokenStealPool",
     "ConnectionClosed",
     "FrameError",
     "HandshakeError",
     "TcpStealPool",
     "config_fingerprint",
+    "encode_item",
     "pack_frame",
     "read_frame",
     "recv_frame",

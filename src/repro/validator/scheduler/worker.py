@@ -1,13 +1,13 @@
 """``python -m repro.validator.scheduler.worker`` — join a steal coordinator.
 
-The remote half of the TCP steal transport: point one or more of these
-at a coordinator (a batch run with ``steal_transport="tcp"``) and they
-pull work items off its shared queue, validate them and send each
-verdict back in a result frame.  A worker opens no proof store: the
-coordinator ships only items its own cache found uncached and files
-the returned verdicts there.  Workers join and leave dynamically;
-``--reconnect`` keeps a worker serving across the per-batch coordinator
-restarts of a sweep.
+A fleet worker for the executor's pool: point one or more of these at a
+coordinator (a batch run with ``config.steal_listen`` set, which then
+starts no local worker of its own) and they pull work items off its
+queue, validate them and send each verdict back in a result frame.  A
+worker opens no proof store: the coordinator ships only items its own
+cache found uncached and files the returned verdicts there.  Workers
+join and leave dynamically; ``--reconnect`` keeps a worker serving
+across the per-batch coordinator restarts of a sweep.
 
 Two-terminal loopback example::
 
@@ -23,7 +23,7 @@ Two-terminal loopback example::
     from repro.validator import DEFAULT_CONFIG
     from repro.validator.driver import validate_module_batch
 
-    config = replace(DEFAULT_CONFIG, concurrency=2, steal_transport="tcp",
+    config = replace(DEFAULT_CONFIG, concurrency=2,
                      steal_listen="127.0.0.1:8742")
     module = build_corpus(BENCHMARKS_BY_NAME["gcc"], 0.2)
     [(_, report)] = validate_module_batch([module], PAPER_PIPELINE,
@@ -43,7 +43,7 @@ from .remote import run_worker
 def main(argv: Optional[List[str]] = None) -> int:
     parser = argparse.ArgumentParser(
         prog="python -m repro.validator.scheduler.worker",
-        description="Remote worker for the TCP work-stealing transport.")
+        description="Fleet worker for the validator's work-stealing pool.")
     parser.add_argument("--connect", required=True, metavar="HOST:PORT",
                         help="coordinator address to join")
     parser.add_argument("--reconnect", action="store_true",

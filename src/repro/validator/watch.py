@@ -276,6 +276,8 @@ class Revalidator:
             max_entries=self.config.analysis_cache_size or None)
         self.executor = Executor(self.config.concurrency)
         self._states: Dict[Tuple[str, str], _ChainState] = {}
+        #: Module-context digest each label's states were retained under.
+        self._contexts: Dict[str, str] = {}
         #: Completed :meth:`revalidate` calls.
         self.runs = 0
 
@@ -322,6 +324,13 @@ class Revalidator:
                           function_names=(None if function_names is None
                                           else [list(function_names)]),
                           memo=self.pass_memo)
+        context = plan.modules[0].context
+        if self._contexts.get(label, context) != context:
+            # A callee's attributes or a global changed: graphs retained
+            # under the old context must not answer for the new one.
+            self._states = {key: state for key, state in self._states.items()
+                            if key[0] != label}
+        self._contexts[label] = context
         deltas: Dict[str, _ChainDelta] = {}
         for function_plan in plan.function_plans():
             previous = self._states.get((label, function_plan.function.name))

@@ -1,8 +1,8 @@
 """Tests for the persistent ValidationCache through its public API.
 
 Covers the roundtrip (save → load → all hits), the refusal of removed
-JSON store paths and served-store addresses, content/config keyed
-invalidation, tolerance of missing or misshapen store files, save-time
+JSON store paths and served-store addresses, content/config/module-context
+keyed invalidation, tolerance of missing or misshapen store files, save-time
 merging with a concurrent writer, the byte budget, and that the sharded batch driver reports
 worker-answered queries in the cache totals without double counting.
 SQLite-specific behaviour (lazy faulting, WAL, corruption and schema
@@ -16,19 +16,23 @@ from pathlib import Path
 import pytest
 
 from repro.bench import small_test_corpus
-from repro.ir import clone_function, parse_function
+from repro.ir import clone_function, parse_function, parse_module
+from repro.ir.printer import print_function
 from repro.transforms import PAPER_PIPELINE
+from repro.transforms.pass_manager import module_context_digest
 from repro.validator import (
     DEFAULT_CONFIG,
     SQLITE_FILE_NAME,
     SQLITE_SCHEMA,
     Revalidator,
     ValidationCache,
+    build_plan,
     llvm_md,
     validate,
     validate_module_batch,
 )
 from repro.validator.cache import _entry_size
+from repro.validator.scheduler import validate_pair_cached
 
 SHARDED = replace(DEFAULT_CONFIG, concurrency=2)
 
@@ -146,6 +150,83 @@ class TestInvalidation:
                      replace(DEFAULT_CONFIG, cache_dir="/elsewhere"),
                      replace(DEFAULT_CONFIG, analysis_cache_size=2)):
             assert reloaded.peek(reloaded.key(before, after, same)) is not None
+
+
+#: ``@f`` -> ``@g`` forwards the stored value across the call to ``@h``:
+#: sound exactly when ``@h`` does not write memory.  The two texts are
+#: the same in both contexts; only the callee's attribute differs.
+CALLEE_CONTEXT = """
+declare i32 @h(i32) {attribute}
+
+define i32 @f(i32* %p, i32 %a) {{
+entry:
+  store i32 %a, i32* %p
+  %x = call i32 @h(i32 %a)
+  %v = load i32, i32* %p
+  %r = add i32 %v, %x
+  ret i32 %r
+}}
+
+define i32 @g(i32* %p, i32 %a) {{
+entry:
+  store i32 %a, i32* %p
+  %x = call i32 @h(i32 %a)
+  %r = add i32 %a, %x
+  ret i32 %r
+}}
+
+define i32 @k(i32 %a, i32 %b) {{
+entry:
+  %x = add i32 %a, %b
+  %y = add i32 %a, %b
+  %z = sub i32 %x, %y
+  ret i32 %z
+}}
+"""
+
+
+class TestModuleContext:
+    """Keys cover what the printed pair does not show: callee attributes."""
+
+    @staticmethod
+    def module(attribute):
+        return parse_module(CALLEE_CONTEXT.format(attribute=attribute),
+                            name="ctx")
+
+    def test_flipped_callee_attribute_never_shares_an_entry(self, tmp_path):
+        pure, writer = self.module("readnone"), self.module("")
+        assert print_function(pure.functions["f"]) == \
+            print_function(writer.functions["f"])
+        contexts = {name: module_context_digest(module)
+                    for name, module in (("pure", pure), ("writer", writer))}
+        verdicts = {}
+        for name, module in (("pure", pure), ("writer", writer),
+                             ("pure", pure)):
+            # One store shared by every run, reopened between them.
+            cache = ValidationCache(tmp_path)
+            result, hit = validate_pair_cached(
+                module.functions["f"], module.functions["g"], DEFAULT_CONFIG,
+                cache, None, contexts[name])
+            # Only the repeated context may hit: a flipped attribute
+            # must never be answered by the other context's entry.
+            assert hit == (name in verdicts)
+            verdicts.setdefault(name, result.is_success)
+            cache.save()
+        assert verdicts == {"pure": True, "writer": False}
+
+    def test_plan_keys_carry_the_module_context(self):
+        # ``@k`` never calls ``@h`` and GVN rewrites it alike in both
+        # modules; its key still carries the context.
+        pure, writer = self.module("readnone"), self.module("")
+        keys = []
+        for module in (pure, writer):
+            plan = build_plan([module], PAPER_PIPELINE, config=DEFAULT_CONFIG,
+                              strategy="whole")
+            keys.append({fp.function.name: fp.whole_key
+                         for fp in plan.function_plans()})
+        assert keys[0]["k"][:2] == keys[1]["k"][:2]  # same pair texts
+        assert keys[0]["k"] != keys[1]["k"]
+        assert keys[0]["k"][2] == module_context_digest(pure)
 
 
 class TestCorruptionTolerance:

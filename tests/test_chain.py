@@ -17,6 +17,7 @@ import pytest
 from repro.analysis import AnalysisManager
 from repro.ir import parse_function
 from repro.transforms import PAPER_PIPELINE, PassManager, checkpoint_chain
+from repro.transforms.pass_manager import module_context_digest
 from repro.validator import (
     DEFAULT_CONFIG,
     ValidationCache,
@@ -337,8 +338,9 @@ class TestChainCacheInterplay:
         for function, _, versions in _chains(mini_corpus, min_steps=3):
             cache = ValidationCache()
             # Warm every adjacent pair except the last one.
+            context = module_context_digest(function.parent)
             for before, after in list(zip(versions, versions[1:]))[:-1]:
-                key = cache.key(before, after, DEFAULT_CONFIG)
+                key = cache.key(before, after, DEFAULT_CONFIG, context)
                 cache.put(key, validate(before, after, DEFAULT_CONFIG))
             _, record = validate_function_pipeline(
                 function, PAPER_PIPELINE, cache=cache, strategy="stepwise")

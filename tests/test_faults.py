@@ -202,7 +202,7 @@ class TestPairTimeout:
                 assert sig == clean_sigs[sig["name"]]
 
 
-# -- steal-pool supervision --------------------------------------------------
+# -- worker-pool supervision -------------------------------------------------
 class TestStealSupervision:
     def test_killed_worker_respawns_and_run_completes(self, mini_corpus):
         base = replace(DEFAULT_CONFIG, concurrency=2)
@@ -219,6 +219,25 @@ class TestStealSupervision:
         assert shard.get("workers_respawned", 0) >= 1
         assert shard.get("item_retries", 0) >= 1
         assert shard.get("pool_degraded", 0) == 0  # no serial degradation
+
+    def test_crashed_local_worker_is_replaced(self, mini_corpus):
+        # A "worker"-site crash hard-exits a loopback worker process.
+        # Counters are per process, so every worker (replacements too)
+        # dies on its second item: the pool must keep replacing dead
+        # processes, and with retries to spare every item completes.
+        [(_, clean)] = validate_module_batch([mini_corpus], PAPER_PIPELINE,
+                                             config=DEFAULT_CONFIG,
+                                             strategy="stepwise")
+        faults.reset()
+        config = replace(DEFAULT_CONFIG, concurrency=2, max_pair_retries=10,
+                         fault_plan=FaultPlan.crash_worker(at=2))
+        [(_, chaotic)] = validate_module_batch(
+            [mini_corpus], PAPER_PIPELINE, config=config, strategy="stepwise")
+        shard = chaotic.shard_stats or {}
+        assert signatures(chaotic) == signatures(clean)
+        assert shard["workers_respawned"] >= 1
+        assert shard["pairs_quarantined"] == 0
+        assert shard["pool_degraded"] == 0
 
     def test_poison_pair_is_quarantined(self, mini_corpus):
         victim = next(f.name for f in mini_corpus.functions.values()
@@ -284,7 +303,7 @@ class TestPoolRetry:
 # -- proof-store flush faults ------------------------------------------------
 class TestStoreFaults:
     def _one_entry(self, cache):
-        key = cache.key_for("aaa", "bbb", DEFAULT_CONFIG)
+        key = cache.key_for("aaa", "bbb", DEFAULT_CONFIG, "")
         cache.put(key, ValidationResult(function_name="f", is_success=True,
                                         reason="", elapsed=0.01))
         return key

@@ -11,6 +11,7 @@ graph cloning/extension, and the delta validator.
 """
 
 import gc
+import socket
 from dataclasses import replace
 
 import pytest
@@ -37,6 +38,7 @@ from repro.validator import (
     validate_chain_delta,
     validate_module_batch,
 )
+from repro.validator.scheduler.remote import spawn_workers
 from repro.vgraph.builder import build_function_graph, extend_chain_graph
 from repro.vgraph.graph import ValueGraph
 
@@ -130,6 +132,24 @@ def test_pure_suffix_change_skips_unchanged_pairs():
     assert third.shard_stats["pairs_skipped_unchanged"] > 0
 
 
+def test_context_change_drops_retained_graphs():
+    """Graphs retained under one module context never answer for another."""
+    spec = BENCHMARKS_BY_NAME["sqlite"]
+
+    def flipped():
+        module = build_corpus(spec, 0.1)
+        module.functions["ext_effect"].attributes = frozenset({"readonly"})
+        return module
+
+    revalidator = Revalidator(DEFAULT_CONFIG)
+    revalidator.revalidate(build_corpus(spec, 0.1), PIPE)
+    _, second = revalidator.revalidate(flipped(), MUTATIONS["swap"])
+    assert second.shard_stats["subgraph_nodes_reused"] == 0
+    _, cold = llvm_md(flipped(), MUTATIONS["swap"], DEFAULT_CONFIG,
+                      strategy="stepwise")
+    assert _signatures(second) == _signatures(cold)
+
+
 def test_incremental_survives_analysis_manager_eviction():
     """Retained chain state outlives the AnalysisManager's LRU bound."""
     config = replace(DEFAULT_CONFIG, analysis_cache_size=2)
@@ -146,24 +166,40 @@ def test_incremental_survives_analysis_manager_eviction():
     assert _signatures(second) == _signatures(cold)
 
 
-# One leg per steal-pool transport at two workers.  The ids keep the
-# executor-concurrency names these legs have always been reported under:
-# "auto-2" is the default pipe pool, "steal-2" the pool over loopback tcp.
-@pytest.mark.parametrize("transport", [
-    pytest.param("pipe", id="auto-2"),
-    pytest.param("tcp", id="steal-2"),
+def _free_port() -> int:
+    sock = socket.socket()
+    sock.bind(("127.0.0.1", 0))
+    port = sock.getsockname()[1]
+    sock.close()
+    return port
+
+
+# One leg per worker source at two workers.  The ids keep the names these
+# legs have always been reported under: "auto-2" is the pool's own
+# loopback workers, "steal-2" fleet mode (``steal_listen`` plus one
+# spawned worker process).
+@pytest.mark.parametrize("fleet", [
+    pytest.param(False, id="auto-2"),
+    pytest.param(True, id="steal-2"),
 ])
-def test_revalidator_on_pooled_backends(transport):
+def test_revalidator_on_pooled_backends(fleet):
     """Pooled revalidations run the full plan and still match cold runs."""
     spec = BENCHMARKS_BY_NAME["sqlite"]
     tweaked = MUTATIONS["swap"]
-    revalidator = Revalidator(replace(DEFAULT_CONFIG, concurrency=2,
-                                      steal_transport=transport))
+    config = replace(DEFAULT_CONFIG, concurrency=2)
+    workers = []
+    if fleet:
+        address = f"127.0.0.1:{_free_port()}"
+        config = replace(config, steal_listen=address)
+        workers = spawn_workers(address, 1, patience=30.0)
+    revalidator = Revalidator(config)
     try:
         module = build_corpus(spec, 0.1)
         _, first = revalidator.revalidate(module, PIPE)
-        # The cold run's work ran on the backend, not inline at settlement.
+        # The cold run's work ran on the pool's workers, not inline at
+        # settlement and not degraded to in-process execution.
         assert first.shard_stats["distinct_pairs"] > 0
+        assert first.shard_stats["pooled_pairs"] > 0
         _, second = revalidator.revalidate(module, tweaked)
         (_, cold), = validate_module_batch([build_corpus(spec, 0.1)], tweaked,
                                            DEFAULT_CONFIG, strategy="stepwise")
@@ -183,8 +219,28 @@ def test_revalidator_on_pooled_backends(transport):
             prefix = next((index for index, verdict in enumerate(verdicts)
                            if not verdict.is_success), len(verdicts))
             assert record.kept_prefix == prefix
+        for report in (first, second, denied):
+            assert report.shard_stats["pool_degraded"] == 0
     finally:
         revalidator.close()
+        for process in workers:
+            process.terminate()
+            process.wait(timeout=10)
+
+
+def test_pooled_revalidator_reports_live_membership():
+    """A live pool's worker counters reach shard_stats before close."""
+    revalidator = Revalidator(replace(DEFAULT_CONFIG, concurrency=2))
+    try:
+        module = build_corpus(BENCHMARKS_BY_NAME["sqlite"], 0.1)
+        _, report = revalidator.revalidate(module, PIPE)
+        assert report.shard_stats["pooled_pairs"] > 0
+        # Workers served this run, so at least one joined — the counter
+        # must not wait for close() to snapshot it.
+        assert report.shard_stats["remote_workers_joined"] >= 1
+    finally:
+        revalidator.close()
+    assert revalidator.executor.stats()["remote_workers_joined"] >= 1
 
 
 def test_revalidation_hits_refresh_cache_recency():

@@ -1,12 +1,11 @@
-"""The steal backends' work-item encoder ships callee declarations only.
+"""The worker pool's work-item encoder ships callee declarations only.
 
 A work item needs its own function versions and, of every callee, only
 what the validator reads: the name and the ``readonly``/``readnone``
-attributes.  :func:`~repro.validator.scheduler.steal.encode_item` (used
-by the pipe pool and the TCP transport alike) must therefore decode to
-items whose non-version functions are bodiless declarations, whose
-self-recursive calls still reach the version object, and whose verdicts
-equal the original item's.
+attributes.  :func:`~repro.validator.scheduler.transport.encode_item`
+must therefore decode to items whose non-version functions are bodiless
+declarations, whose self-recursive calls still reach the version object,
+and whose verdicts equal the original item's.
 """
 
 import pickle
@@ -22,11 +21,11 @@ from repro.transforms import PAPER_PIPELINE
 from repro.validator import build_plan
 from repro.validator.config import DEFAULT_CONFIG
 from repro.validator.scheduler.executors import _validate_item
-from repro.validator.scheduler.steal import encode_item
 from repro.validator.scheduler.transport import (
     TRANSPORT_SCHEMA,
     TcpStealPool,
     config_fingerprint,
+    encode_item,
     recv_frame,
     send_frame,
 )

@@ -110,7 +110,7 @@ class TestSqliteRoundtrip:
         cache.save()
         cache.close()
         reader = ValidationCache(tmp_path)
-        absent = reader.key_for("nowhere", "nothing", DEFAULT_CONFIG)
+        absent = reader.key_for("nowhere", "nothing", DEFAULT_CONFIG, "")
         assert reader.prefetch(keys[:4] + [absent, keys[0]]) == 4
         assert reader.stats()["store_lazy_loads"] == 4
         assert reader.prefetch(keys) == 1

@@ -1,4 +1,4 @@
-"""The TCP steal transport: framing, handshake, requeue and config checks.
+"""The worker pool's TCP transport: framing, handshake, requeue, config.
 
 Everything here runs against the real machinery — blocking-socket frames
 against real sockets, handshakes against a live
@@ -12,21 +12,24 @@ fails at config time instead of silently degrading the pool.
 """
 
 import json
+import multiprocessing
+import os
 import pickle
 import socket
 import struct
 import time
+from dataclasses import replace
 from types import SimpleNamespace
 
 import pytest
 
 from repro.validator import faults
 from repro.validator.config import DEFAULT_CONFIG, ValidatorConfig
-from repro.validator.scheduler.steal import BrokenStealPool
 from repro.validator.scheduler import transport
 from repro.validator.scheduler.transport import (
     MAX_FRAME_BYTES,
     TRANSPORT_SCHEMA,
+    BrokenStealPool,
     ConnectionClosed,
     FrameError,
     TcpStealPool,
@@ -284,6 +287,31 @@ class TestDisconnectRequeue:
         finally:
             pool.close()
 
+    def test_severed_worker_sees_eof_despite_duplicate_descriptors(self):
+        # Local workers forked after a connection was accepted hold
+        # duplicates of the coordinator's end of it: severing must still
+        # reach the worker, or it waits forever on a dead lease.
+        pool = TcpStealPool(1, None, listen="127.0.0.1:0",
+                            connect_grace=5.0)
+        try:
+            item = ("pair", SimpleNamespace(name="f"), 0, 1, DEFAULT_CONFIG)
+            pool.send(0, tag=1, item=item)
+            sock, _ = self.join_and_take_item(pool)
+            conn, = pool.coordinator._conns
+            duplicate = os.dup(conn.writer.get_extra_info("socket").fileno())
+            try:
+                pool.kill_worker(0)
+                with pytest.raises(ConnectionClosed):
+                    recv_frame(sock)
+            finally:
+                os.close(duplicate)
+                sock.close()
+            with pytest.raises(BrokenStealPool) as excinfo:
+                pool.receive({0: (1, item)})
+            assert excinfo.value.worker_id == 0
+        finally:
+            pool.close()
+
     def test_empty_fleet_breaks_unattributably(self):
         pool = TcpStealPool(1, None, listen="127.0.0.1:0",
                             connect_grace=0.2)
@@ -298,32 +326,68 @@ class TestDisconnectRequeue:
             pool.close()
 
 
+# -- where the workers come from --------------------------------------------
+
+class TestWorkerSource:
+    POOLED = replace(DEFAULT_CONFIG, concurrency=2)
+
+    def test_local_mode_starts_one_worker_per_slot(self):
+        pool = TcpStealPool(2, self.POOLED)
+        processes = list(pool._processes)
+        try:
+            assert len(processes) == 2
+            deadline = time.monotonic() + 10.0
+            while pool.coordinator.workers_joined < 2:
+                assert time.monotonic() < deadline
+                time.sleep(0.01)
+        finally:
+            pool.close()
+        assert not any(process.is_alive() for process in processes)
+
+    def test_respawn_replaces_a_dead_local_worker(self):
+        pool = TcpStealPool(2, self.POOLED)
+        try:
+            victim = pool._processes[0]
+            victim.terminate()
+            victim.join()
+            pool.respawn(0)
+            assert victim not in pool._processes
+            assert len(pool._processes) == 2
+            assert all(process.is_alive() for process in pool._processes)
+            assert pool.respawns == 1
+        finally:
+            pool.close()
+
+    def test_fleet_mode_starts_no_local_process(self):
+        before = set(multiprocessing.active_children())
+        pool = TcpStealPool(2, replace(self.POOLED,
+                                       steal_listen="127.0.0.1:0"),
+                            connect_grace=1.0)
+        try:
+            assert pool._processes == []
+            assert set(multiprocessing.active_children()) == before
+            assert pool.coordinator.workers_joined == 0
+        finally:
+            pool.close()
+
+
 # -- config validation of the transport knobs --------------------------------
 
 class TestConfigValidation:
-    def test_defaults_are_pipe_and_unset(self):
-        assert DEFAULT_CONFIG.steal_transport == "pipe"
+    def test_defaults_are_unset(self):
         assert DEFAULT_CONFIG.steal_listen is None
         assert DEFAULT_CONFIG.cache_dir is None
 
-    def test_unknown_transport_rejected(self):
-        with pytest.raises(ValueError, match="steal transport"):
-            ValidatorConfig(steal_transport="carrier-pigeon")
-
-    def test_tcp_requires_a_worker_pool(self):
+    def test_listen_requires_a_worker_pool(self):
         # Below concurrency 2 the executor runs in-process and never
-        # binds a socket, so tcp there would be silently ignored.
+        # binds a socket, so a listen address there would be silently
+        # ignored.
         for concurrency in (0, 1):
             with pytest.raises(ValueError,
-                               match="steal_transport.*concurrency"):
-                ValidatorConfig(steal_transport="tcp",
-                                concurrency=concurrency,
+                               match="steal_listen.*concurrency"):
+                ValidatorConfig(concurrency=concurrency,
                                 steal_listen="127.0.0.1:8799")
-        ValidatorConfig(steal_transport="tcp", concurrency=2)
-
-    def test_listen_requires_tcp(self):
-        with pytest.raises(ValueError, match="steal_listen"):
-            ValidatorConfig(steal_listen="127.0.0.1:9")
+        ValidatorConfig(concurrency=2, steal_listen="127.0.0.1:8799")
 
     def test_addresses_must_be_host_port(self):
         # A malformed address must fail here: a pool that cannot bind
@@ -331,10 +395,9 @@ class TestConfigValidation:
         for address in ("localhost", "127.0.0.1:abc", ":8080",
                         "127.0.0.1:70000"):
             with pytest.raises(ValueError, match="HOST:PORT"):
-                ValidatorConfig(concurrency=2, steal_transport="tcp",
-                                steal_listen=address)
-        ValidatorConfig(concurrency=2, steal_transport="tcp",
-                        steal_listen="127.0.0.1:9", cache_dir="proofs")
+                ValidatorConfig(concurrency=2, steal_listen=address)
+        ValidatorConfig(concurrency=2, steal_listen="127.0.0.1:9",
+                        cache_dir="proofs")
 
     def test_network_fault_sites_registered(self):
         for site in ("conn-drop", "conn-delay", "handshake"):

@@ -4,6 +4,7 @@ global-cloning guarantees of the driver."""
 
 import pickle
 from dataclasses import replace
+from types import SimpleNamespace
 
 import pytest
 
@@ -28,6 +29,9 @@ from repro.validator import (
 )
 from repro.validator.report import FunctionRecord, ValidationReport
 from repro.validator.validate import ValidationResult
+
+#: The membership counters the executor reads off a live pool.
+_NO_FLEET = SimpleNamespace(workers_joined=0, workers_left=0, rejected=0)
 
 BUGGY_PIPELINE = ("adce", "bug-flip-operator", "gvn")
 
@@ -507,13 +511,13 @@ class TestPoolPayloadPickleSafety:
     def test_pool_failure_falls_back_to_serial(self, mini_corpus, monkeypatch):
         # Break process spawning entirely: the batch driver must degrade
         # to serial in-process validation with identical results.
-        from repro.validator.scheduler import steal
+        from repro.validator.scheduler import transport
 
         class ExplodingPool:
             def __init__(self, *args, **kwargs):
                 raise OSError("no processes for you")
 
-        monkeypatch.setattr(steal, "StealPool", ExplodingPool)
+        monkeypatch.setattr(transport, "TcpStealPool", ExplodingPool)
         config = replace(DEFAULT_CONFIG, concurrency=2)
         (_, report), = validate_module_batch(
             [mini_corpus], config=config, strategy="stepwise")
@@ -713,22 +717,24 @@ class TestStealExecutor:
         # The pool dies after streaming two verdicts back: those verdicts
         # are kept, the unfinished remainder reruns serially, and the
         # consumed-query ledger matches a clean serial run exactly.
-        from repro.validator.scheduler import steal
+        from repro.validator.scheduler import transport
         from repro.validator.scheduler.executors import _validate_item
 
         class FlakyStealPool:
-            def __init__(self, workers):
+            coordinator = _NO_FLEET
+
+            def __init__(self, workers, config):
                 self.pending = {}
                 self.completed = 0
 
             def send(self, worker_id, tag, item):
                 self.pending[worker_id] = (tag, item)
                 # The real pool's contract: encode, return the size.
-                return len(steal.encode_item(tag, item))
+                return len(transport.encode_item(tag, item))
 
             def receive(self, outstanding):
                 if self.completed >= 2:
-                    raise steal.BrokenStealPool("worker died mid-steal")
+                    raise transport.BrokenStealPool("worker died mid-steal")
                 worker_id, (tag, item) = next(iter(self.pending.items()))
                 del self.pending[worker_id]
                 self.completed += 1
@@ -737,7 +743,7 @@ class TestStealExecutor:
             def close(self):
                 self.pending.clear()
 
-        monkeypatch.setattr(steal, "StealPool", FlakyStealPool)
+        monkeypatch.setattr(transport, "TcpStealPool", FlakyStealPool)
         clean_cache = ValidationCache()
         (_, clean), = validate_module_batch(
             [mini_corpus], BUGGY_PIPELINE,
@@ -776,23 +782,25 @@ class TestFaultInjection:
 
     @staticmethod
     def _flaky_steal_pool(failure, results_before_failure: int = 1):
-        """A fake StealPool: streams real verdicts, then fails.
+        """A fake worker pool: streams real verdicts, then fails.
 
         Items go through the real encoder and decoder.  ``failure`` is
         the exception ``receive`` raises once ``results_before_failure``
         verdicts have streamed back, or ``None`` for a live worker that
         reports its item raised (``ok=False``).
         """
-        from repro.validator.scheduler import steal
+        from repro.validator.scheduler import transport
         from repro.validator.scheduler.executors import _validate_item
 
         class FlakyStealPool:
-            def __init__(self, workers):
+            coordinator = _NO_FLEET
+
+            def __init__(self, workers, config):
                 self.pending = {}
                 self.completed = 0
 
             def send(self, worker_id, tag, item):
-                payload = steal.encode_item(tag, item)
+                payload = transport.encode_item(tag, item)
                 self.pending[worker_id] = pickle.loads(payload)
                 return len(payload)
 
@@ -813,11 +821,12 @@ class TestFaultInjection:
 
     def test_worker_death_mid_batch_degrades_losslessly(self, mini_corpus,
                                                         monkeypatch):
-        from repro.validator.scheduler import steal
+        from repro.validator.scheduler import transport
 
         monkeypatch.setattr(
-            steal, "StealPool",
-            self._flaky_steal_pool(steal.BrokenStealPool("worker died mid-batch")))
+            transport, "TcpStealPool",
+            self._flaky_steal_pool(
+                transport.BrokenStealPool("worker died mid-batch")))
         clean_cache = ValidationCache()
         (_, clean), = validate_module_batch(
             [mini_corpus], BUGGY_PIPELINE,
@@ -841,9 +850,10 @@ class TestFaultInjection:
 
     def test_worker_exception_mid_batch_degrades_losslessly(self, mini_corpus,
                                                             monkeypatch):
-        from repro.validator.scheduler import steal
+        from repro.validator.scheduler import transport
 
-        monkeypatch.setattr(steal, "StealPool", self._flaky_steal_pool(None))
+        monkeypatch.setattr(transport, "TcpStealPool",
+                            self._flaky_steal_pool(None))
         clean_cache = ValidationCache()
         (_, clean), = validate_module_batch(
             [mini_corpus], PAPER_PIPELINE,
@@ -865,11 +875,11 @@ class TestFaultInjection:
         # once as hit or miss even after a mid-batch degradation: misses
         # equal the distinct entries actually stored, and every consumed
         # key was counted.
-        from repro.validator.scheduler import steal
+        from repro.validator.scheduler import transport
 
         monkeypatch.setattr(
-            steal, "StealPool",
-            self._flaky_steal_pool(steal.BrokenStealPool("boom"), 2))
+            transport, "TcpStealPool",
+            self._flaky_steal_pool(transport.BrokenStealPool("boom"), 2))
         cache = ValidationCache()
         config = replace(DEFAULT_CONFIG, concurrency=2)
         (_, report), = validate_module_batch(
