@@ -19,7 +19,11 @@ unless:
 * the proof cache is never poisoned: after every chaotic run, no cache
   entry carries a synthetic denial reason (``timeout``, ``quarantined``,
   ``budget-exhausted``), and a locked sqlite flush retries to disk
-  without counting a store error.
+  without counting a store error;
+* every crash and corrupt run actually *engaged* the pool (workers
+  joined or items were pooled): each corpus has at least two pooled
+  items at scale 0.1, so a schedule can never pass by having nothing to
+  fault.
 
 With ``--sites network`` the sweep instead exercises the pool's TCP
 fault plane on the same loopback workers: a **conn-drop** (the
@@ -29,7 +33,7 @@ coordinator loses a worker's connection right after handing it an item
 records must not change) and a rejected **handshake** (the worker's
 first join attempt is refused — its reconnect loop must get it accepted
 on the retry).  Every schedule must still produce baseline-identical
-records with zero denials.
+records with zero denials, and every run must have engaged the pool.
 
 The schedules are seeded (:class:`~repro.validator.faults.FaultPlan` is
 deterministic per process), so a failure here reproduces locally with
@@ -58,7 +62,10 @@ from repro.validator.driver import validate_module_batch
 from repro.validator.faults import FaultPlan, FaultSpec
 from repro.validator.validate import UNCACHEABLE_REASONS
 
-CORPORA = ("sqlite", "milc", "libquantum")
+#: Corpora with at least two pooled items at scale 0.1, so every run
+#: dispatches to the workers (one-record corpora such as libquantum
+#: settle without starting the pool).
+CORPORA = ("sqlite", "milc", "hmmer")
 CONCURRENCY = 2
 BACKEND = "steal"
 
@@ -100,6 +107,12 @@ def run_one(module, config, cache):
         strategy="stepwise")
     elapsed = time.perf_counter() - start
     return report, elapsed
+
+
+def engaged(shard) -> bool:
+    """Did the run reach the pool (a worker joined or an item was pooled)?"""
+    return bool(shard.get("remote_workers_joined", 0)
+                or shard.get("pooled_pairs", 0))
 
 
 def poisoned_entries(cache):
@@ -163,10 +176,10 @@ def network_sweep(args) -> int:
                 failures.append(
                     f"{corpus_name}/tcp/{schedule}: {len(poisoned)} "
                     f"synthetic denials poisoned the proof cache")
-            # A corpus too small to engage the pooled path never
-            # starts a coordinator, so nobody connects and nothing
-            # can be rejected; the sweep-level check below still
-            # requires a rejection on some corpus.
+            if not engaged(shard):
+                failures.append(
+                    f"{corpus_name}/tcp/{schedule}: the run never engaged "
+                    f"the pool, so the schedule faulted nothing")
             if schedule == "handshake" \
                     and shard.get("remote_workers_joined", 0) \
                     and not shard.get("handshakes_rejected", 0):
@@ -183,6 +196,7 @@ def network_sweep(args) -> int:
                 "workers_respawned": shard.get("workers_respawned", 0),
                 "item_retries": shard.get("item_retries", 0),
                 "pool_degraded": shard.get("pool_degraded", 0),
+                "pooled_pairs": shard.get("pooled_pairs", 0),
                 "workers_joined": shard.get("remote_workers_joined", 0),
                 "workers_left": shard.get("remote_workers_left", 0),
                 "handshakes_rejected": shard.get("handshakes_rejected", 0),
@@ -316,16 +330,16 @@ def main() -> int:
                 failures.append(
                     f"{corpus_name}/{BACKEND}/{schedule}: {len(poisoned)} "
                     f"synthetic denials poisoned the proof cache")
+            if schedule in ("crash", "corrupt") and not engaged(shard):
+                failures.append(
+                    f"{corpus_name}/{BACKEND}/{schedule}: the run never "
+                    f"engaged the pool, so the schedule faulted nothing")
             if schedule == "crash":
                 if shard.get("pool_degraded", 0):
                     failures.append(
                         f"{corpus_name}/{BACKEND}/{schedule}: crash "
                         f"degraded the pool to in-process instead of "
                         f"respawning")
-                # A corpus too small to engage the pooled path never
-                # dispatches, so the kill site never fires there; the
-                # sweep-level check below still requires a respawn
-                # on some corpus.
                 if shard.get("workers", 0) \
                         and not shard.get("workers_respawned", 0):
                     failures.append(
@@ -343,6 +357,8 @@ def main() -> int:
                 "pairs_quarantined": shard.get("pairs_quarantined", 0),
                 "item_retries": shard.get("item_retries", 0),
                 "pool_degraded": shard.get("pool_degraded", 0),
+                "pooled_pairs": shard.get("pooled_pairs", 0),
+                "workers_joined": shard.get("remote_workers_joined", 0),
                 "store_retries": stats.get("store_retries", 0),
                 "store_errors": stats.get("store_errors", 0),
                 "time_s": round(elapsed, 3),

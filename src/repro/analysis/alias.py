@@ -20,7 +20,7 @@ the validator "can use the result of a may-alias analysis".
 from __future__ import annotations
 
 import enum
-from typing import Optional, Tuple
+from typing import Callable, Optional, Tuple
 
 from ..ir.instructions import Alloca, GetElementPtr
 from ..ir.values import Argument, ConstantInt, GlobalVariable, Value
@@ -34,23 +34,30 @@ class AliasResult(enum.Enum):
     MUST_ALIAS = "must"
 
 
-def _strip_gep(pointer: Value) -> Tuple[Value, Optional[int], bool]:
+def _strip_gep(pointer: Value, resolve: Optional[Callable[[Value], Value]] = None
+               ) -> Tuple[Value, Optional[int], bool]:
     """Peel constant-offset GEPs off a pointer.
 
     Returns ``(base, offset, known)`` where ``offset`` is the accumulated
     constant element offset when every peeled GEP had constant indices
     (``known=True``), otherwise ``known=False`` and the offset is
-    meaningless.
+    meaningless.  ``resolve`` maps each operand read on the way (see
+    :class:`AliasAnalysis`).
     """
     offset = 0
     known = True
     while isinstance(pointer, GetElementPtr):
         indices = pointer.indices
-        if len(indices) == 1 and isinstance(indices[0], ConstantInt):
-            offset += indices[0].value
+        index = indices[0] if len(indices) == 1 else None
+        if index is not None and resolve is not None:
+            index = resolve(index)
+        if isinstance(index, ConstantInt):
+            offset += index.value
         else:
             known = False
         pointer = pointer.pointer
+        if resolve is not None:
+            pointer = resolve(pointer)
     return pointer, offset, known
 
 
@@ -60,15 +67,28 @@ def _is_identified_object(value: Value) -> bool:
 
 
 class AliasAnalysis:
-    """Stateless basic alias analysis (see module docstring)."""
+    """Stateless basic alias analysis (see module docstring).
+
+    ``resolve`` (optional) maps every value the analysis reads, the query's
+    pointers and the GEP operands it peels.  A pass that defers its
+    operand rewrite (:meth:`~repro.ir.module.Function.replace_uses`)
+    passes its replacement lookup, so queries see the IR as if every
+    replacement had been rewritten on the spot.
+    """
+
+    def __init__(self, resolve: Optional[Callable[[Value], Value]] = None) -> None:
+        self.resolve = resolve
 
     def alias(self, a: Value, b: Value) -> AliasResult:
         """Classify the relationship between two pointer values."""
+        resolve = self.resolve
+        if resolve is not None:
+            a, b = resolve(a), resolve(b)
         if a is b:
             return AliasResult.MUST_ALIAS
 
-        base_a, off_a, known_a = _strip_gep(a)
-        base_b, off_b, known_b = _strip_gep(b)
+        base_a, off_a, known_a = _strip_gep(a, resolve)
+        base_b, off_b, known_b = _strip_gep(b, resolve)
 
         if base_a is base_b:
             if known_a and known_b:

@@ -8,9 +8,11 @@ several optimization passes.
 
 from __future__ import annotations
 
-from typing import Dict, List, Set
+from typing import Callable, Dict, Hashable, List, Sequence, Set, TypeVar
 
 from ..ir.module import BasicBlock, Function
+
+Node = TypeVar("Node", bound=Hashable)
 
 
 def successors(block: BasicBlock) -> List[BasicBlock]:
@@ -27,49 +29,59 @@ def predecessor_map(function: Function) -> Dict[BasicBlock, List[BasicBlock]]:
     return preds
 
 
-def reachable_blocks(function: Function) -> List[BasicBlock]:
-    """Blocks reachable from the entry, in depth-first preorder."""
-    if not function.blocks:
-        return []
-    seen: Set[int] = set()
-    order: List[BasicBlock] = []
-    stack = [function.entry]
+def preorder(entry: Node, successors: Callable[[Node], Sequence[Node]]) -> List[Node]:
+    """Nodes reachable from ``entry``, in depth-first preorder.
+
+    Works on any hashable nodes: blocks here, block positions in
+    :mod:`repro.analysis.shape`.
+    """
+    seen: Set[Node] = set()
+    order: List[Node] = []
+    stack = [entry]
     while stack:
-        block = stack.pop()
-        if id(block) in seen:
+        node = stack.pop()
+        if node in seen:
             continue
-        seen.add(id(block))
-        order.append(block)
-        for successor in reversed(block.successors()):
-            if id(successor) not in seen:
+        seen.add(node)
+        order.append(node)
+        for successor in reversed(successors(node)):
+            if successor not in seen:
                 stack.append(successor)
     return order
 
 
+def postorder_reversed(entry: Node, successors: Callable[[Node], Sequence[Node]]
+                       ) -> List[Node]:
+    """Nodes reachable from ``entry``, in reverse depth-first postorder."""
+    seen = {entry}
+    postorder: List[Node] = []
+    stack = [(entry, iter(successors(entry)))]
+    while stack:
+        current, pending = stack[-1]
+        for successor in pending:
+            if successor not in seen:
+                seen.add(successor)
+                stack.append((successor, iter(successors(successor))))
+                break
+        else:
+            postorder.append(current)
+            stack.pop()
+    postorder.reverse()
+    return postorder
+
+
+def reachable_blocks(function: Function) -> List[BasicBlock]:
+    """Blocks reachable from the entry, in depth-first preorder."""
+    if not function.blocks:
+        return []
+    return preorder(function.entry, BasicBlock.successors)
+
+
 def reverse_postorder(function: Function) -> List[BasicBlock]:
     """Reachable blocks in reverse postorder (a topological-ish order)."""
-    seen: Set[int] = set()
-    postorder: List[BasicBlock] = []
-
-    def visit(block: BasicBlock) -> None:
-        stack = [(block, iter(block.successors()))]
-        seen.add(id(block))
-        while stack:
-            current, it = stack[-1]
-            advanced = False
-            for successor in it:
-                if id(successor) not in seen:
-                    seen.add(id(successor))
-                    stack.append((successor, iter(successor.successors())))
-                    advanced = True
-                    break
-            if not advanced:
-                postorder.append(current)
-                stack.pop()
-
-    if function.blocks:
-        visit(function.entry)
-    return list(reversed(postorder))
+    if not function.blocks:
+        return []
+    return postorder_reversed(function.entry, BasicBlock.successors)
 
 
 def remove_unreachable_blocks(function: Function) -> int:
@@ -98,48 +110,13 @@ def remove_unreachable_blocks(function: Function) -> int:
 def is_reducible(function: Function) -> bool:
     """Check whether the function's CFG is reducible.
 
-    Uses iterative T1/T2 interval reduction on a copy of the edge set:
-    remove self-loops (T1) and merge nodes with a unique predecessor into
-    that predecessor (T2).  The CFG is reducible iff it collapses to a
-    single node.  The paper's front end (and ours) rejects irreducible
-    functions.
+    The paper's front end (and ours) rejects irreducible functions.  The
+    check runs on the function's CFG shape
+    (:meth:`repro.analysis.shape.CFGFacts.is_reducible`).
     """
-    blocks = reachable_blocks(function)
-    if not blocks:
-        return True
-    ids = {id(b): i for i, b in enumerate(blocks)}
-    succ: Dict[int, Set[int]] = {i: set() for i in range(len(blocks))}
-    pred: Dict[int, Set[int]] = {i: set() for i in range(len(blocks))}
-    for block in blocks:
-        for s in block.successors():
-            if id(s) in ids:
-                succ[ids[id(block)]].add(ids[id(s)])
-                pred[ids[id(s)]].add(ids[id(block)])
-    entry = ids[id(blocks[0])]
-    alive = set(range(len(blocks)))
-    changed = True
-    while changed and len(alive) > 1:
-        changed = False
-        for node in list(alive):
-            # T1: remove self loop.
-            if node in succ[node]:
-                succ[node].discard(node)
-                pred[node].discard(node)
-                changed = True
-            # T2: merge node into its unique predecessor.
-            if node != entry and len(pred[node]) == 1:
-                parent = next(iter(pred[node]))
-                for s in succ[node]:
-                    pred[s].discard(node)
-                    if s != parent:
-                        succ[parent].add(s)
-                        pred[s].add(parent)
-                succ[parent].discard(node)
-                alive.discard(node)
-                succ.pop(node, None)
-                pred.pop(node, None)
-                changed = True
-    return len(alive) == 1
+    from .shape import CFGFacts
+
+    return CFGFacts.of(function).is_reducible()
 
 
 def split_critical_edges(function: Function) -> int:
@@ -177,6 +154,8 @@ def split_critical_edges(function: Function) -> int:
 
 __all__ = [
     "successors",
+    "preorder",
+    "postorder_reversed",
     "predecessor_map",
     "reachable_blocks",
     "reverse_postorder",

@@ -1,9 +1,12 @@
 """Dominator trees, dominance frontiers and post-dominators.
 
-Implemented with the Cooper–Harvey–Kennedy iterative algorithm over the
-reverse postorder numbering, which is simple and fast enough for the sizes
-in the benchmark corpora.  Dominance frontiers are needed by mem2reg's
-φ-placement; post-dominators by ADCE's control-dependence computation.
+Dominators come from the Cooper–Harvey–Kennedy iterative algorithm over
+the reverse postorder numbering, computed once per CFG shape by
+:class:`~repro.analysis.shape.CFGFacts`; a :class:`DominatorTree` binds
+those position-indexed facts to one function version's blocks.
+Dominator-tree interval numbers make :meth:`DominatorTree.dominates`
+O(1).  Dominance frontiers are needed by mem2reg's φ-placement;
+post-dominators by ADCE's control-dependence computation.
 """
 
 from __future__ import annotations
@@ -12,33 +15,34 @@ from typing import Dict, List, Optional, Set
 
 from ..ir.module import BasicBlock, Function
 from .cfg import predecessor_map, reverse_postorder
+from .shape import CFGFacts
 
 
 class DominatorTree:
     """The dominator tree of a function's reachable CFG.
 
-    Use :meth:`compute` to build one.  Unreachable blocks do not appear in
-    the tree at all; :meth:`dominates` returns ``False`` for them.
+    A view: :class:`~repro.analysis.shape.CFGFacts` (shared by every
+    version with the same CFG shape) bound to this version's blocks,
+    keyed by block object.  Use :meth:`compute` to build one for a lone
+    function.  Unreachable blocks, and blocks added after the view was
+    made, do not appear in the tree; :meth:`dominates` returns ``False``
+    for them.
     """
 
-    def __init__(self, function: Function, idom: Dict[int, Optional[BasicBlock]],
-                 order: List[BasicBlock]):
+    def __init__(self, function: Function, facts: CFGFacts):
         self.function = function
-        self._idom = idom
-        self._order = order
-        self._index = {id(b): i for i, b in enumerate(order)}
-        self._children: Dict[int, List[BasicBlock]] = {id(b): [] for b in order}
-        for block in order:
-            parent = idom.get(id(block))
-            if parent is not None and parent is not block:
-                self._children[id(parent)].append(block)
+        self.facts = facts
+        #: The version's blocks in layout order (position -> block).
+        self.blocks: List[BasicBlock] = list(function.blocks)
+        #: Block -> position in :attr:`blocks`.
+        self.positions: Dict[BasicBlock, int] = {
+            block: index for index, block in enumerate(self.blocks)}
 
     # -- construction ------------------------------------------------------
     @classmethod
     def compute(cls, function: Function) -> "DominatorTree":
         """Compute the dominator tree of ``function``."""
-        order = reverse_postorder(function)
-        return cls(function, _compute_idoms(order, predecessor_map(function)), order)
+        return cls(function, CFGFacts.of(function))
 
     @classmethod
     def compute_post(cls, function: Function) -> "PostDominatorTree":
@@ -48,32 +52,34 @@ class DominatorTree:
     # -- queries -------------------------------------------------------------
     def reachable_blocks(self) -> List[BasicBlock]:
         """Blocks reachable from entry, in reverse postorder."""
-        return list(self._order)
+        blocks = self.blocks
+        return [blocks[index] for index in self.facts.rpo]
 
     def idom(self, block: BasicBlock) -> Optional[BasicBlock]:
         """Immediate dominator of ``block`` (``None`` for the entry)."""
-        parent = self._idom.get(id(block))
-        if parent is block:
+        index = self.positions.get(block)
+        if index is None:
             return None
-        return parent
+        parent = self.facts.idom[index]
+        if parent < 0 or parent == index:
+            return None
+        return self.blocks[parent]
 
     def children(self, block: BasicBlock) -> List[BasicBlock]:
-        """Blocks immediately dominated by ``block``."""
-        return list(self._children.get(id(block), []))
+        """Blocks immediately dominated by ``block`` (in reverse postorder)."""
+        index = self.positions.get(block)
+        if index is None:
+            return []
+        blocks = self.blocks
+        return [blocks[child] for child in self.facts.children[index]]
 
     def dominates(self, a: BasicBlock, b: BasicBlock) -> bool:
         """Does ``a`` dominate ``b``?  (Every block dominates itself.)"""
-        if id(a) not in self._index or id(b) not in self._index:
+        positions = self.positions
+        index_a, index_b = positions.get(a), positions.get(b)
+        if index_a is None or index_b is None:
             return False
-        node: Optional[BasicBlock] = b
-        while node is not None:
-            if node is a:
-                return True
-            parent = self._idom.get(id(node))
-            if parent is node:
-                return False
-            node = parent
-        return False
+        return self.facts.dominates(index_a, index_b)
 
     def strictly_dominates(self, a: BasicBlock, b: BasicBlock) -> bool:
         """Does ``a`` dominate ``b`` and ``a is not b``?"""
@@ -81,19 +87,19 @@ class DominatorTree:
 
     def dominance_frontier(self) -> Dict[BasicBlock, Set[BasicBlock]]:
         """The dominance frontier of every reachable block."""
-        frontier: Dict[BasicBlock, Set[BasicBlock]] = {b: set() for b in self._order}
-        preds = predecessor_map(self.function)
-        for block in self._order:
-            block_preds = [p for p in preds[block] if id(p) in self._index]
+        facts, blocks = self.facts, self.blocks
+        frontier: Dict[BasicBlock, Set[BasicBlock]] = {
+            blocks[index]: set() for index in facts.rpo}
+        for index in facts.rpo:
+            block_preds = [pred for pred in facts.preds[index] if facts.idom[pred] >= 0]
             if len(block_preds) < 2:
                 continue
-            idom_block = self._idom[id(block)]
-            for pred in block_preds:
-                runner: Optional[BasicBlock] = pred
-                while runner is not None and runner is not idom_block:
-                    frontier[runner].add(block)
-                    next_runner = self._idom.get(id(runner))
-                    if next_runner is runner:
+            idom_index = facts.idom[index]
+            for runner in block_preds:
+                while runner != idom_index:
+                    frontier[blocks[runner]].add(blocks[index])
+                    next_runner = facts.idom[runner]
+                    if next_runner == runner:
                         break
                     runner = next_runner
         return frontier
@@ -101,13 +107,15 @@ class DominatorTree:
     def dominator_tree_preorder(self) -> List[BasicBlock]:
         """Blocks in a preorder walk of the dominator tree."""
         result: List[BasicBlock] = []
-        if not self._order:
+        rpo = self.facts.rpo
+        if not rpo:
             return result
-        stack = [self._order[0]]
+        children = self.facts.children
+        stack = [rpo[0]]
         while stack:
-            block = stack.pop()
-            result.append(block)
-            stack.extend(reversed(self.children(block)))
+            index = stack.pop()
+            result.append(self.blocks[index])
+            stack.extend(reversed(children[index]))
         return result
 
 
@@ -209,39 +217,6 @@ class PostDominatorTree:
                 return False
             node = parent
         return False
-
-
-def _compute_idoms(order: List[BasicBlock], preds: Dict[BasicBlock, List[BasicBlock]]
-                   ) -> Dict[int, Optional[BasicBlock]]:
-    """Cooper–Harvey–Kennedy iterative immediate-dominator computation."""
-    if not order:
-        return {}
-    index = {id(b): i for i, b in enumerate(order)}
-    entry = order[0]
-    idom: Dict[int, Optional[BasicBlock]] = {id(entry): entry}
-
-    def intersect(a: BasicBlock, b: BasicBlock) -> BasicBlock:
-        while a is not b:
-            while index[id(a)] > index[id(b)]:
-                a = idom[id(a)]
-            while index[id(b)] > index[id(a)]:
-                b = idom[id(b)]
-        return a
-
-    changed = True
-    while changed:
-        changed = False
-        for block in order[1:]:
-            candidates = [p for p in preds[block] if id(p) in idom and id(p) in index]
-            if not candidates:
-                continue
-            new_idom = candidates[0]
-            for other in candidates[1:]:
-                new_idom = intersect(new_idom, other)
-            if idom.get(id(block)) is not new_idom:
-                idom[id(block)] = new_idom
-                changed = True
-    return idom
 
 
 __all__ = ["DominatorTree", "PostDominatorTree"]

@@ -4,7 +4,9 @@ A natural loop is identified by a back edge ``latch → header`` where the
 header dominates the latch; the loop body is every block that can reach
 the latch without passing through the header.  Loops sharing a header are
 merged into a single :class:`Loop` (as LLVM's ``LoopInfo`` does), and
-loops are nested into a forest.
+loops are nested into a forest.  Detection runs once per CFG shape, by
+block position (:meth:`repro.analysis.shape.CFGFacts.loops`);
+:class:`LoopInfo` binds the result to one function version's blocks.
 
 The loop analysis feeds LICM, loop deletion, loop unswitching and the
 gated-SSA construction (μ-node placement at headers, η-nodes at exits).
@@ -16,12 +18,11 @@ from typing import Dict, List, Optional, Set
 
 from ..ir.instructions import Phi
 from ..ir.module import BasicBlock, Function
-from .cfg import predecessor_map, reachable_blocks
 from .dominators import DominatorTree
 
 
 class Loop:
-    """One natural loop.
+    """One natural loop of a function version.
 
     Attributes
     ----------
@@ -37,23 +38,18 @@ class Loop:
         Loops nested immediately inside this one.
     """
 
-    def __init__(self, header: BasicBlock):
+    def __init__(self, header: BasicBlock, blocks: List[BasicBlock],
+                 latches: List[BasicBlock]):
         self.header = header
-        self.blocks: List[BasicBlock] = [header]
-        self._block_ids: Set[int] = {id(header)}
-        self.latches: List[BasicBlock] = []
+        self.blocks = blocks
+        self._members = frozenset(blocks)
+        self.latches = latches
         self.parent: Optional["Loop"] = None
         self.children: List["Loop"] = []
 
     def contains(self, block: BasicBlock) -> bool:
         """Is ``block`` part of this loop (including nested loops)?"""
-        return id(block) in self._block_ids
-
-    def add_block(self, block: BasicBlock) -> None:
-        """Add a block to the loop body."""
-        if id(block) not in self._block_ids:
-            self._block_ids.add(id(block))
-            self.blocks.append(block)
+        return block in self._members
 
     @property
     def depth(self) -> int:
@@ -83,11 +79,11 @@ class Loop:
 
     def exit_blocks(self) -> List[BasicBlock]:
         """Distinct target blocks of the exit edges."""
-        seen: Set[int] = set()
+        seen: Set[BasicBlock] = set()
         result = []
         for _, outside in self.exit_edges():
-            if id(outside) not in seen:
-                seen.add(id(outside))
+            if outside not in seen:
+                seen.add(outside)
                 result.append(outside)
         return result
 
@@ -100,58 +96,35 @@ class Loop:
 
 
 class LoopInfo:
-    """The loop forest of a function."""
+    """The loop forest of a function version.
 
-    def __init__(self, loops: List[Loop], loop_of_block: Dict[int, Loop]):
+    A view: the loops of the version's :class:`~repro.analysis.shape.CFGFacts`
+    (found once per CFG shape) bound to its own blocks.
+    """
+
+    def __init__(self, loops: List[Loop], loop_of_block: Dict[BasicBlock, Loop]):
         self.loops = loops
         self._loop_of_block = loop_of_block
 
     @classmethod
     def compute(cls, function: Function, dom: Optional[DominatorTree] = None) -> "LoopInfo":
-        """Detect all natural loops of ``function``."""
+        """Detect all natural loops of ``function`` (bound through ``dom``)."""
         dom = dom or DominatorTree.compute(function)
-        preds = predecessor_map(function)
-        reachable = {id(b) for b in reachable_blocks(function)}
-
-        loops_by_header: Dict[int, Loop] = {}
-        for block in function.blocks:
-            if id(block) not in reachable:
-                continue
-            for successor in block.successors():
-                if dom.dominates(successor, block):
-                    # Back edge block -> successor.
-                    loop = loops_by_header.get(id(successor))
-                    if loop is None:
-                        loop = Loop(successor)
-                        loops_by_header[id(successor)] = loop
-                    loop.latches.append(block)
-                    _collect_loop_body(loop, block, preds)
-
-        loops = list(loops_by_header.values())
-        # Establish nesting: a loop is a child of the smallest loop (other
-        # than itself) that contains its header.
-        for loop in loops:
-            best: Optional[Loop] = None
-            for candidate in loops:
-                if candidate is loop:
-                    continue
-                if candidate.contains(loop.header):
-                    if best is None or len(candidate.blocks) < len(best.blocks):
-                        best = candidate
-            loop.parent = best
-            if best is not None:
-                best.children.append(loop)
-
-        # Innermost loop of each block.
-        loop_of_block: Dict[int, Loop] = {}
-        for loop in sorted(loops, key=lambda l: -len(l.blocks)):
-            for block in loop.blocks:
-                loop_of_block[id(block)] = loop
+        blocks, facts = dom.blocks, dom.facts
+        found = facts.loops()
+        loops = [Loop(blocks[loop.header], [blocks[b] for b in loop.blocks],
+                      [blocks[b] for b in loop.latches]) for loop in found]
+        for loop, shape_loop in zip(loops, found):
+            if shape_loop.parent >= 0:
+                loop.parent = loops[shape_loop.parent]
+            loop.children = [loops[child] for child in shape_loop.children]
+        loop_of_block = {blocks[block]: loops[index]
+                         for block, index in facts.loop_of().items()}
         return cls(loops, loop_of_block)
 
     def loop_for(self, block: BasicBlock) -> Optional[Loop]:
         """The innermost loop containing ``block``, or ``None``."""
-        return self._loop_of_block.get(id(block))
+        return self._loop_of_block.get(block)
 
     def top_level_loops(self) -> List[Loop]:
         """Loops that are not nested in any other loop."""
@@ -164,20 +137,6 @@ class LoopInfo:
 
     def __len__(self) -> int:
         return len(self.loops)
-
-
-def _collect_loop_body(loop: Loop, latch: BasicBlock,
-                       preds: Dict[BasicBlock, List[BasicBlock]]) -> None:
-    """Add to ``loop`` every block that reaches ``latch`` without the header."""
-    stack = [latch]
-    while stack:
-        block = stack.pop()
-        if loop.contains(block):
-            continue
-        loop.add_block(block)
-        for pred in preds.get(block, []):
-            if not loop.contains(pred):
-                stack.append(pred)
 
 
 __all__ = ["Loop", "LoopInfo"]

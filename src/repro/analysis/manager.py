@@ -8,13 +8,27 @@ function version twice (the "after" of step *i* is the "before" of step
 *i+1*) and the bisecting strategy rebuilds the original version once per
 probe, so recomputing the analyses for every build is pure waste.
 
-:class:`AnalysisManager` memoizes one :class:`FunctionAnalyses` bundle per
-function version.  Entries are keyed by the function's *fingerprint* (a
-content hash of its printed IR) together with the object's identity: the
-identity makes lookups for the common same-object case unambiguous, and
-the fingerprint both invalidates the entry if a pass mutated the function
-in place since it was cached and keeps a stale entry from being served to
-a recycled ``id()``.
+:class:`AnalysisManager` memoizes at two levels:
+
+* **one** :class:`~repro.analysis.shape.CFGFacts` **per CFG shape** —
+  dominators, dominator-tree intervals, loops, predecessors,
+  reducibility and the gate formulas' :class:`~repro.gated.gates.PathConditionMemo`,
+  all indexed by block position.  They depend on the control flow only,
+  so every checkpoint a pass left the CFG of (adce, gvn, licm and most
+  sccp steps) reuses the facts of an earlier checkpoint.  The table is
+  an LRU bounded by ``max_entries`` and belongs to the manager, never to
+  the process: a cold run does not inherit another run's facts.
+* **one** :class:`FunctionAnalyses` **bundle per function version** —
+  the shape's facts bound to the version's own blocks
+  (:class:`~repro.analysis.dominators.DominatorTree`,
+  :class:`~repro.analysis.loops.LoopInfo`,
+  :class:`~repro.gated.gates.GateAnalysis`, keyed by block object) plus
+  the version's memory effects.  Entries are keyed by the function's
+  *fingerprint* (a content hash of its printed IR) together with the
+  object's identity: the identity makes lookups for the common
+  same-object case unambiguous, and the fingerprint both invalidates the
+  entry if a pass mutated the function in place since it was cached and
+  keeps a stale entry from being served to a recycled ``id()``.
 """
 
 from __future__ import annotations
@@ -27,6 +41,7 @@ from typing import Dict, Optional, Tuple
 from ..errors import IrreducibleCFGError, ValidationInternalError
 from ..ir.module import Function
 from ..ir.printer import print_function
+from .shape import CFGFacts, Shape, cfg_shape
 
 
 def function_fingerprint(function: Function) -> str:
@@ -109,13 +124,16 @@ class FunctionAnalyses:
 
 
 def compute_function_analyses(function: Function,
-                              fingerprint: Optional[str] = None) -> FunctionAnalyses:
+                              fingerprint: Optional[str] = None,
+                              facts: Optional[CFGFacts] = None) -> FunctionAnalyses:
     """Compute the full analysis bundle for one function (no caching).
 
     Performs the same front-end checks as graph construction: declarations
     have nothing to analyse and irreducible control flow is rejected
     (§5.1), so a cached bundle always describes an analysable function.
-    Without a ``fingerprint``, the bundle's is read from
+    ``facts`` are the function's CFG-shape facts when the caller shares
+    them (:class:`AnalysisManager`); without them they are computed
+    afresh.  Without a ``fingerprint``, the bundle's is read from
     :data:`CHECKPOINT_FINGERPRINTS`, so a remembered checkpoint is not
     printed and hashed again.
     """
@@ -124,21 +142,24 @@ def compute_function_analyses(function: Function,
     # ``import repro.gated`` into a circular-import error.
     from ..gated.gates import GateAnalysis
     from ..gated.monadic import MemoryEffects
-    from .cfg import is_reducible, predecessor_map
     from .dominators import DominatorTree
     from .loops import LoopInfo
 
     if function.is_declaration:
         raise ValidationInternalError(f"@{function.name} has no body to analyse")
-    if not is_reducible(function):
+    if facts is None:
+        facts = CFGFacts.of(function)
+    if not facts.is_reducible():
         raise IrreducibleCFGError(f"@{function.name} has an irreducible CFG")
 
-    dom = DominatorTree.compute(function)
+    dom = DominatorTree(function, facts)
+    blocks = dom.blocks
     return FunctionAnalyses(
         function,
         fingerprint if fingerprint is not None
         else CHECKPOINT_FINGERPRINTS.fingerprint(function),
-        preds=predecessor_map(function),
+        preds={block: [blocks[pred] for pred in facts.preds[index]]
+               for index, block in enumerate(blocks)},
         dom=dom,
         loops=LoopInfo.compute(function, dom),
         gates=GateAnalysis(function, dom),
@@ -169,6 +190,10 @@ class AnalysisManager:
     stepwise reuse while old generations are released.  Eviction can never
     change a verdict — an evicted version is simply recomputed — only the
     ``analyses_computed``/``analyses_evicted`` counters.
+
+    The CFG-shape table (see the module docstring) obeys the same bound.
+    ``shapes_computed`` counts its misses; a graph build adds the misses
+    it caused to the graph's ``cfg_shapes_computed`` work counter.
     """
 
     def __init__(self, max_entries: Optional[int] = None) -> None:
@@ -183,20 +208,31 @@ class AnalysisManager:
         self.reused = 0
         #: Number of bundles dropped by the LRU bound.
         self.evicted = 0
+        self._shapes: "OrderedDict[Shape, CFGFacts]" = OrderedDict()
+        #: Number of CFG-shape facts computed (shape-table misses).
+        self.shapes_computed = 0
 
     def __len__(self) -> int:
         return len(self._cache)
 
-    def analyses_for(self, function: Function) -> FunctionAnalyses:
-        """The (memoized) analysis bundle for ``function``."""
-        fingerprint = CHECKPOINT_FINGERPRINTS.fingerprint(function)
+    def analyses_for(self, function: Function,
+                     fingerprint: Optional[str] = None) -> FunctionAnalyses:
+        """The (memoized) analysis bundle for ``function``.
+
+        ``fingerprint`` is ``function``'s content fingerprint when the
+        caller already holds it (a plan's checkpoints); otherwise it is
+        read through :data:`CHECKPOINT_FINGERPRINTS`.
+        """
+        if fingerprint is None:
+            fingerprint = CHECKPOINT_FINGERPRINTS.fingerprint(function)
         key = (id(function), fingerprint)
         bundle = self._cache.get(key)
         if bundle is not None:
             self.reused += 1
             self._cache.move_to_end(key)
             return bundle
-        bundle = compute_function_analyses(function, fingerprint)
+        facts = self._facts_for(function) if function.blocks else None
+        bundle = compute_function_analyses(function, fingerprint, facts)
         self.computed += 1
         # The bundle holds a strong reference to ``function``, so the id()
         # in the key cannot be recycled while the entry is alive.
@@ -206,6 +242,20 @@ class AnalysisManager:
                 self._cache.popitem(last=False)
                 self.evicted += 1
         return bundle
+
+    def _facts_for(self, function: Function) -> CFGFacts:
+        """The shared facts of ``function``'s CFG shape (LRU, like bundles)."""
+        shape = cfg_shape(function)
+        facts = self._shapes.get(shape)
+        if facts is not None:
+            self._shapes.move_to_end(shape)
+            return facts
+        facts = self._shapes[shape] = CFGFacts(shape)
+        self.shapes_computed += 1
+        if self.max_entries is not None:
+            while len(self._shapes) > self.max_entries:
+                self._shapes.popitem(last=False)
+        return facts
 
     def stats(self) -> Dict[str, int]:
         """Computed/reused/evicted/size counters as a plain dict (for reports)."""

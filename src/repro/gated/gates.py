@@ -6,10 +6,10 @@ Gates are what turn ordinary φ-nodes into referentially transparent gated
 φ-nodes (§3.2 of the paper): ``x3 = φ(x1, x2)`` becomes
 ``x3 = φ(c → x1, ¬c → x2)``.
 
-The analysis produces small symbolic formulas (:class:`GateExpr`) over IR
-values; the value-graph builder later translates them into graph nodes.
-Formulas are computed over the CFG *with back edges removed*, which is a
-DAG for reducible functions, using memoized path conditions:
+The analysis produces small symbolic formulas (:class:`GateExpr`); the
+value-graph builder later translates them into graph nodes.  Formulas are
+computed over the CFG *with back edges removed*, which is a DAG for
+reducible functions, using memoized path conditions:
 
 * ``pc(S) = true`` for the region start ``S`` (the immediate dominator of
   the join for φ-gating, the loop header for loop-exit conditions),
@@ -20,14 +20,22 @@ region start), the analysis falls back to an opaque ``Reached(block)``
 condition.  This keeps construction total; such conditions only match if
 both functions produce literally the same structure.
 
+Formulas mention no IR value: a :class:`CondGate` names its branch by
+block *position*, and the builder reads the condition from its own
+version's block at that position.  A formula therefore depends only on
+the CFG shape (:mod:`repro.analysis.shape`), and the
+:class:`PathConditionMemo` lives on the shape's
+:class:`~repro.analysis.shape.CFGFacts`: every version with that shape —
+most checkpoints of one pipeline — reuses the conditions the first one
+computed.  :class:`GateAnalysis` is the per-version view that maps blocks
+to positions.
+
 A formula is a DAG: ``pc(P)`` is shared by every successor of ``P``, so
 along a chain of diamonds the formula has linearly many distinct nodes
 but exponentially many paths.  A caller that asks for many path
-conditions (one graph build) passes a :class:`PathConditionMemo` so
-every query from the same region start extends one shared DAG instead of
-rebuilding it.  :class:`GateAnalysis` itself stays stateless: it is
-cached across builds, and a memo on it would keep every formula alive
-for as long as the cache holds the analysis.
+conditions passes the shape's memo (:attr:`GateAnalysis.path_conditions`)
+so every query from the same region start extends one shared DAG instead
+of rebuilding it.
 """
 
 from __future__ import annotations
@@ -36,7 +44,6 @@ from typing import Dict, List, Optional, Tuple
 
 from ..analysis.dominators import DominatorTree
 from ..analysis.loops import Loop
-from ..ir.instructions import Branch
 from ..ir.module import BasicBlock, Function
 from ..ir.values import Value
 
@@ -60,17 +67,17 @@ class FalseGate(GateExpr):
 
 
 class CondGate(GateExpr):
-    """A branch condition, possibly negated."""
+    """The condition of the branch ending the block at position ``block``, possibly negated."""
 
-    __slots__ = ("value", "negated")
+    __slots__ = ("block", "negated")
 
-    def __init__(self, value: Value, negated: bool = False):
-        self.value = value
+    def __init__(self, block: int, negated: bool = False):
+        self.block = block
         self.negated = negated
 
     def __repr__(self) -> str:
         prefix = "!" if self.negated else ""
-        return f"{prefix}{self.value.ref()}"
+        return f"{prefix}cond@{self.block}"
 
 
 class ReachedGate(GateExpr):
@@ -152,24 +159,25 @@ def make_or(operands: List[GateExpr]) -> GateExpr:
 
 
 class PathConditionMemo:
-    """Path conditions shared by every query of one graph build.
+    """Path conditions shared by every query against one CFG shape.
 
-    One table per region start, from block to its path condition.  Only
-    conditions that do not depend on where a query entered are stored:
-    a ``Reached`` fallback for a forward-edge cycle depends on which block
-    the query was computing when it met the cycle, so such results (and
-    everything built on them) stay local to their query.  ``computed``
-    counts the conditions actually computed, memo hits excluded.
+    One table per region start, from block position to its path
+    condition.  Only conditions that do not depend on where a query
+    entered are stored: a ``Reached`` fallback for a forward-edge cycle
+    depends on which block the query was computing when it met the cycle,
+    so such results (and everything built on them) stay local to their
+    query.  ``computed`` counts the conditions actually computed, memo
+    hits excluded.
     """
 
     __slots__ = ("_tables", "computed")
 
     def __init__(self) -> None:
-        self._tables: Dict[BasicBlock, Dict[BasicBlock, GateExpr]] = {}
+        self._tables: Dict[int, Dict[int, GateExpr]] = {}
         self.computed = 0
 
-    def table(self, start: BasicBlock) -> Dict[BasicBlock, GateExpr]:
-        """The shared conditions relative to ``start`` (``start`` maps to true)."""
+    def table(self, start: int) -> Dict[int, GateExpr]:
+        """The shared conditions relative to position ``start`` (``start`` maps to true)."""
         table = self._tables.get(start)
         if table is None:
             table = self._tables[start] = {start: TRUE}
@@ -177,31 +185,50 @@ class PathConditionMemo:
 
 
 class GateAnalysis:
-    """Computes edge conditions and region path conditions for a function."""
+    """Edge conditions and region path conditions of one function version.
+
+    A view: the version's :class:`~repro.analysis.shape.CFGFacts` (through
+    ``dom``) bound to its blocks.  Formulas name blocks by position, so
+    they are valid for every version of the shape.
+    """
 
     def __init__(self, function: Function, dom: Optional[DominatorTree] = None):
         self.function = function
         self.dom = dom or DominatorTree.compute(function)
-        self._preds: Dict[int, List[BasicBlock]] = {}
-        for block in function.blocks:
-            for successor in block.successors():
-                self._preds.setdefault(id(successor), []).append(block)
+        self.facts = self.dom.facts
+
+    @property
+    def path_conditions(self) -> PathConditionMemo:
+        """The memo of this CFG shape, shared by every version bound to it."""
+        memo = self.facts.path_conditions
+        if memo is None:
+            memo = self.facts.path_conditions = PathConditionMemo()
+        return memo
+
+    def branch_condition(self, gate: CondGate) -> Value:
+        """The IR value ``gate`` names in this version."""
+        return self.dom.blocks[gate.block].terminator.condition
 
     # -- edges -------------------------------------------------------------
     def edge_condition(self, source: BasicBlock, target: BasicBlock) -> GateExpr:
         """The condition attached to the edge ``source → target``."""
-        terminator = source.terminator
-        if not isinstance(terminator, Branch):
+        positions = self.dom.positions
+        return self._edge(positions[source], positions[target])
+
+    def _edge(self, source: int, target: int) -> GateExpr:
+        facts = self.facts
+        if facts.opcodes[source] != "br":
             return FALSE
-        if not terminator.is_conditional:
-            return TRUE if terminator.targets[0] is target else FALSE
-        true_target, false_target = terminator.targets
-        if true_target is target and false_target is target:
+        targets = facts.succs[source]
+        if not facts.conditional[source]:
+            return TRUE if targets[0] == target else FALSE
+        true_target, false_target = targets
+        if true_target == target and false_target == target:
             return TRUE
-        if true_target is target:
-            return CondGate(terminator.condition, negated=False)
-        if false_target is target:
-            return CondGate(terminator.condition, negated=True)
+        if true_target == target:
+            return CondGate(source, negated=False)
+        if false_target == target:
+            return CondGate(source, negated=True)
         return FALSE
 
     def is_back_edge(self, source: BasicBlock, target: BasicBlock) -> bool:
@@ -214,23 +241,28 @@ class GateAnalysis:
         """Condition for control to reach ``block`` from ``start``.
 
         Computed over forward edges only (back edges removed).  ``start``
-        itself gets the condition *true*.  With a ``memo``, conditions
-        computed by earlier queries from the same ``start`` are reused and
-        this query's are kept for later ones; without one, the query
-        memoizes only within itself.
+        itself gets the condition *true*.  With a ``memo`` (normally
+        :attr:`path_conditions`), conditions computed by earlier queries
+        from the same ``start`` are reused and this query's are kept for
+        later ones; without one, the query memoizes only within itself.
         """
         if memo is None:
             memo = PathConditionMemo()
-        shared = memo.table(start)
-        known = shared.get(block)
+        positions = self.dom.positions
+        start_index = positions[start]
+        shared = memo.table(start_index)
+        target = positions[block]
+        known = shared.get(target)
         if known is not None:
             return known
+        facts = self.facts
+        preds, names, dominates, edge = facts.preds, facts.names, facts.dominates, self._edge
         # Results that depend on this query's entry point (see
         # PathConditionMemo); reused within the query only.
-        local: Dict[BasicBlock, GateExpr] = {}
+        local: Dict[int, GateExpr] = {}
         visiting: set = set()
 
-        def compute(current: BasicBlock) -> Tuple[GateExpr, bool]:
+        def compute(current: int) -> Tuple[GateExpr, bool]:
             """``current``'s condition and whether it depends on the entry."""
             cached = shared.get(current)
             if cached is not None:
@@ -241,29 +273,29 @@ class GateAnalysis:
             if current in visiting:
                 # A forward-edge cycle should not exist in a reducible CFG;
                 # fall back to an opaque condition rather than diverging.
-                return ReachedGate(current.name), True
+                return ReachedGate(names[current]), True
             memo.computed += 1
             visiting.add(current)
             entry_dependent = False
             disjuncts: List[GateExpr] = []
-            for pred in self._preds.get(id(current), []):
-                if self.is_back_edge(pred, current):
-                    continue
-                if not self.dom.dominates(start, pred):
+            for pred in preds[current]:
+                if dominates(current, pred):
+                    continue  # back edge
+                if not dominates(start_index, pred):
                     # Path escaping the region: opaque fallback.
                     disjuncts.append(
-                        make_and([ReachedGate(pred.name), self.edge_condition(pred, current)])
+                        make_and([ReachedGate(names[pred]), edge(pred, current)])
                     )
                     continue
                 condition, dependent = compute(pred)
                 entry_dependent = entry_dependent or dependent
-                disjuncts.append(make_and([condition, self.edge_condition(pred, current)]))
+                disjuncts.append(make_and([condition, edge(pred, current)]))
             visiting.discard(current)
             result = make_or(disjuncts)
             (local if entry_dependent else shared)[current] = result
             return result, entry_dependent
 
-        return compute(block)[0]
+        return compute(target)[0]
 
     # -- gating for φ-nodes --------------------------------------------------
     def phi_gates(self, block: BasicBlock, memo: Optional[PathConditionMemo] = None
@@ -275,12 +307,14 @@ class GateAnalysis:
         passed on to :meth:`path_condition`.
         """
         start = self.dom.idom(block) or self.function.entry
+        blocks = self.dom.blocks
+        index = self.dom.positions[block]
         gates: List[Tuple[BasicBlock, GateExpr]] = []
-        for pred in self._preds.get(id(block), []):
+        for pred in self.facts.preds[index]:
             gate = make_and(
-                [self.path_condition(start, pred, memo), self.edge_condition(pred, block)]
+                [self.path_condition(start, blocks[pred], memo), self._edge(pred, index)]
             )
-            gates.append((pred, gate))
+            gates.append((blocks[pred], gate))
         return gates
 
     # -- loop exit conditions -----------------------------------------------------

@@ -4,16 +4,40 @@ A :class:`Module` owns global variables and functions; a :class:`Function`
 owns an ordered list of :class:`BasicBlock`; each block owns an ordered
 list of instructions ending in exactly one terminator.  The first block of
 a function is its entry block.
+
+There are no use lists: a pass that replaces values records each one in a
+:data:`Replacements` map and rewrites every operand with one
+:meth:`Function.replace_uses` walk at the end, resolving its own reads
+through the map (:func:`replacement_for`) until then.
 """
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, Iterator, List, Optional, Sequence
+from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
 
 from ..errors import IRError
 from .instructions import Branch, Instruction, Phi
 from .types import FunctionType, LabelType, Type
 from .values import Argument, GlobalVariable, Value
+
+
+#: ``id(old) -> (old, new)``: the values one pass replaced, for
+#: :meth:`Function.replace_uses`.
+Replacements = Dict[int, Tuple[Value, Value]]
+
+
+def replacement_for(mapping: Replacements, value: Value) -> Value:
+    """``value`` followed through ``mapping`` to its final replacement.
+
+    A value the map does not hold is returned as is.  Passes add an entry
+    only for a value that is not already replaced by itself, so every
+    chain ends.
+    """
+    entry = mapping.get(id(value))
+    while entry is not None and entry[0] is value:
+        value = entry[1]
+        entry = mapping.get(id(value))
+    return value
 
 
 class BasicBlock(Value):
@@ -202,18 +226,28 @@ class Function(Value):
         self.blocks.remove(block)
         block.parent = None
 
-    def replace_all_uses(self, old: Value, new: Value) -> int:
-        """Replace every operand reference to ``old`` with ``new``.
+    def replace_uses(self, mapping: "Replacements") -> int:
+        """Rewrite every operand through ``mapping`` in one walk.
 
-        Returns the number of operand slots rewritten.  There are no use
-        lists, so every call scans the whole function: calling it once
-        per replaced value is quadratic.  A pass that replaces many
-        values (``mem2reg`` promoting loads) should collect a replacement
-        map and rewrite operands in one pass instead.
+        ``mapping`` maps ``id(old)`` to ``(old, new)``; the entry holds
+        ``old``, so no id in it can be recycled while the pass that built
+        it runs, and a hit still checks identity.  Chains (``a`` replaced
+        by ``b``, later ``b`` by ``c``) resolve to their end (see
+        :func:`replacement_for`).  There are no use lists, so a pass that
+        replaces values collects them in one map and calls this once;
+        reads that may meet a replaced value before then resolve through
+        the same map.  Returns the number of operand slots rewritten.
         """
+        if not mapping:
+            return 0
         count = 0
         for inst in self.instructions():
-            count += inst.replace_operand(old, new)
+            operands = inst.operands
+            for index, operand in enumerate(operands):
+                entry = mapping.get(id(operand))
+                if entry is not None and entry[0] is operand:
+                    operands[index] = replacement_for(mapping, operand)
+                    count += 1
         return count
 
     # -- copying ----------------------------------------------------------
@@ -277,4 +311,4 @@ class Module:
         return f"<Module {self.name!r} ({len(self.functions)} functions)>"
 
 
-__all__ = ["BasicBlock", "Function", "Module"]
+__all__ = ["BasicBlock", "Function", "Module", "Replacements", "replacement_for"]

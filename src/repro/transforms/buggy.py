@@ -84,7 +84,7 @@ def bad_load_forwarding(function: Function) -> bool:
                     block.instructions.index(load) > block.instructions.index(first_store)
                     and load.type == first_store.value.type
                 ):
-                    function.replace_all_uses(load, first_store.value)
+                    function.replace_uses({id(load): (load, first_store.value)})
                     block.remove(load)
                     return True
     return False

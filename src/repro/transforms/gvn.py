@@ -16,6 +16,12 @@ implementation has two cooperating parts:
   no intervening may-write are merged.  This uses the same
   :class:`~repro.analysis.alias.AliasAnalysis` that the validator's
   load/store rewrite rules use — e.g. distinct ``alloca``s never alias.
+
+Both parts record what they replace in one map and rewrite the uses in a
+single walk at the end (:meth:`~repro.ir.module.Function.replace_uses`).
+Until then, memory forwarding reads operands through the map (the alias
+analysis too), and value numbering gives a replaced value its
+replacement's number.
 """
 
 from __future__ import annotations
@@ -38,7 +44,7 @@ from ..ir.instructions import (
     Store,
     SWAPPED_PREDICATE,
 )
-from ..ir.module import BasicBlock, Function
+from ..ir.module import BasicBlock, Function, Replacements, replacement_for
 from ..ir.values import ConstantInt, Value
 from .pass_manager import register_pass
 
@@ -95,8 +101,12 @@ def _expression_key(inst: Instruction, numbering: _ValueNumbering) -> Optional[T
     return None
 
 
-def _forward_memory(block: BasicBlock, function: Function, alias: AliasAnalysis) -> bool:
-    """Block-local store-to-load forwarding and redundant-load elimination."""
+def _forward_memory(block: BasicBlock, alias: AliasAnalysis,
+                    replaced: Replacements) -> bool:
+    """Block-local store-to-load forwarding and redundant-load elimination.
+
+    ``alias`` resolves through ``replaced``, the map this records into.
+    """
     changed = False
     available_stores: List[Store] = []
     available_loads: List[Load] = []
@@ -113,7 +123,7 @@ def _forward_memory(block: BasicBlock, function: Function, alias: AliasAnalysis)
             replacement: Optional[Value] = None
             for store in reversed(available_stores):
                 if alias.must_alias(store.pointer, inst.pointer) and store.value.type == inst.type:
-                    replacement = store.value
+                    replacement = replacement_for(replaced, store.value)
                     break
             if replacement is None:
                 for load in reversed(available_loads):
@@ -121,7 +131,7 @@ def _forward_memory(block: BasicBlock, function: Function, alias: AliasAnalysis)
                         replacement = load
                         break
             if replacement is not None:
-                function.replace_all_uses(inst, replacement)
+                replaced[id(inst)] = (inst, replacement)
                 block.remove(inst)
                 changed = True
             else:
@@ -139,16 +149,19 @@ def gvn(function: Function) -> bool:
     if function.is_declaration:
         return False
     changed = False
-    alias = AliasAnalysis()
+    replaced: Replacements = {}
+    alias = AliasAnalysis(lambda value: replacement_for(replaced, value))
 
     # Memory simplification first: it can expose more pure-expression
     # equivalences (a forwarded load becomes the stored expression).
     for block in function.blocks:
-        if _forward_memory(block, function, alias):
+        if _forward_memory(block, alias, replaced):
             changed = True
 
     dom = DominatorTree.compute(function)
     numbering = _ValueNumbering()
+    for old, _ in list(replaced.values()):
+        numbering.alias_to(old, replacement_for(replaced, old))
     leaders: Dict[Tuple, Instruction] = {}
 
     def process(block: BasicBlock) -> List[Tuple]:
@@ -164,7 +177,7 @@ def gvn(function: Function) -> bool:
                 continue
             leader = leaders.get(key)
             if leader is not None and leader.parent is not None:
-                function.replace_all_uses(inst, leader)
+                replaced[id(inst)] = (inst, leader)
                 numbering.alias_to(inst, leader)
                 block.remove(inst)
                 changed = True
@@ -190,6 +203,7 @@ def gvn(function: Function) -> bool:
         walk(function.entry)
     finally:
         sys.setrecursionlimit(old_limit)
+    function.replace_uses(replaced)
     return changed
 
 

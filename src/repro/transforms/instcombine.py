@@ -29,7 +29,7 @@ from ..ir.instructions import (
     Select,
     SWAPPED_PREDICATE,
 )
-from ..ir.module import Function
+from ..ir.module import Function, Replacements, replacement_for
 from ..ir.types import IntType
 from ..ir.values import ConstantInt, Value
 from ..analysis.usedef import UseDefInfo
@@ -187,6 +187,18 @@ def simplify_instruction(inst: Instruction) -> Optional[Value]:
     return None
 
 
+def _resolve_operands(inst: Instruction, replaced: Replacements) -> None:
+    """Point ``inst``'s operands at the final replacements of this sweep.
+
+    A sweep rewrites uses once, at its end; an instruction it visits
+    first reads its operands through the sweep's map, exactly as if each
+    replacement had been rewritten on the spot.
+    """
+    operands = inst.operands
+    for index, operand in enumerate(operands):
+        operands[index] = replacement_for(replaced, operand)
+
+
 def remove_trivially_dead(function: Function) -> int:
     """Remove register-producing instructions with no users and no side effects."""
     removed = 0
@@ -210,13 +222,16 @@ def instcombine(function: Function) -> bool:
     changed_any = False
     for _ in range(_MAX_ITERATIONS):
         changed = False
+        replaced: Replacements = {}
         for block in function.blocks:
             for inst in list(block.instructions):
                 if inst.parent is None:
                     continue
+                if replaced:
+                    _resolve_operands(inst, replaced)
                 replacement = simplify_instruction(inst)
                 if replacement is not None and replacement is not inst:
-                    function.replace_all_uses(inst, replacement)
+                    replaced[id(inst)] = (inst, replacement)
                     block.remove(inst)
                     changed = True
                     continue
@@ -224,6 +239,7 @@ def instcombine(function: Function) -> bool:
                     changed = True
                 elif isinstance(inst, ICmp) and _canonicalize_icmp(inst):
                     changed = True
+        function.replace_uses(replaced)
         if remove_trivially_dead(function):
             changed = True
         changed_any = changed_any or changed
@@ -242,16 +258,20 @@ def constant_propagation(function: Function) -> bool:
     changed_any = False
     for _ in range(_MAX_ITERATIONS):
         changed = False
+        replaced: Replacements = {}
         for block in function.blocks:
             for inst in list(block.instructions):
                 if isinstance(inst, (BinaryOperator, ICmp, Cast)):
+                    if replaced:
+                        _resolve_operands(inst, replaced)
                     replacement = None
                     if all(isinstance(op, ConstantInt) for op in inst.operands):
                         replacement = simplify_instruction(inst)
                     if isinstance(replacement, ConstantInt):
-                        function.replace_all_uses(inst, replacement)
+                        replaced[id(inst)] = (inst, replacement)
                         block.remove(inst)
                         changed = True
+        function.replace_uses(replaced)
         changed_any = changed_any or changed
         if not changed:
             break

@@ -14,12 +14,12 @@ this pass promotes them).  The algorithm is the classical one:
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Set, Tuple
+from typing import Dict, List, Optional, Set
 
 from ..analysis.cfg import predecessor_map
 from ..analysis.dominators import DominatorTree
 from ..ir.instructions import Alloca, Load, Phi, Store
-from ..ir.module import BasicBlock, Function
+from ..ir.module import BasicBlock, Function, Replacements, replacement_for
 from ..ir.values import UndefValue, Value
 from .pass_manager import register_pass
 
@@ -99,11 +99,7 @@ def mem2reg(function: Function) -> bool:
     # Values entering ``state`` are resolved through the map first, so a
     # mapped value is never itself a promoted load; one pass at the end
     # rewrites every operand, φ incoming values included.
-    replaced: Dict[int, Tuple[Load, Value]] = {}
-
-    def reaching(value: Value) -> Value:
-        entry = replaced.get(id(value))
-        return entry[1] if entry is not None and entry[0] is value else value
+    replaced: Replacements = {}
 
     alloca_ids = {id(a) for a in allocas}
     entry_state = {id(a): initial_value(a) for a in allocas}
@@ -127,7 +123,7 @@ def mem2reg(function: Function) -> bool:
                 replaced[id(inst)] = (inst, state[id(inst.pointer)])
                 block.remove(inst)
             elif isinstance(inst, Store) and id(inst.pointer) in alloca_ids:
-                state[id(inst.pointer)] = reaching(inst.value)
+                state[id(inst.pointer)] = replacement_for(replaced, inst.value)
                 block.remove(inst)
 
         # Fill φ operands of successors.
@@ -140,9 +136,7 @@ def mem2reg(function: Function) -> bool:
         for child in dom.children(block):
             stack.append((child, state))
 
-    if replaced:
-        for inst in function.instructions():
-            inst.operands[:] = [reaching(operand) for operand in inst.operands]
+    function.replace_uses(replaced)
 
     # Remove the allocas themselves.
     for alloca in allocas:

@@ -34,7 +34,7 @@ from ..ir.instructions import (
     Select,
     Store,
 )
-from ..ir.module import BasicBlock, Function
+from ..ir.module import BasicBlock, Function, Replacements
 from ..ir.types import IntType
 from ..ir.values import Argument, Constant, ConstantInt, UndefValue, Value
 from .constfold import fold_binary_constants, fold_cast, fold_icmp_constants
@@ -256,16 +256,19 @@ def sccp(function: Function) -> bool:
     solver.solve()
 
     changed = False
-    # Replace constant instructions.
+    # Replace constant instructions: collect them, then rewrite every use
+    # in one walk (the branch fold below reads the rewritten conditions).
+    replaced: Replacements = {}
     for block in function.blocks:
         for inst in list(block.instructions):
             if not inst.has_result() or inst.has_side_effects():
                 continue
             cell = solver.cells.get(id(inst))
             if cell is not None and cell.state == _CONSTANT and cell.constant is not None:
-                function.replace_all_uses(inst, cell.constant)
+                replaced[id(inst)] = (inst, cell.constant)
                 block.remove(inst)
                 changed = True
+    function.replace_uses(replaced)
 
     # Rewrite branches whose condition is now a constant, and branches whose
     # only executable successor was decided by the solver.

@@ -10,18 +10,29 @@ of pipelines:
 * merge a block into its unique predecessor when that predecessor has a
   single successor (straight-line concatenation);
 * drop φ-nodes with a single incoming value.
+
+A folded φ's uses are rewritten once, when the pass ends
+(:meth:`~repro.ir.module.Function.replace_uses`); until then every read of
+a branch condition or φ incoming value resolves through the pass's map.
 """
 
 from __future__ import annotations
 
 from ..analysis.cfg import predecessor_map, remove_unreachable_blocks
 from ..ir.instructions import Branch, Phi
-from ..ir.module import Function
+from ..ir.module import Function, Replacements, replacement_for
 from ..ir.values import ConstantInt
 from .pass_manager import register_pass
 
 
-def _fold_constant_branches(function: Function) -> bool:
+def _replace_phi(replaced: Replacements, phi: Phi, value) -> None:
+    """Record that ``phi`` folds to ``value`` (a φ folding to itself is just dropped)."""
+    value = replacement_for(replaced, value)
+    if value is not phi:
+        replaced[id(phi)] = (phi, value)
+
+
+def _fold_constant_branches(function: Function, replaced: Replacements) -> bool:
     changed = False
     for block in function.blocks:
         terminator = block.terminator
@@ -29,8 +40,9 @@ def _fold_constant_branches(function: Function) -> bool:
             continue
         true_target, false_target = terminator.targets
         target = None
-        if isinstance(terminator.condition, ConstantInt):
-            target = true_target if terminator.condition.value != 0 else false_target
+        condition = replacement_for(replaced, terminator.condition)
+        if isinstance(condition, ConstantInt):
+            target = true_target if condition.value != 0 else false_target
         elif true_target is false_target:
             target = true_target
         if target is None:
@@ -45,7 +57,7 @@ def _fold_constant_branches(function: Function) -> bool:
     return changed
 
 
-def _merge_straight_line(function: Function) -> bool:
+def _merge_straight_line(function: Function, replaced: Replacements) -> bool:
     changed = False
     while True:
         preds = predecessor_map(function)
@@ -61,9 +73,8 @@ def _merge_straight_line(function: Function) -> bool:
                 continue
             # Fold the φ-nodes (they have exactly one incoming value).
             for phi in list(block.phis()):
-                value = phi.incoming[0][0] if phi.incoming else None
-                if value is not None:
-                    function.replace_all_uses(phi, value)
+                if phi.incoming:
+                    _replace_phi(replaced, phi, phi.incoming[0][0])
                 block.remove(phi)
             # Splice the block's instructions after the predecessor's body.
             pred.remove(pred.terminator)
@@ -85,17 +96,13 @@ def _merge_straight_line(function: Function) -> bool:
             return changed
 
 
-def _simplify_single_entry_phis(function: Function) -> bool:
+def _simplify_single_entry_phis(function: Function, replaced: Replacements) -> bool:
     changed = False
     for block in function.blocks:
         for phi in list(block.phis()):
-            incoming = phi.incoming
-            if len(incoming) == 1:
-                function.replace_all_uses(phi, incoming[0][0])
-                block.remove(phi)
-                changed = True
-            elif incoming and all(v is incoming[0][0] for v, _ in incoming):
-                function.replace_all_uses(phi, incoming[0][0])
+            values = [replacement_for(replaced, value) for value, _ in phi.incoming]
+            if values and all(value is values[0] for value in values):
+                _replace_phi(replaced, phi, values[0])
                 block.remove(phi)
                 changed = True
     return changed
@@ -105,15 +112,17 @@ def _simplify_single_entry_phis(function: Function) -> bool:
 def simplifycfg(function: Function) -> bool:
     """Run CFG simplification.  Returns ``True`` if changed."""
     changed = False
+    replaced: Replacements = {}
     for _ in range(8):
         round_changed = False
-        round_changed |= _fold_constant_branches(function)
+        round_changed |= _fold_constant_branches(function, replaced)
         round_changed |= remove_unreachable_blocks(function) > 0
-        round_changed |= _merge_straight_line(function)
-        round_changed |= _simplify_single_entry_phis(function)
+        round_changed |= _merge_straight_line(function, replaced)
+        round_changed |= _simplify_single_entry_phis(function, replaced)
         changed = changed or round_changed
         if not round_changed:
             break
+    function.replace_uses(replaced)
     return changed
 
 

@@ -14,7 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional
 
-from .validate import ValidationResult
+from .validate import CONSTRUCTION_COUNTERS, ValidationResult
 
 
 @dataclass
@@ -231,11 +231,9 @@ class ValidationReport:
                                            + record.chain_stats.get("chain_nodes_created", 0))
                 totals["normalize_runs"] = (totals.get("normalize_runs", 0)
                                             + record.chain_stats.get("chains", 0))
-                totals["gate_translations"] = (
-                    totals.get("gate_translations", 0)
-                    + record.chain_stats.get("chain_gate_translations", 0))
-                totals["make_calls"] = (totals.get("make_calls", 0)
-                                        + record.chain_stats.get("chain_make_calls", 0))
+                for key in CONSTRUCTION_COUNTERS:
+                    totals[key] = (totals.get(key, 0)
+                                   + record.chain_stats.get(f"chain_{key}", 0))
                 # Incremental revalidation telemetry: chain nodes the
                 # delta build re-read instead of rebuilding, and pairs
                 # adopted from the previous run without any graph work.

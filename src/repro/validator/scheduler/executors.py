@@ -83,11 +83,13 @@ def _validate_item(item: Tuple):
     ``config.pair_timeout`` and the ``"pair"`` fault site apply wherever
     the item lands — in-process or steal worker;
     chain items share one normalization across all their pairs, so
-    per-pair bounds do not apply to them.
+    per-pair bounds do not apply to them.  A chain item carries the
+    versions' content fingerprints (the plan's, or None) so the chain
+    build prints no version again.
     """
     if item[0] == "chain":
-        _, versions, config = item
-        outcome = validate_chain(versions, config)
+        _, versions, fingerprints, config = item
+        outcome = validate_chain(versions, config, fingerprints=fingerprints)
         settled, whole = settle_chain_results(outcome, versions, config)
         return settled, whole, outcome.chain_stats
     _, before, after, config = item
@@ -104,7 +106,7 @@ def item_detail(item: Tuple) -> str:
 def _quarantined_payload(item: Tuple, casualties: int, why: str):
     """A work item's result payload once the supervisor quarantines it."""
     if item[0] == "chain":
-        _, versions, _config = item
+        versions = item[1]
         denial = quarantined_result(versions[0].name, casualties, why)
         return [denial] * (len(versions) - 1), denial, {}
     return quarantined_result(item[1].name, casualties, why)
@@ -487,9 +489,9 @@ class Executor:
 
         tagged: List[Tuple[int, Tuple]] = []
         kinds: List[Tuple] = []
-        for signature, (versions, whole_key) in pending_chains.items():
+        for signature, (versions, whole_key, fingerprints) in pending_chains.items():
             kinds.append(("chain", signature, whole_key))
-            tagged.append((len(tagged), ("chain", versions, config)))
+            tagged.append((len(tagged), ("chain", versions, fingerprints, config)))
         pair_order = sorted(pending, key=lambda key: min(
             (position for _, position in key_positions.get(key, ())),
             default=0))
@@ -649,8 +651,9 @@ def chain_provider(versions: List[Function], config: ValidatorConfig,
             # outcome comes back empty and every query below validates
             # per-pair on demand — pairs past the stepwise walk's first
             # rejection are then never paid for.
-            state["outcome"] = validate_chain(versions, config, manager,
-                                              eager_fallback=False)
+            state["outcome"] = validate_chain(
+                versions, config, manager, eager_fallback=False,
+                fingerprints=[fingerprint(version) for version in versions])
             record.chain_stats = state["outcome"].chain_stats
         return state["outcome"]
 

@@ -127,8 +127,9 @@ class WorkPlan:
     modules: List[ModulePlan]
     #: Deduplicated uncached pair queries: key -> (before, after).
     pending: Dict[CacheKey, Tuple[Function, Function]]
-    #: Deduplicated chain work items: signature -> (versions, whole key).
-    pending_chains: Dict[ChainSignature, Tuple[List[Function], CacheKey]]
+    #: Deduplicated chain work items: signature -> (versions, whole key,
+    #: version fingerprints).
+    pending_chains: Dict[ChainSignature, Tuple[List[Function], CacheKey, List[str]]]
     #: Pipeline steps that ran their pass / were answered from the
     #: pass-step memo while planning.
     pass_steps_run: int = 0
@@ -174,7 +175,7 @@ def build_plan(
     chain_mode = strategy == "stepwise" and config.chain_graphs
     module_plans: List[ModulePlan] = []
     pending: Dict[CacheKey, Tuple[Function, Function]] = {}
-    pending_chains: Dict[ChainSignature, Tuple[List[Function], CacheKey]] = {}
+    pending_chains: Dict[ChainSignature, Tuple[List[Function], CacheKey, List[str]]] = {}
     #: Phase-2 classification input: (pair_keys, pair_versions, versions)
     #: per planned function, in plan order.  Classification is deferred
     #: until every key is known so one ``prefetch`` faults in the whole
@@ -263,7 +264,8 @@ def build_plan(
             if chain_amortizes(len(missing), len(versions)):
                 chain_signature = tuple(pair_keys)
                 if chain_signature not in pending_chains:
-                    pending_chains[chain_signature] = (versions, whole_key)
+                    pending_chains[chain_signature] = (
+                        versions, whole_key, function_plan.fingerprints)
             else:
                 for key, (before, after) in missing:
                     if key not in pending:

@@ -54,9 +54,11 @@ import hashlib
 import io
 import json
 import multiprocessing
+import os
 import pickle
 import queue
 import socket
+import stat
 import struct
 import threading
 import time
@@ -119,7 +121,8 @@ def encode_item(tag: int, item: Tuple) -> bytes:
 #: handshake rejects mismatches so old workers can never misparse.
 #: Version 2: work items carry callee declarations (``encode_item``).
 #: Version 3: the ``"store"`` role is gone; workers are the only peers.
-TRANSPORT_SCHEMA = 3
+#: Version 4: chain items carry their versions' fingerprints.
+TRANSPORT_SCHEMA = 4
 
 #: Upper bound on one frame's payload. Far above any real work item or
 #: result (whole-module payloads are megabytes at most); mainly a guard
@@ -282,15 +285,49 @@ def split_address(address: str) -> Tuple[str, int]:
 
 # -- the pool -----------------------------------------------------------------
 
+def _drop_inherited_sockets() -> None:
+    """Release every socket descriptor this process inherited.
+
+    A forked worker starts with a copy of each descriptor its parent
+    held: the coordinator's listener, every other worker's connection,
+    the event loop's wake-up pair.  Holding them keeps those sockets
+    open after the parent closes its ends.  Each is pointed at
+    ``/dev/null`` rather than closed, so its number stays taken and a
+    copied socket object the worker never touches cannot later close a
+    descriptor the worker opened itself.  Standard input, output and
+    error are kept even when they are sockets (a journal, a harness's
+    socketpair): a crashing worker's traceback must still reach them.
+    Without ``/proc`` nothing is released.
+    """
+    try:
+        descriptors = [int(name) for name in os.listdir("/proc/self/fd")]
+    except OSError:
+        return
+    null = os.open(os.devnull, os.O_RDWR)
+    try:
+        for descriptor in descriptors:
+            try:
+                if descriptor > 2 and descriptor != null \
+                        and stat.S_ISSOCK(os.fstat(descriptor).st_mode):
+                    os.dup2(null, descriptor)
+            except OSError:
+                continue  # closed meanwhile (listdir's own descriptor)
+    finally:
+        os.close(null)
+
+
 def _local_worker_main(address: Tuple[str, int]) -> None:
     """A local worker process: serve the parent's coordinator until killed.
 
+    The forked child first releases the sockets it inherited
+    (:func:`_drop_inherited_sockets`); it has opened none of its own yet.
     ``reconnect`` lets a worker whose connection was severed (the
     ``"conn-drop"`` site) or whose handshake was refused rejoin on its
     own; only a dead process needs replacing.
     """
     from .remote import run_worker  # deferred: remote imports our framing
 
+    _drop_inherited_sockets()
     run_worker(address, reconnect=True)
 
 

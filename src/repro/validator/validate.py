@@ -89,9 +89,12 @@ class ValidationResult:
     #: constructing the graph), ``nodes_created`` (total nodes ever
     #: created, including normalization-manufactured ones),
     #: ``normalize_runs``, ``gate_translations`` (gate formulas translated
-    #: during construction) and ``make_calls`` (node requests during
+    #: during construction), ``make_calls`` (node requests during
     #: construction, hash-cons hits included) — the counters the
-    #: chain-graph benchmarks and the CI perf guard compare.
+    #: chain-graph benchmarks and the CI perf guard compare — plus
+    #: ``path_conditions_computed`` (gate path conditions computed, shape
+    #: memo hits excluded) and ``cfg_shapes_computed`` (CFG shapes whose
+    #: analyses the build computed).
     stats: Dict[str, int] = field(default_factory=dict)
     #: Human-readable detail for failures (best-effort diff rendering).
     detail: str = ""
@@ -134,7 +137,7 @@ def validate(before: Function, after: Function,
         sys.setrecursionlimit(old_limit)
 
     nodes_built = graph.next_id
-    gate_translations, make_calls = graph.gate_translations, graph.make_calls
+    construction = construction_counters(graph)
     goal_pairs = [
         (summary_before.result, summary_after.result),
         (summary_before.memory, summary_after.memory),
@@ -159,8 +162,7 @@ def validate(before: Function, after: Function,
             graph_nodes=graph.live_node_count(), detail=str(error),
         )
 
-    counters = _work_counters(stats, nodes_built, graph.next_id,
-                              gate_translations, make_calls)
+    counters = _work_counters(stats, nodes_built, graph.next_id, construction)
     elapsed = time.perf_counter() - start
     if matched:
         reason = "trivially-equal" if stats.trivially_equal else "equal"
@@ -225,16 +227,26 @@ def validate_bounded(before: Function, after: Function,
     return result
 
 
+#: Construction work counters a :class:`ValueGraph` accumulates while
+#: versions are built into it (reported per run and per chain).
+CONSTRUCTION_COUNTERS = ("gate_translations", "make_calls",
+                         "path_conditions_computed", "cfg_shapes_computed")
+
+
+def construction_counters(graph: ValueGraph) -> Dict[str, int]:
+    """The graph's :data:`CONSTRUCTION_COUNTERS`; read them before normalizing
+    (rules call ``make`` too)."""
+    return {name: getattr(graph, name) for name in CONSTRUCTION_COUNTERS}
+
+
 def _work_counters(stats: NormalizationStats, nodes_built: int,
-                   nodes_created: int, gate_translations: int,
-                   make_calls: int) -> Dict[str, int]:
+                   nodes_created: int, construction: Dict[str, int]) -> Dict[str, int]:
     """Engine stats plus the deterministic work counters of one run."""
     counters = stats.as_dict()
     counters["nodes_built"] = nodes_built
     counters["nodes_created"] = nodes_created
     counters["normalize_runs"] = 1
-    counters["gate_translations"] = gate_translations
-    counters["make_calls"] = make_calls
+    counters.update(construction)
     return counters
 
 
@@ -291,7 +303,8 @@ class ChainOutcome:
 def validate_chain(versions: Sequence[Function],
                    config: Optional[ValidatorConfig] = None,
                    manager: Optional[AnalysisManager] = None,
-                   eager_fallback: bool = True) -> ChainOutcome:
+                   eager_fallback: bool = True,
+                   fingerprints: Optional[Sequence[str]] = None) -> ChainOutcome:
     """Validate every adjacent pair of a checkpoint chain from ONE graph.
 
     All ``len(versions)`` checkpoints are hash-consed into a single
@@ -311,17 +324,24 @@ def validate_chain(versions: Sequence[Function],
     caller validates per-pair lazily — the serial driver uses this so a
     broken chain whose first pair already rejects never pays for the
     pairs the stepwise walk would not have consumed.
+
+    Without a ``manager`` the chain gets its own (bounded by
+    ``config.analysis_cache_size``), so checkpoints that share a CFG
+    shape share its analyses.  ``fingerprints`` are the versions'
+    content fingerprints when the caller holds them (the plan's).
     """
     config = config or DEFAULT_CONFIG
     if len(versions) < 2:
         raise ValidationInternalError("a checkpoint chain needs at least 2 versions")
     name = versions[0].name
     start = time.perf_counter()
+    if manager is None:
+        manager = AnalysisManager(max_entries=config.analysis_cache_size or None)
 
     old_limit = sys.getrecursionlimit()
     sys.setrecursionlimit(max(old_limit, config.recursion_limit))
     try:
-        graph, summaries = build_chain_graph(list(versions), manager)
+        graph, summaries = build_chain_graph(list(versions), manager, fingerprints)
     except (ReproError, RecursionError):
         # Which version is at fault decides which pairs fail; the
         # isolated per-pair runs reproduce exactly the per-pair strategy.
@@ -330,7 +350,7 @@ def validate_chain(versions: Sequence[Function],
         sys.setrecursionlimit(old_limit)
 
     nodes_built = graph.next_id
-    gate_translations, make_calls = graph.gate_translations, graph.make_calls
+    construction = construction_counters(graph)
     # Totality: everything between construction and read-off — summary
     # read-off, the triviality and baseline reachability walks, and the
     # normalization itself — degrades to the per-pair oracle on *any*
@@ -433,8 +453,7 @@ def validate_chain(versions: Sequence[Function],
                 rejects_trusted = False
                 break
     chain_stats = _chain_stats(len(versions), nodes_built, graph.next_id,
-                               baseline_nodes, stats, gate_translations,
-                               make_calls)
+                               baseline_nodes, stats, construction)
     return ChainOutcome(name, pair_results, chain_stats,
                         whole_result=whole_result,
                         rejects_trusted=rejects_trusted)
@@ -446,8 +465,7 @@ def validate_chain_delta(graph: ValueGraph,
                          config: Optional[ValidatorConfig] = None,
                          nodes_built: int = 0,
                          nodes_reused: int = 0,
-                         gate_translations: int = 0,
-                         make_calls: int = 0,
+                         construction: Optional[Dict[str, int]] = None,
                          ) -> Optional[Tuple[Dict[int, ValidationResult],
                                              Dict[str, int]]]:
     """Read only the *dirty* pairs' verdicts off a retained chain graph.
@@ -475,9 +493,9 @@ def validate_chain_delta(graph: ValueGraph,
     Returns ``(verdicts, chain_stats)`` with one entry per dirty index,
     or ``None`` when anything fails — the caller then falls back to
     isolated per-pair validation and drops the retained state.
-    ``nodes_built``/``nodes_reused``/``gate_translations``/``make_calls``
-    are the extension's construction telemetry, threaded into the
-    returned ``chain_stats``.
+    ``nodes_built``/``nodes_reused`` and ``construction`` (the extension's
+    :data:`CONSTRUCTION_COUNTERS`) are its construction telemetry,
+    threaded into the returned ``chain_stats``.
     """
     config = config or DEFAULT_CONFIG
     if not dirty_indices:
@@ -533,8 +551,7 @@ def validate_chain_delta(graph: ValueGraph,
 
     chain_stats = _chain_stats(len(summaries), nodes_built,
                                nodes_built + (work.next_id - created_watermark),
-                               baseline_nodes, stats, gate_translations,
-                               make_calls)
+                               baseline_nodes, stats, construction or {})
     chain_stats["chain_pairs"] = len(dirty_indices)
     chain_stats["chain_normalizations_saved"] = len(dirty_indices) - 1
     chain_stats["chain_nodes_reused"] = nodes_reused
@@ -566,8 +583,8 @@ def _pair_baseline_nodes(graph, summaries) -> int:
 
 def _chain_stats(versions: int, nodes_built: int, nodes_created: int,
                  baseline_nodes: int, stats: NormalizationStats,
-                 gate_translations: int, make_calls: int) -> Dict[str, int]:
-    return {
+                 construction: Dict[str, int]) -> Dict[str, int]:
+    chain_stats = {
         "chains": 1,
         "chain_versions": versions,
         "chain_pairs": versions - 1,
@@ -581,9 +598,10 @@ def _chain_stats(versions: int, nodes_built: int, nodes_created: int,
         "chain_cycle_merges": stats.cycle_merges,
         "chain_normalizations_saved": versions - 2,
         "chain_fallbacks": 0,
-        "chain_gate_translations": gate_translations,
-        "chain_make_calls": make_calls,
     }
+    for name in CONSTRUCTION_COUNTERS:
+        chain_stats[f"chain_{name}"] = construction.get(name, 0)
+    return chain_stats
 
 
 def _chain_fallback(versions: Sequence[Function], config: ValidatorConfig,
@@ -608,9 +626,8 @@ def _chain_fallback(versions: Sequence[Function], config: ValidatorConfig,
         "chain_cycle_merges": 0,
         "chain_normalizations_saved": 0,
         "chain_fallbacks": 1,
-        "chain_gate_translations": 0,
-        "chain_make_calls": 0,
     }
+    chain_stats.update((f"chain_{name}", 0) for name in CONSTRUCTION_COUNTERS)
     return ChainOutcome(versions[0].name, pair_results, chain_stats,
                         fallback=True)
 

@@ -88,7 +88,7 @@ from .scheduler import (
     settle_plan,
     shard_stats,
 )
-from .validate import ValidationResult, validate_chain_delta
+from .validate import ValidationResult, construction_counters, validate_chain_delta
 
 
 class _ChainState:
@@ -167,7 +167,7 @@ class _ChainDelta:
                 len(needed), len(plan.versions))):
             return
         graph = previous.pristine if retained else ValueGraph()
-        gates_before, makes_before = graph.gate_translations, graph.make_calls
+        before = construction_counters(graph)
         old_limit = sys.getrecursionlimit()
         sys.setrecursionlimit(max(old_limit, config.recursion_limit))
         try:
@@ -183,8 +183,8 @@ class _ChainDelta:
             outcome = validate_chain_delta(
                 graph, summaries, needed, config,
                 nodes_built=built, nodes_reused=reused,
-                gate_translations=graph.gate_translations - gates_before,
-                make_calls=graph.make_calls - makes_before)
+                construction={name: count - before[name] for name, count
+                              in construction_counters(graph).items()})
         if outcome is None:
             self.fallback = True
             return

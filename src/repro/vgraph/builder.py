@@ -23,17 +23,20 @@ the final equality check is a pointer comparison.
 Gate formulas are DAGs, not trees: along a chain of diamonds the path
 condition of each join is shared by both arms of the next one, so a
 formula with linearly many distinct sub-formulas has exponentially many
-paths.  Each :class:`GraphBuilder` therefore keeps two memos for the
-lifetime of one build: the path conditions it asked the (cached,
-stateless) gate analysis for, per region start, and the node each
-sub-formula translated to, per use block.  Every sub-formula is computed
-and translated once per build; hash-consing makes a memo hit the node a
-tree walk would have rebuilt.
+paths.  Two memos keep that linear.  Path conditions are memoized per
+region start on the CFG shape's facts (:mod:`repro.analysis.shape`):
+formulas name branches by block position, so the checkpoints of a chain
+that share a CFG compute each condition once between them, and a build
+reads each :class:`~repro.gated.gates.CondGate`'s condition from its own
+version's block.  The node each sub-formula translated to is memoized
+per use block for the lifetime of one build.  Every sub-formula is
+translated once per build; hash-consing makes a memo hit the node a tree
+walk would have rebuilt.
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from ..analysis.loops import Loop
 from ..analysis.manager import (
@@ -48,7 +51,6 @@ from ..gated.gates import (
     FalseGate,
     GateExpr,
     OrGate,
-    PathConditionMemo,
     ReachedGate,
     TrueGate,
 )
@@ -131,8 +133,9 @@ class GraphBuilder:
         self._phi_gate_memo: Dict[int, Dict[int, GateExpr]] = {}
         self._alloca_names: Dict[int, str] = {}
         self._building_mem: set = set()
-        #: Path conditions of this build, shared by all of its queries.
-        self.path_conditions = PathConditionMemo()
+        #: Path conditions of the CFG shape, shared by all of its builds.
+        self.path_conditions = self.gates.path_conditions
+        self._conditions_before = self.path_conditions.computed
         #: ``(id(gate), id(context))`` -> ``(gate, context, node, epoch)``.
         #: The value holds the gate and the block, so neither id can be
         #: recycled while the entry lives; a hit still checks identity.
@@ -146,6 +149,12 @@ class GraphBuilder:
     # -- public entry point -------------------------------------------------
     def build(self) -> FunctionSummary:
         """Symbolically evaluate the function; return its summary."""
+        summary = self._evaluate()
+        self.graph.path_conditions_computed += (
+            self.path_conditions.computed - self._conditions_before)
+        return summary
+
+    def _evaluate(self) -> FunctionSummary:
         self._precompute_memory()
         ret_blocks = [
             block
@@ -272,7 +281,7 @@ class GraphBuilder:
         if isinstance(gate, FalseGate):
             return self.graph.false()
         if isinstance(gate, CondGate):
-            node = self._node_for_use(gate.value, context)
+            node = self._node_for_use(self.gates.branch_condition(gate), context)
             return self.graph.not_(node) if gate.negated else node
         if isinstance(gate, ReachedGate):
             return self.graph.make("reach", gate.block_name)
@@ -453,10 +462,8 @@ class GraphBuilder:
         broken at headers.  The μ iteration arguments — which depend on the
         loop bodies' exits — are filled in afterwards.
         """
-        from ..analysis.cfg import reverse_postorder
-
         pending: List[Tuple[Loop, int]] = []
-        for block in reverse_postorder(self.function):
+        for block in self.dom.reachable_blocks():
             loop = self.loops.loop_for(block)
             if (loop is not None and loop.header is block
                     and self._loop_writes_memory(loop)
@@ -607,9 +614,22 @@ class GraphBuilder:
 
 
 def build_function_graph(graph: ValueGraph, function: Function,
-                         manager: Optional[AnalysisManager] = None) -> FunctionSummary:
-    """Convenience wrapper: build ``function`` into ``graph``."""
-    analyses = manager.analyses_for(function) if manager is not None else None
+                         manager: Optional[AnalysisManager] = None,
+                         fingerprint: Optional[str] = None) -> FunctionSummary:
+    """Convenience wrapper: build ``function`` into ``graph``.
+
+    ``fingerprint`` is ``function``'s content fingerprint when the caller
+    holds it (it spares the manager printing the function again).  The
+    CFG shapes the build had to analyse are added to the graph's
+    ``cfg_shapes_computed`` work counter.
+    """
+    if manager is None:
+        analyses = compute_function_analyses(function, fingerprint)
+        graph.cfg_shapes_computed += 1
+    else:
+        computed = manager.shapes_computed
+        analyses = manager.analyses_for(function, fingerprint)
+        graph.cfg_shapes_computed += manager.shapes_computed - computed
     return GraphBuilder(graph, function, analyses).build()
 
 
@@ -632,6 +652,7 @@ def build_shared_graph(before: Function, after: Function,
 
 def build_chain_graph(versions: List[Function],
                       manager: Optional[AnalysisManager] = None,
+                      fingerprints: Optional[Sequence[str]] = None,
                       ) -> Tuple[ValueGraph, List[FunctionSummary]]:
     """Build a whole checkpoint chain into ONE shared graph.
 
@@ -647,10 +668,16 @@ def build_chain_graph(versions: List[Function],
     Returns ``(graph, summaries)`` with one :class:`FunctionSummary` per
     version, in chain order; ``summaries[i]``/``summaries[i + 1]`` hold
     the goal roots of the adjacent pair validating step *i*.
+    ``fingerprints`` are the versions' content fingerprints when the
+    caller already computed them (the plan's), so no version is printed
+    again.  Checkpoints that share a CFG shape share its analyses and
+    path conditions through ``manager``.
     """
     graph = ValueGraph()
-    summaries = [build_function_graph(graph, version, manager)
-                 for version in versions]
+    if fingerprints is None:
+        fingerprints = [None] * len(versions)
+    summaries = [build_function_graph(graph, version, manager, fingerprint)
+                 for version, fingerprint in zip(versions, fingerprints)]
     return graph, summaries
 
 
@@ -694,7 +721,7 @@ def extend_chain_graph(graph: ValueGraph,
             summaries.append(FunctionSummary(version, retained.result,
                                              retained.memory))
         else:
-            summary = build_function_graph(graph, version, manager)
+            summary = build_function_graph(graph, version, manager, fingerprint)
             summaries.append(summary)
             fresh_roots.extend(summary.roots())
     nodes_built = graph.next_id - watermark

@@ -10,8 +10,12 @@ The graph supports:
 * **hash-consing** — :meth:`make` returns an existing node when an
   identical one (same kind, data and resolved arguments) already exists;
 * **redirection** — normalization rules replace a node by another via
-  :meth:`redirect`; a union-find style forwarding table with path
-  compression keeps lookups cheap;
+  :meth:`redirect`.  The forwarding table maps every merged-away id
+  *straight* to its canonical id, so :meth:`resolve` is one dictionary
+  lookup that never mutates.  A merge keeps that invariant by re-pointing
+  the ids already forwarded to the old root (``_members`` lists them per
+  root); on the paper corpora that is about one re-point per three
+  merges;
 * **cycle support** — μ-nodes are created as placeholders with
   :meth:`make_mu` and patched with :meth:`set_args` once the loop body has
   been translated;
@@ -50,7 +54,10 @@ class ValueGraph:
 
     def __init__(self) -> None:
         self._nodes: Dict[int, VNode] = {}
+        #: Merged-away id -> its canonical id (always one hop, never a chain).
         self._forward: Dict[int, int] = {}
+        #: Canonical id -> the ids forwarded to it (re-pointed on a merge).
+        self._members: Dict[int, List[int]] = {}
         self._table: Dict[Tuple, int] = {}
         self._next_id = 0
         self._parents: Dict[int, Set[int]] = {}
@@ -60,6 +67,10 @@ class ValueGraph:
         #: excluded).  Unlike ``next_id`` they see work that creates no node.
         self.make_calls = 0
         self.gate_translations = 0
+        #: Path conditions the builds computed (shape-memo hits excluded)
+        #: and CFG shapes whose analyses they had to compute.
+        self.path_conditions_computed = 0
+        self.cfg_shapes_computed = 0
         #: Canonical id -> "is this an i1-valued term?" for the boolean
         #: rules.  Exact between merges (no canonical id, kind or argument
         #: changes and :meth:`make` only adds nodes), so :meth:`_merge`
@@ -68,21 +79,12 @@ class ValueGraph:
 
     # -- identity --------------------------------------------------------
     def resolve(self, node_id: int) -> int:
-        """Follow redirections to the canonical id (with path compression)."""
-        if node_id not in self._forward:
-            return node_id
-        root = node_id
-        while root in self._forward:
-            root = self._forward[root]
-        while node_id in self._forward and self._forward[node_id] is not root:
-            next_id = self._forward[node_id]
-            self._forward[node_id] = root
-            node_id = next_id
-        return root
+        """The canonical id of ``node_id`` (one lookup; see ``_forward``)."""
+        return self._forward.get(node_id, node_id)
 
     def node(self, node_id: int) -> VNode:
         """The canonical :class:`VNode` for ``node_id``."""
-        return self._nodes[self.resolve(node_id)]
+        return self._nodes[self._forward.get(node_id, node_id)]
 
     def same(self, a: int, b: int) -> bool:
         """Do two ids denote the same canonical node?"""
@@ -136,7 +138,15 @@ class ValueGraph:
         complete change feed: the stale parents handed to them are the
         nodes whose hash-consing keys the merge invalidated.
         """
-        self._forward[old_root] = new_root
+        forward = self._forward
+        forward[old_root] = new_root
+        moved = self._members.pop(old_root, None)
+        members = self._members.setdefault(new_root, [])
+        if moved:
+            for member in moved:
+                forward[member] = new_root
+            members.extend(moved)
+        members.append(old_root)
         if self.boolean_memo:
             self.boolean_memo.clear()
         stale = self._parents.pop(old_root, None)
@@ -151,11 +161,12 @@ class ValueGraph:
     def make(self, kind: str, data=None, args: Sequence[int] = ()) -> int:
         """Create (or reuse) a node.  Returns its id."""
         self.make_calls += 1
-        resolved = tuple(self.resolve(a) for a in args)
+        find = self._forward.get
+        resolved = tuple([find(a, a) for a in args])
         key = (kind, data, resolved)
         existing = self._table.get(key)
         if existing is not None:
-            return self.resolve(existing)
+            return find(existing, existing)
         node_id = self._next_id
         self._next_id += 1
         node = VNode(node_id, kind, data, list(resolved))
@@ -318,18 +329,20 @@ class ValueGraph:
         """
         merges = 0
         queue = deque(seeds)
+        find = self._forward.get
         while queue:
-            node_id = self.resolve(queue.popleft())
+            node_id = queue.popleft()
+            node_id = find(node_id, node_id)
             node = self._nodes[node_id]
             if node.kind in CYCLIC_KINDS:
                 continue
-            node.args = [self.resolve(a) for a in node.args]
+            node.args = [find(a, a) for a in node.args]
             key = node.key(tuple(node.args))
             existing = self._table.get(key)
             if existing is None:
                 self._table[key] = node_id
                 continue
-            existing = self.resolve(existing)
+            existing = find(existing, existing)
             if existing == node_id:
                 continue
             stale = self._parents.get(node_id)
@@ -396,6 +409,7 @@ class ValueGraph:
             copy._register_args(node_id, (self.resolve(a) for a in node.args))
         if kept is None:
             copy._forward = dict(self._forward)
+            copy._members = {root: list(ids) for root, ids in self._members.items()}
             copy._table = dict(self._table)
         else:
             copy._table = {key: node_id for key, node_id in self._table.items()
@@ -407,14 +421,16 @@ class ValueGraph:
     def reachable(self, roots: Iterable[int]) -> Set[int]:
         """Canonical ids reachable from the given roots."""
         seen: Set[int] = set()
-        stack = [self.resolve(r) for r in roots]
+        find = self._forward.get
+        nodes = self._nodes
+        stack = [find(r, r) for r in roots]
         while stack:
             node_id = stack.pop()
             if node_id in seen:
                 continue
             seen.add(node_id)
-            for arg in self._nodes[node_id].args:
-                resolved = self.resolve(arg)
+            for arg in nodes[node_id].args:
+                resolved = find(arg, arg)
                 if resolved not in seen:
                     stack.append(resolved)
         return seen
@@ -461,7 +477,8 @@ class ValueGraph:
         else:
             node_ids = list(self.reachable(roots))
         nodes = [self._nodes[node_id] for node_id in node_ids]
-        resolved_args = [[self.resolve(a) for a in node.args] for node in nodes]
+        find = self._forward.get
+        resolved_args = [[find(a, a) for a in node.args] for node in nodes]
         signature: Dict[int, int] = {}
         for node_id, node in zip(node_ids, nodes):
             signature[node_id] = hash((node.kind, node.data, len(node.args)))

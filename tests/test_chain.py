@@ -290,7 +290,7 @@ class TestChainRecordParity:
         validate_module = importlib.import_module("repro.validator.validate")
         from repro.errors import ValidationInternalError
 
-        def exploding_build(versions, manager=None):
+        def exploding_build(versions, manager=None, fingerprints=None):
             raise ValidationInternalError("injected chain build failure")
 
         monkeypatch.setattr(validate_module, "build_chain_graph", exploding_build)

@@ -4,13 +4,14 @@ import collections
 
 import pytest
 
+from repro.analysis import AnalysisManager
 from repro.bench import BENCHMARKS_BY_NAME, build_corpus, small_test_corpus
 from repro.gated import GateAnalysis, PathConditionMemo
 from repro.ir import clone_function, parse_function
 from repro.transforms import PassManager, checkpoint_chain
 from repro.validator import validate, validate_module_batch
 from repro.vgraph import ValueGraph, build_shared_graph
-from repro.vgraph.builder import GraphBuilder
+from repro.vgraph.builder import GraphBuilder, build_chain_graph, build_function_graph
 
 
 def diamond_chain(diamonds: int) -> str:
@@ -81,7 +82,8 @@ class TestDiamondChain:
         state_before = dict(vars(builder.gates))
         summary = builder.build()
         assert summary.result is not None
-        # The memos belong to the builder: the (cacheable) gate analysis
+        # The translation memo belongs to the builder and the path
+        # conditions to the shape's facts: the gate analysis view itself
         # is left exactly as it was.
         assert vars(builder.gates) == state_before
         return blocks, {
@@ -169,11 +171,13 @@ class TestPathConditionMemo:
         gates = GateAnalysis(function)
         memo = PathConditionMemo()
         gates.path_condition(function.entry, function.block("exit"), memo)
-        table = memo.table(function.entry)
+        position = {block.name: index for index, block in enumerate(function.blocks)}
+        table = memo.table(position["entry"])
+        assert position["entry"] in table
         # a and b sit on a forward-edge cycle: their conditions depend on
         # which of them the query reached first.
-        assert function.block("a") not in table
-        assert function.block("b") not in table
+        assert position["a"] not in table
+        assert position["b"] not in table
         assert "reached" in repr(gates.path_condition(function.entry, function.block("a"), memo))
 
     def test_shared_memo_reuses_conditions(self):
@@ -208,6 +212,44 @@ class TestWorkCounters:
         assert chain["chain_make_calls"] > chain["chain_gate_translations"]
         assert totals["gate_translations"] >= chain["chain_gate_translations"]
         assert totals["make_calls"] >= chain["chain_make_calls"]
+
+
+class TestShapeSharing:
+    """Checkpoints with one CFG shape share its analyses and path conditions."""
+
+    def test_versions_of_one_shape_compute_conditions_once(self):
+        function = parse_function(diamond_chain(6))
+        alone = ValueGraph()
+        build_function_graph(alone, function)
+        manager = AnalysisManager()
+        graph, _ = build_chain_graph([function, clone_function(function),
+                                      clone_function(function)], manager)
+        assert graph.cfg_shapes_computed == manager.shapes_computed == 1
+        assert graph.path_conditions_computed == alone.path_conditions_computed > 0
+        # The shared formulas still translate to the cold build's nodes.
+        assert graph.make_calls == 3 * alone.make_calls
+        assert graph.gate_translations == 3 * alone.gate_translations
+
+    def test_cfg_preserving_chain_reports_fewer_shapes_than_versions(self):
+        module = small_test_corpus(functions=6, seed=11)
+        [(_, report)] = validate_module_batch(
+            [module], ("adce", "gvn", "licm"), strategy="stepwise")
+        chain = report.chain_totals()
+        totals = report.engine_totals()
+        assert chain["chains"] > 0
+        assert 0 < chain["chain_cfg_shapes_computed"] < chain["chain_versions"]
+        assert chain["chain_path_conditions_computed"] > 0
+        for name in ("cfg_shapes_computed", "path_conditions_computed"):
+            assert totals[name] >= chain[f"chain_{name}"]
+
+    def test_shape_table_is_bounded_by_the_lru(self):
+        manager = AnalysisManager(max_entries=1)
+        first = parse_function(diamond_chain(2))
+        second = parse_function(diamond_chain(3))
+        for function in (first, second, first):
+            manager.analyses_for(function)
+        assert manager.shapes_computed == 3
+        assert len(manager._shapes) == 1
 
 
 if __name__ == "__main__":  # pragma: no cover

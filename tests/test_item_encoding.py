@@ -74,7 +74,7 @@ def versions():
 
 
 def chain_item(versions):
-    return ("chain", list(versions), CONFIG)
+    return ("chain", list(versions), None, CONFIG)
 
 
 def pair_item(versions):

@@ -358,6 +358,73 @@ class TestWorkerSource:
         finally:
             pool.close()
 
+    def test_worker_keeps_socket_stdio(self):
+        # A service whose stderr is a socket (a journal, a harness's
+        # socketpair) must still get a local worker's traceback.
+        ours, theirs = socket.socketpair()
+
+        def child():
+            os.dup2(theirs.fileno(), 2)
+            transport._drop_inherited_sockets()
+            os.write(2, b"traceback")
+
+        process = multiprocessing.get_context("fork").Process(target=child)
+        process.start()
+        process.join(timeout=10.0)
+        theirs.close()
+        ours.settimeout(5.0)
+        try:
+            assert process.exitcode == 0
+            assert ours.recv(64) == b"traceback"
+        finally:
+            ours.close()
+
+    def test_respawned_worker_holds_none_of_the_parents_sockets(self):
+        # A forked worker starts with copies of the parent's descriptors;
+        # it must release the coordinator's listener and every worker
+        # connection before it serves.
+        import asyncio
+
+        async def parent_inodes():
+            coordinator = pool.coordinator
+            sockets = list(coordinator._server.sockets)
+            sockets += [conn.writer.get_extra_info("socket")
+                        for conn in coordinator._conns]
+            return {os.fstat(sock.fileno()).st_ino for sock in sockets}
+
+        def socket_inodes(pid):
+            inodes = set()
+            for name in os.listdir(f"/proc/{pid}/fd"):
+                try:
+                    target = os.readlink(f"/proc/{pid}/fd/{name}")
+                except OSError:
+                    continue
+                if target.startswith("socket:["):
+                    inodes.add(int(target[len("socket:["):-1]))
+            return inodes
+
+        pool = TcpStealPool(2, self.POOLED)
+        try:
+            deadline = time.monotonic() + 10.0
+            while pool.coordinator.live_workers < 2:
+                assert time.monotonic() < deadline
+                time.sleep(0.01)
+            victim = pool._processes[0]
+            victim.terminate()
+            victim.join()
+            pool.respawn(0)
+            child = pool._processes[-1]
+            assert child is not victim and child.is_alive()
+            while pool.coordinator.workers_joined < 3:
+                assert time.monotonic() < deadline
+                time.sleep(0.01)
+            held = asyncio.run_coroutine_threadsafe(
+                parent_inodes(), pool._loop).result(timeout=5.0)
+            assert len(held) >= 2  # the listener and the surviving worker
+            assert not held & socket_inodes(child.pid)
+        finally:
+            pool.close()
+
     def test_fleet_mode_starts_no_local_process(self):
         before = set(multiprocessing.active_children())
         pool = TcpStealPool(2, replace(self.POOLED,

@@ -179,6 +179,27 @@ class TestAnalysisManager:
         # analyses of the chain build must answer from it, not re-print.
         assert set(checkpoints.values()) == {1}
 
+    def test_stepwise_sweep_fingerprints_each_version_once(self, monkeypatch):
+        # Originals are fingerprinted by the planner but never remembered
+        # (the caller may mutate them); the chain build takes the plan's
+        # fingerprints instead of printing them a second time.
+        import repro.analysis.manager as manager_module
+
+        calls = []
+        fingerprint = manager_module.function_fingerprint
+
+        def counting(function):
+            calls.append(function)
+            return fingerprint(function)
+
+        monkeypatch.setattr(manager_module, "function_fingerprint", counting)
+        module = small_test_corpus(functions=6, seed=11)
+        [(_, report)] = validate_module_batch([module], strategy="stepwise")
+        assert report.chain_totals().get("chains", 0) > 0
+        versions = sum(1 + sum(record.transformed_by.values())
+                       for record in report.records)
+        assert len(calls) == versions
+
 
 class TestStrategies:
     def test_unknown_strategy_rejected(self, mini_corpus):

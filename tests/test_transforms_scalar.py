@@ -315,3 +315,27 @@ class TestSimplifyCFG:
         simplifycfg(fn)
         verify_function(fn)
         assert not any(i.opcode == "phi" for i in fn.instructions())
+
+    def test_branch_on_folded_phi_folds_in_the_same_run(self):
+        # The φ folds to ``true`` when its block merges into the entry; a
+        # later round must read the branch condition through that
+        # replacement (uses are rewritten once, at the end of the pass).
+        fn = parse_function(
+            """
+            define i32 @f(i32 %a) {
+            entry:
+              br label %mid
+            mid:
+              %c = phi i1 [ true, %entry ]
+              br i1 %c, label %yes, label %no
+            yes:
+              ret i32 1
+            no:
+              ret i32 2
+            }
+            """
+        )
+        assert simplifycfg(fn)
+        verify_function(fn)
+        assert len(fn.blocks) == 1
+        assert [i.opcode for i in fn.instructions()] == ["ret"]

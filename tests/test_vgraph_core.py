@@ -318,7 +318,7 @@ class TestGates:
         assert isinstance(exit_condition, CondGate) and exit_condition.negated
 
     def test_make_and_or_simplify(self):
-        cond = CondGate(None, False)
+        cond = CondGate(0, False)
         assert make_and([TRUE, cond]) is cond
         assert isinstance(make_and([FalseGate(), cond]), FalseGate)
         assert make_or([FalseGate(), cond]) is cond
