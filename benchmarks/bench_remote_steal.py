@@ -45,8 +45,7 @@ from repro.validator.scheduler.remote import spawn_workers
 WORKERS = 2
 
 TABLE_COLUMNS = ("benchmark", "workers_from", "distinct_pairs", "pooled_pairs",
-                 "bytes_dispatched", "items_stolen", "workers_joined",
-                 "time_s")
+                 "bytes_dispatched", "workers_joined", "time_s")
 
 
 def probe_port() -> int:
@@ -106,7 +105,6 @@ def main() -> int:
                     "distinct_pairs": shard.get("distinct_pairs", 0),
                     "pooled_pairs": shard.get("pooled_pairs", 0),
                     "bytes_dispatched": shard.get("bytes_dispatched", 0),
-                    "items_stolen": shard.get("items_stolen", 0),
                     "workers_joined": shard.get("remote_workers_joined", 0),
                     "time_s": round(elapsed, 3),
                 })
@@ -142,7 +140,7 @@ def main() -> int:
           f"(x{summary['fleet_overhead_ratio']}); "
           f"{summary['bytes_per_pooled_item']} bytes shipped per pooled item")
 
-    payload = {"schema": 2, "scale": args.scale, "workers": WORKERS,
+    payload = {"schema": 3, "scale": args.scale, "workers": WORKERS,
                "rows": rows, "totals": totals, "summary": summary}
     args.out.parent.mkdir(parents=True, exist_ok=True)
     args.out.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")

@@ -9,14 +9,9 @@ any corpus function validated under ``strategy="whole"`` but not under
 strategy makes that impossible by construction, so a violation means the
 strategy plumbing regressed.
 
-With ``--shard-concurrency N`` (default 2; 0 disables) it additionally
-runs the :func:`repro.bench.sharded_comparison` experiment over all
-twelve corpora and fails unless the worker-pool (steal) stepwise driver
-produced *identical* per-function record signatures (verdict, reason,
-blame, kept prefix, per-pass verdicts) to the serial driver.
-
-It also runs four more parity legs over all twelve corpora, and fails
-unless each produced identical record signatures:
+It also runs four parity legs over all twelve corpora, and fails
+unless each produced identical per-function record signatures (verdict,
+reason, blame, kept prefix, per-pass verdicts):
 
 * **chain** — :func:`repro.bench.chain_comparison`: the chain-shared-graph
   stepwise path (``config.chain_graphs``, the default execution mode)
@@ -32,12 +27,12 @@ unless each produced identical record signatures:
   never what it decides.
 * **backend** — :func:`repro.bench.executor_comparison`: the lazy
   serial ``llvm_md`` path (the reference) against the batch executor
-  in-process (concurrency 0, ``batch``) and over the pool's own loopback
-  worker processes (``steal``).  Scheduling may change where and in what order queries
-  run, never what they decide.  The table also reports the pool's
-  cancellation savings (doomed pairs of rejected functions it never
-  ran), deque traffic (``items_stolen`` / ``steal_attempts``) and the
-  encoded item bytes it shipped (``steal_bytes_dispatched``).  With
+  in-process (concurrency 0, ``batch``) and over ``--concurrency N``
+  (default 2) of the pool's own loopback worker processes (``steal``).
+  Scheduling may change where queries run, never what they decide.
+  The table also reports the pool's cancellation savings (doomed pairs
+  of rejected functions it never ran) and the encoded item bytes it
+  shipped (``steal_bytes_dispatched``).  With
   ``--tcp-workers N`` (N > 0) the leg grows a further backend: the pool
   serving a fleet (``steal_listen``) of N spawned worker subprocesses,
   run cold and then warm over a per-corpus SQLite ``cache_dir`` that
@@ -63,7 +58,6 @@ from repro.bench import (
     executor_comparison,
     format_table,
     incremental_comparison,
-    sharded_comparison,
     stepwise_comparison,
 )
 
@@ -72,9 +66,9 @@ def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--scale", type=float, default=0.2,
                         help="corpus scale (default 0.2: tiny, CI-friendly)")
-    parser.add_argument("--shard-concurrency", type=int, default=2,
-                        help="workers for the serial-vs-sharded parity check "
-                             "(0 skips the check)")
+    parser.add_argument("--concurrency", type=int, default=2,
+                        help="local pool workers for the backend leg's "
+                             "pooled run (default 2; at least 2)")
     parser.add_argument("--tcp-workers", type=int, default=0,
                         help="also run the pool against a fleet of this many "
                              "spawned workers (steal_listen), cold and warm "
@@ -85,21 +79,16 @@ def main() -> int:
     args = parser.parse_args()
 
     rows = stepwise_comparison(scale=args.scale)
-    shard_rows = []
-    if args.shard_concurrency > 0:
-        shard_rows = sharded_comparison(scale=args.scale,
-                                        concurrency=args.shard_concurrency)
     chain_rows = chain_comparison(scale=args.scale)
     incremental_rows = incremental_comparison(scale=args.scale)
     executor_rows = executor_comparison(
-        scale=args.scale, concurrency=max(2, args.shard_concurrency),
+        scale=args.scale, concurrency=max(2, args.concurrency),
         tcp_workers=args.tcp_workers)
     engine_rows = engine_sweep_comparison(scale=args.scale)
     args.out.parent.mkdir(parents=True, exist_ok=True)
-    payload = {"schema": 10, "scale": args.scale, "rows": rows,
+    payload = {"schema": 11, "scale": args.scale, "rows": rows,
                "tcp_workers": args.tcp_workers,
-               "shard_concurrency": args.shard_concurrency,
-               "shard_rows": shard_rows,
+               "concurrency": max(2, args.concurrency),
                "chain_rows": chain_rows,
                "incremental_rows": incremental_rows,
                "executor_rows": executor_rows,
@@ -127,19 +116,6 @@ def main() -> int:
             failures.append(
                 f"{row['benchmark']}: analysis cache saw no reuse in stepwise mode"
             )
-    if shard_rows:
-        shard_columns = ("benchmark", "transformed", "identical", "distinct_pairs",
-                        "pooled_pairs", "workers", "serial_time_s", "sharded_time_s")
-        print()
-        print(format_table([{k: row[k] for k in shard_columns} for row in shard_rows],
-                           title=f"Serial vs sharded stepwise "
-                                 f"({args.shard_concurrency} workers)"))
-        for row in shard_rows:
-            if not row["identical"]:
-                failures.append(
-                    f"{row['benchmark']}: sharded records diverged from serial for: "
-                    f"{', '.join(row['mismatches'])}"
-                )
     chain_columns = ("benchmark", "transformed", "identical", "chains",
                      "chain_fallbacks", "nodes_built_saved_pct",
                      "rule_invocations_saved_pct", "per_pair_time_s",
@@ -172,8 +148,7 @@ def main() -> int:
             )
     executor_columns = ("benchmark", "transformed", "identical",
                         "batch_pairs", "steal_pairs",
-                        "steal_pairs_skipped", "items_stolen",
-                        "steal_attempts", "steal_bytes_dispatched",
+                        "steal_pairs_skipped", "steal_bytes_dispatched",
                         "lazy_time_s", "batch_time_s", "steal_time_s")
     if args.tcp_workers > 0:
         executor_columns += ("tcp_pairs", "tcp_warm_pairs",
@@ -184,10 +159,7 @@ def main() -> int:
                         for row in executor_rows],
                        title="Lazy driver vs executor (in-process and pooled)"))
     skipped = sum(row["steal_pairs_skipped"] for row in executor_rows)
-    stolen = sum(row["items_stolen"] for row in executor_rows)
-    attempts = sum(row["steal_attempts"] for row in executor_rows)
-    print(f"worker pool cancelled {skipped} doomed pairs and moved "
-          f"{stolen} items across deques in {attempts} steal attempts")
+    print(f"worker pool cancelled {skipped} doomed pairs")
     for row in executor_rows:
         if not row["identical"]:
             failures.append(
@@ -216,14 +188,12 @@ def main() -> int:
         for line in failures:
             print(f"  {line}", file=sys.stderr)
         return 1
-    message = "strategy guard OK: stepwise accepted a superset of whole on every corpus"
-    if shard_rows:
-        message += "; sharded records matched serial on every corpus"
-    message += ("; chain-graph records matched the per-pair oracle, warm "
-                "incremental revalidation matched cold records, the lazy "
-                "driver and the in-process/pooled executor and "
-                "worklist/fullscan engines produced identical records on "
-                "every corpus")
+    message = ("strategy guard OK: stepwise accepted a superset of whole on "
+               "every corpus; chain-graph records matched the per-pair "
+               "oracle, warm incremental revalidation matched cold records, "
+               "the lazy driver and the in-process/pooled executor and "
+               "worklist/fullscan engines produced identical records on "
+               "every corpus")
     if args.tcp_workers > 0:
         message += (f"; the pool serving {args.tcp_workers} fleet workers "
                     f"matched the lazy driver cold and warm on every corpus")

@@ -6,11 +6,11 @@ paper's per-function validator:
 
 * **sharding** — ``validate_module_batch`` flattens the per-pass adjacent
   checkpoint pairs of *all* functions of *all* modules into one
-  deduplicated work queue and fans it out over a work-stealing pool of
-  ``config.concurrency`` workers — idle workers steal queued items from
-  the most-loaded peer (``items_stolen`` / ``steal_attempts``) — then
-  reassembles per-function verdicts, blame and kept prefixes identical
-  to the serial path;
+  deduplicated, priority-ordered work queue and fans it out over a pool
+  of ``config.concurrency`` workers — each completion dispatches the
+  queue's next item, in the same order an in-process run takes them —
+  then reassembles per-function verdicts, blame and kept prefixes
+  identical to the serial path;
 * **persistence** — with ``config.cache_dir`` set, every proved pair is
   saved to a content-addressed SQLite proof store, flushed incrementally
   (``store_flushes``), so a second sweep (a CI re-run, a nightly job)
@@ -64,8 +64,7 @@ def sweep(modules, labels, config, title, passes=None):
     print(f"  distinct pairs     : {shard.get('distinct_pairs', 0)} "
           f"(pooled items {shard.get('pooled_pairs', 0)}, "
           f"chain items {shard.get('chain_items', 0)})")
-    print(f"  stealing           : {shard.get('items_stolen', 0)} items "
-          f"stolen in {shard.get('steal_attempts', 0)} attempts, "
+    print(f"  cancellation       : "
           f"{shard.get('speculative_pairs_skipped', 0)} doomed pairs "
           f"cancelled off the queue")
     print(f"  cache              : {cache.get('hits', 0)} hits / "
@@ -122,7 +121,7 @@ def main() -> None:
     modules = [build_corpus(BENCHMARKS_BY_NAME[name], scale) for name in labels]
     pooled = sweep(modules, labels,
                    replace(inline_config, concurrency=workers),
-                   "High-rejection sweep, work-stealing pool",
+                   "High-rejection sweep, worker pool",
                    passes=BUGGY_PIPELINE)
 
     inline_shard = inline[-1][1].shard_stats or {}

@@ -44,11 +44,6 @@ class DominatorTree:
         """Compute the dominator tree of ``function``."""
         return cls(function, CFGFacts.of(function))
 
-    @classmethod
-    def compute_post(cls, function: Function) -> "PostDominatorTree":
-        """Compute the post-dominator forest of ``function``."""
-        return PostDominatorTree.compute(function)
-
     # -- queries -------------------------------------------------------------
     def reachable_blocks(self) -> List[BasicBlock]:
         """Blocks reachable from entry, in reverse postorder."""

@@ -16,7 +16,6 @@ from __future__ import annotations
 
 from typing import Dict, List, Optional, Set
 
-from ..ir.instructions import Phi
 from ..ir.module import BasicBlock, Function
 from .dominators import DominatorTree
 
@@ -87,10 +86,6 @@ class Loop:
                 result.append(outside)
         return result
 
-    def header_phis(self) -> List[Phi]:
-        """The φ-nodes at the loop header (the loop-carried variables)."""
-        return self.header.phis()
-
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"<Loop header=%{self.header.name} blocks={len(self.blocks)} depth={self.depth}>"
 
@@ -125,10 +120,6 @@ class LoopInfo:
     def loop_for(self, block: BasicBlock) -> Optional[Loop]:
         """The innermost loop containing ``block``, or ``None``."""
         return self._loop_of_block.get(block)
-
-    def top_level_loops(self) -> List[Loop]:
-        """Loops that are not nested in any other loop."""
-        return [loop for loop in self.loops if loop.parent is None]
 
     def loop_depth(self, block: BasicBlock) -> int:
         """Nesting depth of ``block`` (0 outside any loop)."""

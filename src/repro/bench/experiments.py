@@ -19,7 +19,6 @@ Figure 8     :func:`figure8` — SCCP rewrite-rule ablation
 (extension)  :func:`engine_comparison` — worklist vs full-scan normalization
 (extension)  :func:`engine_sweep_comparison` — worklist vs full-scan stepwise records
 (extension)  :func:`stepwise_comparison` — whole vs stepwise vs bisect strategies
-(extension)  :func:`sharded_comparison` — serial vs worker-pool (steal) records
 (extension)  :func:`executor_comparison` — lazy driver vs executor (in-process and pooled)
 (extension)  :func:`chain_comparison` — chain-shared graphs vs per-pair stepwise
 (extension)  :func:`cache_persistence` — cold vs warm persistent-cache sweeps
@@ -480,61 +479,6 @@ def stepwise_comparison(scale: float = 1.0, benchmarks: Optional[Sequence[str]] 
     return rows
 
 
-def sharded_comparison(scale: float = 1.0, benchmarks: Optional[Sequence[str]] = None,
-                       passes: Sequence[str] = PAPER_PIPELINE,
-                       config: Optional[ValidatorConfig] = None,
-                       concurrency: int = 2,
-                       strategy: str = "stepwise") -> List[Dict[str, object]]:
-    """Serial vs worker-pool validation on identical inputs.
-
-    For every corpus, validates the module once through the serial
-    ``llvm_md`` path and once through ``validate_module_batch`` with
-    ``concurrency`` workers, then compares the per-function *record
-    signatures* (verdict, reason, blame, kept prefix, per-pass verdicts —
-    everything deterministic; see
-    :meth:`~repro.validator.report.FunctionRecord.signature`).  Sharding
-    may only change *where* a query runs, never what it decides, so
-    ``identical`` must be true on every row — the CI shard guard enforces
-    exactly that over all twelve corpora.
-    """
-    base = config or DEFAULT_CONFIG
-    serial_config = _dc_replace(base, concurrency=0)
-    sharded_config = _dc_replace(base, concurrency=max(2, concurrency))
-    rows: List[Dict[str, object]] = []
-    for spec in _selected_specs(benchmarks):
-        module = build_corpus(spec, scale)
-        start = time.perf_counter()
-        _, serial_report = llvm_md(module, passes, serial_config,
-                                   label=spec.name, strategy=strategy)
-        serial_elapsed = time.perf_counter() - start
-        start = time.perf_counter()
-        (_, sharded_report), = validate_module_batch(
-            [module], passes, sharded_config, labels=[spec.name], strategy=strategy)
-        sharded_elapsed = time.perf_counter() - start
-        serial_signatures = [record.signature() for record in serial_report.records]
-        sharded_signatures = [record.signature() for record in sharded_report.records]
-        mismatches = [serial["name"]
-                      for serial, sharded in zip(serial_signatures, sharded_signatures)
-                      if serial != sharded]
-        if len(serial_signatures) != len(sharded_signatures):  # pragma: no cover
-            mismatches.append("<record-count-mismatch>")
-        shard_stats = sharded_report.shard_stats or {}
-        rows.append({
-            "benchmark": spec.name,
-            "strategy": strategy,
-            "functions": serial_report.total_functions,
-            "transformed": serial_report.transformed_functions,
-            "identical": not mismatches,
-            "mismatches": mismatches,
-            "distinct_pairs": shard_stats.get("distinct_pairs", 0),
-            "pooled_pairs": shard_stats.get("pooled_pairs", 0),
-            "workers": shard_stats.get("workers", 0),
-            "serial_time_s": round(serial_elapsed, 3),
-            "sharded_time_s": round(sharded_elapsed, 3),
-        })
-    return rows
-
-
 def executor_comparison(scale: float = 1.0, benchmarks: Optional[Sequence[str]] = None,
                         passes: Sequence[str] = PAPER_PIPELINE,
                         config: Optional[ValidatorConfig] = None,
@@ -556,12 +500,10 @@ def executor_comparison(scale: float = 1.0, benchmarks: Optional[Sequence[str]] 
 
     Each row also carries the scheduling telemetry: ``distinct_pairs``
     per executor leg (the deduplicated queries each one actually
-    validated) and the pool's discipline — ``items_stolen`` /
-    ``steal_attempts`` (how often idle workers raided a sibling's deque),
-    ``steal_pairs_skipped`` (doomed pairs its streaming cancellation
-    never ran; zero on an all-accepting corpus) and
-    ``steal_bytes_dispatched`` (encoded work-item bytes shipped to the
-    workers).
+    validated), ``steal_pairs_skipped`` (doomed pairs the pool's
+    streaming cancellation never ran; zero on an all-accepting corpus)
+    and ``steal_bytes_dispatched`` (encoded work-item bytes shipped to
+    the workers).
 
     With ``tcp_workers > 0`` a further leg serves the pool's work to an
     external fleet (``config.steal_listen``), twice per corpus: that many
@@ -626,8 +568,6 @@ def executor_comparison(scale: float = 1.0, benchmarks: Optional[Sequence[str]] 
                 per_backend[name] = {
                     "distinct_pairs": shard.get("distinct_pairs", 0),
                     "pairs_skipped": shard.get("speculative_pairs_skipped", 0),
-                    "items_stolen": shard.get("items_stolen", 0),
-                    "steal_attempts": shard.get("steal_attempts", 0),
                     "bytes_dispatched": shard.get("bytes_dispatched", 0),
                     "workers_joined": shard.get("remote_workers_joined", 0),
                     "transformed": report.transformed_functions,
@@ -649,8 +589,6 @@ def executor_comparison(scale: float = 1.0, benchmarks: Optional[Sequence[str]] 
                 "mismatches": mismatches,
                 "batch_pairs": per_backend["batch"]["distinct_pairs"],
                 "steal_pairs": per_backend["steal"]["distinct_pairs"],
-                "items_stolen": per_backend["steal"]["items_stolen"],
-                "steal_attempts": per_backend["steal"]["steal_attempts"],
                 "steal_pairs_skipped": per_backend["steal"]["pairs_skipped"],
                 "steal_bytes_dispatched": per_backend["steal"]["bytes_dispatched"],
                 "lazy_time_s": lazy_time,
@@ -973,7 +911,6 @@ __all__ = [
     "validation_timing",
     "engine_comparison",
     "stepwise_comparison",
-    "sharded_comparison",
     "executor_comparison",
     "chain_comparison",
     "cache_persistence",

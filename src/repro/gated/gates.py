@@ -231,10 +231,6 @@ class GateAnalysis:
             return CondGate(source, negated=True)
         return FALSE
 
-    def is_back_edge(self, source: BasicBlock, target: BasicBlock) -> bool:
-        """An edge whose target dominates its source (a loop back edge)."""
-        return self.dom.dominates(target, source)
-
     # -- path conditions ------------------------------------------------------
     def path_condition(self, start: BasicBlock, block: BasicBlock,
                        memo: Optional[PathConditionMemo] = None) -> GateExpr:

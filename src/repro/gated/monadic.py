@@ -17,9 +17,8 @@ builder uses to thread that state:
 
 from __future__ import annotations
 
-from typing import Dict, Set
+from typing import Set
 
-from ..analysis.loops import LoopInfo
 from ..ir.instructions import Call, Instruction, Load, Store
 from ..ir.module import BasicBlock, Function
 
@@ -59,13 +58,6 @@ class MemoryEffects:
     def any_writes(self) -> bool:
         """Does the function write memory anywhere?"""
         return bool(self._writing_blocks)
-
-    def loop_writes(self, loop_info: LoopInfo) -> Dict[int, bool]:
-        """Map ``id(loop.header)`` → does the loop write memory?"""
-        result: Dict[int, bool] = {}
-        for loop in loop_info.loops:
-            result[id(loop.header)] = any(self.block_writes(b) for b in loop.blocks)
-        return result
 
 
 __all__ = ["defines_memory", "reads_memory", "MemoryEffects"]

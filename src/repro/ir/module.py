@@ -68,10 +68,6 @@ class BasicBlock(Value):
                 break
         return result
 
-    def non_phi_instructions(self) -> List[Instruction]:
-        """Instructions after the φ-node prefix."""
-        return [inst for inst in self.instructions if not isinstance(inst, Phi)]
-
     # -- mutation ---------------------------------------------------------
     def append(self, inst: Instruction) -> Instruction:
         """Append an instruction and set its parent."""

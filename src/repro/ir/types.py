@@ -23,14 +23,6 @@ class Type:
         """Return ``True`` if this is the 1-bit integer type ``i1``."""
         return isinstance(self, IntType) and self.bits == 1
 
-    def is_pointer(self) -> bool:
-        """Return ``True`` if this is a pointer type."""
-        return isinstance(self, PointerType)
-
-    def is_float(self) -> bool:
-        """Return ``True`` if this is the floating point type."""
-        return isinstance(self, FloatType)
-
     def is_void(self) -> bool:
         """Return ``True`` if this is the ``void`` type."""
         return isinstance(self, VoidType)

@@ -68,10 +68,11 @@ class ValidatorConfig:
         driver runs the executor's scheduling loop in-process.  Above
         ``1``, ``llvm_md`` delegates to
         :func:`repro.validator.driver.validate_module_batch`, whose
-        executor spawns that many workers pulling content-keyed items
-        from per-worker deques (LIFO-local/FIFO-steal, so long chain
-        items stop straggling behind an idle pool; a rejection streams
-        back and cancels the doomed later pairs of its function).  Every
+        executor spawns that many workers and keeps one content-keyed
+        item in flight per worker, fed from its single priority-ordered
+        queue (each completion dispatches the next item, and a
+        rejection streams back and cancels the doomed later pairs of its
+        function).  Every
         worker count produces byte-identical
         :meth:`~repro.validator.report.FunctionRecord.signature`\\ s —
         ``benchmarks/stepwise_guard.py``'s backend leg enforces it — so
@@ -241,10 +242,6 @@ class ValidatorConfig:
     def with_engine(self, engine: str) -> "ValidatorConfig":
         """A copy of this configuration with a different normalization engine."""
         return replace(self, engine=engine)
-
-    def with_cache_dir(self, cache_dir: Optional[str]) -> "ValidatorConfig":
-        """A copy of this configuration with a different persistent cache dir."""
-        return replace(self, cache_dir=cache_dir)
 
 
 #: The default configuration (all rules, combined matcher).

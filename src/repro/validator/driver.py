@@ -59,10 +59,11 @@ For corpus-scale traffic, batch validation is orchestrated by the
   module is optimized, its queries derived, content-deduplicated and
   checked against the shared cache;
 * **execute** (:mod:`~repro.validator.scheduler.executors`): one
-  :class:`~repro.validator.scheduler.executors.Executor` — work stealing
-  that also cancels the doomed later pairs of rejecting functions, over
-  ``config.concurrency`` worker processes when that is above 1 and
-  in-process otherwise — fills the cache with verdicts; a dead worker
+  :class:`~repro.validator.scheduler.executors.Executor` — one
+  priority-ordered dispatch queue that also cancels the doomed later
+  pairs of rejecting functions, drained by ``config.concurrency`` worker
+  processes when that is above 1 and in-process otherwise — fills the
+  cache with verdicts; a dead worker
   is respawned and its item requeued, and an unrecoverable pool failure
   degrades the rest of the batch to the in-process loop;
 * **settle** (:func:`~repro.validator.scheduler.settle.settle_plan`):
@@ -309,9 +310,10 @@ def validate_module_batch(
       stepwise function ships as ONE packed chain work item when enough
       of its pairs are uncached to amortize it;
     * **execute** — the :class:`~repro.validator.scheduler.executors.Executor`
-      validates the distinct items in priority order, over a persistent
-      pool of ``config.concurrency`` single-item workers stealing from
-      each other's deques when that is above 1 and in-process otherwise
+      validates the distinct items from one priority-ordered queue, over
+      a persistent pool of ``config.concurrency`` single-item workers
+      (each completion dispatches the next item) when that is above 1
+      and in-process, in the same order, otherwise
       (a dead worker is respawned and its item requeued; the rest of the
       batch degrades to in-process if the platform cannot spawn
       processes, a payload cannot be pickled, or a worker raises; a

@@ -20,10 +20,10 @@ Sites wired in today:
     how a diverging normalization is simulated — it runs *inside* the
     pair watchdog, so ``config.pair_timeout`` preempts it.
 ``"worker"``
-    Inside a pool worker's main loop, before validating a
-    received item; detail is the item's function name.  ``crash`` here
-    hard-exits the worker process (``os._exit``), exercising the
-    supervisor's respawn/requeue/quarantine path.
+    In a pool worker process, before validating a received item (the
+    in-process loop never consults it); detail is the item's function
+    name.  ``crash`` here hard-exits the worker process (``os._exit``),
+    exercising the supervisor's respawn/requeue/quarantine path.
 ``"steal-dispatch"``
     In the parent, right after an item is dispatched to a pool worker
     (``crash`` severs that worker's connection before it can answer).
@@ -199,6 +199,11 @@ def mark_worker_process() -> None:
     _IN_WORKER_PROCESS = True
 
 
+def in_worker_process() -> bool:
+    """Is this process a pool worker (see :func:`mark_worker_process`)?"""
+    return _IN_WORKER_PROCESS
+
+
 def reset(plan: Optional[FaultPlan] = None) -> None:
     """Forget firing state for ``plan`` (or every plan) — tests and reruns."""
     if plan is None:
@@ -334,6 +339,7 @@ __all__ = [
     "InjectedCrash",
     "InjectedFault",
     "PairTimeout",
+    "in_worker_process",
     "make_error",
     "mark_worker_process",
     "maybe_fire",

@@ -1,15 +1,15 @@
 """The batch-validation scheduling subsystem: plan → execute → settle.
 
 Three layers with one-way dependencies, so each can evolve (or be
-replaced — e.g. by a cross-host transport behind the work-stealing
-backend) independently:
+replaced — e.g. by a cross-host transport behind the executor's
+pool) independently:
 
 :mod:`~repro.validator.scheduler.plan`
     *What to run.*  Pure, deterministic work-item generation: optimize,
     dedup by content key, chain-vs-pair amortization, cache consultation
     — producing a :class:`WorkPlan`.
 :mod:`~repro.validator.scheduler.executors`
-    *How to run it.*  The work-stealing :class:`Executor` — in-process
+    *How to run it.*  The :class:`Executor`'s one dispatch queue — in-process
     or over ``config.concurrency`` workers fed through the TCP pool in
     :mod:`~repro.validator.scheduler.transport` — plus the lazy providers
     the per-function serial driver validates through.  Every worker

@@ -12,24 +12,24 @@ change where and in what order queries run, never what they decide
 (``benchmarks/stepwise_guard.py``'s backend leg enforces this on all
 twelve corpora, in-process and pooled).
 
-One backend ships, :class:`Executor`: work stealing over a persistent
-pool of single-item workers
+One backend ships, :class:`Executor`: one priority-ordered dispatch
+queue over a persistent pool of single-item workers
 (:class:`~repro.validator.scheduler.transport.TcpStealPool`), and
-``config.concurrency`` alone decides whether that pool runs.  The
-priority-ordered item list is dealt into per-worker deques; a worker
-pops its own deque LIFO (its next planned item) and, when empty, steals
-FIFO from the most loaded sibling (that worker's farthest-future item),
-so a long chain item occupies one worker while the others drain the
-queue instead of idling behind a fixed shard boundary.  The queue also
-cancels doomed pairs: a rejection streams back, releases the rejecting
-functions' later pairs, and undispatched items whose every demander is
-doomed are dropped from the deques, because no stepwise walk ever reads
-them.  A worker death costs one respawn and a requeue of its item; only
-an unattributable pool failure degrades the *unfinished remainder* to
-in-process execution — completed verdicts are content-addressed and
-kept.  With ``concurrency`` of 0 or 1 the same scheduling loop runs
-in-process, with the same schedule.  Items travel as the function's own
-versions plus callee declarations
+``config.concurrency`` alone decides whether that pool runs.  Each item
+is a self-contained, content-keyed query, so no worker gains anything
+from running a particular one: the pool holds at most ``concurrency``
+items in flight, keyed by tag, and every completion dispatches the
+queue's next live item, so a long chain item occupies one worker while
+the others drain the queue.  The queue also cancels doomed pairs: a
+rejection streams back, releases the rejecting functions' later pairs,
+and queued items whose every demander is doomed are dropped as they
+reach the head, because no stepwise walk ever reads them.  A worker
+death costs one respawn and a requeue of its item at the queue's head;
+only an unattributable pool failure degrades the *unfinished
+remainder* to in-process execution — completed verdicts are
+content-addressed and kept.  With ``concurrency`` of 0 or 1 the same
+queue drains in-process, in the same order.  Items travel as the
+function's own versions plus callee declarations
 (:func:`~repro.validator.scheduler.transport.encode_item`), never as
 whole modules.
 
@@ -78,21 +78,26 @@ ChainItemResult = Tuple[List[Optional[ValidationResult]],
 def _validate_item(item: Tuple):
     """Work-item entry point: validate one item (pair or whole chain).
 
-    Runs in steal worker processes and in the in-process scheduling
-    loop.  Pair items run through :func:`validate_bounded`, so
-    ``config.pair_timeout`` and the ``"pair"`` fault site apply wherever
-    the item lands — in-process or steal worker;
-    chain items share one normalization across all their pairs, so
-    per-pair bounds do not apply to them.  A chain item carries the
-    versions' content fingerprints (the plan's, or None) so the chain
-    build prints no version again.
+    Runs in pool worker processes and in the in-process loop.  Pair
+    items run through :func:`validate_bounded`, so ``config.pair_timeout``
+    and the ``"pair"`` fault site apply wherever the item lands; the
+    ``"worker"`` site fires only in a worker process.  Chain items share
+    one normalization across all their pairs, so per-pair bounds do not
+    apply to them.  A chain item carries the versions' content
+    fingerprints (the plan's, or None) so the chain build prints no
+    version again.
     """
     if item[0] == "chain":
         _, versions, fingerprints, config = item
+    else:
+        _, before, after, config = item
+    if faults.in_worker_process():
+        faults.maybe_fire(config.fault_plan, "worker",
+                          detail=item_detail(item))
+    if item[0] == "chain":
         outcome = validate_chain(versions, config, fingerprints=fingerprints)
         settled, whole = settle_chain_results(outcome, versions, config)
         return settled, whole, outcome.chain_stats
-    _, before, after, config = item
     return validate_bounded(before, after, config)
 
 
@@ -150,32 +155,29 @@ class ExecutionOutcome:
 
 
 class Executor:
-    """Work stealing over a persistent pool of single-item workers.
+    """One dispatch queue over a persistent pool of single-item workers.
 
     The one backend every strategy runs on.  :meth:`execute` puts the
-    plan's items on one shared queue in priority order — chain items
-    first (they cover whole functions and are the longest), then pairs
-    by earliest pipeline position (the verdicts most able to cancel
-    later work) — and finishes with the stepwise settle round.  Whole
-    and bisect plans carry no chain items and every function's only
-    planned pair sits at position 0, so for them the queue is the plan's
-    pair order and nothing is ever cancelled.
+    plan's items on one queue in priority order — chain items first
+    (they cover whole functions and are the longest), then pairs by
+    earliest pipeline position (the verdicts most able to cancel later
+    work) — and finishes with the stepwise settle round.  Whole and
+    bisect plans carry no chain items and every function's only planned
+    pair sits at position 0, so for them the queue is the plan's pair
+    order and nothing is ever cancelled.
 
-    Items are dealt into per-worker deques as contiguous runs of the
-    priority order.  Each worker is fed one item at a time: on completion
-    it pops the next item off its own deque's top (**LIFO-local** — the
-    next item in its planned run), and an empty worker steals from the
-    *bottom* of the most loaded sibling's deque (**FIFO-steal** — the
-    victim's farthest-future item, the classic stealing discipline that
-    minimizes contention on what the owner touches next).  A long chain
-    item therefore occupies exactly one worker while every other item
-    migrates to idle workers, instead of stalling a fixed shard.
+    The in-process loop, the pooled loop and the degraded remainder all
+    drain that queue from its head, so pooled and in-process runs
+    dispatch in the same order: tag order minus cancelled items.  With
+    a pool, at most ``workers`` items are in flight and each completion
+    dispatches the next item; which connection runs it is the
+    coordinator's business.
 
-    For the stepwise strategy the shared queue also cancels doomed
-    pairs: results stream back one at a time, a rejection releases the
-    demand its doomed functions placed on their later pairs, and an
-    undispatched pair whose every demanding function is doomed is
-    dropped from the deques (``pairs_skipped``).  Because pairs are
+    For the stepwise strategy the queue also cancels doomed pairs:
+    results stream back one at a time, a rejection releases the demand
+    its doomed functions placed on their later pairs, and a queued pair
+    whose every demanding function is doomed is dropped when it reaches
+    the head (``pairs_skipped``).  Because pairs are
     content-deduplicated across functions, an item is only cancelled
     when *no* live function can still consume it, and the settle round
     plus :func:`~repro.validator.scheduler.settle.settle_plan` reassemble
@@ -183,16 +185,15 @@ class Executor:
     pairs are exactly the ones no record's walk ever reads.
 
     A worker dying mid-item costs one respawn and a requeue of its item
-    (see :meth:`_run_stealing`).  Any other pool failure — spawn
-    failure, unpicklable payload, a worker reporting an exception —
-    degrades the backend and runs every **unfinished** item in-process.
-    Completed verdicts are kept: validation is deterministic and side-effect
-    free and each verdict merged into the cache exactly once as it
-    arrived, so the in-process remainder can neither lose nor
-    double-count a cache query.  With ``workers`` of 0 or 1 no processes
-    are spawned at all: the scheduling loop runs in-process in priority
-    order (still cancelling doomed pairs), which is also the
-    deterministic single-worker parity baseline.
+    (see :meth:`_run_queue`).  Any other pool failure — spawn failure,
+    unpicklable payload, a worker reporting an exception — degrades the
+    backend and runs every **unfinished** item in-process.  Completed
+    verdicts are kept: validation is deterministic and side-effect free
+    and each verdict merged into the cache exactly once as it arrived,
+    so the in-process remainder can neither lose nor double-count a
+    cache query.  With ``workers`` of 0 or 1 no processes are spawned at
+    all: the queue drains in-process (still cancelling doomed pairs),
+    which is also the deterministic single-worker parity baseline.
     """
 
     def __init__(self, workers: int) -> None:
@@ -215,11 +216,6 @@ class Executor:
         self.pairs_quarantined = 0
         #: Items re-executed after a transient failure (requeues).
         self.item_retries = 0
-        #: Items a worker took from a sibling's deque.
-        self.items_stolen = 0
-        #: Times an idle worker looked for work beyond its own deque
-        #: (successful or not).
-        self.steal_attempts = 0
         #: Encoded work-item bytes handed to worker transports.
         self.bytes_dispatched = 0
         #: The closed pool's membership counters (a live pool's are read
@@ -237,8 +233,6 @@ class Executor:
             "workers_respawned": self.workers_respawned,
             "pairs_quarantined": self.pairs_quarantined,
             "item_retries": self.item_retries,
-            "items_stolen": self.items_stolen,
-            "steal_attempts": self.steal_attempts,
             "bytes_dispatched": self.bytes_dispatched,
             **self._membership(),
         }
@@ -272,44 +266,62 @@ class Executor:
         def collect(tag: int, result) -> None:
             results[tag] = result
 
-        self._run_stealing(list(enumerate(items)), config, collect)
+        self._run_queue(list(enumerate(items)), config, collect)
         return results
 
-    def _run_stealing(self, tagged_items: List[Tuple[int, Tuple]],
-                      config: ValidatorConfig,
-                      on_result: Callable[[int, object], None],
-                      is_cancelled: Optional[Callable[[int], bool]] = None,
-                      ) -> None:
-        """Schedule priority-ordered ``(tag, item)`` work, streaming results.
+    def _run_queue(self, tagged_items: List[Tuple[int, Tuple]],
+                   config: ValidatorConfig,
+                   on_result: Callable[[int, object], None],
+                   is_cancelled: Optional[Callable[[int], bool]] = None,
+                   ) -> None:
+        """Drain priority-ordered ``(tag, item)`` work, streaming results.
 
-        ``on_result`` fires once per completed item, in completion order;
-        ``is_cancelled`` is consulted at every dispatch so items doomed
-        by earlier results are dropped without running.
+        One dispatch queue feeds every loop: ``on_result`` fires once per
+        completed item, in completion order, and ``is_cancelled`` is
+        consulted as each item leaves the queue, so items doomed by
+        earlier results are dropped without running.  With a pool, at
+        most ``workers`` items are in flight, keyed by tag, and each
+        completion dispatches the next live item.
 
         Supervision: a worker death *attributable* to one in-flight item
         (the :class:`~repro.validator.scheduler.transport.BrokenStealPool`
-        names the worker) costs one worker respawn and a requeue of that
-        item — the batch keeps running on the surviving workers.  An
-        item that keeps killing its workers past
+        names its tag) costs one worker respawn and a requeue of that
+        item at the queue's head — the batch keeps running on the
+        surviving workers.  An item that keeps killing its workers past
         ``config.max_pair_retries`` is quarantined (a synthetic uncached
         ``"quarantined"`` denial) instead of taking the backend down
         with it.  Only *unattributable* failures — queue plumbing, an
         item-level exception a live worker reported, spawn failure —
-        still degrade the whole backend to in-process execution.
+        degrade the whole backend: the in-flight items rejoin the queue
+        in tag order and the rest of it drains in-process.
         """
         self.batches += 1
-        if self.workers <= 1 or self.degraded or len(tagged_items) <= 1:
-            for tag, item in tagged_items:
-                if is_cancelled is not None and is_cancelled(tag):
-                    continue
+        queue = collections.deque(tagged_items)
+
+        def next_item() -> Optional[Tuple[int, Tuple]]:
+            while queue:
+                tag, item = queue.popleft()
+                if is_cancelled is None or not is_cancelled(tag):
+                    return tag, item
+            return None
+
+        def drain_in_process() -> None:
+            while True:
+                entry = next_item()
+                if entry is None:
+                    return
                 self.items_run += 1
-                on_result(tag, _validate_item(item))
+                on_result(entry[0], _validate_item(entry[1]))
+
+        if self.workers <= 1 or self.degraded or len(tagged_items) <= 1:
+            drain_in_process()
             return
         # Deferred: sockets and asyncio load only when a pool runs.
         from . import transport
 
-        done: Set[int] = set()
         plan = config.fault_plan
+        #: tag -> item, for every item a worker holds.
+        outstanding: Dict[int, Tuple] = {}
         #: tag -> workers this item has killed (crash or corrupt retry).
         casualties: Dict[int, int] = {}
         # Deep operand chains make pickling recursive; give the parent the
@@ -320,124 +332,87 @@ class Executor:
             if self._pool is None:
                 self._pool = transport.TcpStealPool(self.workers, config)
             pool = self._pool
-            # Contiguous runs of the priority order, reversed so the
-            # deque's right end (the owner's LIFO "top") holds the run's
-            # first item and its left end (the steal side) the last.
-            chunk_size = -(-len(tagged_items) // self.workers)
-            deques = [collections.deque(reversed(tagged_items[start:start + chunk_size]))
-                      for start in range(0, len(tagged_items), chunk_size)]
-            deques += [collections.deque()
-                       for _ in range(self.workers - len(deques))]
 
-            def next_item(worker_id: int) -> Optional[Tuple[int, Tuple]]:
-                while True:
-                    if deques[worker_id]:
-                        tag, item = deques[worker_id].pop()
-                    else:
-                        self.steal_attempts += 1
-                        victim = max(range(self.workers),
-                                     key=lambda v: len(deques[v]))
-                        if not deques[victim]:
-                            return None  # nothing left anywhere: go idle
-                        tag, item = deques[victim].popleft()
-                        self.items_stolen += 1
-                    if is_cancelled is not None and is_cancelled(tag):
-                        continue
-                    return tag, item
+            def dispatch() -> None:
+                while len(outstanding) < self.workers:
+                    entry = next_item()
+                    if entry is None:
+                        return
+                    tag, item = entry
+                    outstanding[tag] = item
+                    self.bytes_dispatched += pool.send(tag, item)
+                    if plan is not None:
+                        # The "steal-dispatch" crash site kills the worker
+                        # *after* it was handed this item — a parent-side
+                        # schedule, so "kill one worker once" means
+                        # exactly once across respawns (worker-side
+                        # counters reset with each fresh process).
+                        spec = faults.should_fire(plan, "steal-dispatch",
+                                                  detail=item_detail(item))
+                        if spec is not None and spec.action == "crash":
+                            pool.kill(tag)
 
-            outstanding: Dict[int, Tuple[int, Tuple]] = {}
-
-            def dispatch_to(worker_id: int) -> None:
-                dispatch = next_item(worker_id)
-                if dispatch is None:
-                    return
-                self.bytes_dispatched += pool.send(
-                    worker_id, dispatch[0], dispatch[1])
-                outstanding[worker_id] = dispatch
-                if plan is not None:
-                    # The "steal-dispatch" crash site kills the worker
-                    # *after* it was handed this item — a parent-side
-                    # schedule, so "kill one worker once" means exactly
-                    # once across respawns (worker-side counters reset
-                    # with each fresh process).
-                    spec = faults.should_fire(plan, "steal-dispatch",
-                                              detail=item_detail(dispatch[1]))
-                    if spec is not None and spec.action == "crash":
-                        pool.kill_worker(worker_id)
-
-            def absorb_casualty(worker_id: int, tag: int, item: Tuple,
-                                why: str) -> None:
+            def absorb_casualty(tag: int, item: Tuple, why: str) -> None:
                 """Requeue a worker-killing item, or quarantine it."""
                 casualties[tag] = casualties.get(tag, 0) + 1
                 if is_cancelled is not None and is_cancelled(tag):
                     return  # nobody will consume it; drop instead
                 if casualties[tag] > config.max_pair_retries:
                     self.pairs_quarantined += 1
-                    done.add(tag)
                     self.items_run += 1
                     on_result(tag, _quarantined_payload(item, casualties[tag],
                                                         why))
                 else:
                     self.item_retries += 1
-                    deques[worker_id].append((tag, item))
+                    queue.appendleft((tag, item))
 
-            for worker_id in range(self.workers):
-                dispatch_to(worker_id)
+            dispatch()
             while outstanding:
                 try:
-                    worker_id, tag, ok, payload = pool.receive(outstanding)
+                    tag, ok, payload = pool.receive(outstanding)
                 except transport.BrokenStealPool as death:
-                    hurt = death.worker_id
-                    if hurt is None or hurt not in outstanding:
+                    if death.tag not in outstanding:
                         raise  # unattributable: degrade wholesale below
-                    lost_tag, lost_item = outstanding.pop(hurt)
-                    pool.respawn(hurt)
+                    item = outstanding.pop(death.tag)
+                    pool.respawn()
                     self.workers_respawned += 1
-                    absorb_casualty(hurt, lost_tag, lost_item,
-                                    f"steal worker {hurt} died mid-item")
-                    dispatch_to(hurt)
+                    absorb_casualty(death.tag, item,
+                                    "steal worker died mid-item")
+                    dispatch()
                     continue
-                dispatched = outstanding.pop(worker_id, None)
-                if ok and dispatched is not None and plan is not None:
-                    spec = faults.maybe_fire(plan, "payload",
-                                             detail=item_detail(dispatched[1]))
-                    if spec is not None and spec.action == "corrupt":
-                        # The transient-failure path in miniature: the
-                        # result arrived mangled, so the item retries on
-                        # the worker's own deque (and quarantines if the
-                        # corruption follows it).
-                        absorb_casualty(worker_id, dispatched[0],
-                                        dispatched[1],
-                                        "corrupted result payload")
-                        dispatch_to(worker_id)
-                        continue
                 if not ok:
                     raise transport.BrokenStealPool(
-                        f"steal worker {worker_id} failed: {payload}")
-                done.add(tag)
+                        f"steal worker failed: {payload}")
+                item = outstanding.pop(tag)
+                if plan is not None:
+                    spec = faults.maybe_fire(plan, "payload",
+                                             detail=item_detail(item))
+                    if spec is not None and spec.action == "corrupt":
+                        # The transient-failure path in miniature: the
+                        # result arrived mangled, so the item retries at
+                        # the queue's head (and quarantines if the
+                        # corruption follows it).
+                        absorb_casualty(tag, item, "corrupted result payload")
+                        dispatch()
+                        continue
                 self.items_run += 1
                 self.pooled_items += 1
                 on_result(tag, payload)
-                dispatch_to(worker_id)
+                dispatch()
         except Exception:
             # Spawn failures, unpicklable payloads and unattributable
             # deaths all land here: keep every streamed-back verdict and
-            # run the unfinished remainder serially in priority order.
+            # drain the unfinished remainder in-process in priority order.
             self.degraded += 1
             self.close()
-            for tag, item in tagged_items:
-                if tag in done:
-                    continue
-                if is_cancelled is not None and is_cancelled(tag):
-                    continue
-                self.items_run += 1
-                on_result(tag, _validate_item(item))
+            queue.extendleft(sorted(outstanding.items(), reverse=True))
+            drain_in_process()
         finally:
             sys.setrecursionlimit(old_limit)
 
     def execute(self, plan: WorkPlan, cache: ValidationCache,
                 budget: Optional[RequestBudget] = None) -> ExecutionOutcome:
-        """Validate the plan on the shared queue, then run the settle round.
+        """Validate the plan on the dispatch queue, then run the settle round.
 
         With a ``budget`` (the service daemon's per-request hook) only
         the work the budget still admits is queued — chain items first
@@ -534,7 +509,7 @@ class Executor:
             return kind[0] == "pair" and doomed(kind[1])
 
         if tagged:
-            self._run_stealing(tagged, config, handle, is_cancelled)
+            self._run_queue(tagged, config, handle, is_cancelled)
         if budget is None or not budget.exhausted:
             self._run_settle_round(plan, cache, outcome)
         self.pairs_skipped += sum(1 for key in plan.pending

@@ -80,9 +80,9 @@ class FunctionPlan:
         #: time and reused by assembly-time key derivation.
         self.fingerprints = fingerprints
         #: Round-1 keys, in validation order (adjacent pairs under
-        #: stepwise; the single whole pair otherwise).  The steal
-        #: backend reads a function's pipeline-position demand off this
-        #: list.
+        #: stepwise; the single whole pair otherwise).  The executor's
+        #: cancellation reads a function's pipeline-position demand off
+        #: this list.
         self.pair_keys = pair_keys
         #: Key of the (original, final) pair — stepwise's whole-query
         #: fallback, executed as the settle round.
@@ -116,10 +116,9 @@ class WorkPlan:
 
     The plan is *pure data*: deduplicated content-keyed work items plus
     the per-function plans the settlement layer will replay them into.
-    Executors consume ``pending`` / ``pending_chains`` (and, for steal
-    cancellation, the per-function ``pair_keys`` order); they never touch
-    planning or settlement logic, which is what lets a future multi-host
-    work-stealing backend drop in behind the same interface.
+    Executors consume ``pending`` / ``pending_chains`` (and, for
+    streaming cancellation, the per-function ``pair_keys`` order); they
+    never touch planning or settlement logic.
     """
 
     strategy: str
@@ -162,10 +161,10 @@ def build_plan(
     pairs are uncached to amortize it (:func:`chain_amortizes`), so a
     worker builds all of that function's checkpoints into one shared
     graph and normalizes it once instead of once per pair.  The
-    executor's shared queue carries chain and pair items side by side, and its streaming cancellation applies to the pair
-    items — which is exactly the straggler scenario stealing exists
-    for: one worker rides the long chain item while the rest drain the
-    pairs.  Fingerprints
+    executor's dispatch queue carries chain items first, then pair
+    items, and its streaming cancellation applies to the pair items:
+    one worker rides a long chain item while the rest drain the pairs.
+    Fingerprints
     are computed once per version and shared by all keys derived from
     them.
     """

@@ -5,15 +5,15 @@ workers are the pool's own loopback processes or a fleet on other hosts:
 
 :class:`StealCoordinator`
     An asyncio server holding a lease table.  The executor's
-    ``send(worker_id, tag, item)`` calls land here as entries of one
-    FIFO of pending work; an idle connection takes its head and holds
-    that entry's *lease* until it returns a result.  The executor
-    already steals between its own per-slot deques and never has more
-    than one item outstanding per slot, so the coordinator schedules
-    nothing itself.  Results and slot deaths flow back to the parent
-    through a thread-safe queue.  The coordinator never requeues a lost
-    item itself: a disconnect while holding slot *s*'s lease surfaces
-    as a death event for *s*, and the executor's ``outstanding``
+    ``send(tag, item)`` calls land here as entries of one FIFO of
+    pending work, already in the executor's priority order; an idle
+    connection takes its head and holds that entry's *lease*, named by
+    its tag, until it returns a result.  The executor never has more
+    items in flight than workers, so the coordinator schedules nothing
+    itself.  Results and deaths flow back to the parent through a
+    thread-safe queue.  The coordinator never requeues a lost item
+    itself: a disconnect while holding tag *t*'s lease surfaces as a
+    death event for *t*, and the executor's ``outstanding``
     bookkeeping — the single source of truth — requeues it through the
     respawn/requeue/quarantine supervision.  (A coordinator-side
     requeue would race that supervision into double-executing the
@@ -95,8 +95,8 @@ class _Conn:
     def __init__(self, reader, writer) -> None:
         self.reader = reader
         self.writer = writer
-        #: ``(slot, tag, detail)`` of the item this connection holds.
-        self.lease: Optional[Tuple[int, int, str]] = None
+        #: ``(tag, detail)`` of the item this connection holds.
+        self.lease: Optional[Tuple[int, str]] = None
         self.parked = False
 
 
@@ -106,10 +106,9 @@ class StealCoordinator:
     Thread contract: every method except :attr:`results` reads is meant
     to run on the server's event loop —
     :class:`~repro.validator.scheduler.transport.TcpStealPool` calls
-    :meth:`enqueue` / :meth:`kill_slot` via ``call_soon_threadsafe``
-    and blocks on the thread-safe :attr:`results` queue for
-    ``("result", slot, tag, ok, payload)`` and ``("death", slot,
-    message)`` events.
+    :meth:`enqueue` / :meth:`kill` via ``call_soon_threadsafe`` and
+    blocks on the thread-safe :attr:`results` queue for ``("result",
+    tag, ok, payload)`` and ``("death", tag, message)`` events.
     """
 
     def __init__(self, config=None, *,
@@ -130,8 +129,8 @@ class StealCoordinator:
                                 else self.expected_fingerprint)
         #: Events for the parent thread (see class docstring).
         self.results: "queue.Queue" = queue.Queue()
-        #: Queued ``(slot, tag, payload, detail)`` entries, oldest first.
-        self.pending: Deque[Tuple[int, int, bytes, str]] = collections.deque()
+        #: Queued ``(tag, payload, detail)`` entries, oldest first.
+        self.pending: Deque[Tuple[int, bytes, str]] = collections.deque()
         self.live_workers = 0
         self.workers_joined = 0
         self.workers_left = 0
@@ -139,8 +138,8 @@ class StealCoordinator:
         self.address: Optional[Tuple[str, int]] = None
         self._conns = set()
         self._idle: List[_Conn] = []
-        #: Slots :meth:`kill_slot` named while their item was still
-        #: queued: the connection that leases it is severed on dispatch.
+        #: Tags :meth:`kill` named while their item was still queued:
+        #: the connection that leases it is severed on dispatch.
         self._doomed: Set[int] = set()
         self._server: Optional[asyncio.AbstractServer] = None
         self._closing = False
@@ -181,31 +180,32 @@ class StealCoordinator:
             await asyncio.gather(*pending, return_exceptions=True)
 
     # -- parent-thread entry points (via call_soon_threadsafe) -------------
-    def enqueue(self, slot: int, tag: int, payload: bytes, detail: str) -> None:
-        """Queue one pickled item for ``slot`` and wake idle workers."""
-        self.pending.append((slot, tag, payload, detail))
+    def enqueue(self, tag: int, payload: bytes, detail: str) -> None:
+        """Queue one pickled item and wake idle workers."""
+        self.pending.append((tag, payload, detail))
         while self._idle and self.pending:
             conn = self._idle.pop(0)
             conn.parked = False
             asyncio.ensure_future(self._assign(conn, self._take(conn)))
 
-    def kill_slot(self, slot: int) -> None:
-        """Sever the connection leasing ``slot``'s item (fault injection).
+    def kill(self, tag: int) -> None:
+        """Sever the connection leasing item ``tag`` (fault injection).
 
         An item still queued is marked instead, and its connection is
         severed as soon as the item is written to it.
         """
         for conn in self._conns:
-            if conn.lease is not None and conn.lease[0] == slot:
+            if conn.lease is not None and conn.lease[0] == tag:
                 _sever(conn.writer)
                 return
-        self._doomed.add(slot)
+        if any(entry[0] == tag for entry in self.pending):
+            self._doomed.add(tag)
 
     # -- leasing -----------------------------------------------------------
-    def _take(self, conn: _Conn) -> Tuple[int, int, bytes, str]:
+    def _take(self, conn: _Conn) -> Tuple[int, bytes, str]:
         """Lease the oldest queued entry to ``conn``."""
         entry = self.pending.popleft()
-        conn.lease = (entry[0], entry[1], entry[3])
+        conn.lease = (entry[0], entry[2])
         return entry
 
     async def _next(self, conn: _Conn) -> None:
@@ -217,8 +217,8 @@ class StealCoordinator:
             self._idle.append(conn)
 
     async def _assign(self, conn: _Conn,
-                      entry: Tuple[int, int, bytes, str]) -> None:
-        slot, tag, payload, detail = entry
+                      entry: Tuple[int, bytes, str]) -> None:
+        tag, payload, detail = entry
         try:
             await write_frame(conn.writer, ("item", tag, payload))
         except Exception:
@@ -228,14 +228,14 @@ class StealCoordinator:
             return
         # "conn-drop": the network loses this worker right after the
         # item reaches it.  Any firing action severs the connection —
-        # the disconnect path below turns that into a slot death, which
-        # the executor answers with respawn + requeue (and quarantine
-        # past max_pair_retries).  A kill_slot mark on a queued item
-        # lands here the same way.
+        # the disconnect path below turns that into a death for the
+        # item's tag, which the executor answers with respawn + requeue
+        # (and quarantine past max_pair_retries).  A kill mark on a
+        # queued item lands here the same way.
         dropped = faults.should_fire(self.plan, "conn-drop",
                                      detail=detail) is not None
-        if dropped or slot in self._doomed:
-            self._doomed.discard(slot)
+        if dropped or tag in self._doomed:
+            self._doomed.discard(tag)
             _sever(conn.writer)
 
     # -- connection handling -----------------------------------------------
@@ -305,17 +305,17 @@ class StealCoordinator:
                 if kind == "ready":
                     await self._next(conn)
                 elif kind == "result":
-                    _, tag, ok, payload = msg
+                    _, _tag, ok, payload = msg
                     lease, conn.lease = conn.lease, None
                     if lease is None:
                         continue  # no lease: nothing to settle
-                    slot, _tag, detail = lease
+                    tag, detail = lease
                     # "conn-delay": the network holds a finished result.
                     spec = faults.should_fire(self.plan, "conn-delay",
                                               detail=detail)
                     if spec is not None and spec.seconds > 0:
                         await asyncio.sleep(spec.seconds)
-                    self.results.put(("result", slot, tag, ok, payload))
+                    self.results.put(("result", tag, ok, payload))
                     await self._next(conn)
         finally:
             self._drop(conn)
@@ -331,8 +331,8 @@ class StealCoordinator:
         if lease is not None and not self._closing:
             self.results.put((
                 "death", lease[0],
-                f"worker disconnected holding {lease[2]!r} "
-                f"(slot {lease[0]})"))
+                f"worker disconnected holding {lease[1]!r} "
+                f"(item {lease[0]})"))
         _sever(conn.writer)
 
 
@@ -351,7 +351,7 @@ def run_worker(address, *, fingerprint: Optional[str] = None,
     same way (the coordinator may be mid-restart); a worker that is
     *never* accepted gives up when its patience runs out.
     """
-    from .executors import _validate_item, item_detail
+    from .executors import _validate_item
 
     faults.mark_worker_process()
     if isinstance(address, str):
@@ -387,8 +387,6 @@ def run_worker(address, *, fingerprint: Optional[str] = None,
                     continue
                 _, tag, payload = msg
                 _tag, item = pickle.loads(payload)
-                plan = getattr(item[-1], "fault_plan", None)
-                faults.maybe_fire(plan, "worker", detail=item_detail(item))
                 try:
                     message = ("result", tag, True, _validate_item(item))
                 except Exception as error:

@@ -433,8 +433,6 @@ def shard_stats(plan: WorkPlan, execution, executor, inline_validations: int,
         "workers": plan.config.concurrency if pooled else 0,
         "speculative_pairs_skipped": executor_stats["pairs_skipped"],
         "pool_degraded": executor_stats["pool_degraded"],
-        "items_stolen": executor_stats["items_stolen"],
-        "steal_attempts": executor_stats["steal_attempts"],
         "bytes_dispatched": executor_stats["bytes_dispatched"],
         "workers_respawned": executor_stats["workers_respawned"],
         "pairs_quarantined": executor_stats["pairs_quarantined"],

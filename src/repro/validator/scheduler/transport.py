@@ -1,7 +1,7 @@
 """The worker pool's wire: item encoding, TCP framing and the pool itself.
 
-The executor's work-stealing pool runs over one transport, TCP, whether
-its workers are local processes or a fleet on other hosts:
+The executor's worker pool runs over one transport, TCP, whether its
+workers are local processes or a fleet on other hosts:
 
 * **Item encoding** — :func:`encode_item` pickles a work item's own
   function versions in full and every other
@@ -25,10 +25,11 @@ its workers are local processes or a fleet on other hosts:
   proof cache only through its result frame, filed by the parent.  A
   fleet mixing incompatible rule registries or wire formats must fail
   loudly at join time, never by producing divergent verdicts.
-* **:class:`TcpStealPool`** — the ``send(worker_id, tag, item)`` /
-  ``receive(outstanding)`` / ``respawn`` / ``kill_worker`` / ``close``
-  contract that :class:`~repro.validator.scheduler.executors.Executor`'s
-  scheduling, cancellation, supervision and budget machinery drive.
+* **:class:`TcpStealPool`** — the ``send(tag, item)`` /
+  ``receive(outstanding_tags)`` / ``respawn`` / ``kill(tag)`` /
+  ``close`` contract that
+  :class:`~repro.validator.scheduler.executors.Executor`'s dispatch
+  queue, cancellation, supervision and budget machinery drive.
   Internally it runs a
   :class:`~repro.validator.scheduler.remote.StealCoordinator` asyncio
   server on a background thread.  With ``config.steal_listen`` unset it
@@ -38,13 +39,13 @@ its workers are local processes or a fleet on other hosts:
   an external fleet (``python -m repro.validator.scheduler.worker
   --connect HOST:PORT``).
 
-Worker slots are *virtual*: the executor addresses workers ``0..N-1``
-and keeps at most one item in flight per slot, but which connection
-serves a slot's item is the coordinator's business (the next idle one).
-A slot whose item was lost to a disconnect surfaces as an attributable
-:class:`BrokenStealPool` from :meth:`TcpStealPool.receive`, so the
-executor's respawn/requeue/quarantine supervision recovers; a local
-worker process found dead is replaced by a fresh one.
+Items are named by their executor tag, never by a worker: the executor
+keeps at most ``workers`` items in flight, and which connection serves
+one is the coordinator's business (the next idle one).  An item lost to
+a disconnect surfaces as an attributable :class:`BrokenStealPool` naming
+its tag from :meth:`TcpStealPool.receive`, so the executor's
+respawn/requeue/quarantine supervision recovers; a local worker process
+found dead is replaced by a fresh one.
 """
 
 from __future__ import annotations
@@ -62,23 +63,23 @@ import stat
 import struct
 import threading
 import time
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Container, List, Optional, Sequence, Tuple
 
 from ...ir.module import Function
 
 class BrokenStealPool(RuntimeError):
     """A pool worker died or misbehaved.
 
-    ``worker_id`` names the casualty when the failure is attributable to
-    one worker slot holding one in-flight item — the supervisor then
-    respawns that slot and requeues the item.  ``None`` means the pool's
-    state is unknown (the coordinator thread died, no worker ever
-    joined): the executor degrades to in-process execution.
+    ``tag`` names the in-flight item whose worker died when the failure
+    is attributable — the supervisor then respawns a worker and requeues
+    the item.  ``None`` means the pool's state is unknown (the
+    coordinator thread died, no worker ever joined): the executor
+    degrades to in-process execution.
     """
 
-    def __init__(self, message: str, worker_id: Optional[int] = None) -> None:
+    def __init__(self, message: str, tag: Optional[int] = None) -> None:
         super().__init__(message)
-        self.worker_id = worker_id
+        self.tag = tag
 
 
 # -- item encoding ------------------------------------------------------------
@@ -332,18 +333,18 @@ def _local_worker_main(address: Tuple[str, int]) -> None:
 
 
 class TcpStealPool:
-    """The executor's worker pool: a steal coordinator and its workers.
+    """The executor's worker pool: a coordinator and its workers.
 
     Owns a background thread running a
     :class:`~repro.validator.scheduler.remote.StealCoordinator` event
     loop.  ``send`` encodes the item in the caller's thread (an
     unpicklable payload raises synchronously where the executor can
     catch it) and hands the bytes to the loop; ``receive`` blocks on the
-    coordinator's thread-safe result queue, converting a slot-death
-    event into an attributable :class:`BrokenStealPool` so the
-    executor's supervisor requeues the lost item.  ``kill_worker``
-    severs the connection serving the slot (fault injection's
-    ``"steal-dispatch"`` site rides on this).
+    coordinator's thread-safe result queue, converting a death event
+    into a :class:`BrokenStealPool` naming the lost item's tag so the
+    executor's supervisor requeues it.  ``kill`` severs the connection
+    serving an item (fault injection's ``"steal-dispatch"`` site rides
+    on this).
 
     Without a ``listen`` address (argument or ``config.steal_listen``)
     the pool binds a loopback ephemeral port and forks ``workers`` local
@@ -419,27 +420,26 @@ class TcpStealPool:
             raise BrokenStealPool("steal coordinator already closed")
         self._loop.call_soon_threadsafe(fn, *args)
 
-    def send(self, worker_id: int, tag: int, item: Tuple) -> int:
-        """Queue one item for ``worker_id``; returns the encoded size.
+    def send(self, tag: int, item: Tuple) -> int:
+        """Queue item ``tag`` for the next idle worker; returns its size.
 
         Encodes here, in the parent (see :func:`encode_item`).
         """
         from .executors import item_detail  # deferred: executors imports us
 
         payload = encode_item(tag, item)
-        self._call(self._coordinator.enqueue, worker_id, tag, payload,
-                   item_detail(item))
+        self._call(self._coordinator.enqueue, tag, payload, item_detail(item))
         return len(payload)
 
-    def receive(self, outstanding: Dict[int, Tuple]
-                ) -> Tuple[int, int, bool, object]:
-        """The next completed item: ``(worker id, tag, ok, payload)``.
+    def receive(self, outstanding_tags: Container[int]
+                ) -> Tuple[int, bool, object]:
+        """The next completed item: ``(tag, ok, payload)``.
 
-        A slot-death event (its connection dropped while holding the
-        slot's item) raises an attributable :class:`BrokenStealPool`;
-        no live worker for :data:`CONNECT_GRACE` seconds raises an
-        unattributable one, so the executor degrades to in-process
-        execution instead of hanging on an empty network.
+        A death event for an outstanding tag (its connection dropped
+        while holding the item) raises a :class:`BrokenStealPool` naming
+        that tag; no live worker for :data:`CONNECT_GRACE` seconds
+        raises an unattributable one, so the executor degrades to
+        in-process execution instead of hanging on an empty network.
         """
         self._replace_dead()
         waited_since = time.monotonic()
@@ -462,25 +462,25 @@ class TcpStealPool:
                         f"{self.address[0]}:{self.address[1]})")
                 continue
             if event[0] == "death":
-                _, slot, message = event
-                if slot in outstanding:
-                    raise BrokenStealPool(message, worker_id=slot)
-                continue  # stale: the slot's item was already settled
-            _, slot, tag, ok, payload = event
-            return slot, tag, ok, payload
+                _, tag, message = event
+                if tag in outstanding_tags:
+                    raise BrokenStealPool(message, tag=tag)
+                continue  # stale: the item was already settled
+            _, tag, ok, payload = event
+            return tag, ok, payload
 
-    def respawn(self, worker_id: int) -> None:
-        """Recover a slot after a death: replace dead local processes.
+    def respawn(self) -> None:
+        """Recover after a death: replace dead local processes.
 
-        The slot itself needs no reset — its requeued item goes to the
-        next idle connection.
+        Nothing else needs a reset — the requeued item goes to the next
+        idle connection.
         """
         self._replace_dead()
         self.respawns += 1
 
-    def kill_worker(self, worker_id: int) -> None:
-        """Sever the connection serving ``worker_id`` (fault injection)."""
-        self._call(self._coordinator.kill_slot, worker_id)
+    def kill(self, tag: int) -> None:
+        """Sever the connection serving item ``tag`` (fault injection)."""
+        self._call(self._coordinator.kill, tag)
 
     def close(self) -> None:
         """Tell workers the batch is over, stop the server, end the workers."""

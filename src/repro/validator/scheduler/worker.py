@@ -43,7 +43,7 @@ from .remote import run_worker
 def main(argv: Optional[List[str]] = None) -> int:
     parser = argparse.ArgumentParser(
         prog="python -m repro.validator.scheduler.worker",
-        description="Fleet worker for the validator's work-stealing pool.")
+        description="Fleet worker for the validator's worker pool.")
     parser.add_argument("--connect", required=True, metavar="HOST:PORT",
                         help="coordinator address to join")
     parser.add_argument("--reconnect", action="store_true",

@@ -75,27 +75,9 @@ class VNode:
         """Hash-consing key given already-resolved argument ids."""
         return (self.kind, self.data, resolved_args)
 
-    def is_leaf(self) -> bool:
-        """Is this a leaf node?"""
-        return self.kind in LEAF_KINDS
-
-    def is_memory(self) -> bool:
-        """Does this node directly denote a memory state?
-
-        φ/μ/η nodes over memory are not detected here; this only classifies
-        the kinds that are unambiguously memory states.
-        """
-        return self.kind in MEMORY_KINDS
-
     def is_constant(self) -> bool:
         """Is this a ``const`` node?"""
         return self.kind == "const"
-
-    def constant_value(self) -> Optional[int]:
-        """The integer payload of a ``const`` node (``None`` otherwise)."""
-        if self.kind == "const":
-            return self.data[0]
-        return None
 
     def is_true(self) -> bool:
         """Is this the boolean constant ``true``?"""

@@ -164,7 +164,7 @@ def test_tcp_transport_ships_the_same_encoding(versions):
     item = chain_item(versions)
     pool = TcpStealPool(1, None, listen="127.0.0.1:0", connect_grace=5.0)
     try:
-        sent = pool.send(0, tag=9, item=item)
+        sent = pool.send(tag=9, item=item)
         sock = socket.create_connection(pool.address, timeout=5.0)
         try:
             sock.settimeout(5.0)

@@ -233,8 +233,8 @@ class TestDisconnectRequeue:
                             connect_grace=5.0)
         try:
             item = ("pair", SimpleNamespace(name="f"), 0, 1, DEFAULT_CONFIG)
-            pool.send(0, tag=7, item=item)
-            outstanding = {0: (7, item)}
+            pool.send(tag=7, item=item)
+            outstanding = {7}
 
             first, frame = self.join_and_take_item(pool)
             _, tag, payload = frame
@@ -244,16 +244,16 @@ class TestDisconnectRequeue:
 
             with pytest.raises(BrokenStealPool) as excinfo:
                 pool.receive(outstanding)
-            assert excinfo.value.worker_id == 0
-            pool.respawn(0)
-            pool.send(0, tag=7, item=item)
+            assert excinfo.value.tag == 7
+            pool.respawn()
+            pool.send(tag=7, item=item)
 
             second, requeued = self.join_and_take_item(pool)
             try:
                 # The replacement sees the item byte-for-byte.
                 assert requeued == frame
                 send_frame(second, ("result", 7, True, "settled"))
-                assert pool.receive(outstanding) == (0, 7, True, "settled")
+                assert pool.receive(outstanding) == (7, True, "settled")
             finally:
                 second.close()
             assert pool.respawns == 1
@@ -265,10 +265,10 @@ class TestDisconnectRequeue:
                             connect_grace=5.0)
         try:
             item = ("pair", SimpleNamespace(name="f"), 0, 1, DEFAULT_CONFIG)
-            pool.send(0, tag=3, item=item)
+            pool.send(tag=3, item=item)
             sock, _ = self.join_and_take_item(pool)
             send_frame(sock, ("result", 3, True, "done"))
-            assert pool.receive({0: (3, item)}) == (0, 3, True, "done")
+            assert pool.receive({3}) == (3, True, "done")
             sock.close()
             # The connection died *after* settling: receive must not
             # surface a death for work that is no longer outstanding.
@@ -276,12 +276,12 @@ class TestDisconnectRequeue:
             while pool.coordinator.live_workers > 0:
                 assert time.monotonic() < deadline
                 time.sleep(0.01)
-            pool.send(0, tag=4, item=item)
+            pool.send(tag=4, item=item)
             replacement, frame = self.join_and_take_item(pool)
             try:
                 assert frame[1] == 4
                 send_frame(replacement, ("result", 4, True, "again"))
-                assert pool.receive({0: (4, item)}) == (0, 4, True, "again")
+                assert pool.receive({4}) == (4, True, "again")
             finally:
                 replacement.close()
         finally:
@@ -295,20 +295,20 @@ class TestDisconnectRequeue:
                             connect_grace=5.0)
         try:
             item = ("pair", SimpleNamespace(name="f"), 0, 1, DEFAULT_CONFIG)
-            pool.send(0, tag=1, item=item)
+            pool.send(tag=1, item=item)
             sock, _ = self.join_and_take_item(pool)
             conn, = pool.coordinator._conns
             duplicate = os.dup(conn.writer.get_extra_info("socket").fileno())
             try:
-                pool.kill_worker(0)
+                pool.kill(1)
                 with pytest.raises(ConnectionClosed):
                     recv_frame(sock)
             finally:
                 os.close(duplicate)
                 sock.close()
             with pytest.raises(BrokenStealPool) as excinfo:
-                pool.receive({0: (1, item)})
-            assert excinfo.value.worker_id == 0
+                pool.receive({1})
+            assert excinfo.value.tag == 1
         finally:
             pool.close()
 
@@ -316,12 +316,12 @@ class TestDisconnectRequeue:
         pool = TcpStealPool(1, None, listen="127.0.0.1:0",
                             connect_grace=0.2)
         try:
-            pool.send(0, tag=1,
+            pool.send(tag=1,
                       item=("pair", SimpleNamespace(name="f"), 0, 1,
                             DEFAULT_CONFIG))
             with pytest.raises(BrokenStealPool) as excinfo:
-                pool.receive({0: None})
-            assert excinfo.value.worker_id is None
+                pool.receive({1})
+            assert excinfo.value.tag is None
         finally:
             pool.close()
 
@@ -350,7 +350,7 @@ class TestWorkerSource:
             victim = pool._processes[0]
             victim.terminate()
             victim.join()
-            pool.respawn(0)
+            pool.respawn()
             assert victim not in pool._processes
             assert len(pool._processes) == 2
             assert all(process.is_alive() for process in pool._processes)
@@ -412,7 +412,7 @@ class TestWorkerSource:
             victim = pool._processes[0]
             victim.terminate()
             victim.join()
-            pool.respawn(0)
+            pool.respawn()
             child = pool._processes[-1]
             assert child is not victim and child.is_alive()
             while pool.coordinator.workers_joined < 3:

@@ -11,7 +11,6 @@ import pytest
 from repro.analysis import AnalysisManager, function_fingerprint
 from repro.bench import (
     executor_comparison,
-    sharded_comparison,
     small_test_corpus,
     stepwise_comparison,
 )
@@ -494,14 +493,6 @@ class TestShardedParity:
                 after = Interpreter(result_module).run(kept, args).return_value
                 assert before == after, record.name
 
-    def test_sharded_comparison_experiment(self):
-        rows = sharded_comparison(scale=0.2, benchmarks=["sqlite", "mcf"],
-                                  concurrency=2)
-        assert [row["benchmark"] for row in rows] == ["sqlite", "mcf"]
-        for row in rows:
-            assert row["identical"], row["mismatches"]
-            assert row["distinct_pairs"] > 0
-
 
 class TestPoolPayloadPickleSafety:
     """Everything shipped to steal workers must survive pickling."""
@@ -636,24 +627,24 @@ class TestExecutorBackends:
             assert row["identical"], row["mismatches"]
             assert row["batch_pairs"] > 0
             assert row["steal_pairs"] > 0
-            assert row["steal_attempts"] >= row["items_stolen"]
 
 
 class TestStealExecutor:
-    """The work-stealing executor: single-worker parity, the mixed
-    chain+pair queue, streaming cancellation and counter plumbing."""
+    """The executor's dispatch queue: single-worker parity, the mixed
+    chain+pair queue, dispatch order, streaming cancellation and
+    counter plumbing."""
 
     def test_single_worker_matches_serial(self, mini_corpus):
-        # concurrency 0 spawns no processes: the scheduling loop runs
-        # in-process in priority order — the deterministic parity
-        # baseline for the stealing discipline.
+        # concurrency 0 spawns no processes: the queue drains in-process
+        # in priority order — the deterministic parity baseline for the
+        # pool.
         _, serial = llvm_md(mini_corpus, PAPER_PIPELINE, strategy="stepwise")
         (_, report), = validate_module_batch(
             [mini_corpus], config=DEFAULT_CONFIG, strategy="stepwise")
         assert [r.signature() for r in serial.records] == \
                [r.signature() for r in report.records]
         assert report.shard_stats["workers"] == 0
-        assert report.shard_stats["items_stolen"] == 0
+        assert report.shard_stats["pooled_pairs"] == 0
 
     def test_mixed_chain_and_pair_queue(self):
         # Both kinds of work item side by side on the shared queue: a
@@ -733,6 +724,68 @@ class TestStealExecutor:
         assert report.shard_stats["distinct_pairs"] == \
             self._eager_query_count(mini_corpus, passes, config)
 
+    @pytest.mark.parametrize("chain_graphs", [False, True],
+                             ids=["pairs", "chains"])
+    def test_pooled_dispatch_follows_the_in_process_order(
+            self, mini_corpus, monkeypatch, chain_graphs):
+        # One dispatch queue feeds both loops: a pool answering in send
+        # order is handed the items in tag order, exactly the items the
+        # in-process loop validates and in the same order (nothing is
+        # cancelled on an accepting pipeline).
+        from repro.validator import build_plan
+        from repro.validator.scheduler import executors, transport
+
+        passes = ("adce", "gvn", "sccp", "licm")
+        config = replace(DEFAULT_CONFIG, concurrency=2,
+                         chain_graphs=chain_graphs)
+        plan = build_plan([mini_corpus], passes, config, ValidationCache(),
+                          strategy="stepwise")
+        validate_item = executors._validate_item
+
+        def identity(item):
+            return item[0], id(item[1]), id(item[2])
+
+        in_process = []
+
+        def recording(item):
+            in_process.append(identity(item))
+            return validate_item(item)
+
+        monkeypatch.setattr(executors, "_validate_item", recording)
+        executors.Executor(0).execute(plan, ValidationCache())
+        monkeypatch.setattr(executors, "_validate_item", validate_item)
+
+        sent = []
+
+        class RecordingPool:
+            coordinator = _NO_FLEET
+
+            def __init__(self, workers, config):
+                self.pending = {}
+
+            def send(self, tag, item):
+                sent.append((tag, identity(item)))
+                self.pending[tag] = item
+                return 0
+
+            def receive(self, outstanding_tags):
+                tag, item = next(iter(self.pending.items()))
+                del self.pending[tag]
+                return tag, True, validate_item(item)
+
+            def close(self):
+                self.pending.clear()
+
+        monkeypatch.setattr(transport, "TcpStealPool", RecordingPool)
+        pooled = executors.Executor(2)
+        try:
+            pooled.execute(plan, ValidationCache())
+        finally:
+            pooled.close()
+        assert len(in_process) > 2
+        assert [tag for tag, _ in sent] == list(range(len(in_process)))
+        assert [entry for _, entry in sent] == in_process
+
     def test_worker_death_mid_steal_degrades_losslessly(self, mini_corpus,
                                                         monkeypatch):
         # The pool dies after streaming two verdicts back: those verdicts
@@ -748,18 +801,18 @@ class TestStealExecutor:
                 self.pending = {}
                 self.completed = 0
 
-            def send(self, worker_id, tag, item):
-                self.pending[worker_id] = (tag, item)
+            def send(self, tag, item):
+                self.pending[tag] = item
                 # The real pool's contract: encode, return the size.
                 return len(transport.encode_item(tag, item))
 
-            def receive(self, outstanding):
+            def receive(self, outstanding_tags):
                 if self.completed >= 2:
                     raise transport.BrokenStealPool("worker died mid-steal")
-                worker_id, (tag, item) = next(iter(self.pending.items()))
-                del self.pending[worker_id]
+                tag, item = next(iter(self.pending.items()))
+                del self.pending[tag]
                 self.completed += 1
-                return worker_id, tag, True, _validate_item(item)
+                return tag, True, _validate_item(item)
 
             def close(self):
                 self.pending.clear()
@@ -785,15 +838,15 @@ class TestStealExecutor:
         assert flaky_cache.misses <= len(flaky_cache)
 
     def test_steal_counters_reach_shard_stats(self):
-        # Enough items across few-enough workers that at least the
-        # steal path's bookkeeping is exercised and reported.
+        # Enough items across few-enough workers that the pool's
+        # bookkeeping is exercised and reported.
         module = small_test_corpus(functions=14, seed=11)
         config = replace(DEFAULT_CONFIG, concurrency=2)
         (_, report), = validate_module_batch(
             [module], config=config, strategy="stepwise")
         stats = report.shard_stats
-        assert stats["items_stolen"] >= 0
-        assert stats["steal_attempts"] >= stats["items_stolen"]
+        assert stats["pooled_pairs"] > 0
+        assert stats["bytes_dispatched"] > 0
         assert "store_flushes" in stats and "store_lazy_loads" in stats
 
 
@@ -820,20 +873,21 @@ class TestFaultInjection:
                 self.pending = {}
                 self.completed = 0
 
-            def send(self, worker_id, tag, item):
+            def send(self, tag, item):
                 payload = transport.encode_item(tag, item)
-                self.pending[worker_id] = pickle.loads(payload)
+                decoded_tag, decoded = pickle.loads(payload)
+                self.pending[decoded_tag] = decoded
                 return len(payload)
 
-            def receive(self, outstanding):
-                worker_id, (tag, item) = next(iter(self.pending.items()))
-                del self.pending[worker_id]
+            def receive(self, outstanding_tags):
+                tag, item = next(iter(self.pending.items()))
+                del self.pending[tag]
                 if self.completed >= results_before_failure:
                     if failure is not None:
                         raise failure
-                    return worker_id, tag, False, "RuntimeError: raised mid-batch"
+                    return tag, False, "RuntimeError: raised mid-batch"
                 self.completed += 1
-                return worker_id, tag, True, _validate_item(item)
+                return tag, True, _validate_item(item)
 
             def close(self):
                 self.pending.clear()
