@@ -11,8 +11,10 @@ acceptance criteria of the validation-as-a-service layer:
   in-process for the same module and pipeline.
 * **Warm reuse** — an identical second submission of every corpus must
   answer at least ``--min-hit-rate`` (default 0.95) of its queries from
-  the shared cache, and run no pipeline step at all: every step comes
-  from the daemon's pass-step memo (``pass_steps_run == 0``).
+  the shared cache, run no pipeline step at all (every step comes
+  from the daemon's pass-step memo: ``pass_steps_run == 0``) and build
+  no module: the label's intake slot already holds it (``/stats``
+  ``modules_parsed`` does not move).
 * **Admission control** — a daemon started with ``--max-inflight 0``
   must reject a request with 503 + ``Retry-After`` (the deterministic
   reject-everything configuration).
@@ -105,8 +107,14 @@ def main() -> int:
                 if not parity:
                     failures.append(f"{name}: daemon records diverge from "
                                     f"validate_module_batch")
+                parsed = client.stats()["modules_parsed"]
                 warm = client.validate(corpus=name, scale=args.scale,
                                        label=name)
+                warm_parsed = client.stats()["modules_parsed"] - parsed
+                if warm_parsed != 0:
+                    failures.append(f"{name}: warm repeat built {warm_parsed} "
+                                    f"modules (expected 0: the intake slot "
+                                    f"holds it)")
                 hit_rate = warm["summary"]["cache"]["hit_rate"]
                 if hit_rate < args.min_hit_rate:
                     failures.append(
@@ -119,14 +127,18 @@ def main() -> int:
                 rows.append({"corpus": name, "functions": len(streamed),
                              "parity": parity, "warm_hit_rate": hit_rate,
                              "warm_pass_steps_run": warm_steps,
+                             "warm_modules_parsed": warm_parsed,
                              "elapsed": time.monotonic() - started})
                 print(f"{name:14s} functions={len(streamed):3d} "
                       f"parity={'ok' if parity else 'FAIL'} "
                       f"warm_hits={hit_rate:.1%} "
-                      f"warm_pass_steps={warm_steps}")
+                      f"warm_pass_steps={warm_steps} "
+                      f"warm_parsed={warm_parsed}")
             stats = client.stats()
             print(f"daemon: requests={stats['requests_total']} "
                   f"revalidations={stats['revalidations']} "
+                  f"modules_parsed={stats['modules_parsed']} "
+                  f"modules_reused={stats['modules_reused']} "
                   f"cache_hits={stats['cache'].get('hits', 0)}")
         finally:
             # Graceful-drain criterion: SIGTERM must flush and exit 0.

@@ -32,7 +32,12 @@ reason, blame, kept prefix, per-pass verdicts):
   Scheduling may change where queries run, never what they decide.
   The table also reports the pool's cancellation savings (doomed pairs
   of rejected functions it never ran) and the encoded item bytes it
-  shipped (``steal_bytes_dispatched``).  With
+  shipped (``steal_bytes_dispatched``).  The paper pipeline accepts
+  everything, so a second row set (``cancel_rows``) runs the same
+  comparison with :data:`~repro.transforms.BUGGY_PIPELINE` on
+  :data:`CANCEL_CORPORA`, one item per pair (``chain_graphs=False``):
+  those rows must match the lazy driver too, and the pool must cancel
+  at least one doomed pair over them.  With
   ``--tcp-workers N`` (N > 0) the leg grows a further backend: the pool
   serving a fleet (``steal_listen``) of N spawned worker subprocesses,
   run cold and then warm over a per-corpus SQLite ``cache_dir`` that
@@ -51,6 +56,7 @@ import argparse
 import json
 import pathlib
 import sys
+from dataclasses import replace
 
 from repro.bench import (
     chain_comparison,
@@ -60,6 +66,12 @@ from repro.bench import (
     incremental_comparison,
     stepwise_comparison,
 )
+from repro.transforms import BUGGY_PIPELINE
+from repro.validator import DEFAULT_CONFIG
+
+#: Corpora of the cancellation rows: several transformed functions each,
+#: so the flip's rejections arrive while later pairs are still queued.
+CANCEL_CORPORA = ("sqlite", "hmmer", "milc", "perlbench")
 
 
 def main() -> int:
@@ -84,14 +96,19 @@ def main() -> int:
     executor_rows = executor_comparison(
         scale=args.scale, concurrency=max(2, args.concurrency),
         tcp_workers=args.tcp_workers)
+    cancel_rows = executor_comparison(
+        scale=args.scale, benchmarks=CANCEL_CORPORA, passes=BUGGY_PIPELINE,
+        config=replace(DEFAULT_CONFIG, chain_graphs=False),
+        concurrency=max(2, args.concurrency))
     engine_rows = engine_sweep_comparison(scale=args.scale)
     args.out.parent.mkdir(parents=True, exist_ok=True)
-    payload = {"schema": 11, "scale": args.scale, "rows": rows,
+    payload = {"schema": 12, "scale": args.scale, "rows": rows,
                "tcp_workers": args.tcp_workers,
                "concurrency": max(2, args.concurrency),
                "chain_rows": chain_rows,
                "incremental_rows": incremental_rows,
                "executor_rows": executor_rows,
+               "cancel_rows": cancel_rows,
                "engine_rows": engine_rows}
     args.out.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
 
@@ -159,8 +176,22 @@ def main() -> int:
                         for row in executor_rows],
                        title="Lazy driver vs executor (in-process and pooled)"))
     skipped = sum(row["steal_pairs_skipped"] for row in executor_rows)
-    print(f"worker pool cancelled {skipped} doomed pairs")
-    for row in executor_rows:
+    print(f"worker pool cancelled {skipped} doomed pairs (paper pipeline)")
+    cancel_columns = ("benchmark", "transformed", "identical",
+                      "batch_pairs", "steal_pairs", "steal_pairs_skipped",
+                      "lazy_time_s", "steal_time_s")
+    print()
+    print(format_table([{k: row[k] for k in cancel_columns}
+                        for row in cancel_rows],
+                       title="Lazy driver vs executor, buggy pipeline "
+                             "(one item per pair)"))
+    cancelled = sum(row["steal_pairs_skipped"] for row in cancel_rows)
+    print(f"worker pool cancelled {cancelled} doomed pairs of the buggy "
+          f"pipeline")
+    if cancelled == 0:
+        failures.append("buggy pipeline: the worker pool cancelled no doomed "
+                        "pair on " + ", ".join(CANCEL_CORPORA))
+    for row in executor_rows + cancel_rows:
         if not row["identical"]:
             failures.append(
                 f"{row['benchmark']}: backend records diverged from "
@@ -193,7 +224,8 @@ def main() -> int:
                "oracle, warm incremental revalidation matched cold records, "
                "the lazy driver and the in-process/pooled executor and "
                "worklist/fullscan engines produced identical records on "
-               "every corpus")
+               "every corpus, and the pool cancelled doomed pairs of the "
+               "buggy pipeline with identical records")
     if args.tcp_workers > 0:
         message += (f"; the pool serving {args.tcp_workers} fleet workers "
                     f"matched the lazy driver cold and warm on every corpus")

@@ -38,13 +38,10 @@ import time
 from dataclasses import replace
 
 from repro.bench import BENCHMARKS_BY_NAME, build_corpus, format_table
+from repro.transforms import BUGGY_PIPELINE
 from repro.validator import DEFAULT_CONFIG, validate_module_batch
 
 BENCHMARKS = ("sqlite", "bzip2", "hmmer", "mcf", "lbm")
-
-#: A pipeline with an injected miscompilation: plenty of rejections, so
-#: the executor has doomed pairs to cancel.
-BUGGY_PIPELINE = ("adce", "bug-flip-operator", "gvn", "dse")
 
 
 def sweep(modules, labels, config, title, passes=None):

@@ -35,14 +35,21 @@ class Loop:
         The enclosing loop, or ``None`` for a top-level loop.
     children:
         Loops nested immediately inside this one.
+
+    A loop describes the CFG it was computed on: a pass that edits the
+    control flow recomputes its :class:`LoopInfo` before it asks again
+    (loop deletion and loop unswitching do after every change; LICM
+    moves instructions only).
     """
 
     def __init__(self, header: BasicBlock, blocks: List[BasicBlock],
-                 latches: List[BasicBlock]):
+                 latches: List[BasicBlock],
+                 preheader: Optional[BasicBlock] = None):
         self.header = header
         self.blocks = blocks
         self._members = frozenset(blocks)
         self.latches = latches
+        self._preheader = preheader
         self.parent: Optional["Loop"] = None
         self.children: List["Loop"] = []
 
@@ -61,11 +68,12 @@ class Loop:
         return depth
 
     def preheader(self) -> Optional[BasicBlock]:
-        """The unique out-of-loop predecessor of the header, if there is one."""
-        preds = [p for p in self.header.predecessors() if not self.contains(p)]
-        if len(preds) == 1:
-            return preds[0]
-        return None
+        """The unique out-of-loop predecessor of the header, if there is one.
+
+        Read off the CFG shape's position-indexed predecessors when the
+        loop was bound (:meth:`LoopInfo.compute`), not rescanned per call.
+        """
+        return self._preheader
 
     def exit_edges(self) -> List[tuple]:
         """Edges ``(inside_block, outside_block)`` leaving the loop."""
@@ -108,7 +116,9 @@ class LoopInfo:
         blocks, facts = dom.blocks, dom.facts
         found = facts.loops()
         loops = [Loop(blocks[loop.header], [blocks[b] for b in loop.blocks],
-                      [blocks[b] for b in loop.latches]) for loop in found]
+                      [blocks[b] for b in loop.latches],
+                      blocks[loop.preheader] if loop.preheader >= 0 else None)
+                 for loop in found]
         for loop, shape_loop in zip(loops, found):
             if shape_loop.parent >= 0:
                 loop.parent = loops[shape_loop.parent]

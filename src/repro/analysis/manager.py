@@ -61,14 +61,21 @@ class FingerprintTable:
     a retired version's entry dies with the version and a recycled
     ``id()`` can never alias a stale hash.
 
-    Only *known-immutable* versions may be remembered globally — the
-    changed-pass checkpoints of
+    Only *known-immutable* versions may be remembered globally.  Two
+    callers hold such versions: the changed-pass checkpoints of
     :meth:`~repro.transforms.pass_manager.PassManager.run_with_snapshots`
-    are private clones nothing mutates afterwards, whereas an unchanged
-    step's snapshot aliases the caller's own function object, which the
-    caller may mutate between runs.  Callers holding a maybe-mutable
-    function use :meth:`fingerprint` (memo lookup, compute on miss,
-    **no** store); callers holding an immutable version use
+    are private clones nothing mutates afterwards, and the validation
+    daemon's intake modules
+    (:class:`~repro.validator.service.daemon.ValidationService`) are
+    parsed by the daemon, kept for repeat requests and only ever read.
+    An unchanged step's snapshot, by contrast, aliases the caller's own
+    function object, which the caller may mutate between runs — so a
+    module passed straight to
+    :meth:`~repro.validator.watch.Revalidator.revalidate` is never
+    remembered.  In the daemon every user of the table runs on the
+    worker thread, under the execution lock.  Callers holding a
+    maybe-mutable function use :meth:`fingerprint` (memo lookup, compute
+    on miss, **no** store); callers holding an immutable version use
     :meth:`remember`.
     """
 

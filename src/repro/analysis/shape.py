@@ -54,7 +54,8 @@ def cfg_shape(function: Function) -> Shape:
 class LoopFacts:
     """One natural loop, by block position (see :class:`~repro.analysis.loops.Loop`)."""
 
-    __slots__ = ("header", "blocks", "members", "latches", "parent", "children")
+    __slots__ = ("header", "blocks", "members", "latches", "preheader",
+                 "parent", "children")
 
     def __init__(self, header: int):
         self.header = header
@@ -62,6 +63,8 @@ class LoopFacts:
         self.blocks: List[int] = [header]
         self.members: Set[int] = {header}
         self.latches: List[int] = []
+        #: The header's unique out-of-loop predecessor, or -1.
+        self.preheader = -1
         #: Index of the enclosing loop in :meth:`CFGFacts.loops`, or -1.
         self.parent = -1
         self.children: List[int] = []
@@ -148,6 +151,11 @@ class CFGFacts:
                     loop.latches.append(block)
                     self._collect_body(loop, block)
         loops = list(by_header.values())
+        for loop in loops:
+            outside = {pred for pred in self.preds[loop.header]
+                       if pred not in loop.members}
+            if len(outside) == 1:
+                loop.preheader = outside.pop()
         # A loop's parent is the smallest other loop holding its header.
         for index, loop in enumerate(loops):
             best = -1

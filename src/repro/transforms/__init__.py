@@ -22,7 +22,7 @@ from .pass_manager import (
 
 # Importing the pass modules registers them.
 from .adce import adce
-from .buggy import ALL_BUGGY_PASSES
+from .buggy import ALL_BUGGY_PASSES, BUGGY_PIPELINE
 from .constfold import fold_int_binary, fold_icmp, fold_cast
 from .dse import dse
 from .gvn import gvn
@@ -56,6 +56,7 @@ __all__ = [
     "sccp",
     "simplifycfg",
     "ALL_BUGGY_PASSES",
+    "BUGGY_PIPELINE",
     "fold_int_binary",
     "fold_icmp",
     "fold_cast",

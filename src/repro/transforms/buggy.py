@@ -110,6 +110,11 @@ ALL_BUGGY_PASSES = (
     "bug-weaken-compare",
 )
 
+#: A pipeline with an injected miscompilation: every function the flip
+#: changes is rejected at that step, so its later pairs are doomed and a
+#: scheduler has work to cancel.
+BUGGY_PIPELINE = ("adce", "bug-flip-operator", "gvn", "dse")
+
 __all__ = [
     "flip_operator",
     "off_by_one",
@@ -118,4 +123,5 @@ __all__ = [
     "bad_load_forwarding",
     "weaken_compare",
     "ALL_BUGGY_PASSES",
+    "BUGGY_PIPELINE",
 ]

@@ -25,7 +25,8 @@ Protocol
     Daemon counters: requests/rejections/in-flight, the revalidator's
     run count, cumulative cache counters, engine totals and
     ``pass_steps_run``/``pass_steps_reused`` summed over every request,
-    and the last request's ``shard_stats``.
+    the intake's ``modules_parsed``/``modules_reused`` (see
+    :class:`ValidationService`), and the last request's ``shard_stats``.
 ``POST /shutdown``
     Begin a graceful drain (stop admitting, finish in-flight requests,
     flush the cache) and exit — the remote equivalent of ``SIGTERM``.
@@ -39,13 +40,15 @@ unaffordable verdicts are denied with reason ``"budget-exhausted"``
 from __future__ import annotations
 
 import asyncio
+import hashlib
 import json
 import signal
 import sys
 import threading
 from dataclasses import replace
-from typing import Dict, Optional, Tuple
+from typing import Callable, Dict, Hashable, Optional, Tuple
 
+from ...analysis.manager import CHECKPOINT_FINGERPRINTS
 from ...errors import ReproError
 from ...ir import parse_module
 from ...ir.module import Module
@@ -79,6 +82,22 @@ class ValidationService:
     on a worker thread (:func:`asyncio.to_thread`) with records streamed
     back through the event loop as they settle, so slow validations
     never block the accept loop, ``/stats`` or rejections.
+
+    **Intake.**  Each label has one intake slot holding the content key
+    of its last module — the sha256 of the ``.ll`` text, or
+    ``("corpus", name, scale)`` — and the parsed (or built)
+    :class:`Module`.  A request whose key matches its label's slot
+    reuses that object and skips the parser (or ``build_corpus``); a
+    new key parses on the event loop, as before, and replaces the slot;
+    text that fails to parse is a 400 and leaves the slot alone.  The
+    first run of an intake module remembers its functions in
+    :data:`~repro.analysis.manager.CHECKPOINT_FINGERPRINTS`, so later
+    requests read the fingerprints instead of printing the functions.
+    Sharing the object is safe because the revalidator only reads its
+    input module, and the module's name — the one field a request
+    sets — reaches no record, key or digest.  ``/stats`` counts
+    ``modules_parsed`` and ``modules_reused``.  Slots are per label,
+    like the revalidator's own per-label state.
     """
 
     def __init__(self, config: Optional[ValidatorConfig] = None,
@@ -105,6 +124,11 @@ class ValidationService:
         #: over every request.
         self.pass_steps = {"pass_steps_run": 0, "pass_steps_reused": 0}
         self.last_shard_stats: Optional[Dict[str, int]] = None
+        #: Label -> (content key, module) of the label's last intake: the
+        #: sha256 of the module text, or ``("corpus", name, scale)``.
+        self._slots: Dict[str, Tuple[Hashable, Module]] = {}
+        #: Intake misses (parsed or built) and hits (slot reused).
+        self.intake = {"modules_parsed": 0, "modules_reused": 0}
 
     # -- request plumbing --------------------------------------------------
     async def _read_request(self, reader: asyncio.StreamReader
@@ -195,26 +219,57 @@ class ValidationService:
                 raise ValueError(
                     f"unknown corpus {name!r} (known: "
                     f"{', '.join(sorted(BENCHMARKS_BY_NAME))})")
-            module = build_corpus(BENCHMARKS_BY_NAME[name],
-                                  float(payload.get("scale", 0.1)))
+            scale = float(payload.get("scale", 0.1))
+            key: Hashable = ("corpus", name, scale)
+
+            def materialize() -> Module:
+                return build_corpus(BENCHMARKS_BY_NAME[name], scale)
         elif "module" in payload:
-            try:
-                module = parse_module(payload["module"],
-                                      name=payload.get("name", "module"))
-            except ReproError as exc:
-                raise ValueError(f"module does not parse: {exc}")
+            text = payload["module"]
+            if not isinstance(text, str):
+                raise ValueError("'module' must be .ll text")
+            name = payload.get("name") or "module"
+            key = hashlib.sha256(text.encode("utf-8")).hexdigest()
+
+            def materialize() -> Module:
+                try:
+                    return parse_module(text, name=name)
+                except ReproError as exc:
+                    raise ValueError(f"module does not parse: {exc}")
         else:
             raise ValueError("request needs a 'module' or a 'corpus' field")
+        # A corpus module is named after its benchmark, a parsed one
+        # after the payload's name: the label falls back to that name.
+        label = payload.get("label") or name
+        module = self._intake_module(label, key, materialize)
         passes = tuple(payload.get("passes") or PAPER_PIPELINE)
-        label = payload.get("label") or module.name
         functions = payload.get("functions")
         timeout = payload.get("timeout", self.config.request_timeout or None)
         max_pairs = payload.get("max_pairs")
         budget = None
         if (timeout is not None and timeout > 0) or max_pairs:
             budget = RequestBudget(timeout=timeout, max_pairs=max_pairs)
-        return {"module": module, "passes": passes, "label": label,
-                "functions": functions, "budget": budget}
+        return {"module": module, "name": name, "passes": passes,
+                "label": label, "functions": functions, "budget": budget}
+
+    def _intake_module(self, label: str, key: Hashable,
+                       materialize: Callable[[], Module]) -> Module:
+        """The label's intake module for content ``key``, made on a miss.
+
+        A hit hands back the very :class:`Module` an earlier request
+        parsed (or built), so neither the parser nor, once the worker
+        thread has remembered its functions' fingerprints, the printer
+        runs again.  A miss materializes the module and replaces the
+        label's slot; a failed parse raises before the slot is touched.
+        """
+        slot = self._slots.get(label)
+        if slot is not None and slot[0] == key:
+            self.intake["modules_reused"] += 1
+            return slot[1]
+        module = materialize()
+        self._slots[label] = (key, module)
+        self.intake["modules_parsed"] += 1
+        return module
 
     async def _handle_validate(self, writer: asyncio.StreamWriter,
                                body: bytes) -> None:
@@ -257,8 +312,19 @@ class ValidationService:
 
         def run() -> None:
             try:
+                module: Module = request["module"]
+                # The module may be an intake slot's, shared with earlier
+                # requests: name it as this request's own parse would be
+                # (the name is in no record, key or digest; a traced
+                # daemon tags its spans with it) and register its
+                # functions' fingerprints, so planning reads them instead
+                # of printing every function again.  Both run here, under
+                # the execution lock, like every other table user.
+                module.name = request["name"]
+                for function in module.defined_functions():
+                    CHECKPOINT_FINGERPRINTS.remember(function)
                 _, report = self.revalidator.revalidate(
-                    request["module"], request["passes"],
+                    module, request["passes"],
                     label=request["label"],
                     function_names=request["functions"],
                     budget=budget, on_record=emit)
@@ -362,6 +428,7 @@ class ValidationService:
             "cache": self.revalidator.cache.stats(),
             "engine_totals": dict(self.engine_totals),
             **self.pass_steps,
+            **self.intake,
             "shard_stats": self.last_shard_stats,
         }
 

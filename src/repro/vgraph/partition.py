@@ -30,34 +30,31 @@ def refine_partition(graph: ValueGraph, roots: Optional[List[int]] = None,
     else:
         node_ids = sorted(node.id for node in graph.live_nodes())
 
-    # Initial classes: (kind, data, arity).
+    # Initial classes: (kind, data, arity).  The graph does not change
+    # during refinement, so every node's args are resolved once.
     class_of: Dict[int, int] = {}
     interner: Dict[Tuple, int] = {}
+    args_of: Dict[int, Tuple[int, ...]] = {}
     for node_id in node_ids:
         node = graph.node(node_id)
         key = (node.kind, node.data, len(node.args))
         class_of[node_id] = interner.setdefault(key, len(interner))
+        args_of[node_id] = tuple(graph.resolve(arg) for arg in node.args)
 
     for _ in range(max_rounds):
+        classes = len(interner)
         interner = {}
         updated: Dict[int, int] = {}
-        changed = False
         for node_id in node_ids:
-            node = graph.node(node_id)
             key = (
                 class_of[node_id],
-                tuple(class_of.get(graph.resolve(arg), -1) for arg in node.args),
+                tuple(class_of.get(arg, -1) for arg in args_of[node_id]),
             )
             updated[node_id] = interner.setdefault(key, len(interner))
-        # Detect stabilization: same grouping as before.
-        groups_before: Dict[int, List[int]] = {}
-        groups_after: Dict[int, List[int]] = {}
-        for node_id in node_ids:
-            groups_before.setdefault(class_of[node_id], []).append(node_id)
-            groups_after.setdefault(updated[node_id], []).append(node_id)
-        changed = len(groups_after) != len(groups_before)
         class_of = updated
-        if not changed:
+        # A round only splits classes (each key carries the node's old
+        # class), so an unchanged class count means a stable partition.
+        if len(interner) == classes:
             break
 
     representatives: Dict[int, int] = {}

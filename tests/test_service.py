@@ -18,11 +18,15 @@ import sqlite3
 import threading
 import time
 
+from http.client import HTTPConnection
+
 import pytest
 
+from repro.analysis.manager import CHECKPOINT_FINGERPRINTS
 from repro.bench.corpus import BENCHMARKS_BY_NAME, build_corpus
 from repro.errors import ParseError
 from repro.ir import parse_module
+from repro.ir.printer import print_module
 from repro.transforms.pass_manager import PAPER_PIPELINE
 from repro.validator import (
     BUDGET_EXHAUSTED,
@@ -36,6 +40,7 @@ from repro.validator import (
 )
 from repro.validator import watch
 from repro.validator.scheduler import admit_work
+from repro.validator.service import daemon as daemon_module
 from repro.validator.service import (
     ServiceBusy,
     ServiceError,
@@ -424,6 +429,173 @@ class TestServiceParity:
         assert stats["engine_totals"]  # accumulated across requests
         assert stats["pass_steps_run"] > 0
         assert stats["pass_steps_reused"] > 0
+
+
+class TestIntake:
+    """One intake slot per label: repeats reuse the parsed module."""
+
+    @pytest.fixture
+    def fresh(self):
+        """A factory of fresh daemons, all stopped at teardown."""
+        started = []
+
+        def start():
+            service = ValidationService(
+                ValidatorConfig(service_port=0, max_inflight=8))
+            started.append((service, serve_in_thread(service)))
+            return service
+
+        yield start
+        for service, thread in started:
+            service.request_stop()
+            thread.join(timeout=10)
+
+    @staticmethod
+    def _post(service, payload):
+        """POST /validate; ``(status, record signatures as JSON text)``."""
+        connection = HTTPConnection("127.0.0.1", service.port, timeout=120)
+        try:
+            connection.request("POST", "/validate",
+                               body=json.dumps(payload).encode("utf-8"),
+                               headers={"Content-Type": "application/json"})
+            response = connection.getresponse()
+            body = response.read().decode("utf-8")
+        finally:
+            connection.close()
+        if response.status != 200:
+            return response.status, None
+        events = [json.loads(line) for line in body.splitlines() if line]
+        assert events[-1]["type"] == "summary"
+        return 200, json.dumps([event["signature"] for event in events
+                                if event["type"] == "record"])
+
+    @staticmethod
+    def _count_calls(monkeypatch, owner, name):
+        calls = []
+        original = getattr(owner, name)
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(owner, name, counted)
+        return calls
+
+    def test_same_text_under_two_names_parses_once(self, fresh, monkeypatch):
+        text = print_module(build_corpus(BENCHMARKS_BY_NAME["sqlite"], 0.1))
+        service = fresh()
+        parses = self._count_calls(monkeypatch, daemon_module, "parse_module")
+        status, first = self._post(service, {"module": text, "name": "a",
+                                             "label": "shared"})
+        assert status == 200
+        status, second = self._post(service, {"module": text, "name": "b",
+                                              "label": "shared"})
+        assert status == 200
+        assert len(parses) == 1
+        stats = service.stats()
+        assert (stats["modules_parsed"], stats["modules_reused"]) == (1, 1)
+        # The reused module was remembered on its first run: no function
+        # of it is printed again.
+        module = service._slots["shared"][1]
+        assert all(CHECKPOINT_FINGERPRINTS.get(function) is not None
+                   for function in module.defined_functions())
+        # Byte-identical to what a fresh daemon answers for the same text.
+        status, cold = self._post(fresh(), {"module": text, "name": "b",
+                                            "label": "shared"})
+        assert status == 200
+        assert second == cold
+        assert first == cold
+
+    def test_concurrent_repeats_share_one_module(self, fresh):
+        # More clients than cores send one text under one label and
+        # different names: every request runs on the one intake module,
+        # renamed per run, and all answer alike.
+        import sys
+
+        text = print_module(build_corpus(BENCHMARKS_BY_NAME["milc"], 0.1))
+        service = fresh()
+        results, errors = {}, []
+
+        def submit(index):
+            try:
+                results[index] = self._post(service, {
+                    "module": text, "name": f"n{index}", "label": "same"})
+            except Exception as exc:  # noqa: BLE001 - collected for assert
+                errors.append(exc)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            threads = [threading.Thread(target=submit, args=(index,))
+                       for index in range(6)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=120)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not errors and not any(t.is_alive() for t in threads)
+        assert {status for status, _ in results.values()} == {200}
+        assert len({records for _, records in results.values()}) == 1
+        stats = service.stats()
+        assert (stats["modules_parsed"], stats["modules_reused"]) == (1, 5)
+
+    def test_changed_text_reparses_and_replaces_the_slot(self, fresh,
+                                                         monkeypatch):
+        service = fresh()
+        parses = self._count_calls(monkeypatch, daemon_module, "parse_module")
+        for text in (TINY, TWO_FUNCS, TWO_FUNCS, TINY):
+            assert self._post(service, {"module": text, "label": "L",
+                                        "passes": ["gvn", "dse"]})[0] == 200
+        # TINY -> TWO_FUNCS replaced the slot, so TINY parses again.
+        assert len(parses) == 3
+        stats = service.stats()
+        assert (stats["modules_parsed"], stats["modules_reused"]) == (3, 1)
+        assert [f.name for f in service._slots["L"][1].defined_functions()
+                ] == ["f"]
+
+    def test_unparsable_text_is_a_400_and_keeps_the_slot(self, fresh):
+        service = fresh()
+        payload = {"module": TINY, "label": "L", "passes": ["gvn", "dse"]}
+        assert self._post(service, payload)[0] == 200
+        kept = service._slots["L"]
+        for broken in ("define i32 @broken(", 42):
+            assert self._post(service, {"module": broken,
+                                        "label": "L"})[0] == 400
+        assert service._slots["L"] is kept
+        assert self._post(service, payload)[0] == 200
+        stats = service.stats()
+        assert (stats["modules_parsed"], stats["modules_reused"]) == (1, 1)
+
+    def test_repeated_corpus_payload_is_built_once(self, fresh, monkeypatch):
+        from repro.bench import corpus
+
+        service = fresh()
+        builds = self._count_calls(monkeypatch, corpus, "build_corpus")
+        payload = {"corpus": "libquantum", "scale": 0.1}
+        first = self._post(service, payload)
+        assert first == self._post(service, payload)
+        assert first[1] == json.dumps(_cold_signatures("libquantum"))
+        assert len(builds) == 1
+        # Another scale is another module under the same label.
+        assert self._post(service, {"corpus": "libquantum",
+                                    "scale": 0.2})[0] == 200
+        assert len(builds) == 2
+        stats = service.stats()
+        assert (stats["modules_parsed"], stats["modules_reused"]) == (2, 1)
+
+    def test_revalidate_does_not_remember_its_input(self):
+        # Only the daemon's intake modules are known-immutable; a caller's
+        # module may be edited between runs, so its functions' fingerprints
+        # must never be memoized for it.
+        module = parse_module(TWO_FUNCS)
+        revalidator = Revalidator(ValidatorConfig())
+        try:
+            revalidator.revalidate(module, ["gvn", "dse"], label="direct")
+        finally:
+            revalidator.close()
+        assert all(CHECKPOINT_FINGERPRINTS.get(function) is None
+                   for function in module.defined_functions())
 
 
 class TestAdmissionControl:

@@ -291,6 +291,90 @@ class TestCycleMatching:
         assert mapping[graph.resolve(a)] != mapping[graph.resolve(b)]
 
 
+def _reference_refine_partition(graph, roots=None, max_rounds=64):
+    """The refinement loop as first written: args resolved every round,
+    stability decided by rebuilding both groupings."""
+    if roots is not None:
+        node_ids = sorted(graph.reachable(roots))
+    else:
+        node_ids = sorted(node.id for node in graph.live_nodes())
+    class_of, interner = {}, {}
+    for node_id in node_ids:
+        node = graph.node(node_id)
+        key = (node.kind, node.data, len(node.args))
+        class_of[node_id] = interner.setdefault(key, len(interner))
+    for _ in range(max_rounds):
+        interner, updated = {}, {}
+        for node_id in node_ids:
+            node = graph.node(node_id)
+            key = (class_of[node_id],
+                   tuple(class_of.get(graph.resolve(arg), -1)
+                         for arg in node.args))
+            updated[node_id] = interner.setdefault(key, len(interner))
+        groups_before, groups_after = {}, {}
+        for node_id in node_ids:
+            groups_before.setdefault(class_of[node_id], []).append(node_id)
+            groups_after.setdefault(updated[node_id], []).append(node_id)
+        changed = len(groups_after) != len(groups_before)
+        class_of = updated
+        if not changed:
+            break
+    representatives, result = {}, {}
+    for node_id in node_ids:
+        result[node_id] = representatives.setdefault(class_of[node_id], node_id)
+    return result
+
+
+class TestPartitionMatchesReference:
+    def test_cyclic_graph(self):
+        graph = ValueGraph()
+        zero, one, two = graph.const(0), graph.const(1), graph.const(2)
+        mus = []
+        for step in (one, one, two):
+            mu = graph.make_mu()
+            graph.set_args(mu, [zero, graph.make("binop", "add", [mu, step])])
+            mus.append(mu)
+        # A nested cycle whose body reads the others, and a redirect so
+        # some args resolve through the forward map.
+        outer = graph.make_mu()
+        graph.set_args(outer, [mus[0], graph.make(
+            "binop", "mul", [outer, graph.make("binop", "add", mus[1:])])])
+        graph.redirect(graph.make("binop", "add", [one, two]), graph.const(3))
+        for roots in (None, mus, [outer]):
+            mapping = refine_partition(graph, roots)
+            assert mapping == _reference_refine_partition(graph, roots)
+        mapping = refine_partition(graph)
+        assert mapping[mus[0]] == mapping[mus[1]] != mapping[mus[2]]
+
+    def test_rejecting_corpus_pair(self, monkeypatch):
+        # The combined matcher falls back to partitioning exactly when a
+        # pair does not normalize to equal: check every call on the graphs
+        # a miscompiled corpus function really produces.
+        from repro.bench import BENCHMARKS_BY_NAME, build_corpus
+        from repro.transforms import optimize
+        from repro.validator import validate
+        from repro.vgraph import partition
+
+        calls = []
+        original = partition.refine_partition
+
+        def checked(graph, roots=None, max_rounds=64):
+            mapping = original(graph, roots, max_rounds)
+            assert mapping == _reference_refine_partition(graph, roots,
+                                                          max_rounds)
+            calls.append(len(mapping))
+            return mapping
+
+        monkeypatch.setattr(partition, "refine_partition", checked)
+        module = build_corpus(BENCHMARKS_BY_NAME["sqlite"], 0.1)
+        rejected = 0
+        for function in module.defined_functions():
+            after = optimize(function.clone(), ["bug-flip-operator"])
+            if not validate(function, after).is_success:
+                rejected += 1
+        assert rejected and calls and max(calls) > 10
+
+
 class TestGates:
     def test_edge_conditions(self, diamond_source):
         fn = parse_function(diamond_source)
