@@ -18,9 +18,11 @@ Protocol
     line per function *as it settles* (``signature`` is the record's
     :meth:`~repro.validator.report.FunctionRecord.signature`), then one
     ``{"type": "summary", ...}`` line with the per-request cache delta,
-    shard/engine counters, the request's ``pass_steps_run`` /
-    ``pass_steps_reused`` and budget telemetry.  Unparseable input is a
-    400; admission rejection is a 503 with a ``Retry-After`` header.
+    the shard/engine counters that moved (a counter left out is 0; most
+    shard counters belong to the pool and stay 0 in a serial daemon),
+    the request's ``pass_steps_run`` / ``pass_steps_reused`` and budget
+    telemetry.  Unparseable input is a 400; admission rejection is a
+    503 with a ``Retry-After`` header.
 ``GET /stats``
     Daemon counters: requests/rejections/in-flight, the revalidator's
     run count, cumulative cache counters, engine totals and
@@ -71,6 +73,11 @@ def _record_line(record: FunctionRecord) -> Dict[str, object]:
                     if record.result is not None else 0.0),
         "signature": record.signature(),
     }
+
+
+def _moved(counters: Dict[str, int]) -> Dict[str, int]:
+    """The counters that are not zero: a summary line leaves the rest out."""
+    return {key: value for key, value in counters.items() if value}
 
 
 class ValidationService:
@@ -407,8 +414,8 @@ class ValidationService:
             "summary": report.summary_line(),
             "cache": {"hits": hits, "misses": misses,
                       "hit_rate": (hits / total) if total else 0.0},
-            "shard_stats": self.last_shard_stats,
-            "engine_totals": report.engine_totals(),
+            "shard_stats": _moved(self.last_shard_stats),
+            "engine_totals": _moved(report.engine_totals()),
             **pass_steps,
             "budget": budget.stats() if budget is not None else None,
         }

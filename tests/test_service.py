@@ -379,6 +379,15 @@ class TestServiceParity:
         assert out["summary"]["pass_steps_run"] == 0
         assert out["summary"]["pass_steps_reused"] > 0
 
+    def test_summary_leaves_zero_counters_out(self, client):
+        out = client.validate(corpus="sqlite", scale=0.1, label="moved")
+        full = client.stats()["shard_stats"]
+        shard = out["summary"]["shard_stats"]
+        assert 0 in full.values()  # pool counters of a serial daemon
+        assert shard == {key: value for key, value in full.items() if value}
+        engine = out["summary"]["engine_totals"]
+        assert engine and 0 not in engine.values()
+
     def test_module_text_round_trip(self, client):
         out = client.validate(module=TINY, passes=["gvn", "dse"],
                               label="tiny")
