@@ -10,8 +10,8 @@ pipeline run — so the measured incremental cost is exactly what a
 watch-mode re-validation after the tweak pays.  The artifact records
 both runs' deterministic work counters (nodes built, nodes created, rule
 invocations, normalize runs), the record-signature parity verdict, the
-reuse telemetry (pairs adopted unchanged, retained subgraph nodes
-reused) and the aggregate savings percentages.
+reuse telemetry (pairs adopted unchanged, functions answered wholly
+from the cache) and the aggregate savings percentages.
 
 ``benchmarks/perf_guard.py`` gates the committed artifact: incremental
 revalidation must do **at least 70% fewer rule invocations and 70% fewer
@@ -69,8 +69,7 @@ def main() -> int:
     rows = incremental_comparison(scale=args.scale)
     totals = {"cold": {key: 0 for key in COUNTER_KEYS},
               "incremental": {key: 0 for key in COUNTER_KEYS}}
-    reuse = {"pairs_skipped_unchanged": 0, "subgraph_nodes_reused": 0,
-             "chain_extensions": 0, "chain_fallbacks": 0}
+    reuse = {"pairs_skipped_unchanged": 0, "functions_fully_cached": 0}
     parity_failures = []
     for row in rows:
         for key in COUNTER_KEYS:
@@ -89,7 +88,7 @@ def main() -> int:
             100.0 * (1.0 - warm_value / cold_value), 1) if cold_value else 0.0
 
     table_columns = ("benchmark", "transformed", "identical",
-                     "pairs_skipped_unchanged", "subgraph_nodes_reused",
+                     "pairs_skipped_unchanged", "functions_fully_cached",
                      "cold_nodes_built", "incremental_nodes_built",
                      "nodes_built_saved_pct",
                      "cold_rule_invocations", "incremental_rule_invocations",
@@ -103,12 +102,11 @@ def main() -> int:
           f"rule invocations {savings['rule_invocations_saved_pct']}%, "
           f"normalize runs {savings['normalize_runs_saved_pct']}%")
     print(f"reuse: {reuse['pairs_skipped_unchanged']} pairs adopted "
-          f"unchanged, {reuse['subgraph_nodes_reused']} retained nodes "
-          f"reused, {reuse['chain_extensions']} chain extensions, "
-          f"{reuse['chain_fallbacks']} fallbacks\n")
+          f"unchanged, {reuse['functions_fully_cached']} functions fully "
+          f"cached\n")
 
     payload = {
-        "schema": 1,
+        "schema": 2,
         "scale": args.scale,
         "hash_seed": os.environ.get("PYTHONHASHSEED"),
         "passes": list(PAPER_PIPELINE),

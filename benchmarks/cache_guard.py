@@ -48,8 +48,7 @@ def main() -> int:
                         help="minimum warm-run cache-hit rate (default 0.95)")
     parser.add_argument("--out", type=pathlib.Path,
                         default=pathlib.Path("benchmarks/artifacts/cache_persistence_guard.json"),
-                        help="where to write the JSON artifact (distinct from "
-                             "bench_cache_persistence.py's cache_persistence.json)")
+                        help="where to write the JSON artifact")
     args = parser.parse_args()
 
     from dataclasses import replace

@@ -170,7 +170,7 @@ def _check_incremental(path: pathlib.Path, expected_seed,
     print(f"incremental: rule invocations saved {rules_saved}%, node builds "
           f"saved {nodes_saved}% (floor {min_saved_pct:g}%); "
           f"{reuse.get('pairs_skipped_unchanged', 0)} pairs adopted, "
-          f"{reuse.get('subgraph_nodes_reused', 0)} nodes reused")
+          f"{reuse.get('functions_fully_cached', 0)} functions fully cached")
     if not artifact.get("identical", False):
         failures.append(
             "incremental: records are NOT signature-identical to the cold "
@@ -182,7 +182,8 @@ def _check_incremental(path: pathlib.Path, expected_seed,
     if nodes_saved < min_saved_pct:
         failures.append(
             f"incremental: node builds saved {nodes_saved}% "
-            f"< {min_saved_pct:g}% floor — retained-graph reuse regressed")
+            f"< {min_saved_pct:g}% floor — the cache or the pass-step memo "
+            f"stopped answering unchanged work")
     return failures
 
 

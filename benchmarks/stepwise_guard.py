@@ -102,7 +102,7 @@ def main() -> int:
         concurrency=max(2, args.concurrency))
     engine_rows = engine_sweep_comparison(scale=args.scale)
     args.out.parent.mkdir(parents=True, exist_ok=True)
-    payload = {"schema": 12, "scale": args.scale, "rows": rows,
+    payload = {"schema": 13, "scale": args.scale, "rows": rows,
                "tcp_workers": args.tcp_workers,
                "concurrency": max(2, args.concurrency),
                "chain_rows": chain_rows,
@@ -148,7 +148,7 @@ def main() -> int:
             )
     incremental_columns = ("benchmark", "transformed", "identical",
                            "pairs_skipped_unchanged",
-                           "subgraph_nodes_reused", "chain_fallbacks",
+                           "functions_fully_cached",
                            "rule_invocations_saved_pct",
                            "nodes_built_saved_pct", "replay_pass_steps_run",
                            "replay_pass_steps_reused", "cold_time_s",

@@ -5,17 +5,16 @@ A cold stepwise sweep validates every adjacent checkpoint pair of every
 function from scratch.  But the common real workload is *re*-validation
 after a small change — here, swapping the last two passes of the paper
 pipeline.  A long-lived :class:`~repro.validator.watch.Revalidator`
-retains, per function, the previous run's checkpoint fingerprints, the
-adjacent-pair cache keys and the constructed (never normalized) chain
-value graph; the re-run then
+keeps a pass-step memo and a content-keyed proof cache across calls;
+the re-run then
 
-* **adopts** every pair whose two checkpoint fingerprints are unchanged
-  — answered from the cache under the previous plan's keys, never
-  re-keyed, never re-validated (``pairs_skipped_unchanged``);
-* **extends** the retained graph with only the dirtied versions, whose
-  hash-consing re-reads every sub-term shared with the unchanged
-  population (``subgraph_nodes_reused``), and normalizes a
-  root-restricted clone against the dirty pairs' goals only.
+* **replays** the unchanged pipeline prefix from the memo — no pass
+  runs twice on the same input;
+* **adopts** every pair whose two checkpoints are unchanged — its cache
+  key is the same, so the plan never schedules it and settlement
+  answers it as a hit (``pairs_skipped_unchanged``);
+* **executes** only the dirty pairs, through the same plan → execute →
+  settle path a cold batch sweep takes.
 
 Records are signature-identical to a cold run either way — CI enforces
 it on all twelve corpora (``stepwise_guard.py``'s incremental leg) —
@@ -74,8 +73,7 @@ def main() -> None:
     shard = warm.shard_stats or {}
     print(f"\nreuse: {shard.get('pairs_skipped_unchanged', 0)} unchanged pairs "
           f"adopted from the previous plan, "
-          f"{shard.get('subgraph_nodes_reused', 0)} retained graph nodes "
-          f"re-read by the dirty rebuild, "
+          f"{shard.get('distinct_pairs', 0)} dirty queries executed, "
           f"{shard.get('functions_fully_cached', 0)} functions settled "
           f"without any fresh work")
 

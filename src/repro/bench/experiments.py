@@ -722,9 +722,9 @@ def incremental_comparison(scale: float = 1.0,
       edit-revalidate cycle pays without incrementality;
     * **incremental** — one :class:`~repro.validator.watch.Revalidator`
       primed with a ``passes`` run, then asked to revalidate the same
-      module under ``tweaked``: unchanged-prefix pairs are adopted from
-      the previous plan's cache keys and only the dirty suffix is
-      rebuilt into the retained chain graph.
+      module under ``tweaked``: the shared pipeline prefix comes from its
+      pass-step memo, unchanged pairs are answered by its cache, and only
+      the dirty suffix is executed.
 
     The same revalidator then replays ``passes`` and ``tweaked`` once
     more on fresh copies of the corpus, the way a daemon sees repeated
@@ -734,9 +734,8 @@ def incremental_comparison(scale: float = 1.0,
 
     Each row reports both runs' deterministic work counters with
     ``{key}_saved_pct`` reductions, the reuse telemetry
-    (``pairs_skipped_unchanged``, ``subgraph_nodes_reused``,
-    ``chain_extensions``/``chain_fallbacks``, and the replays'
-    ``replay_pass_steps_run``/``replay_pass_steps_reused``) and the
+    (``pairs_skipped_unchanged``, ``functions_fully_cached``, and the
+    replays' ``replay_pass_steps_run``/``replay_pass_steps_reused``) and the
     ``identical`` / ``mismatches`` comparison — a mismatch names the
     function (or ``<result-module>``) and the run (``tweaked``,
     ``replay-passes``, ``replay-tweaked``) that diverged.
@@ -798,9 +797,6 @@ def incremental_comparison(scale: float = 1.0,
             "identical": not mismatches,
             "mismatches": mismatches,
             "pairs_skipped_unchanged": shard.get("pairs_skipped_unchanged", 0),
-            "subgraph_nodes_reused": shard.get("subgraph_nodes_reused", 0),
-            "chain_extensions": shard.get("chain_extensions", 0),
-            "chain_fallbacks": shard.get("chain_fallbacks", 0),
             "functions_fully_cached": shard.get("functions_fully_cached", 0),
             "replay_pass_steps_run": replay_steps["pass_steps_run"],
             "replay_pass_steps_reused": replay_steps["pass_steps_reused"],

@@ -77,10 +77,11 @@ For corpus-scale traffic, batch validation is orchestrated by the
 incremental state) stays as the serial oracle of every parity test.
 Incremental revalidation is a long-lived object: a
 :class:`~repro.validator.watch.Revalidator` runs the same plan →
-execute → settle path, diffs each planned chain against the previous
-run's (:func:`~repro.validator.scheduler.plan.diff_plan`) and hands
-settlement a lazy retained-graph delta to ask before validating a dirty
-pair inline.
+execute → settle path at every concurrency, with a pass-step memo and
+a cache that outlive the call; unchanged pairs are cache hits, so only
+the dirty ones are executed, and each planned chain is diffed against
+the previous run's (:func:`~repro.validator.scheduler.plan.diff_plan`)
+for the reuse telemetry alone.
 
 With ``config.cache_dir`` set the cache is *persistent*: a SQLite proof
 store answers previously proved pairs lazily and new verdicts are

@@ -146,8 +146,7 @@ class ValidationReport:
     #: revalidation runs (:mod:`repro.validator.watch`) add
     #: ``pairs_skipped_unchanged`` (adjacent pairs adopted from the
     #: previous run's plan/cache without re-validation) and
-    #: ``subgraph_nodes_reused`` (retained chain-graph nodes the dirtied
-    #: versions' rebuilds reached instead of re-creating).
+    #: ``functions_fully_cached`` (functions whose every query hit).
     shard_stats: Optional[Dict[str, int]] = None
 
     def add(self, record: FunctionRecord) -> None:
@@ -234,15 +233,6 @@ class ValidationReport:
                 for key in CONSTRUCTION_COUNTERS:
                     totals[key] = (totals.get(key, 0)
                                    + record.chain_stats.get(f"chain_{key}", 0))
-                # Incremental revalidation telemetry: chain nodes the
-                # delta build re-read instead of rebuilding, and pairs
-                # adopted from the previous run without any graph work.
-                totals["subgraph_nodes_reused"] = (
-                    totals.get("subgraph_nodes_reused", 0)
-                    + record.chain_stats.get("chain_nodes_reused", 0))
-                totals["pairs_skipped_unchanged"] = (
-                    totals.get("pairs_skipped_unchanged", 0)
-                    + record.chain_stats.get("chain_pairs_skipped", 0))
         totals["cache_hits"] = self.cache_hits
         return totals
 

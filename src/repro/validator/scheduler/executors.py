@@ -122,15 +122,13 @@ class ExecutionOutcome:
     """What one :meth:`Executor.execute` run put into the cache.
 
     ``fresh`` holds every key this execution validated (settlement counts
-    the first consumption of each as a miss, further ones as hits);
-    ``chain_fresh`` the subset contributed by chain items.  The
+    the first consumption of each as a miss, further ones as hits).  The
     settlement provider appends inline-validated keys to ``fresh`` as it
     discovers them, so ``validated_queries`` snapshots the executor's own
     contribution first.
     """
 
     fresh: Set[CacheKey] = field(default_factory=set)
-    chain_fresh: Set[CacheKey] = field(default_factory=set)
     chain_stats_by_signature: Dict[ChainSignature, Dict[str, int]] = field(
         default_factory=dict)
     #: Distinct queries this execution answered (pairs + chain-contributed
@@ -142,7 +140,7 @@ class ExecutionOutcome:
     denied: Dict[CacheKey, ValidationResult] = field(default_factory=dict)
 
     def adopt(self, cache: ValidationCache, key: CacheKey,
-              result: ValidationResult, chain: bool = False) -> None:
+              result: ValidationResult) -> None:
         """File one fresh verdict: cacheable ones into the cache, synthetic
         denials into the ``denied`` side channel (never both)."""
         if result.reason in UNCACHEABLE_REASONS:
@@ -150,8 +148,6 @@ class ExecutionOutcome:
             return
         cache.put(key, result)
         self.fresh.add(key)
-        if chain:
-            self.chain_fresh.add(key)
 
 
 class Executor:
@@ -199,12 +195,8 @@ class Executor:
     def __init__(self, workers: int) -> None:
         self.workers = max(1, workers)
         self._pool = None
-        #: Work items handed to this backend (including degraded ones).
-        self.items_run = 0
         #: Work items that actually ran in a worker process.
         self.pooled_items = 0
-        #: Scheduling rounds run (the queue, then the settle round).
-        self.batches = 0
         #: Pool failures that degraded execution to in-process.
         self.degraded = 0
         #: Planned pair queries never validated (streaming cancellation).
@@ -225,9 +217,7 @@ class Executor:
     def stats(self) -> Dict[str, int]:
         """Per-backend counters for ``report.shard_stats``."""
         return {
-            "items_run": self.items_run,
             "pooled_items": self.pooled_items,
-            "batches": self.batches,
             "pool_degraded": self.degraded,
             "pairs_skipped": self.pairs_skipped,
             "workers_respawned": self.workers_respawned,
@@ -295,7 +285,6 @@ class Executor:
         degrade the whole backend: the in-flight items rejoin the queue
         in tag order and the rest of it drains in-process.
         """
-        self.batches += 1
         queue = collections.deque(tagged_items)
 
         def next_item() -> Optional[Tuple[int, Tuple]]:
@@ -310,7 +299,6 @@ class Executor:
                 entry = next_item()
                 if entry is None:
                     return
-                self.items_run += 1
                 on_result(entry[0], _validate_item(entry[1]))
 
         if self.workers <= 1 or self.degraded or len(tagged_items) <= 1:
@@ -359,7 +347,6 @@ class Executor:
                     return  # nobody will consume it; drop instead
                 if casualties[tag] > config.max_pair_retries:
                     self.pairs_quarantined += 1
-                    self.items_run += 1
                     on_result(tag, _quarantined_payload(item, casualties[tag],
                                                         why))
                 else:
@@ -395,7 +382,6 @@ class Executor:
                         absorb_casualty(tag, item, "corrupted result payload")
                         dispatch()
                         continue
-                self.items_run += 1
                 self.pooled_items += 1
                 on_result(tag, payload)
                 dispatch()
@@ -490,7 +476,7 @@ class Executor:
                                                settled + [whole_result]):
                     if settled_result is None or cache.peek(key) is not None:
                         continue
-                    outcome.adopt(cache, key, settled_result, chain=True)
+                    outcome.adopt(cache, key, settled_result)
                     if not settled_result.is_success:
                         release(key)
             else:

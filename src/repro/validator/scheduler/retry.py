@@ -73,7 +73,6 @@ def retry_call(
     policy: Optional[RetryPolicy] = None,
     retry_if: Optional[Callable[[BaseException], bool]] = None,
     seed: int = 0,
-    should_abort: Optional[Callable[[], bool]] = None,
     on_retry: Optional[Callable[[int, BaseException], None]] = None,
     sleep: Callable[[float], None] = time.sleep,
 ) -> T:
@@ -81,10 +80,8 @@ def retry_call(
 
     ``retry_if`` filters which exceptions are transient (default: any
     ``Exception``; ``BaseException``s like timeouts always propagate).
-    ``should_abort`` is checked before every retry — an expired
-    :class:`~repro.validator.scheduler.budget.RequestBudget` must settle
-    denials, not spin retries past its deadline.  ``on_retry(attempt,
-    error)`` observes each scheduled retry (counters, logs).
+    ``on_retry(attempt, error)`` observes each scheduled retry
+    (counters, logs).
     """
     policy = policy or RetryPolicy()
     delays = policy.backoff(seed)
@@ -95,8 +92,6 @@ def retry_call(
             if attempt >= policy.max_attempts:
                 raise
             if retry_if is not None and not retry_if(error):
-                raise
-            if should_abort is not None and should_abort():
                 raise
             if on_retry is not None:
                 on_retry(attempt, error)

@@ -38,13 +38,6 @@ from ..validate import (UNCACHEABLE_REASONS, ChainOutcome, ValidationResult,
 from .budget import RequestBudget
 from .plan import FunctionPlan, ModulePlan, PairProvider, WorkPlan
 
-#: A lazy verdict source :func:`settle_plan` consults on a miss before
-#: validating inline: ``(function_plan, before, after)`` -> an exact
-#: accept, or ``None`` to validate the pair inline.
-DeltaSource = Callable[[FunctionPlan, Function, Function],
-                       Optional[ValidationResult]]
-
-
 def merge_stats(results: Sequence[ValidationResult]) -> Dict[str, int]:
     """Sum the integer normalization counters of several results."""
     totals: Dict[str, int] = {}
@@ -264,7 +257,6 @@ def remap_function_refs(result_module: Module) -> None:
 def settle_plan(plan: WorkPlan, cache: ValidationCache, execution,
                 manager: AnalysisManager,
                 budget: Optional[RequestBudget] = None,
-                delta: Optional[DeltaSource] = None,
                 on_record: Optional[Callable[[FunctionRecord], None]] = None,
                 ) -> Tuple[List[Tuple[Module, ValidationReport]], int]:
     """Assemble result modules and reports from the executed plan.
@@ -285,12 +277,8 @@ def settle_plan(plan: WorkPlan, cache: ValidationCache, execution,
     the record's stepwise walk stops there and salvages its validated
     ``kept_prefix``.  Cached verdicts keep answering for free.
 
-    ``delta`` (the incremental driver's retained chain graph) is asked
-    first on every miss the budget admits; an accept it returns is
-    charged, cached and ledgered exactly like an inline validation, and
-    ``None`` falls through to the inline validation.  ``on_record`` is
-    called with every record of a module in report order — untransformed
-    records included — as soon as it is settled.
+    ``on_record`` is called with every record of a module in report
+    order — untransformed records included — as soon as it is settled.
 
     Returns ``(results, inline_validations)`` with ``results`` in input
     module order.
@@ -299,9 +287,7 @@ def settle_plan(plan: WorkPlan, cache: ValidationCache, execution,
     fresh = execution.fresh
     consumed: set = set()
     inline_validations = 0
-    # The function plan being settled (what ``delta`` is asked about) and
-    # its module's context digest (part of every key).
-    current: Optional[FunctionPlan] = None
+    # The module being settled's context digest (part of every key).
     context = ""
     # Every version the runners can hand the provider was fingerprinted at
     # planning time; the memo keeps assembly from re-printing/re-hashing
@@ -335,11 +321,7 @@ def settle_plan(plan: WorkPlan, cache: ValidationCache, execution,
                 # Synthetic denial: uncached, unledgered — the walk stops
                 # here and the record keeps its validated prefix.
                 return budget.result(before.name), False
-            result = (delta(current, before, after)
-                      if delta is not None else None)
-            if result is None:
-                result = validate_bounded(before, after, config,
-                                          manager=manager)
+            result = validate_bounded(before, after, config, manager=manager)
             if result.reason in UNCACHEABLE_REASONS:
                 # An inline validation can time out too; remember the
                 # denial so a second consumer of the same key neither
@@ -364,8 +346,6 @@ def settle_plan(plan: WorkPlan, cache: ValidationCache, execution,
 
     def settle_function(module_plan: ModulePlan,
                         function_plan: FunctionPlan) -> None:
-        nonlocal current
-        current = function_plan
         chain_stats = execution.chain_stats_by_signature.pop(
             function_plan.chain_signature, None)
         if chain_stats is not None:
@@ -458,7 +438,6 @@ __all__ = [
     "settle_chain_results",
     "settle_plan",
     "shard_stats",
-    "DeltaSource",
     "remap_globals",
     "remap_function_refs",
 ]

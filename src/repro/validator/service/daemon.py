@@ -3,7 +3,7 @@
 One :class:`ValidationService` owns one
 :class:`~repro.validator.watch.Revalidator` — and with it one executor,
 one (optionally persistent) proof cache and the per-function
-incremental chain state — and serves it over a hand-rolled HTTP/1.1
+checkpoint fingerprints — and serves it over a hand-rolled HTTP/1.1
 protocol on plain ``asyncio`` streams, so the daemon needs nothing the
 standard library does not ship.
 
@@ -87,7 +87,8 @@ class ValidationService:
     concurrently (up to ``config.max_inflight`` queued or running) but
     *executed* serially under an :class:`asyncio.Lock`; validation runs
     on a worker thread (:func:`asyncio.to_thread`) with records streamed
-    back through the event loop as they settle, so slow validations
+    back through the event loop as they settle (settlement follows the
+    request's execution, at every concurrency), so slow validations
     never block the accept loop, ``/stats`` or rejections.
 
     **Intake.**  Each label has one intake slot holding the content key

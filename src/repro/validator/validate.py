@@ -486,9 +486,11 @@ def validate_chain_delta(graph: ValueGraph,
     union of the dirty goals applies at least every pair-local rewrite).
     Rejections are **never** authoritative here — the dirty goal union
     differs from both the full-chain union and the isolated pair scope —
-    so the incremental driver re-checks every read-off rejection with an
-    isolated per-pair :func:`validate`, which is what keeps incremental
-    records signature-identical to cold ones.
+    so a caller must re-check every read-off rejection with an isolated
+    per-pair :func:`validate` to keep its records signature-identical to
+    cold ones.  No driver calls it (the incremental revalidator runs the
+    executor like the batch driver); it stays until the benchmark tracer
+    stops naming it.
 
     Returns ``(verdicts, chain_stats)`` with one entry per dirty index,
     or ``None`` when anything fails — the caller then falls back to

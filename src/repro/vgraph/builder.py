@@ -707,6 +707,10 @@ def extend_chain_graph(graph: ValueGraph,
     built versions reached (the ``subgraph_nodes_reused`` telemetry — 0
     when nothing needed building), and the number of nodes construction
     actually created.
+
+    No driver calls it: the incremental revalidator answers unchanged
+    pairs from the content-keyed cache and runs the executor on the
+    rest.  It stays until the benchmark tracer stops naming it.
     """
     if fingerprints is None:
         from ..analysis.manager import CHECKPOINT_FINGERPRINTS

@@ -375,11 +375,12 @@ class ValueGraph:
         """An independent copy of this graph (optionally root-restricted).
 
         With ``roots`` the copy keeps only the nodes reachable from them
-        — the incremental revalidator clones its *pristine* (constructed,
-        never normalized) master chain graph down to the current
-        checkpoint roots before normalizing, so retired versions' nodes
-        neither appear in the work graph nor cost the normalization
-        anything.
+        — :func:`~repro.validator.validate.validate_chain_delta` clones a
+        *pristine* (constructed, never normalized) chain graph down to the
+        current checkpoint roots before normalizing, so retired versions'
+        nodes neither appear in the work graph nor cost the normalization
+        anything.  That helper, which no driver calls, is the only
+        caller of the restricted form.
         Restriction therefore requires a merge-free graph: redirects
         forward arbitrary ids across subgraph boundaries, and slicing a
         forwarded graph could orphan forward targets.

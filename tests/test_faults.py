@@ -135,27 +135,6 @@ class TestRetryCall:
             list(zip(range(3), policy.backoff(7)))
         assert next(policy.backoff(7)) != next(policy.backoff(8))
 
-    def test_expired_budget_aborts_retry_loop(self):
-        # The satellite contract: an expired RequestBudget must settle
-        # denials, not spin a retry loop past its deadline.
-        clock = [0.0]
-        budget = RequestBudget(timeout=1.0, clock=lambda: clock[0])
-        calls = []
-        sleeps = []
-
-        def flaky():
-            calls.append(1)
-            clock[0] += 2.0  # the failure itself blows the deadline
-            raise OSError("transient")
-
-        with pytest.raises(OSError):
-            retry_call(flaky, policy=RetryPolicy(max_attempts=10),
-                       should_abort=lambda: budget.exhausted,
-                       sleep=sleeps.append)
-        assert len(calls) == 1  # no retry was scheduled past the deadline
-        assert sleeps == []
-        assert budget.exhausted
-
 
 # -- pair timeouts -----------------------------------------------------------
 class TestPairTimeout:

@@ -1,4 +1,4 @@
-"""Incremental revalidation: dirty-suffix planning, subgraph reuse, parity.
+"""Incremental revalidation: dirty-suffix execution, reuse telemetry, parity.
 
 The hard correctness bar: every record an incremental revalidation
 produces must be ``FunctionRecord.signature()``-identical to the record a
@@ -6,8 +6,10 @@ cold run over the same module/pipeline produces.  The tests here check
 that bar per mutation kind (suffix swap, pass append, mid-pipeline edit)
 on a corpus subset — ``benchmarks/stepwise_guard.py``'s incremental leg
 extends the same check to every paper corpus — plus the unit behavior of
-the new pieces: the shared fingerprint table, pipeline diffing, pristine
-graph cloning/extension, and the delta validator.
+the pieces: the shared fingerprint table, pipeline diffing, and the
+retained-graph helpers (pristine graph cloning/extension and the delta
+validator), which no driver calls any more but which stay until their
+removal.
 """
 
 import gc
@@ -33,6 +35,7 @@ from repro.validator import (
     Revalidator,
     ValidationCache,
     ValidatorConfig,
+    build_plan,
     diff_plan,
     llvm_md,
     validate_chain_delta,
@@ -126,14 +129,14 @@ def test_pure_suffix_change_skips_unchanged_pairs():
     assert first.shard_stats["pairs_skipped_unchanged"] == 0
     _, second = revalidator.revalidate(module, MUTATIONS["swap"])
     assert second.shard_stats["pairs_skipped_unchanged"] > 0
-    # An identical third run adopts everything and extends nothing.
+    # An identical third run adopts everything and executes nothing.
     _, third = revalidator.revalidate(module, MUTATIONS["swap"])
-    assert third.shard_stats["chain_extensions"] == 0
+    assert third.shard_stats["distinct_pairs"] == 0
     assert third.shard_stats["pairs_skipped_unchanged"] > 0
 
 
 def test_context_change_drops_retained_graphs():
-    """Graphs retained under one module context never answer for another."""
+    """Verdicts proved under one module context never answer for another."""
     spec = BENCHMARKS_BY_NAME["sqlite"]
 
     def flipped():
@@ -144,26 +147,32 @@ def test_context_change_drops_retained_graphs():
     revalidator = Revalidator(DEFAULT_CONFIG)
     revalidator.revalidate(build_corpus(spec, 0.1), PIPE)
     _, second = revalidator.revalidate(flipped(), MUTATIONS["swap"])
-    assert second.shard_stats["subgraph_nodes_reused"] == 0
     _, cold = llvm_md(flipped(), MUTATIONS["swap"], DEFAULT_CONFIG,
                       strategy="stepwise")
     assert _signatures(second) == _signatures(cold)
 
 
-def test_incremental_survives_analysis_manager_eviction():
-    """Retained chain state outlives the AnalysisManager's LRU bound."""
-    config = replace(DEFAULT_CONFIG, analysis_cache_size=2)
-    revalidator = Revalidator(config)
-    spec = BENCHMARKS_BY_NAME["milc"]
-    module = build_corpus(spec, 0.1)
-    _, first = revalidator.revalidate(module, PIPE)
-    _, second = revalidator.revalidate(module, MUTATIONS["swap"])
-    assert revalidator.manager.stats()["analyses_evicted"] > 0
-    cold_config = replace(DEFAULT_CONFIG, analysis_cache_size=2)
-    cold_module = build_corpus(spec, 0.1)
-    _, cold = llvm_md(cold_module, MUTATIONS["swap"], cold_config,
-                      strategy="stepwise")
-    assert _signatures(second) == _signatures(cold)
+@pytest.mark.parametrize("concurrency", [0, 1, 2])
+def test_revalidate_enters_execute_once_per_call(monkeypatch, concurrency):
+    """Every revalidation runs plan -> execute -> settle, whatever the width."""
+    from repro.validator.scheduler import executors
+
+    original = executors.Executor.execute
+    entries = []
+
+    def counted(self, plan, cache, budget=None):
+        entries.append(plan.strategy)
+        return original(self, plan, cache, budget=budget)
+
+    monkeypatch.setattr(executors.Executor, "execute", counted)
+    revalidator = Revalidator(replace(DEFAULT_CONFIG, concurrency=concurrency))
+    try:
+        module = parse_module(TWO_FUNCS, name="two")
+        for passes in (PIPE, MUTATIONS["swap"], MUTATIONS["swap"]):
+            revalidator.revalidate(module, passes)
+    finally:
+        revalidator.close()
+    assert entries == ["stepwise"] * 3
 
 
 def _free_port() -> int:
@@ -253,10 +262,22 @@ def test_revalidation_hits_refresh_cache_recency():
         revalidator.revalidate(parse_module(G_ONLY, name="b"), PIPE)
         second = set(stamps) - first
         assert first and second
-        # Every verdict of "a" is answered from the cache again: each hit
+        # The accepting walk of "a" consumes exactly its adjacent pairs
+        # (the chain item also stored the whole verdict, which it never
+        # asks for); keys are content-addressed, so a fresh plan names
+        # them.
+        plan = build_plan([parse_module(REDUNDANT, name="a")], PIPE,
+                          DEFAULT_CONFIG, ValidationCache(),
+                          strategy="stepwise")
+        walked = {key for function_plan in plan.function_plans()
+                  for key in function_plan.pair_keys}
+        assert walked and walked <= first
+        # The third run answers every walked pair from the cache: each hit
         # must outrank the entries "b" stored in between.
-        revalidator.revalidate(parse_module(REDUNDANT, name="a"), PIPE)
-        assert min(stamps[key] for key in first) > max(
+        _, third = revalidator.revalidate(parse_module(REDUNDANT, name="a"),
+                                          PIPE)
+        assert third.shard_stats["distinct_pairs"] == 0
+        assert min(stamps[key] for key in walked) > max(
             stamps[key] for key in second)
     finally:
         revalidator.close()

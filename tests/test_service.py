@@ -34,7 +34,9 @@ from repro.validator import (
     SQLITE_FILE_NAME,
     RequestBudget,
     Revalidator,
+    ValidationCache,
     ValidatorConfig,
+    build_plan,
     is_budget_result,
     validate_module_batch,
 )
@@ -200,21 +202,34 @@ class TestBudgetedValidation:
     def test_revalidator_salvages_second_chain(self):
         revalidator = Revalidator(ValidatorConfig())
         try:
-            module = parse_module(TWO_FUNCS, name="two")
-            # Enough budget for all of @f plus one pair of @g.
-            cold = validate_module_batch(
-                [parse_module(TWO_FUNCS, name="two")], PAPER_PIPELINE,
-                DEFAULT_CONFIG, strategy="stepwise")
-            f_record = next(r for r in cold[0][1].records if r.name == "f")
-            assert f_record.validated and len(f_record.pass_verdicts) >= 1
-            budget = RequestBudget(max_pairs=len(f_record.pass_verdicts) + 1)
-            _, report = revalidator.revalidate(module, PAPER_PIPELINE,
-                                               label="salvage", budget=budget)
-            by_name = {record.name: record for record in report.records}
-            assert by_name["f"].validated
-            g_record = by_name["g"]
-            assert g_record.signature()["reason"] == BUDGET_EXHAUSTED
-            assert g_record.kept_prefix == 1  # the one affordable pair
+            # The executor admits chain items before pairs, each charged
+            # for the pairs it covers: a cap covering every item but the
+            # last leaves exactly one function's work unaffordable.
+            plan = build_plan([parse_module(TWO_FUNCS, name="two")],
+                              PAPER_PIPELINE, DEFAULT_CONFIG,
+                              ValidationCache(), strategy="stepwise")
+            items = list(plan.pending_chains) + [(key,) for key in plan.pending]
+            assert len(items) >= 2
+            unpaid = {function_plan.function.name
+                      for function_plan in plan.function_plans()
+                      if set(function_plan.pair_keys) & set(items[-1])}
+            assert len(unpaid) == 1
+            budget = RequestBudget(
+                max_pairs=sum(len(item) for item in items[:-1]))
+            _, report = revalidator.revalidate(
+                parse_module(TWO_FUNCS, name="two"), PAPER_PIPELINE,
+                label="salvage", budget=budget)
+            for record in report.records:
+                if record.name not in unpaid:
+                    assert record.validated
+                    continue
+                assert record.signature()["reason"] == BUDGET_EXHAUSTED
+                # Salvage invariant: the denied record keeps exactly its
+                # validated prefix of per-pass verdicts.
+                verdicts = list(record.pass_verdicts.values())
+                prefix = next((index for index, verdict in enumerate(verdicts)
+                               if not verdict.is_success), len(verdicts))
+                assert record.kept_prefix == prefix
         finally:
             revalidator.close()
 
