@@ -64,8 +64,11 @@ class FingerprintTable:
     Only *known-immutable* versions may be remembered globally.  Two
     callers hold such versions: the changed-pass checkpoints of
     :meth:`~repro.transforms.pass_manager.PassManager.run_with_snapshots`
-    are private clones nothing mutates afterwards, and the validation
-    daemon's intake modules
+    are working copies frozen in place once their pass changed them —
+    a later step runs its pass on a clone, never on the checkpoint, and
+    nothing else mutates them until result-module assembly adopts one
+    into a module it hands to the caller and drops its entry
+    (:meth:`forget`) — and the validation daemon's intake modules
     (:class:`~repro.validator.service.daemon.ValidationService`) are
     parsed by the daemon, kept for repeat requests and only ever read.
     An unchanged step's snapshot, by contrast, aliases the caller's own
@@ -104,6 +107,10 @@ class FingerprintTable:
         """``function``'s fingerprint via the memo, computed (not stored) on miss."""
         cached = self._table.get(function)
         return cached if cached is not None else function_fingerprint(function)
+
+    def forget(self, function: Function) -> None:
+        """Drop ``function``'s entry: it is handed to a caller who may mutate it."""
+        self._table.pop(function, None)
 
 
 #: The process-wide checkpoint fingerprint table (see :class:`FingerprintTable`).

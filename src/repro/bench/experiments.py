@@ -760,7 +760,8 @@ def incremental_comparison(scale: float = 1.0,
         from ..validator.watch import Revalidator
         revalidator = Revalidator(base)
         warm_module = build_corpus(spec, scale)
-        revalidator.revalidate(warm_module, passes, label=spec.name)
+        revalidator.revalidate(warm_module, passes, label=spec.name,
+                               assemble=False)
         start = time.perf_counter()
         warm_result, warm_report = revalidator.revalidate(
             warm_module, tweaked, label=spec.name)

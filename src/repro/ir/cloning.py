@@ -3,76 +3,71 @@
 Cloning is used by the validation driver (keep the original function while
 the optimizer mutates a copy), by the loop-unswitching pass (duplicate a
 loop body) and by tests that want to compare a pass's output against a
-pristine input.
+pristine input.  Both whole functions and loop bodies go through
+:func:`clone_blocks`, which copies each instruction's slots without
+re-running its constructor and maps every operand once.
 """
 
 from __future__ import annotations
 
-from typing import Dict, Optional
+from typing import Dict, Optional, Sequence, Tuple
 
-from .instructions import (
-    Alloca,
-    BinaryOperator,
-    Branch,
-    Call,
-    Cast,
-    GetElementPtr,
-    ICmp,
-    Instruction,
-    Load,
-    Phi,
-    Ret,
-    Select,
-    Store,
-    Unreachable,
-)
+from .instructions import Instruction
 from .module import BasicBlock, Function, Module
 from .values import GlobalVariable, Value
 
+#: Instruction class -> the slots its own subclasses add beyond
+#: :class:`Instruction`'s (``ICmp.predicate``, ``Alloca.allocated_type``,
+#: ...), filled on first use.
+_EXTRA_SLOTS: Dict[type, Tuple[str, ...]] = {}
 
-def clone_instruction(inst: Instruction, value_map: Dict[Value, Value]) -> Instruction:
-    """Clone one instruction, mapping operands through ``value_map``.
 
-    Operands not present in the map (constants, globals, declarations,
-    values defined outside the cloned region) are shared with the original.
+def _copy(inst: Instruction, parent: BasicBlock) -> Instruction:
+    """A copy of ``inst``'s slots in ``parent``; operands are the caller's job.
+
+    No constructor runs: the result type, opcode and any subclass slot
+    are copied as they are, so the copy prints exactly like the original.
     """
-
-    def m(value: Value) -> Value:
-        return value_map.get(value, value)
-
-    if isinstance(inst, BinaryOperator):
-        new = BinaryOperator(inst.opcode, m(inst.lhs), m(inst.rhs), inst.name)
-    elif isinstance(inst, ICmp):
-        new = ICmp(inst.predicate, m(inst.lhs), m(inst.rhs), inst.name)
-    elif isinstance(inst, Select):
-        new = Select(m(inst.condition), m(inst.if_true), m(inst.if_false), inst.name)
-    elif isinstance(inst, Cast):
-        new = Cast(inst.opcode, m(inst.value), inst.type, inst.name)
-    elif isinstance(inst, Alloca):
-        count = m(inst.count) if inst.count is not None else None
-        new = Alloca(inst.allocated_type, count, inst.name)
-    elif isinstance(inst, Load):
-        new = Load(m(inst.pointer), inst.name)
-    elif isinstance(inst, Store):
-        new = Store(m(inst.value), m(inst.pointer))
-    elif isinstance(inst, GetElementPtr):
-        new = GetElementPtr(inst.source_type, m(inst.pointer), [m(i) for i in inst.indices], inst.name)
-    elif isinstance(inst, Phi):
-        new = Phi(inst.type, [(m(v), m(b)) for v, b in inst.incoming], inst.name)
-    elif isinstance(inst, Call):
-        new = Call(m(inst.callee), [m(a) for a in inst.args], inst.type, inst.name)
-    elif isinstance(inst, Branch):
-        if inst.is_conditional:
-            new = Branch(m(inst.condition), m(inst.targets[0]), m(inst.targets[1]))
-        else:
-            new = Branch(m(inst.targets[0]))
-    elif isinstance(inst, Ret):
-        new = Ret(m(inst.value) if inst.value is not None else None)
-    elif isinstance(inst, Unreachable):
-        new = Unreachable()
-    else:  # pragma: no cover - defensive
-        raise TypeError(f"cannot clone instruction of type {type(inst).__name__}")
+    cls = type(inst)
+    extra = _EXTRA_SLOTS.get(cls)
+    if extra is None:
+        extra = _EXTRA_SLOTS[cls] = tuple(
+            slot for klass in cls.__mro__[:cls.__mro__.index(Instruction)]
+            for slot in klass.__dict__.get("__slots__", ()))
+    new = cls.__new__(cls)
+    new.type = inst.type
+    new.name = inst.name
+    new.opcode = inst.opcode
+    new.parent = parent
+    for slot in extra:
+        setattr(new, slot, getattr(inst, slot))
     return new
+
+
+def clone_blocks(blocks: Sequence[BasicBlock], new_blocks: Sequence[BasicBlock],
+                 value_map: Dict[Value, Value]) -> None:
+    """Clone the instructions of ``blocks`` into ``new_blocks``, pairwise.
+
+    ``value_map`` must already map every block to its new block (and any
+    other seed, such as arguments); it gains every cloned instruction.
+    All copies are registered before any operand is mapped, so forward
+    references — φ incoming values on back edges, or a use laid out
+    before its definition — resolve in the single mapping walk.
+    Operands the map does not hold (constants, globals, declarations,
+    values defined outside the cloned blocks) are shared with the
+    original.
+    """
+    copies = []
+    for block, new_block in zip(blocks, new_blocks):
+        instructions = new_block.instructions
+        for inst in block.instructions:
+            new = _copy(inst, new_block)
+            value_map[inst] = new
+            instructions.append(new)
+            copies.append((inst, new))
+    get = value_map.get
+    for inst, new in copies:
+        new.operands = [get(operand, operand) for operand in inst.operands]
 
 
 def clone_global(global_var: GlobalVariable) -> GlobalVariable:
@@ -112,33 +107,13 @@ def clone_function(function: Function, new_name: Optional[str] = None,
     for old_arg, new_arg in zip(function.args, clone.args):
         value_map[old_arg] = new_arg
 
-    # First create all blocks so branch targets can be mapped.
+    new_blocks = []
     for block in function.blocks:
         new_block = BasicBlock(block.name, parent=clone)
-        clone.blocks.append(new_block)
+        new_blocks.append(new_block)
         value_map[block] = new_block
-
-    # Clone instructions.  φ-nodes may reference values defined later, so
-    # clone in two passes: create instructions, then fix forward references.
-    pending_phis = []
-    for block in function.blocks:
-        new_block = value_map[block]
-        for inst in block.instructions:
-            new_inst = clone_instruction(inst, value_map)
-            value_map[inst] = new_inst
-            new_block.append(new_inst)
-            if isinstance(inst, Phi):
-                pending_phis.append((inst, new_inst))
-
-    # Fix operands that were forward references at clone time (mostly φ
-    # incoming values from back edges, but any operand ordering quirk too).
-    for block in function.blocks:
-        new_block = value_map[block]
-        for old_inst, new_inst in zip(block.instructions, new_block.instructions):
-            for i, operand in enumerate(old_inst.operands):
-                mapped = value_map.get(operand, operand)
-                if new_inst.operands[i] is not mapped:
-                    new_inst.operands[i] = mapped
+    clone.blocks.extend(new_blocks)
+    clone_blocks(function.blocks, new_blocks, value_map)
     return clone
 
 
@@ -169,5 +144,5 @@ def clone_module(module: Module) -> Module:
     return new_module
 
 
-__all__ = ["clone_instruction", "clone_function", "clone_global",
+__all__ = ["clone_blocks", "clone_function", "clone_global",
            "clone_globals_into", "clone_module"]

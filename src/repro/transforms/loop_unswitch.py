@@ -25,7 +25,7 @@ from __future__ import annotations
 from typing import Dict, List, Optional, Tuple
 
 from ..analysis.loops import Loop, LoopInfo
-from ..ir.cloning import clone_instruction
+from ..ir.cloning import clone_blocks
 from ..ir.instructions import Branch, Instruction, Phi
 from ..ir.module import BasicBlock, Function
 from ..ir.values import ConstantInt, Value
@@ -67,21 +67,12 @@ def _find_unswitchable_branch(loop: Loop) -> Optional[Tuple[BasicBlock, Branch]]
 def _clone_loop(function: Function, loop: Loop, suffix: str) -> Dict[Value, Value]:
     """Clone every block of the loop; returns the old→new value map."""
     value_map: Dict[Value, Value] = {}
+    new_blocks = []
     for block in loop.blocks:
         new_block = function.add_block(f"{block.name}.{suffix}")
         value_map[block] = new_block
-    for block in loop.blocks:
-        new_block = value_map[block]
-        for inst in block.instructions:
-            new_inst = clone_instruction(inst, value_map)
-            value_map[inst] = new_inst
-            new_block.append(new_inst)
-    # Fix forward references (operands cloned before their definitions).
-    for block in loop.blocks:
-        new_block = value_map[block]
-        for old_inst, new_inst in zip(block.instructions, new_block.instructions):
-            for index, operand in enumerate(old_inst.operands):
-                new_inst.operands[index] = value_map.get(operand, operand)
+        new_blocks.append(new_block)
+    clone_blocks(loop.blocks, new_blocks, value_map)
     return value_map
 
 

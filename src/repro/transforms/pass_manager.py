@@ -64,15 +64,17 @@ PAPER_PIPELINE = ("adce", "gvn", "sccp", "licm", "loop-deletion", "loop-unswitch
 class PassSnapshot:
     """The function's state after one pipeline step.
 
-    ``function`` is an immutable checkpoint: a clone when the pass changed
-    something, otherwise *the same object* as the previous step's
-    checkpoint (so adjacent unchanged steps compare by identity and a
-    shared :class:`~repro.analysis.manager.AnalysisManager` never analyses
-    the identical version twice).  A changed checkpoint may be shared:
-    a :class:`PassStepMemo` that outlives one run hands the same object
-    to every later run whose step had the same input content, so no
-    consumer may mutate it — a driver that re-homes a shared checkpoint
-    into a result module clones it first.
+    ``function`` is an immutable checkpoint: when the pass changed
+    something, the working copy it changed, frozen in place (a later
+    step that runs a pass clones it first); otherwise *the same object*
+    as the previous step's checkpoint (so adjacent unchanged steps
+    compare by identity and a shared
+    :class:`~repro.analysis.manager.AnalysisManager` never analyses the
+    identical version twice).  A changed checkpoint may be shared: a
+    :class:`PassStepMemo` that outlives one run hands the same object to
+    every later run whose step had the same input content, so no
+    consumer may mutate it — result-module assembly clones a shared
+    checkpoint before re-homing it.
 
     Snapshots are the unit of work the sharded batch driver ships to its
     worker processes, so the whole payload — step name, changed flag and the
@@ -270,7 +272,7 @@ class PassManager:
                            context: Optional[str] = None,
                            fingerprint: Optional[str] = None,
                            ) -> List[PassSnapshot]:
-        """Run the pipeline on a working clone, checkpointing every step.
+        """Run the pipeline on working clones, checkpointing every step.
 
         ``function`` itself is never mutated.  Returns one
         :class:`PassSnapshot` per pipeline step; the last snapshot's
@@ -285,7 +287,14 @@ class PassManager:
         ``None``): a step whose ``(context, input fingerprint, pass)``
         the memo knows takes its recorded outcome and runs nothing, and
         a step it does not know runs the pass on a working clone of its
-        input.  A memo that outlives the call therefore makes a repeat
+        input — the previous step's working copy while no pass has
+        changed it.  A pass that changes the working copy freezes it in
+        place as the step's checkpoint, so a step clones only when it
+        runs a pass on a frozen checkpoint: a cold run makes the first
+        working copy plus one clone per changed checkpoint a later step
+        runs a pass on, and a checkpoint no later step runs on — the
+        last step's, or one followed by memo hits only — is never
+        copied.  A memo that outlives the call therefore makes a repeat
         run free and an edited pipeline pay only for the steps whose
         input content is new — a shared prefix and a suffix that
         converges back alike.  Its checkpoints are shared with every
@@ -308,8 +317,9 @@ class PassManager:
         current = (fingerprint if fingerprint is not None
                    else CHECKPOINT_FINGERPRINTS.fingerprint(function))
         checkpoint = function
-        # A clone whose content is the current checkpoint's, or None when
-        # a memo hit moved the checkpoint past it.
+        # A private clone whose content is the current checkpoint's, or
+        # None when the checkpoint is frozen (the input, a memo hit, or
+        # the working copy a changing pass just froze in place).
         working: Optional[Function] = None
         snapshots = []
         for step_name, pass_fn in self._passes:
@@ -326,7 +336,7 @@ class PassManager:
                     working = clone_function(checkpoint)
                 changed = bool(pass_fn(working))
                 if changed:
-                    checkpoint = clone_function(working)
+                    checkpoint, working = working, None
                     current = CHECKPOINT_FINGERPRINTS.remember(checkpoint)
                     memo.record(key, (True, checkpoint, current))
                 else:

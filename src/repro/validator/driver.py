@@ -72,6 +72,10 @@ For corpus-scale traffic, batch validation is orchestrated by the
   byte-identical :meth:`~repro.validator.report.FunctionRecord.signature`\\ s
   (``benchmarks/stepwise_guard.py``'s backend leg enforces it).
 
+Both drivers then build their result modules through one function,
+:func:`~repro.validator.scheduler.settle.assemble_result_module`; a
+caller that reads only records (the validation daemon) never runs it.
+
 :func:`llvm_md` delegates to the batch driver iff
 ``config.concurrency > 1``; its lazy per-function path (no pool, no
 incremental state) stays as the serial oracle of every parity test.
@@ -94,7 +98,7 @@ from __future__ import annotations
 from typing import Iterable, List, Optional, Sequence, Tuple
 
 from ..analysis.manager import AnalysisManager, function_fingerprint
-from ..ir.cloning import clone_function, clone_globals_into
+from ..ir.cloning import clone_function
 from ..ir.module import Function, Module
 from ..transforms.pass_manager import (
     PAPER_PIPELINE,
@@ -107,11 +111,10 @@ from .config import DEFAULT_CONFIG, ValidatorConfig
 from .report import FunctionRecord, ValidationReport
 from .scheduler import (
     RequestBudget,
+    assemble_result_module,
     build_plan,
     Executor,
     chain_provider,
-    remap_function_refs,
-    remap_globals,
     run_bisect,
     run_stepwise,
     run_whole,
@@ -254,30 +257,20 @@ def llvm_md(
     if manager is None and strategy != "whole":
         manager = _driver_manager(config)
     report = ValidationReport(label=label or module.name)
-    result_module = Module(module.name)
-    global_map = clone_globals_into(module, result_module)
-
     selected = set(function_names) if function_names is not None else None
     context = module_context_digest(module)
+    # Each kept version is a private clone or checkpoint of this call.
+    kept_versions = {}
     for function in module.functions.values():
-        # Every function inserted into the result module is cloned (or a
-        # freshly cloned checkpoint) with its global references remapped —
-        # also declarations and unselected functions — so the result never
-        # shares mutable structure with (or re-parents functions of) the
-        # input module.
         if function.is_declaration or (selected is not None and function.name not in selected):
-            result_module.add_function(clone_function(function, value_map=global_map))
             continue
         kept, record = validate_function_pipeline(
             function, passes, config, cache=cache, strategy=strategy,
             manager=manager, context=context)
         report.add(record)
-        if kept is function:
-            result_module.add_function(clone_function(function, value_map=global_map))
-        else:
-            remap_globals(kept, result_module)
-            result_module.add_function(kept)
-    remap_function_refs(result_module)
+        if kept is not function:
+            kept_versions[function.name] = kept
+    result_module = assemble_result_module(module, kept_versions)
     if cache is not None:
         cache.save_if_dirty()
         report.cache_stats = cache.stats()
@@ -356,8 +349,10 @@ def validate_module_batch(
     finally:
         executor.close()
     manager = _driver_manager(config)
-    results, inline_validations = settle_plan(plan, cache, execution, manager,
-                                              budget=budget)
+    _, inline_validations = settle_plan(plan, cache, execution, manager,
+                                        budget=budget)
+    results = [(assemble_result_module(module_plan.module, module_plan.kept),
+                module_plan.report) for module_plan in plan.modules]
 
     cache.save_if_dirty()
     stats = shard_stats(plan, execution, executor, inline_validations, cache,

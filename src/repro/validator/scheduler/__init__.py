@@ -17,7 +17,8 @@ pool) independently:
 :mod:`~repro.validator.scheduler.settle`
     *What it means.*  Strategy runners reassembling
     :class:`~repro.validator.report.FunctionRecord`\\ s (verdicts, blame,
-    kept prefixes) from item outcomes, shared by every execution path.
+    kept prefixes) from item outcomes, shared by every execution path,
+    and the one result-module assembly for callers that read a module.
 """
 
 from .budget import (
@@ -46,9 +47,8 @@ from .plan import (
     pending_whole_queries,
 )
 from .settle import (
+    assemble_result_module,
     merge_stats,
-    remap_function_refs,
-    remap_globals,
     run_bisect,
     run_stepwise,
     run_whole,
@@ -84,6 +84,5 @@ __all__ = [
     "settle_chain_results",
     "settle_plan",
     "shard_stats",
-    "remap_globals",
-    "remap_function_refs",
+    "assemble_result_module",
 ]

@@ -26,9 +26,8 @@ from dataclasses import dataclass, field
 from typing import Callable, Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
 
 from ...analysis.manager import CHECKPOINT_FINGERPRINTS
-from ...ir.cloning import clone_function, clone_globals_into
+from ...ir.cloning import clone_function
 from ...ir.module import Function, Module
-from ...ir.values import Value
 from ...transforms.pass_manager import (PAPER_PIPELINE, PassManager, PassSnapshot,
                                        PassStepMemo, checkpoint_chain,
                                        module_context_digest)
@@ -95,19 +94,19 @@ class FunctionPlan:
 
 @dataclass
 class ModulePlan:
-    """One module's share of a batch: the result skeleton plus work items."""
+    """One module's share of a batch: its report plus work items."""
 
     module: Module
-    result_module: Module
     report: ValidationReport
-    #: Input-module global -> result-module clone, used when cloning
-    #: rolled-back (or untransformed) function bodies into the result
-    #: module.
-    global_map: Dict[Value, Value]
     #: :func:`~repro.transforms.pass_manager.module_context_digest` of
     #: ``module``, computed once and folded into every cache key.
     context: str = ""
     work: List[FunctionPlan] = field(default_factory=list)
+    #: Function name -> the version settlement kept, for every planned
+    #: function whose kept version is not the input function itself:
+    #: what :func:`~repro.validator.scheduler.settle.assemble_result_module`
+    #: re-homes.
+    kept: Dict[str, Function] = field(default_factory=dict)
 
 
 @dataclass
@@ -133,10 +132,6 @@ class WorkPlan:
     #: pass-step memo while planning.
     pass_steps_run: int = 0
     pass_steps_reused: int = 0
-    #: Were the checkpoints planned through a caller's memo, which may
-    #: hand them to later runs?  Settlement then clones a kept
-    #: checkpoint into the result module instead of adopting it.
-    shared_checkpoints: bool = False
 
     def function_plans(self) -> Iterator[FunctionPlan]:
         for module_plan in self.modules:
@@ -189,13 +184,10 @@ def build_plan(
         if function_names is not None and function_names[index] is not None:
             selected = set(function_names[index])
         report = ValidationReport(label=label)
-        result_module = Module(module.name)
-        global_map = clone_globals_into(module, result_module)
         work: List[FunctionPlan] = []
         context = module_context_digest(module)
         for function in module.functions.values():
             if function.is_declaration or (selected is not None and function.name not in selected):
-                result_module.add_function(clone_function(function, value_map=global_map))
                 continue
             record = FunctionRecord(name=function.name, strategy=strategy)
             if strategy == "whole":
@@ -204,7 +196,6 @@ def build_plan(
                 steps_run += len(record.transformed_by)
                 report.add(record)
                 if not record.transformed:
-                    result_module.add_function(clone_function(function, value_map=global_map))
                     continue
                 steps = None
                 versions = [function, optimized]
@@ -221,7 +212,6 @@ def build_plan(
                                          for snap in snapshots}
                 report.add(record)
                 if not record.transformed:
-                    result_module.add_function(clone_function(function, value_map=global_map))
                     continue
                 steps, versions = checkpoint_chain(function, snapshots)
                 fingerprints = [source] + [snap.fingerprint() for snap in steps]
@@ -238,8 +228,7 @@ def build_plan(
             classify.append((pair_keys, pair_versions, versions))
             work.append(FunctionPlan(function, record, versions, steps,
                                      fingerprints, pair_keys, whole_key))
-        module_plans.append(ModulePlan(module, result_module, report,
-                                       global_map, context, work))
+        module_plans.append(ModulePlan(module, report, context, work))
     # Phase 2: fault in exactly the keys classification peeks (every
     # adjacent pair; whole fallbacks stay lazy for the settle round), then
     # classify.  Without a store prefetch returns at once.
@@ -275,8 +264,7 @@ def build_plan(
                     pending[key] = (before, after)
     return WorkPlan(strategy=strategy, config=config, modules=module_plans,
                     pending=pending, pending_chains=pending_chains,
-                    pass_steps_run=steps_run, pass_steps_reused=steps_reused,
-                    shared_checkpoints=memo is not None)
+                    pass_steps_run=steps_run, pass_steps_reused=steps_reused)
 
 
 @dataclass

@@ -5,7 +5,9 @@ The settlement layer answers *what the outcomes mean*: it replays every
 strategy runners the lazy serial driver uses (:func:`run_whole`,
 :func:`run_stepwise`, :func:`run_bisect`), reading verdicts back out of
 the shared :class:`~repro.validator.cache.ValidationCache` the executor
-filled, and rebuilds the result modules.  Because the runners are shared,
+filled.  It settles records only; :func:`assemble_result_module`, the one
+place a result module is built, runs afterwards for the callers that read
+one.  Because the runners are shared,
 the lazy driver and the executor — in-process or pooled — produce
 byte-identical
 :meth:`~repro.validator.report.FunctionRecord.signature`\\ s by
@@ -23,10 +25,10 @@ workers (local and remote) and the in-process scheduling loop.
 from __future__ import annotations
 
 from dataclasses import replace
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Mapping, Optional, Sequence, Tuple
 
 from ...analysis.manager import AnalysisManager, CHECKPOINT_FINGERPRINTS
-from ...ir.cloning import clone_function
+from ...ir.cloning import clone_function, clone_globals_into
 from ...ir.module import Function, Module
 from ...ir.values import GlobalVariable
 from ...transforms.pass_manager import PassSnapshot
@@ -220,46 +222,62 @@ def settle_chain_results(outcome: ChainOutcome, versions: Sequence[Function],
     return settled, whole
 
 
-def remap_globals(function: Function, module: Module) -> None:
-    """Re-point a kept optimized body at ``module``'s globals, by name.
+def assemble_result_module(module: Module, kept: Mapping[str, Function],
+                           shared: bool = False) -> Module:
+    """The module llvm-md returns: ``module`` with its kept optimized bodies.
 
-    By name, not through the input module's global map: a checkpoint
-    taken from a long-lived pass-step memo may reference the globals of
-    the earlier run that produced it.
+    ``kept`` maps a function's name to the version validation kept when
+    that is not the input function itself (a checkpoint or the optimized
+    clone).  Every other function — declarations, unselected,
+    untransformed and rolled-back ones — and every global is cloned from
+    ``module``; a kept version is adopted, or cloned first when it is
+    ``shared`` (a pass-step memo may hand it to later runs).  An adopted
+    version becomes the caller's to mutate, so it leaves the checkpoint
+    fingerprint table: a stale entry would key a later validation of
+    the edited function by its old content.  One walk
+    then re-points every global and function operand, by name, at the
+    result module's own: a memo-held checkpoint may still reference the
+    globals of the earlier run that produced it, and cloned bodies start
+    out sharing callees with ``module``.  The result therefore shares no
+    mutable structure with ``module`` nor with any checkpoint a memo
+    keeps.
+
+    This is the only place a result module is built.  It runs after
+    settlement, and only for callers that read the module: the records
+    never depend on it.
     """
-    by_name = module.globals
-    for inst in function.instructions():
-        for index, operand in enumerate(inst.operands):
-            if isinstance(operand, GlobalVariable):
-                replacement = by_name.get(operand.name)
-                if replacement is not None and replacement is not operand:
-                    inst.operands[index] = replacement
-
-
-def remap_function_refs(result_module: Module) -> None:
-    """Re-point call operands at the result module's own function objects.
-
-    Cloned bodies initially share callee :class:`Function` references with
-    the input module; rebinding them by name completes the driver's
-    no-shared-mutable-structure guarantee (mutating the input module's
-    functions can never change the result module's behavior).
-    """
-    by_name = result_module.functions
-    for function in result_module.functions.values():
-        for inst in function.instructions():
-            for index, operand in enumerate(inst.operands):
-                if isinstance(operand, Function):
-                    replacement = by_name.get(operand.name)
+    result = Module(module.name)
+    clone_globals_into(module, result)
+    for function in module.functions.values():
+        version = kept.get(function.name)
+        if version is None:
+            version = clone_function(function)
+        elif shared:
+            version = clone_function(version)
+        else:
+            CHECKPOINT_FINGERPRINTS.forget(version)
+        result.add_function(version)
+    by_kind = {GlobalVariable: result.globals, Function: result.functions}
+    for function in result.functions.values():
+        for block in function.blocks:
+            for inst in block.instructions:
+                operands = inst.operands
+                for index, operand in enumerate(operands):
+                    table = by_kind.get(type(operand))
+                    if table is None:
+                        continue
+                    replacement = table.get(operand.name)
                     if replacement is not None and replacement is not operand:
-                        inst.operands[index] = replacement
+                        operands[index] = replacement
+    return result
 
 
 def settle_plan(plan: WorkPlan, cache: ValidationCache, execution,
                 manager: AnalysisManager,
                 budget: Optional[RequestBudget] = None,
                 on_record: Optional[Callable[[FunctionRecord], None]] = None,
-                ) -> Tuple[List[Tuple[Module, ValidationReport]], int]:
-    """Assemble result modules and reports from the executed plan.
+                ) -> Tuple[List[ValidationReport], int]:
+    """Settle every record of the executed plan; copy nothing.
 
     Replays every function plan through the strategy runners against a
     cache-backed provider.  The first consumer of a freshly validated
@@ -280,7 +298,12 @@ def settle_plan(plan: WorkPlan, cache: ValidationCache, execution,
     ``on_record`` is called with every record of a module in report
     order — untransformed records included — as soon as it is settled.
 
-    Returns ``(results, inline_validations)`` with ``results`` in input
+    Settlement builds no result module: it notes each function's kept
+    version in its :attr:`ModulePlan.kept` (a reference, not a copy),
+    and a caller that reads the module hands that to
+    :func:`assemble_result_module`.
+
+    Returns ``(reports, inline_validations)`` with ``reports`` in input
     module order.
     """
     config = plan.config
@@ -364,18 +387,10 @@ def settle_plan(plan: WorkPlan, cache: ValidationCache, execution,
             kept = run_bisect(function_plan.function, function_plan.versions,
                               function_plan.steps, provider,
                               function_plan.record)
-        if kept is function_plan.function:
-            kept = clone_function(function_plan.function,
-                                  value_map=module_plan.global_map)
-        else:
-            if plan.shared_checkpoints:
-                # The memo hands this checkpoint to later runs: adopt a
-                # clone, never the checkpoint itself.
-                kept = clone_function(kept)
-            remap_globals(kept, module_plan.result_module)
-        module_plan.result_module.add_function(kept)
+        if kept is not function_plan.function:
+            module_plan.kept[function_plan.function.name] = kept
 
-    results: List[Tuple[Module, ValidationReport]] = []
+    reports: List[ValidationReport] = []
     for module_plan in plan.modules:
         context = module_plan.context
         # The report holds every selected function's record in module
@@ -388,9 +403,8 @@ def settle_plan(plan: WorkPlan, cache: ValidationCache, execution,
                 upcoming = next(work, None)
             if on_record is not None:
                 on_record(record)
-        remap_function_refs(module_plan.result_module)
-        results.append((module_plan.result_module, module_plan.report))
-    return results, inline_validations
+        reports.append(module_plan.report)
+    return reports, inline_validations
 
 
 def shard_stats(plan: WorkPlan, execution, executor, inline_validations: int,
@@ -438,6 +452,5 @@ __all__ = [
     "settle_chain_results",
     "settle_plan",
     "shard_stats",
-    "remap_globals",
-    "remap_function_refs",
+    "assemble_result_module",
 ]

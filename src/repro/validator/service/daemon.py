@@ -335,7 +335,7 @@ class ValidationService:
                     module, request["passes"],
                     label=request["label"],
                     function_names=request["functions"],
-                    budget=budget, on_record=emit)
+                    budget=budget, on_record=emit, assemble=False)
                 loop.call_soon_threadsafe(queue.put_nowait, ("done", report))
             except BaseException as exc:
                 loop.call_soon_threadsafe(queue.put_nowait, ("error", exc))

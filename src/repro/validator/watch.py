@@ -21,8 +21,9 @@ only what changed:
   pipeline reruns only the steps whose input content is new — the
   shared prefix and any suffix that converges back are read from the
   memo, checkpoints and fingerprints included.  Memo-held checkpoints
-  are shared across requests, so settlement clones a kept one into the
-  result module instead of adopting it;
+  are shared across requests, so result-module assembly clones a kept
+  one instead of adopting it — and a caller that reads only records
+  (the daemon) asks for no result module at all;
 * **cache-backed dirty suffix** — every adjacent pair is keyed by the
   content of its two checkpoints and the module context, so pairs whose
   endpoints did not change are already in the cache: the plan never
@@ -65,6 +66,7 @@ from .report import FunctionRecord, ValidationReport
 from .scheduler import (
     FunctionPlan,
     RequestBudget,
+    assemble_result_module,
     build_plan,
     Executor,
     diff_plan,
@@ -147,16 +149,22 @@ class Revalidator:
                    cache: Optional[ValidationCache] = None,
                    budget: Optional[RequestBudget] = None,
                    on_record: Optional[Callable[[FunctionRecord], None]] = None,
-                   ) -> Tuple[Module, ValidationReport]:
+                   assemble: bool = True,
+                   ) -> Tuple[Optional[Module], ValidationReport]:
         """Optimize and validate ``module``, reusing the previous run.
 
         Same contract as serial stepwise
         :func:`~repro.validator.driver.llvm_md` — a fresh result module
         sharing no mutable structure with the input, per-function
         records with verdicts/blame/kept prefixes — plus the incremental
-        telemetry in ``report.shard_stats``.  An explicit ``cache``
-        overrides the revalidator's own for this call (keys are
-        content-addressed, so mixing caches never changes verdicts).
+        telemetry in ``report.shard_stats``.  With ``assemble=False``
+        the result module is ``None`` and nothing is copied for it:
+        callers that read only the records (the validation daemon, the
+        watch CLI) skip
+        :func:`~repro.validator.scheduler.settle.assemble_result_module`.
+        An explicit ``cache`` overrides the revalidator's own for this
+        call (keys are content-addressed, so mixing caches never changes
+        verdicts).
         ``module`` is read, never written, and must stay that way:
         memoized checkpoints keep referencing its globals and callees.
 
@@ -197,7 +205,7 @@ class Revalidator:
             if on_record is not None:
                 on_record(record)
 
-        [(result_module, report)], inline_validations = settle_plan(
+        [report], inline_validations = settle_plan(
             plan, cache, execution, manager, budget=budget, on_record=settled)
 
         totals = {"pairs_skipped_unchanged": 0, "functions_fully_cached": 0}
@@ -225,6 +233,13 @@ class Revalidator:
             "revalidations": self.runs,
             **totals,
         }
+        result_module = None
+        if assemble:
+            # Kept checkpoints belong to the pass memo, which hands them
+            # to later calls: assembly clones them.
+            [module_plan] = plan.modules
+            result_module = assemble_result_module(module, module_plan.kept,
+                                                   shared=True)
         return result_module, report
 
 
@@ -366,7 +381,8 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     try:
         module = _load_module(args.source, args.scale)
 
-        _, report = revalidator.revalidate(module, tuple(args.passes))
+        _, report = revalidator.revalidate(module, tuple(args.passes),
+                                           assemble=False)
         _print_run("run 1", report)
         if args.min_hit_rate is not None:
             stats = report.cache_stats or {}
@@ -377,8 +393,8 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
                 status = 1
         last_report = report
         if args.then_passes:
-            _, last_report = revalidator.revalidate(module,
-                                                    tuple(args.then_passes))
+            _, last_report = revalidator.revalidate(
+                module, tuple(args.then_passes), assemble=False)
             _print_run("run 2", last_report)
 
         if not args.once and not args.source.startswith("corpus:"):
@@ -387,8 +403,8 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
 
             def rerun(changed: Module) -> None:
                 nonlocal last_report
-                _, last_report = revalidator.revalidate(changed,
-                                                        tuple(args.passes))
+                _, last_report = revalidator.revalidate(
+                    changed, tuple(args.passes), assemble=False)
                 _print_run(time.strftime("%H:%M:%S"), last_report)
 
             print(f"watching {path} (every {args.interval:g}s; "

@@ -18,6 +18,31 @@ def parse_one():
     return parse_function
 
 
+@pytest.fixture
+def assembly_calls(monkeypatch):
+    """``(module, shared)`` of every result module assembled in the test.
+
+    Wraps ``assemble_result_module`` wherever a driver binds it, so a
+    test can check that a returned module is the one the single assembly
+    function built.
+    """
+    import importlib
+
+    settle = importlib.import_module("repro.validator.scheduler.settle")
+    original = settle.assemble_result_module
+    built = []
+
+    def spy(module, kept, shared=False):
+        result = original(module, kept, shared)
+        built.append((result, shared))
+        return result
+
+    for owner in ("repro.validator.driver", "repro.validator.watch"):
+        monkeypatch.setattr(importlib.import_module(owner),
+                            "assemble_result_module", spy)
+    return built
+
+
 @pytest.fixture(scope="session")
 def mini_corpus():
     """A small generated corpus shared by integration tests (read-only!)."""

@@ -427,14 +427,26 @@ class TestBatchValidation:
         fn = module.defined_functions()[0]
         assert function_fingerprint(fn) == function_fingerprint(clone_function(fn))
 
-    def test_batch_result_modules_are_isolated(self):
-        module = generate_module(functions=3, seed=7)
-        (result_module, _), = validate_module_batch([module])
-        assert set(result_module.functions) == set(module.functions)
-        for name, function in module.functions.items():
-            assert result_module.functions[name] is not function
-            # The input module's functions were not re-parented.
-            assert function.parent is module
+    def test_batch_result_modules_are_isolated(self, assembly_calls):
+        modules = [generate_module(functions=3, seed=7),
+                   generate_module(functions=2, seed=8)]
+        results = validate_module_batch(modules, strategy="stepwise")
+        # One assembly per module, after settlement, in input order.
+        assert [built for built, _ in assembly_calls] == [
+            result_module for result_module, _ in results]
+        for module, (result_module, _) in zip(modules, results):
+            assert set(result_module.functions) == set(module.functions)
+            originals = {id(value) for value in (*module.functions.values(),
+                                                 *module.globals.values())}
+            for name, function in module.functions.items():
+                assert result_module.functions[name] is not function
+                # The input module's functions were not re-parented.
+                assert function.parent is module
+            for function in result_module.functions.values():
+                assert function.parent is result_module
+                for inst in function.instructions():
+                    assert not any(id(operand) in originals
+                                   for operand in inst.operands)
 
 
 class TestDriverCloningUniform:

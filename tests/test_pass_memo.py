@@ -144,6 +144,33 @@ def test_memo_bound_is_an_lru(parse):
 
 # -- the drivers ---------------------------------------------------------------
 
+def test_frozen_checkpoints_are_never_mutated():
+    # A changing pass freezes its working copy in place as the step's
+    # checkpoint; later steps must run on clones of it.  Walk every
+    # corpus cold, then through one shared memo (cold, warm and edited),
+    # and only afterwards re-print what every snapshot recorded.
+    from repro.analysis.manager import function_fingerprint
+    from repro.ir.printer import print_function
+
+    pipeline, edited = PassManager(PAPER_PIPELINE), PassManager(EDITS[0])
+    shared = PassStepMemo()
+    inputs, changed = [], []
+    for spec in PAPER_BENCHMARKS:
+        module = build_corpus(spec, 0.05)
+        context = module_context_digest(module)
+        for function in module.defined_functions():
+            inputs.append((function, print_function(function)))
+            walks = [pipeline.run_with_snapshots(function)]
+            walks += [manager.run_with_snapshots(function, shared, context)
+                      for manager in (pipeline, pipeline, edited)]
+            changed += [snap for walk in walks for snap in walk if snap.changed]
+    assert changed and any(snap.reused for snap in changed)
+    for snap in changed:
+        assert snap.fingerprint() == function_fingerprint(snap.function)
+    for function, text in inputs:
+        assert print_function(function) == text
+
+
 def test_cold_batch_reuses_nothing():
     module = build_corpus(BENCHMARKS_BY_NAME["sqlite"], 0.1)
     (_, report), = validate_module_batch([module], PAPER_PIPELINE,
@@ -194,9 +221,15 @@ def test_callee_losing_readnone_misses_the_memo(parse):
     revalidator.close()
 
 
-def test_mutating_a_result_module_changes_nothing(parse):
+def test_mutating_a_result_module_changes_nothing(parse, assembly_calls):
     revalidator = Revalidator(DEFAULT_CONFIG)
+    # A records-only call builds no module at all.
+    nothing, _ = revalidator.revalidate(parse(WITH_GLOBAL), label="m",
+                                        assemble=False)
+    assert nothing is None and assembly_calls == []
     result, report = revalidator.revalidate(parse(WITH_GLOBAL), label="m")
+    # The memo shares its checkpoints, so assembly clones the kept one.
+    assert assembly_calls == [(result, True)]
     assert report.records[0].kept_prefix >= 2
     for function in result.defined_functions():
         for block in function.blocks:
@@ -209,6 +242,8 @@ def test_mutating_a_result_module_changes_nothing(parse):
     _assert_matches_cold(again, report, lambda: parse(WITH_GLOBAL),
                          PAPER_PIPELINE)
     assert again.functions["f"] is not result.functions["f"]
+    assert [built for built, shared in assembly_calls if shared] == [result,
+                                                                     again]
     revalidator.close()
 
 

@@ -608,6 +608,51 @@ class TestIntake:
         stats = service.stats()
         assert (stats["modules_parsed"], stats["modules_reused"]) == (2, 1)
 
+    def test_settlement_clones_nothing(self, fresh, monkeypatch):
+        # The daemon reads records only: neither settlement nor anything
+        # after it in the request copies a function.  Cloning is counted
+        # from each request's settle_plan entry to its revalidate exit.
+        from repro.ir import cloning
+        from repro.transforms import pass_manager
+        from repro.validator.scheduler import settle
+
+        text = print_module(build_corpus(BENCHMARKS_BY_NAME["sqlite"], 0.1))
+        service = fresh()
+        assert self._post(service, {"module": text, "label": "L"})[0] == 200
+        settling, clones = [], {"settling": 0, "all": 0}
+        clone_function = cloning.clone_function
+
+        def counted(*args, **kwargs):
+            clones["all"] += 1
+            clones["settling"] += bool(settling)
+            return clone_function(*args, **kwargs)
+
+        for owner in (cloning, pass_manager, settle):
+            monkeypatch.setattr(owner, "clone_function", counted)
+        settle_plan = watch.settle_plan
+
+        def settle_opens_the_window(*args, **kwargs):
+            settling.append(True)
+            return settle_plan(*args, **kwargs)
+
+        monkeypatch.setattr(watch, "settle_plan", settle_opens_the_window)
+        revalidate = Revalidator.revalidate
+
+        def revalidate_closes_it(self, *args, **kwargs):
+            try:
+                return revalidate(self, *args, **kwargs)
+            finally:
+                settling.clear()
+
+        monkeypatch.setattr(Revalidator, "revalidate", revalidate_closes_it)
+        edit = [name for name in PAPER_PIPELINE if name != "gvn"]
+        for passes in (edit, list(PAPER_PIPELINE)):
+            assert self._post(service, {"module": text, "label": "L",
+                                        "passes": passes})[0] == 200
+        assert clones["settling"] == 0
+        # The edit ran passes on working clones: the counter was live.
+        assert clones["all"] > 0
+
     def test_revalidate_does_not_remember_its_input(self):
         # Only the daemon's intake modules are known-immutable; a caller's
         # module may be edited between runs, so its functions' fingerprints

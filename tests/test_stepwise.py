@@ -34,6 +34,20 @@ _NO_FLEET = SimpleNamespace(workers_joined=0, workers_left=0, rejected=0)
 
 BUGGY_PIPELINE = ("adce", "bug-flip-operator", "gvn")
 
+#: gvn folds the redundant add and dse kills the dead store: a kept
+#: multi-step checkpoint.
+REDUNDANT_STORES = """
+define i32 @f(i32 %a, i32* %p) {
+entry:
+  %x = add i32 %a, 1
+  %y = add i32 %a, 1
+  store i32 %x, i32* %p
+  store i32 %y, i32* %p
+  %r = add i32 %x, %y
+  ret i32 %r
+}
+"""
+
 
 class TestPassSnapshots:
     def test_input_never_mutated(self, mini_corpus):
@@ -361,9 +375,15 @@ class TestStrategies:
 
 
 class TestDriverModuleGuarantees:
-    def test_result_module_shares_no_globals_or_functions(self, mini_corpus):
+    def test_result_module_shares_no_globals_or_functions(self, mini_corpus,
+                                                          assembly_calls):
         for strategy in STRATEGIES:
             result_module, _ = llvm_md(mini_corpus, PAPER_PIPELINE, strategy=strategy)
+            # The serial driver's module comes from the one assembly
+            # function, adopting its call-private checkpoints.
+            assert len(assembly_calls) == STRATEGIES.index(strategy) + 1
+            assert assembly_calls[-1][0] is result_module
+            assert assembly_calls[-1][1] is False
             for name, global_var in result_module.globals.items():
                 assert global_var is not mini_corpus.globals[name]
             originals = set(map(id, mini_corpus.globals.values()))
@@ -374,6 +394,28 @@ class TestDriverModuleGuarantees:
                         assert id(operand) not in originals, (
                             f"@{function.name} still references an input-module "
                             f"global or function")
+
+    @pytest.mark.parametrize("batch", [False, True])
+    def test_edited_result_function_is_fingerprinted_afresh(self, parse,
+                                                            batch):
+        # A kept checkpoint adopted into the result module is the
+        # caller's to edit: the checkpoint fingerprint table must not
+        # answer for it with its pre-edit content.
+        from repro.analysis.manager import CHECKPOINT_FINGERPRINTS
+        from repro.ir.values import ConstantInt
+
+        module = parse(REDUNDANT_STORES)
+        if batch:
+            (result_module, report), = validate_module_batch(
+                [module], strategy="stepwise")
+        else:
+            result_module, report = llvm_md(module, strategy="stepwise")
+        assert report.records[0].kept_prefix >= 1
+        function = result_module.functions["f"]
+        ret = function.blocks[-1].instructions[-1]
+        ret.operands[0] = ConstantInt(ret.operands[0].type, 42)
+        assert (CHECKPOINT_FINGERPRINTS.fingerprint(function)
+                == function_fingerprint(function))
 
     def test_result_module_global_mutation_is_isolated(self, mini_corpus):
         result_module, _ = llvm_md(mini_corpus, PAPER_PIPELINE)
