@@ -13,11 +13,13 @@ Covers the four layers of the engine refactor:
 
 import pytest
 
+from repro.analysis.manager import CHECKPOINT_FINGERPRINTS
 from repro.bench import generate_module
 from repro.bench.corpus import small_test_corpus
 from repro.ir import clone_function, parse_function
 from repro.transforms import PAPER_PIPELINE, get_pass
 from repro.validator import (
+    STRATEGIES,
     ValidationCache,
     ValidatorConfig,
     function_fingerprint,
@@ -428,25 +430,29 @@ class TestBatchValidation:
         assert function_fingerprint(fn) == function_fingerprint(clone_function(fn))
 
     def test_batch_result_modules_are_isolated(self, assembly_calls):
-        modules = [generate_module(functions=3, seed=7),
-                   generate_module(functions=2, seed=8)]
-        results = validate_module_batch(modules, strategy="stepwise")
-        # One assembly per module, after settlement, in input order.
-        assert [built for built, _ in assembly_calls] == [
-            result_module for result_module, _ in results]
-        for module, (result_module, _) in zip(modules, results):
-            assert set(result_module.functions) == set(module.functions)
-            originals = {id(value) for value in (*module.functions.values(),
-                                                 *module.globals.values())}
-            for name, function in module.functions.items():
-                assert result_module.functions[name] is not function
-                # The input module's functions were not re-parented.
-                assert function.parent is module
-            for function in result_module.functions.values():
-                assert function.parent is result_module
-                for inst in function.instructions():
-                    assert not any(id(operand) in originals
-                                   for operand in inst.operands)
+        for strategy in STRATEGIES:
+            modules = [generate_module(functions=3, seed=7),
+                       generate_module(functions=2, seed=8)]
+            assembly_calls.clear()
+            results = validate_module_batch(modules, strategy=strategy)
+            # One assembly per module, after settlement, in input order.
+            assert [built for built, _ in assembly_calls] == [
+                result_module for result_module, _ in results], strategy
+            for module, (result_module, _) in zip(modules, results):
+                assert set(result_module.functions) == set(module.functions)
+                originals = {id(value) for value in (
+                    *module.functions.values(), *module.globals.values())}
+                for name, function in module.functions.items():
+                    assert result_module.functions[name] is not function
+                    # The input module's functions were not re-parented.
+                    assert function.parent is module
+                for function in result_module.functions.values():
+                    assert function.parent is result_module
+                    # An adopted kept version is the caller's to mutate now.
+                    assert CHECKPOINT_FINGERPRINTS.get(function) is None
+                    for inst in function.instructions():
+                        assert not any(id(operand) in originals
+                                       for operand in inst.operands), strategy
 
 
 class TestDriverCloningUniform:
